@@ -16,6 +16,7 @@ each carrying its actual elapsed transaction time.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,6 +25,7 @@ import numpy as np
 from .errors import DataError
 
 CSV_HEADER = ["timestamp", "open", "high", "low", "close", "volume"]
+_ROW = np.dtype([("timestamp", np.int64)] + [(n, np.float64) for n in CSV_HEADER[1:]])
 
 
 @dataclass(frozen=True)
@@ -36,18 +38,6 @@ class Candle:
     low: float
     close: float
     volume: float
-
-    def validate(self) -> None:
-        if self.timestamp % 60 != 0:
-            raise DataError(f"timestamp {self.timestamp} is not a minute boundary")
-        if self.low > min(self.open, self.close):
-            raise DataError(f"low {self.low} above open/close at ts {self.timestamp}")
-        if self.high < max(self.open, self.close):
-            raise DataError(f"high {self.high} below open/close at ts {self.timestamp}")
-        if self.volume < 0:
-            raise DataError(f"negative volume at ts {self.timestamp}")
-        if min(self.open, self.high, self.low, self.close) <= 0:
-            raise DataError(f"non-positive price at ts {self.timestamp}")
 
 
 class CandleSeries:
@@ -130,59 +120,140 @@ class ReturnSeries:
         return len(self.r)
 
 
-def representative_price(c: Candle) -> float:
-    """Mean of open, high, low and close."""
-    return (c.open + c.high + c.low + c.close) / 4.0
-
-
 def parse_candles(path, ticker: str | None = None) -> CandleSeries:
     """Read one ticker's candle CSV.
 
-    Expects header ``timestamp,open,high,low,close,volume``. Rows may be
-    out of order (they are sorted); duplicate timestamps, malformed
-    fields and OHLC-invariant violations are rejected with the offending
-    line number.
+    Accepted syntax: a header line ``timestamp,open,high,low,close,volume``
+    (case and surrounding spaces ignored), then one candle per line with
+    six comma-separated fields, each optionally in double quotes and padded
+    with spaces or tabs. The timestamp is a signed decimal integer of ASCII
+    digits within int64; prices and volume are decimal floats with an
+    optional sign, fraction and exponent. Lines end in LF, CRLF or CR;
+    empty and whitespace-only lines are skipped. Rows may be out of order
+    (they are sorted). Malformed fields, a wrong field count, non-finite
+    values and OHLC-invariant violations are rejected with the line number
+    of the first offending line; duplicate timestamps are rejected too.
+
+    The file is parsed in one ``np.loadtxt`` call and checked as whole
+    columns. Unlike the row-by-row reader this replaced, it rejects NaN and
+    infinite prices and volumes, ``_`` digit separators, non-ASCII digits
+    and timestamps outside int64 (which Python's ``int``/``float`` took),
+    and a line holding only a quoted empty field is not a blank line.
     """
     path = Path(path)
     if ticker is None:
         ticker = path.stem
-    ts, op, hi, lo, cl, vo = [], [], [], [], [], []
     try:
-        fh = open(path, newline="")
+        fh = open(path)
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
+        first = fh.readline()
+        if not first:
+            raise DataError(f"{path}: empty file")
+        header = next(csv.reader([first]), [])
         if [h.strip().lower() for h in header] != CSV_HEADER:
             raise DataError(f"{path}: bad header {header!r}, want {CSV_HEADER}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 6:
-                raise DataError(f"{path}:{lineno}: expected 6 fields, got {len(row)}")
-            try:
-                t = int(row[0])
-                o, h, l, c, v = (float(x) for x in row[1:])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            try:
-                Candle(t, o, h, l, c, v).validate()
-            except DataError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            ts.append(t); op.append(o); hi.append(h); lo.append(l); cl.append(c); vo.append(v)
-    if not ts:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no rows: raised below
+                rows = _load_rows(fh)
+        except ValueError:
+            rows = None
+    if rows is None:
+        rows = _reparse(path)
+    if len(rows) == 0:
         raise DataError(f"{path}: no candles")
-    order = np.argsort(np.asarray(ts, dtype=np.int64), kind="stable")
-    ts = np.asarray(ts, dtype=np.int64)[order]
+    _check_rows(path, rows)
+    ts = rows["timestamp"]
+    order = np.argsort(ts, kind="stable")
+    ts = ts[order]
     dup = np.nonzero(np.diff(ts) == 0)[0]
     if dup.size:
         raise DataError(f"{path}: duplicate timestamp {int(ts[dup[0]])}")
-    pick = lambda a: np.asarray(a, dtype=float)[order]
-    return CandleSeries(ticker, ts, pick(op), pick(hi), pick(lo), pick(cl), pick(vo))
+    return CandleSeries(ticker, ts, *(rows[n][order] for n in CSV_HEADER[1:]))
+
+
+def _load_rows(lines, dtype=_ROW, usecols=None) -> np.ndarray:
+    return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                      quotechar='"', usecols=usecols, ndmin=1)
+
+
+def _data_lines(path: Path) -> list[tuple[int, str]]:
+    """(line number, text) of every non-blank line after the header.
+
+    Error path only: the file is read again once a row is known bad.
+    """
+    lines = path.read_text().split("\n")
+    return [(n, line) for n, line in enumerate(lines[1:], start=2) if line.strip()]
+
+
+def _check_rows(path: Path, rows: np.ndarray, numbered=None) -> None:
+    """Every per-candle invariant as one mask; raise for the first bad row.
+
+    ``numbered`` is ``_data_lines(path)`` when the caller already has it.
+    """
+    t, o, h, l, c, v = (rows[n] for n in CSV_HEADER)
+    finite = np.isfinite(o) & np.isfinite(h) & np.isfinite(l) & np.isfinite(c)
+    # in the order a row is described when it breaks several
+    fails = {
+        "timestamp {t} is not a minute boundary": t % 60 != 0,
+        "non-finite price or volume at ts {t}": ~(finite & np.isfinite(v)),
+        "low {l} above open/close at ts {t}": l > np.minimum(o, c),
+        "high {h} below open/close at ts {t}": h < np.maximum(o, c),
+        "negative volume at ts {t}": v < 0,
+        "non-positive price at ts {t}": np.minimum(np.minimum(o, h), np.minimum(l, c)) <= 0,
+    }
+    bad = np.logical_or.reduce(list(fails.values()))
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    msg = next(m for m, mask in fails.items() if mask[i])
+    lineno = (numbered or _data_lines(path))[i][0]
+    raise DataError(f"{path}:{lineno}: "
+                    + msg.format(t=int(t[i]), l=float(l[i]), h=float(h[i])))
+
+
+def _reparse(path: Path) -> np.ndarray:
+    """Rows of a file that the one-call parse rejected (error path only).
+
+    ``loadtxt`` skips empty lines but not whitespace-only ones, so the
+    non-blank lines are parsed again. If that fails too, the first line
+    ``loadtxt`` cannot read is found by bisection with the same call (so
+    numpy's own rules decide, and its message is never parsed). The rows
+    before it are checked first, so the first bad line in file order is
+    the one reported.
+    """
+    numbered = _data_lines(path)
+    lines = [line for _, line in numbered]
+    if not lines:
+        return np.empty(0, dtype=_ROW)
+    try:
+        return _load_rows(lines)
+    except ValueError:
+        pass
+    lo, hi = 0, len(lines)      # lines[:lo] parse; the first failure is in [lo, hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _load_rows(lines[lo:mid])
+            lo = mid
+        except ValueError:
+            hi = mid
+    if lo:
+        _check_rows(path, _load_rows(lines[:lo]), numbered)
+    lineno, line = numbered[lo]
+    fields = next(csv.reader([line]), [])
+    if len(fields) != len(CSV_HEADER):
+        raise DataError(f"{path}:{lineno}: expected {len(CSV_HEADER)} fields, "
+                        f"got {len(fields)}")
+    for col, (name, field) in enumerate(zip(CSV_HEADER, fields)):
+        try:
+            _load_rows([line], dtype=_ROW[name], usecols=[col])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: cannot read {name} from "
+                            f"{field!r} as {_ROW[name]}") from None
+    raise DataError(f"{path}:{lineno}: cannot read line {line!r}")
 
 
 def write_candles(path, series: CandleSeries) -> None:
@@ -201,14 +272,22 @@ def bin_coordinates(coords: np.ndarray, prices: np.ndarray, tau: float):
 
     Returns (grid index, mean coord, mean price, count) arrays with empty
     bins absent. Bins are half-open [k*tau, (k+1)*tau), anchored at 0.
+    ``coords`` must be non-decreasing, as clock coordinates of a
+    time-sorted series are: each bin is read off as one run of equal grid
+    index. Unsorted coordinates raise DataError.
     """
     if tau <= 0:
         raise DataError(f"tau must be positive, got {tau}")
+    if np.any(coords[1:] < coords[:-1]):
+        raise DataError("bin coordinates are not sorted")
     idx = np.floor_divide(coords, tau).astype(np.int64)
-    uniq, first, counts = np.unique(idx, return_index=True, return_counts=True)
+    first = np.flatnonzero(np.diff(idx)) + 1
+    if len(idx):
+        first = np.concatenate(([0], first))
+    counts = np.diff(np.append(first, len(idx)))
     sums_t = np.add.reduceat(coords, first)
     sums_p = np.add.reduceat(prices, first)
-    return uniq, sums_t / counts, sums_p / counts, counts
+    return idx[first], sums_t / counts, sums_p / counts, counts
 
 
 def bin_series(s: CandleSeries, clock, tau: float) -> BinnedSeries:

@@ -120,22 +120,19 @@ def build_clock(all_candles, kind: ClockKind, year: int) -> ClockMap:
         knots_x = np.array([0.0, total_hours])
         return ClockMap(year, kind, knots_c, knots_x, total_hours)
 
-    weights: dict[int, float] = {}
-    n_seen = 0
+    subs = []
     for series in all_candles:
         if not isinstance(series, CandleSeries):
             raise DataError("build_clock expects CandleSeries inputs")
-        sub = series.slice_window(t0, t1)
-        if len(sub) == 0:
-            continue
-        n_seen += len(sub)
-        w = sub.dollar_weights() if kind is ClockKind.DOLLAR_WEIGHTED else sub.volume
-        for ts, wi in zip(sub.timestamps.tolist(), w.tolist()):
-            weights[ts] = weights.get(ts, 0.0) + wi
-    if n_seen == 0:
+        subs.append(series.slice_window(t0, t1))
+    if sum(len(s) for s in subs) == 0:
         raise DataError(f"no candles inside year {year}")
-    minutes = np.array(sorted(weights), dtype=np.int64)
-    w = np.array([weights[m] for m in minutes.tolist()])
+    stamps = np.concatenate([s.timestamps for s in subs])
+    weights = np.concatenate([s.dollar_weights() if kind is ClockKind.DOLLAR_WEIGHTED
+                              else s.volume for s in subs])
+    # bincount adds each minute's weights in input (ticker) order
+    minutes, slot = np.unique(stamps, return_inverse=True)
+    w = np.bincount(slot, weights=weights, minlength=len(minutes))
     total_w = w.sum()
     if total_w <= 0:
         raise DataError(f"zero total weight for year {year}")

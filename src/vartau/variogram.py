@@ -135,10 +135,10 @@ def variogram_diff_of_avg(s: CandleSeries, clock, tau_grid,
 
 def _nearest_index(coords: np.ndarray, targets: np.ndarray) -> np.ndarray:
     pos = np.searchsorted(coords, targets)
-    pos = np.clip(pos, 1, len(coords) - 1)
-    left = pos - 1
-    use_left = (targets - coords[left]) <= (coords[pos] - targets)
-    return np.where(use_left, left, pos)
+    left = np.clip(pos - 1, 0, len(coords) - 1)
+    right = np.clip(pos, 0, len(coords) - 1)
+    use_left = (targets - coords[left]) <= (coords[right] - targets)
+    return np.where(use_left, left, right)
 
 
 def variogram_two_point(s: CandleSeries, clock, tau_grid,

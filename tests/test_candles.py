@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from vartau.candles import (Candle, CandleSeries, bin_series, log_returns,
-                            parse_candles, representative_price, write_candles)
+from vartau import cli
+from vartau.candles import (CandleSeries, bin_series, log_returns, parse_candles,
+                            write_candles)
 from vartau.clock import ClockKind, ClockMap, build_clock, year_bounds
 from vartau.errors import DataError
 from vartau.synthetic import point_candles
@@ -71,6 +72,27 @@ class TestParse:
         with pytest.raises(DataError, match="header"):
             parse_candles(q)
 
+    @pytest.mark.parametrize("row", ["1609459200,nan,11,9,10.5,1000",
+                                     "1609459200,10,inf,9,10.5,1000",
+                                     "1609459200,10,11,9,10.5,nan"])
+    def test_non_finite_rejected(self, tmp_path, row):
+        p = write_csv(tmp_path, ["1609459140,10,11,9,10.5,1000", "", row])
+        with pytest.raises(DataError, match=r":4: non-finite"):
+            parse_candles(p)
+
+    def test_digit_separators_rejected(self, tmp_path):
+        p = write_csv(tmp_path, ["1609459200,1_0,11,9,10.5,1000"])
+        with pytest.raises(DataError, match=":2:.*open"):
+            parse_candles(p)
+
+    def test_timestamp_outside_int64(self, tmp_path):
+        p = write_csv(tmp_path, ["1609459200,10,11,9,10.5,1000",
+                                 "99999999999999999960,10,11,9,10.5,1000"])
+        with pytest.raises(DataError, match=":3:.*timestamp"):
+            parse_candles(p)
+        assert cli.main(["clock", "--data-dir", str(tmp_path), "--year", "2021",
+                         "--kind", "dollar", "--out-dir", str(tmp_path / "out")]) == 3
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             parse_candles(tmp_path / "NOPE.csv")
@@ -95,7 +117,8 @@ class TestRepresentativePrice:
     ])
     def test_values(self, ohlc, want):
         o, h, l, c = ohlc
-        assert representative_price(Candle(T0, o, h, l, c, 1)) == want
+        s = CandleSeries("R", [T0], [o], [h], [l], [c], [1])
+        assert s.rep_prices()[0] == want
 
 
 class TestBinning:

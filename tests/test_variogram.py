@@ -10,6 +10,7 @@ from vartau.synthetic import point_candles, random_walk_candles
 from vartau.variogram import (Variogram, default_tau_grid, ensemble_percentiles,
                               fit_power_law, loglog_interp, normalize_at,
                               variogram_diff_of_avg, variogram_two_point)
+from vartau.variogram import _nearest_index
 
 T0, _ = year_bounds(2021)
 
@@ -89,6 +90,18 @@ class TestTwoPoint:
         for i in range(len(grid)):
             se = vg_.v[i] * np.sqrt(2.0 / vg_.n_samples[i])
             assert abs(vg_.v[i] - vf.v[i]) < 3 * se
+
+    def test_nearest_index_single_candle(self):
+        # one candle is nearest to every target; index -1 would wrap around
+        assert list(_nearest_index(np.array([5.0]), np.array([1.0, 9.0]))) == [0, 0]
+
+    def test_nearest_index_brute_force(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 3, 10):
+            coords = np.sort(rng.choice(100, size=n, replace=False)).astype(float)
+            targets = rng.uniform(-10, 110, 50)
+            want = np.argmin(np.abs(coords[None, :] - targets[:, None]), axis=1)
+            assert np.array_equal(_nearest_index(coords, targets), want)
 
     def test_unknown_mode(self):
         s = point_candles("U", np.array([T0], dtype=np.int64), [1.0])
