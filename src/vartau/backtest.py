@@ -21,11 +21,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Mapping
-
 import numpy as np
 
-from .candles import BinnedSeries
 from .errors import DataError
 from .hurst import PricePanel
 
@@ -141,68 +138,28 @@ def run_sim_meanrev(panel: PricePanel | np.ndarray) -> np.ndarray:
     return ANNUAL_HOURS * pnl.sum(axis=1) / np.abs(r_hat[:, :-2]).sum(axis=1)
 
 
-def price_matrix(binned: Mapping[str, BinnedSeries], n_hours: int
-                 ) -> tuple[list[str], np.ndarray]:
-    """Hour-average price matrix (ticker, hour) from 1-hour binned series.
+def _settle(p_entry, p_exit, sides, h, config, rows) -> bool:
+    """Fill every side of one hour, or none when a side cannot fill.
 
-    The column index is the bin's transaction-hour grid index; hours with
-    no trades stay NaN.
+    ``sides`` holds (members, weights, +1 long / -1 short). Tickers
+    missing an entry or exit price are dropped and their side's stake is
+    re-spread proportionally over the rest, so each side trades exactly
+    the stake and long and short notionals stay equal. When a side has no
+    fillable name the hour books nothing and False is returned.
     """
-    tickers = list(binned)
-    p = np.full((len(tickers), n_hours), np.nan)
-    for i, t in enumerate(tickers):
-        b = binned[t]
-        ok = (b.index >= 0) & (b.index < n_hours)
-        p[i, b.index[ok]] = b.price[ok]
-    return tickers, p
-
-
-def eligible_mask(prices: np.ndarray, year_slices=None,
-                  min_active_fraction: float = 0.5) -> np.ndarray:
-    """Tickers active in at least the given fraction of hours of every year.
-
-    The boundary is inclusive: exactly one-half active keeps the ticker.
-    """
-    prices = np.asarray(prices, dtype=float)
-    if year_slices is None:
-        year_slices = [slice(0, prices.shape[1])]
-    keep = np.ones(prices.shape[0], dtype=bool)
-    for sl in year_slices:
-        block = prices[:, sl]
-        frac = np.isfinite(block).sum(axis=1) / block.shape[1]
-        keep &= frac >= min_active_fraction
-    return keep
-
-
-def eligibility_filter(binned: Mapping[str, BinnedSeries], n_hours: int,
-                       min_active_fraction: float = 0.5) -> list[str]:
-    """Ticker subset trading in at least half (inclusive) of the hours."""
-    tickers, p = price_matrix(binned, n_hours)
-    keep = eligible_mask(p, None, min_active_fraction)
-    return [t for t, k in zip(tickers, keep) if k]
-
-
-def _settle_side(p_entry, p_exit, members, weights, side, h, config, rows):
-    """Fill one side's trades; unfillable names forfeit to the others.
-
-    ``weights`` must sum to 1 over ``members``. Tickers missing an entry
-    or exit price are dropped and the side's stake is re-spread
-    proportionally over the rest, keeping long and short notionals equal.
-    Returns the side's realized pnl.
-    """
-    fillable = np.isfinite(p_entry[members]) & np.isfinite(p_exit[members])
-    members = members[fillable]
-    weights = weights[fillable]
-    total = weights.sum()
-    if len(members) == 0 or total <= 0:
-        return 0.0
-    weights = weights / total
-    notional = config.stake * weights
-    qty = notional / p_entry[members]
-    move = p_exit[members] - p_entry[members]
-    pnl = side * qty * move - config.cost_per_round_trip * notional
-    rows.append((h, members, side, qty, p_entry[members], p_exit[members], pnl))
-    return float(pnl.sum())
+    fills = []
+    for members, weights, side in sides:
+        ok = np.isfinite(p_entry[members]) & np.isfinite(p_exit[members])
+        if not ok.any():
+            return False
+        fills.append((members[ok], weights[ok], side))
+    for members, weights, side in fills:
+        notional = config.stake * (weights / weights.sum())
+        qty = notional / p_entry[members]
+        move = p_exit[members] - p_entry[members]
+        pnl = side * qty * move - config.cost_per_round_trip * notional
+        rows.append((h, members, side, qty, p_entry[members], p_exit[members], pnl))
+    return True
 
 
 def _collect(rows, tickers, n_hours, stake) -> BacktestResult:
@@ -226,9 +183,10 @@ def run_market_meanrev(prices: np.ndarray, tickers: list[str],
                        long_only: bool = False) -> BacktestResult:
     """Cross-sectional mean reversion on an hourly price matrix.
 
-    Hours where either side has fewer than ``min_side_count`` candidates
-    are skipped entirely. Stake is split within a side proportionally to
-    |return|; fills at the h+2 and h+3 hour-average prices.
+    Hours where either side has fewer than ``min_side_count`` candidates,
+    or where a traded side has no name with both fill prices, are skipped
+    entirely. Stake is split within a side proportionally to |return|;
+    fills at the h+2 and h+3 hour-average prices.
     """
     config = config or StrategyConfig()
     prices = np.asarray(prices, dtype=float)
@@ -246,12 +204,12 @@ def run_market_meanrev(prices: np.ndarray, tickers: list[str],
         if len(longs) < config.min_side_count or len(shorts) < config.min_side_count:
             skipped += 1
             continue
-        pe, px = prices[:, h + entry_offset], prices[:, h + entry_offset + 1]
-        w_long = np.abs(r[longs]) / np.abs(r[longs]).sum()
-        _settle_side(pe, px, longs, w_long, +1, h, config, rows)
+        sides = [(longs, np.abs(r[longs]) / np.abs(r[longs]).sum(), +1)]
         if not long_only:
-            w_short = np.abs(r[shorts]) / np.abs(r[shorts]).sum()
-            _settle_side(pe, px, shorts, w_short, -1, h, config, rows)
+            sides.append((shorts, np.abs(r[shorts]) / np.abs(r[shorts]).sum(), -1))
+        if not _settle(prices[:, h + entry_offset], prices[:, h + entry_offset + 1],
+                       sides, h, config, rows):
+            skipped += 1
     result = _collect(rows, tickers, n_hours, config.stake)
     result.info = {"skipped_hours": skipped, "long_only": long_only,
                    "entry_offset": entry_offset}
@@ -265,7 +223,9 @@ def run_xcorr_strategy(prices: np.ndarray, tickers: list[str], coeffs,
     The discrepancy is prediction minus outcome; the top fraction
     (largest, stock looks cheap against its peers) is bought and the
     bottom fraction sold short, equal-weighted, entering during hour
-    h+2+S and exiting one hour later. Ties break by ticker order.
+    h+2+S and exiting one hour later. Ties break by ticker order. Hours
+    with too few present names, or where a side has no name with both
+    fill prices, are skipped.
     """
     config = config or StrategyConfig()
     prices = np.asarray(prices, dtype=float)
@@ -292,16 +252,11 @@ def run_xcorr_strategy(prices: np.ndarray, tickers: list[str], coeffs,
         order = present[np.argsort(-delta[present], kind="stable")]
         longs = order[:k]
         shorts = order[-k:]
-        pe, px = prices[:, h + entry_offset], prices[:, h + entry_offset + 1]
         w = np.full(k, 1.0 / k)
-        _settle_side(pe, px, longs, w.copy(), +1, h, config, rows)
-        _settle_side(pe, px, shorts, w.copy(), -1, h, config, rows)
+        if not _settle(prices[:, h + entry_offset], prices[:, h + entry_offset + 1],
+                       [(longs, w, +1), (shorts, w, -1)], h, config, rows):
+            skipped += 1
     result = _collect(rows, tickers, n_hours, config.stake)
     result.info = {"skipped_hours": skipped, "staleness": config.staleness,
                    "entry_offset": entry_offset}
     return result
-
-
-def panel_as_matrix(panel: PricePanel) -> np.ndarray:
-    """Flatten a (year, hour) panel into one contiguous hourly row."""
-    return panel.prices.reshape(1, -1)

@@ -28,18 +28,6 @@ CSV_HEADER = ["timestamp", "open", "high", "low", "close", "volume"]
 _ROW = np.dtype([("timestamp", np.int64)] + [(n, np.float64) for n in CSV_HEADER[1:]])
 
 
-@dataclass(frozen=True)
-class Candle:
-    """A single one-minute OHLCV bar."""
-
-    timestamp: int
-    open: float
-    high: float
-    low: float
-    close: float
-    volume: float
-
-
 class CandleSeries:
     """All candles of one ticker, held as column arrays, sorted by time."""
 
@@ -59,11 +47,6 @@ class CandleSeries:
 
     def __len__(self) -> int:
         return len(self.timestamps)
-
-    def __getitem__(self, i: int) -> Candle:
-        return Candle(int(self.timestamps[i]), float(self.open[i]),
-                      float(self.high[i]), float(self.low[i]),
-                      float(self.close[i]), float(self.volume[i]))
 
     def rep_prices(self) -> np.ndarray:
         """Representative (OHLC-mean) price of every candle."""
@@ -123,9 +106,10 @@ class ReturnSeries:
 def parse_candles(path, ticker: str | None = None) -> CandleSeries:
     """Read one ticker's candle CSV.
 
-    Accepted syntax: a header line ``timestamp,open,high,low,close,volume``
-    (case and surrounding spaces ignored), then one candle per line with
-    six comma-separated fields, each optionally in double quotes and padded
+    Accepted syntax: UTF-8 text, optionally starting with a byte-order
+    mark; a header line ``timestamp,open,high,low,close,volume`` (case and
+    surrounding spaces ignored), then one candle per line with six
+    comma-separated fields, each optionally in double quotes and padded
     with spaces or tabs. The timestamp is a signed decimal integer of ASCII
     digits within int64; prices and volume are decimal floats with an
     optional sign, fraction and exponent. Lines end in LF, CRLF or CR;
@@ -144,7 +128,7 @@ def parse_candles(path, ticker: str | None = None) -> CandleSeries:
     if ticker is None:
         ticker = path.stem
     try:
-        fh = open(path)
+        fh = open(path, encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:
@@ -184,7 +168,7 @@ def _data_lines(path: Path) -> list[tuple[int, str]]:
 
     Error path only: the file is read again once a row is known bad.
     """
-    lines = path.read_text().split("\n")
+    lines = path.read_text(encoding="utf-8-sig").split("\n")
     return [(n, line) for n, line in enumerate(lines[1:], start=2) if line.strip()]
 
 

@@ -26,10 +26,11 @@ from . import __version__
 from . import backtest as bt
 from . import covariance as cov
 from . import hurst
+from . import panel as pn
 from . import predictor as pred
 from . import variogram as vg
-from .candles import BinnedSeries, bin_series, parse_candles
-from .clock import ClockKind, build_clock, hours_in_year
+from .candles import parse_candles
+from .clock import ClockKind, build_clock
 from .errors import DataError, NumericalError
 
 CLOCK_KINDS = {"clock": ClockKind.CLOCK, "dollar": ClockKind.DOLLAR_WEIGHTED,
@@ -120,54 +121,8 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _year_binned(series: dict, year: int, kind: ClockKind, tau: float = 1.0):
-    """One year's clock plus tau-binned series for every ticker with data."""
-    clock = build_clock(series.values(), kind, year)
-    binned = {}
-    for t in sorted(series):
-        sub = series[t].slice_window(clock.year_start, clock.year_end)
-        if len(sub) >= 2:
-            binned[t] = bin_series(sub, clock, tau)
-    return clock, binned
-
-
-def _hourly_panel(series: dict, years: list[int], kind: ClockKind,
-                  min_active_fraction: float):
-    """Concatenated 1-hour price matrix over the requested years.
-
-    Years are laid end to end on a global hour axis; tickers below the
-    activity floor in any single year are dropped. Also returns the
-    per-year binned series of the kept tickers for covariance work.
-    """
-    tickers = sorted(series)
-    pos = {t: i for i, t in enumerate(tickers)}
-    blocks, offsets, binned_years = [], [0], []
-    for y in years:
-        _, binned = _year_binned(series, y, kind, tau=1.0)
-        n_h = hours_in_year(y)
-        full = np.full((len(tickers), n_h), np.nan)
-        for t, b in binned.items():
-            ok = (b.index >= 0) & (b.index < n_h)
-            full[pos[t], b.index[ok]] = b.price[ok]
-        blocks.append(full)
-        binned_years.append(binned)
-        offsets.append(offsets[-1] + n_h)
-    panel = np.concatenate(blocks, axis=1)
-    slices = [slice(offsets[i], offsets[i + 1]) for i in range(len(years))]
-    keep = bt.eligible_mask(panel, slices, min_active_fraction)
-    kept = [t for t, k in zip(tickers, keep) if k]
-    if not kept:
-        raise DataError("no tickers pass the eligibility filter")
-    binned_kept = [{t: b[t] for t in kept if t in b} for b in binned_years]
-    return kept, panel[keep], slices, binned_kept
-
-
-def _returns_from_prices(p: np.ndarray) -> np.ndarray:
-    """Hourly log returns from consecutive present prices (NaN otherwise)."""
-    ok = np.isfinite(p[:, 1:]) & np.isfinite(p[:, :-1])
-    r = np.full((p.shape[0], p.shape[1] - 1), np.nan)
-    r[ok] = np.log(p[:, 1:][ok] / p[:, :-1][ok])
-    return r
+def _clocks(series: dict, years: list[int], kind: ClockKind) -> list:
+    return [build_clock(series.values(), kind, y) for y in years]
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +141,7 @@ def cmd_clock(args) -> int:
 def cmd_variogram(args) -> int:
     series = _load_dir(args.data_dir)
     grid = _parse_tau_grid(args.tau_grid)
-    clock, _ = _year_binned(series, args.year, CLOCK_KINDS[args.clock])
+    clock = build_clock(series.values(), CLOCK_KINDS[args.clock], args.year)
     results = {}
     for t in sorted(series):
         sub = series[t].slice_window(clock.year_start, clock.year_end)
@@ -262,9 +217,9 @@ def cmd_backtest(args) -> int:
             min_side_count=args.min_side_count, stake=args.stake,
             min_active_fraction=args.min_active_fraction,
             cost_per_round_trip=args.cost)
-        tickers, prices, _, _ = _hourly_panel(series, years,
-                                              CLOCK_KINDS[args.kind],
-                                              config.min_active_fraction)
+        clocks = _clocks(series, years, CLOCK_KINDS[args.kind])
+        panel = pn.build_panel(series, clocks).eligible(config.min_active_fraction)
+        tickers, prices = panel.tickers, panel.price
         if args.strategy == "market-meanrev":
             result = bt.run_market_meanrev(prices, tickers, config,
                                            long_only=args.long_only)
@@ -298,20 +253,14 @@ def cmd_predict(args) -> int:
     predict_years = _parse_years(args.predict_years)
     all_years = sorted(set(train_years) | set(predict_years))
     series = _load_dir(args.data_dir)
-    tickers, prices, slices, binned_years = _hourly_panel(
-        series, all_years, CLOCK_KINDS[args.kind], args.min_active_fraction)
-    year_pos = {y: i for i, y in enumerate(all_years)}
-    returns = {y: _returns_from_prices(prices[:, slices[year_pos[y]]])
-               for y in all_years}
+    clocks = _clocks(series, all_years, CLOCK_KINDS[args.kind])
+    panel = pn.build_panel(series, clocks).eligible(args.min_active_fraction)
+    tickers = panel.tickers
+    returns = panel.adjacent_returns()
     out = _out_dir(args)
     grid: dict[str, dict] = {}
     for ty in train_years:
-        binned = binned_years[year_pos[ty]]
-        missing = [t for t in tickers if t not in binned]
-        if missing:
-            raise DataError(f"tickers without bins in train year {ty}: {missing[:5]}")
-        cmat = cov.estimate_cov({t: binned[t] for t in tickers},
-                                min_obs=args.min_obs).filled()
+        cmat = cov.estimate_cov(panel.year(ty), min_obs=args.min_obs).filled()
         ridge = args.ridge if args.ridge is not None else pred.default_ridge(cmat)
         a = pred.invert_with_ridge(cmat, ridge)
         b = pred.loo_coefficients(a)
@@ -343,17 +292,6 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _merge_binned(parts: list[BinnedSeries], hour_offsets: list[int],
-                  tau: float) -> BinnedSeries:
-    """Chain per-year binned series onto one global transaction-hour axis."""
-    idx = np.concatenate([p.index + int(round(off / tau))
-                          for p, off in zip(parts, hour_offsets)])
-    time = np.concatenate([p.time + off for p, off in zip(parts, hour_offsets)])
-    price = np.concatenate([p.price for p in parts])
-    n = np.concatenate([p.n_candles for p in parts])
-    return BinnedSeries(parts[0].ticker, tau, idx, time, price, n)
-
-
 def cmd_correlate(args) -> int:
     years = _parse_years(args.years)
     series = _load_dir(args.data_dir)
@@ -362,23 +300,12 @@ def cmd_correlate(args) -> int:
         raise UsageError("--tau must be positive")
     out = _out_dir(args)
 
-    per_year = []
-    offsets = [0]
-    clocks = []
-    for y in years:
-        clock, binned = _year_binned(series, y, kind, tau=args.tau)
-        per_year.append(binned)
-        clocks.append(clock)
-        offsets.append(offsets[-1] + hours_in_year(y))
-    merged = {}
-    for t in sorted(series):
-        parts = [b[t] for b in per_year if t in b]
-        offs = [offsets[i] for i, b in enumerate(per_year) if t in b]
-        if parts and sum(len(p) for p in parts) >= 2:
-            merged[t] = _merge_binned(parts, offs, args.tau)
-    if not merged:
+    clocks = _clocks(series, years, kind)
+    panel = pn.build_panel(series, clocks, args.tau)
+    panel = panel.select(np.isfinite(panel.price).sum(axis=1) >= 2)
+    if not panel.tickers:
         raise DataError("no ticker has enough bins at the requested tau")
-    cmat = cov.estimate_cov(merged, min_obs=args.min_obs)
+    cmat = cov.estimate_cov(panel, min_obs=args.min_obs)
     rmat = cov.cov_to_corr(cmat)
     cmat.write_csv(out / "cov.csv", out / "n_obs.csv")
     rmat.write_csv(out / "corr.csv")
@@ -387,7 +314,7 @@ def cmd_correlate(args) -> int:
         grid = _parse_tau_grid(args.tau_grid)
         clock = clocks[0]  # rho(tau) curves use the first requested year
         sub = {t: series[t].slice_window(clock.year_start, clock.year_end)
-               for t in merged}
+               for t in panel.tickers}
         sub = {t: s for t, s in sub.items() if len(s) >= 2}
         pairs, curves = cov.corr_vs_tau(sub, clock, grid,
                                         normalize_tau=args.normalize_at)
@@ -511,6 +438,11 @@ def _replay(manifest_path: str) -> int:
     command = manifest.get("command")
     if not command:
         raise DataError(f"manifest {manifest_path!r} has no command")
+    for path, digest in sorted(manifest.get("inputs", {}).items()):
+        if not Path(path).is_file():
+            raise DataError(f"manifest input {path} is missing")
+        if _sha256(Path(path)) != digest:
+            raise DataError(f"manifest input {path} has changed since the run")
     argv = [command]
     for key, val in sorted(manifest.get("args", {}).items()):
         flag = "--" + key.replace("_", "-")

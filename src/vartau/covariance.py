@@ -1,11 +1,19 @@
 """Pairwise covariance and correlation of asynchronous returns.
 
-Returns of two tickers are paired by the grid index of the bin they
-start from; each product r_A * r_B is reweighted by tau/sqrt(dt_A*dt_B)
-to put unequal elapsed times on the common tau scale (the same
-martingale-consistent reweighting used by the variogram estimators), and
-per-ticker mean returns are removed first. Pairs with too few joint
-observations are reported as missing.
+Each ticker's returns run between its consecutive non-empty bins at
+resolution tau, and two tickers' returns are paired by the grid index of
+the bin they start from: the standard pairing on a synchronous grid.
+Each product r_A * r_B is reweighted by tau/sqrt(dt_A*dt_B) to put
+unequal elapsed times on the common tau scale (as the variogram
+estimators do), after per-ticker mean returns are removed. Pairs with
+too few joint observations are reported as missing. The weight
+factorises, so with z = r*sqrt(tau/dt) on a zero-filled (ticker x start
+bin) grid Z and a 0/1 mask M, the sums for all pairs are Z @ Z.T and the
+joint counts M @ M.T. The Hayashi-Yoshida estimator (Bernoulli 11(2),
+2005), which sums the products of all overlapping return intervals with
+no common grid, is the usual asynchronous alternative; it is not
+implemented here. Correlation falling as tau shrinks is the Epps effect
+(Epps, JASA 1979), which ``corr_vs_tau`` measures.
 
 The two-component return model splits each stock's return into a
 cross-correlated part with partial variogram V(tau) sharing one factor
@@ -18,13 +26,15 @@ observed correlation must follow tau/V_tot(tau), which is what
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .candles import BinnedSeries, ReturnSeries, bin_coordinates, log_returns
+from .candles import CandleSeries, ReturnSeries, bin_coordinates
 from .errors import DataError
+from .panel import Panel
 from .variogram import DEFAULT_MAX_DT_FACTOR, loglog_interp
 
 DEFAULT_MIN_OBS = 50
@@ -102,58 +112,64 @@ def _write_matrix_csv(path, tickers, m, as_int=False) -> None:
             w.writerow([int(x) if as_int else repr(float(x)) for x in row])
 
 
-def _prep_returns(rs: ReturnSeries, tau: float, max_dt_factor: float):
-    """Apply the dt acceptance band, demean, map start index -> (r, dt)."""
-    keep = (rs.dt > 0) & (rs.dt <= max_dt_factor * tau)
-    r = rs.r[keep]
-    if len(r):
-        r = r - r.mean()
-    return rs.start_index[keep], r, rs.dt[keep]
+def return_grid(returns, shape: tuple[int, int], tau: float,
+                max_dt_factor: float = DEFAULT_MAX_DT_FACTOR):
+    """Weighted returns z and a 0/1 mask m on a (series, start bin) grid.
 
-
-def pair_stats(idx_a, r_a, dt_a, idx_b, r_b, dt_b, tau: float):
-    """Weighted cross-moment of two prepared return sets.
-
-    Returns (covariance estimate, joint count); (nan, 0) without overlap.
+    Row i takes the i-th ReturnSeries (read once): the returns with dt in
+    (0, max_dt_factor*tau], demeaned, as z = r*sqrt(tau/dt) at their start
+    indices, which must be distinct and in [0, shape[1]). Empty cells are 0.
+    The float32 mask counts exactly below 2**24.
     """
-    common, ia, ib = np.intersect1d(idx_a, idx_b, assume_unique=True,
-                                    return_indices=True)
-    if len(common) == 0:
-        return np.nan, 0
-    w = tau / np.sqrt(dt_a[ia] * dt_b[ib])
-    return float(np.mean(w * r_a[ia] * r_b[ib])), int(len(common))
+    z = np.zeros(shape)
+    m = np.zeros(shape, dtype=np.float32)
+    for i, rs in enumerate(returns):
+        keep = (rs.dt > 0) & (rs.dt <= max_dt_factor * tau)
+        k, r = rs.start_index[keep], rs.r[keep]
+        if len(k) and k.min() < 0:
+            raise DataError(f"negative start index {k.min()}")
+        z[i, k] = (r - r.mean() if len(r) else r) * np.sqrt(tau / rs.dt[keep])
+        m[i, k] = 1.0
+    return z, m
+
+
+def pair_stats(z: np.ndarray, m: np.ndarray):
+    """Weighted cross-moments of all pairs of rows of a return grid.
+
+    z_a*z_b is r_a*r_b reweighted by tau/sqrt(dt_a*dt_b), so the sums are
+    z @ z.T and the joint counts m @ m.T. Returns (covariance, counts), both
+    exactly symmetric; a pair with no joint bin gets (nan, 0).
+    """
+    n_obs = (m @ m.T).astype(np.int64)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        c = (z @ z.T) / n_obs
+    lower = np.tril_indices(len(c), -1)
+    c[lower] = c.T[lower]
+    return c, n_obs
 
 
 def estimate_cov_from_returns(returns: Mapping[str, ReturnSeries], tau: float,
                               min_obs: int = DEFAULT_MIN_OBS,
                               max_dt_factor: float = DEFAULT_MAX_DT_FACTOR) -> CovMatrix:
     """Pairwise-complete covariance matrix from per-ticker return series."""
-    tickers = list(returns)
-    n = len(tickers)
-    prepped = [_prep_returns(returns[t], tau, max_dt_factor) for t in tickers]
-    c = np.full((n, n), np.nan)
-    n_obs = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(i, n):
-            cij, nij = pair_stats(*prepped[i], *prepped[j], tau)
-            n_obs[i, j] = n_obs[j, i] = nij
-            if nij >= max(min_obs, 2):
-                c[i, j] = c[j, i] = cij
-    return CovMatrix(tickers, c, float(tau), n_obs)
+    taus = {float(rs.tau) for rs in returns.values()} - {float(tau)}
+    if taus:
+        raise DataError(f"return series at tau {sorted(taus)}, want tau {tau}")
+    width = 1 + max((rs.start_index.max() for rs in returns.values() if len(rs)),
+                    default=-1)
+    c, n_obs = pair_stats(*return_grid(returns.values(), (len(returns), width), tau,
+                                       max_dt_factor))
+    c[n_obs < max(min_obs, 2)] = np.nan
+    return CovMatrix(list(returns), c, float(tau), n_obs)
 
 
-def estimate_cov(series: Mapping[str, BinnedSeries] | list[BinnedSeries],
-                 min_obs: int = DEFAULT_MIN_OBS,
+def estimate_cov(panel: Panel, min_obs: int = DEFAULT_MIN_OBS,
                  max_dt_factor: float = DEFAULT_MAX_DT_FACTOR) -> CovMatrix:
-    """Covariance of log returns of binned series sharing one resolution."""
-    if not isinstance(series, Mapping):
-        series = {b.ticker: b for b in series}
-    taus = {float(b.tau) for b in series.values()}
-    if len(taus) != 1:
-        raise DataError(f"binned series disagree on tau: {sorted(taus)}")
-    tau = taus.pop()
-    returns = {t: log_returns(b) for t, b in series.items()}
-    return estimate_cov_from_returns(returns, tau, min_obs, max_dt_factor)
+    """Covariance of the log returns between consecutive bins of a grid's rows."""
+    c, n_obs = pair_stats(*return_grid(panel.returns(), panel.price.shape, panel.tau,
+                                       max_dt_factor))
+    c[n_obs < max(min_obs, 2)] = np.nan
+    return CovMatrix(list(panel.tickers), c, panel.tau, n_obs)
 
 
 def cov_to_corr(c: CovMatrix) -> CorrMatrix:
@@ -168,68 +184,69 @@ def cov_to_corr(c: CovMatrix) -> CorrMatrix:
     return CorrMatrix(list(c.tickers), rho, raw)
 
 
-def _normalize_curve(tau_grid, values, tau0: float):
-    """Divide a curve by its interpolated value at tau0.
+def _value_at(tau_grid, values: np.ndarray, tau0: float) -> np.ndarray:
+    """Each row's value at tau0, interpolated over its non-NaN cells.
 
-    Log-log interpolation when every value is positive (the power-law
-    convention); otherwise falls back to linear in log tau.
+    Every row needs a cell at or below tau0 and one at or above it. All
+    positive rows interpolate log-log (the power-law convention), others
+    linearly in log tau, with ``np.interp``'s arithmetic. Zero raises.
     """
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if np.all(values > 0):
-        v0 = float(loglog_interp(tau0, tau_grid, values))
-    else:
-        v0 = float(np.interp(np.log(tau0), np.log(tau_grid), values))
-    if v0 == 0 or not np.isfinite(v0):
+    x, x0 = np.log(tau_grid), np.log(tau0)
+    ok = ~np.isnan(values)
+    k = np.arange(len(x))
+    lo = np.where(ok & (x <= x0), k, -1).max(axis=1)
+    hi = np.where(ok & (x >= x0), k, len(x)).min(axis=1)
+    loglog = np.all((values > 0) | ~ok, axis=1)
+    rows = np.arange(len(values))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        y = np.where(loglog[:, None], np.log(values), values)
+        slope = (y[rows, hi] - y[rows, lo]) / (x[hi] - x[lo])
+        v0 = np.where(lo == hi, y[rows, lo], slope * (x0 - x[lo]) + y[rows, lo])
+    v0 = np.where(loglog, np.exp(v0), v0)
+    if np.any((v0 == 0) | ~np.isfinite(v0)):
         raise DataError("curve vanishes at the normalization point")
-    return values / v0
+    return v0
 
 
-def corr_vs_tau(series: Mapping[str, "object"], clock, tau_grid,
-                pairs: list[tuple[str, str]] | None = None,
+def corr_vs_tau(series: Mapping[str, CandleSeries], clock, tau_grid,
                 normalize_tau: float = 1.0,
                 min_obs: int = 2,
                 max_dt_factor: float = DEFAULT_MAX_DT_FACTOR):
     """Pairwise correlation as a function of resolution, normalized at 1 hr.
 
-    ``series`` maps ticker to CandleSeries. Returns (pairs, curves) where
-    curves is (n_pairs, n_tau) of normalized rho values (NaN where a pair
-    lacked joint samples at some tau).
+    ``series`` maps ticker to CandleSeries. Per tau, one return grid and one
+    product give every pair, with the variances on the diagonal. Returns
+    (pairs, curves): (n_pairs, n_tau) normalized rho, NaN where a pair or a
+    variance had fewer than ``min_obs`` samples or a variance was not
+    positive, and for a pair whose values do not reach tau0 on both sides.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     tickers = list(series)
-    if pairs is None:
-        pairs = [(a, b) for i, a in enumerate(tickers) for b in tickers[i + 1:]]
-    coords = {}
-    prices = {}
-    for t in set(x for p in pairs for x in p):
-        s = series[t]
-        coords[t] = clock.to_txn_time(s.timestamps)
-        prices[t] = s.rep_prices()
-    raw = np.full((len(pairs), len(tau_grid)), np.nan)
+    coords = [clock.to_txn_time(series[t].timestamps) for t in tickers]
+    prices = [series[t].rep_prices() for t in tickers]
+    upper = np.triu_indices(len(tickers), 1)
+    floor = max(min_obs, 2)
+    raw = np.full((len(upper[0]), len(tau_grid)), np.nan)
     for k, tau in enumerate(tau_grid):
-        prepped = {}
-        for t in coords:
-            idx, tbar, pbar, _ = bin_coordinates(coords[t], prices[t], tau)
-            if len(pbar) < 2 or np.any(pbar <= 0):
-                continue
-            rs = ReturnSeries(tau, np.diff(np.log(pbar)), np.diff(tbar),
-                              idx[:-1])
-            prepped[t] = _prep_returns(rs, tau, max_dt_factor)
-        for p, (a, b) in enumerate(pairs):
-            if a not in prepped or b not in prepped:
-                continue
-            cab, nab = pair_stats(*prepped[a], *prepped[b], tau)
-            caa, naa = pair_stats(*prepped[a], *prepped[a], tau)
-            cbb, nbb = pair_stats(*prepped[b], *prepped[b], tau)
-            if min(nab, naa, nbb) >= max(min_obs, 2) and caa > 0 and cbb > 0:
-                raw[p, k] = cab / np.sqrt(caa * cbb)
+        # the greatest grid index a coordinate of the year can take, plus one
+        width = int(np.floor_divide(clock.total_txn_hours, tau)) + 1
+        bins = (bin_coordinates(x, p, tau) for x, p in zip(coords, prices))
+        returns = (ReturnSeries(tau, np.diff(np.log(pbar)), np.diff(tbar), idx[:-1])
+                   for idx, tbar, pbar, _ in bins)
+        c, n_obs = pair_stats(*return_grid(returns, (len(tickers), width), tau,
+                                           max_dt_factor))
+        var = np.diag(c)
+        good = (var > 0) & (np.diag(n_obs) >= floor)
+        with np.errstate(invalid="ignore"):
+            rho = c / np.sqrt(np.outer(var, var))
+        rho[(n_obs < floor) | ~np.outer(good, good)] = np.nan
+        raw[:, k] = rho[upper]
+    ok = ~np.isnan(raw)
+    reach = ((ok & (tau_grid <= normalize_tau)).any(axis=1)
+             & (ok & (tau_grid >= normalize_tau)).any(axis=1))
     curves = np.full_like(raw, np.nan)
-    for p in range(len(pairs)):
-        ok = ~np.isnan(raw[p])
-        if ok.any() and tau_grid[ok][0] <= normalize_tau <= tau_grid[ok][-1]:
-            curves[p, ok] = _normalize_curve(tau_grid[ok], raw[p, ok], normalize_tau)
-    return pairs, curves
+    curves[reach] = raw[reach] / _value_at(tau_grid, raw[reach], normalize_tau)[:, None]
+    return list(itertools.combinations(tickers, 2)), curves
 
 
 def predicted_corr_ratio(v_tot, tau_grid, normalize_tau: float = 1.0) -> np.ndarray:
@@ -241,7 +258,7 @@ def predicted_corr_ratio(v_tot, tau_grid, normalize_tau: float = 1.0) -> np.ndar
     tau_grid = np.asarray(tau_grid, dtype=float)
     vt = loglog_interp(tau_grid, v_tot.tau, v_tot.v)
     curve = tau_grid / vt
-    return _normalize_curve(tau_grid, curve, normalize_tau)
+    return curve / float(loglog_interp(normalize_tau, tau_grid, curve))
 
 
 def simulate_two_component(model: TwoComponentModel, tau: float,

@@ -79,21 +79,6 @@ class PredictionReport:
     fve_plain: float
     by_group: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        out = {
-            "aggregate": {"fmse": self.fmse, "fve": self.fve,
-                          "fve_plain": self.fve_plain},
-            "per_ticker": {
-                t: {"fmse": float(self.fmse_by_ticker[i]),
-                    "fve": float(self.fve_by_ticker[i]),
-                    "fve_plain": float(self.fve_plain_by_ticker[i])}
-                for i, t in enumerate(self.tickers)
-            },
-        }
-        if self.by_group:
-            out["by_group"] = self.by_group
-        return out
-
 
 @dataclass
 class RefineConfig:

@@ -1,21 +1,25 @@
-"""Row-by-row reference implementations of the vectorised ingest layers.
+"""Loop reference implementations of vectorised ``vartau`` layers.
 
-Each function is the loop that ``vartau`` used before the whole-array
+Each function is the loop that ``vartau`` used before a whole-array
 version replaced it. ``test_oracles.py`` requires the library to give the
-same answers: equal arrays, not close ones, because the arithmetic is
-done in the same order.
+same answers: equal arrays for the ingest layers, whose arithmetic is done
+in the same order, and equal counts with values within 1e-12 relative for
+the covariance, whose sums the grid product adds in another order.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
 
-from vartau.candles import CSV_HEADER, CandleSeries
-from vartau.clock import ClockKind, ClockMap, year_bounds
+from vartau.candles import (CSV_HEADER, BinnedSeries, CandleSeries, ReturnSeries,
+                            bin_coordinates, bin_series, log_returns)
+from vartau.clock import ClockKind, ClockMap, build_clock, hours_in_year, year_bounds
 from vartau.errors import DataError
+from vartau.variogram import DEFAULT_MAX_DT_FACTOR, loglog_interp
 
 
 def validate_row(t, o, h, l, c, v) -> None:
@@ -120,3 +124,122 @@ def bin_coordinates_unique(coords, prices, tau):
     sums_t = np.add.reduceat(coords, first)
     sums_p = np.add.reduceat(prices, first)
     return uniq, sums_t / counts, sums_p / counts, counts
+
+
+def prep_returns(rs: ReturnSeries, tau: float, max_dt_factor: float):
+    """Apply the dt acceptance band, demean, map start index -> (r, dt)."""
+    keep = (rs.dt > 0) & (rs.dt <= max_dt_factor * tau)
+    r = rs.r[keep]
+    if len(r):
+        r = r - r.mean()
+    return rs.start_index[keep], r, rs.dt[keep]
+
+
+def pair_stats_loop(idx_a, r_a, dt_a, idx_b, r_b, dt_b, tau: float):
+    """Weighted cross-moment of two prepared return sets; (nan, 0) without overlap."""
+    common, ia, ib = np.intersect1d(idx_a, idx_b, assume_unique=True,
+                                    return_indices=True)
+    if len(common) == 0:
+        return np.nan, 0
+    w = tau / np.sqrt(dt_a[ia] * dt_b[ib])
+    return float(np.mean(w * r_a[ia] * r_b[ib])), int(len(common))
+
+
+def estimate_cov_loop(returns, tau: float, min_obs: int = 50,
+                      max_dt_factor: float = DEFAULT_MAX_DT_FACTOR):
+    """(covariance, joint counts, covariance before the min_obs floor), pair by pair."""
+    prepped = [prep_returns(rs, tau, max_dt_factor) for rs in returns.values()]
+    n = len(prepped)
+    raw = np.full((n, n), np.nan)
+    n_obs = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(i, n):
+            raw[i, j], n_obs[i, j] = pair_stats_loop(*prepped[i], *prepped[j], tau)
+            raw[j, i], n_obs[j, i] = raw[i, j], n_obs[i, j]
+    c = np.where(n_obs >= max(min_obs, 2), raw, np.nan)
+    return c, n_obs, raw
+
+
+def normalize_curve(tau_grid, values, tau0: float):
+    """Divide one curve by its interpolated value at tau0."""
+    if np.all(values > 0):
+        v0 = float(loglog_interp(tau0, tau_grid, values))
+    else:
+        v0 = float(np.interp(np.log(tau0), np.log(tau_grid), values))
+    if v0 == 0 or not np.isfinite(v0):
+        raise DataError("curve vanishes at the normalization point")
+    return values / v0
+
+
+def corr_vs_tau_loop(series, clock, tau_grid, normalize_tau: float = 1.0,
+                     min_obs: int = 2, max_dt_factor: float = DEFAULT_MAX_DT_FACTOR):
+    """rho(tau) with three pair_stats calls per pair and tau, then one curve at a time."""
+    tau_grid = np.asarray(tau_grid, dtype=float)
+    tickers = list(series)
+    pairs = [(a, b) for i, a in enumerate(tickers) for b in tickers[i + 1:]]
+    coords = {t: clock.to_txn_time(series[t].timestamps) for t in tickers}
+    prices = {t: series[t].rep_prices() for t in tickers}
+    raw = np.full((len(pairs), len(tau_grid)), np.nan)
+    for k, tau in enumerate(tau_grid):
+        prepped = {}
+        for t in tickers:
+            idx, tbar, pbar, _ = bin_coordinates(coords[t], prices[t], tau)
+            if len(pbar) < 2 or np.any(pbar <= 0):
+                continue
+            rs = ReturnSeries(tau, np.diff(np.log(pbar)), np.diff(tbar), idx[:-1])
+            prepped[t] = prep_returns(rs, tau, max_dt_factor)
+        for p, (a, b) in enumerate(pairs):
+            if a not in prepped or b not in prepped:
+                continue
+            cab, nab = pair_stats_loop(*prepped[a], *prepped[b], tau)
+            caa, naa = pair_stats_loop(*prepped[a], *prepped[a], tau)
+            cbb, nbb = pair_stats_loop(*prepped[b], *prepped[b], tau)
+            if min(nab, naa, nbb) >= max(min_obs, 2) and caa > 0 and cbb > 0:
+                raw[p, k] = cab / np.sqrt(caa * cbb)
+    curves = np.full_like(raw, np.nan)
+    for p in range(len(pairs)):
+        ok = ~np.isnan(raw[p])
+        if ok.any() and tau_grid[ok][0] <= normalize_tau <= tau_grid[ok][-1]:
+            curves[p, ok] = normalize_curve(tau_grid[ok], raw[p, ok], normalize_tau)
+    return pairs, curves
+
+
+def multi_year_returns_loop(series, years, kind: ClockKind, tau: float = 1.0):
+    """Per-ticker returns of the years' bins chained end to end, ticker by ticker.
+
+    Each year is binned on its own clock. A year's grid indices are offset
+    by the summed ceil(hours / tau) of the years before it, and its bin
+    times by their summed hours; a bin at or past its year's ceil(hours /
+    tau) is dropped. At tau = 1 this is the merge of per-year bins that
+    the correlate command made before it read a grid (which offset by
+    round(hours / tau) and so gave two bins one index at other taus).
+    """
+    per_year, hours, width = [], [0], [0]
+    for y in years:
+        clock = build_clock(series.values(), kind, y)
+        binned = {}
+        for t in sorted(series):
+            sub = series[t].slice_window(clock.year_start, clock.year_end)
+            if len(sub) >= 2:
+                binned[t] = bin_series(sub, clock, tau)
+        per_year.append(binned)
+        hours.append(hours[-1] + hours_in_year(y))
+        width.append(width[-1] + math.ceil(hours_in_year(y) / tau))
+    out = {}
+    for t in sorted(series):
+        idx, time, price = [], [], []
+        for i, binned in enumerate(per_year):
+            if t not in binned:
+                continue
+            b = binned[t]
+            for k in range(len(b)):
+                if b.index[k] < width[i + 1] - width[i]:
+                    idx.append(width[i] + int(b.index[k]))
+                    time.append(b.time[k] + hours[i])
+                    price.append(b.price[k])
+        if len(idx) < 2:
+            continue
+        merged = BinnedSeries(t, tau, np.array(idx, dtype=np.int64), np.array(time),
+                              np.array(price), np.ones(len(idx), dtype=np.int64))
+        out[t] = log_returns(merged)
+    return out

@@ -2,15 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vartau.backtest import (EquityCurve, StrategyConfig, annualized_yield,
-                             eligible_mask, eligibility_filter, price_matrix,
                              rms_hourly_return, run_market_meanrev,
                              run_sim_meanrev, run_xcorr_strategy)
-from vartau.candles import bin_series
 from vartau.clock import ClockKind, build_clock, year_bounds
 from vartau.errors import DataError
 from vartau.hurst import HurstParams, SimConfig, simulate_fbm
+from vartau.panel import build_panel, eligible_mask
 from vartau.predictor import PredictionCoeffs
 from vartau.synthetic import hourly_candles_from_prices, point_candles
 
@@ -101,16 +102,18 @@ class TestSimMeanrev:
 
 
 class TestPanelPrep:
-    def make_binned(self, offsets, prices, n_hours=24):
+    def make_panel(self, candles):
+        """One-year identity-clock grid of {ticker: (hours, prices)} candles."""
         t0, _ = year_bounds(2021)
-        clock = build_clock([point_candles("X", [t0], [1.0])], ClockKind.CLOCK, 2021)
-        ts = t0 + 3600 * np.asarray(offsets, dtype=np.int64)
-        return bin_series(point_candles("T", ts, prices), clock, 1.0)
+        series = {t: point_candles(t, t0 + 3600 * np.asarray(h, dtype=np.int64), p)
+                  for t, (h, p) in candles.items()}
+        clock = build_clock(series.values(), ClockKind.CLOCK, 2021)
+        return build_panel(series, [clock])
 
     def test_price_matrix_placement(self):
-        b = self.make_binned([0, 2, 5], [10.0, 11.0, 12.0])
-        tickers, p = price_matrix({"T": b}, 8)
-        assert tickers == ["T"]
+        panel = self.make_panel({"T": ([0, 2, 5], [10.0, 11.0, 12.0])})
+        p = panel.price
+        assert panel.tickers == ["T"] and p.shape == (1, 8760)
         assert p[0, 0] == 10.0 and p[0, 2] == 11.0 and p[0, 5] == 12.0
         assert np.isnan(p[0, 1]) and np.isnan(p[0, 7])
 
@@ -129,11 +132,11 @@ class TestPanelPrep:
         assert list(keep) == [False]
 
     def test_filter_names(self):
-        full = self.make_binned(list(range(24)), np.full(24, 5.0))
-        sparse = self.make_binned([0, 1], [5.0, 5.0])
-        sparse.ticker = "S"
-        out = eligibility_filter({"T": full, "S": sparse}, 24, 0.5)
-        assert out == ["T"]
+        panel = self.make_panel({"T": (range(24), np.full(24, 5.0)),
+                                 "S": ([0, 1], [5.0, 5.0])})
+        assert panel.eligible(20 / 8760).tickers == ["T"]
+        with pytest.raises(DataError, match="eligibility"):
+            panel.eligible(0.5)
 
 
 def meanrev_config(**kw):
@@ -228,6 +231,48 @@ class TestMarketMeanrev:
                     np.round(res.ledger.qty[keep] * res.ledger.entry[keep],
                              12).tolist())
         assert decisions(base, h_prime - 1) == decisions(other, h_prime - 1)
+
+
+@st.composite
+def gappy_prices(draw):
+    """Hourly random-walk prices of a few tickers with random missing hours."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, hours = draw(st.integers(2, 8)), draw(st.integers(5, 40))
+    prices = np.exp(np.cumsum(rng.normal(0, 0.01, (n, hours)), axis=1))
+    prices[rng.random((n, hours)) < draw(st.sampled_from([0.0, 0.2, 0.5]))] = np.nan
+    return prices
+
+
+def assert_market_neutral(res, stake, n_decisions):
+    """Every traded hour books both sides at the full stake; the rest are skipped."""
+    notional = res.ledger.qty * res.ledger.entry
+    hours = np.unique(res.ledger.hour)
+    for h in hours:
+        for side in (1, -1):
+            sel = (res.ledger.hour == h) & (res.ledger.side == side)
+            assert sel.any()
+            assert notional[sel].sum() == pytest.approx(stake, rel=1e-9)
+    assert len(hours) + res.info["skipped_hours"] == n_decisions
+
+
+@settings(max_examples=150, deadline=None)
+@given(gappy_prices(), st.floats(0.5, 3.0))
+def test_meanrev_notionals_equal_in_every_traded_hour(prices, stake):
+    tickers = [f"T{i}" for i in range(len(prices))]
+    res = run_market_meanrev(prices, tickers, meanrev_config(stake=stake))
+    assert_market_neutral(res, stake, prices.shape[1] - 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(gappy_prices(), st.integers(0, 2), st.sampled_from([0.2, 0.5]), st.randoms())
+def test_xcorr_notionals_equal_in_every_traded_hour(prices, staleness, top, rnd):
+    n = len(prices)
+    b = np.array([[0.0 if i == j else rnd.uniform(-0.5, 0.5) for j in range(n)]
+                  for i in range(n)])
+    tickers = [f"T{i}" for i in range(n)]
+    cfg = StrategyConfig(staleness=staleness, top_fraction=top, min_side_count=1)
+    res = run_xcorr_strategy(prices, tickers, PredictionCoeffs(tickers, b), cfg)
+    assert_market_neutral(res, 1.0, max(prices.shape[1] - 3 - staleness, 0))
 
 
 class TestXcorr:

@@ -29,9 +29,8 @@ class TestParse:
     def test_direct_field_mapping(self, tmp_path):
         p = write_csv(tmp_path, ["1609459200,10,11,9,10.5,1000"])
         s = parse_candles(p)
-        c = s[0]
-        assert (c.timestamp, c.open, c.high, c.low, c.close, c.volume) == \
-            (1609459200, 10.0, 11.0, 9.0, 10.5, 1000.0)
+        row = [s.timestamps[0], s.open[0], s.high[0], s.low[0], s.close[0], s.volume[0]]
+        assert len(s) == 1 and row == [1609459200, 10.0, 11.0, 9.0, 10.5, 1000.0]
         assert s.ticker == "TEST"
 
     def test_high_below_open_reports_line(self, tmp_path):
@@ -96,6 +95,14 @@ class TestParse:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             parse_candles(tmp_path / "NOPE.csv")
+
+    def test_byte_order_mark_before_header(self, tmp_path):
+        # spreadsheet exports often start a UTF-8 file with a byte-order mark
+        p = tmp_path / "BOM.csv"
+        p.write_bytes("\ufefftimestamp,open,high,low,close,volume\n"
+                      "1609459200,10,11,9,10.5,1000\n".encode())
+        s = parse_candles(p)
+        assert s.timestamps.tolist() == [1609459200] and s.close.tolist() == [10.5]
 
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -1,0 +1,104 @@
+"""The command-line driver end to end on a small generated market."""
+
+import json
+
+import numpy as np
+import pytest
+
+from oracles import estimate_cov_loop, multi_year_returns_loop
+from vartau import cli
+from vartau.candles import CandleSeries, parse_candles, write_candles
+from vartau.clock import ClockKind
+from vartau.synthetic import random_walk_candles
+
+YEARS = (2021, 2022)
+# minutes between candles, one ticker each: every ticker trades up to the
+# last transaction hours of a year and from the first of the next
+SPACINGS = (60, 90, 120, 150, 180, 240)
+
+
+def market(years=YEARS, spacings=SPACINGS) -> dict[str, CandleSeries]:
+    out = {}
+    for i, spacing in enumerate(spacings):
+        parts = [random_walk_candles(f"T{i}", y, 525600 // spacing, spacing,
+                                     vol_per_candle=2e-3, seed=10 * i + j)
+                 for j, y in enumerate(years)]
+        cols = ("timestamps", "open", "high", "low", "close", "volume")
+        out[f"T{i}"] = CandleSeries(f"T{i}", *(np.concatenate([getattr(p, c) for p in parts])
+                                               for c in cols))
+    return out
+
+
+@pytest.fixture(scope="module")
+def data(tmp_path_factory):
+    d = tmp_path_factory.mktemp("market")
+    for t, s in market().items():
+        write_candles(d / f"{t}.csv", s)
+    return d
+
+
+def read_matrix(path):
+    header = path.read_text().splitlines()[0].split(",")
+    return header, np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+def correlate(data, out, tau):
+    return cli.main(["correlate", "--data-dir", str(data), "--years",
+                     ",".join(map(str, YEARS)), "--tau", repr(tau), "--out-dir", str(out)])
+
+
+@pytest.mark.parametrize("tau", [1.0, 7.0])
+def test_correlate_matches_pair_loop(data, tmp_path, tau):
+    # 7 does not divide the 8760 hours of a year: the bins of two years
+    # once shared grid indices there, and the command crashed
+    assert correlate(data, tmp_path, tau) == 0
+    tickers, c = read_matrix(tmp_path / "cov.csv")
+    _, n_obs = read_matrix(tmp_path / "n_obs.csv")
+    assert np.array_equal(c, c.T, equal_nan=True)
+    series = {t: parse_candles(data / f"{t}.csv") for t in sorted(market())}
+    returns = multi_year_returns_loop(series, YEARS, ClockKind.DOLLAR_WEIGHTED, tau)
+    want, want_n, raw = estimate_cov_loop(returns, tau)
+    assert tickers == list(returns)
+    assert np.array_equal(n_obs, want_n)
+    assert np.array_equal(np.isnan(c), np.isnan(want))
+    scale = np.sqrt(np.abs(np.outer(np.diag(raw), np.diag(raw))))
+    ok = ~np.isnan(want)
+    assert ok.sum() > len(c)                    # off-diagonal cells are compared
+    assert np.all(np.abs(c[ok] - want[ok]) <= 1e-12 * scale[ok])
+
+
+def test_manifest_replay_checks_its_inputs(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for t, s in market(years=(2021,), spacings=(600, 900)).items():
+        write_candles(data / f"{t}.csv", s)
+    out = tmp_path / "out"
+    assert cli.main(["clock", "--data-dir", str(data), "--year", "2021",
+                     "--out-dir", str(out)]) == 0
+    manifest = str(out / "run_manifest.json")
+    assert sorted(json.loads((out / "run_manifest.json").read_text())["inputs"]) == \
+        [str(data / "T0.csv"), str(data / "T1.csv")]
+    assert cli.main(["--manifest", manifest]) == 0
+
+    path = data / "T1.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:5] + lines[6:]))      # one candle deleted
+    capsys.readouterr()
+    assert cli.main(["--manifest", manifest]) == 3
+    assert f"{path} has changed" in capsys.readouterr().err
+
+    path.unlink()
+    assert cli.main(["--manifest", manifest]) == 3
+    assert f"{path} is missing" in capsys.readouterr().err
+
+
+def test_byte_order_mark_header_is_read(tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    series = market(years=(2021,), spacings=(600,))["T0"]
+    write_candles(data / "T0.csv", series)
+    path = data / "T0.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert cli.main(["clock", "--data-dir", str(data), "--year", "2021",
+                     "--out-dir", str(tmp_path / "out")]) == 0
+    assert np.array_equal(parse_candles(path).close, series.close)

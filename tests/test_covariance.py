@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from vartau.candles import ReturnSeries, bin_series
+from vartau.candles import ReturnSeries, bin_series, log_returns
 from vartau.clock import ClockKind, build_clock, year_bounds
 from vartau.covariance import (CovMatrix, TwoComponentModel, cov_to_corr,
                                estimate_cov, estimate_cov_from_returns,
                                corr_vs_tau, pair_stats, predicted_corr_ratio,
-                               simulate_two_component)
+                               return_grid, simulate_two_component)
 from vartau.errors import DataError
+from vartau.panel import build_panel
 from vartau.synthetic import (correlated_walk_panel, hourly_candles_from_prices,
                               point_candles)
 from vartau.variogram import Variogram, default_tau_grid
@@ -90,15 +91,15 @@ class TestEstimate:
         b1 = bin_series(hourly_candles_from_prices("A", 2021, prices[0]), clock, 1.0)
         b2 = bin_series(hourly_candles_from_prices("B", 2021, prices[1]), clock, 2.0)
         with pytest.raises(DataError, match="tau"):
-            estimate_cov([b1, b2])
+            estimate_cov_from_returns({"A": log_returns(b1), "B": log_returns(b2)}, 1.0)
 
     def test_binned_pipeline_factor_model(self):
         clock = identity_clock()
         rho = 0.6
         prices = correlated_walk_panel(4, 6000, rho, seed=6)
-        binned = {f"T{i}": bin_series(hourly_candles_from_prices(f"T{i}", 2021, prices[i]),
-                                      clock, 1.0) for i in range(4)}
-        rm = cov_to_corr(estimate_cov(binned))
+        series = {f"T{i}": hourly_candles_from_prices(f"T{i}", 2021, prices[i])
+                  for i in range(4)}
+        rm = cov_to_corr(estimate_cov(build_panel(series, [clock], 1.0)))
         off = rm.rho[np.triu_indices(4, 1)]
         assert np.all(np.abs(off - rho) < 4 / np.sqrt(6000) + 0.02)
 
@@ -212,5 +213,6 @@ class TestTwoComponent:
     def test_pair_stats_empty_overlap(self):
         a = rs(np.array([0.1, 0.2]), idx=np.array([0, 1]))
         b = rs(np.array([0.1, 0.2]), idx=np.array([5, 6]))
-        val, n = pair_stats(a.start_index, a.r, a.dt, b.start_index, b.r, b.dt, 1.0)
-        assert n == 0 and np.isnan(val)
+        c, n = pair_stats(*return_grid([a, b], (2, 7), 1.0))
+        assert n[0, 1] == n[1, 0] == 0 and np.isnan(c[0, 1]) and np.isnan(c[1, 0])
+        assert n[0, 0] == n[1, 1] == 2

@@ -1,9 +1,14 @@
-"""The vectorised ingest layers against the row loops they replaced.
+"""The vectorised layers against the loops they replaced.
 
 ``oracles.py`` keeps the loops. Parsing is compared on generated files
 with shuffled rows, blank and whitespace-only lines, mixed line endings,
 quoted and padded fields, exponents and signs; the clock and the binning
-on generated candles and coordinates. Results must be equal, not close.
+on generated candles and coordinates. Their results must be equal, not
+close. The grid covariance and rho(tau) are compared with the pair loops
+on generated return series and candles, with gaps, unequal elapsed times
+and pairs that never overlap: counts and missing cells must be equal and
+values within 1e-12 relative, because the grid product sums in another
+order.
 """
 
 import re
@@ -15,10 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (bin_coordinates_unique, build_clock_dict,
-                     parse_candles_loop)
-from vartau.candles import CSV_HEADER, CandleSeries, bin_coordinates, parse_candles
+from oracles import (bin_coordinates_unique, build_clock_dict, corr_vs_tau_loop,
+                     estimate_cov_loop, parse_candles_loop)
+from vartau.candles import (CSV_HEADER, CandleSeries, ReturnSeries, bin_coordinates,
+                            parse_candles)
 from vartau.clock import ClockKind, build_clock, year_bounds
+from vartau.covariance import corr_vs_tau, estimate_cov_from_returns
 from vartau.errors import DataError
 
 T0, T1 = year_bounds(2021)
@@ -207,3 +214,73 @@ def test_bin_coordinates_matches_unique(coords, tau, rnd):
 def test_bin_coordinates_rejects_unsorted():
     with pytest.raises(DataError, match="sorted"):
         bin_coordinates(np.array([0.5, 0.2, 1.5]), np.ones(3), 1.0)
+
+
+@st.composite
+def return_sets(draw):
+    """A few tickers' return series on a shared grid of start indices.
+
+    Each series starts from its own random subset of the grid (gaps, and
+    pairs that may never meet); elapsed times straddle the dt band, some
+    at or below zero.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tau = draw(st.sampled_from([1 / 60, 0.5, 1.0, 7.0]))
+    out = {}
+    for i in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(0, 60))
+        idx = np.sort(rng.choice(np.arange(100), size=n, replace=False))
+        dt = tau * rng.choice([rng.uniform(0.05, 4.0), 3.0, 1.0, 0.0], size=n,
+                              p=[0.85, 0.05, 0.05, 0.05])
+        out[f"T{i}"] = ReturnSeries(tau, rng.normal(0, 0.01, n), dt, idx.astype(np.int64))
+    return out, tau
+
+
+@settings(max_examples=200, deadline=None)
+@given(return_sets(), st.integers(0, 6))
+def test_grid_cov_matches_pair_loop(data, min_obs):
+    returns, tau = data
+    want, want_n, raw = estimate_cov_loop(returns, tau, min_obs)
+    got = estimate_cov_from_returns(returns, tau, min_obs)
+    assert got.tickers == list(returns)
+    assert np.array_equal(got.n_obs, want_n)
+    assert np.array_equal(np.isnan(got.c), np.isnan(want))
+    assert np.array_equal(got.c, got.c.T, equal_nan=True)
+    scale = np.sqrt(np.abs(np.outer(np.diag(raw), np.diag(raw))))
+    ok = ~np.isnan(want)
+    assert np.all(np.abs(got.c[ok] - want[ok]) <= 1e-12 * scale[ok])
+
+
+@st.composite
+def candle_sets(draw):
+    """A few tickers' one-price candles at random minutes of the year's first 300 hours."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    series = {}
+    for i in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(0, 400))
+        minutes = np.sort(rng.choice(300 * 60, size=n, replace=False))
+        p = 50.0 * np.exp(np.cumsum(rng.normal(0, 0.003, n)))
+        series[f"S{i}"] = CandleSeries(f"S{i}", T0 + 60 * minutes, p, p, p, p, np.ones(n))
+    return series
+
+
+@settings(max_examples=100, deadline=None)
+@given(candle_sets(), st.sampled_from([1.0, 1.5, 0.1, 9.0]), st.integers(0, 30))
+def test_corr_vs_tau_matches_pair_loop(series, tau0, min_obs):
+    clock = build_clock(series.values(), ClockKind.CLOCK, 2021)
+    grid = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
+    try:
+        want_pairs, want = corr_vs_tau_loop(series, clock, grid, tau0, min_obs)
+    except DataError as exc:
+        with pytest.raises(DataError, match=re.escape(str(exc))):
+            corr_vs_tau(series, clock, grid, tau0, min_obs)
+        return
+    pairs, got = corr_vs_tau(series, clock, grid, tau0, min_obs)
+    assert pairs == want_pairs
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    # a curve is rho over rho at tau0, so its rounding errors scale with the
+    # curve's largest value, not with each (possibly near-zero) cell
+    ok = ~np.isnan(want)
+    scale = np.broadcast_to(np.abs(np.where(ok, want, 0.0)).max(axis=1, keepdims=True),
+                            want.shape)
+    assert np.all(np.abs(got - want)[ok] <= 1e-12 * scale[ok])
