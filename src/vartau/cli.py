@@ -84,13 +84,17 @@ def _data_inputs(data_dir: str, series: dict) -> list[Path]:
 
 
 def _parse_years(text: str) -> list[int]:
+    """Distinct comma-separated years, ascending so year blocks chain in order."""
     try:
         years = [int(x) for x in str(text).split(",") if x.strip()]
     except ValueError:
         raise UsageError(f"bad year list {text!r}") from None
     if not years:
         raise UsageError("empty year list")
-    return years
+    repeated = sorted({y for y in years if years.count(y) > 1})
+    if repeated:
+        raise UsageError(f"year {repeated[0]} is given more than once in {text!r}")
+    return sorted(years)
 
 
 def _parse_tau_grid(text: str) -> np.ndarray:
@@ -400,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--stake", type=float, default=1.0)
     sp.add_argument("--cost", type=float, default=0.0)
     sp.add_argument("--long-only", action="store_true")
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out-dir", required=True)
     sp.set_defaults(func=cmd_backtest)
 
@@ -443,6 +446,13 @@ def _replay(manifest_path: str) -> int:
             raise DataError(f"manifest input {path} is missing")
         if _sha256(Path(path)) != digest:
             raise DataError(f"manifest input {path} has changed since the run")
+    data_dir = manifest.get("args", {}).get("data_dir")
+    if data_dir:
+        # the command reads every *.csv in the directory, not only the inputs
+        recorded = set(map(Path, manifest.get("inputs", {})))
+        for path in sorted(Path(data_dir).glob("*.csv")):
+            if path not in recorded:
+                raise DataError(f"{path} was added to {data_dir} after the run")
     argv = [command]
     for key, val in sorted(manifest.get("args", {}).items()):
         flag = "--" + key.replace("_", "-")

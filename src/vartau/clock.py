@@ -151,6 +151,10 @@ def build_clock(all_candles, kind: ClockKind, year: int) -> ClockMap:
     knots_x[2::2] = cum / total_w * total_hours
     knots_c[-1], knots_x[-1] = float(t1), total_hours
     knots_x[-2] = total_hours  # kill round-off on the last cumulative point
+    # cumsum rounds differently from sum, so the knots of the last traded
+    # minute and of zero-weight minutes after it can land a few ulps past
+    # total_hours; clamping keeps the knots non-decreasing
+    np.minimum(knots_x, total_hours, out=knots_x)
 
     # collapse duplicate clock knots (adjacent minutes, or a minute that
     # starts exactly at t0 / ends exactly at t1)

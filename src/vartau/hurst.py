@@ -22,11 +22,29 @@ variogram exponent within a few thousandths of 1 - 2*eps over fit
 spans of one to a few hundred hours. Each simulated year is linearly
 detrended to begin and end at log price zero, the panel is rescaled to
 the target global volatility, and exponentiated.
+
+The shot-noise path sums s_i * f(h - t_i) over the events before each
+hour h without visiting every (hour, event) pair. Event i falls in hour
+bucket b_i = floor(t_i) at offset phi_i = t_i - b_i. Its near field,
+hours b_i .. b_i + K with K = max(32, ceil(delta)), is evaluated exactly.
+In the far field, d = h - b_i > K, the kernel is the binomial series
+
+    f(d - phi) = delta^eps * d^(-eps) * sum_k c_k (phi/d)^k,
+    c_k = (eps)_k / k!  (rising factorial),
+
+truncated after P = 8 terms. Since |c_k| <= 1 for |eps| < 1 and
+phi/d < 1/(K + 1), the truncation changes each kernel value by at most
+(K + 1)^-P / (1 - 1/(K + 1)) = 7.3e-13 of delta^eps * d^(-eps). Term k is
+the convolution of the bucket moments m_k[b] = sum_{b_i = b} s_i phi_i^k
+with d^(-eps-k), d > K; the P products are summed in the frequency domain
+and inverted once. The cost is O(events * K + P * n log n) for n hours,
+against O(events * n) for the direct sum. This is the near/far split of
+the fast multipole method (Greengard & Rokhlin, J. Comput. Phys. 1987).
 """
 
 from __future__ import annotations
 
-import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +53,12 @@ from .errors import DataError
 from .variogram import Variogram
 
 HOURS_PER_YEAR = 8760
+# Shot-noise near-field hours K (ceil(delta) when longer) and far-field
+# series terms P, set by the truncation bound in the module docstring
+_NEAR_HOURS = 32
+_FAR_TERMS = 8
+# (event x near hour) cells evaluated per chunk, bounding near-field memory
+_NEAR_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -108,13 +132,14 @@ class PricePanel:
         return self.prices.shape[1]
 
     def write_csv(self, path) -> None:
+        """One ``year,hour,price`` row per cell, the price as its float repr."""
+        hours = [f",{h}," for h in range(self.hours_per_year)]
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["year", "hour", "price"])
+            fh.write("year,hour,price\n")
             for y in range(self.n_years):
-                row = self.prices[y]
-                for h in range(self.hours_per_year):
-                    w.writerow([y, h, repr(float(row[h]))])
+                lead = str(y)
+                prices = map(repr, self.prices[y].tolist())
+                fh.write("".join([f"{lead}{h}{p}\n" for h, p in zip(hours, prices)]))
 
 
 def read_panel_csv(path) -> PricePanel:
@@ -227,11 +252,57 @@ def simulate_fbm(params: HurstParams, config: SimConfig) -> PricePanel:
     return PricePanel(prices, params, config)
 
 
+def _shot_logp(params: HurstParams, n: int, times: np.ndarray,
+               amps: np.ndarray) -> np.ndarray:
+    """sum_i amps[i] * f(h - times[i]) at hours h = 0..n-1, for epsilon != 0.
+
+    Event i sits in hour bucket b = floor(t_i) at offset phi = t_i - b.
+    Hours h = b .. b + K are summed exactly; for d = h - b > K the kernel
+    is the series delta^eps * sum_k c_k phi^k d^(-eps-k), truncated at P
+    terms, and each term is one FFT convolution of the bucket moments
+    sum_i s_i phi_i^k with d^(-eps-k).
+    """
+    eps, delta = params.epsilon, params.delta
+    near = min(max(_NEAR_HOURS, math.ceil(delta)), n)
+    buckets = np.floor(times).astype(np.int64)
+    phase = times - buckets
+    logp = np.zeros(n)
+    offsets = np.arange(near + 1)
+    chunk = max(1, _NEAR_CELLS // (near + 1))
+    for lo in range(0, len(times), chunk):
+        h = buckets[lo:lo + chunk, None] + offsets
+        u = h - times[lo:lo + chunk, None]
+        live = (u >= delta) & (h < n)
+        s = np.broadcast_to(amps[lo:lo + chunk, None], h.shape)[live]
+        logp += np.bincount(h[live], weights=s * np.power(u[live] / delta, -eps),
+                            minlength=n)
+    if n <= near + 1:
+        return logp
+    # every far pair has u > near >= delta, so the kernel is live there
+    size = _next_fast_len(2 * n - 1)
+    d = np.arange(near + 1, n, dtype=float)
+    g = np.zeros(n)
+    g[near + 1:] = d ** -eps
+    moment, coef, acc = amps, 1.0, 0.0
+    for k in range(_FAR_TERMS):
+        m_k = np.bincount(buckets, weights=moment, minlength=n)
+        acc = acc + coef * np.fft.rfft(m_k, size) * np.fft.rfft(g, size)
+        moment = moment * phase
+        coef *= (eps + k) / (k + 1)          # c_k = (eps)_k / k!
+        g[near + 1:] /= d
+    return logp + delta ** eps * np.fft.irfft(acc, size)[:n]
+
+
 def simulate_shot_noise(params: HurstParams, config: SimConfig) -> PricePanel:
     """Exact-event-time simulation, sampled hourly.
 
     Event gaps are Exponential(rate), amplitudes Normal(0, sigma); the
     log price at hour t is the sum of s_i * f(t - t_i) over past events.
+    For eps = 0 that is a prefix sum of amplitudes. Otherwise the K =
+    max(32, ceil(delta)) hours after each event's hour bucket are summed
+    exactly and the rest by a P = 8 term series in phi/d evaluated with
+    FFTs, each kernel value within 7.3e-13 relative of the exact one (see
+    the module docstring).
     """
     rng = np.random.default_rng(config.seed)
     duration = float(config.n_years * config.hours_per_year)
@@ -247,25 +318,15 @@ def simulate_shot_noise(params: HurstParams, config: SimConfig) -> PricePanel:
     amps = rng.normal(0.0, params.sigma, size=len(times))
 
     n = config.n_years * config.hours_per_year
-    hours = np.arange(n, dtype=float)
     if len(times) == 0:
         logp = np.zeros(n)
     elif params.epsilon == 0.0:
         # unit-step impulse: the log price is a prefix sum of amplitudes
         csum = np.concatenate(([0.0], np.cumsum(amps)))
+        hours = np.arange(n, dtype=float)
         logp = csum[np.searchsorted(times, hours - params.delta, side="right")]
     else:
-        logp = np.zeros(n)
-        ev_chunk = max(1, 4_000_000 // n)
-        for lo in range(0, len(times), ev_chunk):
-            t_i = times[lo:lo + ev_chunk]
-            s_i = amps[lo:lo + ev_chunk]
-            dt = hours[:, None] - t_i[None, :]
-            live = dt >= params.delta
-            contrib = np.where(live,
-                               np.power(np.maximum(dt, params.delta) / params.delta,
-                                        -params.epsilon), 0.0)
-            logp += contrib @ s_i
+        logp = _shot_logp(params, n, times, amps)
     prices = _postprocess(logp.reshape(config.n_years, config.hours_per_year),
                           config.target_vol)
     return PricePanel(prices, params, config)

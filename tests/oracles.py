@@ -3,8 +3,10 @@
 Each function is the loop that ``vartau`` used before a whole-array
 version replaced it. ``test_oracles.py`` requires the library to give the
 same answers: equal arrays for the ingest layers, whose arithmetic is done
-in the same order, and equal counts with values within 1e-12 relative for
-the covariance, whose sums the grid product adds in another order.
+in the same order, equal bytes for the panel CSV, equal counts with values
+within 1e-12 relative for the covariance, whose sums the grid product adds
+in another order, and shot-noise paths within the far-field series'
+truncation and rounding error.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from vartau.candles import (CSV_HEADER, BinnedSeries, CandleSeries, ReturnSeries
                             bin_coordinates, bin_series, log_returns)
 from vartau.clock import ClockKind, ClockMap, build_clock, hours_in_year, year_bounds
 from vartau.errors import DataError
+from vartau.hurst import HurstParams, PricePanel, SimConfig, _postprocess
 from vartau.variogram import DEFAULT_MAX_DT_FACTOR, loglog_interp
 
 
@@ -243,3 +246,52 @@ def multi_year_returns_loop(series, years, kind: ClockKind, tau: float = 1.0):
                               np.array(price), np.ones(len(idx), dtype=np.int64))
         out[t] = log_returns(merged)
     return out
+
+
+
+def shot_logp_loop(params: HurstParams, n: int, times, amps) -> np.ndarray:
+    """Every (hour, event) kernel value, summed one block of events at a time."""
+    hours = np.arange(n, dtype=float)
+    logp = np.zeros(n)
+    ev_chunk = max(1, 4_000_000 // n)
+    for lo in range(0, len(times), ev_chunk):
+        t_i = times[lo:lo + ev_chunk]
+        s_i = amps[lo:lo + ev_chunk]
+        dt = hours[:, None] - t_i[None, :]
+        live = dt >= params.delta
+        contrib = np.where(live,
+                           np.power(np.maximum(dt, params.delta) / params.delta,
+                                    -params.epsilon), 0.0)
+        logp += contrib @ s_i
+    return logp
+
+
+def simulate_shot_noise_loop(params: HurstParams, config: SimConfig) -> PricePanel:
+    """The event draw of ``simulate_shot_noise`` with the exact (hour, event) sum."""
+    rng = np.random.default_rng(config.seed)
+    duration = float(config.n_years * config.hours_per_year)
+    times = np.empty(0)
+    t_last = 0.0
+    while t_last < duration:
+        block = rng.exponential(1.0 / params.rate, size=max(1024, int(params.rate * duration * 0.2)))
+        new = t_last + np.cumsum(block)
+        times = np.concatenate([times, new])
+        t_last = float(times[-1])
+    times = times[times < duration]
+    amps = rng.normal(0.0, params.sigma, size=len(times))
+    n = config.n_years * config.hours_per_year
+    logp = shot_logp_loop(params, n, times, amps)
+    prices = _postprocess(logp.reshape(config.n_years, config.hours_per_year),
+                          config.target_vol)
+    return PricePanel(prices, params, config)
+
+
+def write_panel_csv_rows(panel: PricePanel, path) -> None:
+    """The panel CSV written by ``csv.writer``, one row at a time."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["year", "hour", "price"])
+        for y in range(panel.n_years):
+            row = panel.prices[y]
+            for h in range(panel.hours_per_year):
+                w.writerow([y, h, repr(float(row[h]))])

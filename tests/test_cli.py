@@ -102,3 +102,34 @@ def test_byte_order_mark_header_is_read(tmp_path):
     assert cli.main(["clock", "--data-dir", str(data), "--year", "2021",
                      "--out-dir", str(tmp_path / "out")]) == 0
     assert np.array_equal(parse_candles(path).close, series.close)
+
+
+def test_manifest_replay_rejects_an_added_candle_file(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for t, s in market(years=(2021,), spacings=(600, 900, 1200)).items():
+        write_candles(data / f"{t}.csv", s)
+    out = tmp_path / "out"
+    assert cli.main(["correlate", "--data-dir", str(data), "--years", "2021",
+                     "--out-dir", str(out)]) == 0
+    manifest = str(out / "run_manifest.json")
+    assert cli.main(["--manifest", manifest]) == 0
+
+    (data / "T9.csv").write_bytes((data / "T0.csv").read_bytes())
+    capsys.readouterr()
+    assert cli.main(["--manifest", manifest]) == 3
+    assert f"{data / 'T9.csv'} was added" in capsys.readouterr().err
+
+
+def test_repeated_year_is_a_usage_error(data, tmp_path, capsys):
+    assert cli.main(["correlate", "--data-dir", str(data), "--years", "2021,2021",
+                     "--out-dir", str(tmp_path)]) == 2
+    assert "year 2021 is given more than once" in capsys.readouterr().err
+
+
+def test_years_chain_in_calendar_order(data, tmp_path):
+    for years in ("2021,2022", "2022,2021"):
+        assert cli.main(["correlate", "--data-dir", str(data), "--years", years,
+                         "--out-dir", str(tmp_path / years)]) == 0
+    assert (tmp_path / "2021,2022" / "cov.csv").read_bytes() == \
+        (tmp_path / "2022,2021" / "cov.csv").read_bytes()

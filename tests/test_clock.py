@@ -60,6 +60,14 @@ class TestBuild:
         assert clock.total_txn_hours == 8784
         assert clock.to_txn_time(clock.year_end) == pytest.approx(8784)
 
+    def test_knots_never_pass_the_year_end(self):
+        # added one by one, fifteen 0.1-share minutes exceed their pairwise
+        # sum, so the knots once rose to 8760.000000000002 and then fell
+        s = make_series("R", np.arange(16), np.ones(16), [0.1] * 15 + [0.0])
+        clock = build_clock([s], ClockKind.VOLUME_WEIGHTED, 2021)
+        assert np.all(np.diff(clock.knots_txn) >= 0)
+        assert clock.knots_txn.max() == 8760
+
     def test_empty_and_zero_weight(self):
         with pytest.raises(DataError, match="no candles"):
             build_clock([], ClockKind.DOLLAR_WEIGHTED, 2021)
