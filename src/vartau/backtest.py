@@ -1,13 +1,17 @@
 """Hourly arbitrage backtests with uncompounded accounting.
 
-Three strategies share one fill engine:
-
 * simulated-panel mean reversion: one synthetic stock, many years; bet
   against the previous hour's normalized return, hold one hour.
 * market mean reversion: many stocks, long the decliners / short the
   gainers of the previous hour in proportion to |return|.
 * correlation-discrepancy: long the stocks whose return fell most below
   its leave-one-out prediction, short the opposite tail, equal weights.
+
+The two market strategies share one fill engine, ``_book``, which takes
+``_BLOCK_HOURS`` decision hours per step as (side x ticker x hour) arrays;
+the block size bounds those temporaries. Its ledger lists trades by hour,
+then longs before shorts, then ticker (mean reversion) or rank
+(discrepancy). ``run_sim_meanrev`` is whole-panel arithmetic, no ledger.
 
 Decisions for hour h use only the average prices of hours h and h+1
 (fully causal); positions open during hour h+2+S at that hour's average
@@ -20,6 +24,7 @@ reinvested, so yearly results are sums, not compounds.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 import numpy as np
 
@@ -27,6 +32,8 @@ from .errors import DataError
 from .hurst import PricePanel
 
 ANNUAL_HOURS = 8760.0
+# decision hours filled per step; bounds the (side x ticker x hour) temporaries
+_BLOCK_HOURS = 1024
 
 
 @dataclass
@@ -70,30 +77,31 @@ class TradeLedger:
         return float(self.pnl.sum())
 
     def write_csv(self, path) -> None:
+        """One row per trade, floats as their repr, tickers quoted as csv does."""
+        names = {t: _csv_field(t) for t in set(self.ticker)}
+        sides = np.where(self.side > 0, "long", "short").tolist()
+        cols = zip(self.hour.tolist(), self.ticker, sides, self.qty.tolist(),
+                   self.entry.tolist(), self.exit.tolist(), self.pnl.tolist())
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["hour", "ticker", "side", "qty", "entry", "exit", "pnl"])
-            for i in range(len(self)):
-                w.writerow([int(self.hour[i]), self.ticker[i],
-                            "long" if self.side[i] > 0 else "short",
-                            repr(float(self.qty[i])), repr(float(self.entry[i])),
-                            repr(float(self.exit[i])), repr(float(self.pnl[i]))])
+            fh.write("hour,ticker,side,qty,entry,exit,pnl\n")
+            fh.writelines(f"{h},{names[t]},{s},{q!r},{e!r},{x!r},{p!r}\n"
+                          for h, t, s, q, e, x, p in cols)
 
 
 @dataclass
 class EquityCurve:
-    hours: np.ndarray      # decision hours with activity recorded
+    hours: np.ndarray      # every panel hour, 0 .. span_hours - 1
     cum_pnl: np.ndarray    # running sum of realized pnl, booked per decision hour
     stake: float
     span_hours: int        # panel hours covered, for annualization
 
     def write_csv(self, path) -> None:
+        """txn_hour, cum_pnl and the yield annualized over the hours up to it."""
+        ann = self.cum_pnl / self.stake * ANNUAL_HOURS / np.maximum(self.hours + 1, 1)
+        cols = zip(self.hours.tolist(), self.cum_pnl.tolist(), ann.tolist())
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["txn_hour", "cum_pnl", "annualized"])
-            for i, h in enumerate(self.hours):
-                ann = self.cum_pnl[i] / self.stake * ANNUAL_HOURS / max(int(h) + 1, 1)
-                w.writerow([int(h), repr(float(self.cum_pnl[i])), repr(float(ann))])
+            fh.write("txn_hour,cum_pnl,annualized\n")
+            fh.writelines(f"{h},{c!r},{a!r}\n" for h, c, a in cols)
 
 
 @dataclass
@@ -101,6 +109,13 @@ class BacktestResult:
     ledger: TradeLedger
     curve: EquityCurve
     info: dict = field(default_factory=dict)
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it as one field of a longer row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
 
 
 def annualized_yield(curve: EquityCurve) -> float:
@@ -138,44 +153,53 @@ def run_sim_meanrev(panel: PricePanel | np.ndarray) -> np.ndarray:
     return ANNUAL_HOURS * pnl.sum(axis=1) / np.abs(r_hat[:, :-2]).sum(axis=1)
 
 
-def _settle(p_entry, p_exit, sides, h, config, rows) -> bool:
-    """Fill every side of one hour, or none when a side cannot fill.
+def _book(prices, tickers, entry_offset, config, sides) -> BacktestResult:
+    """Fill every decision hour, one block of ``_BLOCK_HOURS`` hours at a time.
 
-    ``sides`` holds (members, weights, +1 long / -1 short). Tickers
-    missing an entry or exit price are dropped and their side's stake is
-    re-spread proportionally over the rest, so each side trades exactly
-    the stake and long and short notionals stay equal. When a side has no
-    fillable name the hour books nothing and False is returned.
+    ``sides(ok, r)`` gets a block's present mask and log returns (tickers x
+    hours, r = 0 where a price is missing) and returns ``(members, weight,
+    order)``: members is (2, slots, hours), the long and the short side of
+    each hour (both empty in an hour that does not trade), weight is
+    broadcast against one side, and slot s of hour j holds ticker
+    ``order[s, j]`` (slot s holds ticker s when order is None). A side trades
+    its fillable names, those with entry and exit prices, with the stake
+    spread over them in proportion to weight; an hour in which a non-empty
+    side has no fillable name books nothing and counts as skipped.
     """
-    fills = []
-    for members, weights, side in sides:
-        ok = np.isfinite(p_entry[members]) & np.isfinite(p_exit[members])
-        if not ok.any():
-            return False
-        fills.append((members[ok], weights[ok], side))
-    for members, weights, side in fills:
-        notional = config.stake * (weights / weights.sum())
-        qty = notional / p_entry[members]
-        move = p_exit[members] - p_entry[members]
-        pnl = side * qty * move - config.cost_per_round_trip * notional
-        rows.append((h, members, side, qty, p_entry[members], p_exit[members], pnl))
-    return True
-
-
-def _collect(rows, tickers, n_hours, stake) -> BacktestResult:
-    hour, names, side, qty, entry, exit_, pnl = [], [], [], [], [], [], []
-    pnl_by_hour = np.zeros(n_hours)
-    for h, members, s, q, pe, px, pl in rows:
-        for k in range(len(members)):
-            hour.append(h); names.append(tickers[members[k]]); side.append(s)
-            qty.append(q[k]); entry.append(pe[k]); exit_.append(px[k]); pnl.append(pl[k])
-        pnl_by_hour[h] += pl.sum()
-    ledger = TradeLedger(np.asarray(hour, dtype=np.int64), names,
-                         np.asarray(side, dtype=np.int64), np.asarray(qty),
-                         np.asarray(entry), np.asarray(exit_), np.asarray(pnl))
+    n_hours = prices.shape[1]
+    n_decisions = max(n_hours - entry_offset - 1, 0)
+    parts = [(np.empty(0, np.int64),) * 3 + (np.empty(0),) * 4]
+    booked = 0
+    for h0 in range(0, n_decisions, _BLOCK_HOURS):
+        h1 = min(h0 + _BLOCK_HOURS, n_decisions)
+        p0, p1 = prices[:, h0:h1], prices[:, h0 + 1:h1 + 1]
+        ok = np.isfinite(p0) & np.isfinite(p1)
+        r = np.zeros(ok.shape)
+        np.log(np.divide(p1, p0, out=r, where=ok), out=r, where=ok)
+        members, weight, order = sides(ok, r)
+        entry = prices[:, h0 + entry_offset:h1 + entry_offset]
+        exit_ = prices[:, h0 + entry_offset + 1:h1 + entry_offset + 1]
+        if order is not None:
+            entry = np.take_along_axis(entry, order, axis=0)
+            exit_ = np.take_along_axis(exit_, order, axis=0)
+        fill = members & np.isfinite(entry) & np.isfinite(exit_)
+        book = members[0].any(axis=0) & np.all(fill.any(axis=1) | ~members.any(axis=1), axis=0)
+        booked += int(book.sum())
+        j, s, slot = np.nonzero((fill & book).transpose(2, 0, 1))  # hour, long first, slot
+        w = np.broadcast_to(weight, ok.shape)[slot, j]
+        side_sum = np.bincount(2 * j + s, w, 2 * (h1 - h0))[2 * j + s]
+        notional = config.stake * (w / side_sum)
+        e, x = entry[slot, j], exit_[slot, j]
+        side = 1 - 2 * s
+        qty = notional / e
+        pnl = side * qty * (x - e) - config.cost_per_round_trip * notional
+        parts.append((h0 + j, slot if order is None else order[slot, j], side, qty, e, x, pnl))
+    hour, tick, side, qty, entry, exit_, pnl = (np.concatenate(col) for col in zip(*parts))
+    ledger = TradeLedger(hour, np.asarray(tickers, dtype=object)[tick].tolist(),
+                         side, qty, entry, exit_, pnl)
     curve = EquityCurve(np.arange(n_hours, dtype=np.int64),
-                        np.cumsum(pnl_by_hour), stake, n_hours)
-    return BacktestResult(ledger, curve)
+                        np.cumsum(np.bincount(hour, pnl, n_hours)), config.stake, n_hours)
+    return BacktestResult(ledger, curve, {"skipped_hours": n_decisions - booked})
 
 
 def run_market_meanrev(prices: np.ndarray, tickers: list[str],
@@ -189,30 +213,15 @@ def run_market_meanrev(prices: np.ndarray, tickers: list[str],
     fills at the h+2 and h+3 hour-average prices.
     """
     config = config or StrategyConfig()
-    prices = np.asarray(prices, dtype=float)
-    n, n_hours = prices.shape
-    entry_offset = 2
-    rows = []
-    skipped = 0
-    for h in range(0, n_hours - entry_offset - 1):
-        p0, p1 = prices[:, h], prices[:, h + 1]
-        ok = np.isfinite(p0) & np.isfinite(p1)
-        r = np.full(n, np.nan)
-        r[ok] = np.log(p1[ok] / p0[ok])
-        longs = np.flatnonzero(ok & (r < 0))
-        shorts = np.flatnonzero(ok & (r > 0))
-        if len(longs) < config.min_side_count or len(shorts) < config.min_side_count:
-            skipped += 1
-            continue
-        sides = [(longs, np.abs(r[longs]) / np.abs(r[longs]).sum(), +1)]
-        if not long_only:
-            sides.append((shorts, np.abs(r[shorts]) / np.abs(r[shorts]).sum(), -1))
-        if not _settle(prices[:, h + entry_offset], prices[:, h + entry_offset + 1],
-                       sides, h, config, rows):
-            skipped += 1
-    result = _collect(rows, tickers, n_hours, config.stake)
-    result.info = {"skipped_hours": skipped, "long_only": long_only,
-                   "entry_offset": entry_offset}
+
+    def sides(ok, r):
+        longs, shorts = r < 0, r > 0
+        trade = ((longs.sum(axis=0) >= config.min_side_count)
+                 & (shorts.sum(axis=0) >= config.min_side_count))
+        return np.stack([longs & trade, shorts & trade & (not long_only)]), np.abs(r), None
+
+    result = _book(np.asarray(prices, dtype=float), tickers, 2, config, sides)
+    result.info.update(long_only=long_only, entry_offset=2)
     return result
 
 
@@ -223,40 +232,28 @@ def run_xcorr_strategy(prices: np.ndarray, tickers: list[str], coeffs,
     The discrepancy is prediction minus outcome; the top fraction
     (largest, stock looks cheap against its peers) is bought and the
     bottom fraction sold short, equal-weighted, entering during hour
-    h+2+S and exiting one hour later. Ties break by ticker order. Hours
-    with too few present names, or where a side has no name with both
-    fill prices, are skipped.
+    h+2+S and exiting one hour later. Ties break by ticker order, and the
+    ledger lists a side's names in rank order. Hours with too few present
+    names, or where a side has no name with both fill prices, are skipped.
     """
     config = config or StrategyConfig()
-    prices = np.asarray(prices, dtype=float)
-    n, n_hours = prices.shape
     if list(coeffs.tickers) != list(tickers):
         raise DataError("coefficient tickers do not match the price panel")
-    b = coeffs.b
+    b = np.asarray(coeffs.b, dtype=float)
+    if not np.isfinite(b).all():
+        raise DataError("prediction coefficients must be finite")
     entry_offset = 2 + config.staleness
-    rows = []
-    skipped = 0
-    for h in range(0, n_hours - entry_offset - 1):
-        p0, p1 = prices[:, h], prices[:, h + 1]
-        ok = np.isfinite(p0) & np.isfinite(p1)
-        n_present = int(ok.sum())
-        k = max(1, int(config.top_fraction * n_present))
-        if n_present < 2 * k or n_present < 2:
-            skipped += 1
-            continue
-        r = np.zeros(n)
-        r[ok] = np.log(p1[ok] / p0[ok])
-        r_hat = b @ r
-        delta = np.where(ok, r_hat - r, np.nan)
-        present = np.flatnonzero(ok)
-        order = present[np.argsort(-delta[present], kind="stable")]
-        longs = order[:k]
-        shorts = order[-k:]
-        w = np.full(k, 1.0 / k)
-        if not _settle(prices[:, h + entry_offset], prices[:, h + entry_offset + 1],
-                       [(longs, w, +1), (shorts, w, -1)], h, config, rows):
-            skipped += 1
-    result = _collect(rows, tickers, n_hours, config.stake)
-    result.info = {"skipped_hours": skipped, "staleness": config.staleness,
-                   "entry_offset": entry_offset}
+
+    def sides(ok, r):
+        n_present = ok.sum(axis=0)
+        k = np.maximum(1, (config.top_fraction * n_present).astype(np.int64))
+        trade = (n_present >= 2 * k) & (n_present >= 2)
+        # a stable sort puts absent names (NaN) last and keeps ties in ticker order
+        order = np.argsort(-np.where(ok, b @ r - r, np.nan), axis=0, kind="stable")
+        rank = np.arange(len(r))[:, None]
+        members = np.stack([rank < k, (rank >= n_present - k) & (rank < n_present)]) & trade
+        return members, 1.0 / k, order
+
+    result = _book(np.asarray(prices, dtype=float), tickers, entry_offset, config, sides)
+    result.info.update(staleness=config.staleness, entry_offset=entry_offset)
     return result

@@ -3,10 +3,15 @@
 Each function is the loop that ``vartau`` used before a whole-array
 version replaced it. ``test_oracles.py`` requires the library to give the
 same answers: equal arrays for the ingest layers, whose arithmetic is done
-in the same order, equal bytes for the panel CSV, equal counts with values
-within 1e-12 relative for the covariance, whose sums the grid product adds
-in another order, and shot-noise paths within the far-field series'
-truncation and rounding error.
+in the same order, equal bytes for the panel, ledger and equity CSVs, equal
+counts with values within 1e-12 relative for the covariance, whose sums the
+grid product adds in another order, and shot-noise paths within the
+far-field series' truncation and rounding error. The block-wise backtests
+must book the same trades in the same row order with equal fill prices and
+skipped hours; a side's weights are normalized once instead of twice and the
+hourly pnl summed in another order, so qty must be within 1e-12 relative,
+pnl within 1e-12 of the terms it subtracts and cum_pnl within 1e-12 of the
+summed |pnl|.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
+from vartau.backtest import (ANNUAL_HOURS, BacktestResult, EquityCurve, StrategyConfig,
+                             TradeLedger)
 from vartau.candles import (CSV_HEADER, BinnedSeries, CandleSeries, ReturnSeries,
                             bin_coordinates, bin_series, log_returns)
 from vartau.clock import ClockKind, ClockMap, build_clock, hours_in_year, year_bounds
@@ -295,3 +302,125 @@ def write_panel_csv_rows(panel: PricePanel, path) -> None:
             row = panel.prices[y]
             for h in range(panel.hours_per_year):
                 w.writerow([y, h, repr(float(row[h]))])
+
+
+def _settle(p_entry, p_exit, sides, h, config, rows) -> bool:
+    """Fill every side of one hour, or none when a side cannot fill."""
+    fills = []
+    for members, weights, side in sides:
+        ok = np.isfinite(p_entry[members]) & np.isfinite(p_exit[members])
+        if not ok.any():
+            return False
+        fills.append((members[ok], weights[ok], side))
+    for members, weights, side in fills:
+        notional = config.stake * (weights / weights.sum())
+        qty = notional / p_entry[members]
+        move = p_exit[members] - p_entry[members]
+        pnl = side * qty * move - config.cost_per_round_trip * notional
+        rows.append((h, members, side, qty, p_entry[members], p_exit[members], pnl))
+    return True
+
+
+def _collect(rows, tickers, n_hours, stake) -> BacktestResult:
+    hour, names, side, qty, entry, exit_, pnl = [], [], [], [], [], [], []
+    pnl_by_hour = np.zeros(n_hours)
+    for h, members, s, q, pe, px, pl in rows:
+        for k in range(len(members)):
+            hour.append(h); names.append(tickers[members[k]]); side.append(s)
+            qty.append(q[k]); entry.append(pe[k]); exit_.append(px[k]); pnl.append(pl[k])
+        pnl_by_hour[h] += pl.sum()
+    ledger = TradeLedger(np.asarray(hour, dtype=np.int64), names,
+                         np.asarray(side, dtype=np.int64), np.asarray(qty),
+                         np.asarray(entry), np.asarray(exit_), np.asarray(pnl))
+    curve = EquityCurve(np.arange(n_hours, dtype=np.int64),
+                        np.cumsum(pnl_by_hour), stake, n_hours)
+    return BacktestResult(ledger, curve)
+
+
+def run_market_meanrev_loop(prices, tickers, config=None, long_only=False) -> BacktestResult:
+    """``run_market_meanrev`` one decision hour at a time."""
+    config = config or StrategyConfig()
+    prices = np.asarray(prices, dtype=float)
+    n, n_hours = prices.shape
+    entry_offset = 2
+    rows = []
+    skipped = 0
+    for h in range(0, n_hours - entry_offset - 1):
+        p0, p1 = prices[:, h], prices[:, h + 1]
+        ok = np.isfinite(p0) & np.isfinite(p1)
+        r = np.full(n, np.nan)
+        r[ok] = np.log(p1[ok] / p0[ok])
+        longs = np.flatnonzero(ok & (r < 0))
+        shorts = np.flatnonzero(ok & (r > 0))
+        if len(longs) < config.min_side_count or len(shorts) < config.min_side_count:
+            skipped += 1
+            continue
+        sides = [(longs, np.abs(r[longs]) / np.abs(r[longs]).sum(), +1)]
+        if not long_only:
+            sides.append((shorts, np.abs(r[shorts]) / np.abs(r[shorts]).sum(), -1))
+        if not _settle(prices[:, h + entry_offset], prices[:, h + entry_offset + 1],
+                       sides, h, config, rows):
+            skipped += 1
+    result = _collect(rows, tickers, n_hours, config.stake)
+    result.info = {"skipped_hours": skipped, "long_only": long_only,
+                   "entry_offset": entry_offset}
+    return result
+
+
+def run_xcorr_strategy_loop(prices, tickers, coeffs, config=None) -> BacktestResult:
+    """``run_xcorr_strategy`` one decision hour at a time."""
+    config = config or StrategyConfig()
+    prices = np.asarray(prices, dtype=float)
+    n, n_hours = prices.shape
+    if list(coeffs.tickers) != list(tickers):
+        raise DataError("coefficient tickers do not match the price panel")
+    b = coeffs.b
+    entry_offset = 2 + config.staleness
+    rows = []
+    skipped = 0
+    for h in range(0, n_hours - entry_offset - 1):
+        p0, p1 = prices[:, h], prices[:, h + 1]
+        ok = np.isfinite(p0) & np.isfinite(p1)
+        n_present = int(ok.sum())
+        k = max(1, int(config.top_fraction * n_present))
+        if n_present < 2 * k or n_present < 2:
+            skipped += 1
+            continue
+        r = np.zeros(n)
+        r[ok] = np.log(p1[ok] / p0[ok])
+        r_hat = b @ r
+        delta = np.where(ok, r_hat - r, np.nan)
+        present = np.flatnonzero(ok)
+        order = present[np.argsort(-delta[present], kind="stable")]
+        longs = order[:k]
+        shorts = order[-k:]
+        w = np.full(k, 1.0 / k)
+        if not _settle(prices[:, h + entry_offset], prices[:, h + entry_offset + 1],
+                       [(longs, w, +1), (shorts, w, -1)], h, config, rows):
+            skipped += 1
+    result = _collect(rows, tickers, n_hours, config.stake)
+    result.info = {"skipped_hours": skipped, "staleness": config.staleness,
+                   "entry_offset": entry_offset}
+    return result
+
+
+def write_ledger_csv_rows(ledger: TradeLedger, path) -> None:
+    """The trade ledger written by ``csv.writer``, one row at a time."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["hour", "ticker", "side", "qty", "entry", "exit", "pnl"])
+        for i in range(len(ledger)):
+            w.writerow([int(ledger.hour[i]), ledger.ticker[i],
+                        "long" if ledger.side[i] > 0 else "short",
+                        repr(float(ledger.qty[i])), repr(float(ledger.entry[i])),
+                        repr(float(ledger.exit[i])), repr(float(ledger.pnl[i]))])
+
+
+def write_equity_csv_rows(curve: EquityCurve, path) -> None:
+    """The equity curve written by ``csv.writer``, one row at a time."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["txn_hour", "cum_pnl", "annualized"])
+        for i, h in enumerate(curve.hours):
+            ann = curve.cum_pnl[i] / curve.stake * ANNUAL_HOURS / max(int(h) + 1, 1)
+            w.writerow([int(h), repr(float(curve.cum_pnl[i])), repr(float(ann))])

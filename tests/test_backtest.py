@@ -234,10 +234,10 @@ class TestMarketMeanrev:
 
 
 @st.composite
-def gappy_prices(draw):
+def gappy_prices(draw, max_n=8):
     """Hourly random-walk prices of a few tickers with random missing hours."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n, hours = draw(st.integers(2, 8)), draw(st.integers(5, 40))
+    n, hours = draw(st.integers(2, max_n)), draw(st.integers(5, 40))
     prices = np.exp(np.cumsum(rng.normal(0, 0.01, (n, hours)), axis=1))
     prices[rng.random((n, hours)) < draw(st.sampled_from([0.0, 0.2, 0.5]))] = np.nan
     return prices
@@ -303,10 +303,14 @@ class TestXcorr:
         b = PredictionCoeffs(list("ABCD"), np.zeros((4, 4)))
         cfg = StrategyConfig(staleness=0, top_fraction=0.25, min_side_count=1)
         res = run_xcorr_strategy(prices, list("ABCD"), b, cfg)
-        rows = res.ledger.hour == 1
-        # after hour 1 all returns are zero ties: first ticker long, last short
-        assert set(np.array(res.ledger.ticker)[rows & (res.ledger.side == 1)]) \
-            and True
+        names = np.array(res.ledger.ticker)
+        def side_names(h, side):
+            return names[(res.ledger.hour == h) & (res.ledger.side == side)].tolist()
+        # hour 0: C and D fell alike, A and B rose alike; the first of each tie wins
+        assert side_names(0, 1) == ["C"] and side_names(0, -1) == ["B"]
+        # hour 1 ties two ways, later hours all four ways: first ticker long, last short
+        for h in range(1, 7):
+            assert side_names(h, 1) == ["A"] and side_names(h, -1) == ["D"]
 
     def test_staleness_shifts_fills(self):
         prices = np.tile(np.linspace(1, 2, 12), (4, 1))
@@ -321,6 +325,12 @@ class TestXcorr:
                 entry = res.ledger.entry[0]
                 tick = int("ABCD".index(res.ledger.ticker[0]))
                 assert entry == pytest.approx(prices[tick, first + 2 + s])
+
+    def test_non_finite_coeffs_rejected(self):
+        b = PredictionCoeffs(list("AB"), np.array([[0.0, np.nan], [0.1, 0.0]]))
+        with pytest.raises(DataError, match="finite"):
+            run_xcorr_strategy(np.ones((2, 10)), list("AB"), b,
+                               StrategyConfig(min_side_count=1))
 
     def test_ticker_mismatch_rejected(self):
         b = PredictionCoeffs(list("AB"), np.zeros((2, 2)))

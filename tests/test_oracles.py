@@ -9,8 +9,10 @@ on generated return series and candles, with gaps, unequal elapsed times
 and pairs that never overlap: counts and missing cells must be equal and
 values within 1e-12 relative, because the grid product sums in another
 order. The shot-noise log price is compared with the exact sum over every
-(hour, event) pair on generated parameters and events, and the panel CSV
-with the ``csv.writer`` rows byte for byte.
+(hour, event) pair on generated parameters and events, and the panel,
+ledger and equity CSVs with the ``csv.writer`` rows byte for byte. The
+block-wise backtests are compared with their hour loops on generated gappy
+prices with exact ties and one-sided hours, across block boundaries.
 """
 
 import re
@@ -24,8 +26,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import (bin_coordinates_unique, build_clock_dict, corr_vs_tau_loop,
-                     estimate_cov_loop, parse_candles_loop, shot_logp_loop,
-                     simulate_shot_noise_loop, write_panel_csv_rows)
+                     estimate_cov_loop, parse_candles_loop, run_market_meanrev_loop,
+                     run_xcorr_strategy_loop, shot_logp_loop, simulate_shot_noise_loop,
+                     write_equity_csv_rows, write_ledger_csv_rows, write_panel_csv_rows)
+from test_backtest import gappy_prices
+from vartau import backtest
+from vartau.backtest import (EquityCurve, StrategyConfig, TradeLedger, run_market_meanrev,
+                             run_xcorr_strategy)
 from vartau.candles import (CSV_HEADER, CandleSeries, ReturnSeries, bin_coordinates,
                             parse_candles)
 from vartau.clock import ClockKind, build_clock, year_bounds
@@ -33,6 +40,7 @@ from vartau.covariance import corr_vs_tau, estimate_cov_from_returns
 from vartau.errors import DataError
 from vartau.hurst import (HurstParams, PricePanel, SimConfig, _shot_logp, simulate_fbm,
                           simulate_shot_noise)
+from vartau.predictor import PredictionCoeffs
 
 T0, T1 = year_bounds(2021)
 COLUMNS = ("timestamps", "open", "high", "low", "close", "volume")
@@ -286,12 +294,14 @@ def test_corr_vs_tau_matches_pair_loop(series, tau0, min_obs):
     pairs, got = corr_vs_tau(series, clock, grid, tau0, min_obs)
     assert pairs == want_pairs
     assert np.array_equal(np.isnan(got), np.isnan(want))
-    # a curve is rho over rho at tau0, so its rounding errors scale with the
-    # curve's largest value, not with each (possibly near-zero) cell
+    # a cell is c = rho / rho0, rho0 = rho at tau0. Each rho is within
+    # e = 1e-12 * s of the loop's, s the row's largest |rho|, so
+    # |dc| <= e / |rho0| + |rho| e / rho0^2 = 1e-12 * (s / |rho0|) * (1 + |c|),
+    # and s / |rho0| is the curve's largest |value|
     ok = ~np.isnan(want)
-    scale = np.broadcast_to(np.abs(np.where(ok, want, 0.0)).max(axis=1, keepdims=True),
-                            want.shape)
-    assert np.all(np.abs(got - want)[ok] <= 1e-12 * scale[ok])
+    curve_max = np.abs(np.where(ok, want, 0.0)).max(axis=1, keepdims=True)
+    bound = 1e-12 * curve_max * (1 + np.abs(want))
+    assert np.all(np.abs(got - want)[ok] <= bound[ok])
 
 
 @settings(max_examples=30, deadline=None)
@@ -324,10 +334,10 @@ def test_shot_noise_draws_the_same_events(eps, delta, rate, years, hours):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
 
 
-def panel_bytes(write, panel) -> bytes:
+def written(write, obj) -> bytes:
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "panel.csv"
-        write(panel, path)
+        path = Path(tmp) / "out.csv"
+        write(obj, path)
         return path.read_bytes()
 
 
@@ -337,4 +347,101 @@ def panel_bytes(write, panel) -> bytes:
 @example(simulate_fbm(HurstParams(0.05), SimConfig(2, 500, seed=2)).prices)
 def test_panel_csv_matches_rows(prices):
     panel = PricePanel(prices)
-    assert panel_bytes(PricePanel.write_csv, panel) == panel_bytes(write_panel_csv_rows, panel)
+    assert written(PricePanel.write_csv, panel) == written(write_panel_csv_rows, panel)
+
+
+@st.composite
+def backtest_panels(draw):
+    """``gappy_prices`` with exact ties and hours in which one side cannot fill.
+
+    Some rows repeat others, so their returns tie exactly; in some hours every
+    name that fell two hours before loses its price, so mean reversion's long
+    side has nothing to enter.
+    """
+    prices = draw(gappy_prices(max_n=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, hours = prices.shape
+    copies = rng.random(n) < draw(st.sampled_from([0.0, 0.4]))
+    prices[copies] = prices[rng.integers(0, n, n)[copies]]
+    for c in np.flatnonzero(rng.random(hours) < 0.15):
+        if c >= 2:
+            prices[prices[:, c - 1] < prices[:, c - 2], c] = np.nan
+    return prices
+
+
+def assert_same_backtest(got, want, cost):
+    """Equal trades, fill prices and skips; quantities within their rounding.
+
+    The loop normalizes a side's weights twice and the blocks once, and sums
+    the hourly pnl in another order, so qty may differ in the last bits. A
+    trade's pnl is within 1e-12 of the terms it subtracts, and cum_pnl within
+    1e-12 of the summed |pnl| it adds up, since either may cancel to near zero.
+    """
+    g, w = got.ledger, want.ledger
+    assert got.info == want.info
+    assert np.array_equal(g.hour, w.hour) and g.hour.dtype == w.hour.dtype
+    assert g.ticker == w.ticker
+    assert np.array_equal(g.side, w.side) and g.side.dtype == w.side.dtype
+    assert np.array_equal(g.entry, w.entry) and np.array_equal(g.exit, w.exit)
+    assert np.all(np.abs(g.qty - w.qty) <= 1e-12 * np.abs(w.qty))
+    terms = np.abs(w.qty * (w.exit - w.entry)) + cost * w.qty * w.entry
+    assert np.all(np.abs(g.pnl - w.pnl) <= 1e-12 * terms)
+    assert np.array_equal(got.curve.hours, want.curve.hours)
+    assert np.all(np.abs(got.curve.cum_pnl - want.curve.cum_pnl)
+                  <= 1e-12 * np.abs(w.pnl).sum())
+
+
+@settings(max_examples=200, deadline=None)
+@given(backtest_panels(), st.integers(1, 3), st.booleans(), st.sampled_from([0.0, 2e-3]),
+       st.sampled_from([3, 1024]))
+def test_meanrev_matches_hour_loop(prices, min_side_count, long_only, cost, block):
+    tickers = [f"T{i}" for i in range(len(prices))]
+    cfg = StrategyConfig(min_side_count=min_side_count, cost_per_round_trip=cost)
+    want = run_market_meanrev_loop(prices, tickers, cfg, long_only)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(backtest, "_BLOCK_HOURS", block)
+        got = run_market_meanrev(prices, tickers, cfg, long_only)
+    assert_same_backtest(got, want, cost)
+
+
+@settings(max_examples=200, deadline=None)
+@given(backtest_panels(), st.integers(0, 2), st.sampled_from([0.1, 0.25, 0.5]),
+       st.sampled_from([0.0, 2e-3]), st.booleans(), st.integers(0, 2**32 - 1),
+       st.sampled_from([3, 1024]))
+def test_xcorr_matches_hour_loop(prices, staleness, top, cost, zero_b, seed, block):
+    n = len(prices)
+    b = np.zeros((n, n)) if zero_b else np.random.default_rng(seed).uniform(-0.5, 0.5, (n, n))
+    np.fill_diagonal(b, 0.0)
+    tickers = [f"T{i}" for i in range(n)]
+    coeffs = PredictionCoeffs(tickers, b)
+    cfg = StrategyConfig(staleness=staleness, top_fraction=top, cost_per_round_trip=cost)
+    want = run_xcorr_strategy_loop(prices, tickers, coeffs, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(backtest, "_BLOCK_HOURS", block)
+        got = run_xcorr_strategy(prices, tickers, coeffs, cfg)
+    assert_same_backtest(got, want, cost)
+
+
+ticker_names = st.one_of(st.sampled_from(["A,B", 'Q"X', "T1", ""]),
+                    st.text(alphabet='ab ,"\r\n\t\'', max_size=4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(
+    hnp.arrays(np.int64, n, elements=st.integers(0, 10**6)),
+    st.lists(ticker_names, min_size=n, max_size=n),
+    hnp.arrays(np.int64, n, elements=st.sampled_from([1, -1])),
+    *[hnp.arrays(np.float64, n)] * 4)))
+@example((np.array([3, 3]), ["A,B", 'Q"X'], np.array([1, -1]), *[np.array([0.5, -1e-300])] * 4))
+def test_ledger_csv_matches_rows(cols):
+    ledger = TradeLedger(*cols)
+    assert written(TradeLedger.write_csv, ledger) == written(write_ledger_csv_rows, ledger)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(
+    hnp.arrays(np.int64, n, elements=st.integers(-3, 10**6)), hnp.arrays(np.float64, n))),
+    st.one_of(st.floats(1e-3, 1e3), st.integers(1, 5)))
+def test_equity_csv_matches_rows(cols, stake):
+    curve = EquityCurve(*cols, stake, len(cols[0]))
+    assert written(EquityCurve.write_csv, curve) == written(write_equity_csv_rows, curve)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vartau.covariance import CovMatrix
 from vartau.errors import DataError, NumericalError
@@ -106,6 +108,28 @@ class TestCoefficients:
             assert np.allclose(off, off[0], atol=1e-12)
             # closed form rho / (1 + (n-2) rho)
             assert off[0] == pytest.approx(rho / (1 + 4 * rho), abs=1e-10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.floats(-6, 3),
+       st.one_of(st.just(0.0), st.floats(1e-8, 1.0)))
+def test_loo_coefficients_equal_direct_regressions(seed, n, log_scale, rel_ridge):
+    # C = A A^T plus a diagonal down to 1e-6 of A's scale, so cond(C) reaches ~1e7;
+    # row i of B must be the regression of ticker i on the rest under C + ridge*I
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, rng.integers(1, 2 * n)))
+    c = (a @ a.T + np.diag(10 ** rng.uniform(-6, 0, n))) * 10 ** log_scale
+    ridge = rel_ridge * np.trace(c) / n
+    b = loo_coefficients(invert_with_ridge(c, ridge)).b
+    ridged = c + ridge * np.eye(n)
+    # inverse and solve are each backward stable: errors reach eps * cond * |beta|
+    # (at most 0.27 of that over 20,000 generated matrices), so allow 32 times it
+    tol = 32 * np.finfo(float).eps * np.linalg.cond(ridged)
+    for i in range(n):
+        rest = np.arange(n) != i
+        beta = np.linalg.solve(ridged[np.ix_(rest, rest)], c[rest, i])
+        assert b[i, i] == 0.0
+        assert np.all(np.abs(b[i, rest] - beta) <= tol * (1 + np.abs(beta).max()))
 
 
 class TestPredict:
