@@ -259,19 +259,26 @@ def bin_coordinates(coords: np.ndarray, prices: np.ndarray, tau: float):
     ``coords`` must be non-decreasing, as clock coordinates of a
     time-sorted series are: each bin is read off as one run of equal grid
     index. Unsorted coordinates raise DataError.
+
+    The grid index is floor(coords/tau) exactly, as ``np.floor_divide`` gives
+    it: the floor of the rounded quotient is exact unless the quotient rounded
+    up onto an integer, so only exact-integer quotients use ``floor_divide``.
     """
     if tau <= 0:
         raise DataError(f"tau must be positive, got {tau}")
     if np.any(coords[1:] < coords[:-1]):
         raise DataError("bin coordinates are not sorted")
-    idx = np.floor_divide(coords, tau).astype(np.int64)
-    first = np.flatnonzero(np.diff(idx)) + 1
+    idx = coords / tau
+    exact = np.flatnonzero(np.floor(idx) == idx)
+    np.floor(idx, out=idx)
+    idx[exact] = np.floor_divide(coords[exact], tau)
+    first = np.flatnonzero(idx[1:] != idx[:-1]) + 1
     if len(idx):
         first = np.concatenate(([0], first))
     counts = np.diff(np.append(first, len(idx)))
     sums_t = np.add.reduceat(coords, first)
     sums_p = np.add.reduceat(prices, first)
-    return idx[first], sums_t / counts, sums_p / counts, counts
+    return idx[first].astype(np.int64), sums_t / counts, sums_p / counts, counts
 
 
 def bin_series(s: CandleSeries, clock, tau: float) -> BinnedSeries:

@@ -320,20 +320,14 @@ def cmd_correlate(args) -> int:
         sub = {t: series[t].slice_window(clock.year_start, clock.year_end)
                for t in panel.tickers}
         sub = {t: s for t, s in sub.items() if len(s) >= 2}
-        pairs, curves = cov.corr_vs_tau(sub, clock, grid,
-                                        normalize_tau=args.normalize_at)
+        _, curves, v = cov.corr_vs_tau(sub, clock, grid, normalize_tau=args.normalize_at)
         ok_rows = ~np.isnan(curves).any(axis=1)
-        if ok_rows.any():
-            perc = vg.percentile_curves(curves[ok_rows])
-        else:
-            perc = np.full((5, len(grid)), np.nan)
-        stack = []
-        for t in sorted(sub):
-            v = vg.variogram_diff_of_avg(sub[t], clock, grid)
-            if len(v) == len(grid):
-                stack.append(v.v)
-        if stack:
-            med_v = vg.Variogram(grid, np.median(np.stack(stack), axis=0),
+        perc = (vg.percentile_curves(curves[ok_rows]) if ok_rows.any()
+                else np.full((5, len(grid)), np.nan))
+        # the median variogram of the tickers that have V at every tau
+        full = v[~np.isnan(v).any(axis=1)]
+        if len(full):
+            med_v = vg.Variogram(grid, np.median(full, axis=0),
                                  np.ones(len(grid), dtype=int))
             predicted = cov.predicted_corr_ratio(med_v, grid, args.normalize_at)
         else:

@@ -13,7 +13,6 @@ share volume, and the identity clock (plain rescaled clock time).
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -95,16 +94,11 @@ class ClockMap:
         return float(out[0]) if scalar else out
 
     def write_csv(self, path) -> None:
+        """One row per knot: whole unix seconds and the txn hours' repr."""
+        cols = zip(self.knots_clock.astype(np.int64).tolist(), self.knots_txn.tolist())
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["clock_unix", "txn_hours"])
-            for c, x in zip(self.knots_clock, self.knots_txn):
-                w.writerow([int(c), repr(float(x))])
-
-
-def read_clock_csv(path, year: int, kind: ClockKind = ClockKind.CLOCK) -> ClockMap:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return ClockMap(year, kind, data[:, 0], data[:, 1], float(data[-1, 1]))
+            fh.write("clock_unix,txn_hours\n")
+            fh.writelines(f"{c},{x!r}\n" for c, x in cols)
 
 
 def build_clock(all_candles, kind: ClockKind, year: int) -> ClockMap:

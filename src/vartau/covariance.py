@@ -35,7 +35,7 @@ import numpy as np
 from .candles import CandleSeries, ReturnSeries, bin_coordinates
 from .errors import DataError
 from .panel import Panel
-from .variogram import DEFAULT_MAX_DT_FACTOR, loglog_interp
+from .variogram import DEFAULT_MAX_DT_FACTOR, loglog_interp, weighted_v
 
 DEFAULT_MIN_OBS = 50
 
@@ -216,9 +216,11 @@ def corr_vs_tau(series: Mapping[str, CandleSeries], clock, tau_grid,
 
     ``series`` maps ticker to CandleSeries. Per tau, one return grid and one
     product give every pair, with the variances on the diagonal. Returns
-    (pairs, curves): (n_pairs, n_tau) normalized rho, NaN where a pair or a
-    variance had fewer than ``min_obs`` samples or a variance was not
-    positive, and for a pair whose values do not reach tau0 on both sides.
+    (pairs, curves, v). curves is (n_pairs, n_tau) normalized rho, NaN where
+    a pair or a variance had fewer than ``min_obs`` samples or a variance was
+    not positive, and for a pair whose values do not reach tau0 on both
+    sides. v is (n_tickers, n_tau): from the same bins, each ticker's
+    ``variogram_diff_of_avg`` at the taus it keeps, NaN at those it omits.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     tickers = list(series)
@@ -227,12 +229,11 @@ def corr_vs_tau(series: Mapping[str, CandleSeries], clock, tau_grid,
     upper = np.triu_indices(len(tickers), 1)
     floor = max(min_obs, 2)
     raw = np.full((len(upper[0]), len(tau_grid)), np.nan)
+    v = np.full((len(tickers), len(tau_grid)), np.nan)
     for k, tau in enumerate(tau_grid):
         # the greatest grid index a coordinate of the year can take, plus one
         width = int(np.floor_divide(clock.total_txn_hours, tau)) + 1
-        bins = (bin_coordinates(x, p, tau) for x, p in zip(coords, prices))
-        returns = (ReturnSeries(tau, np.diff(np.log(pbar)), np.diff(tbar), idx[:-1])
-                   for idx, tbar, pbar, _ in bins)
+        returns = _binned_returns(coords, prices, tau, v[:, k], max_dt_factor)
         c, n_obs = pair_stats(*return_grid(returns, (len(tickers), width), tau,
                                            max_dt_factor))
         var = np.diag(c)
@@ -246,7 +247,16 @@ def corr_vs_tau(series: Mapping[str, CandleSeries], clock, tau_grid,
              & (ok & (tau_grid >= normalize_tau)).any(axis=1))
     curves = np.full_like(raw, np.nan)
     curves[reach] = raw[reach] / _value_at(tau_grid, raw[reach], normalize_tau)[:, None]
-    return list(itertools.combinations(tickers, 2)), curves
+    return list(itertools.combinations(tickers, 2)), curves, v
+
+
+def _binned_returns(coords, prices, tau, v, max_dt_factor):
+    """Yield each ticker's returns between its tau bins; set v[i] to their V(tau)."""
+    for i, (x, p) in enumerate(zip(coords, prices)):
+        idx, tbar, pbar, _ = bin_coordinates(x, p, tau)
+        rs = ReturnSeries(tau, np.diff(np.log(pbar)), np.diff(tbar), idx[:-1])
+        v[i] = weighted_v(rs.r, rs.dt, tau, max_dt_factor)[0]
+        yield rs
 
 
 def predicted_corr_ratio(v_tot, tau_grid, normalize_tau: float = 1.0) -> np.ndarray:

@@ -50,10 +50,17 @@ class PredictionCoeffs:
 def read_coeffs_csv(path) -> PredictionCoeffs:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    if not rows:
-        raise DataError(f"{path}: empty coefficients file")
+    if not rows or not rows[0]:
+        raise DataError(f"{path}: empty coefficients file or header")
     tickers = rows[0]
-    b = np.array([[float(x) for x in r] for r in rows[1:]])
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != len(tickers):
+            raise DataError(f"{path}:{lineno}: expected {len(tickers)} fields, got {len(row)}")
+        try:
+            row[:] = map(float, row)
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+    b = np.array(rows[1:]).reshape(len(rows) - 1, len(tickers))
     if b.shape != (len(tickers), len(tickers)):
         raise DataError(f"{path}: coefficient matrix shape {b.shape} does not "
                         f"match {len(tickers)} tickers")
@@ -184,14 +191,6 @@ def naive_predict(r: np.ndarray, variances: np.ndarray) -> np.ndarray:
     total = z.sum(axis=0)
     others = (total - z) / (n - 1)
     return others * (sd[:, None] if r.ndim == 2 else sd)
-
-
-def equal_corr_matrix(variances: np.ndarray, rho: float) -> np.ndarray:
-    """Covariance with common correlation rho and given variances."""
-    sd = np.sqrt(np.asarray(variances, dtype=float))
-    c = rho * np.outer(sd, sd)
-    np.fill_diagonal(c, sd * sd)
-    return c
 
 
 def _per_ticker_moments(r_hat: np.ndarray, r: np.ndarray):

@@ -122,13 +122,9 @@ def variogram_diff_of_avg(s: CandleSeries, clock, tau_grid,
         raise DataError(f"{s.ticker}: non-positive representative price")
     vals, counts = [], []
     for tau in np.asarray(tau_grid, dtype=float):
+        # fewer than 2 bins give no return, and so (nan, 0)
         _, tbar, pbar, _ = bin_coordinates(coords, prices, tau)
-        if len(pbar) < 2:
-            vals.append(np.nan); counts.append(0)
-            continue
-        r = np.diff(np.log(pbar))
-        dt = np.diff(tbar)
-        v, n = weighted_v(r, dt, tau, max_dt_factor)
+        v, n = weighted_v(np.diff(np.log(pbar)), np.diff(tbar), tau, max_dt_factor)
         vals.append(v); counts.append(n)
     return _assemble(tau_grid, vals, counts)
 

@@ -3,7 +3,8 @@
 Each function is the loop that ``vartau`` used before a whole-array
 version replaced it. ``test_oracles.py`` requires the library to give the
 same answers: equal arrays for the ingest layers, whose arithmetic is done
-in the same order, equal bytes for the panel, ledger and equity CSVs, equal
+in the same order, equal bytes for the panel, ledger, equity and clock CSVs
+and for the rho(tau) table whose variograms a second binning pass made, equal
 counts with values within 1e-12 relative for the covariance, whose sums the
 grid product adds in another order, and shot-noise paths within the
 far-field series' truncation and rounding error. The block-wise backtests
@@ -27,9 +28,11 @@ from vartau.backtest import (ANNUAL_HOURS, BacktestResult, EquityCurve, Strategy
 from vartau.candles import (CSV_HEADER, BinnedSeries, CandleSeries, ReturnSeries,
                             bin_coordinates, bin_series, log_returns)
 from vartau.clock import ClockKind, ClockMap, build_clock, hours_in_year, year_bounds
+from vartau.covariance import corr_vs_tau, predicted_corr_ratio
 from vartau.errors import DataError
 from vartau.hurst import HurstParams, PricePanel, SimConfig, _postprocess
-from vartau.variogram import DEFAULT_MAX_DT_FACTOR, loglog_interp
+from vartau.variogram import (DEFAULT_MAX_DT_FACTOR, Variogram, loglog_interp,
+                              percentile_curves, variogram_diff_of_avg)
 
 
 def validate_row(t, o, h, l, c, v) -> None:
@@ -127,6 +130,15 @@ def build_clock_dict(all_candles, kind: ClockKind, year: int) -> ClockMap:
     return ClockMap(year, kind, knots_c[keep], knots_x[keep], total_hours)
 
 
+def write_clock_csv_rows(clock: ClockMap, path) -> None:
+    """The clock knots written by ``csv.writer``, one row at a time."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["clock_unix", "txn_hours"])
+        for c, x in zip(clock.knots_clock, clock.knots_txn):
+            w.writerow([int(c), repr(float(x))])
+
+
 def bin_coordinates_unique(coords, prices, tau):
     """Bins found by ``np.unique`` on the grid indices."""
     idx = np.floor_divide(coords, tau).astype(np.int64)
@@ -212,6 +224,36 @@ def corr_vs_tau_loop(series, clock, tau_grid, normalize_tau: float = 1.0,
         if ok.any() and tau_grid[ok][0] <= normalize_tau <= tau_grid[ok][-1]:
             curves[p, ok] = normalize_curve(tau_grid[ok], raw[p, ok], normalize_tau)
     return pairs, curves
+
+
+def write_corr_vs_tau_csv_loop(series, clock, tau_grid, normalize_tau, path) -> None:
+    """corr_vs_tau.csv with ``predicted`` from a second binning pass.
+
+    rho(tau) comes from ``corr_vs_tau``; the median variogram behind
+    ``predicted`` is taken over the tickers whose ``variogram_diff_of_avg``
+    keeps every tau, one variogram per ticker.
+    """
+    _, curves, _ = corr_vs_tau(series, clock, tau_grid, normalize_tau=normalize_tau)
+    ok_rows = ~np.isnan(curves).any(axis=1)
+    perc = (percentile_curves(curves[ok_rows]) if ok_rows.any()
+            else np.full((5, len(tau_grid)), np.nan))
+    stack = []
+    for t in sorted(series):
+        v = variogram_diff_of_avg(series[t], clock, tau_grid)
+        if len(v) == len(tau_grid):
+            stack.append(v.v)
+    if stack:
+        med_v = Variogram(tau_grid, np.median(np.stack(stack), axis=0),
+                          np.ones(len(tau_grid), dtype=int))
+        predicted = predicted_corr_ratio(med_v, tau_grid, normalize_tau)
+    else:
+        predicted = np.full(len(tau_grid), np.nan)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["tau_hours", "p10", "p25", "p50", "p75", "p90", "predicted"])
+        for i, t in enumerate(tau_grid):
+            w.writerow([repr(float(t))] + [repr(float(c[i])) for c in perc]
+                       + [repr(float(predicted[i]))])
 
 
 def multi_year_returns_loop(series, years, kind: ClockKind, tau: float = 1.0):

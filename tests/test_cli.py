@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from oracles import estimate_cov_loop, multi_year_returns_loop
+from oracles import estimate_cov_loop, multi_year_returns_loop, write_corr_vs_tau_csv_loop
 from vartau import cli
 from vartau.candles import CandleSeries, parse_candles, write_candles
-from vartau.clock import ClockKind
+from vartau.clock import ClockKind, build_clock
+from vartau.covariance import corr_vs_tau
 from vartau.synthetic import random_walk_candles
 
 YEARS = (2021, 2022)
@@ -133,3 +134,37 @@ def test_years_chain_in_calendar_order(data, tmp_path):
                          "--out-dir", str(tmp_path / years)]) == 0
     assert (tmp_path / "2021,2022" / "cov.csv").read_bytes() == \
         (tmp_path / "2022,2021" / "cov.csv").read_bytes()
+
+
+def test_corr_vs_tau_csv_matches_second_binning_pass(tmp_path):
+    # the median variogram leaves out T2, whose returns all span more than
+    # 3 tau at tau 0.5, and T9, which trades in the year's first 300 hours
+    # only and so has one bin at tau 1024
+    data = tmp_path / "data"
+    data.mkdir()
+    series = market(years=(2021,), spacings=(60, 90, 120))
+    series["T9"] = random_walk_candles("T9", 2021, 300, 60, vol_per_candle=2e-3, seed=99)
+    for t, s in series.items():
+        write_candles(data / f"{t}.csv", s)
+    grid = np.array([0.5, 1.0, 4.0, 16.0, 64.0, 256.0, 1024.0])
+    assert cli.main(["correlate", "--data-dir", str(data), "--years", "2021",
+                     "--tau-grid", ",".join(map(repr, grid.tolist())),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+    series = {t: parse_candles(data / f"{t}.csv") for t in sorted(series)}
+    clock = build_clock(series.values(), ClockKind.DOLLAR_WEIGHTED, 2021)
+    _, _, v = corr_vs_tau(series, clock, grid)
+    assert np.isnan(v).any(axis=1).tolist() == [False, False, True, True]
+    write_corr_vs_tau_csv_loop(series, clock, grid, 1.0, tmp_path / "want.csv")
+    assert (tmp_path / "out" / "corr_vs_tau.csv").read_bytes() == \
+        (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("row, message", [("0.0,x", "could not convert string to float: 'x'"),
+                                          ("0.5", "expected 2 fields, got 1")])
+def test_bad_coefficients_file_exits_3(data, tmp_path, capsys, row, message):
+    coeffs = tmp_path / "coeffs.csv"
+    coeffs.write_text(f"T0,T1\n0.0,0.5\n{row}\n")
+    assert cli.main(["backtest", "--strategy", "xcorr", "--data-dir", str(data),
+                     "--years", "2021", "--coeffs", str(coeffs),
+                     "--out-dir", str(tmp_path / "out")]) == 3
+    assert f"{coeffs}:3: {message}" in capsys.readouterr().err

@@ -13,7 +13,7 @@ from vartau.errors import DataError
 from vartau.panel import build_panel
 from vartau.synthetic import (correlated_walk_panel, hourly_candles_from_prices,
                               point_candles)
-from vartau.variogram import Variogram, default_tau_grid
+from vartau.variogram import Variogram, default_tau_grid, variogram_diff_of_avg
 
 T0, _ = year_bounds(2021)
 
@@ -139,7 +139,7 @@ class TestCorrVsTau:
         series = {f"T{i}": hourly_candles_from_prices(f"T{i}", 2021, prices[i])
                   for i in range(2)}
         grid = np.array([1.0, 2.0, 4.0, 8.0])
-        pairs, curves = corr_vs_tau(series, clock, grid, min_obs=2)
+        pairs, curves, _ = corr_vs_tau(series, clock, grid, min_obs=2)
         assert len(pairs) == 1
         se = 3.0 / np.sqrt(8000 / grid)
         assert np.all(np.abs(curves[0] - 1.0) < (se / rho + se[0] / rho))
@@ -149,8 +149,21 @@ class TestCorrVsTau:
         prices = correlated_walk_panel(2, 400, 0.4, seed=9)
         series = {f"T{i}": hourly_candles_from_prices(f"T{i}", 2021, prices[i])
                   for i in range(2)}
-        _, curves = corr_vs_tau(series, clock, np.array([1.0]), min_obs=2)
+        _, curves, _ = corr_vs_tau(series, clock, np.array([1.0]), min_obs=2)
         assert np.allclose(curves, 1.0)
+
+    def test_variogram_rows_match_diff_of_avg(self):
+        clock = identity_clock()
+        prices = correlated_walk_panel(3, 600, 0.4, seed=10)
+        series = {f"T{i}": hourly_candles_from_prices(f"T{i}", 2021, prices[i][:200 * (i + 1)])
+                  for i in range(3)}
+        grid = np.array([0.5, 1.0, 3.0, 40.0, 250.0])
+        _, _, v = corr_vs_tau(series, clock, grid, min_obs=2)
+        for row, s in zip(v, series.values()):
+            want = variogram_diff_of_avg(s, clock, grid)
+            assert np.array_equal(grid[~np.isnan(row)], want.tau)
+            assert np.array_equal(row[~np.isnan(row)], want.v)
+        assert np.isnan(v).sum() > 0
 
 
 class TestPredictedRatio:

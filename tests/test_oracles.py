@@ -3,16 +3,17 @@
 ``oracles.py`` keeps the loops. Parsing is compared on generated files
 with shuffled rows, blank and whitespace-only lines, mixed line endings,
 quoted and padded fields, exponents and signs; the clock and the binning
-on generated candles and coordinates. Their results must be equal, not
-close. The grid covariance and rho(tau) are compared with the pair loops
-on generated return series and candles, with gaps, unequal elapsed times
-and pairs that never overlap: counts and missing cells must be equal and
-values within 1e-12 relative, because the grid product sums in another
-order. The shot-noise log price is compared with the exact sum over every
-(hour, event) pair on generated parameters and events, and the panel,
-ledger and equity CSVs with the ``csv.writer`` rows byte for byte. The
-block-wise backtests are compared with their hour loops on generated gappy
-prices with exact ties and one-sided hours, across block boundaries.
+on generated candles and coordinates, some on bin edges and one ulp to
+either side. Their results must be equal, not close. The grid covariance
+and rho(tau) are compared with the pair loops on generated return series
+and candles, with gaps, unequal elapsed times and pairs that never
+overlap: counts and missing cells must be equal and values within 1e-12
+relative, because the grid product sums in another order. The shot-noise
+log price is compared with the exact sum over every (hour, event) pair on
+generated parameters and events, and the panel, ledger, equity and clock
+CSVs with the ``csv.writer`` rows byte for byte. The block-wise backtests
+are compared with their hour loops on generated gappy prices with exact
+ties and one-sided hours, across block boundaries.
 """
 
 import re
@@ -28,19 +29,21 @@ from hypothesis.extra import numpy as hnp
 from oracles import (bin_coordinates_unique, build_clock_dict, corr_vs_tau_loop,
                      estimate_cov_loop, parse_candles_loop, run_market_meanrev_loop,
                      run_xcorr_strategy_loop, shot_logp_loop, simulate_shot_noise_loop,
-                     write_equity_csv_rows, write_ledger_csv_rows, write_panel_csv_rows)
+                     write_clock_csv_rows, write_equity_csv_rows, write_ledger_csv_rows,
+                     write_panel_csv_rows)
 from test_backtest import gappy_prices
 from vartau import backtest
 from vartau.backtest import (EquityCurve, StrategyConfig, TradeLedger, run_market_meanrev,
                              run_xcorr_strategy)
 from vartau.candles import (CSV_HEADER, CandleSeries, ReturnSeries, bin_coordinates,
                             parse_candles)
-from vartau.clock import ClockKind, build_clock, year_bounds
+from vartau.clock import ClockKind, ClockMap, build_clock, year_bounds
 from vartau.covariance import corr_vs_tau, estimate_cov_from_returns
 from vartau.errors import DataError
 from vartau.hurst import (HurstParams, PricePanel, SimConfig, _shot_logp, simulate_fbm,
                           simulate_shot_noise)
 from vartau.predictor import PredictionCoeffs
+from vartau.variogram import default_tau_grid
 
 T0, T1 = year_bounds(2021)
 COLUMNS = ("timestamps", "open", "high", "low", "close", "volume")
@@ -227,6 +230,39 @@ def test_bin_coordinates_matches_unique(coords, tau, rnd):
         assert np.array_equal(g, w)
 
 
+# the variogram command's default grid, the benchmark's rho(tau) grid (15
+# points per decade through 1 h) and taus that are not binary fractions
+BOUNDARY_TAUS = np.unique(np.concatenate([default_tau_grid(0.0333333, 200, 25),
+                                          10 ** (np.arange(-15, 26) / 15),
+                                          [0.1, 1 / 3, 7.3]]))
+
+
+@st.composite
+def boundary_coords(draw):
+    """Coordinates on k * tau, one ulp to either side of it, and at 0."""
+    tau = draw(st.sampled_from(BOUNDARY_TAUS))
+    ks = draw(st.lists(st.integers(0, 300_000), max_size=40))
+    coords = [0.0]
+    for k in ks:
+        on = k * tau
+        coords.append(draw(st.sampled_from([on, np.nextafter(on, -np.inf),
+                                            np.nextafter(on, np.inf)])))
+    coords += draw(st.lists(st.floats(0.0, 10_000.0), max_size=10))
+    return np.sort(np.asarray(coords, dtype=float)), tau
+
+
+@settings(max_examples=300, deadline=None)
+@given(boundary_coords(), st.randoms())
+def test_bin_coordinates_exact_on_bin_edges(data, rnd):
+    coords, tau = data
+    prices = np.array([rnd.uniform(1.0, 100.0) for _ in coords])
+    got = bin_coordinates(coords, prices, tau)
+    want = bin_coordinates_unique(coords, prices, tau)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
 def test_bin_coordinates_rejects_unsorted():
     with pytest.raises(DataError, match="sorted"):
         bin_coordinates(np.array([0.5, 0.2, 1.5]), np.ones(3), 1.0)
@@ -291,7 +327,7 @@ def test_corr_vs_tau_matches_pair_loop(series, tau0, min_obs):
         with pytest.raises(DataError, match=re.escape(str(exc))):
             corr_vs_tau(series, clock, grid, tau0, min_obs)
         return
-    pairs, got = corr_vs_tau(series, clock, grid, tau0, min_obs)
+    pairs, got, _ = corr_vs_tau(series, clock, grid, tau0, min_obs)
     assert pairs == want_pairs
     assert np.array_equal(np.isnan(got), np.isnan(want))
     # a cell is c = rho / rho0, rho0 = rho at tau0. Each rho is within
@@ -339,6 +375,16 @@ def written(write, obj) -> bytes:
         path = Path(tmp) / "out.csv"
         write(obj, path)
         return path.read_bytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(markets(), st.sampled_from(list(ClockKind)))
+def test_clock_csv_matches_rows(series, kind):
+    try:
+        clock = build_clock(series, kind, 2021)
+    except DataError:                   # no candle, or no weight, in the year
+        return
+    assert written(ClockMap.write_csv, clock) == written(write_clock_csv_rows, clock)
 
 
 @settings(max_examples=100, deadline=None)

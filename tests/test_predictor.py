@@ -7,12 +7,19 @@ from hypothesis import strategies as st
 
 from vartau.covariance import CovMatrix
 from vartau.errors import DataError, NumericalError
-from vartau.predictor import (PredictionCoeffs, RefineConfig, default_ridge,
-                              equal_corr_matrix, fmse, fve, fve_from_fmse,
-                              fve_plain, gradient_refine, invert_with_ridge,
-                              loo_coefficients, naive_predict,
+from vartau.predictor import (PredictionCoeffs, RefineConfig, default_ridge, fmse, fve,
+                              fve_from_fmse, fve_plain, gradient_refine,
+                              invert_with_ridge, loo_coefficients, naive_predict,
                               partitioned_inverse, predict, prediction_report,
                               read_coeffs_csv)
+
+
+def equal_corr_matrix(variances: np.ndarray, rho: float) -> np.ndarray:
+    """Covariance with common correlation rho and given variances."""
+    sd = np.sqrt(np.asarray(variances, dtype=float))
+    c = rho * np.outer(sd, sd)
+    np.fill_diagonal(c, sd * sd)
+    return c
 
 
 def random_spd(n, rng, jitter=0.5):
@@ -328,4 +335,16 @@ class TestCsv:
         path = tmp_path / "bad.csv"
         path.write_text("A,B\n1.0,2.0\n")
         with pytest.raises(DataError, match="shape"):
+            read_coeffs_csv(path)
+
+    def test_non_numeric_cell_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("A,B\n0.0,1.0\n2.0,x\n")
+        with pytest.raises(DataError, match=r"bad\.csv:3: could not convert"):
+            read_coeffs_csv(path)
+
+    def test_short_row_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("A,B\n0.0\n2.0,0.0\n")
+        with pytest.raises(DataError, match=r"bad\.csv:2: expected 2 fields, got 1"):
             read_coeffs_csv(path)
