@@ -28,6 +28,7 @@ import io
 from dataclasses import dataclass, field
 import numpy as np
 
+from .candles import write_blocks
 from .errors import DataError
 from .hurst import PricePanel
 
@@ -79,13 +80,14 @@ class TradeLedger:
     def write_csv(self, path) -> None:
         """One row per trade, floats as their repr, tickers quoted as csv does."""
         names = {t: _csv_field(t) for t in set(self.ticker)}
-        sides = np.where(self.side > 0, "long", "short").tolist()
-        cols = zip(self.hour.tolist(), self.ticker, sides, self.qty.tolist(),
-                   self.entry.tolist(), self.exit.tolist(), self.pnl.tolist())
-        with open(path, "w", newline="") as fh:
-            fh.write("hour,ticker,side,qty,entry,exit,pnl\n")
-            fh.writelines(f"{h},{names[t]},{s},{q!r},{e!r},{x!r},{p!r}\n"
-                          for h, t, s, q, e, x, p in cols)
+
+        def lines(rows):
+            sides = np.where(self.side[rows] > 0, "long", "short").tolist()
+            floats = (a[rows].tolist() for a in (self.qty, self.entry, self.exit, self.pnl))
+            cols = zip(self.hour[rows].tolist(), self.ticker[rows], sides, *floats)
+            return (f"{h},{names[t]},{s},{q!r},{e!r},{x!r},{p!r}\n"
+                    for h, t, s, q, e, x, p in cols)
+        write_blocks(path, "hour,ticker,side,qty,entry,exit,pnl\n", len(self), lines)
 
 
 @dataclass
@@ -98,10 +100,12 @@ class EquityCurve:
     def write_csv(self, path) -> None:
         """txn_hour, cum_pnl and the yield annualized over the hours up to it."""
         ann = self.cum_pnl / self.stake * ANNUAL_HOURS / np.maximum(self.hours + 1, 1)
-        cols = zip(self.hours.tolist(), self.cum_pnl.tolist(), ann.tolist())
-        with open(path, "w", newline="") as fh:
-            fh.write("txn_hour,cum_pnl,annualized\n")
-            fh.writelines(f"{h},{c!r},{a!r}\n" for h, c, a in cols)
+
+        def lines(rows):
+            cols = zip(self.hours[rows].tolist(), self.cum_pnl[rows].tolist(),
+                       ann[rows].tolist())
+            return (f"{h},{c!r},{a!r}\n" for h, c, a in cols)
+        write_blocks(path, "txn_hour,cum_pnl,annualized\n", len(self.hours), lines)
 
 
 @dataclass

@@ -26,6 +26,8 @@ from .errors import DataError
 
 CSV_HEADER = ["timestamp", "open", "high", "low", "close", "volume"]
 _ROW = np.dtype([("timestamp", np.int64)] + [(n, np.float64) for n in CSV_HEADER[1:]])
+# rows that write_blocks formats at a time, bounding its Python lists
+_WRITE_ROWS = 4096
 
 
 class CandleSeries:
@@ -251,6 +253,14 @@ def write_candles(path, series: CandleSeries) -> None:
                         repr(float(series.close[i])), repr(float(series.volume[i]))])
 
 
+def write_blocks(path, header: str, n_rows: int, lines) -> None:
+    """Write ``header``, then ``lines(rows)`` for each slice of _WRITE_ROWS rows."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header)
+        for lo in range(0, n_rows, _WRITE_ROWS):
+            fh.writelines(lines(slice(lo, lo + _WRITE_ROWS)))
+
+
 def bin_coordinates(coords: np.ndarray, prices: np.ndarray, tau: float):
     """Core binning: sorted transaction coordinates -> per-bin means.
 
@@ -292,17 +302,3 @@ def bin_series(s: CandleSeries, clock, tau: float) -> BinnedSeries:
     coords = clock.to_txn_time(s.timestamps)
     idx, times, prices, counts = bin_coordinates(coords, s.rep_prices(), tau)
     return BinnedSeries(s.ticker, float(tau), idx, times, prices, counts)
-
-
-def log_returns(b: BinnedSeries) -> ReturnSeries:
-    """Log differences of consecutive bin prices with elapsed times."""
-    if len(b) < 2:
-        raise DataError(f"{b.ticker}: need at least 2 bins, have {len(b)}")
-    if np.any(b.price <= 0):
-        raise DataError(f"{b.ticker}: non-positive bin price")
-    logp = np.log(b.price)
-    r = np.diff(logp)
-    dt = np.diff(b.time)
-    if np.any(dt <= 0):
-        raise DataError(f"{b.ticker}: non-increasing bin times")
-    return ReturnSeries(b.tau, r, dt, b.index[:-1].copy())

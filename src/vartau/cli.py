@@ -107,16 +107,22 @@ def _parse_tau_grid(text: str) -> np.ndarray:
             lo, hi, ppd = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
             raise UsageError(f"bad tau grid {text!r}") from None
-        if not 0 < lo < hi or ppd < 1:
+        if not 0 < lo < hi < np.inf or ppd < 1:
             raise UsageError(f"bad tau grid {text!r}")
         return vg.default_tau_grid(lo, hi, ppd)
     try:
         grid = np.array([float(x) for x in text.split(",") if x.strip()])
     except ValueError:
         raise UsageError(f"bad tau grid {text!r}") from None
-    if len(grid) == 0 or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-        raise UsageError("tau grid must be positive and increasing")
+    if len(grid) == 0 or not (grid[0] > 0 and np.all(np.diff(grid) > 0) and grid[-1] < np.inf):
+        raise UsageError("tau grid must be positive, finite and increasing")
     return grid
+
+
+def _check_normalize_at(value: float, grid: np.ndarray) -> None:
+    if not grid[0] <= value <= grid[-1]:
+        raise UsageError(f"--normalize-at {value} is outside the tau grid "
+                         f"[{grid[0]:g}, {grid[-1]:g}]")
 
 
 def _out_dir(args) -> Path:
@@ -143,8 +149,9 @@ def cmd_clock(args) -> int:
 
 
 def cmd_variogram(args) -> int:
-    series = _load_dir(args.data_dir)
     grid = _parse_tau_grid(args.tau_grid)
+    _check_normalize_at(args.normalize_at, grid)
+    series = _load_dir(args.data_dir)
     clock = build_clock(series.values(), CLOCK_KINDS[args.clock], args.year)
     results = {}
     for t in sorted(series):
@@ -164,11 +171,10 @@ def cmd_variogram(args) -> int:
     out = _out_dir(args)
     for t, v in results.items():
         v.write_csv(out / f"variogram_{t}.csv")
-    full = [v for v in results.values()
-            if len(v.tau) == len(grid) and np.allclose(v.tau, grid)]
+    # the ensemble takes the tickers that kept every tau of the grid
+    full = [v.v for v in results.values() if len(v) == len(grid)]
     if full:
-        tau, curves = vg.ensemble_percentiles(full)
-        vg.write_ensemble_csv(out / "ensemble.csv", tau, curves)
+        vg.write_ensemble_csv(out / "ensemble.csv", grid, vg.percentile_curves(np.stack(full)))
     _write_manifest(out, "variogram", args, _data_inputs(args.data_dir, series))
     return 0
 
@@ -274,19 +280,14 @@ def cmd_predict(args) -> int:
         b.write_csv(out / f"coeffs_{ty}.csv")
         grid[str(ty)] = {}
         for py in predict_years:
-            rep = pred.prediction_report(b, returns[py])
-            grid[str(ty)][str(py)] = {"fve": rep.fve, "fmse": rep.fmse,
-                                      "fve_plain": rep.fve_plain}
+            grid[str(ty)][str(py)] = _scores(pred.predict(b, returns[py]), returns[py])
     grid["none"] = {}
     for py in predict_years:
         r = returns[py]
         variances = np.nanvar(r, axis=1)
         if np.any(variances <= 0) or np.isnan(variances).any():
             raise DataError(f"year {py}: a ticker has no return variance")
-        r_hat = pred.naive_predict(r, variances)
-        grid["none"][str(py)] = {"fve": pred.fve(r_hat, r),
-                                 "fmse": pred.fmse(r_hat, r),
-                                 "fve_plain": pred.fve_plain(r_hat, r)}
+        grid["none"][str(py)] = _scores(pred.naive_predict(r, variances), r)
     with open(out / "report.json", "w") as fh:
         json.dump({"tickers": tickers, "fve_grid": grid}, fh, indent=2,
                   sort_keys=True)
@@ -296,15 +297,22 @@ def cmd_predict(args) -> int:
     return 0
 
 
+def _scores(r_hat: np.ndarray, r: np.ndarray) -> dict:
+    rep = pred.prediction_report(r_hat, r)
+    return {"fve": rep.fve, "fmse": rep.fmse, "fve_plain": rep.fve_plain}
+
+
 def cmd_correlate(args) -> int:
     years = _parse_years(args.years)
+    if not 0 < args.tau < np.inf:
+        raise UsageError(f"--tau must be positive and finite, got {args.tau}")
+    grid = _parse_tau_grid(args.tau_grid) if args.tau_grid else None
+    if grid is not None:
+        _check_normalize_at(args.normalize_at, grid)
     series = _load_dir(args.data_dir)
-    kind = CLOCK_KINDS[args.kind]
-    if args.tau <= 0:
-        raise UsageError("--tau must be positive")
     out = _out_dir(args)
 
-    clocks = _clocks(series, years, kind)
+    clocks = _clocks(series, years, CLOCK_KINDS[args.kind])
     panel = pn.build_panel(series, clocks, args.tau)
     panel = panel.select(np.isfinite(panel.price).sum(axis=1) >= 2)
     if not panel.tickers:
@@ -314,8 +322,7 @@ def cmd_correlate(args) -> int:
     cmat.write_csv(out / "cov.csv", out / "n_obs.csv")
     rmat.write_csv(out / "corr.csv")
 
-    if args.tau_grid:
-        grid = _parse_tau_grid(args.tau_grid)
+    if grid is not None:
         clock = clocks[0]  # rho(tau) curves use the first requested year
         sub = {t: series[t].slice_window(clock.year_start, clock.year_end)
                for t in panel.tickers}

@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .candles import CandleSeries
+from .candles import CandleSeries, write_blocks
 from .errors import DataError
 
 
@@ -67,38 +67,13 @@ class ClockMap:
         out = np.interp(t, self.knots_clock, self.knots_txn)
         return float(out) if out.ndim == 0 else out
 
-    def to_clock_time(self, txn):
-        """Inverse map; flat spans resolve to their earliest clock time.
-
-        A value attained over a flat clock span returns the span's start;
-        values strictly inside a rising segment invert exactly (segments
-        rise from the last knot of one txn level to the first knot of
-        the next).
-        """
-        scalar = np.ndim(txn) == 0
-        q = np.atleast_1d(np.asarray(txn, dtype=float))
-        if np.any(q < 0) or np.any(q > self.total_txn_hours):
-            raise DataError(f"transaction time outside [0, {self.total_txn_hours}]")
-        vals, first_idx = np.unique(self.knots_txn, return_index=True)
-        last_idx = np.searchsorted(self.knots_txn, vals, side="right") - 1
-        fp_first = self.knots_clock[first_idx].astype(float)
-        fp_last = self.knots_clock[last_idx].astype(float)
-        pos = np.minimum(np.searchsorted(vals, q, side="left"), len(vals) - 1)
-        out = fp_first[pos].copy()
-        inside = vals[pos] != q           # strictly between two txn levels
-        if np.any(inside):
-            hi = pos[inside]
-            lo = hi - 1
-            frac = (q[inside] - vals[lo]) / (vals[hi] - vals[lo])
-            out[inside] = fp_last[lo] + frac * (fp_first[hi] - fp_last[lo])
-        return float(out[0]) if scalar else out
-
     def write_csv(self, path) -> None:
         """One row per knot: whole unix seconds and the txn hours' repr."""
-        cols = zip(self.knots_clock.astype(np.int64).tolist(), self.knots_txn.tolist())
-        with open(path, "w", newline="") as fh:
-            fh.write("clock_unix,txn_hours\n")
-            fh.writelines(f"{c},{x!r}\n" for c, x in cols)
+        def lines(rows):
+            cols = zip(self.knots_clock[rows].astype(np.int64).tolist(),
+                       self.knots_txn[rows].tolist())
+            return (f"{c},{x!r}\n" for c, x in cols)
+        write_blocks(path, "clock_unix,txn_hours\n", len(self.knots_clock), lines)
 
 
 def build_clock(all_candles, kind: ClockKind, year: int) -> ClockMap:

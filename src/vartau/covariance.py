@@ -5,15 +5,17 @@ resolution tau, and two tickers' returns are paired by the grid index of
 the bin they start from: the standard pairing on a synchronous grid.
 Each product r_A * r_B is reweighted by tau/sqrt(dt_A*dt_B) to put
 unequal elapsed times on the common tau scale (as the variogram
-estimators do), after per-ticker mean returns are removed. Pairs with
-too few joint observations are reported as missing. The weight
-factorises, so with z = r*sqrt(tau/dt) on a zero-filled (ticker x start
-bin) grid Z and a 0/1 mask M, the sums for all pairs are Z @ Z.T and the
-joint counts M @ M.T. The Hayashi-Yoshida estimator (Bernoulli 11(2),
-2005), which sums the products of all overlapping return intervals with
-no common grid, is the usual asynchronous alternative; it is not
-implemented here. Correlation falling as tau shrinks is the Epps effect
-(Epps, JASA 1979), which ``corr_vs_tau`` measures.
+estimators do), after returns outside the dt band 0 < dt <= 3 tau
+(``variogram.MAX_DT_FACTOR``) are dropped and per-ticker mean returns
+are removed. Pairs with too few joint observations are reported as
+missing. The weight factorises, so with z = r*sqrt(tau/dt) on a
+zero-filled (ticker x start bin) grid Z and a 0/1 mask M, the sums for
+all pairs are Z @ Z.T and the joint counts M @ M.T. The Hayashi-Yoshida
+estimator (Bernoulli 11(2), 2005), which sums the products of all
+overlapping return intervals with no common grid, is the usual
+asynchronous alternative; it is not implemented here. Correlation falling
+as tau shrinks is the Epps effect (Epps, JASA 1979), which
+``corr_vs_tau`` measures.
 
 The two-component return model splits each stock's return into a
 cross-correlated part with partial variogram V(tau) sharing one factor
@@ -35,7 +37,7 @@ import numpy as np
 from .candles import CandleSeries, ReturnSeries, bin_coordinates
 from .errors import DataError
 from .panel import Panel
-from .variogram import DEFAULT_MAX_DT_FACTOR, loglog_interp, weighted_v
+from .variogram import MAX_DT_FACTOR, loglog_interp, weighted_v
 
 DEFAULT_MIN_OBS = 50
 
@@ -75,7 +77,6 @@ class CovMatrix:
 class CorrMatrix:
     tickers: list[str]
     rho: np.ndarray          # clamped to [-1, 1], unit diagonal
-    rho_raw: np.ndarray      # before clamping, for diagnostics
 
     def write_csv(self, path) -> None:
         _write_matrix_csv(path, self.tickers, self.rho)
@@ -112,19 +113,18 @@ def _write_matrix_csv(path, tickers, m, as_int=False) -> None:
             w.writerow([int(x) if as_int else repr(float(x)) for x in row])
 
 
-def return_grid(returns, shape: tuple[int, int], tau: float,
-                max_dt_factor: float = DEFAULT_MAX_DT_FACTOR):
+def return_grid(returns, shape: tuple[int, int], tau: float):
     """Weighted returns z and a 0/1 mask m on a (series, start bin) grid.
 
     Row i takes the i-th ReturnSeries (read once): the returns with dt in
-    (0, max_dt_factor*tau], demeaned, as z = r*sqrt(tau/dt) at their start
+    (0, MAX_DT_FACTOR*tau], demeaned, as z = r*sqrt(tau/dt) at their start
     indices, which must be distinct and in [0, shape[1]). Empty cells are 0.
     The float32 mask counts exactly below 2**24.
     """
     z = np.zeros(shape)
     m = np.zeros(shape, dtype=np.float32)
     for i, rs in enumerate(returns):
-        keep = (rs.dt > 0) & (rs.dt <= max_dt_factor * tau)
+        keep = (rs.dt > 0) & (rs.dt <= MAX_DT_FACTOR * tau)
         k, r = rs.start_index[keep], rs.r[keep]
         if len(k) and k.min() < 0:
             raise DataError(f"negative start index {k.min()}")
@@ -148,26 +148,9 @@ def pair_stats(z: np.ndarray, m: np.ndarray):
     return c, n_obs
 
 
-def estimate_cov_from_returns(returns: Mapping[str, ReturnSeries], tau: float,
-                              min_obs: int = DEFAULT_MIN_OBS,
-                              max_dt_factor: float = DEFAULT_MAX_DT_FACTOR) -> CovMatrix:
-    """Pairwise-complete covariance matrix from per-ticker return series."""
-    taus = {float(rs.tau) for rs in returns.values()} - {float(tau)}
-    if taus:
-        raise DataError(f"return series at tau {sorted(taus)}, want tau {tau}")
-    width = 1 + max((rs.start_index.max() for rs in returns.values() if len(rs)),
-                    default=-1)
-    c, n_obs = pair_stats(*return_grid(returns.values(), (len(returns), width), tau,
-                                       max_dt_factor))
-    c[n_obs < max(min_obs, 2)] = np.nan
-    return CovMatrix(list(returns), c, float(tau), n_obs)
-
-
-def estimate_cov(panel: Panel, min_obs: int = DEFAULT_MIN_OBS,
-                 max_dt_factor: float = DEFAULT_MAX_DT_FACTOR) -> CovMatrix:
+def estimate_cov(panel: Panel, min_obs: int = DEFAULT_MIN_OBS) -> CovMatrix:
     """Covariance of the log returns between consecutive bins of a grid's rows."""
-    c, n_obs = pair_stats(*return_grid(panel.returns(), panel.price.shape, panel.tau,
-                                       max_dt_factor))
+    c, n_obs = pair_stats(*return_grid(panel.returns(), panel.price.shape, panel.tau))
     c[n_obs < max(min_obs, 2)] = np.nan
     return CovMatrix(list(panel.tickers), c, panel.tau, n_obs)
 
@@ -178,10 +161,9 @@ def cov_to_corr(c: CovMatrix) -> CorrMatrix:
     if np.any(~np.isnan(d) & (d <= 0)):
         raise DataError("non-positive variance on the diagonal")
     scale = np.sqrt(np.outer(d, d))
-    raw = c.c / scale
-    rho = np.clip(raw, -1.0, 1.0)
+    rho = np.clip(c.c / scale, -1.0, 1.0)
     np.fill_diagonal(rho, 1.0)
-    return CorrMatrix(list(c.tickers), rho, raw)
+    return CorrMatrix(list(c.tickers), rho)
 
 
 def _value_at(tau_grid, values: np.ndarray, tau0: float) -> np.ndarray:
@@ -209,9 +191,7 @@ def _value_at(tau_grid, values: np.ndarray, tau0: float) -> np.ndarray:
 
 
 def corr_vs_tau(series: Mapping[str, CandleSeries], clock, tau_grid,
-                normalize_tau: float = 1.0,
-                min_obs: int = 2,
-                max_dt_factor: float = DEFAULT_MAX_DT_FACTOR):
+                normalize_tau: float = 1.0, min_obs: int = 2):
     """Pairwise correlation as a function of resolution, normalized at 1 hr.
 
     ``series`` maps ticker to CandleSeries. Per tau, one return grid and one
@@ -233,9 +213,8 @@ def corr_vs_tau(series: Mapping[str, CandleSeries], clock, tau_grid,
     for k, tau in enumerate(tau_grid):
         # the greatest grid index a coordinate of the year can take, plus one
         width = int(np.floor_divide(clock.total_txn_hours, tau)) + 1
-        returns = _binned_returns(coords, prices, tau, v[:, k], max_dt_factor)
-        c, n_obs = pair_stats(*return_grid(returns, (len(tickers), width), tau,
-                                           max_dt_factor))
+        returns = _binned_returns(coords, prices, tau, v[:, k])
+        c, n_obs = pair_stats(*return_grid(returns, (len(tickers), width), tau))
         var = np.diag(c)
         good = (var > 0) & (np.diag(n_obs) >= floor)
         with np.errstate(invalid="ignore"):
@@ -250,12 +229,12 @@ def corr_vs_tau(series: Mapping[str, CandleSeries], clock, tau_grid,
     return list(itertools.combinations(tickers, 2)), curves, v
 
 
-def _binned_returns(coords, prices, tau, v, max_dt_factor):
+def _binned_returns(coords, prices, tau, v):
     """Yield each ticker's returns between its tau bins; set v[i] to their V(tau)."""
     for i, (x, p) in enumerate(zip(coords, prices)):
         idx, tbar, pbar, _ = bin_coordinates(x, p, tau)
         rs = ReturnSeries(tau, np.diff(np.log(pbar)), np.diff(tbar), idx[:-1])
-        v[i] = weighted_v(rs.r, rs.dt, tau, max_dt_factor)[0]
+        v[i] = weighted_v(rs.r, rs.dt, tau)[0]
         yield rs
 
 

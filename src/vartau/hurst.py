@@ -45,7 +45,8 @@ the fast multipole method (Greengard & Rokhlin, J. Comput. Phys. 1987).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,8 +116,6 @@ class PricePanel:
     """Hourly prices indexed (year, hour); each year starts/ends at 1.0."""
 
     prices: np.ndarray
-    params: HurstParams | None = None
-    config: SimConfig | None = None
 
     def __post_init__(self):
         self.prices = np.asarray(self.prices, dtype=float)
@@ -143,17 +142,58 @@ class PricePanel:
 
 
 def read_panel_csv(path) -> PricePanel:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != 3:
+    """Read the ``year,hour,price`` rows that follow one header line.
+
+    Years and hours are whole numbers counted from 0, each (year, hour)
+    cell is given once, in any order, and every cell of the rectangle is
+    given; prices are positive and finite. Empty lines are skipped. A bad
+    row raises DataError naming the file and the line.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no rows: raised below
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc}") from exc
+    except ValueError as exc:
+        for lineno, line in _panel_lines(path):
+            try:
+                year, hour, price = map(float, line.split(","))
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: cannot read {line!r} "
+                                "as year,hour,price") from None
+        raise DataError(f"{path}: {exc}") from None
+    if data.shape[1] != 3:                # also a file with no rows
         raise DataError(f"{path}: expected columns year,hour,price")
-    years = data[:, 0].astype(int)
-    hours = data[:, 1].astype(int)
-    ny, nh = years.max() + 1, hours.max() + 1
-    prices = np.full((ny, nh), np.nan)
-    prices[years, hours] = data[:, 2]
-    if np.isnan(prices).any():
+    year, hour, price = data.T
+    ok = (np.all((data >= 0) & (data < np.inf), axis=1) & (price > 0)
+          & np.all(data[:, :2] == np.floor(data[:, :2]), axis=1))
+    if not ok.all():
+        lineno, line = _panel_lines(path)[int(np.argmin(ok))]
+        raise DataError(f"{path}:{lineno}: want a whole year and hour from 0 and a "
+                        f"positive finite price, got {line!r}")
+    ny, nh = int(year.max()) + 1, int(hour.max()) + 1
+    if ny * nh > len(data):
         raise DataError(f"{path}: panel has missing (year, hour) cells")
-    return PricePanel(prices)
+    # with no repeated cell, the len(data) >= ny * nh rows fill the panel
+    cell = (year * nh + hour).astype(np.int64)
+    order = np.argsort(cell, kind="stable")
+    dup = np.flatnonzero(np.diff(cell[order]) == 0)
+    if dup.size:
+        first, again = order[dup[0]], order[dup[0] + 1]
+        lines = _panel_lines(path)
+        raise DataError(f"{path}:{lines[again][0]}: year {year[again]:g}, hour "
+                        f"{hour[again]:g} repeats line {lines[first][0]}")
+    prices = np.empty(ny * nh)
+    prices[cell] = price
+    return PricePanel(prices.reshape(ny, nh))
+
+
+def _panel_lines(path) -> list[tuple[int, str]]:
+    """(line number, text) of each row ``np.loadtxt`` reads (error path only)."""
+    with open(path) as fh:
+        lines = fh.read().split("\n")
+    return [(n, line) for n, line in enumerate(lines[1:], start=2) if line]
 
 
 def impulse_response(epsilon: float, delta: float, t) -> np.ndarray:
@@ -169,24 +209,6 @@ def impulse_response(epsilon: float, delta: float, t) -> np.ndarray:
 def analytic_variogram(epsilon: float, tau) -> np.ndarray:
     """Model variogram tau^(2H) = tau^(1-2*eps), unit amplitude."""
     return np.asarray(tau, dtype=float) ** (1.0 - 2.0 * epsilon)
-
-
-def analytic_autocorr(epsilon: float, tau) -> np.ndarray:
-    """Model return autocorrelation -2*eps*(1-2*eps)*tau^(-1-2*eps), tau >= 1."""
-    tau = np.asarray(tau, dtype=float)
-    if np.any(tau < 1):
-        raise DataError("autocorrelation formula applies for tau >= 1")
-    return -2.0 * epsilon * (1.0 - 2.0 * epsilon) * tau ** (-1.0 - 2.0 * epsilon)
-
-
-def snr_variogram(epsilon: float, n: float, tau) -> np.ndarray:
-    """Detection significance of the variogram deviation: sqrt(2N)*eps*log(tau)."""
-    return np.sqrt(2.0 * n) * epsilon * np.log(np.asarray(tau, dtype=float))
-
-
-def snr_autocorr(epsilon: float, n: float, tau) -> np.ndarray:
-    """Detection significance of the autocorrelation: 2*sqrt(N)*eps*tau^(-1-2eps)."""
-    return 2.0 * np.sqrt(n) * epsilon * np.asarray(tau, dtype=float) ** (-1.0 - 2.0 * epsilon)
 
 
 def _next_fast_len(n: int) -> int:
@@ -249,7 +271,7 @@ def simulate_fbm(params: HurstParams, config: SimConfig) -> PricePanel:
     logp = fft_convolve(innovations, kernel)
     prices = _postprocess(logp.reshape(config.n_years, config.hours_per_year),
                           config.target_vol)
-    return PricePanel(prices, params, config)
+    return PricePanel(prices)
 
 
 def _shot_logp(params: HurstParams, n: int, times: np.ndarray,
@@ -329,7 +351,7 @@ def simulate_shot_noise(params: HurstParams, config: SimConfig) -> PricePanel:
         logp = _shot_logp(params, n, times, amps)
     prices = _postprocess(logp.reshape(config.n_years, config.hours_per_year),
                           config.target_vol)
-    return PricePanel(prices, params, config)
+    return PricePanel(prices)
 
 
 def simulate(params: HurstParams, config: SimConfig) -> PricePanel:
@@ -357,18 +379,3 @@ def panel_variogram(panel: PricePanel, lags=None) -> Variogram:
         v[i] = np.mean(d * d)
         n[i] = d.size
     return Variogram(lags.astype(float), v, n)
-
-
-def panel_lag1_autocorr(panel: PricePanel) -> tuple[float, float]:
-    """Pooled lag-1 autocorrelation of hourly returns and its standard error.
-
-    The standard error comes from the spread of per-year estimates.
-    """
-    r = np.diff(np.log(panel.prices), axis=1)
-    per_year = np.array([
-        float(np.mean(ry[:-1] * ry[1:]) / np.mean(ry * ry)) for ry in r
-    ])
-    pooled = float(np.mean(r[:, :-1] * r[:, 1:]) / np.mean(r * r))
-    se = float(per_year.std(ddof=1) / np.sqrt(len(per_year))) if len(per_year) > 1 \
-        else float(1.0 / np.sqrt(r.size))
-    return pooled, se

@@ -15,7 +15,7 @@ boundary means depends on the reader:
 * ``returns`` (the covariance of ``correlate``) runs between consecutive
   present bins of a row across the boundary too, on one transaction-hour
   axis chaining the years; the covariance keeps such a return when its
-  elapsed time is inside the dt band;
+  elapsed time is inside the dt band 0 < dt <= 3 tau;
 * ``adjacent_returns`` (the hourly returns of ``predict``) stays within
   each year;
 * the backtests read ``price`` as one matrix and trade across it.

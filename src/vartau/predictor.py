@@ -19,12 +19,15 @@ panels, which helps when C is near singular.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .covariance import CovMatrix
 from .errors import DataError, NumericalError
+
+# default_ridge's stabilizer, as a share of the mean variance
+RIDGE_SCALE = 1e-4
 
 
 @dataclass
@@ -74,17 +77,16 @@ class PredictionReport:
     ``fve`` follows the printed squared-bracket formula; ``fve_plain`` is
     the plain squared correlation between prediction and outcome, which
     coincides with the former when predictions are standardized to the
-    outcome's variance.
+    outcome's variance. A ticker with no observed outcome, or only zero
+    outcomes, is NaN and left out of the means.
     """
 
-    tickers: list[str]
     fmse_by_ticker: np.ndarray
     fve_by_ticker: np.ndarray
     fve_plain_by_ticker: np.ndarray
     fmse: float
     fve: float
     fve_plain: float
-    by_group: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -122,32 +124,14 @@ def invert_with_ridge(c: CovMatrix | np.ndarray, ridge: float = 0.0,
     return PrecisionMatrix(tickers, a, float(ridge))
 
 
-def default_ridge(c: CovMatrix | np.ndarray, scale: float = 1e-4) -> float:
-    """A small stabilizer: scale times the mean diagonal of C."""
+def default_ridge(c: CovMatrix | np.ndarray) -> float:
+    """A small stabilizer: RIDGE_SCALE times the mean diagonal of C."""
     m = c.c if isinstance(c, CovMatrix) else np.asarray(c)
     d = np.diag(m)
     d = d[~np.isnan(d)]
     if len(d) == 0:
         raise DataError("no usable diagonal entries")
-    return float(scale * d.mean())
-
-
-def partitioned_inverse(a: PrecisionMatrix | np.ndarray, i: int) -> np.ndarray:
-    """Inverse of C with row/column i deleted, re-padded with a zero row/col.
-
-    Uses the partitioned-matrix identity A'_KJ = A_KJ - A_JI*A_KI/A_II so
-    no extra inversion is needed.
-    """
-    m = a.a if isinstance(a, PrecisionMatrix) else np.asarray(a, dtype=float)
-    n = len(m)
-    if not 0 <= i < n:
-        raise DataError(f"index {i} out of range for size {n}")
-    if m[i, i] == 0:
-        raise NumericalError(f"zero diagonal element at {i}")
-    out = m - np.outer(m[:, i], m[i, :]) / m[i, i]
-    out[i, :] = 0.0
-    out[:, i] = 0.0
-    return out
+    return float(RIDGE_SCALE * d.mean())
 
 
 def loo_coefficients(a: PrecisionMatrix) -> PredictionCoeffs:
@@ -217,63 +201,18 @@ def fmse(r_hat: np.ndarray, r: np.ndarray) -> float:
     return float(np.mean(err2[ok] / rr[ok]))
 
 
-def fve(r_hat: np.ndarray, r: np.ndarray) -> float:
-    """Fraction of variance explained: mean over tickers of (1 - FMSE_K/2)^2."""
-    n, err2, rr, _, _ = _per_ticker_moments(r_hat, r)
-    ok = (n > 0) & (rr > 0)
-    if not ok.any():
-        raise DataError("no ticker has usable observations")
-    return float(np.mean((1.0 - 0.5 * err2[ok] / rr[ok]) ** 2))
-
-
-def fve_plain(r_hat: np.ndarray, r: np.ndarray) -> float:
-    """Mean over tickers of the plain squared correlation of r_hat and r.
-
-    A constant (zero-variance) prediction explains nothing and counts 0.
-    """
-    n, _, rr, cross, hh = _per_ticker_moments(r_hat, r)
-    ok = (n > 0) & (rr > 0)
-    if not ok.any():
-        raise DataError("no ticker has usable observations")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        per = np.where(hh > 0, cross ** 2 / np.where(hh > 0, rr * hh, 1.0), 0.0)
-    return float(np.mean(per[ok]))
-
-
-def fve_from_fmse(x) -> float | np.ndarray:
-    """Identity linking the two metrics on standardized data."""
-    x = np.asarray(x, dtype=float)
-    out = (1.0 - x / 2.0) ** 2
-    return float(out) if out.ndim == 0 else out
-
-
-def prediction_report(b: PredictionCoeffs, r: np.ndarray,
-                      group_labels=None) -> PredictionReport:
-    """Evaluate coefficients on a return panel (n_tickers, n_periods)."""
-    r = np.asarray(r, dtype=float)
-    r_hat = predict(b, r)
+def prediction_report(r_hat: np.ndarray, r: np.ndarray) -> PredictionReport:
+    """Score predictions r_hat of a return panel r (n_tickers, n_periods)."""
     n, err2, rr, cross, hh = _per_ticker_moments(r_hat, r)
+    ok = (n > 0) & (rr > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        fmse_k = np.where((n > 0) & (rr > 0), err2 / rr, np.nan)
+        fmse_k = np.where(ok, err2 / rr, np.nan)
         fve_k = (1.0 - 0.5 * fmse_k) ** 2
         plain_k = np.where(hh > 0, cross ** 2 / np.where(hh > 0, rr * hh, 1.0), 0.0)
-        plain_k = np.where((n > 0) & (rr > 0), plain_k, np.nan)
-    by_group = {}
-    if group_labels is not None:
-        group_labels = np.asarray(group_labels)
-        for g in np.unique(group_labels):
-            cols = group_labels == g
-            by_group[str(g)] = {
-                "fmse": fmse(r_hat[:, cols], r[:, cols]),
-                "fve": fve(r_hat[:, cols], r[:, cols]),
-            }
-    return PredictionReport(
-        list(b.tickers), fmse_k, fve_k, plain_k,
-        fmse=float(np.nanmean(fmse_k)),
-        fve=float(np.nanmean(fve_k)),
-        fve_plain=float(np.nanmean(plain_k)),
-        by_group=by_group,
-    )
+        plain_k = np.where(ok, plain_k, np.nan)
+    return PredictionReport(fmse_k, fve_k, plain_k, fmse=float(np.nanmean(fmse_k)),
+                            fve=float(np.nanmean(fve_k)),
+                            fve_plain=float(np.nanmean(plain_k)))
 
 
 def _loss(b: np.ndarray, s: np.ndarray) -> float:

@@ -13,7 +13,7 @@ at full one-minute resolution. Because sampling is asynchronous, a
 return spanning elapsed time dt contributes r^2 * (tau/dt) to the
 estimate at tau -- the variance of a martingale increment grows linearly
 with elapsed time, so this reweighting makes unequal spans comparable --
-and spans longer than ``max_dt_factor`` times tau are discarded.
+and spans longer than MAX_DT_FACTOR = 3 times tau are discarded.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ import numpy as np
 from .candles import CandleSeries, bin_coordinates
 from .errors import DataError
 
-DEFAULT_MAX_DT_FACTOR = 3.0
+# the dt band: a return is kept when 0 < dt <= MAX_DT_FACTOR * tau
+MAX_DT_FACTOR = 3.0
 PERCENTILES = (10, 25, 50, 75, 90)
 
 
@@ -85,14 +86,13 @@ def loglog_interp(x, xp, fp):
     return np.exp(np.interp(np.log(x), np.log(xp), np.log(fp)))
 
 
-def weighted_v(r: np.ndarray, dt: np.ndarray, tau: float,
-               max_dt_factor: float = DEFAULT_MAX_DT_FACTOR):
+def weighted_v(r: np.ndarray, dt: np.ndarray, tau: float):
     """Asynchronous variance estimate: mean of r^2 * (tau/dt).
 
-    Entries with dt > max_dt_factor * tau are discarded. Returns
-    (estimate, count); (nan, 0) when nothing survives.
+    Only entries in the dt band 0 < dt <= MAX_DT_FACTOR * tau = 3 tau are
+    kept. Returns (estimate, count); (nan, 0) when nothing survives.
     """
-    keep = (dt > 0) & (dt <= max_dt_factor * tau)
+    keep = (dt > 0) & (dt <= MAX_DT_FACTOR * tau)
     r = r[keep]
     dt = dt[keep]
     if len(r) == 0:
@@ -108,8 +108,7 @@ def _assemble(tau_grid, values, counts) -> Variogram:
     return Variogram(tau_grid[ok], values[ok], counts[ok], omitted=tau_grid[~ok])
 
 
-def variogram_diff_of_avg(s: CandleSeries, clock, tau_grid,
-                          max_dt_factor: float = DEFAULT_MAX_DT_FACTOR) -> Variogram:
+def variogram_diff_of_avg(s: CandleSeries, clock, tau_grid) -> Variogram:
     """Difference-of-average estimator over a tau grid.
 
     For each tau, candles are sorted into tau bins, bin prices are the
@@ -124,7 +123,7 @@ def variogram_diff_of_avg(s: CandleSeries, clock, tau_grid,
     for tau in np.asarray(tau_grid, dtype=float):
         # fewer than 2 bins give no return, and so (nan, 0)
         _, tbar, pbar, _ = bin_coordinates(coords, prices, tau)
-        v, n = weighted_v(np.diff(np.log(pbar)), np.diff(tbar), tau, max_dt_factor)
+        v, n = weighted_v(np.diff(np.log(pbar)), np.diff(tbar), tau)
         vals.append(v); counts.append(n)
     return _assemble(tau_grid, vals, counts)
 
@@ -138,8 +137,7 @@ def _nearest_index(coords: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 def variogram_two_point(s: CandleSeries, clock, tau_grid,
-                        mode: str = "grid_points",
-                        max_dt_factor: float = DEFAULT_MAX_DT_FACTOR) -> Variogram:
+                        mode: str = "grid_points") -> Variogram:
     """Two-point difference estimator.
 
     grid_points: one sample per grid step, using the candle price nearest
@@ -169,7 +167,7 @@ def variogram_two_point(s: CandleSeries, clock, tau_grid,
             ok = j2 > np.arange(len(coords))
             r = logp[j2[ok]] - logp[ok]
             dt = coords[j2[ok]] - coords[ok]
-        v, n = weighted_v(r, dt, tau, max_dt_factor)
+        v, n = weighted_v(r, dt, tau)
         vals.append(v); counts.append(n)
     return _assemble(tau_grid, vals, counts)
 
@@ -205,36 +203,20 @@ def fit_power_law(v: Variogram, fit_range: tuple[float, float] | None = None) ->
                        float(np.sqrt(np.mean(resid ** 2))))
 
 
-def percentile_curves(values: np.ndarray, percentiles=PERCENTILES) -> np.ndarray:
-    """Column-wise order statistics (linear interpolation convention).
+def percentile_curves(values: np.ndarray) -> np.ndarray:
+    """Column-wise PERCENTILES (linear interpolation convention).
 
-    values is (n_members, n_tau); returns (n_percentiles, n_tau).
+    values is (n_members, n_tau); returns (len(PERCENTILES), n_tau).
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[0] < 1:
         raise DataError("need a 2-d stack of curves")
-    return np.percentile(values, list(percentiles), axis=0)
+    return np.percentile(values, list(PERCENTILES), axis=0)
 
 
-def ensemble_percentiles(vs, percentiles=PERCENTILES):
-    """Per-tau percentiles across variograms sharing a common grid.
-
-    Returns (tau, curves) with curves shaped (n_percentiles, n_tau).
-    """
-    vs = list(vs)
-    if not vs:
-        raise DataError("empty ensemble")
-    tau = vs[0].tau
-    for v in vs[1:]:
-        if len(v.tau) != len(tau) or not np.allclose(v.tau, tau):
-            raise DataError("ensemble members have mismatched tau grids")
-    stack = np.stack([v.v for v in vs])
-    return tau.copy(), percentile_curves(stack, percentiles)
-
-
-def write_ensemble_csv(path, tau, curves, percentiles=PERCENTILES) -> None:
+def write_ensemble_csv(path, tau, curves) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["tau_hours"] + [f"p{int(p)}" for p in percentiles])
+        w.writerow(["tau_hours"] + [f"p{int(p)}" for p in PERCENTILES])
         for i, t in enumerate(tau):
             w.writerow([repr(float(t))] + [repr(float(c[i])) for c in curves])

@@ -12,7 +12,10 @@ must book the same trades in the same row order with equal fill prices and
 skipped hours; a side's weights are normalized once instead of twice and the
 hourly pnl summed in another order, so qty must be within 1e-12 relative,
 pnl within 1e-12 of the terms it subtracts and cum_pnl within 1e-12 of the
-summed |pnl|.
+summed |pnl|. The per-metric scores that ``prediction_report`` replaced,
+means over the tickers with an observed non-zero outcome, must equal its
+fields when every ticker has one, and be within 1e-12 relative otherwise,
+since its NaN-skipping mean sums in another order.
 """
 
 from __future__ import annotations
@@ -25,13 +28,14 @@ import numpy as np
 
 from vartau.backtest import (ANNUAL_HOURS, BacktestResult, EquityCurve, StrategyConfig,
                              TradeLedger)
-from vartau.candles import (CSV_HEADER, BinnedSeries, CandleSeries, ReturnSeries,
-                            bin_coordinates, bin_series, log_returns)
+from vartau.candles import (CSV_HEADER, CandleSeries, ReturnSeries, bin_coordinates,
+                            bin_series)
 from vartau.clock import ClockKind, ClockMap, build_clock, hours_in_year, year_bounds
 from vartau.covariance import corr_vs_tau, predicted_corr_ratio
 from vartau.errors import DataError
 from vartau.hurst import HurstParams, PricePanel, SimConfig, _postprocess
-from vartau.variogram import (DEFAULT_MAX_DT_FACTOR, Variogram, loglog_interp,
+from vartau.predictor import _per_ticker_moments, fmse, naive_predict
+from vartau.variogram import (MAX_DT_FACTOR, Variogram, loglog_interp,
                               percentile_curves, variogram_diff_of_avg)
 
 
@@ -168,7 +172,7 @@ def pair_stats_loop(idx_a, r_a, dt_a, idx_b, r_b, dt_b, tau: float):
 
 
 def estimate_cov_loop(returns, tau: float, min_obs: int = 50,
-                      max_dt_factor: float = DEFAULT_MAX_DT_FACTOR):
+                      max_dt_factor: float = MAX_DT_FACTOR):
     """(covariance, joint counts, covariance before the min_obs floor), pair by pair."""
     prepped = [prep_returns(rs, tau, max_dt_factor) for rs in returns.values()]
     n = len(prepped)
@@ -194,7 +198,7 @@ def normalize_curve(tau_grid, values, tau0: float):
 
 
 def corr_vs_tau_loop(series, clock, tau_grid, normalize_tau: float = 1.0,
-                     min_obs: int = 2, max_dt_factor: float = DEFAULT_MAX_DT_FACTOR):
+                     min_obs: int = 2, max_dt_factor: float = MAX_DT_FACTOR):
     """rho(tau) with three pair_stats calls per pair and tau, then one curve at a time."""
     tau_grid = np.asarray(tau_grid, dtype=float)
     tickers = list(series)
@@ -291,9 +295,8 @@ def multi_year_returns_loop(series, years, kind: ClockKind, tau: float = 1.0):
                     price.append(b.price[k])
         if len(idx) < 2:
             continue
-        merged = BinnedSeries(t, tau, np.array(idx, dtype=np.int64), np.array(time),
-                              np.array(price), np.ones(len(idx), dtype=np.int64))
-        out[t] = log_returns(merged)
+        out[t] = ReturnSeries(tau, np.diff(np.log(price)), np.diff(time),
+                              np.array(idx[:-1], dtype=np.int64))
     return out
 
 
@@ -332,7 +335,7 @@ def simulate_shot_noise_loop(params: HurstParams, config: SimConfig) -> PricePan
     logp = shot_logp_loop(params, n, times, amps)
     prices = _postprocess(logp.reshape(config.n_years, config.hours_per_year),
                           config.target_vol)
-    return PricePanel(prices, params, config)
+    return PricePanel(prices)
 
 
 def write_panel_csv_rows(panel: PricePanel, path) -> None:
@@ -466,3 +469,35 @@ def write_equity_csv_rows(curve: EquityCurve, path) -> None:
         for i, h in enumerate(curve.hours):
             ann = curve.cum_pnl[i] / curve.stake * ANNUAL_HOURS / max(int(h) + 1, 1)
             w.writerow([int(h), repr(float(curve.cum_pnl[i])), repr(float(ann))])
+
+
+def fve(r_hat, r) -> float:
+    """Fraction of variance explained: mean over tickers of (1 - FMSE_K/2)^2."""
+    n, err2, rr, _, _ = _per_ticker_moments(r_hat, r)
+    ok = (n > 0) & (rr > 0)
+    if not ok.any():
+        raise DataError("no ticker has usable observations")
+    return float(np.mean((1.0 - 0.5 * err2[ok] / rr[ok]) ** 2))
+
+
+def fve_plain(r_hat, r) -> float:
+    """Mean over tickers of the plain squared correlation of r_hat and r.
+
+    A constant (zero-variance) prediction explains nothing and counts 0.
+    """
+    n, _, rr, cross, hh = _per_ticker_moments(r_hat, r)
+    ok = (n > 0) & (rr > 0)
+    if not ok.any():
+        raise DataError("no ticker has usable observations")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        per = np.where(hh > 0, cross ** 2 / np.where(hh > 0, rr * hh, 1.0), 0.0)
+    return float(np.mean(per[ok]))
+
+
+def naive_scores(r) -> dict:
+    """The ``none`` row of the predict command's fve_grid for one year's returns."""
+    variances = np.nanvar(r, axis=1)
+    if np.any(variances <= 0) or np.isnan(variances).any():
+        raise DataError("a ticker has no return variance")
+    r_hat = naive_predict(r, variances)
+    return {"fve": fve(r_hat, r), "fmse": fmse(r_hat, r), "fve_plain": fve_plain(r_hat, r)}

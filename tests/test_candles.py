@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from vartau import cli
-from vartau.candles import (CandleSeries, bin_series, log_returns, parse_candles,
-                            write_candles)
+from vartau.candles import CandleSeries, bin_series, parse_candles, write_candles
 from vartau.clock import ClockKind, ClockMap, build_clock, year_bounds
 from vartau.errors import DataError
+from vartau.panel import build_panel
 from vartau.synthetic import point_candles
 
 T0, _ = year_bounds(2021)
@@ -23,6 +23,11 @@ def write_csv(tmp_path, rows, name="TEST.csv"):
 def identity_clock(year=2021):
     return build_clock([point_candles("X", [year_bounds(year)[0]], [1.0])],
                        ClockKind.CLOCK, year)
+
+
+def panel_returns(s, tau=1.0):
+    """The log returns a one-ticker grid gives, as the multi-ticker commands read them."""
+    return next(build_panel({s.ticker: s}, [identity_clock()], tau).returns())
 
 
 class TestParse:
@@ -146,7 +151,7 @@ class TestBinning:
         s = point_candles("G", ts, np.concatenate([np.full(10, 5.0), np.full(10, 6.0)]))
         b = bin_series(s, identity_clock(), 1.0)
         assert list(b.index) == [0, 2]
-        r = log_returns(b)
+        r = panel_returns(s)
         assert len(r) == 1
         assert r.dt[0] > 1.0
 
@@ -222,35 +227,32 @@ class TestBinning:
 
 class TestLogReturns:
     def test_log_identity(self):
-        b = bin_series(point_candles("L", T0 + 3600 * np.arange(2, dtype=np.int64),
-                                     [1.0, np.e]), identity_clock(), 1.0)
-        r = log_returns(b)
+        r = panel_returns(point_candles("L", T0 + 3600 * np.arange(2, dtype=np.int64),
+                                        [1.0, np.e]))
         assert r.r[0] == pytest.approx(1.0)
         assert r.dt[0] == pytest.approx(1.0)
         assert r.start_index[0] == 0
 
     def test_constant_prices(self):
-        b = bin_series(point_candles("K", T0 + 3600 * np.arange(5, dtype=np.int64),
-                                     np.full(5, 3.0)), identity_clock(), 1.0)
-        assert np.allclose(log_returns(b).r, 0.0)
+        r = panel_returns(point_candles("K", T0 + 3600 * np.arange(5, dtype=np.int64),
+                                        np.full(5, 3.0)))
+        assert len(r) == 4 and np.allclose(r.r, 0.0)
 
     def test_small_sequence(self):
-        b = bin_series(point_candles("S", T0 + 3600 * np.arange(3, dtype=np.int64),
-                                     [100.0, 101.0, 99.0]), identity_clock(), 1.0)
-        r = log_returns(b)
+        r = panel_returns(point_candles("S", T0 + 3600 * np.arange(3, dtype=np.int64),
+                                        [100.0, 101.0, 99.0]))
         assert np.allclose(r.r, [np.log(1.01), np.log(99 / 101)])
 
     def test_cumsum_roundtrip(self):
         rng = np.random.default_rng(4)
         prices = np.exp(np.cumsum(rng.normal(0, 0.02, 300))) * 40
-        b = bin_series(point_candles("R", T0 + 3600 * np.arange(300, dtype=np.int64),
-                                     prices), identity_clock(), 1.0)
-        r = log_returns(b)
-        rebuilt = np.exp(np.cumsum(r.r))
+        s = point_candles("R", T0 + 3600 * np.arange(300, dtype=np.int64), prices)
+        b = bin_series(s, identity_clock(), 1.0)
+        rebuilt = np.exp(np.cumsum(panel_returns(s).r))
         assert np.allclose(rebuilt, b.price[1:] / b.price[0], rtol=1e-12)
 
     def test_needs_two_bins(self):
-        b = bin_series(point_candles("E", np.array([T0], dtype=np.int64), [1.0]),
-                       identity_clock(), 1.0)
-        with pytest.raises(DataError, match="2 bins"):
-            log_returns(b)
+        # two candles in one bin: a price, and no return
+        s = point_candles("E", np.array([T0, T0 + 60], dtype=np.int64), [1.0, 2.0])
+        assert len(bin_series(s, identity_clock(), 1.0)) == 1
+        assert len(panel_returns(s)) == 0

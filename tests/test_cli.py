@@ -168,3 +168,46 @@ def test_bad_coefficients_file_exits_3(data, tmp_path, capsys, row, message):
                      "--years", "2021", "--coeffs", str(coeffs),
                      "--out-dir", str(tmp_path / "out")]) == 3
     assert f"{coeffs}:3: {message}" in capsys.readouterr().err
+
+
+def panel_text(cells) -> str:
+    return "year,hour,price\n" + "".join(f"{y},{h},{p}\n" for y, h, p in cells)
+
+
+GOOD_PANEL = [(y, h, 1.0 + 0.01 * h) for y in range(2) for h in range(4)]
+
+
+@pytest.mark.parametrize("cells, message", [
+    (GOOD_PANEL[:-1] + [(1, 3, "x")], ":9: cannot read '1,3,x'"),
+    (GOOD_PANEL + [(1, 3, 1.0)], ":10: year 1, hour 3 repeats line 9"),
+    (GOOD_PANEL[:-1] + [(-1, 3, 1.0)], ":9: want a whole year and hour from 0"),
+], ids=["non_numeric", "repeated_cell", "negative_year"])
+def test_bad_panel_file_exits_3(tmp_path, capsys, cells, message):
+    panel = tmp_path / "panel.csv"
+    panel.write_text(panel_text(cells))
+    assert cli.main(["backtest", "--strategy", "sim-meanrev", "--panel", str(panel),
+                     "--out-dir", str(tmp_path / "out")]) == 3
+    assert f"{panel}{message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--tau", "nan"], ["--tau", "inf"], ["--tau-grid", "0.5,nan,4"],
+    ["--tau-grid", "0.5,1,inf"], ["--tau-grid", "0.5:inf:10"],
+    ["--tau-grid", "0.5,1,2", "--normalize-at", "nan"],
+    ["--tau-grid", "0.5,1,2", "--normalize-at", "-1"],
+    ["--tau-grid", "0.5,1,2", "--normalize-at", "4"],
+])
+def test_correlate_rejects_bad_tau_flags(data, tmp_path, capsys, flags):
+    assert cli.main(["correlate", "--data-dir", str(data), "--years", "2021", *flags,
+                     "--out-dir", str(tmp_path)]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--tau-grid", "0.5,1,inf"], ["--tau-grid", "0.5,nan,4"],
+    ["--normalize-at", "nan"], ["--normalize-at", "500"],
+])
+def test_variogram_rejects_bad_tau_flags(data, tmp_path, capsys, flags):
+    assert cli.main(["variogram", "--data-dir", str(data), "--year", "2021", *flags,
+                     "--out-dir", str(tmp_path)]) == 2
+    assert "usage error" in capsys.readouterr().err

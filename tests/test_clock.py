@@ -95,7 +95,6 @@ class TestEvaluate:
     def test_boundaries(self):
         assert self.clock.to_txn_time(T0) == 0.0
         assert self.clock.to_txn_time(T1) == pytest.approx(8760)
-        assert self.clock.to_clock_time(0.0) == T0
 
     def test_monotone(self):
         rng = np.random.default_rng(12)
@@ -123,22 +122,11 @@ class TestEvaluate:
         w2 = w[200:321].sum()
         assert el1 / el2 == pytest.approx(w1 / w2, rel=1e-9)
 
-    def test_roundtrip_inside_rising_segment(self):
-        t = T0 + 60 * int(self.minutes[7]) + 17  # strictly inside a traded minute
-        x = self.clock.to_txn_time(t)
-        assert self.clock.to_clock_time(x) == pytest.approx(t, abs=1e-6)
-
-    def test_flat_span_maps_to_earliest(self):
-        # txn value at the end of a traded minute is attained across the gap
-        m_end = T0 + 60 * int(self.minutes[3]) + 60
-        x = self.clock.to_txn_time(m_end)
-        assert self.clock.to_clock_time(x) == pytest.approx(m_end, abs=1e-6)
-
     def test_out_of_domain(self):
         with pytest.raises(DataError):
             self.clock.to_txn_time(T0 - 1)
         with pytest.raises(DataError):
-            self.clock.to_clock_time(8760.5)
+            self.clock.to_txn_time(T1 + 1)
 
 
 class TestCsv:

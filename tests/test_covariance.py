@@ -3,13 +3,11 @@
 import numpy as np
 import pytest
 
-from vartau.candles import ReturnSeries, bin_series, log_returns
+from vartau.candles import ReturnSeries
 from vartau.clock import ClockKind, build_clock, year_bounds
-from vartau.covariance import (CovMatrix, TwoComponentModel, cov_to_corr,
-                               estimate_cov, estimate_cov_from_returns,
-                               corr_vs_tau, pair_stats, predicted_corr_ratio,
+from vartau.covariance import (CovMatrix, TwoComponentModel, cov_to_corr, corr_vs_tau,
+                               estimate_cov, pair_stats, predicted_corr_ratio,
                                return_grid, simulate_two_component)
-from vartau.errors import DataError
 from vartau.panel import build_panel
 from vartau.synthetic import (correlated_walk_panel, hourly_candles_from_prices,
                               point_candles)
@@ -30,13 +28,35 @@ def identity_clock(year=2021):
                        ClockKind.CLOCK, year)
 
 
+def walk_panel(returns, tau=1.0, first=None, gaps=None):
+    """build_panel on point candles, one per tau bin, whose log returns are ``returns``.
+
+    Ticker t's walk starts in bin ``first[t]`` (default 0), and its returns
+    span ``gaps[t]`` bins each (default 1).
+    """
+    series = {}
+    for t, r in returns.items():
+        steps = np.ones(len(r), dtype=np.int64) if gaps is None else np.asarray(gaps[t])
+        bins = (first or {}).get(t, 0) + np.concatenate(([0], np.cumsum(steps)))
+        prices = np.exp(np.concatenate(([0.0], np.cumsum(r))))
+        series[t] = point_candles(t, T0 + (bins * round(tau * 3600)).astype(np.int64), prices)
+    return build_panel(series, [identity_clock()], tau)
+
+
+def model_rho(ra, rb, tau):
+    """Correlation of two return series paired by start index, from one return grid."""
+    c, n_obs = pair_stats(*return_grid([ra, rb], (2, len(ra)), tau))
+    return cov_to_corr(CovMatrix(["A", "B"], c, tau, n_obs)).rho[0, 1]
+
+
 class TestEstimate:
     def test_self_covariance_is_variance(self):
         rng = np.random.default_rng(0)
         r = rng.normal(0, 0.01, 500)
-        c = estimate_cov_from_returns({"A": rs(r), "B": rs(r)}, 1.0, min_obs=2)
-        demeaned = r - r.mean()
-        want = np.mean(demeaned ** 2)
+        panel = walk_panel({"A": r, "B": r})
+        c = estimate_cov(panel, min_obs=2)
+        got = next(panel.returns()).r
+        want = np.mean((got - got.mean()) ** 2)
         assert c.c[0, 1] == pytest.approx(want, rel=1e-12)
         assert c.c[0, 0] == pytest.approx(want, rel=1e-12)
         assert c.n_obs[0, 1] == 500
@@ -44,54 +64,44 @@ class TestEstimate:
     def test_independent_null(self):
         rng = np.random.default_rng(1)
         n = 4000
-        c = estimate_cov_from_returns(
-            {"A": rs(rng.normal(0, 1, n)), "B": rs(rng.normal(0, 1, n))},
-            1.0, min_obs=2)
+        c = estimate_cov(walk_panel({"A": rng.normal(0, 1, n), "B": rng.normal(0, 1, n)}),
+                         min_obs=2)
         rho = cov_to_corr(c).rho[0, 1]
         assert abs(rho) < 3 / np.sqrt(n)
 
     def test_planted_factor_correlation(self):
-        # single-factor construction with shared draws, rho = 0.49
+        # single-factor construction with shared draws, rho = 0.49; the
+        # 20,000 returns fit in one year at 15 minutes a bin
         rho = 0.49
         model = TwoComponentModel(v=lambda t: 1.0, u=lambda t: 0.0, rho=rho)
         ra, rb = simulate_two_component(model, 1.0, 20000, seed=2)
-        c = estimate_cov_from_returns({"A": ra, "B": rb}, 1.0, min_obs=2)
+        c = estimate_cov(walk_panel({"A": ra.r, "B": rb.r}, tau=0.25), min_obs=2)
         assert cov_to_corr(c).rho[0, 1] == pytest.approx(rho, abs=0.05)
 
     def test_partial_overlap_and_floor(self):
         rng = np.random.default_rng(3)
-        a = rs(rng.normal(size=100), idx=np.arange(100))
-        b = rs(rng.normal(size=100), idx=np.arange(60, 160))
-        c = estimate_cov_from_returns({"A": a, "B": b}, 1.0, min_obs=50)
-        assert c.n_obs[0, 1] == 40          # joint indices 60..99
+        panel = walk_panel({"A": rng.normal(size=100), "B": rng.normal(size=100)},
+                           first={"B": 60})
+        c = estimate_cov(panel, min_obs=50)
+        assert c.n_obs[0, 1] == 40          # joint start bins 60..99
         assert np.isnan(c.c[0, 1])          # below the floor -> missing
         filled = c.filled()
         assert not np.isnan(filled.c).any()
         assert filled.c[0, 1] == 0.0        # nothing observed to impute from
 
     def test_dt_band_discards_long_gaps(self):
-        r = np.array([0.1, 0.2, 0.3, 0.4])
-        dt = np.array([1.0, 1.0, 10.0, 1.0])
-        c = estimate_cov_from_returns({"A": rs(r, dt=dt)}, 1.0,
-                                      min_obs=2, max_dt_factor=3.0)
-        assert c.n_obs[0, 0] == 3
+        # the third return spans 10 bins, past the band's 3 tau
+        panel = walk_panel({"A": [0.1, 0.2, 0.3, 0.4]}, gaps={"A": [1, 1, 10, 1]})
+        assert estimate_cov(panel, min_obs=2).n_obs[0, 0] == 3
 
     def test_permutation_equivariance(self):
+        # the grid sorts its rows by ticker, so renaming permutes the matrix
         rng = np.random.default_rng(4)
-        data = {k: rs(rng.normal(size=300)) for k in "ABC"}
-        c1 = estimate_cov_from_returns(data, 1.0, min_obs=2)
-        order = ["C", "A", "B"]
-        c2 = estimate_cov_from_returns({k: data[k] for k in order}, 1.0, min_obs=2)
-        perm = [c1.tickers.index(t) for t in order]
-        assert np.allclose(c2.c, c1.c[np.ix_(perm, perm)])
-
-    def test_binned_pipeline_tau_mismatch(self):
-        clock = identity_clock()
-        prices = correlated_walk_panel(2, 200, 0.3, seed=5)
-        b1 = bin_series(hourly_candles_from_prices("A", 2021, prices[0]), clock, 1.0)
-        b2 = bin_series(hourly_candles_from_prices("B", 2021, prices[1]), clock, 2.0)
-        with pytest.raises(DataError, match="tau"):
-            estimate_cov_from_returns({"A": log_returns(b1), "B": log_returns(b2)}, 1.0)
+        x, y, z = rng.normal(size=(3, 300))
+        c1 = estimate_cov(walk_panel({"A": x, "B": y, "C": z}), min_obs=2)
+        c2 = estimate_cov(walk_panel({"B": x, "C": y, "A": z}), min_obs=2)
+        perm = [2, 0, 1]
+        assert np.allclose(c2.c, c1.c[np.ix_(perm, perm)], rtol=1e-12, atol=0)
 
     def test_binned_pipeline_factor_model(self):
         clock = identity_clock()
@@ -118,17 +128,19 @@ class TestCorrMatrix:
         assert np.allclose(cov_to_corr(c).rho, np.eye(3))
 
     def test_clamp_keeps_raw(self):
+        # the correlation is clamped; the covariance it came from keeps the raw ratio
         c = CovMatrix(["A", "B"], np.array([[1.0, 1.1], [1.1, 1.0]]), 1.0,
                       np.full((2, 2), 9, dtype=np.int64))
         rm = cov_to_corr(c)
-        assert rm.rho[0, 1] == 1.0
-        assert rm.rho_raw[0, 1] == pytest.approx(1.1)
+        assert rm.rho[0, 1] == 1.0 and rm.rho[1, 0] == 1.0
+        assert c.c[0, 1] / np.sqrt(c.c[0, 0] * c.c[1, 1]) == pytest.approx(1.1)
 
     def test_no_clamp_on_synchronous_complete_data(self):
         rng = np.random.default_rng(7)
-        data = {k: rs(rng.normal(size=400)) for k in "ABCDE"}
-        rm = cov_to_corr(estimate_cov_from_returns(data, 1.0, min_obs=2))
-        assert np.all(np.abs(rm.rho_raw) <= 1 + 1e-12)
+        c = estimate_cov(walk_panel(dict(zip("ABCDE", rng.normal(size=(5, 400))))),
+                         min_obs=2).c
+        raw = c / np.sqrt(np.outer(np.diag(c), np.diag(c)))
+        assert np.all(np.abs(raw) <= 1 + 1e-12)
 
 
 class TestCorrVsTau:
@@ -190,27 +202,23 @@ class TestTwoComponent:
     def test_no_uncorrelated_part_recovers_latent(self):
         model = TwoComponentModel(v=lambda t: 2.0 * t, u=lambda t: 0.0, rho=0.7)
         ra, rb = simulate_two_component(model, 1.0, 30000, seed=10)
-        c = estimate_cov_from_returns({"A": ra, "B": rb}, 1.0, min_obs=2)
-        rho = cov_to_corr(c).rho[0, 1]
+        rho = model_rho(ra, rb, 1.0)
         assert rho == pytest.approx(0.7, abs=3 * (1 - 0.7 ** 2) / np.sqrt(30000))
 
     def test_no_correlated_part_gives_zero(self):
         model = TwoComponentModel(v=lambda t: 0.0, u=lambda t: 1.0, rho=0.7)
         ra, rb = simulate_two_component(model, 1.0, 30000, seed=11)
-        c = estimate_cov_from_returns({"A": ra, "B": rb}, 1.0, min_obs=2)
-        assert abs(cov_to_corr(c).rho[0, 1]) < 3 / np.sqrt(30000)
+        assert abs(model_rho(ra, rb, 1.0)) < 3 / np.sqrt(30000)
 
     def test_equal_parts_halve_latent(self):
         model = TwoComponentModel(v=lambda t: 1.5, u=lambda t: 1.5, rho=0.8)
         ra, rb = simulate_two_component(model, 1.0, 60000, seed=12)
-        c = estimate_cov_from_returns({"A": ra, "B": rb}, 1.0, min_obs=2)
-        assert cov_to_corr(c).rho[0, 1] == pytest.approx(0.4, abs=0.02)
+        assert model_rho(ra, rb, 1.0) == pytest.approx(0.4, abs=0.02)
 
     def test_negative_latent_correlation(self):
         model = TwoComponentModel(v=lambda t: 1.0, u=lambda t: 0.0, rho=-0.6)
         ra, rb = simulate_two_component(model, 1.0, 30000, seed=13)
-        c = estimate_cov_from_returns({"A": ra, "B": rb}, 1.0, min_obs=2)
-        assert cov_to_corr(c).rho[0, 1] == pytest.approx(-0.6, abs=0.02)
+        assert model_rho(ra, rb, 1.0) == pytest.approx(-0.6, abs=0.02)
 
     def test_observed_rho_closure_across_tau(self):
         # measured rho(tau) tracks rho * V/(V+U) at every grid point
@@ -218,8 +226,7 @@ class TestTwoComponent:
         for tau in (0.25, 1.0, 4.0, 16.0):
             n = 20000
             ra, rb = simulate_two_component(model, tau, n, seed=int(tau * 100))
-            c = estimate_cov_from_returns({"A": ra, "B": rb}, tau, min_obs=2)
-            got = cov_to_corr(c).rho[0, 1]
+            got = model_rho(ra, rb, tau)
             want = model.observed_rho(tau)
             assert abs(got - want) < 3 * (1 - want ** 2) / np.sqrt(n)
 

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from vartau.errors import DataError
-from vartau.hurst import (HurstParams, PricePanel, SimConfig, analytic_autocorr,
-                          analytic_variogram, fft_convolve, impulse_response,
-                          panel_lag1_autocorr, panel_variogram, read_panel_csv,
-                          sampled_kernel, simulate, simulate_fbm,
-                          simulate_shot_noise, snr_autocorr, snr_variogram)
+from vartau.hurst import (HurstParams, SimConfig, analytic_variogram, fft_convolve,
+                          impulse_response, panel_variogram, read_panel_csv, sampled_kernel,
+                          simulate, simulate_fbm, simulate_shot_noise)
 from vartau.variogram import fit_power_law
 
 
@@ -120,29 +118,18 @@ class TestAnalytic:
         # H = 0.4 means eps = 0.1 and exponent 0.8
         assert analytic_variogram(0.1, 4.0) == pytest.approx(4.0 ** 0.8)
 
-    def test_autocorr_values(self):
-        assert analytic_autocorr(0.0, 5.0) == 0.0
-        # direct substitution: -2 * 0.035 * 0.93 at tau = 1
-        assert analytic_autocorr(0.035, 1.0) == pytest.approx(-0.0651)
-        assert analytic_autocorr(0.2, 3.0) < 0
-        with pytest.raises(DataError):
-            analytic_autocorr(0.05, 0.5)
-
-    def test_snr_shapes(self):
-        assert snr_variogram(0.05, 100, 1.0) == 0.0
-        assert snr_variogram(0.0, 100, 10.0) == 0.0
-        assert snr_autocorr(0.0, 100, 10.0) == 0.0
-        taus = np.array([2.0, 8.0, 64.0])
-        ratio = snr_variogram(0.05, 50, taus) / snr_autocorr(0.05, 50, taus)
-        assert np.all(np.diff(ratio) > 0)
-
     def test_simulated_autocorr_consistent_with_own_variogram(self):
         # R(1) = (V(2) - 2 V(1)) / 2 for stationary increments; the
         # simulation must satisfy its own variogram algebra
         pan = simulate_fbm(HurstParams(0.05), SimConfig(50, 8760, seed=6))
         v = panel_variogram(pan, np.array([1, 2]))
         implied = (v.v[1] - 2 * v.v[0]) / (2 * v.v[0])
-        ac, se = panel_lag1_autocorr(pan)
+        # pooled lag-1 autocorrelation of hourly returns; its standard error
+        # from the spread of the per-year estimates
+        r = np.diff(np.log(pan.prices), axis=1)
+        ac = np.mean(r[:, :-1] * r[:, 1:]) / np.mean(r * r)
+        per_year = np.mean(r[:, :-1] * r[:, 1:], axis=1) / np.mean(r * r, axis=1)
+        se = per_year.std(ddof=1) / np.sqrt(len(per_year))
         assert ac < 0
         assert abs(ac - implied) < 3 * se
 
@@ -160,4 +147,20 @@ class TestPanelIo:
         path = tmp_path / "bad.csv"
         path.write_text("year,hour,price\n0,0,1.0\n0,2,1.0\n")
         with pytest.raises(DataError, match="missing"):
+            read_panel_csv(path)
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0,0,1\n0,1,x\n", r"bad\.csv:3: cannot read '0,1,x'"),
+        ("0,0,1\n\n0,1\n", r"bad\.csv:4: cannot read '0,1'"),
+        ("0,0,1\n0,1,1\n0,1,2\n", r"bad\.csv:4: year 0, hour 1 repeats line 3"),
+        ("0,0,1\n0,1,1\n1,0,1\n-1,1,1\n", r"bad\.csv:5: want a whole year"),
+        ("0,0,1\n0.5,1,1\n", r"bad\.csv:3: want a whole year"),
+        ("0,0,1\n0,1.5,1\n", r"bad\.csv:3: want a whole year"),
+        ("0,0,1\n0,1,nan\n", r"bad\.csv:3: .* positive finite price"),
+    ], ids=["non_numeric", "short_row", "repeated_cell", "negative_year",
+            "fractional_year", "fractional_hour", "nan_price"])
+    def test_bad_row_names_its_line(self, tmp_path, rows, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("year,hour,price\n" + rows)
+        with pytest.raises(DataError, match=message):
             read_panel_csv(path)

@@ -11,9 +11,12 @@ overlap: counts and missing cells must be equal and values within 1e-12
 relative, because the grid product sums in another order. The shot-noise
 log price is compared with the exact sum over every (hour, event) pair on
 generated parameters and events, and the panel, ledger, equity and clock
-CSVs with the ``csv.writer`` rows byte for byte. The block-wise backtests
-are compared with their hour loops on generated gappy prices with exact
-ties and one-sided hours, across block boundaries.
+CSVs with the ``csv.writer`` rows byte for byte, the last three also with
+their writers' blocks cut to 3 rows. The block-wise backtests are compared
+with their hour loops on generated gappy prices with exact ties and
+one-sided hours, across block boundaries. The prediction report is compared
+with the per-metric scores it replaced on generated predictions with NaN
+cells, tickers with no observed outcome and rows of zero predictions.
 """
 
 import re
@@ -27,22 +30,23 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import (bin_coordinates_unique, build_clock_dict, corr_vs_tau_loop,
-                     estimate_cov_loop, parse_candles_loop, run_market_meanrev_loop,
+                     estimate_cov_loop, fve, fve_plain, naive_scores, parse_candles_loop,
+                     run_market_meanrev_loop,
                      run_xcorr_strategy_loop, shot_logp_loop, simulate_shot_noise_loop,
                      write_clock_csv_rows, write_equity_csv_rows, write_ledger_csv_rows,
                      write_panel_csv_rows)
 from test_backtest import gappy_prices
-from vartau import backtest
+from vartau import backtest, candles, cli
 from vartau.backtest import (EquityCurve, StrategyConfig, TradeLedger, run_market_meanrev,
                              run_xcorr_strategy)
 from vartau.candles import (CSV_HEADER, CandleSeries, ReturnSeries, bin_coordinates,
                             parse_candles)
 from vartau.clock import ClockKind, ClockMap, build_clock, year_bounds
-from vartau.covariance import corr_vs_tau, estimate_cov_from_returns
+from vartau.covariance import corr_vs_tau, pair_stats, return_grid
 from vartau.errors import DataError
 from vartau.hurst import (HurstParams, PricePanel, SimConfig, _shot_logp, simulate_fbm,
                           simulate_shot_noise)
-from vartau.predictor import PredictionCoeffs
+from vartau.predictor import PredictionCoeffs, fmse, naive_predict, prediction_report
 from vartau.variogram import default_tau_grid
 
 T0, T1 = year_bounds(2021)
@@ -293,14 +297,14 @@ def return_sets(draw):
 def test_grid_cov_matches_pair_loop(data, min_obs):
     returns, tau = data
     want, want_n, raw = estimate_cov_loop(returns, tau, min_obs)
-    got = estimate_cov_from_returns(returns, tau, min_obs)
-    assert got.tickers == list(returns)
-    assert np.array_equal(got.n_obs, want_n)
-    assert np.array_equal(np.isnan(got.c), np.isnan(want))
-    assert np.array_equal(got.c, got.c.T, equal_nan=True)
+    got, n_obs = pair_stats(*return_grid(returns.values(), (len(returns), 100), tau))
+    got[n_obs < max(min_obs, 2)] = np.nan
+    assert np.array_equal(n_obs, want_n)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(got, got.T, equal_nan=True)
     scale = np.sqrt(np.abs(np.outer(np.diag(raw), np.diag(raw))))
     ok = ~np.isnan(want)
-    assert np.all(np.abs(got.c[ok] - want[ok]) <= 1e-12 * scale[ok])
+    assert np.all(np.abs(got[ok] - want[ok]) <= 1e-12 * scale[ok])
 
 
 @st.composite
@@ -370,21 +374,24 @@ def test_shot_noise_draws_the_same_events(eps, delta, rate, years, hours):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()
 
 
-def written(write, obj) -> bytes:
-    with tempfile.TemporaryDirectory() as tmp:
+def written(write, obj, block=None) -> bytes:
+    """The bytes ``write`` gives, with ``block`` rows formatted at a time when given."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(candles, "_WRITE_ROWS", block)
         path = Path(tmp) / "out.csv"
         write(obj, path)
         return path.read_bytes()
 
 
 @settings(max_examples=50, deadline=None)
-@given(markets(), st.sampled_from(list(ClockKind)))
-def test_clock_csv_matches_rows(series, kind):
+@given(markets(), st.sampled_from(list(ClockKind)), st.sampled_from([3, 4096]))
+def test_clock_csv_matches_rows(series, kind, block):
     try:
         clock = build_clock(series, kind, 2021)
     except DataError:                   # no candle, or no weight, in the year
         return
-    assert written(ClockMap.write_csv, clock) == written(write_clock_csv_rows, clock)
+    assert written(ClockMap.write_csv, clock, block) == written(write_clock_csv_rows, clock)
 
 
 @settings(max_examples=100, deadline=None)
@@ -477,17 +484,67 @@ ticker_names = st.one_of(st.sampled_from(["A,B", 'Q"X', "T1", ""]),
     hnp.arrays(np.int64, n, elements=st.integers(0, 10**6)),
     st.lists(ticker_names, min_size=n, max_size=n),
     hnp.arrays(np.int64, n, elements=st.sampled_from([1, -1])),
-    *[hnp.arrays(np.float64, n)] * 4)))
-@example((np.array([3, 3]), ["A,B", 'Q"X'], np.array([1, -1]), *[np.array([0.5, -1e-300])] * 4))
-def test_ledger_csv_matches_rows(cols):
+    *[hnp.arrays(np.float64, n)] * 4)),
+    st.sampled_from([3, 4096]))
+@example((np.array([3, 3]), ["A,B", 'Q"X'], np.array([1, -1]), *[np.array([0.5, -1e-300])] * 4),
+         3)
+def test_ledger_csv_matches_rows(cols, block):
     ledger = TradeLedger(*cols)
-    assert written(TradeLedger.write_csv, ledger) == written(write_ledger_csv_rows, ledger)
+    assert (written(TradeLedger.write_csv, ledger, block)
+            == written(write_ledger_csv_rows, ledger))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 12).flatmap(lambda n: st.tuples(
     hnp.arrays(np.int64, n, elements=st.integers(-3, 10**6)), hnp.arrays(np.float64, n))),
-    st.one_of(st.floats(1e-3, 1e3), st.integers(1, 5)))
-def test_equity_csv_matches_rows(cols, stake):
+    st.one_of(st.floats(1e-3, 1e3), st.integers(1, 5)), st.sampled_from([3, 4096]))
+def test_equity_csv_matches_rows(cols, stake, block):
     curve = EquityCurve(*cols, stake, len(cols[0]))
-    assert written(EquityCurve.write_csv, curve) == written(write_equity_csv_rows, curve)
+    assert (written(EquityCurve.write_csv, curve, block)
+            == written(write_equity_csv_rows, curve))
+
+
+@st.composite
+def scored_panels(draw):
+    """Predictions and outcomes (tickers x hours) with NaN cells, maybe a ticker
+    with no observed outcome, and maybe a row of zero predictions (hh = 0)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, hours = draw(st.integers(1, 20)), draw(st.integers(1, 30))
+    r = rng.normal(0, 0.01, (n, hours))
+    r_hat = rng.normal(0, 0.01, (n, hours)) * draw(st.sampled_from([0.1, 1.0, 10.0]))
+    r[rng.random((n, hours)) < draw(st.sampled_from([0.0, 0.3]))] = np.nan
+    r_hat[rng.random((n, hours)) < draw(st.sampled_from([0.0, 0.2]))] = np.nan
+    if draw(st.booleans()):
+        r[rng.integers(n)] = np.nan
+    if draw(st.booleans()):
+        r_hat[rng.integers(n)] = 0.0
+    return r_hat, r
+
+
+@settings(max_examples=300, deadline=None)
+@given(scored_panels())
+def test_prediction_report_matches_per_metric_scores(data):
+    r_hat, r = data
+    usable = (~np.isnan(r)).any(axis=1)
+    if not usable.any():
+        with pytest.raises(DataError):
+            fve(r_hat, r)
+        return
+    rep = prediction_report(r_hat, r)
+    got = (rep.fmse, rep.fve, rep.fve_plain)
+    want = (fmse(r_hat, r), fve(r_hat, r), fve_plain(r_hat, r))
+    if usable.all():
+        assert got == want
+    else:
+        assert all(abs(g - w) <= 1e-12 * abs(w) for g, w in zip(got, want))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scored_panels())
+def test_naive_row_matches_per_metric_scores(data):
+    _, r = data
+    r = r[(~np.isnan(r)).sum(axis=1) >= 2]      # a variance needs two observed hours
+    if len(r) < 2:
+        return
+    variances = np.nanvar(r, axis=1)
+    assert cli._scores(naive_predict(r, variances), r) == naive_scores(r)

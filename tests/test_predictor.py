@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from vartau.covariance import CovMatrix
 from vartau.errors import DataError, NumericalError
-from vartau.predictor import (PredictionCoeffs, RefineConfig, default_ridge, fmse, fve,
-                              fve_from_fmse, fve_plain, gradient_refine,
-                              invert_with_ridge, loo_coefficients, naive_predict,
-                              partitioned_inverse, predict, prediction_report,
-                              read_coeffs_csv)
+from vartau.predictor import (PredictionCoeffs, RefineConfig, default_ridge, fmse,
+                              gradient_refine, invert_with_ridge, loo_coefficients,
+                              naive_predict, predict, prediction_report, read_coeffs_csv)
 
 
 def equal_corr_matrix(variances: np.ndarray, rho: float) -> np.ndarray:
@@ -69,29 +67,6 @@ class TestInverse:
             invert_with_ridge(cov_of(c), 0.0)
         with pytest.raises(DataError, match="symmetric"):
             invert_with_ridge(cov_of([[1.0, 0.5], [0.1, 1.0]]), 0.0)
-
-
-class TestPartitionedInverse:
-    def test_matches_deletion_inversion(self):
-        rng = np.random.default_rng(1)
-        c = random_spd(3, rng)
-        a = invert_with_ridge(cov_of(c), 0.0)
-        for i in range(3):
-            got = partitioned_inverse(a, i)
-            keep = [j for j in range(3) if j != i]
-            brute = np.zeros((3, 3))
-            brute[np.ix_(keep, keep)] = np.linalg.inv(c[np.ix_(keep, keep)])
-            assert np.abs(got - brute).max() < 1e-8
-
-    def test_single_ticker_collapses_to_zero(self):
-        a = invert_with_ridge(cov_of([[2.0]]), 0.0)
-        assert np.allclose(partitioned_inverse(a, 0), np.zeros((1, 1)))
-
-    def test_diagonal(self):
-        a = invert_with_ridge(cov_of(np.diag([1.0, 2.0, 4.0])), 0.0)
-        got = partitioned_inverse(a, 1)
-        want = np.diag([1.0, 0.0, 0.25])
-        assert np.allclose(got, want)
 
 
 class TestCoefficients:
@@ -203,23 +178,22 @@ class TestMetrics:
     def test_perfect_prediction(self):
         rng = np.random.default_rng(4)
         r = rng.normal(size=(3, 200))
-        assert fmse(r, r) == 0.0
-        assert fve(r, r) == 1.0
-        assert fve_plain(r, r) == pytest.approx(1.0)
+        rep = prediction_report(r, r)
+        assert fmse(r, r) == 0.0 and rep.fmse == 0.0
+        assert rep.fve == 1.0
+        assert rep.fve_plain == pytest.approx(1.0)
 
     def test_zero_prediction(self):
         rng = np.random.default_rng(5)
         r = rng.normal(size=(3, 200))
-        z = np.zeros_like(r)
-        assert fmse(z, r) == pytest.approx(1.0)
+        rep = prediction_report(np.zeros_like(r), r)
+        assert rep.fmse == pytest.approx(1.0)
         # the printed squared-bracket formula gives 1/4 at FMSE = 1
-        assert fve(z, r) == pytest.approx(0.25)
+        assert rep.fve == pytest.approx(0.25)
         # the plain squared correlation reports no explanatory power
-        assert fve_plain(z, r) == 0.0
+        assert rep.fve_plain == 0.0
 
     def test_identity_link(self):
-        assert fve_from_fmse(2.0) == 0.0
-        assert fve_from_fmse(0.0) == 1.0
         rng = np.random.default_rng(6)
         r = rng.normal(size=400)
         noisy = 0.6 * r + rng.normal(size=400) * 0.4
@@ -227,7 +201,8 @@ class TestMetrics:
         noisy = (noisy - noisy.mean()) / noisy.std() * r.std()
         r = r - r.mean()
         corr = np.mean(noisy * r) / np.sqrt(np.mean(noisy ** 2) * np.mean(r ** 2))
-        assert fve_from_fmse(fmse(noisy[None, :], r[None, :])) == \
+        # FVE = (1 - FMSE/2)^2 on standardized data
+        assert (1 - fmse(noisy[None, :], r[None, :]) / 2) ** 2 == \
             pytest.approx(corr ** 2, abs=1e-10)
 
     def test_missing_hours_excluded(self):
@@ -236,14 +211,20 @@ class TestMetrics:
         assert fmse(r_hat, r) == 0.0
 
     def test_report_and_groups(self):
+        # a group of periods is scored by the report of its columns
         rng = np.random.default_rng(7)
         c = random_spd(4, rng)
         b = loo_coefficients(invert_with_ridge(cov_of(c), 0.0))
         r = np.linalg.cholesky(c) @ rng.normal(size=(4, 500))
-        rep = prediction_report(b, r, group_labels=np.repeat([0, 1], 250))
-        assert set(rep.by_group) == {"0", "1"}
+        r_hat = predict(b, r)
+        rep = prediction_report(r_hat, r)
         assert 0.0 <= rep.fve <= 1.0
         assert len(rep.fmse_by_ticker) == 4
+        assert rep.fmse == pytest.approx(np.mean(rep.fmse_by_ticker), rel=1e-15)
+        for cols in (slice(0, 250), slice(250, 500)):
+            group = prediction_report(r_hat[:, cols], r[:, cols])
+            assert group.fmse == fmse(r_hat[:, cols], r[:, cols])
+            assert 0.0 <= group.fve <= 1.0
 
     def test_scale_equivariance(self):
         # rescaling one ticker's returns rescales its predictions and
@@ -262,7 +243,8 @@ class TestMetrics:
         assert np.allclose(pred2[2], 3.0 * pred1[2], rtol=1e-9)
         others = [i for i in range(n) if i != 2]
         assert np.allclose(pred2[others], pred1[others], rtol=1e-9)
-        assert fve(pred2, scaled) == pytest.approx(fve(pred1, r), rel=1e-9)
+        assert prediction_report(pred2, scaled).fve == \
+            pytest.approx(prediction_report(pred1, r).fve, rel=1e-9)
 
 
 class TestRefine:

@@ -43,27 +43,6 @@ def test_txn_time_is_non_decreasing(series, kind, seed):
 
 
 @settings(max_examples=100, deadline=None)
-@given(markets(), WEIGHTED, st.integers(0, 2**32 - 1))
-def test_clock_time_inverts_txn_time_where_rising(series, kind, seed):
-    clock = build_clock(series, kind, 2021)
-    c, x = clock.knots_clock, clock.knots_txn
-    rising = np.flatnonzero(np.diff(x) > 0)
-    rng = np.random.default_rng(seed)
-    seg = rng.choice(rising, 200)
-    t = c[seg] + rng.uniform(0.0, 1.0, len(seg)) * (c[seg + 1] - c[seg])
-    q = clock.to_txn_time(t)
-    # an hour that rounds onto a segment's end level is also held by the
-    # flat span there, and resolves to that span's start as documented
-    inside = (x[seg] < q) & (q < x[seg + 1])
-    back = clock.to_clock_time(q[inside])
-    # rounding of t and of the transaction hour, the latter stretched by
-    # the segment's clock seconds per transaction hour
-    slope = ((x[seg + 1] - x[seg]) / (c[seg + 1] - c[seg]))[inside]
-    tol = 8 * (np.spacing(t[inside]) + np.spacing(clock.total_txn_hours) / slope)
-    assert np.all(np.abs(back - t[inside]) <= tol)
-
-
-@settings(max_examples=100, deadline=None)
 @given(markets(), st.sampled_from(list(ClockKind)),
        st.sampled_from([1 / 60, 0.1, 0.5, 1.0, 7.0, 100.0]))
 def test_bins_hold_every_candle_inside_their_bounds(series, kind, tau):

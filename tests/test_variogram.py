@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from vartau import hurst
+from vartau import cli, hurst
+from vartau.candles import write_candles
 from vartau.clock import ClockKind, build_clock, year_bounds
 from vartau.errors import DataError
 from vartau.synthetic import point_candles, random_walk_candles
-from vartau.variogram import (Variogram, default_tau_grid, ensemble_percentiles,
-                              fit_power_law, loglog_interp, normalize_at,
+from vartau.variogram import (PERCENTILES, Variogram, default_tau_grid, fit_power_law,
+                              loglog_interp, normalize_at, percentile_curves,
                               variogram_diff_of_avg, variogram_two_point)
 from vartau.variogram import _nearest_index
 
@@ -186,21 +187,30 @@ class TestEnsemble:
     def test_identical_members_coincide(self):
         tau = np.array([1.0, 2.0, 4.0])
         v = Variogram(tau, np.array([1.0, 2.0, 4.0]), np.ones(3, int))
-        _, curves = ensemble_percentiles([v, v, v])
+        curves = percentile_curves(np.stack([v.v, v.v, v.v]))
         assert np.allclose(curves, np.tile(v.v, (5, 1)))
 
     def test_two_members_median_is_midpoint(self):
         tau = np.array([1.0, 2.0])
         a = Variogram(tau, np.array([1.0, 1.0]), np.ones(2, int))
         b = Variogram(tau, np.array([3.0, 2.0]), np.ones(2, int))
-        _, curves = ensemble_percentiles([a, b], percentiles=(50,))
-        assert np.allclose(curves[0], [2.0, 1.5])
+        curves = percentile_curves(np.stack([a.v, b.v]))
+        assert np.allclose(curves[PERCENTILES.index(50)], [2.0, 1.5])
 
-    def test_mismatched_grids_rejected(self):
-        a = Variogram(np.array([1.0, 2.0]), np.ones(2), np.ones(2, int))
-        b = Variogram(np.array([1.0, 3.0]), np.ones(2), np.ones(2, int))
-        with pytest.raises(DataError, match="mismatched"):
-            ensemble_percentiles([a, b])
+    def test_mismatched_grids_rejected(self, tmp_path):
+        # B trades 30 hours, too few for a return at 64 hours: its variogram
+        # is written, but the ensemble holds only the tickers on the full grid
+        write_candles(tmp_path / "A.csv", random_walk_candles("A", 2021, 8000, 60, seed=1))
+        write_candles(tmp_path / "B.csv", random_walk_candles("B", 2021, 30, 60, seed=2))
+        out = tmp_path / "out"
+        assert cli.main(["variogram", "--data-dir", str(tmp_path), "--year", "2021",
+                         "--clock", "clock", "--tau-grid", "0.5,1,4,64",
+                         "--out-dir", str(out)]) == 0
+        v_a = np.loadtxt(out / "variogram_A.csv", delimiter=",", skiprows=1)
+        v_b = np.loadtxt(out / "variogram_B.csv", delimiter=",", skiprows=1)
+        assert len(v_a) == 4 and len(v_b) == 3
+        ensemble = np.loadtxt(out / "ensemble.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(ensemble[:, 1:], np.tile(v_a[:, 1:2], (1, 5)))
 
     def test_memoryless_years_dispersion_grows(self):
         # the percentile fan widens with tau as samples per year shrink
@@ -211,7 +221,8 @@ class TestEnsemble:
             s = random_walk_candles("Y", 2021, 8760, spacing_minutes=60,
                                     vol_per_candle=4e-3, rng=rng)
             members.append(normalize_at(variogram_diff_of_avg(s, CLOCK, grid), 1.0))
-        tau, curves = ensemble_percentiles(members)
+        tau = grid
+        curves = percentile_curves(np.stack([m.v for m in members]))
         spread = curves[-1] - curves[0]          # p90 - p10 per tau
         assert spread[-1] > 2 * spread[1]
         med = curves[2] / tau * tau[0]
