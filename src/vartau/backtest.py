@@ -23,12 +23,10 @@ reinvested, so yearly results are sums, not compounds.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 import numpy as np
 
-from .candles import write_blocks
+from .candles import write_table
 from .errors import DataError
 from .hurst import PricePanel
 
@@ -55,10 +53,10 @@ class StrategyConfig:
             raise DataError("min_side_count must be >= 1")
         if not 0 < self.min_active_fraction <= 1:
             raise DataError("min_active_fraction must be in (0, 1]")
-        if self.stake <= 0:
-            raise DataError("stake must be positive")
-        if self.cost_per_round_trip < 0:
-            raise DataError("cost must be >= 0")
+        if not 0 < self.stake < np.inf:
+            raise DataError(f"stake must be positive and finite, got {self.stake}")
+        if not 0 <= self.cost_per_round_trip < np.inf:
+            raise DataError(f"cost must be >= 0 and finite, got {self.cost_per_round_trip}")
 
 
 @dataclass
@@ -79,15 +77,9 @@ class TradeLedger:
 
     def write_csv(self, path) -> None:
         """One row per trade, floats as their repr, tickers quoted as csv does."""
-        names = {t: _csv_field(t) for t in set(self.ticker)}
-
-        def lines(rows):
-            sides = np.where(self.side[rows] > 0, "long", "short").tolist()
-            floats = (a[rows].tolist() for a in (self.qty, self.entry, self.exit, self.pnl))
-            cols = zip(self.hour[rows].tolist(), self.ticker[rows], sides, *floats)
-            return (f"{h},{names[t]},{s},{q!r},{e!r},{x!r},{p!r}\n"
-                    for h, t, s, q, e, x, p in cols)
-        write_blocks(path, "hour,ticker,side,qty,entry,exit,pnl\n", len(self), lines)
+        write_table(path, ["hour", "ticker", "side", "qty", "entry", "exit", "pnl"],
+                    [self.hour, self.ticker, np.where(self.side > 0, "long", "short"),
+                     self.qty, self.entry, self.exit, self.pnl])
 
 
 @dataclass
@@ -100,12 +92,7 @@ class EquityCurve:
     def write_csv(self, path) -> None:
         """txn_hour, cum_pnl and the yield annualized over the hours up to it."""
         ann = self.cum_pnl / self.stake * ANNUAL_HOURS / np.maximum(self.hours + 1, 1)
-
-        def lines(rows):
-            cols = zip(self.hours[rows].tolist(), self.cum_pnl[rows].tolist(),
-                       ann[rows].tolist())
-            return (f"{h},{c!r},{a!r}\n" for h, c, a in cols)
-        write_blocks(path, "txn_hour,cum_pnl,annualized\n", len(self.hours), lines)
+        write_table(path, ["txn_hour", "cum_pnl", "annualized"], [self.hours, self.cum_pnl, ann])
 
 
 @dataclass
@@ -113,13 +100,6 @@ class BacktestResult:
     ledger: TradeLedger
     curve: EquityCurve
     info: dict = field(default_factory=dict)
-
-
-def _csv_field(text: str) -> str:
-    """``text`` as ``csv.writer`` writes it as one field of a longer row."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text, ""])
-    return buf.getvalue()[:-2]
 
 
 def annualized_yield(curve: EquityCurve) -> float:

@@ -11,11 +11,15 @@ half-open bins of length tau along a transaction-time axis (see
 ``vartau.clock``), averaging representative prices and coordinates within
 each bin. Returns are log differences of consecutive known bin prices,
 each carrying its actual elapsed transaction time.
+
+``write_table`` owns the CSV format of every table vartau writes; only
+``PricePanel.write_csv`` formats its own rows, for speed.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,8 +30,8 @@ from .errors import DataError
 
 CSV_HEADER = ["timestamp", "open", "high", "low", "close", "volume"]
 _ROW = np.dtype([("timestamp", np.int64)] + [(n, np.float64) for n in CSV_HEADER[1:]])
-# rows that write_blocks formats at a time, bounding its Python lists
-_WRITE_ROWS = 4096
+# cells that write_table formats at a time, bounding its Python lists
+_WRITE_CELLS = 1 << 15
 
 
 class CandleSeries:
@@ -244,21 +248,38 @@ def _reparse(path: Path) -> np.ndarray:
 
 def write_candles(path, series: CandleSeries) -> None:
     """Write a CandleSeries back to the interchange CSV format."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(CSV_HEADER)
-        for i in range(len(series)):
-            w.writerow([int(series.timestamps[i]), repr(float(series.open[i])),
-                        repr(float(series.high[i])), repr(float(series.low[i])),
-                        repr(float(series.close[i])), repr(float(series.volume[i]))])
+    write_table(path, CSV_HEADER, [series.timestamps, series.open, series.high,
+                                   series.low, series.close, series.volume])
 
 
-def write_blocks(path, header: str, n_rows: int, lines) -> None:
-    """Write ``header``, then ``lines(rows)`` for each slice of _WRITE_ROWS rows."""
+def write_table(path, header: list[str], cols) -> None:
+    """Write ``header``, then row i of the column list (or 2-d array) ``cols`` for each i.
+
+    Integer arrays are written in decimal, float arrays as each value's repr,
+    and text (a list or a string array) as ``csv.writer`` quotes a field of a
+    longer row. Lines end in LF. Rows are formatted _WRITE_CELLS cells at a
+    time; a matrix ``m`` is written row by row as ``m.T``.
+    """
+    fields = [_field_format(c) for c in cols]
+    step = max(1, _WRITE_CELLS // max(1, len(cols)))
     with open(path, "w", newline="") as fh:
-        fh.write(header)
-        for lo in range(0, n_rows, _WRITE_ROWS):
-            fh.writelines(lines(slice(lo, lo + _WRITE_ROWS)))
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for lo in range(0, len(cols[0]) if len(cols) else 0, step):
+            block = (f(c[lo:lo + step]) for f, c in zip(fields, cols))
+            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
+
+
+def _field_format(col):
+    """The function that turns a slice of ``col`` into its CSV fields."""
+    if isinstance(col, np.ndarray) and col.dtype.kind in "fiu":
+        return lambda part: map(repr if col.dtype.kind == "f" else str, part.tolist())
+    buf, quoted = io.StringIO(), {}
+    w = csv.writer(buf, lineterminator="\n")
+    for t in set(col):          # each distinct text is quoted once
+        buf.seek(0), buf.truncate()
+        w.writerow([t, ""])
+        quoted[t] = buf.getvalue()[:-2]
+    return lambda part: map(quoted.__getitem__, part)
 
 
 def bin_coordinates(coords: np.ndarray, prices: np.ndarray, tau: float):

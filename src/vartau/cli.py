@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 usage, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -29,7 +28,7 @@ from . import hurst
 from . import panel as pn
 from . import predictor as pred
 from . import variogram as vg
-from .candles import parse_candles
+from .candles import parse_candles, write_table
 from .clock import ClockKind, build_clock
 from .errors import DataError, NumericalError
 
@@ -56,16 +55,19 @@ def _sha256(path: Path) -> str:
 
 def _write_manifest(out_dir: Path, command: str, args, inputs: list[Path]) -> None:
     flags = {k: v for k, v in vars(args).items() if k not in _NON_FLAG_KEYS}
-    manifest = {
+    _write_json(out_dir / "run_manifest.json", {
         "tool": "vartau",
         "version": __version__,
         "command": command,
         "args": flags,
         "inputs": {str(p): _sha256(p) for p in sorted(set(map(Path, inputs)))},
         "created_utc": datetime.now(timezone.utc).isoformat(),
-    }
-    with open(out_dir / "run_manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    })
+
+
+def _write_json(path: Path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -174,7 +176,8 @@ def cmd_variogram(args) -> int:
     # the ensemble takes the tickers that kept every tau of the grid
     full = [v.v for v in results.values() if len(v) == len(grid)]
     if full:
-        vg.write_ensemble_csv(out / "ensemble.csv", grid, vg.percentile_curves(np.stack(full)))
+        write_table(out / "ensemble.csv", ["tau_hours"] + [f"p{p}" for p in vg.PERCENTILES],
+                    [grid, *vg.percentile_curves(np.stack(full))])
     _write_manifest(out, "variogram", args, _data_inputs(args.data_dir, series))
     return 0
 
@@ -182,8 +185,8 @@ def cmd_variogram(args) -> int:
 def cmd_simulate(args) -> int:
     if not -0.5 < args.epsilon < 0.5:
         raise UsageError(f"--epsilon must be in (-0.5, 0.5), got {args.epsilon}")
-    if args.years < 1 or args.hours_per_year < 4 or args.vol <= 0:
-        raise UsageError("--years >= 1, --hours-per-year >= 4, --vol > 0 required")
+    if args.years < 1 or args.hours_per_year < 4 or not 0 < args.vol < np.inf:
+        raise UsageError("--years >= 1, --hours-per-year >= 4, finite --vol > 0 required")
     params = hurst.HurstParams(args.epsilon, delta=args.delta,
                                rate=args.rate, sigma=args.sigma)
     method = {"fft": "fft_gaussian", "shot": "shot_noise"}[args.method]
@@ -211,11 +214,7 @@ def cmd_backtest(args) -> int:
             "rms_hourly_return": bt.rms_hourly_return(panel),
         }
         out = _out_dir(args)
-        with open(out / "yearly_returns.csv", "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["year", "net_return"])
-            for y, v in enumerate(p_y):
-                w.writerow([y, repr(float(v))])
+        write_table(out / "yearly_returns.csv", ["year", "net_return"], [np.arange(len(p_y)), p_y])
     else:
         if not args.data_dir or not args.years:
             raise UsageError(f"{args.strategy} needs --data-dir and --years")
@@ -250,9 +249,7 @@ def cmd_backtest(args) -> int:
         out = _out_dir(args)
         result.ledger.write_csv(out / "ledger.csv")
         result.curve.write_csv(out / "equity.csv")
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "summary.json", summary)
     _write_manifest(out, "backtest", args, inputs)
     print(json.dumps(summary, sort_keys=True))
     return 0
@@ -288,10 +285,7 @@ def cmd_predict(args) -> int:
         if np.any(variances <= 0) or np.isnan(variances).any():
             raise DataError(f"year {py}: a ticker has no return variance")
         grid["none"][str(py)] = _scores(pred.naive_predict(r, variances), r)
-    with open(out / "report.json", "w") as fh:
-        json.dump({"tickers": tickers, "fve_grid": grid}, fh, indent=2,
-                  sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "report.json", {"tickers": tickers, "fve_grid": grid})
     _write_manifest(out, "predict", args, _data_inputs(args.data_dir, series))
     print(json.dumps(grid, sort_keys=True))
     return 0
@@ -339,12 +333,9 @@ def cmd_correlate(args) -> int:
             predicted = cov.predicted_corr_ratio(med_v, grid, args.normalize_at)
         else:
             predicted = np.full(len(grid), np.nan)
-        with open(out / "corr_vs_tau.csv", "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["tau_hours", "p10", "p25", "p50", "p75", "p90", "predicted"])
-            for i, t in enumerate(grid):
-                w.writerow([repr(float(t))] + [repr(float(c[i])) for c in perc]
-                           + [repr(float(predicted[i]))])
+        write_table(out / "corr_vs_tau.csv",
+                    ["tau_hours", "p10", "p25", "p50", "p75", "p90", "predicted"],
+                    [grid, *perc, predicted])
     _write_manifest(out, "correlate", args, _data_inputs(args.data_dir, series))
     return 0
 

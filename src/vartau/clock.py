@@ -19,7 +19,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .candles import CandleSeries, write_blocks
+from .candles import CandleSeries, write_table
 from .errors import DataError
 
 
@@ -69,11 +69,8 @@ class ClockMap:
 
     def write_csv(self, path) -> None:
         """One row per knot: whole unix seconds and the txn hours' repr."""
-        def lines(rows):
-            cols = zip(self.knots_clock[rows].astype(np.int64).tolist(),
-                       self.knots_txn[rows].tolist())
-            return (f"{c},{x!r}\n" for c, x in cols)
-        write_blocks(path, "clock_unix,txn_hours\n", len(self.knots_clock), lines)
+        write_table(path, ["clock_unix", "txn_hours"],
+                    [self.knots_clock.astype(np.int64), self.knots_txn])
 
 
 def build_clock(all_candles, kind: ClockKind, year: int) -> ClockMap:

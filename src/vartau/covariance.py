@@ -27,14 +27,13 @@ observed correlation must follow tau/V_tot(tau), which is what
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .candles import CandleSeries, ReturnSeries, bin_coordinates
+from .candles import CandleSeries, ReturnSeries, bin_coordinates, write_table
 from .errors import DataError
 from .panel import Panel
 from .variogram import MAX_DT_FACTOR, loglog_interp, weighted_v
@@ -68,9 +67,9 @@ class CovMatrix:
         return CovMatrix(list(self.tickers), c, self.tau, self.n_obs.copy())
 
     def write_csv(self, path, n_obs_path=None) -> None:
-        _write_matrix_csv(path, self.tickers, self.c)
+        write_table(path, self.tickers, self.c.T)
         if n_obs_path is not None:
-            _write_matrix_csv(n_obs_path, self.tickers, self.n_obs, as_int=True)
+            write_table(n_obs_path, self.tickers, self.n_obs.T)
 
 
 @dataclass
@@ -79,7 +78,7 @@ class CorrMatrix:
     rho: np.ndarray          # clamped to [-1, 1], unit diagonal
 
     def write_csv(self, path) -> None:
-        _write_matrix_csv(path, self.tickers, self.rho)
+        write_table(path, self.tickers, self.rho.T)
 
 
 @dataclass
@@ -104,13 +103,6 @@ class TwoComponentModel:
             return 0.0
         return self.rho * float(self.v(tau)) / vt
 
-
-def _write_matrix_csv(path, tickers, m, as_int=False) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(tickers)
-        for row in m:
-            w.writerow([int(x) if as_int else repr(float(x)) for x in row])
 
 
 def return_grid(returns, shape: tuple[int, int], tau: float):

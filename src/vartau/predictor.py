@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .candles import write_table
 from .covariance import CovMatrix
 from .errors import DataError, NumericalError
 
@@ -43,11 +44,7 @@ class PredictionCoeffs:
     b: np.ndarray            # zero diagonal
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(self.tickers)
-            for row in self.b:
-                w.writerow([repr(float(x)) for x in row])
+        write_table(path, self.tickers, self.b.T)
 
 
 def read_coeffs_csv(path) -> PredictionCoeffs:
@@ -106,8 +103,8 @@ def invert_with_ridge(c: CovMatrix | np.ndarray, ridge: float = 0.0,
     else:
         m = np.asarray(c, dtype=float)
         tickers = list(tickers) if tickers is not None else [str(i) for i in range(len(m))]
-    if ridge < 0:
-        raise DataError("ridge must be non-negative")
+    if not 0 <= ridge < np.inf:
+        raise DataError(f"ridge must be non-negative and finite, got {ridge}")
     if np.isnan(m).any():
         raise DataError("covariance matrix has missing entries; impute first")
     if not np.allclose(m, m.T, atol=1e-10 * max(1.0, float(np.abs(m).max()))):

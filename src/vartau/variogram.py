@@ -18,12 +18,11 @@ and spans longer than MAX_DT_FACTOR = 3 times tau are discarded.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .candles import CandleSeries, bin_coordinates
+from .candles import CandleSeries, bin_coordinates, write_table
 from .errors import DataError
 
 # the dt band: a return is kept when 0 < dt <= MAX_DT_FACTOR * tau
@@ -47,11 +46,7 @@ class Variogram:
         return len(self.tau)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["tau_hours", "V", "n_samples"])
-            for t, v, n in zip(self.tau, self.v, self.n_samples):
-                w.writerow([repr(float(t)), repr(float(v)), int(n)])
+        write_table(path, ["tau_hours", "V", "n_samples"], [self.tau, self.v, self.n_samples])
 
 
 @dataclass
@@ -213,10 +208,3 @@ def percentile_curves(values: np.ndarray) -> np.ndarray:
         raise DataError("need a 2-d stack of curves")
     return np.percentile(values, list(PERCENTILES), axis=0)
 
-
-def write_ensemble_csv(path, tau, curves) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["tau_hours"] + [f"p{int(p)}" for p in PERCENTILES])
-        for i, t in enumerate(tau):
-            w.writerow([repr(float(t))] + [repr(float(c[i])) for c in curves])

@@ -3,11 +3,12 @@
 Each function is the loop that ``vartau`` used before a whole-array
 version replaced it. ``test_oracles.py`` requires the library to give the
 same answers: equal arrays for the ingest layers, whose arithmetic is done
-in the same order, equal bytes for the panel, ledger, equity and clock CSVs
-and for the rho(tau) table whose variograms a second binning pass made, equal
-counts with values within 1e-12 relative for the covariance, whose sums the
-grid product adds in another order, and shot-noise paths within the
-far-field series' truncation and rounding error. The block-wise backtests
+in the same order, equal bytes for every CSV writer against the
+``csv.writer`` row loop it replaced, and for the rho(tau) table whose
+variograms a second binning pass made, equal counts with values within
+1e-12 relative for the covariance, whose sums the grid product adds in
+another order, and shot-noise paths within the far-field series'
+truncation and rounding error. The block-wise backtests
 must book the same trades in the same row order with equal fill prices and
 skipped hours; a side's weights are normalized once instead of twice and the
 hourly pnl summed in another order, so qty must be within 1e-12 relative,
@@ -35,7 +36,7 @@ from vartau.covariance import corr_vs_tau, predicted_corr_ratio
 from vartau.errors import DataError
 from vartau.hurst import HurstParams, PricePanel, SimConfig, _postprocess
 from vartau.predictor import _per_ticker_moments, fmse, naive_predict
-from vartau.variogram import (MAX_DT_FACTOR, Variogram, loglog_interp,
+from vartau.variogram import (MAX_DT_FACTOR, PERCENTILES, Variogram, loglog_interp,
                               percentile_curves, variogram_diff_of_avg)
 
 
@@ -132,6 +133,63 @@ def build_clock_dict(all_candles, kind: ClockKind, year: int) -> ClockMap:
     knots_x[-2] = total_hours
     keep = np.concatenate(([True], np.diff(knots_c) > 0))
     return ClockMap(year, kind, knots_c[keep], knots_x[keep], total_hours)
+
+
+def write_candles_csv_rows(series: CandleSeries, path) -> None:
+    """The candle interchange CSV written by ``csv.writer``, one row at a time."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(CSV_HEADER)
+        for i in range(len(series)):
+            w.writerow([int(series.timestamps[i]), repr(float(series.open[i])),
+                        repr(float(series.high[i])), repr(float(series.low[i])),
+                        repr(float(series.close[i])), repr(float(series.volume[i]))])
+
+
+def write_variogram_csv_rows(v: Variogram, path) -> None:
+    """One variogram written by ``csv.writer``, one row per tau."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["tau_hours", "V", "n_samples"])
+        for t, x, n in zip(v.tau, v.v, v.n_samples):
+            w.writerow([repr(float(t)), repr(float(x)), int(n)])
+
+
+def write_ensemble_csv_rows(tau, curves, path) -> None:
+    """The variogram command's ensemble.csv: tau, then one column per percentile."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["tau_hours"] + [f"p{int(p)}" for p in PERCENTILES])
+        for i, t in enumerate(tau):
+            w.writerow([repr(float(t))] + [repr(float(c[i])) for c in curves])
+
+
+def write_matrix_csv_rows(tickers, m, path, as_int=False) -> None:
+    """A ticker x ticker matrix (cov, n_obs, corr, coefficients) under a ticker header."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(tickers)
+        for row in m:
+            w.writerow([int(x) if as_int else repr(float(x)) for x in row])
+
+
+def write_yearly_returns_csv_rows(p_y, path) -> None:
+    """The sim-meanrev backtest's yearly_returns.csv."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["year", "net_return"])
+        for y, v in enumerate(p_y):
+            w.writerow([y, repr(float(v))])
+
+
+def write_corr_vs_tau_csv_rows(tau_grid, perc, predicted, path) -> None:
+    """The correlate command's corr_vs_tau.csv from its percentile curves."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["tau_hours", "p10", "p25", "p50", "p75", "p90", "predicted"])
+        for i, t in enumerate(tau_grid):
+            w.writerow([repr(float(t))] + [repr(float(c[i])) for c in perc]
+                       + [repr(float(predicted[i]))])
 
 
 def write_clock_csv_rows(clock: ClockMap, path) -> None:
@@ -252,12 +310,7 @@ def write_corr_vs_tau_csv_loop(series, clock, tau_grid, normalize_tau, path) -> 
         predicted = predicted_corr_ratio(med_v, tau_grid, normalize_tau)
     else:
         predicted = np.full(len(tau_grid), np.nan)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["tau_hours", "p10", "p25", "p50", "p75", "p90", "predicted"])
-        for i, t in enumerate(tau_grid):
-            w.writerow([repr(float(t))] + [repr(float(c[i])) for c in perc]
-                       + [repr(float(predicted[i]))])
+    write_corr_vs_tau_csv_rows(tau_grid, perc, predicted, path)
 
 
 def multi_year_returns_loop(series, years, kind: ClockKind, tau: float = 1.0):

@@ -1,16 +1,21 @@
 """The command-line driver end to end on a small generated market."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from oracles import estimate_cov_loop, multi_year_returns_loop, write_corr_vs_tau_csv_loop
+from oracles import (estimate_cov_loop, multi_year_returns_loop, write_corr_vs_tau_csv_loop,
+                     write_ensemble_csv_rows, write_yearly_returns_csv_rows)
 from vartau import cli
+from vartau.backtest import run_sim_meanrev
 from vartau.candles import CandleSeries, parse_candles, write_candles
 from vartau.clock import ClockKind, build_clock
 from vartau.covariance import corr_vs_tau
+from vartau.hurst import read_panel_csv
 from vartau.synthetic import random_walk_candles
+from vartau.variogram import percentile_curves
 
 YEARS = (2021, 2022)
 # minutes between candles, one ticker each: every ticker trades up to the
@@ -211,3 +216,90 @@ def test_variogram_rejects_bad_tau_flags(data, tmp_path, capsys, flags):
     assert cli.main(["variogram", "--data-dir", str(data), "--year", "2021", *flags,
                      "--out-dir", str(tmp_path)]) == 2
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag, code", [
+    ("--ridge", 3), ("--cost", 3), ("--stake", 3),
+    ("--vol", 2), ("--delta", 3), ("--rate", 3), ("--sigma", 3),
+])
+def test_non_finite_flag_is_rejected_like_a_negative_one(data, tmp_path, capsys, flag,
+                                                          code, value):
+    out = tmp_path / "out"
+    if flag == "--ridge":
+        argv = ["predict", "--data-dir", str(data), "--train-years", "2021",
+                "--predict-years", "2022"]
+    elif flag in ("--cost", "--stake"):
+        argv = ["backtest", "--strategy", "market-meanrev", "--data-dir", str(data),
+                "--years", "2021", "--min-side-count", "1"]
+    else:
+        argv = ["simulate", "--epsilon", "0.1", "--hours-per-year", "50",
+                "--method", "shot"]
+    assert cli.main([*argv, f"{flag}={value}", "--out-dir", str(out)]) == code
+    assert ("usage error" if code == 2 else "data error") in capsys.readouterr().err
+    written = {p.name for p in out.glob("*")} if out.exists() else set()
+    assert not {"summary.json", "panel.csv"} & written
+    assert not [n for n in written if n.startswith("coeffs_")]
+
+
+@pytest.fixture(scope="module")
+def outputs(data, tmp_path_factory):
+    """Every command's output directory: the candle commands on the module's
+    market, and a simulated panel with its sim-meanrev backtest."""
+    root = tmp_path_factory.mktemp("outputs")
+    years = ",".join(map(str, YEARS))
+    runs = {
+        "clock": ["clock", "--data-dir", str(data), "--year", "2021"],
+        "variogram": ["variogram", "--data-dir", str(data), "--year", "2021",
+                      "--tau-grid", "0.25:32:4"],
+        "correlate": ["correlate", "--data-dir", str(data), "--years", years,
+                      "--tau-grid", "0.25,0.5,1,2,4,8"],
+        "predict": ["predict", "--data-dir", str(data), "--train-years", "2021",
+                    "--predict-years", "2022"],
+        "meanrev": ["backtest", "--strategy", "market-meanrev", "--data-dir", str(data),
+                    "--years", years, "--min-side-count", "1", "--long-only"],
+        "xcorr": ["backtest", "--strategy", "xcorr", "--data-dir", str(data),
+                  "--years", years, "--coeffs", str(root / "predict" / "coeffs_2021.csv")],
+        "simulate": ["simulate", "--epsilon", "0.1", "--years", "3",
+                     "--hours-per-year", "200", "--seed", "4"],
+        "sim": ["backtest", "--strategy", "sim-meanrev",
+                "--panel", str(root / "simulate" / "panel.csv")],
+    }
+    for name, argv in runs.items():
+        assert cli.main([*argv, "--out-dir", str(root / name)]) == 0, name
+    return root
+
+
+def test_every_csv_reads_back_as_its_table(outputs):
+    """Each row has the header's field count and each float field is its own repr."""
+    files = sorted(outputs.glob("*/*.csv"))
+    assert {p.parent.name for p in files} == {"clock", "variogram", "correlate", "predict",
+                                              "meanrev", "xcorr", "simulate", "sim"}
+    for path in files:
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows, path
+        for row in rows:
+            assert len(row) == len(header), path
+            for s in row:
+                try:
+                    x = int(s) if s.lstrip("-").isdigit() else float(s)
+                except ValueError:
+                    continue                    # a ticker or a side
+                assert repr(x) == s, (path, s)
+
+
+def test_cli_tables_match_row_loops(outputs, tmp_path):
+    """ensemble.csv and yearly_returns.csv against the loops that wrote them."""
+    curves = [np.loadtxt(p, delimiter=",", skiprows=1, usecols=1, ndmin=1)
+              for p in sorted((outputs / "variogram").glob("variogram_*.csv"))]
+    grid = np.loadtxt(outputs / "variogram" / "ensemble.csv", delimiter=",", skiprows=1,
+                      usecols=0)
+    full = np.stack([v for v in curves if len(v) == len(grid)])
+    write_ensemble_csv_rows(grid, percentile_curves(full), tmp_path / "ensemble.csv")
+    assert ((outputs / "variogram" / "ensemble.csv").read_bytes()
+            == (tmp_path / "ensemble.csv").read_bytes())
+    p_y = run_sim_meanrev(read_panel_csv(outputs / "simulate" / "panel.csv"))
+    write_yearly_returns_csv_rows(p_y, tmp_path / "yearly.csv")
+    assert ((outputs / "sim" / "yearly_returns.csv").read_bytes()
+            == (tmp_path / "yearly.csv").read_bytes())

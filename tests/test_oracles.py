@@ -10,11 +10,12 @@ and candles, with gaps, unequal elapsed times and pairs that never
 overlap: counts and missing cells must be equal and values within 1e-12
 relative, because the grid product sums in another order. The shot-noise
 log price is compared with the exact sum over every (hour, event) pair on
-generated parameters and events, and the panel, ledger, equity and clock
-CSVs with the ``csv.writer`` rows byte for byte, the last three also with
-their writers' blocks cut to 3 rows. The block-wise backtests are compared
-with their hour loops on generated gappy prices with exact ties and
-one-sided hours, across block boundaries. The prediction report is compared
+generated parameters and events, and every CSV writer with the
+``csv.writer`` rows byte for byte, on generated floats with NaN, +-inf,
+-0.0 and subnormals and tickers that need quoting, with ``write_table``'s
+blocks cut to 3 and 20 cells as well as at their default. The block-wise
+backtests are compared with their hour loops on generated gappy prices
+with exact ties and one-sided hours, across block boundaries. The prediction report is compared
 with the per-metric scores it replaced on generated predictions with NaN
 cells, tickers with no observed outcome and rows of zero predictions.
 """
@@ -33,21 +34,23 @@ from oracles import (bin_coordinates_unique, build_clock_dict, corr_vs_tau_loop,
                      estimate_cov_loop, fve, fve_plain, naive_scores, parse_candles_loop,
                      run_market_meanrev_loop,
                      run_xcorr_strategy_loop, shot_logp_loop, simulate_shot_noise_loop,
-                     write_clock_csv_rows, write_equity_csv_rows, write_ledger_csv_rows,
-                     write_panel_csv_rows)
+                     write_candles_csv_rows, write_clock_csv_rows, write_corr_vs_tau_csv_rows,
+                     write_ensemble_csv_rows, write_equity_csv_rows, write_ledger_csv_rows,
+                     write_matrix_csv_rows, write_panel_csv_rows, write_variogram_csv_rows,
+                     write_yearly_returns_csv_rows)
 from test_backtest import gappy_prices
 from vartau import backtest, candles, cli
 from vartau.backtest import (EquityCurve, StrategyConfig, TradeLedger, run_market_meanrev,
                              run_xcorr_strategy)
 from vartau.candles import (CSV_HEADER, CandleSeries, ReturnSeries, bin_coordinates,
-                            parse_candles)
+                            parse_candles, write_candles, write_table)
 from vartau.clock import ClockKind, ClockMap, build_clock, year_bounds
-from vartau.covariance import corr_vs_tau, pair_stats, return_grid
+from vartau.covariance import CorrMatrix, CovMatrix, corr_vs_tau, pair_stats, return_grid
 from vartau.errors import DataError
 from vartau.hurst import (HurstParams, PricePanel, SimConfig, _shot_logp, simulate_fbm,
                           simulate_shot_noise)
 from vartau.predictor import PredictionCoeffs, fmse, naive_predict, prediction_report
-from vartau.variogram import default_tau_grid
+from vartau.variogram import PERCENTILES, Variogram, default_tau_grid
 
 T0, T1 = year_bounds(2021)
 COLUMNS = ("timestamps", "open", "high", "low", "close", "volume")
@@ -375,17 +378,29 @@ def test_shot_noise_draws_the_same_events(eps, delta, rate, years, hours):
 
 
 def written(write, obj, block=None) -> bytes:
-    """The bytes ``write`` gives, with ``block`` rows formatted at a time when given."""
+    """The bytes ``write`` gives, with ``block`` cells formatted at a time when given."""
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         if block is not None:
-            mp.setattr(candles, "_WRITE_ROWS", block)
+            mp.setattr(candles, "_WRITE_CELLS", block)
         path = Path(tmp) / "out.csv"
         write(obj, path)
         return path.read_bytes()
 
 
+# cells per write_table block: one row at a time, a few rows, the default
+BLOCKS = st.sampled_from([3, 20, None])
+ticker_names = st.one_of(st.sampled_from(["A,B", 'Q"X', "\r", "T1", ""]),
+                         st.text(alphabet='ab ,"\r\n\t\'', max_size=4))
+
+
+def float_cells(shape):
+    """Float arrays that reach every repr: NaN, +-inf, -0.0, tiny and huge values."""
+    return hnp.arrays(np.float64, shape, elements=st.one_of(
+        st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 1e-300, 5e-324]), st.floats()))
+
+
 @settings(max_examples=50, deadline=None)
-@given(markets(), st.sampled_from(list(ClockKind)), st.sampled_from([3, 4096]))
+@given(markets(), st.sampled_from(list(ClockKind)), BLOCKS)
 def test_clock_csv_matches_rows(series, kind, block):
     try:
         clock = build_clock(series, kind, 2021)
@@ -475,17 +490,13 @@ def test_xcorr_matches_hour_loop(prices, staleness, top, cost, zero_b, seed, blo
     assert_same_backtest(got, want, cost)
 
 
-ticker_names = st.one_of(st.sampled_from(["A,B", 'Q"X', "T1", ""]),
-                    st.text(alphabet='ab ,"\r\n\t\'', max_size=4))
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 12).flatmap(lambda n: st.tuples(
     hnp.arrays(np.int64, n, elements=st.integers(0, 10**6)),
     st.lists(ticker_names, min_size=n, max_size=n),
     hnp.arrays(np.int64, n, elements=st.sampled_from([1, -1])),
     *[hnp.arrays(np.float64, n)] * 4)),
-    st.sampled_from([3, 4096]))
+    BLOCKS)
 @example((np.array([3, 3]), ["A,B", 'Q"X'], np.array([1, -1]), *[np.array([0.5, -1e-300])] * 4),
          3)
 def test_ledger_csv_matches_rows(cols, block):
@@ -497,11 +508,70 @@ def test_ledger_csv_matches_rows(cols, block):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 12).flatmap(lambda n: st.tuples(
     hnp.arrays(np.int64, n, elements=st.integers(-3, 10**6)), hnp.arrays(np.float64, n))),
-    st.one_of(st.floats(1e-3, 1e3), st.integers(1, 5)), st.sampled_from([3, 4096]))
+    st.one_of(st.floats(1e-3, 1e3), st.integers(1, 5)), BLOCKS)
 def test_equity_csv_matches_rows(cols, stake, block):
     curve = EquityCurve(*cols, stake, len(cols[0]))
     assert (written(EquityCurve.write_csv, curve, block)
             == written(write_equity_csv_rows, curve))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(
+    hnp.arrays(np.int64, n, elements=st.integers(-2**62, 2**62), unique=True),
+    *[float_cells(n)] * 5)), BLOCKS)
+def test_candles_csv_matches_rows(cols, block):
+    series = CandleSeries("T", np.sort(cols[0]), *cols[1:])
+    assert (written(lambda s, p: write_candles(p, s), series, block)
+            == written(write_candles_csv_rows, series))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(
+    float_cells(n), float_cells(n), hnp.arrays(np.int64, n))), BLOCKS)
+def test_variogram_csv_matches_rows(cols, block):
+    v = Variogram(*cols)
+    assert written(Variogram.write_csv, v, block) == written(write_variogram_csv_rows, v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.lists(ticker_names, min_size=n, max_size=n), float_cells((n, n)),
+    hnp.arrays(np.int64, (n, n)))), BLOCKS)
+@example((["A,B", 'Q"X', "\r", ""], np.full((4, 4), -0.0), np.zeros((4, 4), dtype=np.int64)),
+         3)
+def test_matrix_csvs_match_rows(data, block):
+    """cov.csv and n_obs.csv, corr.csv and coeffs_*.csv: a ticker header, one row per ticker."""
+    tickers, m, n_obs = data
+    cmat = CovMatrix(tickers, m, 1.0, n_obs)
+    assert (written(lambda c, p: c.write_csv(p), cmat, block)
+            == written(lambda c, p: write_matrix_csv_rows(c.tickers, c.c, p), cmat))
+    assert (written(lambda c, p: c.write_csv(p.with_suffix(".cov"), p), cmat, block)
+            == written(lambda c, p: write_matrix_csv_rows(c.tickers, c.n_obs, p, True), cmat))
+    rmat = CorrMatrix(tickers, m)
+    assert (written(CorrMatrix.write_csv, rmat, block)
+            == written(lambda c, p: write_matrix_csv_rows(c.tickers, c.rho, p), rmat))
+    coeffs = PredictionCoeffs(tickers, m)
+    assert (written(PredictionCoeffs.write_csv, coeffs, block)
+            == written(lambda c, p: write_matrix_csv_rows(c.tickers, c.b, p), coeffs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(
+    float_cells(n), float_cells((len(PERCENTILES), n)), float_cells(n))), BLOCKS)
+def test_cli_tables_match_rows(cols, block):
+    """The column lists of the cli's ensemble.csv, corr_vs_tau.csv and yearly_returns.csv."""
+    tau, curves, other = cols
+    tables = [
+        (["tau_hours"] + [f"p{p}" for p in PERCENTILES], [tau, *curves],
+         lambda p: write_ensemble_csv_rows(tau, curves, p)),
+        (["tau_hours", "p10", "p25", "p50", "p75", "p90", "predicted"], [tau, *curves, other],
+         lambda p: write_corr_vs_tau_csv_rows(tau, curves, other, p)),
+        (["year", "net_return"], [np.arange(len(other)), other],
+         lambda p: write_yearly_returns_csv_rows(other, p)),
+    ]
+    for header, table, rows in tables:
+        assert (written(lambda t, p: write_table(p, header, t), table, block)
+                == written(lambda _, p: rows(p), None))
 
 
 @st.composite
