@@ -123,7 +123,7 @@ def run_sim_meanrev(panel: PricePanel | np.ndarray) -> np.ndarray:
     the share count q = -r_hat / p[h+1]; shares trade at the hour-average
     prices p[h+2] (enter) and p[h+3] (exit). The yearly figure is the
     pnl sum over hours, divided by the summed |r_hat| at stake, and
-    scaled to an 8760-hour year (uncompounded).
+    scaled to an 8760-hour year (uncompounded); 0 for a flat year.
     """
     prices = panel.prices if isinstance(panel, PricePanel) else np.asarray(panel, dtype=float)
     if prices.shape[1] < 4:
@@ -134,7 +134,10 @@ def run_sim_meanrev(panel: PricePanel | np.ndarray) -> np.ndarray:
     r_hat = np.diff(np.log(prices), axis=1) / rms
     q = -r_hat[:, :-2] / prices[:, 1:-2]
     pnl = q * (prices[:, 3:] - prices[:, 2:-1])
-    return ANNUAL_HOURS * pnl.sum(axis=1) / np.abs(r_hat[:, :-2]).sum(axis=1)
+    staked = np.abs(r_hat[:, :-2]).sum(axis=1)
+    # a year whose r_hat is all zero stakes nothing and returns 0
+    return np.divide(ANNUAL_HOURS * pnl.sum(axis=1), staked,
+                     out=np.zeros(len(staked)), where=staked != 0)
 
 
 def _book(prices, tickers, entry_offset, config, sides) -> BacktestResult:

@@ -28,8 +28,8 @@ from . import hurst
 from . import panel as pn
 from . import predictor as pred
 from . import variogram as vg
-from .candles import parse_candles, write_table
-from .clock import ClockKind, build_clock
+from .candles import CandleSeries, parse_candles, write_table
+from .clock import ClockKind, build_clock, year_bounds
 from .errors import DataError, NumericalError
 
 CLOCK_KINDS = {"clock": ClockKind.CLOCK, "dollar": ClockKind.DOLLAR_WEIGHTED,
@@ -66,19 +66,36 @@ def _write_manifest(out_dir: Path, command: str, args, inputs: list[Path]) -> No
 
 
 def _write_json(path: Path, obj) -> None:
+    """Strict JSON: a NaN or infinity raises NumericalError and writes no file."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"{path}: {exc}") from None
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
-def _load_dir(data_dir: str) -> dict:
+def _load_dir(data_dir: str, years: list[int]) -> dict:
+    """Every candle file's series, cut to the span of the given years.
+
+    A cut series gets its own copy of the kept rows, so the rest of the file
+    is freed; a file with no candle in the span gives an empty series.
+    """
     d = Path(data_dir)
     if not d.is_dir():
         raise DataError(f"data directory {data_dir!r} does not exist")
     files = sorted(d.glob("*.csv"))
     if not files:
         raise DataError(f"no .csv candle files in {data_dir!r}")
-    return {f.stem: parse_candles(f) for f in files}
+    t0, t1 = year_bounds(min(years))[0], year_bounds(max(years))[1]
+    out = {}
+    for f in files:
+        s = parse_candles(f)
+        sub = s.slice_window(t0, t1)
+        out[f.stem] = s if len(sub) == len(s) else CandleSeries(
+            s.ticker, *(a.copy() for a in (sub.timestamps, sub.open, sub.high,
+                                           sub.low, sub.close, sub.volume)))
+    return out
 
 
 def _data_inputs(data_dir: str, series: dict) -> list[Path]:
@@ -142,7 +159,7 @@ def _clocks(series: dict, years: list[int], kind: ClockKind) -> list:
 # ---------------------------------------------------------------------------
 
 def cmd_clock(args) -> int:
-    series = _load_dir(args.data_dir)
+    series = _load_dir(args.data_dir, [args.year])
     clock = build_clock(series.values(), CLOCK_KINDS[args.kind], args.year)
     out = _out_dir(args)
     clock.write_csv(out / f"clock_{args.year}_{args.kind}.csv")
@@ -153,7 +170,7 @@ def cmd_clock(args) -> int:
 def cmd_variogram(args) -> int:
     grid = _parse_tau_grid(args.tau_grid)
     _check_normalize_at(args.normalize_at, grid)
-    series = _load_dir(args.data_dir)
+    series = _load_dir(args.data_dir, [args.year])
     clock = build_clock(series.values(), CLOCK_KINDS[args.clock], args.year)
     results = {}
     for t in sorted(series):
@@ -219,7 +236,7 @@ def cmd_backtest(args) -> int:
         if not args.data_dir or not args.years:
             raise UsageError(f"{args.strategy} needs --data-dir and --years")
         years = _parse_years(args.years)
-        series = _load_dir(args.data_dir)
+        series = _load_dir(args.data_dir, years)
         inputs += _data_inputs(args.data_dir, series)
         config = bt.StrategyConfig(
             staleness=args.staleness, top_fraction=args.top_fraction,
@@ -259,7 +276,7 @@ def cmd_predict(args) -> int:
     train_years = _parse_years(args.train_years)
     predict_years = _parse_years(args.predict_years)
     all_years = sorted(set(train_years) | set(predict_years))
-    series = _load_dir(args.data_dir)
+    series = _load_dir(args.data_dir, all_years)
     clocks = _clocks(series, all_years, CLOCK_KINDS[args.kind])
     panel = pn.build_panel(series, clocks).eligible(args.min_active_fraction)
     tickers = panel.tickers
@@ -303,7 +320,7 @@ def cmd_correlate(args) -> int:
     grid = _parse_tau_grid(args.tau_grid) if args.tau_grid else None
     if grid is not None:
         _check_normalize_at(args.normalize_at, grid)
-    series = _load_dir(args.data_dir)
+    series = _load_dir(args.data_dir, years)
     out = _out_dir(args)
 
     clocks = _clocks(series, years, CLOCK_KINDS[args.kind])

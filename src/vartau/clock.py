@@ -7,6 +7,12 @@ year's dollar trading volume. Weights accumulate at one-minute (candle)
 granularity; the map is linear within a minute and flat across spans
 with no trading, so no transaction time elapses between sessions.
 
+``build_clock`` adds each series' in-year weights into one array over the
+year's minutes (4.2 MB, 525,600 float64), series by series, and reads the
+traded minutes off a boolean array of the same length. Its working memory
+is that array plus one series' weights, whatever the number of candles,
+and it needs every in-year timestamp on a minute boundary.
+
 Supported weightings: dollar volume (representative price x shares),
 share volume, and the identity clock (plain rescaled clock time).
 """
@@ -76,8 +82,9 @@ class ClockMap:
 def build_clock(all_candles, kind: ClockKind, year: int) -> ClockMap:
     """Accumulate per-minute weights over all tickers into a ClockMap.
 
-    Candles outside the calendar year are ignored. For CLOCK the map is
-    the identity up to the hours-in-year scaling.
+    Candles outside the calendar year are ignored; an in-year timestamp off
+    a minute boundary raises DataError. For CLOCK the map is the identity
+    up to the hours-in-year scaling.
     """
     t0, t1 = year_bounds(year)
     total_hours = float((t1 - t0) // 3600)
@@ -86,19 +93,27 @@ def build_clock(all_candles, kind: ClockKind, year: int) -> ClockMap:
         knots_x = np.array([0.0, total_hours])
         return ClockMap(year, kind, knots_c, knots_x, total_hours)
 
-    subs = []
+    # the year's minutes: each series' weights are added in ticker order,
+    # so every minute sums its candles in the order a bincount over the
+    # concatenated series would
+    acc = np.zeros((t1 - t0) // 60)
+    traded = np.zeros(len(acc), dtype=bool)
     for series in all_candles:
         if not isinstance(series, CandleSeries):
             raise DataError("build_clock expects CandleSeries inputs")
-        subs.append(series.slice_window(t0, t1))
-    if sum(len(s) for s in subs) == 0:
+        sub = series.slice_window(t0, t1)
+        slot, off = np.divmod(sub.timestamps - t0, 60)
+        if off.any():
+            bad = int(sub.timestamps[np.argmax(off != 0)])
+            raise DataError(f"{series.ticker}: timestamp {bad} is not a minute boundary")
+        acc[slot] += sub.dollar_weights() if kind is ClockKind.DOLLAR_WEIGHTED else sub.volume
+        traded[slot] = True
+    slot = np.flatnonzero(traded)
+    if len(slot) == 0:
         raise DataError(f"no candles inside year {year}")
-    stamps = np.concatenate([s.timestamps for s in subs])
-    weights = np.concatenate([s.dollar_weights() if kind is ClockKind.DOLLAR_WEIGHTED
-                              else s.volume for s in subs])
-    # bincount adds each minute's weights in input (ticker) order
-    minutes, slot = np.unique(stamps, return_inverse=True)
-    w = np.bincount(slot, weights=weights, minlength=len(minutes))
+    minutes = t0 + 60 * slot
+    w = acc[slot]
+    del acc, traded
     total_w = w.sum()
     if total_w <= 0:
         raise DataError(f"zero total weight for year {year}")

@@ -9,8 +9,13 @@ estimators do), after returns outside the dt band 0 < dt <= 3 tau
 (``variogram.MAX_DT_FACTOR``) are dropped and per-ticker mean returns
 are removed. Pairs with too few joint observations are reported as
 missing. The weight factorises, so with z = r*sqrt(tau/dt) on a
-zero-filled (ticker x start bin) grid Z and a 0/1 mask M, the sums for
-all pairs are Z @ Z.T and the joint counts M @ M.T. The Hayashi-Yoshida
+(ticker x start bin) grid Z, zero where a ticker has no return, and its
+0/1 mask M, the sums for all pairs are Z @ Z.T and the joint counts
+M @ M.T. ``pair_stats`` never holds Z whole: it keeps each ticker's z and
+start bins, and adds both products up over blocks of ``_BLOCK_BINS``
+columns, so its dense temporaries are tickers x ``_BLOCK_BINS`` at any
+tau. The blocks reorder the sums, so they agree with a pair-by-pair loop
+to rounding, not bit for bit. The Hayashi-Yoshida
 estimator (Bernoulli 11(2), 2005), which sums the products of all
 overlapping return intervals with no common grid, is the usual
 asynchronous alternative; it is not implemented here. Correlation falling
@@ -39,6 +44,8 @@ from .panel import Panel
 from .variogram import MAX_DT_FACTOR, loglog_interp, weighted_v
 
 DEFAULT_MIN_OBS = 50
+# grid columns per block of pair_stats' products; bounds its dense temporaries
+_BLOCK_BINS = 4096
 
 
 @dataclass
@@ -105,36 +112,61 @@ class TwoComponentModel:
 
 
 
-def return_grid(returns, shape: tuple[int, int], tau: float):
-    """Weighted returns z and a 0/1 mask m on a (series, start bin) grid.
+def pair_stats(returns, shape: tuple[int, int], tau: float):
+    """Weighted cross-moments of all pairs of rows of a (series, start bin) grid.
 
     Row i takes the i-th ReturnSeries (read once): the returns with dt in
     (0, MAX_DT_FACTOR*tau], demeaned, as z = r*sqrt(tau/dt) at their start
-    indices, which must be distinct and in [0, shape[1]). Empty cells are 0.
-    The float32 mask counts exactly below 2**24.
-    """
-    z = np.zeros(shape)
-    m = np.zeros(shape, dtype=np.float32)
-    for i, rs in enumerate(returns):
-        keep = (rs.dt > 0) & (rs.dt <= MAX_DT_FACTOR * tau)
-        k, r = rs.start_index[keep], rs.r[keep]
-        if len(k) and k.min() < 0:
-            raise DataError(f"negative start index {k.min()}")
-        z[i, k] = (r - r.mean() if len(r) else r) * np.sqrt(tau / rs.dt[keep])
-        m[i, k] = 1.0
-    return z, m
-
-
-def pair_stats(z: np.ndarray, m: np.ndarray):
-    """Weighted cross-moments of all pairs of rows of a return grid.
-
+    indices, which must be strictly increasing and in [0, shape[1]).
     z_a*z_b is r_a*r_b reweighted by tau/sqrt(dt_a*dt_b), so the sums are
-    z @ z.T and the joint counts m @ m.T. Returns (covariance, counts), both
-    exactly symmetric; a pair with no joint bin gets (nan, 0).
+    Z @ Z.T and the joint counts M @ M.T over the zero-filled grid Z and its
+    0/1 mask M. Each row is kept compactly, as its z and their positions in
+    column blocks of ``_BLOCK_BINS``; block by block, every row's values fill
+    one dense block and its mask, whose products are added up (the float32
+    mask counts exactly within a block). Returns (covariance, int64 counts),
+    both exactly symmetric; a pair with no joint bin gets (nan, 0).
     """
-    n_obs = (m @ m.T).astype(np.int64)
+    n, width = shape
+    edges = np.append(np.arange(0, width, _BLOCK_BINS), width)
+    widths = np.diff(edges)
+    # pieces[b]: each row's returns in block b, as their positions in the
+    # block's row-major (n, widths[b]) array and their z
+    pieces = [[] for _ in widths]
+    sizes = np.zeros(len(widths), dtype=np.int64)
+    for i, rs in enumerate(returns):
+        k, r, dt = rs.start_index, rs.r, rs.dt
+        keep = (dt > 0) & (dt <= MAX_DT_FACTOR * tau)
+        if not keep.all():
+            k, r, dt = k[keep], r[keep], dt[keep]
+        if not len(k):
+            continue
+        if k[0] < 0 or k[-1] >= width or np.any(k[1:] <= k[:-1]):
+            raise DataError(f"start indices of row {i} are not increasing "
+                            f"inside [0, {width})")
+        z = r - r.mean()
+        z *= np.sqrt(tau / dt)
+        cut = np.searchsorted(k, edges)
+        sizes += np.diff(cut)
+        for b in np.flatnonzero(np.diff(cut)).tolist():
+            lo, hi = cut[b], cut[b + 1]
+            pieces[b].append((k[lo:hi] + (i * widths[b] - edges[b]), z[lo:hi]))
+    sums = np.zeros((n, n))
+    n_obs = np.zeros((n, n), dtype=np.int64)
+    # one block's positions and values at a time, in buffers reused by every block
+    flat_buf = np.empty(sizes.max(initial=0), dtype=np.int64)
+    z_buf = np.empty(len(flat_buf))
+    for b, block in enumerate(pieces):
+        if not block:
+            continue
+        flat = np.concatenate([p[0] for p in block], out=flat_buf[:sizes[b]])
+        zb = np.zeros((n, widths[b]))
+        zb.ravel()[flat] = np.concatenate([p[1] for p in block], out=z_buf[:sizes[b]])
+        mb = np.zeros(zb.shape, dtype=np.float32)
+        mb.ravel()[flat] = 1.0
+        sums += zb @ zb.T
+        n_obs += (mb @ mb.T).astype(np.int64)
     with np.errstate(invalid="ignore", divide="ignore"):
-        c = (z @ z.T) / n_obs
+        c = sums / n_obs
     lower = np.tril_indices(len(c), -1)
     c[lower] = c.T[lower]
     return c, n_obs
@@ -142,7 +174,7 @@ def pair_stats(z: np.ndarray, m: np.ndarray):
 
 def estimate_cov(panel: Panel, min_obs: int = DEFAULT_MIN_OBS) -> CovMatrix:
     """Covariance of the log returns between consecutive bins of a grid's rows."""
-    c, n_obs = pair_stats(*return_grid(panel.returns(), panel.price.shape, panel.tau))
+    c, n_obs = pair_stats(panel.returns(), panel.price.shape, panel.tau)
     c[n_obs < max(min_obs, 2)] = np.nan
     return CovMatrix(list(panel.tickers), c, panel.tau, n_obs)
 
@@ -186,8 +218,8 @@ def corr_vs_tau(series: Mapping[str, CandleSeries], clock, tau_grid,
                 normalize_tau: float = 1.0, min_obs: int = 2):
     """Pairwise correlation as a function of resolution, normalized at 1 hr.
 
-    ``series`` maps ticker to CandleSeries. Per tau, one return grid and one
-    product give every pair, with the variances on the diagonal. Returns
+    ``series`` maps ticker to CandleSeries. Per tau, one ``pair_stats`` call
+    gives every pair, with the variances on the diagonal. Returns
     (pairs, curves, v). curves is (n_pairs, n_tau) normalized rho, NaN where
     a pair or a variance had fewer than ``min_obs`` samples or a variance was
     not positive, and for a pair whose values do not reach tau0 on both
@@ -206,7 +238,7 @@ def corr_vs_tau(series: Mapping[str, CandleSeries], clock, tau_grid,
         # the greatest grid index a coordinate of the year can take, plus one
         width = int(np.floor_divide(clock.total_txn_hours, tau)) + 1
         returns = _binned_returns(coords, prices, tau, v[:, k])
-        c, n_obs = pair_stats(*return_grid(returns, (len(tickers), width), tau))
+        c, n_obs = pair_stats(returns, (len(tickers), width), tau)
         var = np.diag(c)
         good = (var > 0) & (np.diag(n_obs) >= floor)
         with np.errstate(invalid="ignore"):

@@ -1,7 +1,8 @@
 """Loop reference implementations of vectorised ``vartau`` layers.
 
 Each function is the loop that ``vartau`` used before a whole-array
-version replaced it. ``test_oracles.py`` requires the library to give the
+version replaced it; ``build_clock_unique`` is the whole-array clock that
+the per-minute accumulation replaced. ``test_oracles.py`` requires the library to give the
 same answers: equal arrays for the ingest layers, whose arithmetic is done
 in the same order, equal bytes for every CSV writer against the
 ``csv.writer`` row loop it replaced, and for the rho(tau) table whose
@@ -131,6 +132,40 @@ def build_clock_dict(all_candles, kind: ClockKind, year: int) -> ClockMap:
     knots_x[2::2] = cum / total_w * total_hours
     knots_c[-1], knots_x[-1] = float(t1), total_hours
     knots_x[-2] = total_hours
+    keep = np.concatenate(([True], np.diff(knots_c) > 0))
+    return ClockMap(year, kind, knots_c[keep], knots_x[keep], total_hours)
+
+
+def build_clock_unique(all_candles, kind: ClockKind, year: int) -> ClockMap:
+    """Every in-year stamp concatenated, minutes by ``np.unique``, weights by bincount."""
+    t0, t1 = year_bounds(year)
+    total_hours = float((t1 - t0) // 3600)
+    if kind is ClockKind.CLOCK:
+        return ClockMap(year, kind, np.array([t0, t1], dtype=float),
+                        np.array([0.0, total_hours]), total_hours)
+    subs = [series.slice_window(t0, t1) for series in all_candles]
+    if sum(len(s) for s in subs) == 0:
+        raise DataError(f"no candles inside year {year}")
+    stamps = np.concatenate([s.timestamps for s in subs])
+    weights = np.concatenate([s.dollar_weights() if kind is ClockKind.DOLLAR_WEIGHTED
+                              else s.volume for s in subs])
+    minutes, slot = np.unique(stamps, return_inverse=True)
+    w = np.bincount(slot, weights=weights, minlength=len(minutes))
+    total_w = w.sum()
+    if total_w <= 0:
+        raise DataError(f"zero total weight for year {year}")
+    cum = np.cumsum(w)
+    starts = minutes.astype(float)
+    knots_c = np.empty(2 * len(minutes) + 2)
+    knots_x = np.empty_like(knots_c)
+    knots_c[0], knots_x[0] = float(t0), 0.0
+    knots_c[1:-1:2] = starts
+    knots_x[1:-1:2] = np.concatenate(([0.0], cum[:-1])) / total_w * total_hours
+    knots_c[2::2] = starts + 60.0
+    knots_x[2::2] = cum / total_w * total_hours
+    knots_c[-1], knots_x[-1] = float(t1), total_hours
+    knots_x[-2] = total_hours
+    np.minimum(knots_x, total_hours, out=knots_x)
     keep = np.concatenate(([True], np.diff(knots_c) > 0))
     return ClockMap(year, kind, knots_c[keep], knots_x[keep], total_hours)
 

@@ -11,7 +11,7 @@ from oracles import (estimate_cov_loop, multi_year_returns_loop, write_corr_vs_t
 from vartau import cli
 from vartau.backtest import run_sim_meanrev
 from vartau.candles import CandleSeries, parse_candles, write_candles
-from vartau.clock import ClockKind, build_clock
+from vartau.clock import ClockKind, build_clock, year_bounds
 from vartau.covariance import corr_vs_tau
 from vartau.hurst import read_panel_csv
 from vartau.synthetic import random_walk_candles
@@ -303,3 +303,52 @@ def test_cli_tables_match_row_loops(outputs, tmp_path):
     write_yearly_returns_csv_rows(p_y, tmp_path / "yearly.csv")
     assert ((outputs / "sim" / "yearly_returns.csv").read_bytes()
             == (tmp_path / "yearly.csv").read_bytes())
+
+
+def test_flat_year_of_sim_meanrev_returns_zero(tmp_path):
+    # year 0 is flat, so nothing is staked in it: 0, not 0/0
+    panel = tmp_path / "panel.csv"
+    panel.write_text(panel_text([(0, h, 1.0) for h in range(6)]
+                                + [(1, h, 1.0 + 0.01 * (-1) ** h * h) for h in range(6)]))
+    out = tmp_path / "out"
+    assert cli.main(["backtest", "--strategy", "sim-meanrev", "--panel", str(panel),
+                     "--out-dir", str(out)]) == 0
+    assert (out / "yearly_returns.csv").read_text().splitlines()[1] == "0,0.0"
+    summary = json.loads((out / "summary.json").read_text())
+    assert np.isfinite(summary["mean"]) and np.isfinite(summary["stderr"])
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_json_outputs_are_strict(tmp_path, value):
+    path = tmp_path / "summary.json"
+    with pytest.raises(cli.NumericalError, match=f"{path}: Out of range float"):
+        cli._write_json(path, {"n": 1, "x": [0.5, value]})
+    assert not path.exists()
+    cli._write_json(path, {"n": 1, "x": [0.5, 2.0]})
+    assert path.read_text() == json.dumps({"n": 1, "x": [0.5, 2.0]}, indent=2) + "\n"
+
+
+def test_one_year_commands_ignore_the_other_years(data, tmp_path):
+    # the same market with its 2022 rows removed gives the same files
+    only = tmp_path / "only2021"
+    only.mkdir()
+    t0, t1 = year_bounds(2021)
+    for t, s in market().items():
+        write_candles(only / f"{t}.csv", s.slice_window(t0, t1))
+    loaded = cli._load_dir(str(data), [2021])
+    for t, s in loaded.items():
+        assert s.timestamps[0] >= t0 and s.timestamps[-1] < t1
+        assert all(getattr(s, c).base is None for c in ("timestamps", "open", "volume"))
+    runs = {
+        "clock": ["clock", "--year", "2021"],
+        "variogram": ["variogram", "--year", "2021", "--tau-grid", "0.25:32:4"],
+        "correlate": ["correlate", "--years", "2021", "--tau-grid", "0.25,0.5,1,2,4,8"],
+    }
+    for name, argv in runs.items():
+        for d in (data, only):
+            assert cli.main([*argv, "--data-dir", str(d),
+                             "--out-dir", str(tmp_path / d.name / name)]) == 0
+        got = sorted((tmp_path / data.name / name).glob("*.csv"))
+        assert got, name
+        for path in got:
+            assert path.read_bytes() == (tmp_path / only.name / name / path.name).read_bytes()

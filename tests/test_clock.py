@@ -1,5 +1,7 @@
 """Transaction clock construction, evaluation and inversion."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,33 @@ class TestBuild:
         clock = build_clock([prev, cur], ClockKind.VOLUME_WEIGHTED, 2021)
         assert clock.to_txn_time(T0 + 10 * 60) == pytest.approx(0.0)
         assert clock.to_txn_time(T0 + 11 * 60) == pytest.approx(8760)
+
+    @pytest.mark.parametrize("kind", [ClockKind.DOLLAR_WEIGHTED, ClockKind.VOLUME_WEIGHTED])
+    def test_off_minute_stamp_rejected(self, kind):
+        s = point_candles("M", np.array([T0, T0 + 90], dtype=np.int64), [1.0, 2.0])
+        with pytest.raises(DataError, match="M: timestamp 1609459290 is not a minute"):
+            build_clock([make_series("A", [0], [1.0], [1.0]), s], kind, 2021)
+        # outside the year it is ignored, as every out-of-year candle is
+        late = point_candles("L", np.array([T0, T1 + 30], dtype=np.int64), [1.0, 2.0])
+        assert len(build_clock([late], kind, 2021).knots_clock) == 3
+
+    def test_working_memory_does_not_grow_with_candles(self):
+        # every series trades the same 20,000 minutes, so 50 series have ten
+        # times the candles of 5 and the same knots
+        ts = T0 + 60 * np.arange(0, 40_000, 2, dtype=np.int64)
+        rng = np.random.default_rng(3)
+
+        def peak(n_series):
+            series = [point_candles(f"S{i}", ts, rng.uniform(1.0, 2.0, len(ts)),
+                                    rng.uniform(0.0, 9.0, len(ts))) for i in range(n_series)]
+            tracemalloc.start()
+            try:
+                build_clock(series, ClockKind.DOLLAR_WEIGHTED, 2021)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(50) <= peak(5) + 2**20
 
 
 class TestEvaluate:

@@ -7,7 +7,8 @@ from vartau.candles import ReturnSeries
 from vartau.clock import ClockKind, build_clock, year_bounds
 from vartau.covariance import (CovMatrix, TwoComponentModel, cov_to_corr, corr_vs_tau,
                                estimate_cov, pair_stats, predicted_corr_ratio,
-                               return_grid, simulate_two_component)
+                               simulate_two_component)
+from vartau.errors import DataError
 from vartau.panel import build_panel
 from vartau.synthetic import (correlated_walk_panel, hourly_candles_from_prices,
                               point_candles)
@@ -45,7 +46,7 @@ def walk_panel(returns, tau=1.0, first=None, gaps=None):
 
 def model_rho(ra, rb, tau):
     """Correlation of two return series paired by start index, from one return grid."""
-    c, n_obs = pair_stats(*return_grid([ra, rb], (2, len(ra)), tau))
+    c, n_obs = pair_stats([ra, rb], (2, len(ra)), tau)
     return cov_to_corr(CovMatrix(["A", "B"], c, tau, n_obs)).rho[0, 1]
 
 
@@ -233,6 +234,12 @@ class TestTwoComponent:
     def test_pair_stats_empty_overlap(self):
         a = rs(np.array([0.1, 0.2]), idx=np.array([0, 1]))
         b = rs(np.array([0.1, 0.2]), idx=np.array([5, 6]))
-        c, n = pair_stats(*return_grid([a, b], (2, 7), 1.0))
+        c, n = pair_stats([a, b], (2, 7), 1.0)
         assert n[0, 1] == n[1, 0] == 0 and np.isnan(c[0, 1]) and np.isnan(c[1, 0])
         assert n[0, 0] == n[1, 1] == 2
+
+    @pytest.mark.parametrize("idx", [[0, 2, 1], [0, 1, 1], [-1, 0, 1], [4, 5, 7]])
+    def test_pair_stats_needs_increasing_starts_on_the_grid(self, idx):
+        with pytest.raises(DataError, match="start indices of row 1"):
+            pair_stats([rs([0.1, 0.2, 0.3]), rs([0.1, 0.2, 0.3], idx=np.array(idx))],
+                       (2, 7), 1.0)

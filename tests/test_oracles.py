@@ -30,7 +30,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import (bin_coordinates_unique, build_clock_dict, corr_vs_tau_loop,
+from oracles import (bin_coordinates_unique, build_clock_dict, build_clock_unique,
+                     corr_vs_tau_loop,
                      estimate_cov_loop, fve, fve_plain, naive_scores, parse_candles_loop,
                      run_market_meanrev_loop,
                      run_xcorr_strategy_loop, shot_logp_loop, simulate_shot_noise_loop,
@@ -39,13 +40,13 @@ from oracles import (bin_coordinates_unique, build_clock_dict, corr_vs_tau_loop,
                      write_matrix_csv_rows, write_panel_csv_rows, write_variogram_csv_rows,
                      write_yearly_returns_csv_rows)
 from test_backtest import gappy_prices
-from vartau import backtest, candles, cli
+from vartau import backtest, candles, cli, covariance
 from vartau.backtest import (EquityCurve, StrategyConfig, TradeLedger, run_market_meanrev,
                              run_xcorr_strategy)
 from vartau.candles import (CSV_HEADER, CandleSeries, ReturnSeries, bin_coordinates,
                             parse_candles, write_candles, write_table)
 from vartau.clock import ClockKind, ClockMap, build_clock, year_bounds
-from vartau.covariance import CorrMatrix, CovMatrix, corr_vs_tau, pair_stats, return_grid
+from vartau.covariance import CorrMatrix, CovMatrix, corr_vs_tau, pair_stats
 from vartau.errors import DataError
 from vartau.hurst import (HurstParams, PricePanel, SimConfig, _shot_logp, simulate_fbm,
                           simulate_shot_noise)
@@ -223,6 +224,57 @@ def test_build_clock_matches_dict(series, kind):
     assert got.total_txn_hours == want.total_txn_hours
 
 
+@st.composite
+def year_markets(draw):
+    """1-6 tickers' candles in 2020 or 2021 on a shared pool of minutes.
+
+    The pool holds the year's first and last minutes, minutes on either
+    side of the year, and a stretch every ticker may trade, so minutes
+    overlap; about one candle in eight has zero volume.
+    """
+    year = draw(st.sampled_from([2020, 2021]))
+    t0, t1 = year_bounds(year)
+    end = (t1 - t0) // 60
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.concatenate([np.arange(-20, 40), np.arange(end // 2, end // 2 + 40),
+                           np.arange(end - 40, end + 20)])
+    series = []
+    for i in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(0, len(pool)))
+        minutes = np.sort(rng.choice(pool, size=n, replace=False))
+        px = rng.lognormal(3.0, 1.0, (4, n))
+        vol = np.where(rng.random(n) < 0.125, 0.0, np.floor(rng.lognormal(5.0, 2.0, n)))
+        series.append(CandleSeries(f"S{i}", t0 + 60 * minutes, *px, vol))
+    return series, year
+
+
+@settings(max_examples=200, deadline=None)
+@given(year_markets(), st.sampled_from([ClockKind.DOLLAR_WEIGHTED, ClockKind.VOLUME_WEIGHTED]))
+def test_build_clock_matches_unique(market, kind):
+    series, year = market
+    try:
+        want = build_clock_unique(series, kind, year)
+    except DataError as exc:
+        with pytest.raises(DataError, match=re.escape(str(exc))):
+            build_clock(series, kind, year)
+        return
+    got = build_clock(series, kind, year)
+    assert np.array_equal(got.knots_clock, want.knots_clock)
+    assert np.array_equal(got.knots_txn, want.knots_txn)
+    assert got.total_txn_hours == want.total_txn_hours
+
+
+@settings(max_examples=50, deadline=None)
+@given(year_markets(), st.sampled_from([ClockKind.DOLLAR_WEIGHTED, ClockKind.VOLUME_WEIGHTED]),
+       st.integers(1, 59))
+def test_build_clock_rejects_off_minute_stamps(market, kind, second):
+    series, year = market
+    t0, _ = year_bounds(year)
+    odd = CandleSeries("ODD", [t0 + 3600 + second], [1.0], [1.0], [1.0], [1.0], [1.0])
+    with pytest.raises(DataError, match="ODD: timestamp .* is not a minute boundary"):
+        build_clock([*series, odd], kind, year)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.one_of(st.floats(0.0, 50.0), st.integers(0, 200).map(lambda k: k / 4)),
                 max_size=60),
@@ -276,31 +328,42 @@ def test_bin_coordinates_rejects_unsorted():
 
 
 @st.composite
-def return_sets(draw):
+def return_sets(draw, block=100):
     """A few tickers' return series on a shared grid of start indices.
 
     Each series starts from its own random subset of the grid (gaps, and
     pairs that may never meet); elapsed times straddle the dt band, some
-    at or below zero.
+    at or below zero. The grid holds the first 100 columns and the columns
+    on and beside the first three multiples of ``block``; about a third of
+    the series start on one of those multiples. Returns (series, tau,
+    grid width), the width at most two columns past the last index.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     tau = draw(st.sampled_from([1 / 60, 0.5, 1.0, 7.0]))
+    edges = block * np.arange(1, 4)
+    pool = np.unique(np.concatenate([np.arange(100), edges - 1, edges, edges + 1]))
     out = {}
     for i in range(draw(st.integers(1, 6))):
         n = draw(st.integers(0, 60))
-        idx = np.sort(rng.choice(np.arange(100), size=n, replace=False))
+        idx = np.sort(rng.choice(pool, size=n, replace=False))
+        if rng.random() < 0.35:
+            e = rng.choice(edges)
+            idx = np.concatenate(([e], idx[idx > e]))
+        n = len(idx)
         dt = tau * rng.choice([rng.uniform(0.05, 4.0), 3.0, 1.0, 0.0], size=n,
                               p=[0.85, 0.05, 0.05, 0.05])
         out[f"T{i}"] = ReturnSeries(tau, rng.normal(0, 0.01, n), dt, idx.astype(np.int64))
-    return out, tau
+    return out, tau, int(pool[-1]) + 1 + draw(st.integers(0, 2))
 
 
-@settings(max_examples=200, deadline=None)
-@given(return_sets(), st.integers(0, 6))
-def test_grid_cov_matches_pair_loop(data, min_obs):
-    returns, tau = data
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from([1, 3, 7, covariance._BLOCK_BINS]), st.integers(0, 6))
+def test_grid_cov_matches_pair_loop(data, block, min_obs):
+    returns, tau, width = data.draw(return_sets(block))
     want, want_n, raw = estimate_cov_loop(returns, tau, min_obs)
-    got, n_obs = pair_stats(*return_grid(returns.values(), (len(returns), 100), tau))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(covariance, "_BLOCK_BINS", block)
+        got, n_obs = pair_stats(returns.values(), (len(returns), width), tau)
     got[n_obs < max(min_obs, 2)] = np.nan
     assert np.array_equal(n_obs, want_n)
     assert np.array_equal(np.isnan(got), np.isnan(want))
