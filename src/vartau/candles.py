@@ -4,7 +4,9 @@ A candle is one traded minute: unix timestamp (start of minute), four
 prices (open/high/low/close) and a share volume. Minutes in which a stock
 did not trade are simply absent; prices are never held over or
 interpolated. The representative price of a minute is the plain mean of
-its four prices.
+its four prices. After validation nothing reads the four prices on their
+own, so a loaded ``CandleSeries`` holds three columns: timestamps, the
+representative price and the volume.
 
 Coarser resolutions are built by sorting candles into consecutive
 half-open bins of length tau along a transaction-time axis (see
@@ -35,18 +37,39 @@ _WRITE_CELLS = 1 << 15
 
 
 class CandleSeries:
-    """All candles of one ticker, held as column arrays, sorted by time."""
+    """All candles of one ticker, held as column arrays, sorted by time.
+
+    Every series holds ``timestamps`` (int64), ``price``, the representative
+    (OHLC-mean) price of each candle, and ``volume``: 24 bytes a candle. A
+    series built from bars, ``CandleSeries(ticker, timestamps, open, high,
+    low, close, volume)``, also keeps its ``open``, ``high``, ``low`` and
+    ``close`` columns, so ``write_candles`` can write it back. A series read
+    by ``parse_candles`` holds no bars: those four attributes are None.
+    """
 
     def __init__(self, ticker, timestamps, open_, high, low, close, volume):
+        self.open, self.high, self.low, self.close = bars = [
+            np.asarray(a, dtype=float) for a in (open_, high, low, close)]
+        if len({len(b) for b in bars}) != 1:
+            raise DataError("candle column arrays have mismatched lengths")
+        with np.errstate(invalid="ignore", over="ignore"):   # non-finite bars: no price
+            price = (bars[0] + bars[1] + bars[2] + bars[3]) / 4.0
+        self._hold(ticker, timestamps, price, volume)
+
+    @classmethod
+    def from_prices(cls, ticker, timestamps, price, volume) -> "CandleSeries":
+        """A series of representative prices and volumes, with no bars."""
+        s = cls.__new__(cls)
+        s.open = s.high = s.low = s.close = None
+        s._hold(ticker, timestamps, price, volume)
+        return s
+
+    def _hold(self, ticker, timestamps, price, volume) -> None:
         self.ticker = str(ticker)
         self.timestamps = np.asarray(timestamps, dtype=np.int64)
-        self.open = np.asarray(open_, dtype=float)
-        self.high = np.asarray(high, dtype=float)
-        self.low = np.asarray(low, dtype=float)
-        self.close = np.asarray(close, dtype=float)
+        self.price = np.asarray(price, dtype=float)
         self.volume = np.asarray(volume, dtype=float)
-        if len({len(a) for a in (self.timestamps, self.open, self.high,
-                                 self.low, self.close, self.volume)}) != 1:
+        if len({len(self.timestamps), len(self.price), len(self.volume)}) != 1:
             raise DataError("candle column arrays have mismatched lengths")
         if np.any(np.diff(self.timestamps) <= 0):
             raise DataError(f"{self.ticker}: timestamps not strictly increasing")
@@ -55,20 +78,23 @@ class CandleSeries:
         return len(self.timestamps)
 
     def rep_prices(self) -> np.ndarray:
-        """Representative (OHLC-mean) price of every candle."""
-        return (self.open + self.high + self.low + self.close) / 4.0
+        """Representative (OHLC-mean) price of every candle: the stored column."""
+        return self.price
 
     def dollar_weights(self) -> np.ndarray:
         """Per-minute dollar volume: representative price times shares."""
-        return self.rep_prices() * self.volume
+        return self.price * self.volume
 
     def slice_window(self, t0: int, t1: int) -> "CandleSeries":
-        """Candles with t0 <= timestamp < t1."""
+        """Candles with t0 <= timestamp < t1, as views of this series' columns."""
         i = np.searchsorted(self.timestamps, t0, side="left")
         j = np.searchsorted(self.timestamps, t1, side="left")
-        return CandleSeries(self.ticker, self.timestamps[i:j], self.open[i:j],
-                            self.high[i:j], self.low[i:j], self.close[i:j],
-                            self.volume[i:j])
+        sub = CandleSeries.from_prices(self.ticker, self.timestamps[i:j],
+                                       self.price[i:j], self.volume[i:j])
+        if self.open is not None:
+            sub.open, sub.high, sub.low, sub.close = (
+                b[i:j] for b in (self.open, self.high, self.low, self.close))
+        return sub
 
 
 @dataclass
@@ -110,7 +136,8 @@ class ReturnSeries:
 
 
 def parse_candles(path, ticker: str | None = None) -> CandleSeries:
-    """Read one ticker's candle CSV.
+    """Read one ticker's candle CSV into timestamps, representative prices
+    and volumes.
 
     Accepted syntax: UTF-8 text, optionally starting with a byte-order
     mark; a header line ``timestamp,open,high,low,close,volume`` (case and
@@ -122,17 +149,46 @@ def parse_candles(path, ticker: str | None = None) -> CandleSeries:
     empty and whitespace-only lines are skipped. Rows may be out of order
     (they are sorted). Malformed fields, a wrong field count, non-finite
     values and OHLC-invariant violations are rejected with the line number
-    of the first offending line; duplicate timestamps are rejected too.
+    of the first offending line; duplicate timestamps are rejected too, and
+    so is a byte that is not UTF-8.
 
     The file is parsed in one ``np.loadtxt`` call and checked as whole
     columns. Unlike the row-by-row reader this replaced, it rejects NaN and
     infinite prices and volumes, ``_`` digit separators, non-ASCII digits
     and timestamps outside int64 (which Python's ``int``/``float`` took),
     and a line holding only a quoted empty field is not a blank line.
+
+    Once every row is checked, the representative price ``(open + high +
+    low + close) / 4.0`` is computed, and only it, the timestamps and the
+    volumes are kept, in time order: the returned series holds no bars.
     """
     path = Path(path)
     if ticker is None:
         ticker = path.stem
+    try:
+        rows = _read_rows(path)
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
+    if len(rows) == 0:
+        raise DataError(f"{path}: no candles")
+    _check_rows(path, rows)
+    ts = rows["timestamp"]
+    order = np.argsort(ts, kind="stable")
+    ts = ts[order]
+    dup = np.nonzero(np.diff(ts) == 0)[0]
+    if dup.size:
+        raise DataError(f"{path}: duplicate timestamp {int(ts[dup[0]])}")
+    price = (rows["open"] + rows["high"] + rows["low"] + rows["close"]) / 4.0
+    volume = rows["volume"][order]
+    del rows                    # the six parsed columns, freed before the last gather
+    return CandleSeries.from_prices(ticker, ts, price[order], volume)
+
+
+def _read_rows(path: Path) -> np.ndarray:
+    """Every row after the header, which is checked; the rows are not.
+
+    A byte that is not UTF-8 raises UnicodeDecodeError.
+    """
     try:
         fh = open(path, encoding="utf-8-sig")
     except OSError as exc:
@@ -147,21 +203,23 @@ def parse_candles(path, ticker: str | None = None) -> CandleSeries:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # no rows: raised below
-                rows = _load_rows(fh)
+                return _load_rows(fh)
         except ValueError:
-            rows = None
-    if rows is None:
-        rows = _reparse(path)
-    if len(rows) == 0:
-        raise DataError(f"{path}: no candles")
-    _check_rows(path, rows)
-    ts = rows["timestamp"]
-    order = np.argsort(ts, kind="stable")
-    ts = ts[order]
-    dup = np.nonzero(np.diff(ts) == 0)[0]
-    if dup.size:
-        raise DataError(f"{path}: duplicate timestamp {int(ts[dup[0]])}")
-    return CandleSeries(ticker, ts, *(rows[n][order] for n in CSV_HEADER[1:]))
+            pass        # also a byte that is not UTF-8: _reparse reads it again
+    return _reparse(path)
+
+
+def not_utf8(path) -> DataError:
+    """The DataError for a file that is not UTF-8, naming the line of its
+    first bad byte (lines end in LF, CRLF or CR)."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+        return DataError(f"{path}: not UTF-8 text")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return DataError(f"{path}:{line}: byte {data[exc.start]:#04x} is not UTF-8 text")
 
 
 def _load_rows(lines, dtype=_ROW, usecols=None) -> np.ndarray:
@@ -247,7 +305,12 @@ def _reparse(path: Path) -> np.ndarray:
 
 
 def write_candles(path, series: CandleSeries) -> None:
-    """Write a CandleSeries back to the interchange CSV format."""
+    """Write a CandleSeries built from bars back to the interchange CSV format.
+
+    A parsed series holds no bars and raises DataError.
+    """
+    if series.open is None:
+        raise DataError(f"{series.ticker}: a parsed series holds no bars to write")
     write_table(path, CSV_HEADER, [series.timestamps, series.open, series.high,
                                    series.low, series.close, series.volume])
 
@@ -262,7 +325,7 @@ def write_table(path, header: list[str], cols) -> None:
     """
     fields = [_field_format(c) for c in cols]
     step = max(1, _WRITE_CELLS // max(1, len(cols)))
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
         for lo in range(0, len(cols[0]) if len(cols) else 0, step):
             block = (f(c[lo:lo + step]) for f, c in zip(fields, cols))

@@ -28,7 +28,7 @@ from . import hurst
 from . import panel as pn
 from . import predictor as pred
 from . import variogram as vg
-from .candles import CandleSeries, parse_candles, write_table
+from .candles import CandleSeries, not_utf8, parse_candles, write_table
 from .clock import ClockKind, build_clock, year_bounds
 from .errors import DataError, NumericalError
 
@@ -78,8 +78,9 @@ def _write_json(path: Path, obj) -> None:
 def _load_dir(data_dir: str, years: list[int]) -> dict:
     """Every candle file's series, cut to the span of the given years.
 
-    A cut series gets its own copy of the kept rows, so the rest of the file
-    is freed; a file with no candle in the span gives an empty series.
+    Each series holds three columns (see ``parse_candles``). A cut series gets
+    its own copy of the kept rows, so the rest of the file is freed; a file
+    with no candle in the span gives an empty series.
     """
     d = Path(data_dir)
     if not d.is_dir():
@@ -92,9 +93,8 @@ def _load_dir(data_dir: str, years: list[int]) -> dict:
     for f in files:
         s = parse_candles(f)
         sub = s.slice_window(t0, t1)
-        out[f.stem] = s if len(sub) == len(s) else CandleSeries(
-            s.ticker, *(a.copy() for a in (sub.timestamps, sub.open, sub.high,
-                                           sub.low, sub.close, sub.volume)))
+        out[f.stem] = s if len(sub) == len(s) else CandleSeries.from_prices(
+            s.ticker, *(a.copy() for a in (sub.timestamps, sub.price, sub.volume)))
     return out
 
 
@@ -236,6 +236,12 @@ def cmd_backtest(args) -> int:
         if not args.data_dir or not args.years:
             raise UsageError(f"{args.strategy} needs --data-dir and --years")
         years = _parse_years(args.years)
+        coeffs = None
+        if args.strategy == "xcorr":
+            if not args.coeffs:
+                raise UsageError("xcorr needs --coeffs")
+            coeffs = pred.read_coeffs_csv(args.coeffs)     # before the market is parsed
+            inputs.append(Path(args.coeffs))
         series = _load_dir(args.data_dir, years)
         inputs += _data_inputs(args.data_dir, series)
         config = bt.StrategyConfig(
@@ -246,14 +252,10 @@ def cmd_backtest(args) -> int:
         clocks = _clocks(series, years, CLOCK_KINDS[args.kind])
         panel = pn.build_panel(series, clocks).eligible(config.min_active_fraction)
         tickers, prices = panel.tickers, panel.price
-        if args.strategy == "market-meanrev":
+        if coeffs is None:
             result = bt.run_market_meanrev(prices, tickers, config,
                                            long_only=args.long_only)
         else:
-            if not args.coeffs:
-                raise UsageError("xcorr needs --coeffs")
-            coeffs = pred.read_coeffs_csv(args.coeffs)
-            inputs.append(Path(args.coeffs))
             missing = [t for t in coeffs.tickers if t not in tickers]
             if missing:
                 raise DataError(f"coefficient tickers missing from panel: {missing[:5]}")
@@ -443,8 +445,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _replay(manifest_path: str) -> int:
     try:
-        with open(manifest_path) as fh:
+        with open(manifest_path, encoding="utf-8") as fh:
             manifest = json.load(fh)
+    except UnicodeDecodeError:
+        raise not_utf8(manifest_path) from None
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read manifest {manifest_path!r}: {exc}") from exc
     command = manifest.get("command")

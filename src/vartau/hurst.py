@@ -50,6 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .candles import not_utf8
 from .errors import DataError
 from .variogram import Variogram
 
@@ -154,9 +155,12 @@ def read_panel_csv(path) -> PricePanel:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # no rows: raised below
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None,
+                              encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
     except ValueError as exc:
         for lineno, line in _panel_lines(path):
             try:
@@ -193,7 +197,7 @@ def read_panel_csv(path) -> PricePanel:
 
 def _panel_lines(path) -> list[tuple[int, str]]:
     """(line number, text) of each row ``np.loadtxt`` reads (error path only)."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     return [(n, line) for n, line in enumerate(lines[1:], start=2) if line]
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .candles import write_table
+from .candles import not_utf8, write_table
 from .covariance import CovMatrix
 from .errors import DataError, NumericalError
 
@@ -48,8 +48,13 @@ class PredictionCoeffs:
 
 
 def read_coeffs_csv(path) -> PredictionCoeffs:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
     if not rows or not rows[0]:
         raise DataError(f"{path}: empty coefficients file or header")
     tickers = rows[0]

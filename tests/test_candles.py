@@ -34,8 +34,8 @@ class TestParse:
     def test_direct_field_mapping(self, tmp_path):
         p = write_csv(tmp_path, ["1609459200,10,11,9,10.5,1000"])
         s = parse_candles(p)
-        row = [s.timestamps[0], s.open[0], s.high[0], s.low[0], s.close[0], s.volume[0]]
-        assert len(s) == 1 and row == [1609459200, 10.0, 11.0, 9.0, 10.5, 1000.0]
+        row = [s.timestamps[0], s.price[0], s.volume[0]]
+        assert len(s) == 1 and row == [1609459200, 10.125, 1000.0]
         assert s.ticker == "TEST"
 
     def test_high_below_open_reports_line(self, tmp_path):
@@ -49,7 +49,7 @@ class TestParse:
                                  "1609459200,11,11,11,11,1"])
         s = parse_candles(p)
         assert list(s.timestamps) == [1609459200, 1609459260]
-        assert list(s.open) == [11.0, 10.0]
+        assert list(s.price) == [11.0, 10.0]
 
     def test_duplicate_timestamp_rejected(self, tmp_path):
         p = write_csv(tmp_path, ["1609459200,10,10,10,10,1",
@@ -107,7 +107,7 @@ class TestParse:
         p.write_bytes("\ufefftimestamp,open,high,low,close,volume\n"
                       "1609459200,10,11,9,10.5,1000\n".encode())
         s = parse_candles(p)
-        assert s.timestamps.tolist() == [1609459200] and s.close.tolist() == [10.5]
+        assert s.timestamps.tolist() == [1609459200] and s.price.tolist() == [10.125]
 
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -118,7 +118,32 @@ class TestParse:
         write_candles(path, s)
         back = parse_candles(path)
         assert np.array_equal(back.timestamps, s.timestamps)
-        assert np.array_equal(back.close, s.close)
+        assert np.array_equal(back.price, s.price)
+        assert np.array_equal(back.volume, s.volume)
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+    @pytest.mark.parametrize("lines, where", [
+        ([b"timestamp,open,high,low,close,volume\xff", b"1609459200,10,11,9,10.5,1000"],
+         r":1: byte 0xff"),
+        ([b"timestamp,open,high,low,close,volume", b"1609459200,10,11,9,10.5,1000",
+          b"1609459260,10,11,9,10.5,1\xe9"], r":3: byte 0xe9"),
+        ([b"\xef\xbb\xbftimestamp,open,high,low,close,volume",
+          b"1609459200,10,11\xe9,9,10.5,1000"], r":2: byte 0xe9"),
+    ], ids=["header", "row", "after_bom"])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, end, lines, where):
+        p = tmp_path / "BAD.csv"
+        p.write_bytes(end.join(lines) + end)
+        with pytest.raises(DataError, match=rf"BAD\.csv{where} is not UTF-8"):
+            parse_candles(p)
+        assert cli.main(["clock", "--data-dir", str(tmp_path), "--year", "2021",
+                         "--out-dir", str(tmp_path / "out")]) == 3
+
+    def test_parsed_series_holds_no_bars_to_write(self, tmp_path):
+        s = parse_candles(write_csv(tmp_path, ["1609459200,10,11,9,10.5,1000"]))
+        assert s.open is None and s.high is None and s.low is None and s.close is None
+        with pytest.raises(DataError, match="no bars"):
+            write_candles(tmp_path / "OUT.csv", s)
+        assert not (tmp_path / "OUT.csv").exists()
 
 
 class TestRepresentativePrice:

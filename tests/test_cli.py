@@ -2,6 +2,7 @@
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,7 +108,7 @@ def test_byte_order_mark_header_is_read(tmp_path):
     path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
     assert cli.main(["clock", "--data-dir", str(data), "--year", "2021",
                      "--out-dir", str(tmp_path / "out")]) == 0
-    assert np.array_equal(parse_candles(path).close, series.close)
+    assert np.array_equal(parse_candles(path).price, series.price)
 
 
 def test_manifest_replay_rejects_an_added_candle_file(tmp_path, capsys):
@@ -175,6 +176,31 @@ def test_bad_coefficients_file_exits_3(data, tmp_path, capsys, row, message):
     assert f"{coeffs}:3: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot open"), (b"T0,T1\n0.0,0.5\n0.5,0\xe9\n", ":3: byte 0xe9 is not UTF-8"),
+], ids=["missing", "non_utf8"])
+def test_coefficients_are_read_before_the_market(tmp_path, capsys, content, message):
+    # the market is not parsed at all: its one file is not a candle file
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "T0.csv").write_text("not a candle file\n")
+    coeffs = tmp_path / "coeffs.csv"
+    if content is not None:
+        coeffs.write_bytes(content)
+    assert cli.main(["backtest", "--strategy", "xcorr", "--data-dir", str(data),
+                     "--years", "2021", "--coeffs", str(coeffs),
+                     "--out-dir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert str(coeffs) in err and message in err
+
+
+def test_non_utf8_manifest_exits_3(tmp_path, capsys):
+    manifest = tmp_path / "run_manifest.json"
+    manifest.write_bytes(b'{\n  "command": "clock\xe9"\n}\n')
+    assert cli.main(["--manifest", str(manifest)]) == 3
+    assert f"{manifest}:2: byte 0xe9 is not UTF-8" in capsys.readouterr().err
+
+
 def panel_text(cells) -> str:
     return "year,hour,price\n" + "".join(f"{y},{h},{p}\n" for y, h, p in cells)
 
@@ -193,6 +219,14 @@ def test_bad_panel_file_exits_3(tmp_path, capsys, cells, message):
     assert cli.main(["backtest", "--strategy", "sim-meanrev", "--panel", str(panel),
                      "--out-dir", str(tmp_path / "out")]) == 3
     assert f"{panel}{message}" in capsys.readouterr().err
+
+
+def test_non_utf8_panel_exits_3(tmp_path, capsys):
+    panel = tmp_path / "panel.csv"
+    panel.write_bytes(panel_text(GOOD_PANEL).encode() + b"1,4,1\xe9\n")
+    assert cli.main(["backtest", "--strategy", "sim-meanrev", "--panel", str(panel),
+                     "--out-dir", str(tmp_path / "out")]) == 3
+    assert f"{panel}:10: byte 0xe9 is not UTF-8" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [
@@ -338,7 +372,7 @@ def test_one_year_commands_ignore_the_other_years(data, tmp_path):
     loaded = cli._load_dir(str(data), [2021])
     for t, s in loaded.items():
         assert s.timestamps[0] >= t0 and s.timestamps[-1] < t1
-        assert all(getattr(s, c).base is None for c in ("timestamps", "open", "volume"))
+        assert all(getattr(s, c).base is None for c in ("timestamps", "price", "volume"))
     runs = {
         "clock": ["clock", "--year", "2021"],
         "variogram": ["variogram", "--year", "2021", "--tau-grid", "0.25:32:4"],
@@ -352,3 +386,16 @@ def test_one_year_commands_ignore_the_other_years(data, tmp_path):
         assert got, name
         for path in got:
             assert path.read_bytes() == (tmp_path / only.name / name / path.name).read_bytes()
+
+
+@pytest.mark.parametrize("years", [[2021], [2021, 2022]], ids=["cut", "whole"])
+def test_loaded_candles_hold_24_bytes_each(data, years):
+    # timestamps, representative price and volume: 8 bytes each a candle
+    tracemalloc.start()
+    try:
+        loaded = cli._load_dir(str(data), years)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = sum(len(s) for s in loaded.values())
+    assert held <= 24 * n + (64 << 10), (held, n)

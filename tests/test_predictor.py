@@ -325,6 +325,16 @@ class TestCsv:
         with pytest.raises(DataError, match=r"bad\.csv:3: could not convert"):
             read_coeffs_csv(path)
 
+    def test_non_utf8_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"A,B\n0.0,1.0\n2.0,0\xe9\n")
+        with pytest.raises(DataError, match=r"bad\.csv:3: byte 0xe9 is not UTF-8"):
+            read_coeffs_csv(path)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(DataError, match="cannot open"):
+            read_coeffs_csv(tmp_path / "none.csv")
+
     def test_short_row_names_its_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("A,B\n0.0\n2.0,0.0\n")
