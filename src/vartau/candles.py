@@ -202,7 +202,7 @@ def _read_rows(path: Path) -> np.ndarray:
             raise DataError(f"{path}: bad header {header!r}, want {CSV_HEADER}")
         try:
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # no rows: raised below
+                warnings.simplefilter("ignore", UserWarning)  # no rows: the caller raises
                 return _load_rows(fh)
         except ValueError:
             pass        # also a byte that is not UTF-8: _reparse reads it again
