@@ -14,7 +14,9 @@ half-open bins of length tau along a transaction-time axis (see
 each bin. Returns are log differences of consecutive known bin prices,
 each carrying its actual elapsed transaction time.
 
-``write_table`` owns the CSV format of every table vartau writes; only
+``read_table`` owns the CSV syntax of every table vartau reads (candles,
+simulated panels, prediction coefficients) and its ``path:line`` errors, as
+``write_table`` owns the format of every table vartau writes; only
 ``PricePanel.write_csv`` formats its own rows, for speed.
 """
 
@@ -77,10 +79,6 @@ class CandleSeries:
     def __len__(self) -> int:
         return len(self.timestamps)
 
-    def rep_prices(self) -> np.ndarray:
-        """Representative (OHLC-mean) price of every candle: the stored column."""
-        return self.price
-
     def dollar_weights(self) -> np.ndarray:
         """Per-minute dollar volume: representative price times shares."""
         return self.price * self.volume
@@ -139,24 +137,13 @@ def parse_candles(path, ticker: str | None = None) -> CandleSeries:
     """Read one ticker's candle CSV into timestamps, representative prices
     and volumes.
 
-    Accepted syntax: UTF-8 text, optionally starting with a byte-order
-    mark; a header line ``timestamp,open,high,low,close,volume`` (case and
-    surrounding spaces ignored), then one candle per line with six
-    comma-separated fields, each optionally in double quotes and padded
-    with spaces or tabs. The timestamp is a signed decimal integer of ASCII
-    digits within int64; prices and volume are decimal floats with an
-    optional sign, fraction and exponent. Lines end in LF, CRLF or CR;
-    empty and whitespace-only lines are skipped. Rows may be out of order
-    (they are sorted). Malformed fields, a wrong field count, non-finite
-    values and OHLC-invariant violations are rejected with the line number
-    of the first offending line; duplicate timestamps are rejected too, and
-    so is a byte that is not UTF-8.
-
-    The file is parsed in one ``np.loadtxt`` call and checked as whole
-    columns. Unlike the row-by-row reader this replaced, it rejects NaN and
-    infinite prices and volumes, ``_`` digit separators, non-ASCII digits
-    and timestamps outside int64 (which Python's ``int``/``float`` took),
-    and a line holding only a quoted empty field is not a blank line.
+    The file is a ``read_table`` table under the header
+    ``timestamp,open,high,low,close,volume``, one candle per row, in any
+    order (rows are sorted). The timestamp is a signed decimal integer of
+    ASCII digits within int64; prices and volume are finite decimal floats
+    with an optional sign, fraction and exponent, and no ``_`` digit
+    separators. A row that breaks an OHLC invariant is rejected with its
+    line number, a repeated timestamp with both of its lines.
 
     Once every row is checked, the representative price ``(open + high +
     low + close) / 4.0`` is computed, and only it, the timestamps and the
@@ -165,48 +152,103 @@ def parse_candles(path, ticker: str | None = None) -> CandleSeries:
     path = Path(path)
     if ticker is None:
         ticker = path.stem
-    try:
-        rows = _read_rows(path)
-    except UnicodeDecodeError:
-        raise not_utf8(path) from None
+    _, rows = read_table(path, _ROW, CSV_HEADER, _candle_faults)
     if len(rows) == 0:
         raise DataError(f"{path}: no candles")
-    _check_rows(path, rows)
-    ts = rows["timestamp"]
-    order = np.argsort(ts, kind="stable")
-    ts = ts[order]
-    dup = np.nonzero(np.diff(ts) == 0)[0]
-    if dup.size:
-        raise DataError(f"{path}: duplicate timestamp {int(ts[dup[0]])}")
+    order = np.argsort(rows["timestamp"], kind="stable")
+    ts = rows["timestamp"][order]
+    check_unique(path, ts, order, lambda i: f"duplicate timestamp {rows['timestamp'][i]}")
     price = (rows["open"] + rows["high"] + rows["low"] + rows["close"]) / 4.0
     volume = rows["volume"][order]
     del rows                    # the six parsed columns, freed before the last gather
     return CandleSeries.from_prices(ticker, ts, price[order], volume)
 
 
-def _read_rows(path: Path) -> np.ndarray:
-    """Every row after the header, which is checked; the rows are not.
+def _candle_faults(rows) -> dict:
+    """Every per-candle invariant as one mask, in the order a row is
+    described when it breaks several."""
+    t, o, h, l, c, v = (rows[n] for n in CSV_HEADER)
+    finite = np.isfinite(o) & np.isfinite(h) & np.isfinite(l) & np.isfinite(c)
+    return {
+        "timestamp {timestamp} is not a minute boundary": t % 60 != 0,
+        "non-finite price or volume at ts {timestamp}": ~(finite & np.isfinite(v)),
+        "low {low} above open/close at ts {timestamp}": l > np.minimum(o, c),
+        "high {high} below open/close at ts {timestamp}": h < np.maximum(o, c),
+        "negative volume at ts {timestamp}": v < 0,
+        "non-positive price at ts {timestamp}": np.minimum(np.minimum(o, h), np.minimum(l, c)) <= 0,
+    }
 
-    A byte that is not UTF-8 raises UnicodeDecodeError.
+
+def read_table(path, dtype=None, header=None, faults=None):
+    """The header fields and the rows of one CSV table that vartau reads.
+
+    Accepted syntax: UTF-8 text, optionally starting with a byte-order mark;
+    one header line, which must equal ``header`` (case and surrounding spaces
+    ignored) when that is given; then one row per line with as many
+    comma-separated fields as the header, each optionally in double quotes
+    and padded with spaces or tabs. Lines end in LF, CRLF or CR; empty and
+    whitespace-only lines are skipped. A structured ``dtype`` reads one named
+    column per field; the default, float64, reads a 2-d array with one row
+    per line.
+
+    ``faults(rows)`` gives ``{message: mask}``, each mask marking the rows
+    that break one rule; a message is formatted with the row's fields by
+    name and its ``line`` text. The first bad row in file order, whether it
+    cannot be read or a mask marks it, raises DataError ``path:line: ...``;
+    so does a byte that is not UTF-8. A file that cannot be opened, is empty
+    or has a bad header raises DataError too.
+
+    The rows are parsed in one ``np.loadtxt`` call on the path (given an
+    open file, ``loadtxt`` reads it as Python lines, which is slower). Only
+    when that call fails is the file read again, by ``_reparse``.
     """
+    path = Path(path)
+    dtype = np.dtype(float if dtype is None else dtype)
     try:
-        fh = open(path, encoding="utf-8-sig")
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        first = fh.readline()
+        with open(path, encoding="utf-8-sig") as fh:
+            first = fh.readline()
         if not first:
             raise DataError(f"{path}: empty file")
-        header = next(csv.reader([first]), [])
-        if [h.strip().lower() for h in header] != CSV_HEADER:
-            raise DataError(f"{path}: bad header {header!r}, want {CSV_HEADER}")
+        fields = next(csv.reader([first]), [])
+        if header is not None and [h.strip().lower() for h in fields] != header:
+            raise DataError(f"{path}: bad header {fields!r}, want {header}")
+        if not fields:
+            raise DataError(f"{path}:1: empty header")
+        names = dtype.names or fields
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # no rows: the caller raises
-                return _load_rows(fh)
-        except ValueError:
-            pass        # also a byte that is not UTF-8: _reparse reads it again
-    return _reparse(path)
+            rows = _load(path, dtype, len(names), skiprows=1)
+        except ValueError:      # also a byte that is not UTF-8: _reparse reads it again
+            rows = _reparse(path, dtype, names, faults)
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
+    _check(path, rows, names, faults)
+    return fields, rows
+
+
+def _row_lines(path) -> list[tuple[int, str]]:
+    """(line number, text) of each row ``read_table`` returns, in order:
+    the non-blank lines after the header.
+
+    Error paths only: the file is read again once a row is known bad.
+    """
+    lines = Path(path).read_text(encoding="utf-8-sig").split("\n")
+    return [(n, line) for n, line in enumerate(lines[1:], start=2) if line.strip()]
+
+
+def check_unique(path, key, order, describe) -> None:
+    """Raise for the first two rows of equal ``key``, naming both lines.
+
+    ``key`` is sorted and holds row ``order[k]``'s key at k, as a stable sort
+    gives it; ``describe(i)`` says what row i repeats.
+    """
+    dup = np.flatnonzero(key[1:] == key[:-1])
+    if dup.size:
+        first, again = order[dup[0]], order[dup[0] + 1]
+        lines = _row_lines(path)
+        raise DataError(f"{path}:{lines[again][0]}: {describe(again)} "
+                        f"repeats line {lines[first][0]}")
 
 
 def not_utf8(path) -> DataError:
@@ -222,47 +264,40 @@ def not_utf8(path) -> DataError:
         return DataError(f"{path}:{line}: byte {data[exc.start]:#04x} is not UTF-8 text")
 
 
-def _load_rows(lines, dtype=_ROW, usecols=None) -> np.ndarray:
-    return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
-                      quotechar='"', usecols=usecols, ndmin=1)
+def _load(source, dtype, ncols, skiprows=0, usecols=None) -> np.ndarray:
+    """One ``np.loadtxt`` call; a 2-d result must have ``ncols`` columns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)    # no rows: the caller decides
+        rows = np.loadtxt(source, dtype=dtype, delimiter=",", comments=None,
+                          quotechar='"', skiprows=skiprows, usecols=usecols,
+                          ndmin=1 if dtype.names else 2, encoding="utf-8-sig")
+    if rows.ndim == 2 and rows.shape[1] != ncols:
+        if len(rows):
+            raise ValueError(f"want {ncols} columns, got {rows.shape[1]}")
+        rows = rows.reshape(0, ncols)
+    return rows
 
 
-def _data_lines(path: Path) -> list[tuple[int, str]]:
-    """(line number, text) of every non-blank line after the header.
+def _check(path, rows, names, faults, numbered=None) -> None:
+    """Raise for the first row that a ``faults`` mask marks.
 
-    Error path only: the file is read again once a row is known bad.
+    ``numbered`` is ``_row_lines(path)`` when the caller already has it.
     """
-    lines = path.read_text(encoding="utf-8-sig").split("\n")
-    return [(n, line) for n, line in enumerate(lines[1:], start=2) if line.strip()]
-
-
-def _check_rows(path: Path, rows: np.ndarray, numbered=None) -> None:
-    """Every per-candle invariant as one mask; raise for the first bad row.
-
-    ``numbered`` is ``_data_lines(path)`` when the caller already has it.
-    """
-    t, o, h, l, c, v = (rows[n] for n in CSV_HEADER)
-    finite = np.isfinite(o) & np.isfinite(h) & np.isfinite(l) & np.isfinite(c)
-    # in the order a row is described when it breaks several
-    fails = {
-        "timestamp {t} is not a minute boundary": t % 60 != 0,
-        "non-finite price or volume at ts {t}": ~(finite & np.isfinite(v)),
-        "low {l} above open/close at ts {t}": l > np.minimum(o, c),
-        "high {h} below open/close at ts {t}": h < np.maximum(o, c),
-        "negative volume at ts {t}": v < 0,
-        "non-positive price at ts {t}": np.minimum(np.minimum(o, h), np.minimum(l, c)) <= 0,
-    }
+    if faults is None or len(rows) == 0:
+        return
+    fails = faults(rows)
     bad = np.logical_or.reduce(list(fails.values()))
     if not bad.any():
         return
     i = int(np.argmax(bad))
     msg = next(m for m, mask in fails.items() if mask[i])
-    lineno = (numbered or _data_lines(path))[i][0]
+    lineno, line = (numbered or _row_lines(path))[i]
+    values = rows[i].item() if rows.dtype.names else rows[i].tolist()
     raise DataError(f"{path}:{lineno}: "
-                    + msg.format(t=int(t[i]), l=float(l[i]), h=float(h[i])))
+                    + msg.format_map({**dict(zip(names, values)), "line": line}))
 
 
-def _reparse(path: Path) -> np.ndarray:
+def _reparse(path: Path, dtype, names, faults) -> np.ndarray:
     """Rows of a file that the one-call parse rejected (error path only).
 
     ``loadtxt`` skips empty lines but not whitespace-only ones, so the
@@ -272,35 +307,34 @@ def _reparse(path: Path) -> np.ndarray:
     before it are checked first, so the first bad line in file order is
     the one reported.
     """
-    numbered = _data_lines(path)
+    numbered = _row_lines(path)
     lines = [line for _, line in numbered]
-    if not lines:
-        return np.empty(0, dtype=_ROW)
     try:
-        return _load_rows(lines)
+        return _load(lines, dtype, len(names))
     except ValueError:
         pass
     lo, hi = 0, len(lines)      # lines[:lo] parse; the first failure is in [lo, hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:
-            _load_rows(lines[lo:mid])
+            _load(lines[lo:mid], dtype, len(names))
             lo = mid
         except ValueError:
             hi = mid
     if lo:
-        _check_rows(path, _load_rows(lines[:lo]), numbered)
+        _check(path, _load(lines[:lo], dtype, len(names)), names, faults, numbered)
     lineno, line = numbered[lo]
     fields = next(csv.reader([line]), [])
-    if len(fields) != len(CSV_HEADER):
-        raise DataError(f"{path}:{lineno}: expected {len(CSV_HEADER)} fields, "
+    if len(fields) != len(names):
+        raise DataError(f"{path}:{lineno}: expected {len(names)} fields, "
                         f"got {len(fields)}")
-    for col, (name, field) in enumerate(zip(CSV_HEADER, fields)):
+    for col, (name, field) in enumerate(zip(names, fields)):
+        kind = dtype[col] if dtype.names else dtype
         try:
-            _load_rows([line], dtype=_ROW[name], usecols=[col])
+            _load([line], kind, 1, usecols=[col])
         except ValueError:
             raise DataError(f"{path}:{lineno}: cannot read {name} from "
-                            f"{field!r} as {_ROW[name]}") from None
+                            f"{field!r} as {kind}") from None
     raise DataError(f"{path}:{lineno}: cannot read line {line!r}")
 
 
@@ -384,5 +418,5 @@ def bin_series(s: CandleSeries, clock, tau: float) -> BinnedSeries:
     bin. Candles outside the clock's domain raise DataError.
     """
     coords = clock.to_txn_time(s.timestamps)
-    idx, times, prices, counts = bin_coordinates(coords, s.rep_prices(), tau)
+    idx, times, prices, counts = bin_coordinates(coords, s.price, tau)
     return BinnedSeries(s.ticker, float(tau), idx, times, prices, counts)

@@ -174,7 +174,7 @@ def cmd_variogram(args) -> int:
     clock = build_clock(series.values(), CLOCK_KINDS[args.clock], args.year)
     results = {}
     for t in sorted(series):
-        sub = series[t].slice_window(clock.year_start, clock.year_end)
+        sub = series[t]
         if len(sub) < 2:
             continue
         if args.method == "diff_of_avg":
@@ -206,10 +206,9 @@ def cmd_simulate(args) -> int:
         raise UsageError("--years >= 1, --hours-per-year >= 4, finite --vol > 0 required")
     params = hurst.HurstParams(args.epsilon, delta=args.delta,
                                rate=args.rate, sigma=args.sigma)
-    method = {"fft": "fft_gaussian", "shot": "shot_noise"}[args.method]
-    config = hurst.SimConfig(args.years, args.hours_per_year, args.vol,
-                             args.seed, method)
-    panel = hurst.simulate(params, config)
+    config = hurst.SimConfig(args.years, args.hours_per_year, args.vol, args.seed)
+    simulate = hurst.simulate_fbm if args.method == "fft" else hurst.simulate_shot_noise
+    panel = simulate(params, config)
     out = _out_dir(args)
     panel.write_csv(out / "panel.csv")
     _write_manifest(out, "simulate", args, [])

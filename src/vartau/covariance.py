@@ -229,7 +229,7 @@ def corr_vs_tau(series: Mapping[str, CandleSeries], clock, tau_grid,
     tau_grid = np.asarray(tau_grid, dtype=float)
     tickers = list(series)
     coords = [clock.to_txn_time(series[t].timestamps) for t in tickers]
-    prices = [series[t].rep_prices() for t in tickers]
+    prices = [series[t].price for t in tickers]
     upper = np.triu_indices(len(tickers), 1)
     floor = max(min_obs, 2)
     raw = np.full((len(upper[0]), len(tau_grid)), np.nan)

@@ -45,16 +45,16 @@ the fast multipole method (Greengard & Rokhlin, J. Comput. Phys. 1987).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .candles import not_utf8
+from .candles import check_unique, read_table
 from .errors import DataError
 from .variogram import Variogram
 
 HOURS_PER_YEAR = 8760
+PANEL_HEADER = ["year", "hour", "price"]
 # Shot-noise near-field hours K (ceil(delta) when longer) and far-field
 # series terms P, set by the truncation bound in the module docstring
 _NEAR_HOURS = 32
@@ -97,7 +97,6 @@ class SimConfig:
     hours_per_year: int = HOURS_PER_YEAR
     target_vol: float = 0.15
     seed: int = 0
-    method: str = "fft_gaussian"     # or "shot_noise"
 
     def __post_init__(self):
         if self.n_years < 1:
@@ -106,8 +105,6 @@ class SimConfig:
             raise DataError("hours_per_year must be >= 4")
         if not 0 < self.target_vol < math.inf:
             raise DataError("target_vol must be positive and finite")
-        if self.method not in ("fft_gaussian", "shot_noise"):
-            raise DataError(f"unknown method {self.method!r}")
 
 
 @dataclass
@@ -137,7 +134,7 @@ class PricePanel:
         """
         hours = [f",{h}," for h in range(self.hours_per_year)]
         with open(path, "w", newline="") as fh:
-            fh.write("year,hour,price\n")
+            fh.write(",".join(PANEL_HEADER) + "\n")
             for y in range(self.n_years):
                 lead = str(y)
                 prices = map(repr, self.prices[y].tolist())
@@ -145,61 +142,34 @@ class PricePanel:
 
 
 def read_panel_csv(path) -> PricePanel:
-    """Read the ``year,hour,price`` rows that follow one header line.
+    """Read a ``year,hour,price`` table (see ``candles.read_table`` for its syntax).
 
     Years and hours are whole numbers counted from 0, each (year, hour)
     cell is given once, in any order, and every cell of the rectangle is
-    given; prices are positive and finite. Empty lines are skipped. A bad
-    row raises DataError naming the file and the line.
+    given; prices are positive and finite. A bad row raises DataError
+    naming the file and the line, a repeated cell both of its lines.
     """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # no rows: raised below
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None,
-                              encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from exc
-    except UnicodeDecodeError:
-        raise not_utf8(path) from None
-    except ValueError as exc:
-        for lineno, line in _panel_lines(path):
-            try:
-                year, hour, price = map(float, line.split(","))
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: cannot read {line!r} "
-                                "as year,hour,price") from None
-        raise DataError(f"{path}: {exc}") from None
-    if data.shape[1] != 3:                # also a file with no rows
-        raise DataError(f"{path}: expected columns year,hour,price")
+    _, data = read_table(path, header=PANEL_HEADER, faults=_panel_faults)
+    if len(data) == 0:
+        raise DataError(f"{path}: no panel rows")
     year, hour, price = data.T
-    ok = (np.all((data >= 0) & (data < np.inf), axis=1) & (price > 0)
-          & np.all(data[:, :2] == np.floor(data[:, :2]), axis=1))
-    if not ok.all():
-        lineno, line = _panel_lines(path)[int(np.argmin(ok))]
-        raise DataError(f"{path}:{lineno}: want a whole year and hour from 0 and a "
-                        f"positive finite price, got {line!r}")
     ny, nh = int(year.max()) + 1, int(hour.max()) + 1
     if ny * nh > len(data):
         raise DataError(f"{path}: panel has missing (year, hour) cells")
     # with no repeated cell, the len(data) >= ny * nh rows fill the panel
     cell = (year * nh + hour).astype(np.int64)
     order = np.argsort(cell, kind="stable")
-    dup = np.flatnonzero(np.diff(cell[order]) == 0)
-    if dup.size:
-        first, again = order[dup[0]], order[dup[0] + 1]
-        lines = _panel_lines(path)
-        raise DataError(f"{path}:{lines[again][0]}: year {year[again]:g}, hour "
-                        f"{hour[again]:g} repeats line {lines[first][0]}")
+    check_unique(path, cell[order], order, lambda i: f"year {year[i]:g}, hour {hour[i]:g}")
     prices = np.empty(ny * nh)
     prices[cell] = price
     return PricePanel(prices.reshape(ny, nh))
 
 
-def _panel_lines(path) -> list[tuple[int, str]]:
-    """(line number, text) of each row ``np.loadtxt`` reads (error path only)."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    return [(n, line) for n, line in enumerate(lines[1:], start=2) if line]
+def _panel_faults(data) -> dict:
+    ok = (np.all((data >= 0) & (data < np.inf), axis=1) & (data[:, 2] > 0)
+          & np.all(data[:, :2] == np.floor(data[:, :2]), axis=1))
+    return {"want a whole year and hour from 0 and a positive finite price, "
+            "got {line!r}": ~ok}
 
 
 def impulse_response(epsilon: float, delta: float, t) -> np.ndarray:
@@ -358,12 +328,6 @@ def simulate_shot_noise(params: HurstParams, config: SimConfig) -> PricePanel:
     prices = _postprocess(logp.reshape(config.n_years, config.hours_per_year),
                           config.target_vol)
     return PricePanel(prices)
-
-
-def simulate(params: HurstParams, config: SimConfig) -> PricePanel:
-    if config.method == "fft_gaussian":
-        return simulate_fbm(params, config)
-    return simulate_shot_noise(params, config)
 
 
 def default_lag_grid(hours_per_year: int, max_lag: float = 300.0) -> np.ndarray:

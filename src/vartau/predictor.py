@@ -18,12 +18,12 @@ panels, which helps when C is near singular.
 
 from __future__ import annotations
 
-import csv
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .candles import not_utf8, write_table
+from .candles import read_table, write_table
 from .covariance import CovMatrix
 from .errors import DataError, NumericalError
 
@@ -48,24 +48,13 @@ class PredictionCoeffs:
 
 
 def read_coeffs_csv(path) -> PredictionCoeffs:
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from exc
-    except UnicodeDecodeError:
-        raise not_utf8(path) from None
-    if not rows or not rows[0]:
-        raise DataError(f"{path}: empty coefficients file or header")
-    tickers = rows[0]
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(tickers):
-            raise DataError(f"{path}:{lineno}: expected {len(tickers)} fields, got {len(row)}")
-        try:
-            row[:] = map(float, row)
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-    b = np.array(rows[1:]).reshape(len(rows) - 1, len(tickers))
+    """Read a square coefficient matrix under a header of distinct tickers
+    (see ``candles.read_table`` for its syntax); every coefficient is finite."""
+    tickers, b = read_table(path, faults=lambda b: {
+        "coefficients must be finite, got {line!r}": ~np.isfinite(b).all(axis=1)})
+    repeated = [t for t, k in Counter(tickers).items() if k > 1]
+    if repeated:
+        raise DataError(f"{path}:1: ticker {repeated[0]!r} is given more than once")
     if b.shape != (len(tickers), len(tickers)):
         raise DataError(f"{path}: coefficient matrix shape {b.shape} does not "
                         f"match {len(tickers)} tickers")

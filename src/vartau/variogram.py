@@ -111,7 +111,7 @@ def variogram_diff_of_avg(s: CandleSeries, clock, tau_grid) -> Variogram:
     adjacent non-empty bins.
     """
     coords = clock.to_txn_time(s.timestamps)
-    prices = s.rep_prices()
+    prices = s.price
     if np.any(prices <= 0):
         raise DataError(f"{s.ticker}: non-positive representative price")
     vals, counts = [], []
@@ -143,7 +143,7 @@ def variogram_two_point(s: CandleSeries, clock, tau_grid,
     if mode not in ("grid_points", "full_resolution"):
         raise DataError(f"unknown two-point mode {mode!r}")
     coords = clock.to_txn_time(s.timestamps)
-    prices = s.rep_prices()
+    prices = s.price
     if np.any(prices <= 0):
         raise DataError(f"{s.ticker}: non-positive representative price")
     logp = np.log(prices)

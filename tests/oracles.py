@@ -297,7 +297,7 @@ def corr_vs_tau_loop(series, clock, tau_grid, normalize_tau: float = 1.0,
     tickers = list(series)
     pairs = [(a, b) for i, a in enumerate(tickers) for b in tickers[i + 1:]]
     coords = {t: clock.to_txn_time(series[t].timestamps) for t in tickers}
-    prices = {t: series[t].rep_prices() for t in tickers}
+    prices = {t: series[t].price for t in tickers}
     raw = np.full((len(pairs), len(tau_grid)), np.nan)
     for k, tau in enumerate(tau_grid):
         prepped = {}

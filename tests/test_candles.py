@@ -57,6 +57,13 @@ class TestParse:
         with pytest.raises(DataError, match="duplicate"):
             parse_candles(p)
 
+    def test_duplicate_timestamp_names_both_lines(self, tmp_path):
+        p = write_csv(tmp_path, ["1609459260,10,10,10,10,1", "1609459200,10,10,10,10,1",
+                                 "", "1609459260,11,11,11,11,1"])
+        with pytest.raises(DataError, match=r"TEST\.csv:5: duplicate timestamp 1609459260 "
+                                            r"repeats line 2"):
+            parse_candles(p)
+
     def test_non_positive_price_rejected(self, tmp_path):
         p = write_csv(tmp_path, ["1609459200,0,0,0,0,1"])
         with pytest.raises(DataError):
@@ -155,7 +162,7 @@ class TestRepresentativePrice:
     def test_values(self, ohlc, want):
         o, h, l, c = ohlc
         s = CandleSeries("R", [T0], [o], [h], [l], [c], [1])
-        assert s.rep_prices()[0] == want
+        assert s.price[0] == want
 
 
 class TestBinning:

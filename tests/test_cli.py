@@ -14,7 +14,8 @@ from vartau.backtest import run_sim_meanrev
 from vartau.candles import CandleSeries, parse_candles, write_candles
 from vartau.clock import ClockKind, build_clock, year_bounds
 from vartau.covariance import corr_vs_tau
-from vartau.hurst import read_panel_csv
+from vartau.hurst import (HurstParams, SimConfig, read_panel_csv, simulate_fbm,
+                          simulate_shot_noise)
 from vartau.synthetic import random_walk_candles
 from vartau.variogram import percentile_curves
 
@@ -165,8 +166,9 @@ def test_corr_vs_tau_csv_matches_second_binning_pass(tmp_path):
         (tmp_path / "want.csv").read_bytes()
 
 
-@pytest.mark.parametrize("row, message", [("0.0,x", "could not convert string to float: 'x'"),
-                                          ("0.5", "expected 2 fields, got 1")])
+@pytest.mark.parametrize("row, message", [("0.0,x", "cannot read T1 from 'x' as float64"),
+                                          ("0.5", "expected 2 fields, got 1"),
+                                          ("nan,0.0", "coefficients must be finite, got 'nan,0.0'")])
 def test_bad_coefficients_file_exits_3(data, tmp_path, capsys, row, message):
     coeffs = tmp_path / "coeffs.csv"
     coeffs.write_text(f"T0,T1\n0.0,0.5\n{row}\n")
@@ -174,6 +176,16 @@ def test_bad_coefficients_file_exits_3(data, tmp_path, capsys, row, message):
                      "--years", "2021", "--coeffs", str(coeffs),
                      "--out-dir", str(tmp_path / "out")]) == 3
     assert f"{coeffs}:3: {message}" in capsys.readouterr().err
+
+
+def test_repeated_coefficient_ticker_exits_3(data, tmp_path, capsys):
+    # T0 named twice once traded T0 twice and dropped T1 without a word
+    coeffs = tmp_path / "coeffs.csv"
+    coeffs.write_text("T0,T0\n0.0,0.5\n0.5,0.0\n")
+    assert cli.main(["backtest", "--strategy", "xcorr", "--data-dir", str(data),
+                     "--years", "2021", "--coeffs", str(coeffs),
+                     "--out-dir", str(tmp_path / "out")]) == 3
+    assert f"{coeffs}:1: ticker 'T0' is given more than once" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("content, message", [
@@ -209,7 +221,7 @@ GOOD_PANEL = [(y, h, 1.0 + 0.01 * h) for y in range(2) for h in range(4)]
 
 
 @pytest.mark.parametrize("cells, message", [
-    (GOOD_PANEL[:-1] + [(1, 3, "x")], ":9: cannot read '1,3,x'"),
+    (GOOD_PANEL[:-1] + [(1, 3, "x")], ":9: cannot read price from 'x' as float64"),
     (GOOD_PANEL + [(1, 3, 1.0)], ":10: year 1, hour 3 repeats line 9"),
     (GOOD_PANEL[:-1] + [(-1, 3, 1.0)], ":9: want a whole year and hour from 0"),
 ], ids=["non_numeric", "repeated_cell", "negative_year"])
@@ -274,6 +286,16 @@ def test_non_finite_flag_is_rejected_like_a_negative_one(data, tmp_path, capsys,
     written = {p.name for p in out.glob("*")} if out.exists() else set()
     assert not {"summary.json", "panel.csv"} & written
     assert not [n for n in written if n.startswith("coeffs_")]
+
+
+@pytest.mark.parametrize("method, simulate", [("fft", simulate_fbm),
+                                              ("shot", simulate_shot_noise)])
+def test_simulate_method_picks_the_simulator(tmp_path, method, simulate):
+    assert cli.main(["simulate", "--epsilon", "0.1", "--hours-per-year", "50",
+                     "--rate", "2", "--seed", "3", "--method", method,
+                     "--out-dir", str(tmp_path)]) == 0
+    simulate(HurstParams(0.1, rate=2.0), SimConfig(1, 50, seed=3)).write_csv(tmp_path / "want.csv")
+    assert (tmp_path / "panel.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 @pytest.fixture(scope="module")

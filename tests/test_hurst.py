@@ -6,7 +6,7 @@ import pytest
 from vartau.errors import DataError
 from vartau.hurst import (HurstParams, SimConfig, analytic_variogram, fft_convolve,
                           impulse_response, panel_variogram, read_panel_csv, sampled_kernel,
-                          simulate, simulate_fbm, simulate_shot_noise)
+                          simulate_fbm, simulate_shot_noise)
 from vartau.variogram import fit_power_law
 
 
@@ -71,20 +71,16 @@ class TestSimulateFbm:
         fit = fit_power_law(panel_variogram(pan), (1, 300))
         assert fit.exponent == pytest.approx(0.93, abs=0.02)
 
-    def test_dispatch(self):
-        pan = simulate(HurstParams(0.0), SimConfig(1, 64, seed=0, method="shot_noise"))
-        assert pan.prices.shape == (1, 64)
-
 
 class TestShotNoise:
     def test_no_events_flat(self):
         pan = simulate_shot_noise(HurstParams(0.0, rate=1e-9),
-                                  SimConfig(1, 100, seed=0, method="shot_noise"))
+                                  SimConfig(1, 100, seed=0))
         assert np.allclose(pan.prices, 1.0)
 
     def test_dense_step_impulses_are_random_walk(self):
         pan = simulate_shot_noise(HurstParams(0.0, rate=30),
-                                  SimConfig(20, 8760, seed=5, method="shot_noise"))
+                                  SimConfig(20, 8760, seed=5))
         fit = fit_power_law(panel_variogram(pan), (1, 200))
         assert fit.exponent == pytest.approx(1.0, abs=0.03)
 
@@ -95,7 +91,7 @@ class TestShotNoise:
         shot, fft = [], []
         for seed in range(5):
             ps = simulate_shot_noise(HurstParams(0.05, rate=8),
-                                     SimConfig(2, 1500, seed=seed, method="shot_noise"))
+                                     SimConfig(2, 1500, seed=seed))
             pf = simulate_fbm(HurstParams(0.05), SimConfig(2, 1500, seed=100 + seed))
             shot.append(fit_power_law(panel_variogram(ps, lags), (1, 150)).exponent)
             fft.append(fit_power_law(panel_variogram(pf, lags), (1, 150)).exponent)
@@ -105,7 +101,7 @@ class TestShotNoise:
 
     def test_deterministic(self):
         p = HurstParams(0.05, rate=5)
-        c = SimConfig(1, 300, seed=11, method="shot_noise")
+        c = SimConfig(1, 300, seed=11)
         assert np.array_equal(simulate_shot_noise(p, c).prices,
                               simulate_shot_noise(p, c).prices)
 
@@ -149,9 +145,15 @@ class TestPanelIo:
         with pytest.raises(DataError, match="missing"):
             read_panel_csv(path)
 
+    def test_header_names_the_columns(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("foo,bar\n0,0,1\n")
+        with pytest.raises(DataError, match=r"bad\.csv: bad header \['foo', 'bar'\]"):
+            read_panel_csv(path)
+
     @pytest.mark.parametrize("rows, message", [
-        ("0,0,1\n0,1,x\n", r"bad\.csv:3: cannot read '0,1,x'"),
-        ("0,0,1\n\n0,1\n", r"bad\.csv:4: cannot read '0,1'"),
+        ("0,0,1\n0,1,x\n", r"bad\.csv:3: cannot read price from 'x' as float64"),
+        ("0,0,1\n\n0,1\n", r"bad\.csv:4: expected 3 fields, got 2"),
         ("0,0,1\n0,1,1\n0,1,2\n", r"bad\.csv:4: year 0, hour 1 repeats line 3"),
         ("0,0,1\n0,1,1\n1,0,1\n-1,1,1\n", r"bad\.csv:5: want a whole year"),
         ("0,0,1\n0.5,1,1\n", r"bad\.csv:3: want a whole year"),

@@ -2,7 +2,9 @@
 
 ``oracles.py`` keeps the loops. Parsing is compared on generated files
 with shuffled rows, blank and whitespace-only lines, mixed line endings,
-quoted and padded fields, exponents and signs; the clock and the binning
+quoted and padded fields, exponents and signs; simulated panels and
+prediction coefficients in the same layouts must read back exactly as
+their plain files do; the clock and the binning
 on generated candles and coordinates, some on bin edges and one ulp to
 either side. Their results must be equal, not close. The grid covariance
 and rho(tau) are compared with the pair loops on generated return series
@@ -48,9 +50,10 @@ from vartau.candles import (CSV_HEADER, CandleSeries, ReturnSeries, bin_coordina
 from vartau.clock import ClockKind, ClockMap, build_clock, year_bounds
 from vartau.covariance import CorrMatrix, CovMatrix, corr_vs_tau, pair_stats
 from vartau.errors import DataError
-from vartau.hurst import (HurstParams, PricePanel, SimConfig, _shot_logp, simulate_fbm,
-                          simulate_shot_noise)
-from vartau.predictor import PredictionCoeffs, fmse, naive_predict, prediction_report
+from vartau.hurst import (PANEL_HEADER, HurstParams, PricePanel, SimConfig, _shot_logp,
+                          read_panel_csv, simulate_fbm, simulate_shot_noise)
+from vartau.predictor import (PredictionCoeffs, fmse, naive_predict, prediction_report,
+                              read_coeffs_csv)
 from vartau.variogram import PERCENTILES, Variogram, default_tau_grid
 
 T0, T1 = year_bounds(2021)
@@ -91,19 +94,19 @@ def decorate(draw, text):
 def layouts(draw, rows):
     """Lines of a file: a field list per row, with blank lines in between."""
     lines = []
-    for t, *rest in rows:
+    for row in rows:
         for _ in range(draw(st.integers(0, 2))):
             lines.append(draw(st.sampled_from(["", " ", "\t", "  \t  "])))
-        lines.append([decorate(draw, int_text(draw, t))]
-                     + [decorate(draw, float_text(draw, x)) for x in rest])
+        lines.append([decorate(draw, (int_text if isinstance(x, int) else float_text)(draw, x))
+                      for x in row])
     ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in range(len(lines) + 1)]
     if not draw(st.booleans()):
         ends[-1] = ""
     return lines, ends
 
 
-def render(lines, ends) -> str:
-    text = ",".join(CSV_HEADER) + ends[0]
+def render(lines, ends, header=CSV_HEADER) -> str:
+    text = ",".join(header) + ends[0]
     for line, end in zip(lines, ends[1:]):
         text += (line if isinstance(line, str) else ",".join(line)) + end
     return text
@@ -187,6 +190,43 @@ def test_first_bad_line_wins_across_kinds(tmp_path):
     with pytest.raises(DataError) as got:
         parse_candles(path)
     assert line_of(got.value) == line_of(want.value) == 4
+
+
+@st.composite
+def panel_tables(draw):
+    """A panel's header, its cells as rows in any order, and the panel."""
+    ny, nh = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    p = np.array([[draw(prices) for _ in range(nh)] for _ in range(ny)])
+    cells = [(y, h, float(p[y, h])) for y in range(ny) for h in range(nh)]
+    return PANEL_HEADER, draw(st.permutations(cells)), PricePanel(p)
+
+
+@st.composite
+def coeff_tables(draw):
+    """A coefficient matrix's ticker header, its rows, and the coefficients."""
+    n = draw(st.integers(1, 4))
+    b = np.array([[draw(st.floats(-1e3, 1e3)) for _ in range(n)] for _ in range(n)])
+    tickers = [f"T{i}" for i in range(n)]
+    return tickers, [tuple(map(float, row)) for row in b], PredictionCoeffs(tickers, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from(["panel", "coeffs"]))
+def test_tables_read_alike_in_every_layout(data, kind):
+    # one syntax for every table: what a candle file may hold, a panel or
+    # coefficient file may hold too, and it reads back as the plain file does
+    tables, read = {"panel": (panel_tables, read_panel_csv),
+                    "coeffs": (coeff_tables, read_coeffs_csv)}[kind]
+    header, rows, table = data.draw(tables())
+    lines, ends = data.draw(layouts(rows))
+    bom = data.draw(st.sampled_from(["", "\ufeff"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        plain = Path(tmp) / "plain.csv"
+        table.write_csv(plain)
+        want, got = read(plain), read(write(tmp, bom + render(lines, ends, header)))
+    for name, col in vars(table).items():
+        assert np.array_equal(getattr(want, name), col), name
+        assert np.array_equal(getattr(got, name), col), name
 
 
 @st.composite
@@ -436,7 +476,7 @@ def test_shot_logp_matches_exact_sum(eps, delta, rate, n, seed):
     (0.05, 0.05, 10.0, 1, 500)])
 def test_shot_noise_draws_the_same_events(eps, delta, rate, years, hours):
     params = HurstParams(eps, delta=delta, rate=rate)
-    config = SimConfig(years, hours, seed=17, method="shot_noise")
+    config = SimConfig(years, hours, seed=17)
     got = np.log(simulate_shot_noise(params, config).prices)
     want = np.log(simulate_shot_noise_loop(params, config).prices)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(want).max()

@@ -322,7 +322,7 @@ class TestCsv:
     def test_non_numeric_cell_names_its_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("A,B\n0.0,1.0\n2.0,x\n")
-        with pytest.raises(DataError, match=r"bad\.csv:3: could not convert"):
+        with pytest.raises(DataError, match=r"bad\.csv:3: cannot read B from 'x' as float64"):
             read_coeffs_csv(path)
 
     def test_non_utf8_byte_names_its_line(self, tmp_path):
@@ -340,3 +340,23 @@ class TestCsv:
         path.write_text("A,B\n0.0\n2.0,0.0\n")
         with pytest.raises(DataError, match=r"bad\.csv:2: expected 2 fields, got 1"):
             read_coeffs_csv(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("A,A\n0.0,1.0\n1.0,0.0\n", r"bad\.csv:1: ticker 'A' is given more than once"),
+        ("A,B\n0.0,1.0\nnan,0.0\n", r"bad\.csv:3: coefficients must be finite, got 'nan,0.0'"),
+    ], ids=["repeated_ticker", "nan_cell"])
+    def test_bad_table_names_file_and_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=message):
+            read_coeffs_csv(path)
+
+    @pytest.mark.parametrize("text", ["\ufeffA,B\n0.0,1.0\n2.0,0.0\n",
+                                      "A,B\n0.0,1.0\n2.0,0.0\n\n"],
+                             ids=["byte_order_mark", "trailing_blank_line"])
+    def test_read_like_a_candle_file(self, tmp_path, text):
+        path = tmp_path / "coeffs.csv"
+        path.write_text(text, encoding="utf-8")
+        back = read_coeffs_csv(path)
+        assert back.tickers == ["A", "B"]
+        assert back.b.tolist() == [[0.0, 1.0], [2.0, 0.0]]
