@@ -285,12 +285,16 @@ def cmd_predict(args) -> int:
     out = _out_dir(args)
     grid: dict[str, dict] = {}
     for ty in train_years:
-        cmat = cov.estimate_cov(panel.year(ty), min_obs=args.min_obs).filled()
+        candles = pn.map_candles({t: series[t] for t in tickers}, [clocks[all_years.index(ty)]])
+        cmat = cov.estimate_cov(candles, 1.0, min_obs=args.min_obs)
+        if cmat.tickers != tickers:
+            raise DataError(f"year {ty}: an eligible ticker has no hourly return")
+        cmat = cmat.filled()
         ridge = args.ridge if args.ridge is not None else pred.default_ridge(cmat)
         a = pred.invert_with_ridge(cmat, ridge)
         b = pred.loo_coefficients(a)
         if args.refine:
-            others = [returns[y] for y in all_years if y != ty] or [returns[ty]]
+            others = [returns[y] for y in train_years if y != ty] or [returns[ty]]
             b, _ = pred.gradient_refine(returns[ty], others, b)
         b.write_csv(out / f"coeffs_{ty}.csv")
         grid[str(ty)] = {}
@@ -324,22 +328,18 @@ def cmd_correlate(args) -> int:
     series = _load_dir(args.data_dir, years)
     out = _out_dir(args)
 
-    clocks = _clocks(series, years, CLOCK_KINDS[args.kind])
-    panel = pn.build_panel(series, clocks, args.tau)
-    panel = panel.select(np.isfinite(panel.price).sum(axis=1) >= 2)
-    if not panel.tickers:
+    candles = pn.map_candles(series, _clocks(series, years, CLOCK_KINDS[args.kind]))
+    cmat = cov.estimate_cov(candles, args.tau, min_obs=args.min_obs)
+    if not cmat.tickers:
         raise DataError("no ticker has enough bins at the requested tau")
-    cmat = cov.estimate_cov(panel, min_obs=args.min_obs)
     rmat = cov.cov_to_corr(cmat)
     cmat.write_csv(out / "cov.csv", out / "n_obs.csv")
     rmat.write_csv(out / "corr.csv")
 
     if grid is not None:
-        clock = clocks[0]  # rho(tau) curves use the first requested year
-        sub = {t: series[t].slice_window(clock.year_start, clock.year_end)
-               for t in panel.tickers}
-        sub = {t: s for t, s in sub.items() if len(s) >= 2}
-        _, curves, v = cov.corr_vs_tau(sub, clock, grid, normalize_tau=args.normalize_at)
+        # rho(tau) curves use the first requested year; the others are let go
+        candles = pn.TxnCandles(candles.hours[:1], {t: candles.coords[t][:1] for t in cmat.tickers})
+        _, curves, v = cov.corr_vs_tau(candles, grid, normalize_tau=args.normalize_at)
         ok_rows = ~np.isnan(curves).any(axis=1)
         perc = (vg.percentile_curves(curves[ok_rows]) if ok_rows.any()
                 else np.full((5, len(grid)), np.nan))

@@ -1,26 +1,25 @@
 """Pairwise covariance and correlation of asynchronous returns.
 
-Each ticker's returns run between its consecutive non-empty bins at
-resolution tau, and two tickers' returns are paired by the grid index of
-the bin they start from: the standard pairing on a synchronous grid.
-Each product r_A * r_B is reweighted by tau/sqrt(dt_A*dt_B) to put
-unequal elapsed times on the common tau scale (as the variogram
-estimators do), after returns outside the dt band 0 < dt <= 3 tau
-(``variogram.MAX_DT_FACTOR``) are dropped and per-ticker mean returns
-are removed. Pairs with too few joint observations are reported as
-missing. The weight factorises, so with z = r*sqrt(tau/dt) on a
-(ticker x start bin) grid Z, zero where a ticker has no return, and its
-0/1 mask M, the sums for all pairs are Z @ Z.T and the joint counts
-M @ M.T. ``pair_stats`` never holds Z whole: it keeps each ticker's z and
-start bins, and adds both products up over blocks of ``_BLOCK_BINS``
-columns, so its dense temporaries are tickers x ``_BLOCK_BINS`` at any
-tau. The blocks reorder the sums, so they agree with a pair-by-pair loop
-to rounding, not bit for bit. The Hayashi-Yoshida
+Each ticker's returns are its ``panel.grid_returns`` at resolution tau, and
+two tickers' returns are paired by the grid column of the bin they start
+from: the standard pairing on a synchronous grid. Each product r_A * r_B is
+reweighted by tau/sqrt(dt_A*dt_B) to put unequal elapsed times on the common
+tau scale (as the variogram estimators do), after returns outside the dt
+band 0 < dt <= 3 tau (``variogram.MAX_DT_FACTOR``) are dropped and
+per-ticker mean returns are removed. Pairs with too few joint observations
+are reported as missing. The weight factorises, so with z = r*sqrt(tau/dt)
+on a (ticker x start bin) grid Z, zero where a ticker has no return, and its
+0/1 mask M, the sums for all pairs are Z @ Z.T and the joint counts M @ M.T.
+``pair_stats`` never holds Z whole: it reads the tickers' returns one at a
+time, keeps each one's z and start bins, and adds both products up over
+blocks of ``_BLOCK_BINS`` columns, so its dense temporaries are tickers x
+``_BLOCK_BINS`` at any tau. The blocks reorder the sums, so they agree with
+a pair-by-pair loop to rounding, not bit for bit. The Hayashi-Yoshida
 estimator (Bernoulli 11(2), 2005), which sums the products of all
-overlapping return intervals with no common grid, is the usual
-asynchronous alternative; it is not implemented here. Correlation falling
-as tau shrinks is the Epps effect (Epps, JASA 1979), which
-``corr_vs_tau`` measures.
+overlapping return intervals with no common grid, is the usual asynchronous
+alternative; it is not implemented here. Correlation falling as tau shrinks
+is the Epps effect (Epps, JASA 1979), which ``corr_vs_tau`` measures beside
+each ticker's V(tau) from the same returns.
 
 The two-component return model splits each stock's return into a
 cross-correlated part with partial variogram V(tau) sharing one factor
@@ -34,13 +33,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
-from .candles import CandleSeries, ReturnSeries, bin_coordinates, write_table
+from .candles import ReturnSeries, write_table
 from .errors import DataError
-from .panel import Panel
+from .panel import TxnCandles, grid_returns
 from .variogram import MAX_DT_FACTOR, loglog_interp, weighted_v
 
 DEFAULT_MIN_OBS = 50
@@ -112,12 +111,12 @@ class TwoComponentModel:
 
 
 
-def pair_stats(returns, shape: tuple[int, int], tau: float):
+def pair_stats(returns, width: int, tau: float):
     """Weighted cross-moments of all pairs of rows of a (series, start bin) grid.
 
     Row i takes the i-th ReturnSeries (read once): the returns with dt in
     (0, MAX_DT_FACTOR*tau], demeaned, as z = r*sqrt(tau/dt) at their start
-    indices, which must be strictly increasing and in [0, shape[1]).
+    indices, which must be strictly increasing and in [0, width).
     z_a*z_b is r_a*r_b reweighted by tau/sqrt(dt_a*dt_b), so the sums are
     Z @ Z.T and the joint counts M @ M.T over the zero-filled grid Z and its
     0/1 mask M. Each row is kept compactly, as its z and their positions in
@@ -126,14 +125,15 @@ def pair_stats(returns, shape: tuple[int, int], tau: float):
     mask counts exactly within a block). Returns (covariance, int64 counts),
     both exactly symmetric; a pair with no joint bin gets (nan, 0).
     """
-    n, width = shape
     edges = np.append(np.arange(0, width, _BLOCK_BINS), width)
     widths = np.diff(edges)
     # pieces[b]: each row's returns in block b, as their positions in the
     # block's row-major (n, widths[b]) array and their z
     pieces = [[] for _ in widths]
     sizes = np.zeros(len(widths), dtype=np.int64)
+    n = 0
     for i, rs in enumerate(returns):
+        n = i + 1
         k, r, dt = rs.start_index, rs.r, rs.dt
         keep = (dt > 0) & (dt <= MAX_DT_FACTOR * tau)
         if not keep.all():
@@ -172,11 +172,17 @@ def pair_stats(returns, shape: tuple[int, int], tau: float):
     return c, n_obs
 
 
-def estimate_cov(panel: Panel, min_obs: int = DEFAULT_MIN_OBS) -> CovMatrix:
-    """Covariance of the log returns between consecutive bins of a grid's rows."""
-    c, n_obs = pair_stats(panel.returns(), panel.price.shape, panel.tau)
+def estimate_cov(candles: TxnCandles, tau: float, min_obs: int = DEFAULT_MIN_OBS) -> CovMatrix:
+    """Covariance of the tickers' grid returns at tau; a ticker with none is left out."""
+    tickers = []
+    def rows():
+        for t, rs in zip(candles.coords, grid_returns(candles, tau)):
+            if len(rs):
+                tickers.append(t)
+                yield rs
+    c, n_obs = pair_stats(rows(), sum(candles.widths(tau)), tau)
     c[n_obs < max(min_obs, 2)] = np.nan
-    return CovMatrix(list(panel.tickers), c, panel.tau, n_obs)
+    return CovMatrix(tickers, c, float(tau), n_obs)
 
 
 def cov_to_corr(c: CovMatrix) -> CorrMatrix:
@@ -214,31 +220,26 @@ def _value_at(tau_grid, values: np.ndarray, tau0: float) -> np.ndarray:
     return v0
 
 
-def corr_vs_tau(series: Mapping[str, CandleSeries], clock, tau_grid,
-                normalize_tau: float = 1.0, min_obs: int = 2):
+def corr_vs_tau(candles: TxnCandles, tau_grid, normalize_tau: float = 1.0, min_obs: int = 2):
     """Pairwise correlation as a function of resolution, normalized at 1 hr.
 
-    ``series`` maps ticker to CandleSeries. Per tau, one ``pair_stats`` call
-    gives every pair, with the variances on the diagonal. Returns
-    (pairs, curves, v). curves is (n_pairs, n_tau) normalized rho, NaN where
-    a pair or a variance had fewer than ``min_obs`` samples or a variance was
-    not positive, and for a pair whose values do not reach tau0 on both
-    sides. v is (n_tickers, n_tau): from the same bins, each ticker's
-    ``variogram_diff_of_avg`` at the taus it keeps, NaN at those it omits.
+    Per tau, one ``pair_stats`` call over the tickers' ``grid_returns`` gives
+    every pair, with the variances on the diagonal. Returns (pairs, curves,
+    v). curves is (n_pairs, n_tau) normalized rho, NaN where a pair or a
+    variance had fewer than ``min_obs`` samples or a variance was not
+    positive, and for a pair whose values do not reach tau0 on both sides.
+    v is (n_tickers, n_tau): each ticker's V(tau) from the same returns,
+    which for one year is its ``variogram_diff_of_avg`` (NaN where omitted).
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
-    tickers = list(series)
-    coords = [clock.to_txn_time(series[t].timestamps) for t in tickers]
-    prices = [series[t].price for t in tickers]
+    tickers = list(candles.coords)
     upper = np.triu_indices(len(tickers), 1)
     floor = max(min_obs, 2)
     raw = np.full((len(upper[0]), len(tau_grid)), np.nan)
     v = np.full((len(tickers), len(tau_grid)), np.nan)
     for k, tau in enumerate(tau_grid):
-        # the greatest grid index a coordinate of the year can take, plus one
-        width = int(np.floor_divide(clock.total_txn_hours, tau)) + 1
-        returns = _binned_returns(coords, prices, tau, v[:, k])
-        c, n_obs = pair_stats(returns, (len(tickers), width), tau)
+        returns = _with_variogram(grid_returns(candles, tau), v[:, k])
+        c, n_obs = pair_stats(returns, sum(candles.widths(tau)), tau)
         var = np.diag(c)
         good = (var > 0) & (np.diag(n_obs) >= floor)
         with np.errstate(invalid="ignore"):
@@ -253,12 +254,10 @@ def corr_vs_tau(series: Mapping[str, CandleSeries], clock, tau_grid,
     return list(itertools.combinations(tickers, 2)), curves, v
 
 
-def _binned_returns(coords, prices, tau, v):
-    """Yield each ticker's returns between its tau bins; set v[i] to their V(tau)."""
-    for i, (x, p) in enumerate(zip(coords, prices)):
-        idx, tbar, pbar, _ = bin_coordinates(x, p, tau)
-        rs = ReturnSeries(tau, np.diff(np.log(pbar)), np.diff(tbar), idx[:-1])
-        v[i] = weighted_v(rs.r, rs.dt, tau)[0]
+def _with_variogram(returns, v):
+    """Pass each ReturnSeries on; set v[i] to the i-th one's V(tau)."""
+    for i, rs in enumerate(returns):
+        v[i] = weighted_v(rs.r, rs.dt, rs.tau)[0]
         yield rs
 
 

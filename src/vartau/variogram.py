@@ -6,14 +6,14 @@ so V(tau)/tau plotted against tau is flat for a memoryless process and
 a power law tau^(1-2*eps) signals memory.
 
 Three estimators are provided. The difference-of-average method takes
-log returns of adjacent tau-bin average prices (the method of choice for
-candle inputs, which are themselves averages). The two-point method
-differences prices spaced tau apart, either one sample per grid step or
-at full one-minute resolution. Because sampling is asynchronous, a
-return spanning elapsed time dt contributes r^2 * (tau/dt) to the
-estimate at tau -- the variance of a martingale increment grows linearly
-with elapsed time, so this reweighting makes unequal spans comparable --
-and spans longer than MAX_DT_FACTOR = 3 times tau are discarded.
+log returns of adjacent tau-bin average prices, ``panel.grid_returns``
+(the method of choice for candle inputs, which are themselves averages).
+The two-point method differences prices spaced tau apart, one sample per
+grid step or at full one-minute resolution. Because sampling is
+asynchronous, a return spanning elapsed time dt contributes r^2 * (tau/dt)
+to the estimate at tau -- the variance of a martingale increment grows
+linearly with elapsed time, so this reweighting makes unequal spans
+comparable -- and spans longer than MAX_DT_FACTOR = 3 times tau are dropped.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .candles import CandleSeries, bin_coordinates, write_table
+from .candles import CandleSeries, write_table
 from .errors import DataError
+from .panel import grid_returns, map_candles
 
 # the dt band: a return is kept when 0 < dt <= MAX_DT_FACTOR * tau
 MAX_DT_FACTOR = 3.0
@@ -106,19 +107,18 @@ def _assemble(tau_grid, values, counts) -> Variogram:
 def variogram_diff_of_avg(s: CandleSeries, clock, tau_grid) -> Variogram:
     """Difference-of-average estimator over a tau grid.
 
-    For each tau, candles are sorted into tau bins, bin prices are the
-    mean representative prices, and returns are log differences of
-    adjacent non-empty bins.
+    For each tau, the year's candles are sorted into tau bins, bin prices
+    are the mean representative prices, and returns are log differences of
+    adjacent non-empty bins, as ``panel.grid_returns`` gives them.
     """
-    coords = clock.to_txn_time(s.timestamps)
-    prices = s.price
-    if np.any(prices <= 0):
+    if np.any(s.price <= 0):
         raise DataError(f"{s.ticker}: non-positive representative price")
+    candles = map_candles({s.ticker: s}, [clock])
     vals, counts = [], []
     for tau in np.asarray(tau_grid, dtype=float):
         # fewer than 2 bins give no return, and so (nan, 0)
-        _, tbar, pbar, _ = bin_coordinates(coords, prices, tau)
-        v, n = weighted_v(np.diff(np.log(pbar)), np.diff(tbar), tau)
+        (rs,) = grid_returns(candles, tau)
+        v, n = weighted_v(rs.r, rs.dt, tau)
         vals.append(v); counts.append(n)
     return _assemble(tau_grid, vals, counts)
 

@@ -36,6 +36,7 @@ from vartau.clock import ClockKind, ClockMap, build_clock, hours_in_year, year_b
 from vartau.covariance import corr_vs_tau, predicted_corr_ratio
 from vartau.errors import DataError
 from vartau.hurst import HurstParams, PricePanel, SimConfig, _postprocess
+from vartau.panel import map_candles
 from vartau.predictor import _per_ticker_moments, fmse, naive_predict
 from vartau.variogram import (MAX_DT_FACTOR, PERCENTILES, Variogram, loglog_interp,
                               percentile_curves, variogram_diff_of_avg)
@@ -330,7 +331,8 @@ def write_corr_vs_tau_csv_loop(series, clock, tau_grid, normalize_tau, path) -> 
     ``predicted`` is taken over the tickers whose ``variogram_diff_of_avg``
     keeps every tau, one variogram per ticker.
     """
-    _, curves, _ = corr_vs_tau(series, clock, tau_grid, normalize_tau=normalize_tau)
+    _, curves, _ = corr_vs_tau(map_candles(series, [clock]), tau_grid,
+                               normalize_tau=normalize_tau)
     ok_rows = ~np.isnan(curves).any(axis=1)
     perc = (percentile_curves(curves[ok_rows]) if ok_rows.any()
             else np.full((5, len(tau_grid)), np.nan))

@@ -7,7 +7,7 @@ from vartau import cli
 from vartau.candles import CandleSeries, bin_series, parse_candles, write_candles
 from vartau.clock import ClockKind, ClockMap, build_clock, year_bounds
 from vartau.errors import DataError
-from vartau.panel import build_panel
+from vartau.panel import grid_returns, map_candles
 from vartau.synthetic import point_candles
 
 T0, _ = year_bounds(2021)
@@ -27,7 +27,7 @@ def identity_clock(year=2021):
 
 def panel_returns(s, tau=1.0):
     """The log returns a one-ticker grid gives, as the multi-ticker commands read them."""
-    return next(build_panel({s.ticker: s}, [identity_clock()], tau).returns())
+    return next(grid_returns(map_candles({s.ticker: s}, [identity_clock()]), tau))
 
 
 class TestParse:

@@ -16,6 +16,7 @@ from vartau.clock import ClockKind, build_clock, year_bounds
 from vartau.covariance import corr_vs_tau
 from vartau.hurst import (HurstParams, SimConfig, read_panel_csv, simulate_fbm,
                           simulate_shot_noise)
+from vartau.panel import map_candles
 from vartau.synthetic import random_walk_candles
 from vartau.variogram import percentile_curves
 
@@ -159,7 +160,7 @@ def test_corr_vs_tau_csv_matches_second_binning_pass(tmp_path):
                      "--out-dir", str(tmp_path / "out")]) == 0
     series = {t: parse_candles(data / f"{t}.csv") for t in sorted(series)}
     clock = build_clock(series.values(), ClockKind.DOLLAR_WEIGHTED, 2021)
-    _, _, v = corr_vs_tau(series, clock, grid)
+    _, _, v = corr_vs_tau(map_candles(series, [clock]), grid)
     assert np.isnan(v).any(axis=1).tolist() == [False, False, True, True]
     write_corr_vs_tau_csv_loop(series, clock, grid, 1.0, tmp_path / "want.csv")
     assert (tmp_path / "out" / "corr_vs_tau.csv").read_bytes() == \
@@ -296,6 +297,25 @@ def test_simulate_method_picks_the_simulator(tmp_path, method, simulate):
                      "--out-dir", str(tmp_path)]) == 0
     simulate(HurstParams(0.1, rate=2.0), SimConfig(1, 50, seed=3)).write_csv(tmp_path / "want.csv")
     assert (tmp_path / "panel.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_refine_does_not_validate_on_a_predict_year(data, tmp_path):
+    # a copy of the market whose 2022 prices repeat 2021's: validating on
+    # 2022 there picked other coefficients for 2021
+    copy = tmp_path / "copy"
+    copy.mkdir()
+    t0, t1 = year_bounds(2021)
+    for t, s in market().items():
+        a = s.slice_window(t0, t1)
+        bars = [np.tile(getattr(a, c), 2) for c in ("open", "high", "low", "close", "volume")]
+        ts = np.concatenate([a.timestamps, a.timestamps + (year_bounds(2022)[0] - t0)])
+        write_candles(copy / f"{t}.csv", CandleSeries(t, ts, *bars))
+    for d in (data, copy):
+        assert cli.main(["predict", "--data-dir", str(d), "--train-years", "2021",
+                         "--predict-years", "2022", "--refine",
+                         "--out-dir", str(tmp_path / d.name)]) == 0
+    assert ((tmp_path / data.name / "coeffs_2021.csv").read_bytes()
+            == (tmp_path / copy.name / "coeffs_2021.csv").read_bytes())
 
 
 @pytest.fixture(scope="module")

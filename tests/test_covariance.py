@@ -9,7 +9,7 @@ from vartau.covariance import (CovMatrix, TwoComponentModel, cov_to_corr, corr_v
                                estimate_cov, pair_stats, predicted_corr_ratio,
                                simulate_two_component)
 from vartau.errors import DataError
-from vartau.panel import build_panel
+from vartau.panel import grid_returns, map_candles
 from vartau.synthetic import (correlated_walk_panel, hourly_candles_from_prices,
                               point_candles)
 from vartau.variogram import Variogram, default_tau_grid, variogram_diff_of_avg
@@ -29,8 +29,8 @@ def identity_clock(year=2021):
                        ClockKind.CLOCK, year)
 
 
-def walk_panel(returns, tau=1.0, first=None, gaps=None):
-    """build_panel on point candles, one per tau bin, whose log returns are ``returns``.
+def walk_candles(returns, tau=1.0, first=None, gaps=None):
+    """Point candles, one per tau bin, whose log returns are ``returns``, mapped to the grid.
 
     Ticker t's walk starts in bin ``first[t]`` (default 0), and its returns
     span ``gaps[t]`` bins each (default 1).
@@ -41,12 +41,12 @@ def walk_panel(returns, tau=1.0, first=None, gaps=None):
         bins = (first or {}).get(t, 0) + np.concatenate(([0], np.cumsum(steps)))
         prices = np.exp(np.concatenate(([0.0], np.cumsum(r))))
         series[t] = point_candles(t, T0 + (bins * round(tau * 3600)).astype(np.int64), prices)
-    return build_panel(series, [identity_clock()], tau)
+    return map_candles(series, [identity_clock()])
 
 
 def model_rho(ra, rb, tau):
     """Correlation of two return series paired by start index, from one return grid."""
-    c, n_obs = pair_stats([ra, rb], (2, len(ra)), tau)
+    c, n_obs = pair_stats([ra, rb], len(ra), tau)
     return cov_to_corr(CovMatrix(["A", "B"], c, tau, n_obs)).rho[0, 1]
 
 
@@ -54,9 +54,9 @@ class TestEstimate:
     def test_self_covariance_is_variance(self):
         rng = np.random.default_rng(0)
         r = rng.normal(0, 0.01, 500)
-        panel = walk_panel({"A": r, "B": r})
-        c = estimate_cov(panel, min_obs=2)
-        got = next(panel.returns()).r
+        candles = walk_candles({"A": r, "B": r})
+        c = estimate_cov(candles, 1.0, min_obs=2)
+        got = next(grid_returns(candles, 1.0)).r
         want = np.mean((got - got.mean()) ** 2)
         assert c.c[0, 1] == pytest.approx(want, rel=1e-12)
         assert c.c[0, 0] == pytest.approx(want, rel=1e-12)
@@ -65,8 +65,8 @@ class TestEstimate:
     def test_independent_null(self):
         rng = np.random.default_rng(1)
         n = 4000
-        c = estimate_cov(walk_panel({"A": rng.normal(0, 1, n), "B": rng.normal(0, 1, n)}),
-                         min_obs=2)
+        c = estimate_cov(walk_candles({"A": rng.normal(0, 1, n), "B": rng.normal(0, 1, n)}),
+                         1.0, min_obs=2)
         rho = cov_to_corr(c).rho[0, 1]
         assert abs(rho) < 3 / np.sqrt(n)
 
@@ -76,14 +76,14 @@ class TestEstimate:
         rho = 0.49
         model = TwoComponentModel(v=lambda t: 1.0, u=lambda t: 0.0, rho=rho)
         ra, rb = simulate_two_component(model, 1.0, 20000, seed=2)
-        c = estimate_cov(walk_panel({"A": ra.r, "B": rb.r}, tau=0.25), min_obs=2)
+        c = estimate_cov(walk_candles({"A": ra.r, "B": rb.r}, tau=0.25), 0.25, min_obs=2)
         assert cov_to_corr(c).rho[0, 1] == pytest.approx(rho, abs=0.05)
 
     def test_partial_overlap_and_floor(self):
         rng = np.random.default_rng(3)
-        panel = walk_panel({"A": rng.normal(size=100), "B": rng.normal(size=100)},
-                           first={"B": 60})
-        c = estimate_cov(panel, min_obs=50)
+        candles = walk_candles({"A": rng.normal(size=100), "B": rng.normal(size=100)},
+                               first={"B": 60})
+        c = estimate_cov(candles, 1.0, min_obs=50)
         assert c.n_obs[0, 1] == 40          # joint start bins 60..99
         assert np.isnan(c.c[0, 1])          # below the floor -> missing
         filled = c.filled()
@@ -92,15 +92,15 @@ class TestEstimate:
 
     def test_dt_band_discards_long_gaps(self):
         # the third return spans 10 bins, past the band's 3 tau
-        panel = walk_panel({"A": [0.1, 0.2, 0.3, 0.4]}, gaps={"A": [1, 1, 10, 1]})
-        assert estimate_cov(panel, min_obs=2).n_obs[0, 0] == 3
+        candles = walk_candles({"A": [0.1, 0.2, 0.3, 0.4]}, gaps={"A": [1, 1, 10, 1]})
+        assert estimate_cov(candles, 1.0, min_obs=2).n_obs[0, 0] == 3
 
     def test_permutation_equivariance(self):
         # the grid sorts its rows by ticker, so renaming permutes the matrix
         rng = np.random.default_rng(4)
         x, y, z = rng.normal(size=(3, 300))
-        c1 = estimate_cov(walk_panel({"A": x, "B": y, "C": z}), min_obs=2)
-        c2 = estimate_cov(walk_panel({"B": x, "C": y, "A": z}), min_obs=2)
+        c1 = estimate_cov(walk_candles({"A": x, "B": y, "C": z}), 1.0, min_obs=2)
+        c2 = estimate_cov(walk_candles({"B": x, "C": y, "A": z}), 1.0, min_obs=2)
         perm = [2, 0, 1]
         assert np.allclose(c2.c, c1.c[np.ix_(perm, perm)], rtol=1e-12, atol=0)
 
@@ -110,7 +110,7 @@ class TestEstimate:
         prices = correlated_walk_panel(4, 6000, rho, seed=6)
         series = {f"T{i}": hourly_candles_from_prices(f"T{i}", 2021, prices[i])
                   for i in range(4)}
-        rm = cov_to_corr(estimate_cov(build_panel(series, [clock], 1.0)))
+        rm = cov_to_corr(estimate_cov(map_candles(series, [clock]), 1.0))
         off = rm.rho[np.triu_indices(4, 1)]
         assert np.all(np.abs(off - rho) < 4 / np.sqrt(6000) + 0.02)
 
@@ -138,8 +138,8 @@ class TestCorrMatrix:
 
     def test_no_clamp_on_synchronous_complete_data(self):
         rng = np.random.default_rng(7)
-        c = estimate_cov(walk_panel(dict(zip("ABCDE", rng.normal(size=(5, 400))))),
-                         min_obs=2).c
+        c = estimate_cov(walk_candles(dict(zip("ABCDE", rng.normal(size=(5, 400))))),
+                         1.0, min_obs=2).c
         raw = c / np.sqrt(np.outer(np.diag(c), np.diag(c)))
         assert np.all(np.abs(raw) <= 1 + 1e-12)
 
@@ -152,7 +152,7 @@ class TestCorrVsTau:
         series = {f"T{i}": hourly_candles_from_prices(f"T{i}", 2021, prices[i])
                   for i in range(2)}
         grid = np.array([1.0, 2.0, 4.0, 8.0])
-        pairs, curves, _ = corr_vs_tau(series, clock, grid, min_obs=2)
+        pairs, curves, _ = corr_vs_tau(map_candles(series, [clock]), grid, min_obs=2)
         assert len(pairs) == 1
         se = 3.0 / np.sqrt(8000 / grid)
         assert np.all(np.abs(curves[0] - 1.0) < (se / rho + se[0] / rho))
@@ -162,21 +162,37 @@ class TestCorrVsTau:
         prices = correlated_walk_panel(2, 400, 0.4, seed=9)
         series = {f"T{i}": hourly_candles_from_prices(f"T{i}", 2021, prices[i])
                   for i in range(2)}
-        _, curves, _ = corr_vs_tau(series, clock, np.array([1.0]), min_obs=2)
+        _, curves, _ = corr_vs_tau(map_candles(series, [clock]), np.array([1.0]), min_obs=2)
         assert np.allclose(curves, 1.0)
 
-    def test_variogram_rows_match_diff_of_avg(self):
-        clock = identity_clock()
-        prices = correlated_walk_panel(3, 600, 0.4, seed=10)
-        series = {f"T{i}": hourly_candles_from_prices(f"T{i}", 2021, prices[i][:200 * (i + 1)])
-                  for i in range(3)}
-        grid = np.array([0.5, 1.0, 3.0, 40.0, 250.0])
-        _, _, v = corr_vs_tau(series, clock, grid, min_obs=2)
+    @pytest.mark.parametrize("case", ["walks", "year_end"])
+    def test_variogram_rows_match_diff_of_avg(self, case):
+        if case == "walks":
+            clock = identity_clock()
+            prices = correlated_walk_panel(3, 600, 0.4, seed=10)
+            series = {f"T{i}": hourly_candles_from_prices(f"T{i}", 2021,
+                                                          prices[i][:200 * (i + 1)])
+                      for i in range(3)}
+            grid = np.array([0.5, 1.0, 3.0, 40.0, 250.0])
+        else:
+            # all of the year's volume trades in its first two minutes, so the
+            # zero-volume candle sits at transaction hour 8760, in no bin of
+            # the year at a tau that divides it
+            ts = np.array([T0, T0 + 60, T0 + 7200], dtype=np.int64)
+            series = {"A": point_candles("A", ts, [1.0, 2.0, 3.0],
+                                         volume=np.array([1.0, 1.0, 0.0]))}
+            clock = build_clock(series.values(), ClockKind.VOLUME_WEIGHTED, 2021)
+            grid = np.array([1460.0, 2920.0, 8760.0])
+        _, _, v = corr_vs_tau(map_candles(series, [clock]), grid, min_obs=2)
         for row, s in zip(v, series.values()):
             want = variogram_diff_of_avg(s, clock, grid)
             assert np.array_equal(grid[~np.isnan(row)], want.tau)
             assert np.array_equal(row[~np.isnan(row)], want.v)
         assert np.isnan(v).sum() > 0
+        if case == "year_end":
+            # the one return left runs from hour 0 to hour 4380; at tau 8760
+            # both candles share bin 0 and there is none
+            assert np.allclose(v[0, :2], np.log(2.0) ** 2 * grid[:2] / 4380, rtol=1e-14)
 
 
 class TestPredictedRatio:
@@ -234,7 +250,7 @@ class TestTwoComponent:
     def test_pair_stats_empty_overlap(self):
         a = rs(np.array([0.1, 0.2]), idx=np.array([0, 1]))
         b = rs(np.array([0.1, 0.2]), idx=np.array([5, 6]))
-        c, n = pair_stats([a, b], (2, 7), 1.0)
+        c, n = pair_stats([a, b], 7, 1.0)
         assert n[0, 1] == n[1, 0] == 0 and np.isnan(c[0, 1]) and np.isnan(c[1, 0])
         assert n[0, 0] == n[1, 1] == 2
 
@@ -242,4 +258,4 @@ class TestTwoComponent:
     def test_pair_stats_needs_increasing_starts_on_the_grid(self, idx):
         with pytest.raises(DataError, match="start indices of row 1"):
             pair_stats([rs([0.1, 0.2, 0.3]), rs([0.1, 0.2, 0.3], idx=np.array(idx))],
-                       (2, 7), 1.0)
+                       7, 1.0)

@@ -34,7 +34,8 @@ from hypothesis.extra import numpy as hnp
 
 from oracles import (bin_coordinates_unique, build_clock_dict, build_clock_unique,
                      corr_vs_tau_loop,
-                     estimate_cov_loop, fve, fve_plain, naive_scores, parse_candles_loop,
+                     estimate_cov_loop, fve, fve_plain, multi_year_returns_loop, naive_scores,
+                     parse_candles_loop,
                      run_market_meanrev_loop,
                      run_xcorr_strategy_loop, shot_logp_loop, simulate_shot_noise_loop,
                      write_candles_csv_rows, write_clock_csv_rows, write_corr_vs_tau_csv_rows,
@@ -52,6 +53,7 @@ from vartau.covariance import CorrMatrix, CovMatrix, corr_vs_tau, pair_stats
 from vartau.errors import DataError
 from vartau.hurst import (PANEL_HEADER, HurstParams, PricePanel, SimConfig, _shot_logp,
                           read_panel_csv, simulate_fbm, simulate_shot_noise)
+from vartau.panel import grid_returns, map_candles
 from vartau.predictor import (PredictionCoeffs, fmse, naive_predict, prediction_report,
                               read_coeffs_csv)
 from vartau.variogram import PERCENTILES, Variogram, default_tau_grid
@@ -370,6 +372,53 @@ def test_bin_coordinates_rejects_unsorted():
 
 
 @st.composite
+def multi_year_markets(draw):
+    """One to three consecutive years, 2020 among them at times, and a few tickers.
+
+    A ticker's candles fall at random minutes of each year's first 300
+    hours, with whole volumes, and it may have fewer than two in a year; T0
+    has two or more in each, so every year has a clock. Half the time a year
+    also gets a zero-volume candle at hour 600, after all of the year's
+    weight, where the volume clock puts it at the year's last transaction hour.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    first = draw(st.sampled_from([2019, 2020, 2021]))
+    years = list(range(first, first + draw(st.integers(1, 3))))
+    series = {}
+    for i in range(draw(st.integers(1, 4))):
+        ts, vol = [], []
+        for y in years:
+            n = max(2 * (i == 0), draw(st.sampled_from([0, 1, 2, 5, 300])))
+            minutes = np.sort(rng.choice(300 * 60, size=n, replace=False))
+            end = [600 * 60] if rng.random() < 0.5 else []
+            ts.append(year_bounds(y)[0] + 60 * np.append(minutes, end).astype(np.int64))
+            vol.append(np.append(rng.integers(1, 100, n), np.zeros(len(end))))
+        ts, vol = np.concatenate(ts), np.concatenate(vol)
+        p = 50.0 * np.exp(np.cumsum(rng.normal(0, 0.003, len(ts))))
+        series[f"T{i}"] = CandleSeries(f"T{i}", ts, p, p, p, p, vol)
+    return series, years
+
+
+@settings(max_examples=150, deadline=None)
+@given(multi_year_markets(),
+       st.sampled_from([ClockKind.VOLUME_WEIGHTED, ClockKind.DOLLAR_WEIGHTED]),
+       st.sampled_from([1.0, 10.0, 24.0, 7.0, 0.1]))
+def test_grid_returns_match_year_loop(market, kind, tau):
+    # the year's last transaction hour starts a bin past the year's block at
+    # tau 1, 10 and 24 (24 in leap years too); it falls in the last bin at 7
+    # and at 0.1, which as a float is a little over a tenth
+    series, years = market
+    want = multi_year_returns_loop(series, years, kind, tau)
+    candles = map_candles(series, [build_clock(series.values(), kind, y) for y in years])
+    got = {t: rs for t, rs in zip(candles.coords, grid_returns(candles, tau)) if len(rs)}
+    assert list(got) == list(want)
+    for t, rs in got.items():
+        for field in ("r", "dt", "start_index"):
+            a, b = getattr(rs, field), getattr(want[t], field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (t, field)
+
+
+@st.composite
 def return_sets(draw, block=100):
     """A few tickers' return series on a shared grid of start indices.
 
@@ -405,7 +454,7 @@ def test_grid_cov_matches_pair_loop(data, block, min_obs):
     want, want_n, raw = estimate_cov_loop(returns, tau, min_obs)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(covariance, "_BLOCK_BINS", block)
-        got, n_obs = pair_stats(returns.values(), (len(returns), width), tau)
+        got, n_obs = pair_stats(returns.values(), width, tau)
     got[n_obs < max(min_obs, 2)] = np.nan
     assert np.array_equal(n_obs, want_n)
     assert np.array_equal(np.isnan(got), np.isnan(want))
@@ -437,9 +486,9 @@ def test_corr_vs_tau_matches_pair_loop(series, tau0, min_obs):
         want_pairs, want = corr_vs_tau_loop(series, clock, grid, tau0, min_obs)
     except DataError as exc:
         with pytest.raises(DataError, match=re.escape(str(exc))):
-            corr_vs_tau(series, clock, grid, tau0, min_obs)
+            corr_vs_tau(map_candles(series, [clock]), grid, tau0, min_obs)
         return
-    pairs, got, _ = corr_vs_tau(series, clock, grid, tau0, min_obs)
+    pairs, got, _ = corr_vs_tau(map_candles(series, [clock]), grid, tau0, min_obs)
     assert pairs == want_pairs
     assert np.array_equal(np.isnan(got), np.isnan(want))
     # a cell is c = rho / rho0, rho0 = rho at tau0. Each rho is within
