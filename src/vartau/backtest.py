@@ -40,7 +40,6 @@ class StrategyConfig:
     staleness: int = 1                 # extra delay S before entering
     top_fraction: float = 0.05         # tail size for the discrepancy strategy
     min_side_count: int = 100          # mean reversion: skip thinner hours
-    min_active_fraction: float = 0.5   # eligibility: traded share of hours
     stake: float = 1.0                 # per-side notional per hour
     cost_per_round_trip: float = 0.0   # fraction of notional charged per trade
 
@@ -51,8 +50,6 @@ class StrategyConfig:
             raise DataError("top_fraction must be in (0, 0.5]")
         if self.min_side_count < 1:
             raise DataError("min_side_count must be >= 1")
-        if not 0 < self.min_active_fraction <= 1:
-            raise DataError("min_active_fraction must be in (0, 1]")
         if not 0 < self.stake < np.inf:
             raise DataError(f"stake must be positive and finite, got {self.stake}")
         if not 0 <= self.cost_per_round_trip < np.inf:

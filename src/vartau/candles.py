@@ -11,8 +11,10 @@ representative price and the volume.
 Coarser resolutions are built by sorting candles into consecutive
 half-open bins of length tau along a transaction-time axis (see
 ``vartau.clock``), averaging representative prices and coordinates within
-each bin. Returns are log differences of consecutive known bin prices,
-each carrying its actual elapsed transaction time.
+each bin. ``bin_series`` bins one ticker-year into its year's block of grid
+columns, the step that ``panel.grid_bins`` chains into each ticker's returns
+and its row of the hourly panel. Returns are log differences of consecutive
+known bin prices, each carrying its actual elapsed transaction time.
 
 ``read_table`` owns the CSV syntax of every table vartau reads (candles,
 simulated panels, prediction coefficients) and its ``path:line`` errors, as
@@ -104,7 +106,6 @@ class BinnedSeries:
     Bins with no candles are absent.
     """
 
-    ticker: str
     tau: float                # transaction hours
     index: np.ndarray         # int64, strictly increasing grid indices
     time: np.ndarray          # mean transaction-time coordinate per bin
@@ -119,9 +120,9 @@ class BinnedSeries:
 class ReturnSeries:
     """Log returns of consecutive known bin prices.
 
-    Entry i is the return from bin i to bin i+1 of the source
-    BinnedSeries; ``dt`` is the elapsed transaction time between the two
-    bin mean times and ``start_index`` the grid index of the earlier bin.
+    Entry i is the return from bin i to bin i+1 of a ticker's bins in
+    ``panel.grid_bins``; ``dt`` is the elapsed transaction time between the
+    two bin mean times and ``start_index`` the grid index of the earlier bin.
     """
 
     tau: float
@@ -409,14 +410,13 @@ def bin_coordinates(coords: np.ndarray, prices: np.ndarray, tau: float):
     return idx[first].astype(np.int64), sums_t / counts, sums_p / counts, counts
 
 
-def bin_series(s: CandleSeries, clock, tau: float) -> BinnedSeries:
-    """Sort a candle series into tau-resolution bins in the given clock.
+def bin_series(coords: np.ndarray, prices: np.ndarray, tau: float, width: int) -> BinnedSeries:
+    """One ticker-year's bins on its year block of ``width`` grid columns.
 
-    Each candle is assigned by its transaction-time coordinate; the bin
-    price is the mean of representative prices, the bin time the mean of
-    coordinates. A coordinate exactly on a boundary goes to the later
-    bin. Candles outside the clock's domain raise DataError.
+    The bins are ``bin_coordinates``' bins of the year's sorted transaction
+    coordinates, minus any bin at or past ``width``: a candle at the year's
+    last transaction hour starts such a bin when tau divides the year.
     """
-    coords = clock.to_txn_time(s.timestamps)
-    idx, times, prices, counts = bin_coordinates(coords, s.price, tau)
-    return BinnedSeries(s.ticker, float(tau), idx, times, prices, counts)
+    idx, times, means, counts = bin_coordinates(coords, prices, tau)
+    n = np.searchsorted(idx, width)     # the indices increase: dropped bins end the year
+    return BinnedSeries(float(tau), idx[:n], times[:n], means[:n], counts[:n])

@@ -150,8 +150,11 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _clocks(series: dict, years: list[int], kind: ClockKind) -> list:
-    return [build_clock(series.values(), kind, y) for y in years]
+def _mapped(args, years: list[int]) -> tuple[pn.TxnCandles, list[Path]]:
+    """The candles mapped once to the years' ``--kind`` clocks, and the files read."""
+    series = _load_dir(args.data_dir, years)
+    clocks = [build_clock(series.values(), CLOCK_KINDS[args.kind], y) for y in years]
+    return pn.map_candles(series, clocks), _data_inputs(args.data_dir, series)
 
 
 # ---------------------------------------------------------------------------
@@ -173,16 +176,13 @@ def cmd_variogram(args) -> int:
     series = _load_dir(args.data_dir, [args.year])
     clock = build_clock(series.values(), CLOCK_KINDS[args.clock], args.year)
     results = {}
-    for t in sorted(series):
-        sub = series[t]
-        if len(sub) < 2:
-            continue
+    for t in sorted(series):    # a ticker with fewer than two candles omits every tau
         if args.method == "diff_of_avg":
-            v = vg.variogram_diff_of_avg(sub, clock, grid)
+            v = vg.variogram_diff_of_avg(series[t], clock, grid)
         elif args.method == "two_point_grid":
-            v = vg.variogram_two_point(sub, clock, grid, mode="grid_points")
+            v = vg.variogram_two_point(series[t], clock, grid, mode="grid_points")
         else:
-            v = vg.variogram_two_point(sub, clock, grid, mode="full_resolution")
+            v = vg.variogram_two_point(series[t], clock, grid, mode="full_resolution")
         if len(v) >= 2 and v.tau[0] <= args.normalize_at <= v.tau[-1]:
             results[t] = vg.normalize_at(v, args.normalize_at)
     if not results:
@@ -241,15 +241,14 @@ def cmd_backtest(args) -> int:
                 raise UsageError("xcorr needs --coeffs")
             coeffs = pred.read_coeffs_csv(args.coeffs)     # before the market is parsed
             inputs.append(Path(args.coeffs))
-        series = _load_dir(args.data_dir, years)
-        inputs += _data_inputs(args.data_dir, series)
         config = bt.StrategyConfig(
             staleness=args.staleness, top_fraction=args.top_fraction,
             min_side_count=args.min_side_count, stake=args.stake,
-            min_active_fraction=args.min_active_fraction,
             cost_per_round_trip=args.cost)
-        clocks = _clocks(series, years, CLOCK_KINDS[args.kind])
-        panel = pn.build_panel(series, clocks).eligible(config.min_active_fraction)
+        candles, files = _mapped(args, years)
+        inputs += files
+        panel = pn.build_panel(candles).eligible(args.min_active_fraction)
+        del candles
         tickers, prices = panel.tickers, panel.price
         if coeffs is None:
             result = bt.run_market_meanrev(prices, tickers, config,
@@ -277,16 +276,14 @@ def cmd_predict(args) -> int:
     train_years = _parse_years(args.train_years)
     predict_years = _parse_years(args.predict_years)
     all_years = sorted(set(train_years) | set(predict_years))
-    series = _load_dir(args.data_dir, all_years)
-    clocks = _clocks(series, all_years, CLOCK_KINDS[args.kind])
-    panel = pn.build_panel(series, clocks).eligible(args.min_active_fraction)
+    candles, inputs = _mapped(args, all_years)
+    panel = pn.build_panel(candles).eligible(args.min_active_fraction)
     tickers = panel.tickers
     returns = panel.adjacent_returns()
     out = _out_dir(args)
     grid: dict[str, dict] = {}
     for ty in train_years:
-        candles = pn.map_candles({t: series[t] for t in tickers}, [clocks[all_years.index(ty)]])
-        cmat = cov.estimate_cov(candles, 1.0, min_obs=args.min_obs)
+        cmat = cov.estimate_cov(candles.in_year(ty, tickers), 1.0, min_obs=args.min_obs)
         if cmat.tickers != tickers:
             raise DataError(f"year {ty}: an eligible ticker has no hourly return")
         cmat = cmat.filled()
@@ -308,7 +305,7 @@ def cmd_predict(args) -> int:
             raise DataError(f"year {py}: a ticker has no return variance")
         grid["none"][str(py)] = _scores(pred.naive_predict(r, variances), r)
     _write_json(out / "report.json", {"tickers": tickers, "fve_grid": grid})
-    _write_manifest(out, "predict", args, _data_inputs(args.data_dir, series))
+    _write_manifest(out, "predict", args, inputs)
     print(json.dumps(grid, sort_keys=True))
     return 0
 
@@ -325,10 +322,9 @@ def cmd_correlate(args) -> int:
     grid = _parse_tau_grid(args.tau_grid) if args.tau_grid else None
     if grid is not None:
         _check_normalize_at(args.normalize_at, grid)
-    series = _load_dir(args.data_dir, years)
+    candles, inputs = _mapped(args, years)
     out = _out_dir(args)
 
-    candles = pn.map_candles(series, _clocks(series, years, CLOCK_KINDS[args.kind]))
     cmat = cov.estimate_cov(candles, args.tau, min_obs=args.min_obs)
     if not cmat.tickers:
         raise DataError("no ticker has enough bins at the requested tau")
@@ -338,7 +334,7 @@ def cmd_correlate(args) -> int:
 
     if grid is not None:
         # rho(tau) curves use the first requested year; the others are let go
-        candles = pn.TxnCandles(candles.hours[:1], {t: candles.coords[t][:1] for t in cmat.tickers})
+        candles = candles.in_year(years[0], cmat.tickers)
         _, curves, v = cov.corr_vs_tau(candles, grid, normalize_tau=args.normalize_at)
         ok_rows = ~np.isnan(curves).any(axis=1)
         perc = (vg.percentile_curves(curves[ok_rows]) if ok_rows.any()
@@ -354,7 +350,7 @@ def cmd_correlate(args) -> int:
         write_table(out / "corr_vs_tau.csv",
                     ["tau_hours", "p10", "p25", "p50", "p75", "p90", "predicted"],
                     [grid, *perc, predicted])
-    _write_manifest(out, "correlate", args, _data_inputs(args.data_dir, series))
+    _write_manifest(out, "correlate", args, inputs)
     return 0
 
 

@@ -54,8 +54,7 @@ class ClockMap:
     year: int
     kind: ClockKind
     knots_clock: np.ndarray   # unix seconds, strictly increasing
-    knots_txn: np.ndarray     # transaction hours, non-decreasing
-    total_txn_hours: float
+    knots_txn: np.ndarray     # transaction hours, non-decreasing, 0 to the year's hours
 
     @property
     def year_start(self) -> int:
@@ -89,9 +88,7 @@ def build_clock(all_candles, kind: ClockKind, year: int) -> ClockMap:
     t0, t1 = year_bounds(year)
     total_hours = float((t1 - t0) // 3600)
     if kind is ClockKind.CLOCK:
-        knots_c = np.array([t0, t1], dtype=float)
-        knots_x = np.array([0.0, total_hours])
-        return ClockMap(year, kind, knots_c, knots_x, total_hours)
+        return ClockMap(year, kind, np.array([t0, t1], dtype=float), np.array([0.0, total_hours]))
 
     # the year's minutes: each series' weights are added in ticker order,
     # so every minute sums its candles in the order a bincount over the
@@ -140,4 +137,4 @@ def build_clock(all_candles, kind: ClockKind, year: int) -> ClockMap:
     # collapse duplicate clock knots (adjacent minutes, or a minute that
     # starts exactly at t0 / ends exactly at t1)
     keep = np.concatenate(([True], np.diff(knots_c) > 0))
-    return ClockMap(year, kind, knots_c[keep], knots_x[keep], total_hours)
+    return ClockMap(year, kind, knots_c[keep], knots_x[keep])

@@ -1,17 +1,18 @@
-"""Each ticker's returns on one grid of transaction time, and the hourly panel.
+"""Each ticker's bins on one grid of transaction time: its returns, and the hourly panel.
 
 At resolution tau each year of a run gets its own block of ceil(hours in the
 year / tau) grid columns, in calendar order. ``map_candles`` puts each
 ticker's candles on its year's transaction-hour axis once per command, and
-``grid_returns`` bins them at a tau into the log returns between consecutive
-present bins, ticker by ticker. A bin past its year's block (a candle at the
-year's last transaction hour, when tau divides the year) is dropped. Returns
-run across year boundaries: ``start_index`` is the column of the earlier
-bin, and ``dt`` is taken on the transaction-hour axis that chains the years.
+``grid_bins`` bins them at a tau, ticker by ticker, one ``bin_series`` step
+per ticker-year. A bin past its year's block (a candle at the year's last
+transaction hour, when tau divides the year) is dropped. ``grid_returns``
+takes the log returns between consecutive present bins. Returns run across
+year boundaries: ``start_index`` is the column of the earlier bin, and
+``dt`` is taken on the transaction-hour axis that chains the years.
 Covariance, rho(tau) and the difference-of-average variogram read them.
 
-A ``Panel`` holds the same grid's hourly (tau = 1) bin-mean prices, NaN where
-a ticker (row) has no candle in the hour (column). ``predict`` scores its
+A ``Panel`` holds the same grid's tau = 1 bin-mean prices, NaN where a
+ticker (row) has no candle in the hour (column). ``predict`` scores its
 ``adjacent_returns``, which stay within each year; the backtests trade on it.
 """
 
@@ -19,11 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .candles import CandleSeries, ReturnSeries, bin_coordinates, bin_series
+from .candles import CandleSeries, ReturnSeries, bin_series
 from .clock import ClockMap, hours_in_year
 from .errors import DataError
 
@@ -33,14 +34,19 @@ _NO_BINS = (np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))
 @dataclass
 class TxnCandles:
     """Candles mapped once: ``coords[ticker][j]`` is (transaction hours, prices) of
-    the ticker's candles in year j, None if fewer than two; ``hours[j]``, the year's hours."""
+    the ticker's candles in ``years[j]``, None if fewer than two."""
 
-    hours: list[int]
+    years: list[int]
     coords: dict[str, list]
 
     def widths(self, tau: float) -> list[int]:
-        """Each year's block of grid columns at resolution tau."""
-        return [math.ceil(h / tau) for h in self.hours]
+        """Each year's block of grid columns at resolution tau; at tau = 1, its hours."""
+        return [math.ceil(hours_in_year(y) / tau) for y in self.years]
+
+    def in_year(self, year: int, tickers: Iterable[str]) -> "TxnCandles":
+        """The given tickers' candles of one of the years."""
+        j = self.years.index(year)
+        return TxnCandles([year], {t: self.coords[t][j:j + 1] for t in tickers})
 
 
 def map_candles(series: Mapping[str, CandleSeries], clocks: list[ClockMap]) -> TxnCandles:
@@ -48,24 +54,29 @@ def map_candles(series: Mapping[str, CandleSeries], clocks: list[ClockMap]) -> T
     def mapped(s, clock):
         sub = s.slice_window(clock.year_start, clock.year_end)
         return (clock.to_txn_time(sub.timestamps), sub.price) if len(sub) >= 2 else None
-    return TxnCandles([hours_in_year(c.year) for c in clocks],
+    return TxnCandles([c.year for c in clocks],
                       {t: [mapped(series[t], c) for c in clocks] for t in sorted(series)})
+
+
+def grid_bins(candles: TxnCandles, tau: float) -> Iterator[tuple]:
+    """Per ticker, in order, its (grid index, bin time, bin price) at tau: the
+    years' ``bin_series`` on their blocks' columns and the chained hour axis."""
+    widths, hours = candles.widths(tau), candles.widths(1.0)
+    firsts, offsets = (np.cumsum([0] + a[:-1]).tolist() for a in (widths, hours))
+    for per_year in candles.coords.values():
+        bins = [_chained(bin_series(*xp, tau, w), first, offset)
+                for xp, w, first, offset in zip(per_year, widths, firsts, offsets) if xp]
+        yield bins[0] if len(bins) == 1 else tuple(map(np.concatenate, zip(*bins or [_NO_BINS])))
+
+
+def _chained(b, first: int, offset: int) -> tuple:
+    """A year's bins on the chained grid; the rest of ``b`` is let go before the yield."""
+    return b.index + first if first else b.index, b.time + offset if offset else b.time, b.price
 
 
 def grid_returns(candles: TxnCandles, tau: float) -> Iterator[ReturnSeries]:
     """Per ticker, in order, its log returns between consecutive bins at tau."""
-    widths = candles.widths(tau)
-    firsts, offsets = (np.cumsum([0] + a[:-1]).tolist() for a in (widths, candles.hours))
-    for per_year in candles.coords.values():
-        bins = []
-        for xp, width, first, offset in zip(per_year, widths, firsts, offsets):
-            if xp is None:
-                continue
-            k, t, p, _ = bin_coordinates(*xp, tau)
-            n = np.searchsorted(k, width)   # the indices increase: dropped bins end the year
-            bins.append((k[:n] + first if first else k[:n],
-                         t[:n] + offset if offset else t[:n], p[:n]))
-        k, t, p = bins[0] if len(bins) == 1 else map(np.concatenate, zip(*bins or [_NO_BINS]))
+    for k, t, p in grid_bins(candles, tau):
         yield ReturnSeries(tau, np.diff(np.log(p)), np.diff(t), k[:-1])
 
 
@@ -77,7 +88,9 @@ class Panel:
     price: np.ndarray        # (ticker, hour) mean representative price, NaN if empty
 
     def eligible(self, min_active_fraction: float) -> "Panel":
-        """The rows with a bin in the given share of every year's columns."""
+        """The rows with a bin in the given share, in (0, 1], of every year's columns."""
+        if not 0 < min_active_fraction <= 1:
+            raise DataError("min_active_fraction must be in (0, 1]")
         keep = eligible_mask(self.price, self.blocks, min_active_fraction)
         if not keep.any():
             raise DataError("no tickers pass the eligibility filter")
@@ -95,22 +108,14 @@ class Panel:
         return out
 
 
-def build_panel(series: Mapping[str, CandleSeries], clocks: list[ClockMap]) -> Panel:
-    """Hourly bin prices: one block per clock, in order, and one row per ticker,
-    by name; a ticker's year is binned when it has at least two candles."""
-    tickers = sorted(series)
-    ends = np.cumsum([hours_in_year(c.year) for c in clocks]).tolist()
-    blocks = [slice(a, b) for a, b in zip([0] + ends[:-1], ends)]
-    price = np.full((len(tickers), ends[-1]), np.nan)
-    for clock, sl in zip(clocks, blocks):
-        for i, t in enumerate(tickers):
-            sub = series[t].slice_window(clock.year_start, clock.year_end)
-            if len(sub) < 2:
-                continue
-            b = bin_series(sub, clock, 1.0)
-            inside = b.index < sl.stop - sl.start
-            price[i, sl.start + b.index[inside]] = b.price[inside]
-    return Panel(tickers, [c.year for c in clocks], blocks, price)
+def build_panel(candles: TxnCandles) -> Panel:
+    """The hourly prices: ``grid_bins`` at tau = 1, a row per ticker, a block per year."""
+    ends = np.cumsum(candles.widths(1.0)).tolist()
+    price = np.full((len(candles.coords), ends[-1]), np.nan)
+    for row, (k, _, p) in zip(price, grid_bins(candles, 1.0)):
+        row[k] = p
+    return Panel(list(candles.coords), candles.years,
+                 [slice(a, b) for a, b in zip([0] + ends[:-1], ends)], price)
 
 
 def eligible_mask(prices: np.ndarray, year_slices=None,

@@ -142,11 +142,12 @@ def variogram_two_point(s: CandleSeries, clock, tau_grid,
     """
     if mode not in ("grid_points", "full_resolution"):
         raise DataError(f"unknown two-point mode {mode!r}")
-    coords = clock.to_txn_time(s.timestamps)
-    prices = s.price
-    if np.any(prices <= 0):
+    if np.any(s.price <= 0):
         raise DataError(f"{s.ticker}: non-positive representative price")
-    logp = np.log(prices)
+    (xp,) = map_candles({s.ticker: s}, [clock]).coords[s.ticker]
+    if xp is None:
+        return _assemble(tau_grid, np.full(len(tau_grid), np.nan), np.zeros(len(tau_grid)))
+    coords, logp = xp[0], np.log(xp[1])
     vals, counts = [], []
     for tau in np.asarray(tau_grid, dtype=float):
         if mode == "grid_points":

@@ -30,8 +30,7 @@ import numpy as np
 
 from vartau.backtest import (ANNUAL_HOURS, BacktestResult, EquityCurve, StrategyConfig,
                              TradeLedger)
-from vartau.candles import (CSV_HEADER, CandleSeries, ReturnSeries, bin_coordinates,
-                            bin_series)
+from vartau.candles import CSV_HEADER, CandleSeries, ReturnSeries, bin_coordinates
 from vartau.clock import ClockKind, ClockMap, build_clock, hours_in_year, year_bounds
 from vartau.covariance import corr_vs_tau, predicted_corr_ratio
 from vartau.errors import DataError
@@ -106,7 +105,7 @@ def build_clock_dict(all_candles, kind: ClockKind, year: int) -> ClockMap:
     total_hours = float((t1 - t0) // 3600)
     if kind is ClockKind.CLOCK:
         return ClockMap(year, kind, np.array([t0, t1], dtype=float),
-                        np.array([0.0, total_hours]), total_hours)
+                        np.array([0.0, total_hours]))
     weights: dict[int, float] = {}
     n_seen = 0
     for series in all_candles:
@@ -134,7 +133,7 @@ def build_clock_dict(all_candles, kind: ClockKind, year: int) -> ClockMap:
     knots_c[-1], knots_x[-1] = float(t1), total_hours
     knots_x[-2] = total_hours
     keep = np.concatenate(([True], np.diff(knots_c) > 0))
-    return ClockMap(year, kind, knots_c[keep], knots_x[keep], total_hours)
+    return ClockMap(year, kind, knots_c[keep], knots_x[keep])
 
 
 def build_clock_unique(all_candles, kind: ClockKind, year: int) -> ClockMap:
@@ -143,7 +142,7 @@ def build_clock_unique(all_candles, kind: ClockKind, year: int) -> ClockMap:
     total_hours = float((t1 - t0) // 3600)
     if kind is ClockKind.CLOCK:
         return ClockMap(year, kind, np.array([t0, t1], dtype=float),
-                        np.array([0.0, total_hours]), total_hours)
+                        np.array([0.0, total_hours]))
     subs = [series.slice_window(t0, t1) for series in all_candles]
     if sum(len(s) for s in subs) == 0:
         raise DataError(f"no candles inside year {year}")
@@ -168,7 +167,7 @@ def build_clock_unique(all_candles, kind: ClockKind, year: int) -> ClockMap:
     knots_x[-2] = total_hours
     np.minimum(knots_x, total_hours, out=knots_x)
     keep = np.concatenate(([True], np.diff(knots_c) > 0))
-    return ClockMap(year, kind, knots_c[keep], knots_x[keep], total_hours)
+    return ClockMap(year, kind, knots_c[keep], knots_x[keep])
 
 
 def write_candles_csv_rows(series: CandleSeries, path) -> None:
@@ -350,45 +349,71 @@ def write_corr_vs_tau_csv_loop(series, clock, tau_grid, normalize_tau, path) -> 
     write_corr_vs_tau_csv_rows(tau_grid, perc, predicted, path)
 
 
-def multi_year_returns_loop(series, years, kind: ClockKind, tau: float = 1.0):
-    """Per-ticker returns of the years' bins chained end to end, ticker by ticker.
+def year_bins_loop(series, years, kind: ClockKind, tau: float):
+    """Per year, each ticker's [(grid index, bin time, bin price), ...] on its own
+    clock, tickers by name, for those with two or more candles in the year.
 
-    Each year is binned on its own clock. A year's grid indices are offset
-    by the summed ceil(hours / tau) of the years before it, and its bin
-    times by their summed hours; a bin at or past its year's ceil(hours /
-    tau) is dropped. At tau = 1 this is the merge of per-year bins that
-    the correlate command made before it read a grid (which offset by
-    round(hours / tau) and so gave two bins one index at other taus).
+    A bin at or past the year's ceil(hours / tau) columns is dropped, one
+    bin at a time.
     """
-    per_year, hours, width = [], [0], [0]
+    out = []
     for y in years:
         clock = build_clock(series.values(), kind, y)
+        width = math.ceil(hours_in_year(y) / tau)
         binned = {}
         for t in sorted(series):
             sub = series[t].slice_window(clock.year_start, clock.year_end)
             if len(sub) >= 2:
-                binned[t] = bin_series(sub, clock, tau)
-        per_year.append(binned)
+                idx, time, price, _ = bin_coordinates(clock.to_txn_time(sub.timestamps),
+                                                      sub.price, tau)
+                binned[t] = [(int(k), x, p) for k, x, p in zip(idx, time, price) if k < width]
+        out.append(binned)
+    return out
+
+
+def multi_year_returns_loop(series, years, kind: ClockKind, tau: float = 1.0):
+    """Per-ticker returns of the years' bins chained end to end, ticker by ticker.
+
+    Each year is binned on its own clock (``year_bins_loop``). A year's grid
+    indices are offset by the summed ceil(hours / tau) of the years before
+    it, and its bin times by their summed hours. At tau = 1 this is the
+    merge of per-year bins that the correlate command made before it read a
+    grid (which offset by round(hours / tau) and so gave two bins one index
+    at other taus).
+    """
+    per_year, hours, width = year_bins_loop(series, years, kind, tau), [0], [0]
+    for y in years:
         hours.append(hours[-1] + hours_in_year(y))
         width.append(width[-1] + math.ceil(hours_in_year(y) / tau))
     out = {}
     for t in sorted(series):
         idx, time, price = [], [], []
         for i, binned in enumerate(per_year):
-            if t not in binned:
-                continue
-            b = binned[t]
-            for k in range(len(b)):
-                if b.index[k] < width[i + 1] - width[i]:
-                    idx.append(width[i] + int(b.index[k]))
-                    time.append(b.time[k] + hours[i])
-                    price.append(b.price[k])
+            for k, x, p in binned.get(t, []):
+                idx.append(width[i] + k)
+                time.append(x + hours[i])
+                price.append(p)
         if len(idx) < 2:
             continue
         out[t] = ReturnSeries(tau, np.diff(np.log(price)), np.diff(time),
                               np.array(idx[:-1], dtype=np.int64))
     return out
 
+
+def build_panel_loop(series, years, kind: ClockKind):
+    """(tickers, prices) of the hourly panel, filled one bin at a time.
+
+    Row i is the i-th ticker by name; year j's hourly bins go to the columns
+    offset by the hours of the years before it, and every other cell is NaN.
+    """
+    tickers = sorted(series)
+    hours = [hours_in_year(y) for y in years]
+    price = np.full((len(tickers), sum(hours)), np.nan)
+    for j, binned in enumerate(year_bins_loop(series, years, kind, 1.0)):
+        for i, t in enumerate(tickers):
+            for k, _, p in binned.get(t, []):
+                price[i, sum(hours[:j]) + k] = p
+    return tickers, price
 
 
 def shot_logp_loop(params: HurstParams, n: int, times, amps) -> np.ndarray:

@@ -11,7 +11,7 @@ from vartau.backtest import (EquityCurve, StrategyConfig, annualized_yield,
 from vartau.clock import ClockKind, build_clock, year_bounds
 from vartau.errors import DataError
 from vartau.hurst import HurstParams, SimConfig, simulate_fbm
-from vartau.panel import build_panel, eligible_mask
+from vartau.panel import build_panel, eligible_mask, map_candles
 from vartau.predictor import PredictionCoeffs
 from vartau.synthetic import hourly_candles_from_prices, point_candles
 
@@ -108,7 +108,7 @@ class TestPanelPrep:
         series = {t: point_candles(t, t0 + 3600 * np.asarray(h, dtype=np.int64), p)
                   for t, (h, p) in candles.items()}
         clock = build_clock(series.values(), ClockKind.CLOCK, 2021)
-        return build_panel(series, [clock])
+        return build_panel(map_candles(series, [clock]))
 
     def test_price_matrix_placement(self):
         panel = self.make_panel({"T": ([0, 2, 5], [10.0, 11.0, 12.0])})

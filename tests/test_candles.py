@@ -1,11 +1,13 @@
 """Candle parsing, representative prices, binning and log returns."""
 
+import math
+
 import numpy as np
 import pytest
 
 from vartau import cli
 from vartau.candles import CandleSeries, bin_series, parse_candles, write_candles
-from vartau.clock import ClockKind, ClockMap, build_clock, year_bounds
+from vartau.clock import ClockKind, ClockMap, build_clock, hours_in_year, year_bounds
 from vartau.errors import DataError
 from vartau.panel import grid_returns, map_candles
 from vartau.synthetic import point_candles
@@ -23,6 +25,12 @@ def write_csv(tmp_path, rows, name="TEST.csv"):
 def identity_clock(year=2021):
     return build_clock([point_candles("X", [year_bounds(year)[0]], [1.0])],
                        ClockKind.CLOCK, year)
+
+
+def year_bins(s, clock, tau):
+    """The bins of a series' candles at tau on its clock's year block."""
+    return bin_series(clock.to_txn_time(s.timestamps), s.price, tau,
+                      math.ceil(hours_in_year(clock.year) / tau))
 
 
 def panel_returns(s, tau=1.0):
@@ -169,7 +177,7 @@ class TestBinning:
     def test_constant_hour(self):
         ts = T0 + 60 * np.arange(60, dtype=np.int64)
         s = point_candles("C", ts, np.full(60, 7.0))
-        b = bin_series(s, identity_clock(), 1.0)
+        b = year_bins(s, identity_clock(), 1.0)
         assert len(b) == 1
         assert b.price[0] == pytest.approx(7.0)
         # mean of the 60 minute coordinates inside the hour
@@ -181,7 +189,7 @@ class TestBinning:
         ts = np.concatenate([T0 + 60 * np.arange(10),
                              T0 + 2 * 3600 + 60 * np.arange(10)]).astype(np.int64)
         s = point_candles("G", ts, np.concatenate([np.full(10, 5.0), np.full(10, 6.0)]))
-        b = bin_series(s, identity_clock(), 1.0)
+        b = year_bins(s, identity_clock(), 1.0)
         assert list(b.index) == [0, 2]
         r = panel_returns(s)
         assert len(r) == 1
@@ -190,31 +198,33 @@ class TestBinning:
     def test_boundary_goes_to_later_bin(self):
         ts = np.array([T0, T0 + 3600], dtype=np.int64)
         s = point_candles("B", ts, [1.0, 2.0])
-        b = bin_series(s, identity_clock(), 1.0)
+        b = year_bins(s, identity_clock(), 1.0)
         assert list(b.index) == [0, 1]
 
     def test_two_segment_clock_hand_assignment(self):
         # map: first clock hour -> 1 txn hour, next clock hour -> 2 more
         clock = ClockMap(2021, ClockKind.DOLLAR_WEIGHTED,
                          np.array([T0, T0 + 3600, T0 + 7200], dtype=float),
-                         np.array([0.0, 1.0, 3.0]), 3.0)
+                         np.array([0.0, 1.0, 3.0]))
         ts = np.array([T0, T0 + 1800, T0 + 5400], dtype=np.int64)
         # hand evaluation: coords 0.0, 0.5 (half of first segment),
         # 2.0 (half of the second segment: 1 + 0.5*2)
         s = point_candles("H", ts, [1.0, 2.0, 3.0])
         coords = clock.to_txn_time(s.timestamps)
         assert np.allclose(coords, [0.0, 0.5, 2.0])
-        b = bin_series(s, clock, 1.0)
+        b = bin_series(coords, s.price, 1.0, 3)
         assert list(b.index) == [0, 2]
         assert b.n_candles[0] == 2 and b.n_candles[1] == 1
         assert b.price[0] == pytest.approx(1.5)
         assert b.time[0] == pytest.approx(0.25)
 
-    def test_outside_clock_domain(self):
-        ts = np.array([T0 - 60], dtype=np.int64)
-        s = point_candles("O", ts, [1.0])
-        with pytest.raises(DataError, match="domain"):
-            bin_series(s, identity_clock(), 1.0)
+    def test_bins_past_the_width_are_dropped(self):
+        coords, prices = np.array([0.5, 2.0, 2.5, 3.0]), np.array([1.0, 2.0, 4.0, 8.0])
+        b = bin_series(coords, prices, 1.0, 3)
+        assert list(b.index) == [0, 2] and list(b.price) == [1.0, 3.0]
+        assert list(b.n_candles) == [1, 2] and list(b.time) == [0.5, 2.25]
+        assert len(bin_series(coords, prices, 1.0, 2)) == 1
+        assert list(bin_series(coords, prices, 1.0, 4).index) == [0, 2, 3]
 
     def test_partition_preserves_counts(self):
         rng = np.random.default_rng(1)
@@ -222,7 +232,7 @@ class TestBinning:
         s = point_candles("P", ts, np.exp(rng.normal(0, 0.01, 800)))
         clock = identity_clock()
         for tau in (0.5, 1.0, 2.0, 7.3):
-            b = bin_series(s, clock, tau)
+            b = year_bins(s, clock, tau)
             assert b.n_candles.sum() == len(s)
             assert np.all(np.diff(b.index) > 0)
             assert np.all(b.n_candles >= 1)
@@ -232,8 +242,8 @@ class TestBinning:
         ts = T0 + 60 * np.sort(rng.choice(30000, size=500, replace=False)).astype(np.int64)
         s = point_candles("W", ts, np.exp(rng.normal(0, 0.01, 500)) * 20)
         clock = identity_clock()
-        b1 = bin_series(s, clock, 1.0)
-        b2 = bin_series(s, clock, 2.0)
+        b1 = year_bins(s, clock, 1.0)
+        b2 = year_bins(s, clock, 2.0)
         m1 = np.sum(b1.price * b1.n_candles) / b1.n_candles.sum()
         m2 = np.sum(b2.price * b2.n_candles) / b2.n_candles.sum()
         assert m1 == pytest.approx(m2, rel=1e-12)
@@ -245,10 +255,10 @@ class TestBinning:
         prices = np.exp(rng.normal(0, 0.01, 60))
         s = point_candles("N", ts, prices)
         clock = identity_clock()
-        b_full = bin_series(s, clock, 1.0)
+        b_full = year_bins(s, clock, 1.0)
         drop = 17
         s2 = point_candles("N", np.delete(ts, drop), np.delete(prices, drop))
-        b_less = bin_series(s2, clock, 1.0)
+        b_less = year_bins(s2, clock, 1.0)
         assert set(b_less.index).issubset(set(b_full.index))
         touched = int(clock.to_txn_time(int(ts[drop])) // 1.0)
         for idx, price in zip(b_less.index, b_less.price):
@@ -279,12 +289,12 @@ class TestLogReturns:
         rng = np.random.default_rng(4)
         prices = np.exp(np.cumsum(rng.normal(0, 0.02, 300))) * 40
         s = point_candles("R", T0 + 3600 * np.arange(300, dtype=np.int64), prices)
-        b = bin_series(s, identity_clock(), 1.0)
+        b = year_bins(s, identity_clock(), 1.0)
         rebuilt = np.exp(np.cumsum(panel_returns(s).r))
         assert np.allclose(rebuilt, b.price[1:] / b.price[0], rtol=1e-12)
 
     def test_needs_two_bins(self):
         # two candles in one bin: a price, and no return
         s = point_candles("E", np.array([T0, T0 + 60], dtype=np.int64), [1.0, 2.0])
-        assert len(bin_series(s, identity_clock(), 1.0)) == 1
+        assert len(year_bins(s, identity_clock(), 1.0)) == 1
         assert len(panel_returns(s)) == 0

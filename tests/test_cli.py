@@ -289,6 +289,17 @@ def test_non_finite_flag_is_rejected_like_a_negative_one(data, tmp_path, capsys,
     assert not [n for n in written if n.startswith("coeffs_")]
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "1.5"])
+@pytest.mark.parametrize("command", [
+    ["predict", "--train-years", "2021", "--predict-years", "2022"],
+    ["backtest", "--strategy", "market-meanrev", "--years", "2021", "--min-side-count", "1"],
+])
+def test_eligibility_fraction_outside_0_1_exits_3(data, tmp_path, capsys, command, value):
+    argv = [*command, "--data-dir", str(data), f"--min-active-fraction={value}"]
+    assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 3
+    assert "min_active_fraction must be in (0, 1]" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("method, simulate", [("fft", simulate_fbm),
                                               ("shot", simulate_shot_noise)])
 def test_simulate_method_picks_the_simulator(tmp_path, method, simulate):

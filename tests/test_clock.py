@@ -59,7 +59,7 @@ class TestBuild:
         s = point_candles("L", np.array([t0_leap], dtype=np.int64), [1.0], 2.0)
         clock = build_clock([s], ClockKind.VOLUME_WEIGHTED, 2020)
         assert hours_in_year(2020) == 8784
-        assert clock.total_txn_hours == 8784
+        assert clock.knots_txn[-1] == 8784
         assert clock.to_txn_time(clock.year_end) == pytest.approx(8784)
 
     def test_knots_never_pass_the_year_end(self):
@@ -165,7 +165,6 @@ class TestCsv:
         path = tmp_path / "clock.csv"
         clock.write_csv(path)
         knots = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        back = ClockMap(2021, ClockKind.DOLLAR_WEIGHTED, knots[:, 0], knots[:, 1],
-                        float(knots[-1, 1]))
+        back = ClockMap(2021, ClockKind.DOLLAR_WEIGHTED, knots[:, 0], knots[:, 1])
         t = np.linspace(T0, T1, 50)
         assert np.allclose(back.to_txn_time(t), clock.to_txn_time(t))

@@ -6,7 +6,9 @@ quoted and padded fields, exponents and signs; simulated panels and
 prediction coefficients in the same layouts must read back exactly as
 their plain files do; the clock and the binning
 on generated candles and coordinates, some on bin edges and one ulp to
-either side. Their results must be equal, not close. The grid covariance
+either side. Their results must be equal, not close, as must each ticker's
+chained grid returns and the hourly panel against loops that bin one year
+at a time, on one to three years' candles. The grid covariance
 and rho(tau) are compared with the pair loops on generated return series
 and candles, with gaps, unequal elapsed times and pairs that never
 overlap: counts and missing cells must be equal and values within 1e-12
@@ -33,7 +35,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import (bin_coordinates_unique, build_clock_dict, build_clock_unique,
-                     corr_vs_tau_loop,
+                     build_panel_loop, corr_vs_tau_loop,
                      estimate_cov_loop, fve, fve_plain, multi_year_returns_loop, naive_scores,
                      parse_candles_loop,
                      run_market_meanrev_loop,
@@ -48,12 +50,12 @@ from vartau.backtest import (EquityCurve, StrategyConfig, TradeLedger, run_marke
                              run_xcorr_strategy)
 from vartau.candles import (CSV_HEADER, CandleSeries, ReturnSeries, bin_coordinates,
                             parse_candles, write_candles, write_table)
-from vartau.clock import ClockKind, ClockMap, build_clock, year_bounds
+from vartau.clock import ClockKind, ClockMap, build_clock, hours_in_year, year_bounds
 from vartau.covariance import CorrMatrix, CovMatrix, corr_vs_tau, pair_stats
 from vartau.errors import DataError
 from vartau.hurst import (PANEL_HEADER, HurstParams, PricePanel, SimConfig, _shot_logp,
                           read_panel_csv, simulate_fbm, simulate_shot_noise)
-from vartau.panel import grid_returns, map_candles
+from vartau.panel import build_panel, grid_returns, map_candles
 from vartau.predictor import (PredictionCoeffs, fmse, naive_predict, prediction_report,
                               read_coeffs_csv)
 from vartau.variogram import PERCENTILES, Variogram, default_tau_grid
@@ -264,8 +266,8 @@ def test_build_clock_matches_dict(series, kind):
     assert np.array_equal(got.knots_clock, want.knots_clock)
     # build_clock clamps the knots that the dict loop let round past the
     # year's hours, which made its knots fall back at the end
-    assert np.array_equal(got.knots_txn, np.minimum(want.knots_txn, want.total_txn_hours))
-    assert got.total_txn_hours == want.total_txn_hours
+    assert np.array_equal(got.knots_txn, np.minimum(want.knots_txn, hours_in_year(2021)))
+    assert got.knots_txn[-1] == hours_in_year(2021)
 
 
 @st.composite
@@ -305,7 +307,7 @@ def test_build_clock_matches_unique(market, kind):
     got = build_clock(series, kind, year)
     assert np.array_equal(got.knots_clock, want.knots_clock)
     assert np.array_equal(got.knots_txn, want.knots_txn)
-    assert got.total_txn_hours == want.total_txn_hours
+    assert got.knots_txn[-1] == hours_in_year(year)
 
 
 @settings(max_examples=50, deadline=None)
@@ -416,6 +418,20 @@ def test_grid_returns_match_year_loop(market, kind, tau):
         for field in ("r", "dt", "start_index"):
             a, b = getattr(rs, field), getattr(want[t], field)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (t, field)
+
+
+@settings(max_examples=150, deadline=None)
+@given(multi_year_markets(), st.sampled_from(list(ClockKind)))
+def test_build_panel_matches_year_loop(market, kind):
+    # a zero-volume candle at a year's last transaction hour is dropped, and
+    # a ticker with fewer than two candles in a year leaves that block NaN
+    series, years = market
+    tickers, want = build_panel_loop(series, years, kind)
+    got = build_panel(map_candles(series, [build_clock(series.values(), kind, y)
+                                           for y in years]))
+    assert got.tickers == tickers and got.years == years
+    assert [b.stop - b.start for b in got.blocks] == [hours_in_year(y) for y in years]
+    assert got.price.dtype == want.dtype and got.price.tobytes() == want.tobytes()
 
 
 @st.composite

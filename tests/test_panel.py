@@ -15,7 +15,7 @@ def clocks_of(candles, years=(2021, 2022), kind=ClockKind.CLOCK):
 
 
 def panel_of(candles, years=(2021, 2022)):
-    return build_panel(candles, clocks_of(candles, years))
+    return build_panel(map_candles(candles, clocks_of(candles, years)))
 
 
 def test_blocks_do_not_share_columns_when_tau_does_not_divide_the_year():
@@ -36,10 +36,11 @@ def test_bin_at_the_year_end_is_dropped():
     ts = np.array([T21, T21 + 60, T21 + 7200], dtype=np.int64)
     s = point_candles("A", ts, [1.0, 2.0, 3.0], volume=np.array([1.0, 1.0, 0.0]))
     clocks = clocks_of({"A": s}, (2021,), ClockKind.VOLUME_WEIGHTED)
-    p = build_panel({"A": s}, clocks)
+    candles = map_candles({"A": s}, clocks)
+    p = build_panel(candles)
     assert p.price.shape == (1, 8760)
     assert np.flatnonzero(np.isfinite(p.price[0])).tolist() == [0, 4380]
-    (rs,) = grid_returns(map_candles({"A": s}, clocks), 1.0)
+    (rs,) = grid_returns(candles, 1.0)
     assert rs.start_index.tolist() == [0] and rs.dt.tolist() == [4380.0]
 
 

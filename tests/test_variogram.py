@@ -104,6 +104,24 @@ class TestTwoPoint:
             want = np.argmin(np.abs(coords[None, :] - targets[:, None]), axis=1)
             assert np.array_equal(_nearest_index(coords, targets), want)
 
+    @pytest.mark.parametrize("estimate", [
+        variogram_diff_of_avg,
+        lambda s, clock, grid: variogram_two_point(s, clock, grid, mode="grid_points"),
+        lambda s, clock, grid: variogram_two_point(s, clock, grid, mode="full_resolution"),
+    ])
+    def test_candles_outside_the_year_are_ignored(self, estimate):
+        ts = T0 + 3600 * np.arange(40, dtype=np.int64)
+        prices = np.exp(np.sin(np.arange(40.0)))
+        inside = point_candles("Y", ts, prices)
+        wider = point_candles("Y", np.concatenate([[T0 - 3600], ts, [year_bounds(2022)[0]]]),
+                              np.concatenate([[5.0], prices, [7.0]]))
+        grid = np.array([1.0, 3.0])
+        want, got = estimate(inside, CLOCK, grid), estimate(wider, CLOCK, grid)
+        assert got.v.tolist() == want.v.tolist() and len(want) == 2
+        assert got.n_samples.tolist() == want.n_samples.tolist()
+        alone = estimate(point_candles("Y", ts[:1], prices[:1]), CLOCK, grid)
+        assert len(alone) == 0 and alone.omitted.tolist() == grid.tolist()
+
     def test_unknown_mode(self):
         s = point_candles("U", np.array([T0], dtype=np.int64), [1.0])
         with pytest.raises(DataError, match="mode"):
