@@ -28,7 +28,6 @@ import numpy as np
 
 from .candles import write_table
 from .errors import DataError
-from .hurst import PricePanel
 
 ANNUAL_HOURS = 8760.0
 # decision hours filled per step; bounds the (side x ticker x hour) temporaries
@@ -81,15 +80,14 @@ class TradeLedger:
 
 @dataclass
 class EquityCurve:
-    hours: np.ndarray      # every panel hour, 0 .. span_hours - 1
-    cum_pnl: np.ndarray    # running sum of realized pnl, booked per decision hour
+    cum_pnl: np.ndarray    # running sum of realized pnl at every panel hour
     stake: float
-    span_hours: int        # panel hours covered, for annualization
 
     def write_csv(self, path) -> None:
         """txn_hour, cum_pnl and the yield annualized over the hours up to it."""
-        ann = self.cum_pnl / self.stake * ANNUAL_HOURS / np.maximum(self.hours + 1, 1)
-        write_table(path, ["txn_hour", "cum_pnl", "annualized"], [self.hours, self.cum_pnl, ann])
+        hours = np.arange(len(self.cum_pnl))
+        ann = self.cum_pnl / self.stake * ANNUAL_HOURS / (hours + 1)
+        write_table(path, ["txn_hour", "cum_pnl", "annualized"], [hours, self.cum_pnl, ann])
 
 
 @dataclass
@@ -103,18 +101,17 @@ def annualized_yield(curve: EquityCurve) -> float:
     """End-point cumulative P&L per stake, scaled to an 8760-hour year."""
     if len(curve.cum_pnl) == 0:
         return 0.0
-    return float(curve.cum_pnl[-1] / curve.stake * ANNUAL_HOURS / curve.span_hours)
+    return float(curve.cum_pnl[-1] / curve.stake * ANNUAL_HOURS / len(curve.cum_pnl))
 
 
-def rms_hourly_return(panel: PricePanel | np.ndarray) -> float:
-    """Per-year rms of hourly log returns, averaged across years."""
-    prices = panel.prices if isinstance(panel, PricePanel) else np.asarray(panel, dtype=float)
+def rms_hourly_return(prices: np.ndarray) -> float:
+    """Per-year rms of hourly log returns, averaged across years (rows)."""
     r = np.diff(np.log(prices), axis=1)
     return float(np.mean(np.sqrt(np.mean(r * r, axis=1))))
 
 
-def run_sim_meanrev(panel: PricePanel | np.ndarray) -> np.ndarray:
-    """Mean-reversion arbitrage on a simulated panel; yearly net returns.
+def run_sim_meanrev(prices: np.ndarray) -> np.ndarray:
+    """Mean-reversion arbitrage on simulated (year, hour) prices; yearly net returns.
 
     For every year y and hour h: the normalized return over (h, h+1) sets
     the share count q = -r_hat / p[h+1]; shares trade at the hour-average
@@ -122,7 +119,6 @@ def run_sim_meanrev(panel: PricePanel | np.ndarray) -> np.ndarray:
     pnl sum over hours, divided by the summed |r_hat| at stake, and
     scaled to an 8760-hour year (uncompounded); 0 for a flat year.
     """
-    prices = panel.prices if isinstance(panel, PricePanel) else np.asarray(panel, dtype=float)
     if prices.shape[1] < 4:
         raise DataError("need at least 4 hours per year")
     rms = rms_hourly_return(prices)
@@ -181,8 +177,7 @@ def _book(prices, tickers, entry_offset, config, sides) -> BacktestResult:
     hour, tick, side, qty, entry, exit_, pnl = (np.concatenate(col) for col in zip(*parts))
     ledger = TradeLedger(hour, np.asarray(tickers, dtype=object)[tick].tolist(),
                          side, qty, entry, exit_, pnl)
-    curve = EquityCurve(np.arange(n_hours, dtype=np.int64),
-                        np.cumsum(np.bincount(hour, pnl, n_hours)), config.stake, n_hours)
+    curve = EquityCurve(np.cumsum(np.bincount(hour, pnl, n_hours)), config.stake)
     return BacktestResult(ledger, curve, {"skipped_hours": n_decisions - booked})
 
 

@@ -106,7 +106,6 @@ class BinnedSeries:
     Bins with no candles are absent.
     """
 
-    tau: float                # transaction hours
     index: np.ndarray         # int64, strictly increasing grid indices
     time: np.ndarray          # mean transaction-time coordinate per bin
     price: np.ndarray         # mean representative price per bin
@@ -419,4 +418,4 @@ def bin_series(coords: np.ndarray, prices: np.ndarray, tau: float, width: int) -
     """
     idx, times, means, counts = bin_coordinates(coords, prices, tau)
     n = np.searchsorted(idx, width)     # the indices increase: dropped bins end the year
-    return BinnedSeries(float(tau), idx[:n], times[:n], means[:n], counts[:n])
+    return BinnedSeries(idx[:n], times[:n], means[:n], counts[:n])

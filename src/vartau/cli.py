@@ -32,8 +32,7 @@ from .candles import CandleSeries, not_utf8, parse_candles, write_table
 from .clock import ClockKind, build_clock, year_bounds
 from .errors import DataError, NumericalError
 
-CLOCK_KINDS = {"clock": ClockKind.CLOCK, "dollar": ClockKind.DOLLAR_WEIGHTED,
-               "volume": ClockKind.VOLUME_WEIGHTED}
+CLOCK_KINDS = [k.value for k in ClockKind]
 _NON_FLAG_KEYS = ("func", "command", "manifest")
 
 
@@ -153,7 +152,7 @@ def _out_dir(args) -> Path:
 def _mapped(args, years: list[int]) -> tuple[pn.TxnCandles, list[Path]]:
     """The candles mapped once to the years' ``--kind`` clocks, and the files read."""
     series = _load_dir(args.data_dir, years)
-    clocks = [build_clock(series.values(), CLOCK_KINDS[args.kind], y) for y in years]
+    clocks = [build_clock(series.values(), ClockKind(args.kind), y) for y in years]
     return pn.map_candles(series, clocks), _data_inputs(args.data_dir, series)
 
 
@@ -163,7 +162,7 @@ def _mapped(args, years: list[int]) -> tuple[pn.TxnCandles, list[Path]]:
 
 def cmd_clock(args) -> int:
     series = _load_dir(args.data_dir, [args.year])
-    clock = build_clock(series.values(), CLOCK_KINDS[args.kind], args.year)
+    clock = build_clock(series.values(), ClockKind(args.kind), args.year)
     out = _out_dir(args)
     clock.write_csv(out / f"clock_{args.year}_{args.kind}.csv")
     _write_manifest(out, "clock", args, _data_inputs(args.data_dir, series))
@@ -174,7 +173,7 @@ def cmd_variogram(args) -> int:
     grid = _parse_tau_grid(args.tau_grid)
     _check_normalize_at(args.normalize_at, grid)
     series = _load_dir(args.data_dir, [args.year])
-    clock = build_clock(series.values(), CLOCK_KINDS[args.clock], args.year)
+    clock = build_clock(series.values(), ClockKind(args.clock), args.year)
     results = {}
     for t in sorted(series):    # a ticker with fewer than two candles omits every tau
         if args.method == "diff_of_avg":
@@ -183,7 +182,9 @@ def cmd_variogram(args) -> int:
             v = vg.variogram_two_point(series[t], clock, grid, mode="grid_points")
         else:
             v = vg.variogram_two_point(series[t], clock, grid, mode="full_resolution")
-        if len(v) >= 2 and v.tau[0] <= args.normalize_at <= v.tau[-1]:
+        # a ticker whose taus miss --normalize-at, or whose V is not positive
+        # (a constant price), cannot be normalized there and is left out
+        if len(v) >= 2 and v.tau[0] <= args.normalize_at <= v.tau[-1] and (v.v > 0).all():
             results[t] = vg.normalize_at(v, args.normalize_at)
     if not results:
         raise DataError("no ticker produced a usable variogram")
@@ -216,18 +217,20 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_backtest(args) -> int:
+    if args.long_only and args.strategy != "market-meanrev":
+        raise UsageError(f"--long-only applies to market-meanrev only, not {args.strategy}")
     inputs: list[Path] = []
     if args.strategy == "sim-meanrev":
         if not args.panel:
             raise UsageError("sim-meanrev needs --panel")
         panel = hurst.read_panel_csv(args.panel)
         inputs.append(Path(args.panel))
-        p_y = bt.run_sim_meanrev(panel)
+        p_y = bt.run_sim_meanrev(panel.prices)
         summary = {
             "mean": float(p_y.mean()),
             "stderr": float(p_y.std(ddof=1) / np.sqrt(len(p_y))) if len(p_y) > 1 else 0.0,
             "n_years": int(len(p_y)),
-            "rms_hourly_return": bt.rms_hourly_return(panel),
+            "rms_hourly_return": bt.rms_hourly_return(panel.prices),
         }
         out = _out_dir(args)
         write_table(out / "yearly_returns.csv", ["year", "net_return"], [np.arange(len(p_y)), p_y])
@@ -245,6 +248,7 @@ def cmd_backtest(args) -> int:
             staleness=args.staleness, top_fraction=args.top_fraction,
             min_side_count=args.min_side_count, stake=args.stake,
             cost_per_round_trip=args.cost)
+        pn.check_active_fraction(args.min_active_fraction)    # before the market is parsed
         candles, files = _mapped(args, years)
         inputs += files
         panel = pn.build_panel(candles).eligible(args.min_active_fraction)
@@ -276,6 +280,7 @@ def cmd_predict(args) -> int:
     train_years = _parse_years(args.train_years)
     predict_years = _parse_years(args.predict_years)
     all_years = sorted(set(train_years) | set(predict_years))
+    pn.check_active_fraction(args.min_active_fraction)        # before the market is parsed
     candles, inputs = _mapped(args, all_years)
     panel = pn.build_panel(candles).eligible(args.min_active_fraction)
     tickers = panel.tickers
@@ -294,25 +299,19 @@ def cmd_predict(args) -> int:
             others = [returns[y] for y in train_years if y != ty] or [returns[ty]]
             b, _ = pred.gradient_refine(returns[ty], others, b)
         b.write_csv(out / f"coeffs_{ty}.csv")
-        grid[str(ty)] = {}
-        for py in predict_years:
-            grid[str(ty)][str(py)] = _scores(pred.predict(b, returns[py]), returns[py])
+        grid[str(ty)] = {str(py): pred.prediction_report(pred.predict(b, returns[py]), returns[py])
+                         for py in predict_years}
     grid["none"] = {}
     for py in predict_years:
         r = returns[py]
         variances = np.nanvar(r, axis=1)
         if np.any(variances <= 0) or np.isnan(variances).any():
             raise DataError(f"year {py}: a ticker has no return variance")
-        grid["none"][str(py)] = _scores(pred.naive_predict(r, variances), r)
+        grid["none"][str(py)] = pred.prediction_report(pred.naive_predict(r, variances), r)
     _write_json(out / "report.json", {"tickers": tickers, "fve_grid": grid})
     _write_manifest(out, "predict", args, inputs)
     print(json.dumps(grid, sort_keys=True))
     return 0
-
-
-def _scores(r_hat: np.ndarray, r: np.ndarray) -> dict:
-    rep = pred.prediction_report(r_hat, r)
-    return {"fve": rep.fve, "fmse": rep.fmse, "fve_plain": rep.fve_plain}
 
 
 def cmd_correlate(args) -> int:
@@ -339,8 +338,9 @@ def cmd_correlate(args) -> int:
         ok_rows = ~np.isnan(curves).any(axis=1)
         perc = (vg.percentile_curves(curves[ok_rows]) if ok_rows.any()
                 else np.full((5, len(grid)), np.nan))
-        # the median variogram of the tickers that have V at every tau
-        full = v[~np.isnan(v).any(axis=1)]
+        # the median variogram of the tickers that have a positive V at every
+        # tau; a constant price's V of 0 is left out, as variogram leaves it out
+        full = v[(v > 0).all(axis=1)]
         if len(full):
             med_v = vg.Variogram(grid, np.median(full, axis=0),
                                  np.ones(len(grid), dtype=int))
@@ -367,14 +367,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("clock", help="build a transaction-time clock")
     sp.add_argument("--data-dir", required=True)
     sp.add_argument("--year", type=int, required=True)
-    sp.add_argument("--kind", choices=sorted(CLOCK_KINDS), default="dollar")
+    sp.add_argument("--kind", choices=CLOCK_KINDS, default="dollar")
     sp.add_argument("--out-dir", required=True)
     sp.set_defaults(func=cmd_clock)
 
     sp = sub.add_parser("variogram", help="per-ticker and ensemble variograms")
     sp.add_argument("--data-dir", required=True)
     sp.add_argument("--year", type=int, required=True)
-    sp.add_argument("--clock", choices=sorted(CLOCK_KINDS), default="dollar")
+    sp.add_argument("--clock", choices=CLOCK_KINDS, default="dollar")
     sp.add_argument("--method", choices=["diff_of_avg", "two_point_grid",
                                          "two_point_full"], default="diff_of_avg")
     sp.add_argument("--tau-grid", default="0.0333333:200:25")
@@ -401,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--panel", help="panel CSV (sim-meanrev)")
     sp.add_argument("--data-dir")
     sp.add_argument("--years", help="comma-separated calendar years")
-    sp.add_argument("--kind", choices=sorted(CLOCK_KINDS), default="dollar")
+    sp.add_argument("--kind", choices=CLOCK_KINDS, default="dollar")
     sp.add_argument("--coeffs", help="prediction coefficients CSV (xcorr)")
     sp.add_argument("--staleness", type=int, default=1)
     sp.add_argument("--top-fraction", type=float, default=0.05)
@@ -417,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--data-dir", required=True)
     sp.add_argument("--train-years", required=True)
     sp.add_argument("--predict-years", required=True)
-    sp.add_argument("--kind", choices=sorted(CLOCK_KINDS), default="dollar")
+    sp.add_argument("--kind", choices=CLOCK_KINDS, default="dollar")
     sp.add_argument("--ridge", type=float, default=None)
     sp.add_argument("--refine", action="store_true")
     sp.add_argument("--min-obs", type=int, default=cov.DEFAULT_MIN_OBS)
@@ -428,11 +428,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("correlate", help="correlation matrix and rho(tau)")
     sp.add_argument("--data-dir", required=True)
     sp.add_argument("--years", required=True)
-    sp.add_argument("--kind", choices=sorted(CLOCK_KINDS), default="dollar")
+    sp.add_argument("--kind", choices=CLOCK_KINDS, default="dollar")
     sp.add_argument("--tau", type=float, default=1.0)
     sp.add_argument("--tau-grid", default=None)
     sp.add_argument("--normalize-at", type=float, default=1.0)
-    sp.add_argument("--min-obs", type=int, default=cov.DEFAULT_MIN_OBS)
+    sp.add_argument("--min-obs", type=int, default=cov.DEFAULT_MIN_OBS,
+                    help="joint returns a pair needs in cov.csv and corr.csv; the "
+                         "rho(tau) curves keep every pair with at least 2")
     sp.add_argument("--out-dir", required=True)
     sp.set_defaults(func=cmd_correlate)
     return p

@@ -51,7 +51,6 @@ _BLOCK_BINS = 4096
 class CovMatrix:
     tickers: list[str]
     c: np.ndarray           # n x n, NaN where a pair had too few samples
-    tau: float
     n_obs: np.ndarray       # n x n joint sample counts
 
     def filled(self) -> "CovMatrix":
@@ -70,7 +69,7 @@ class CovMatrix:
         if miss.any():
             # with no observed off-diagonal at all, fall back to uncorrelated
             c[miss] = c[have].mean() if have.any() else 0.0
-        return CovMatrix(list(self.tickers), c, self.tau, self.n_obs.copy())
+        return CovMatrix(list(self.tickers), c, self.n_obs.copy())
 
     def write_csv(self, path, n_obs_path=None) -> None:
         write_table(path, self.tickers, self.c.T)
@@ -182,16 +181,14 @@ def estimate_cov(candles: TxnCandles, tau: float, min_obs: int = DEFAULT_MIN_OBS
                 yield rs
     c, n_obs = pair_stats(rows(), sum(candles.widths(tau)), tau)
     c[n_obs < max(min_obs, 2)] = np.nan
-    return CovMatrix(tickers, c, float(tau), n_obs)
+    return CovMatrix(tickers, c, n_obs)
 
 
 def cov_to_corr(c: CovMatrix) -> CorrMatrix:
-    """Normalize by the diagonal; clamp into [-1, 1]; force unit diagonal."""
-    d = np.diag(c.c)
-    if np.any(~np.isnan(d) & (d <= 0)):
-        raise DataError("non-positive variance on the diagonal")
-    scale = np.sqrt(np.outer(d, d))
-    rho = np.clip(c.c / scale, -1.0, 1.0)
+    """Normalize by the diagonal; clamp into [-1, 1]; force unit diagonal. A
+    ticker whose variance is not positive (a constant price) gets NaN correlations."""
+    d = np.where(np.diag(c.c) > 0, np.diag(c.c), np.nan)
+    rho = np.clip(c.c / np.sqrt(np.outer(d, d)), -1.0, 1.0)
     np.fill_diagonal(rho, 1.0)
     return CorrMatrix(list(c.tickers), rho)
 
@@ -221,13 +218,16 @@ def _value_at(tau_grid, values: np.ndarray, tau0: float) -> np.ndarray:
 
 
 def corr_vs_tau(candles: TxnCandles, tau_grid, normalize_tau: float = 1.0, min_obs: int = 2):
-    """Pairwise correlation as a function of resolution, normalized at 1 hr.
+    """Pairwise correlation as a function of resolution, normalized at normalize_tau.
 
     Per tau, one ``pair_stats`` call over the tickers' ``grid_returns`` gives
     every pair, with the variances on the diagonal. Returns (pairs, curves,
     v). curves is (n_pairs, n_tau) normalized rho, NaN where a pair or a
     variance had fewer than ``min_obs`` samples or a variance was not
-    positive, and for a pair whose values do not reach tau0 on both sides.
+    positive, and for a pair whose values do not reach normalize_tau on both
+    sides. The ``correlate`` command leaves ``min_obs`` at 2, so its curves
+    keep every pair with two joint returns; its ``--min-obs`` applies to the
+    covariance and correlation matrices only.
     v is (n_tickers, n_tau): each ticker's V(tau) from the same returns,
     which for one year is its ``variogram_diff_of_avg`` (NaN where omitted).
     """

@@ -88,10 +88,12 @@ class Panel:
     price: np.ndarray        # (ticker, hour) mean representative price, NaN if empty
 
     def eligible(self, min_active_fraction: float) -> "Panel":
-        """The rows with a bin in the given share, in (0, 1], of every year's columns."""
-        if not 0 < min_active_fraction <= 1:
-            raise DataError("min_active_fraction must be in (0, 1]")
-        keep = eligible_mask(self.price, self.blocks, min_active_fraction)
+        """The rows with a bin in at least the given share, in (0, 1], of every
+        year's columns; exactly that share keeps a row."""
+        check_active_fraction(min_active_fraction)
+        present = np.isfinite(self.price)
+        keep = np.logical_and.reduce([present[:, sl].mean(axis=1) >= min_active_fraction
+                                      for sl in self.blocks])
         if not keep.any():
             raise DataError("no tickers pass the eligibility filter")
         return Panel([t for t, k in zip(self.tickers, keep) if k], self.years,
@@ -118,12 +120,7 @@ def build_panel(candles: TxnCandles) -> Panel:
                  [slice(a, b) for a, b in zip([0] + ends[:-1], ends)], price)
 
 
-def eligible_mask(prices: np.ndarray, year_slices=None,
-                  min_active_fraction: float = 0.5) -> np.ndarray:
-    """Rows active in at least the given fraction of the columns of every year.
-
-    The boundary is inclusive: exactly one-half active keeps the ticker.
-    """
-    present = np.isfinite(np.asarray(prices, dtype=float))
-    return np.logical_and.reduce([present[:, sl].mean(axis=1) >= min_active_fraction
-                                  for sl in year_slices or [slice(0, present.shape[1])]])
+def check_active_fraction(value: float) -> None:
+    """An eligibility share must be in (0, 1]."""
+    if not 0 < value <= 1:
+        raise DataError("min_active_fraction must be in (0, 1]")

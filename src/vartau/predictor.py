@@ -29,13 +29,17 @@ from .errors import DataError, NumericalError
 
 # default_ridge's stabilizer, as a share of the mean variance
 RIDGE_SCALE = 1e-4
+# gradient_refine stops after this many accepted steps, after this many
+# without a better validation FMSE, or once its step has halved below _MIN_STEP
+_REFINE_STEPS = 500
+_REFINE_PATIENCE = 20
+_MIN_STEP = 1e-12
 
 
 @dataclass
 class PrecisionMatrix:
     tickers: list[str]
     a: np.ndarray
-    ridge: float
 
 
 @dataclass
@@ -61,42 +65,9 @@ def read_coeffs_csv(path) -> PredictionCoeffs:
     return PredictionCoeffs(tickers, b)
 
 
-@dataclass
-class PredictionReport:
-    """Per-ticker and aggregate prediction quality.
-
-    ``fve`` follows the printed squared-bracket formula; ``fve_plain`` is
-    the plain squared correlation between prediction and outcome, which
-    coincides with the former when predictions are standardized to the
-    outcome's variance. A ticker with no observed outcome, or only zero
-    outcomes, is NaN and left out of the means.
-    """
-
-    fmse_by_ticker: np.ndarray
-    fve_by_ticker: np.ndarray
-    fve_plain_by_ticker: np.ndarray
-    fmse: float
-    fve: float
-    fve_plain: float
-
-
-@dataclass
-class RefineConfig:
-    step: float | None = None      # None picks 1/(2 max eigenvalue)
-    max_iter: int = 500
-    patience: int = 20
-    min_step: float = 1e-12
-
-
-def invert_with_ridge(c: CovMatrix | np.ndarray, ridge: float = 0.0,
-                      tickers: list[str] | None = None) -> PrecisionMatrix:
+def invert_with_ridge(c: CovMatrix, ridge: float) -> PrecisionMatrix:
     """Exact inverse of C + ridge*I; raises if not positive definite."""
-    if isinstance(c, CovMatrix):
-        tickers = list(c.tickers)
-        m = c.c
-    else:
-        m = np.asarray(c, dtype=float)
-        tickers = list(tickers) if tickers is not None else [str(i) for i in range(len(m))]
+    m = c.c
     if not 0 <= ridge < np.inf:
         raise DataError(f"ridge must be non-negative and finite, got {ridge}")
     if np.isnan(m).any():
@@ -112,13 +83,12 @@ def invert_with_ridge(c: CovMatrix | np.ndarray, ridge: float = 0.0,
         ) from None
     a = np.linalg.inv(ridged)
     a = (a + a.T) / 2.0
-    return PrecisionMatrix(tickers, a, float(ridge))
+    return PrecisionMatrix(list(c.tickers), a)
 
 
-def default_ridge(c: CovMatrix | np.ndarray) -> float:
+def default_ridge(c: CovMatrix) -> float:
     """A small stabilizer: RIDGE_SCALE times the mean diagonal of C."""
-    m = c.c if isinstance(c, CovMatrix) else np.asarray(c)
-    d = np.diag(m)
+    d = np.diag(c.c)
     d = d[~np.isnan(d)]
     if len(d) == 0:
         raise DataError("no usable diagonal entries")
@@ -149,7 +119,8 @@ def predict(b: PredictionCoeffs, r: np.ndarray) -> np.ndarray:
 
 
 def naive_predict(r: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    """Equal-weight prediction: scaled mean of all other normalized returns.
+    """Equal-weight prediction of a return panel r (n_tickers, n_periods):
+    the scaled mean of all other normalized returns.
 
     Missing returns contribute 0, keeping the constant n-1 denominator so
     this stays identical to ``predict`` under an equal-correlation matrix.
@@ -161,17 +132,15 @@ def naive_predict(r: np.ndarray, variances: np.ndarray) -> np.ndarray:
     n = r.shape[0]
     if n < 2:
         raise DataError("need at least 2 tickers")
-    sd = np.sqrt(variances)
-    z = np.nan_to_num(r, nan=0.0) / (sd[:, None] if r.ndim == 2 else sd)
+    sd = np.sqrt(variances)[:, None]
+    z = np.nan_to_num(r, nan=0.0) / sd
     total = z.sum(axis=0)
     others = (total - z) / (n - 1)
-    return others * (sd[:, None] if r.ndim == 2 else sd)
+    return others * sd
 
 
 def _per_ticker_moments(r_hat: np.ndarray, r: np.ndarray):
     """Per-ticker sums over periods where the outcome is present."""
-    r_hat = np.atleast_2d(np.asarray(r_hat, dtype=float))
-    r = np.atleast_2d(np.asarray(r, dtype=float))
     if r_hat.shape != r.shape:
         raise DataError(f"shape mismatch {r_hat.shape} vs {r.shape}")
     ok = ~np.isnan(r)
@@ -192,8 +161,15 @@ def fmse(r_hat: np.ndarray, r: np.ndarray) -> float:
     return float(np.mean(err2[ok] / rr[ok]))
 
 
-def prediction_report(r_hat: np.ndarray, r: np.ndarray) -> PredictionReport:
-    """Score predictions r_hat of a return panel r (n_tickers, n_periods)."""
+def prediction_report(r_hat: np.ndarray, r: np.ndarray) -> dict[str, float]:
+    """Score predictions r_hat of a return panel r (n_tickers, n_periods).
+
+    Returns the means over tickers of ``fmse``, of ``fve``, which follows the
+    printed squared-bracket formula, and of ``fve_plain``, the plain squared
+    correlation between prediction and outcome (the two coincide when
+    predictions are standardized to the outcome's variance). A ticker with
+    no observed outcome, or only zero outcomes, is left out of the means.
+    """
     n, err2, rr, cross, hh = _per_ticker_moments(r_hat, r)
     ok = (n > 0) & (rr > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -201,9 +177,8 @@ def prediction_report(r_hat: np.ndarray, r: np.ndarray) -> PredictionReport:
         fve_k = (1.0 - 0.5 * fmse_k) ** 2
         plain_k = np.where(hh > 0, cross ** 2 / np.where(hh > 0, rr * hh, 1.0), 0.0)
         plain_k = np.where(ok, plain_k, np.nan)
-    return PredictionReport(fmse_k, fve_k, plain_k, fmse=float(np.nanmean(fmse_k)),
-                            fve=float(np.nanmean(fve_k)),
-                            fve_plain=float(np.nanmean(plain_k)))
+    return {"fve": float(np.nanmean(fve_k)), "fmse": float(np.nanmean(fmse_k)),
+            "fve_plain": float(np.nanmean(plain_k))}
 
 
 def _loss(b: np.ndarray, s: np.ndarray) -> float:
@@ -212,23 +187,19 @@ def _loss(b: np.ndarray, s: np.ndarray) -> float:
     return float(np.trace(d @ s @ d.T))
 
 
-def gradient_refine(train: np.ndarray, validation: np.ndarray | list[np.ndarray],
-                    init: PredictionCoeffs, config: RefineConfig | None = None
-                    ) -> tuple[PredictionCoeffs, dict]:
+def gradient_refine(train: np.ndarray, validation: list[np.ndarray],
+                    init: PredictionCoeffs) -> tuple[PredictionCoeffs, dict]:
     """Refine coefficients by gradient descent on training prediction error.
 
     Starts from ``init`` (normally the inverse-covariance solution), takes
-    plain gradient steps with a fixed rate that halves whenever a step
-    fails to reduce the training loss, and stops once validation FMSE has
-    not improved for ``patience`` accepted steps. The returned
-    coefficients are the validation-best snapshot, never worse than the
-    initialization.
+    plain gradient steps at a rate of 1/(2 max eigenvalue) of the training
+    second moment that halves whenever a step fails to reduce the training
+    loss, and stops as set out at ``_REFINE_STEPS``. The returned
+    coefficients are the snapshot with the best mean FMSE over the
+    validation panels, never worse than the initialization; the info dict
+    counts the accepted steps.
     """
-    config = config or RefineConfig()
     train = np.nan_to_num(np.asarray(train, dtype=float), nan=0.0)
-    if isinstance(validation, np.ndarray):
-        validation = [validation]
-    validation = [np.asarray(v, dtype=float) for v in validation]
     n, n_h = train.shape
     if n != len(init.tickers):
         raise DataError("training panel does not match coefficient tickers")
@@ -240,17 +211,14 @@ def gradient_refine(train: np.ndarray, validation: np.ndarray | list[np.ndarray]
 
     b = init.b.copy()
     np.fill_diagonal(b, 0.0)
-    step = config.step
-    if step is None:
-        lam = float(np.linalg.eigvalsh(s)[-1])
-        step = 0.5 / lam if lam > 0 else 0.0
+    lam = float(np.linalg.eigvalsh(s)[-1])
+    step = 0.5 / lam if lam > 0 else 0.0
     best_b = b.copy()
     best_val = val_fmse(b)
     loss = _loss(b, s)
-    history = [best_val]
     stale = 0
     iterations = 0
-    while iterations < config.max_iter and step > config.min_step and stale < config.patience:
+    while iterations < _REFINE_STEPS and step > _MIN_STEP and stale < _REFINE_PATIENCE:
         grad = 2.0 * (b - np.eye(n)) @ s
         np.fill_diagonal(grad, 0.0)
         cand = b - step * grad
@@ -265,12 +233,9 @@ def gradient_refine(train: np.ndarray, validation: np.ndarray | list[np.ndarray]
         b, loss = cand, cand_loss
         iterations += 1
         v = val_fmse(b)
-        history.append(v)
         if v < best_val:
             best_val, best_b = v, b.copy()
             stale = 0
         else:
             stale += 1
-    info = {"iterations": iterations, "validation_fmse": best_val,
-            "history": history, "final_step": step}
-    return PredictionCoeffs(list(init.tickers), best_b), info
+    return PredictionCoeffs(list(init.tickers), best_b), {"iterations": iterations}

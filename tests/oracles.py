@@ -16,7 +16,7 @@ hourly pnl summed in another order, so qty must be within 1e-12 relative,
 pnl within 1e-12 of the terms it subtracts and cum_pnl within 1e-12 of the
 summed |pnl|. The per-metric scores that ``prediction_report`` replaced,
 means over the tickers with an observed non-zero outcome, must equal its
-fields when every ticker has one, and be within 1e-12 relative otherwise,
+entries when every ticker has one, and be within 1e-12 relative otherwise,
 since its NaN-skipping mean sums in another order.
 """
 
@@ -492,8 +492,7 @@ def _collect(rows, tickers, n_hours, stake) -> BacktestResult:
     ledger = TradeLedger(np.asarray(hour, dtype=np.int64), names,
                          np.asarray(side, dtype=np.int64), np.asarray(qty),
                          np.asarray(entry), np.asarray(exit_), np.asarray(pnl))
-    curve = EquityCurve(np.arange(n_hours, dtype=np.int64),
-                        np.cumsum(pnl_by_hour), stake, n_hours)
+    curve = EquityCurve(np.cumsum(pnl_by_hour), stake)
     return BacktestResult(ledger, curve)
 
 
@@ -581,7 +580,7 @@ def write_equity_csv_rows(curve: EquityCurve, path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["txn_hour", "cum_pnl", "annualized"])
-        for i, h in enumerate(curve.hours):
+        for i, h in enumerate(range(len(curve.cum_pnl))):
             ann = curve.cum_pnl[i] / curve.stake * ANNUAL_HOURS / max(int(h) + 1, 1)
             w.writerow([int(h), repr(float(curve.cum_pnl[i])), repr(float(ann))])
 

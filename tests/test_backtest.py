@@ -11,7 +11,7 @@ from vartau.backtest import (EquityCurve, StrategyConfig, annualized_yield,
 from vartau.clock import ClockKind, build_clock, year_bounds
 from vartau.errors import DataError
 from vartau.hurst import HurstParams, SimConfig, simulate_fbm
-from vartau.panel import build_panel, eligible_mask, map_candles
+from vartau.panel import Panel, build_panel, map_candles
 from vartau.predictor import PredictionCoeffs
 from vartau.synthetic import hourly_candles_from_prices, point_candles
 
@@ -53,7 +53,7 @@ class TestRms:
         # hourly rms 0.15 * sqrt(6/H)
         pan = simulate_fbm(HurstParams(0.0), SimConfig(100, 8760, seed=0))
         want = 0.15 * np.sqrt(6 / 8760)
-        assert rms_hourly_return(pan) == pytest.approx(want, rel=0.10)
+        assert rms_hourly_return(pan.prices) == pytest.approx(want, rel=0.10)
 
 
 class TestSimMeanrev:
@@ -92,7 +92,7 @@ class TestSimMeanrev:
 
     def test_null_epsilon_near_zero(self):
         pan = simulate_fbm(HurstParams(0.0), SimConfig(300, 8760, seed=2))
-        p_y = run_sim_meanrev(pan)
+        p_y = run_sim_meanrev(pan.prices)
         se = p_y.std(ddof=1) / np.sqrt(len(p_y))
         assert abs(p_y.mean()) < 3 * se + 0.01
 
@@ -122,14 +122,15 @@ class TestPanelPrep:
         p[0] = 1.0                   # always active
         p[1, :5] = 1.0               # exactly half
         p[2, :1] = 1.0               # 10 percent
-        keep = eligible_mask(p, None, 0.5)
-        assert list(keep) == [True, True, False]
+        panel = Panel(["A", "B", "C"], [2021], [slice(0, 10)], p)
+        assert panel.eligible(0.5).tickers == ["A", "B"]
 
     def test_eligibility_any_year_fails(self):
         p = np.full((1, 20), 1.0)
         p[0, 10:] = np.nan           # active year 1, dead year 2
-        keep = eligible_mask(p, [slice(0, 10), slice(10, 20)], 0.5)
-        assert list(keep) == [False]
+        panel = Panel(["T"], [2021, 2022], [slice(0, 10), slice(10, 20)], p)
+        with pytest.raises(DataError, match="eligibility"):
+            panel.eligible(0.5)
 
     def test_filter_names(self):
         panel = self.make_panel({"T": (range(24), np.full(24, 5.0)),
@@ -341,15 +342,15 @@ class TestXcorr:
 
 class TestYield:
     def test_flat_curve(self):
-        c = EquityCurve(np.arange(10), np.zeros(10), 1.0, 10)
+        c = EquityCurve(np.zeros(10), 1.0)
         assert annualized_yield(c) == 0.0
 
     def test_linear_gain_over_year(self):
-        c = EquityCurve(np.arange(8760), np.linspace(0, 0.53, 8760), 1.0, 8760)
+        c = EquityCurve(np.linspace(0, 0.53, 8760), 1.0)
         assert annualized_yield(c) == pytest.approx(0.53)
 
     def test_two_years_constant_hourly_pnl(self):
         p = 1e-4
         n = 2 * 8760
-        c = EquityCurve(np.arange(n), np.cumsum(np.full(n, p)), 2.0, n)
+        c = EquityCurve(np.cumsum(np.full(n, p)), 2.0)
         assert annualized_yield(c) == pytest.approx(8760 * p / 2.0)

@@ -18,7 +18,8 @@ from vartau.hurst import (HurstParams, SimConfig, read_panel_csv, simulate_fbm,
                           simulate_shot_noise)
 from vartau.panel import map_candles
 from vartau.synthetic import random_walk_candles
-from vartau.variogram import percentile_curves
+from vartau.variogram import (default_tau_grid, normalize_at, percentile_curves,
+                              variogram_two_point)
 
 YEARS = (2021, 2022)
 # minutes between candles, one ticker each: every ticker trades up to the
@@ -386,7 +387,7 @@ def test_cli_tables_match_row_loops(outputs, tmp_path):
     write_ensemble_csv_rows(grid, percentile_curves(full), tmp_path / "ensemble.csv")
     assert ((outputs / "variogram" / "ensemble.csv").read_bytes()
             == (tmp_path / "ensemble.csv").read_bytes())
-    p_y = run_sim_meanrev(read_panel_csv(outputs / "simulate" / "panel.csv"))
+    p_y = run_sim_meanrev(read_panel_csv(outputs / "simulate" / "panel.csv").prices)
     write_yearly_returns_csv_rows(p_y, tmp_path / "yearly.csv")
     assert ((outputs / "sim" / "yearly_returns.csv").read_bytes()
             == (tmp_path / "yearly.csv").read_bytes())
@@ -452,3 +453,99 @@ def test_loaded_candles_hold_24_bytes_each(data, years):
         tracemalloc.stop()
     n = sum(len(s) for s in loaded.values())
     assert held <= 24 * n + (64 << 10), (held, n)
+
+
+def constant_price_market(tmp_path):
+    """Three random walks and TC, whose every candle is priced 50.0."""
+    data = tmp_path / "data"
+    data.mkdir()
+    series = market(years=(2021,), spacings=(60, 90, 120))
+    walk = series["T0"]
+    flat = np.full(len(walk), 50.0)
+    series["TC"] = CandleSeries("TC", walk.timestamps, flat, flat, flat, flat, walk.volume)
+    for t, s in series.items():
+        write_candles(data / f"{t}.csv", s)
+    return data
+
+
+def test_constant_price_ticker_is_left_out_of_variogram(tmp_path):
+    # TC's V is 0 at every tau, which cannot be normalized: the command once
+    # exited 3 for the whole market
+    data = constant_price_market(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["variogram", "--data-dir", str(data), "--year", "2021",
+                     "--tau-grid", "0.25:32:4", "--out-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.glob("variogram_*.csv")) == \
+        ["variogram_T0.csv", "variogram_T1.csv", "variogram_T2.csv"]
+    assert (out / "ensemble.csv").is_file()
+
+
+def test_constant_price_ticker_gets_nan_correlations(tmp_path):
+    # TC's variance is 0: the command once exited 3 for the whole market. On
+    # the plain clock, which TC's trades do not move, rho(tau) and the median
+    # variogram are those of the market without TC
+    data = constant_price_market(tmp_path)
+    argv = ["correlate", "--data-dir", str(data), "--years", "2021", "--kind", "clock",
+            "--tau-grid", "1,2,4,8"]
+    assert cli.main([*argv, "--out-dir", str(tmp_path / "with")]) == 0
+    tickers, rho = read_matrix(tmp_path / "with" / "corr.csv")
+    assert tickers == ["T0", "T1", "T2", "TC"]
+    assert np.array_equal(np.diag(rho), np.ones(4))
+    off = ~np.eye(4, dtype=bool)
+    assert np.isnan(rho[3, off[3]]).all() and np.isnan(rho[off[:, 3], 3]).all()
+    assert np.isfinite(rho[:3, :3]).all()
+    (data / "TC.csv").unlink()
+    assert cli.main([*argv, "--out-dir", str(tmp_path / "without")]) == 0
+    curves = (tmp_path / "with" / "corr_vs_tau.csv").read_text()
+    assert "nan" not in curves
+    assert curves == (tmp_path / "without" / "corr_vs_tau.csv").read_text()
+
+
+@pytest.mark.parametrize("strategy", ["xcorr", "sim-meanrev"])
+def test_long_only_is_rejected_where_it_does_nothing(data, tmp_path, capsys, strategy):
+    # both strategies trade both sides; the flag was once ignored without a word
+    coeffs, panel = tmp_path / "coeffs.csv", tmp_path / "panel.csv"
+    coeffs.write_text("T0,T1\n0.0,0.5\n0.5,0.0\n")
+    panel.write_text(panel_text(GOOD_PANEL))
+    inputs = {"xcorr": ["--data-dir", str(data), "--years", "2021", "--coeffs", str(coeffs)],
+              "sim-meanrev": ["--panel", str(panel)]}
+    out = tmp_path / "out"
+    assert cli.main(["backtest", "--strategy", strategy, *inputs[strategy], "--long-only",
+                     "--out-dir", str(out)]) == 2
+    assert f"--long-only applies to market-meanrev only, not {strategy}" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["predict", "--train-years", "2021", "--predict-years", "2022"],
+    ["backtest", "--strategy", "market-meanrev", "--years", "2021", "--min-side-count", "1"],
+])
+def test_eligibility_fraction_is_checked_before_the_market(tmp_path, capsys, command):
+    # the market is not parsed at all: its one file is not a candle file
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "T0.csv").write_text("not a candle file\n")
+    argv = [*command, "--data-dir", str(data), "--min-active-fraction=0"]
+    assert cli.main([*argv, "--out-dir", str(tmp_path / "out")]) == 3
+    assert "min_active_fraction must be in (0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method, mode", [("two_point_grid", "grid_points"),
+                                          ("two_point_full", "full_resolution")])
+def test_variogram_two_point_methods(tmp_path, method, mode):
+    data = tmp_path / "data"
+    data.mkdir()
+    for t, s in market(years=(2021,), spacings=(10, 15, 20)).items():
+        write_candles(data / f"{t}.csv", s)
+    out = tmp_path / "out"
+    assert cli.main(["variogram", "--data-dir", str(data), "--year", "2021",
+                     "--method", method, "--tau-grid", "0.5:32:4", "--normalize-at", "2",
+                     "--out-dir", str(out)]) == 0
+    series = {t: parse_candles(data / f"{t}.csv") for t in ("T0", "T1", "T2")}
+    clock = build_clock(series.values(), ClockKind.DOLLAR_WEIGHTED, 2021)
+    grid = default_tau_grid(0.5, 32.0, 4)
+    for t, s in series.items():
+        normalize_at(variogram_two_point(s, clock, grid, mode), 2.0).write_csv(tmp_path / "want.csv")
+        assert (out / f"variogram_{t}.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert len((out / "ensemble.csv").read_text().splitlines()) == len(grid) + 1

@@ -47,7 +47,7 @@ def walk_candles(returns, tau=1.0, first=None, gaps=None):
 def model_rho(ra, rb, tau):
     """Correlation of two return series paired by start index, from one return grid."""
     c, n_obs = pair_stats([ra, rb], len(ra), tau)
-    return cov_to_corr(CovMatrix(["A", "B"], c, tau, n_obs)).rho[0, 1]
+    return cov_to_corr(CovMatrix(["A", "B"], c, n_obs)).rho[0, 1]
 
 
 class TestEstimate:
@@ -117,20 +117,20 @@ class TestEstimate:
 
 class TestCorrMatrix:
     def test_unit_diagonal_and_closed_form(self):
-        c = CovMatrix(["A", "B"], np.array([[4.0, 1.0], [1.0, 1.0]]), 1.0,
+        c = CovMatrix(["A", "B"], np.array([[4.0, 1.0], [1.0, 1.0]]),
                       np.full((2, 2), 100, dtype=np.int64))
         rm = cov_to_corr(c)
         assert rm.rho[0, 0] == 1.0 and rm.rho[1, 1] == 1.0
         assert rm.rho[0, 1] == pytest.approx(0.5)
 
     def test_diagonal_cov_gives_identity(self):
-        c = CovMatrix(["A", "B", "C"], np.diag([1.0, 2.0, 3.0]), 1.0,
+        c = CovMatrix(["A", "B", "C"], np.diag([1.0, 2.0, 3.0]),
                       np.full((3, 3), 99, dtype=np.int64))
         assert np.allclose(cov_to_corr(c).rho, np.eye(3))
 
     def test_clamp_keeps_raw(self):
         # the correlation is clamped; the covariance it came from keeps the raw ratio
-        c = CovMatrix(["A", "B"], np.array([[1.0, 1.1], [1.1, 1.0]]), 1.0,
+        c = CovMatrix(["A", "B"], np.array([[1.0, 1.1], [1.1, 1.0]]),
                       np.full((2, 2), 9, dtype=np.int64))
         rm = cov_to_corr(c)
         assert rm.rho[0, 1] == 1.0 and rm.rho[1, 0] == 1.0

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vartau import predictor
 from vartau.covariance import CovMatrix
 from vartau.errors import DataError, NumericalError
-from vartau.predictor import (PredictionCoeffs, RefineConfig, default_ridge, fmse,
+from vartau.predictor import (PredictionCoeffs, default_ridge, fmse,
                               gradient_refine, invert_with_ridge, loo_coefficients,
                               naive_predict, predict, prediction_report, read_coeffs_csv)
 
@@ -28,7 +29,7 @@ def random_spd(n, rng, jitter=0.5):
 def cov_of(c, tickers=None):
     n = len(c)
     tickers = tickers or [f"T{i}" for i in range(n)]
-    return CovMatrix(tickers, np.asarray(c, dtype=float), 1.0,
+    return CovMatrix(tickers, np.asarray(c, dtype=float),
                      np.full((n, n), 1000, dtype=np.int64))
 
 
@@ -55,7 +56,7 @@ class TestInverse:
         rng = np.random.default_rng(0)
         for n in (2, 5, 9):
             c = random_spd(n, rng)
-            ridge = default_ridge(c)
+            ridge = default_ridge(cov_of(c))
             a = invert_with_ridge(cov_of(c), ridge)
             resid = a.a @ (c + ridge * np.eye(n)) - np.eye(n)
             assert np.abs(resid).max() < 1e-8
@@ -102,7 +103,7 @@ def test_loo_coefficients_equal_direct_regressions(seed, n, log_scale, rel_ridge
     a = rng.normal(size=(n, rng.integers(1, 2 * n)))
     c = (a @ a.T + np.diag(10 ** rng.uniform(-6, 0, n))) * 10 ** log_scale
     ridge = rel_ridge * np.trace(c) / n
-    b = loo_coefficients(invert_with_ridge(c, ridge)).b
+    b = loo_coefficients(invert_with_ridge(cov_of(c), ridge)).b
     ridged = c + ridge * np.eye(n)
     # inverse and solve are each backward stable: errors reach eps * cond * |beta|
     # (at most 0.27 of that over 20,000 generated matrices), so allow 32 times it
@@ -145,18 +146,18 @@ class TestPredict:
 
 class TestNaive:
     def test_identical_returns_reproduced(self):
-        r = np.full(5, 0.7)
+        r = np.full((5, 1), 0.7)
         assert np.allclose(naive_predict(r, np.ones(5)), r)
 
     def test_lone_nonzero_excluded_from_self(self):
-        r = np.array([0.9, 0.0, 0.0])
+        r = np.array([[0.9], [0.0], [0.0]])
         got = naive_predict(r, np.ones(3))
-        assert got[0] == 0.0
-        assert got[1] == pytest.approx(0.45)
+        assert got[0, 0] == 0.0
+        assert got[1, 0] == pytest.approx(0.45)
 
     def test_two_ticker_swap(self):
-        got = naive_predict(np.array([1.0, -1.0]), np.ones(2))
-        assert np.allclose(got, [-1.0, 1.0])
+        got = naive_predict(np.array([[1.0], [-1.0]]), np.ones(2))
+        assert np.allclose(got, [[-1.0], [1.0]])
 
     def test_matches_equal_corr_coefficients_up_to_scale(self):
         # the equal-correlation matrix yields coefficients proportional to
@@ -179,19 +180,19 @@ class TestMetrics:
         rng = np.random.default_rng(4)
         r = rng.normal(size=(3, 200))
         rep = prediction_report(r, r)
-        assert fmse(r, r) == 0.0 and rep.fmse == 0.0
-        assert rep.fve == 1.0
-        assert rep.fve_plain == pytest.approx(1.0)
+        assert fmse(r, r) == 0.0 and rep["fmse"] == 0.0
+        assert rep["fve"] == 1.0
+        assert rep["fve_plain"] == pytest.approx(1.0)
 
     def test_zero_prediction(self):
         rng = np.random.default_rng(5)
         r = rng.normal(size=(3, 200))
         rep = prediction_report(np.zeros_like(r), r)
-        assert rep.fmse == pytest.approx(1.0)
+        assert rep["fmse"] == pytest.approx(1.0)
         # the printed squared-bracket formula gives 1/4 at FMSE = 1
-        assert rep.fve == pytest.approx(0.25)
+        assert rep["fve"] == pytest.approx(0.25)
         # the plain squared correlation reports no explanatory power
-        assert rep.fve_plain == 0.0
+        assert rep["fve_plain"] == 0.0
 
     def test_identity_link(self):
         rng = np.random.default_rng(6)
@@ -218,13 +219,12 @@ class TestMetrics:
         r = np.linalg.cholesky(c) @ rng.normal(size=(4, 500))
         r_hat = predict(b, r)
         rep = prediction_report(r_hat, r)
-        assert 0.0 <= rep.fve <= 1.0
-        assert len(rep.fmse_by_ticker) == 4
-        assert rep.fmse == pytest.approx(np.mean(rep.fmse_by_ticker), rel=1e-15)
+        assert 0.0 <= rep["fve"] <= 1.0
+        assert rep["fmse"] == fmse(r_hat, r)
         for cols in (slice(0, 250), slice(250, 500)):
             group = prediction_report(r_hat[:, cols], r[:, cols])
-            assert group.fmse == fmse(r_hat[:, cols], r[:, cols])
-            assert 0.0 <= group.fve <= 1.0
+            assert group["fmse"] == fmse(r_hat[:, cols], r[:, cols])
+            assert 0.0 <= group["fve"] <= 1.0
 
     def test_scale_equivariance(self):
         # rescaling one ticker's returns rescales its predictions and
@@ -243,8 +243,8 @@ class TestMetrics:
         assert np.allclose(pred2[2], 3.0 * pred1[2], rtol=1e-9)
         others = [i for i in range(n) if i != 2]
         assert np.allclose(pred2[others], pred1[others], rtol=1e-9)
-        assert prediction_report(pred2, scaled).fve == \
-            pytest.approx(prediction_report(pred1, r).fve, rel=1e-9)
+        assert prediction_report(pred2, scaled)["fve"] == \
+            pytest.approx(prediction_report(pred1, r)["fve"], rel=1e-9)
 
 
 class TestRefine:
@@ -256,49 +256,55 @@ class TestRefine:
         b_true = loo_coefficients(invert_with_ridge(cov_of(c_true), 0.0))
         return c_true, b_true, train, val
 
-    def test_recovers_planted_coefficients(self):
+    def test_recovers_planted_coefficients(self, monkeypatch):
         rng = np.random.default_rng(9)
         c_true, b_true, train, val = self.planted(rng)
         init = loo_coefficients(invert_with_ridge(
-            cov_of(np.cov(train, bias=True)), default_ridge(c_true)))
-        refined, info = gradient_refine(train, val, init,
-                                        RefineConfig(max_iter=300))
+            cov_of(np.cov(train, bias=True)), default_ridge(cov_of(c_true))))
+        monkeypatch.setattr(predictor, "_REFINE_STEPS", 300)
+        refined, _ = gradient_refine(train, [val], init)
         base_val = fmse(predict(init, val), val)
-        assert info["validation_fmse"] <= base_val + 1e-12
+        assert fmse(predict(refined, val), val) <= base_val + 1e-12
         # sampling noise floor for coefficients is ~ 1/sqrt(n_h)
         assert np.abs(refined.b - b_true.b).max() < 0.15
 
     def test_zero_step_returns_init(self):
+        # an all-zero training panel has largest eigenvalue 0, so step 0
         rng = np.random.default_rng(10)
         _, _, train, val = self.planted(rng, n=4, n_h=200)
         init = PredictionCoeffs([f"T{i}" for i in range(4)],
                                 rng.normal(size=(4, 4)) * 0.1)
         np.fill_diagonal(init.b, 0.0)
-        out, _ = gradient_refine(train, val, init, RefineConfig(step=0.0))
-        assert np.array_equal(out.b, init.b)
+        out, info = gradient_refine(np.zeros_like(train), [val], init)
+        assert np.array_equal(out.b, init.b) and info == {"iterations": 0}
 
-    def test_training_loss_monotone_when_validating_on_train(self):
+    def test_training_loss_monotone_when_validating_on_train(self, monkeypatch):
+        # the snapshot kept after 1, 2, ... accepted steps never has a higher loss
         rng = np.random.default_rng(11)
         _, _, train, _ = self.planted(rng, n=4, n_h=300)
         init = PredictionCoeffs([f"T{i}" for i in range(4)], np.zeros((4, 4)))
-        out, info = gradient_refine(train, train, init,
-                                    RefineConfig(max_iter=50))
-        hist = info["history"]
-        assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
+        losses = []
+        for steps in range(1, 51):
+            monkeypatch.setattr(predictor, "_REFINE_STEPS", steps)
+            out, _ = gradient_refine(train, [train], init)
+            losses.append(np.sum((out.b @ train - train) ** 2) / train.shape[1])
+        assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+        assert losses[-1] < losses[0]
 
-    def test_never_worse_than_init(self):
+    def test_never_worse_than_init(self, monkeypatch):
         rng = np.random.default_rng(12)
         _, b_true, train, val = self.planted(rng, n=5, n_h=500)
-        out, info = gradient_refine(train, val, b_true,
-                                    RefineConfig(max_iter=40))
-        assert info["validation_fmse"] <= fmse(predict(b_true, val), val) + 1e-12
+        monkeypatch.setattr(predictor, "_REFINE_STEPS", 40)
+        out, _ = gradient_refine(train, [val], b_true)
+        assert fmse(predict(out, val), val) <= fmse(predict(b_true, val), val) + 1e-12
 
-    def test_diagonal_stays_zero(self):
+    def test_diagonal_stays_zero(self, monkeypatch):
         rng = np.random.default_rng(13)
         _, _, train, val = self.planted(rng, n=6, n_h=400)
         init = loo_coefficients(invert_with_ridge(
             cov_of(np.cov(train, bias=True)), 0.01))
-        out, _ = gradient_refine(train, val, init, RefineConfig(max_iter=30))
+        monkeypatch.setattr(predictor, "_REFINE_STEPS", 30)
+        out, _ = gradient_refine(train, [val], init)
         assert np.all(np.diag(out.b) == 0.0)
 
 
