@@ -36,11 +36,11 @@ _BLOCK_HOURS = 1024
 
 @dataclass
 class StrategyConfig:
-    staleness: int = 1                 # extra delay S before entering
-    top_fraction: float = 0.05         # tail size for the discrepancy strategy
-    min_side_count: int = 100          # mean reversion: skip thinner hours
-    stake: float = 1.0                 # per-side notional per hour
-    cost_per_round_trip: float = 0.0   # fraction of notional charged per trade
+    staleness: int                 # extra delay S before entering
+    top_fraction: float            # tail size for the discrepancy strategy
+    min_side_count: int            # mean reversion: skip thinner hours
+    stake: float                   # per-side notional per hour
+    cost_per_round_trip: float     # fraction of notional charged per trade
 
     def __post_init__(self):
         if self.staleness < 0:
@@ -181,8 +181,7 @@ def _book(prices, tickers, entry_offset, config, sides) -> BacktestResult:
     return BacktestResult(ledger, curve, {"skipped_hours": n_decisions - booked})
 
 
-def run_market_meanrev(prices: np.ndarray, tickers: list[str],
-                       config: StrategyConfig | None = None,
+def run_market_meanrev(prices: np.ndarray, tickers: list[str], config: StrategyConfig,
                        long_only: bool = False) -> BacktestResult:
     """Cross-sectional mean reversion on an hourly price matrix.
 
@@ -191,7 +190,6 @@ def run_market_meanrev(prices: np.ndarray, tickers: list[str],
     entirely. Stake is split within a side proportionally to |return|;
     fills at the h+2 and h+3 hour-average prices.
     """
-    config = config or StrategyConfig()
 
     def sides(ok, r):
         longs, shorts = r < 0, r > 0
@@ -205,7 +203,7 @@ def run_market_meanrev(prices: np.ndarray, tickers: list[str],
 
 
 def run_xcorr_strategy(prices: np.ndarray, tickers: list[str], coeffs,
-                       config: StrategyConfig | None = None) -> BacktestResult:
+                       config: StrategyConfig) -> BacktestResult:
     """Trade the gap between returns and their leave-one-out predictions.
 
     The discrepancy is prediction minus outcome; the top fraction
@@ -215,7 +213,6 @@ def run_xcorr_strategy(prices: np.ndarray, tickers: list[str], coeffs,
     ledger lists a side's names in rank order. Hours with too few present
     names, or where a side has no name with both fill prices, are skipped.
     """
-    config = config or StrategyConfig()
     if list(coeffs.tickers) != list(tickers):
         raise DataError("coefficient tickers do not match the price panel")
     b = np.asarray(coeffs.b, dtype=float)

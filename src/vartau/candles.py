@@ -133,9 +133,9 @@ class ReturnSeries:
         return len(self.r)
 
 
-def parse_candles(path, ticker: str | None = None) -> CandleSeries:
-    """Read one ticker's candle CSV into timestamps, representative prices
-    and volumes.
+def parse_candles(path) -> CandleSeries:
+    """Read one ticker's candle CSV, named by its file stem, into timestamps,
+    representative prices and volumes.
 
     The file is a ``read_table`` table under the header
     ``timestamp,open,high,low,close,volume``, one candle per row, in any
@@ -150,8 +150,6 @@ def parse_candles(path, ticker: str | None = None) -> CandleSeries:
     volumes are kept, in time order: the returned series holds no bars.
     """
     path = Path(path)
-    if ticker is None:
-        ticker = path.stem
     _, rows = read_table(path, _ROW, CSV_HEADER, _candle_faults)
     if len(rows) == 0:
         raise DataError(f"{path}: no candles")
@@ -161,7 +159,7 @@ def parse_candles(path, ticker: str | None = None) -> CandleSeries:
     price = (rows["open"] + rows["high"] + rows["low"] + rows["close"]) / 4.0
     volume = rows["volume"][order]
     del rows                    # the six parsed columns, freed before the last gather
-    return CandleSeries.from_prices(ticker, ts, price[order], volume)
+    return CandleSeries.from_prices(path.stem, ts, price[order], volume)
 
 
 def _candle_faults(rows) -> dict:

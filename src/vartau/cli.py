@@ -7,6 +7,10 @@ fit/evaluate leave-one-out predictors. Every command writes
 machine-readable CSV/JSON plus a run manifest sufficient to replay it
 bit-identically via ``vartau --manifest <file>``.
 
+Every candle command but ``clock`` loads through ``_mapped``, which maps
+each ticker's candles to transaction time once, on the clocks of the
+requested kind and years; the analysis modules read only mapped candles.
+
 Exit codes: 0 success, 2 usage, 3 data error, 4 numerical failure.
 """
 
@@ -74,8 +78,8 @@ def _write_json(path: Path, obj) -> None:
         fh.write(text + "\n")
 
 
-def _load_dir(data_dir: str, years: list[int]) -> dict:
-    """Every candle file's series, cut to the span of the given years.
+def _load_dir(data_dir: str, years: list[int]) -> tuple[dict, list[Path]]:
+    """Every candle file's series, cut to the span of the given years, and the files read.
 
     Each series holds three columns (see ``parse_candles``). A cut series gets
     its own copy of the kept rows, so the rest of the file is freed; a file
@@ -94,11 +98,7 @@ def _load_dir(data_dir: str, years: list[int]) -> dict:
         sub = s.slice_window(t0, t1)
         out[f.stem] = s if len(sub) == len(s) else CandleSeries.from_prices(
             s.ticker, *(a.copy() for a in (sub.timestamps, sub.price, sub.volume)))
-    return out
-
-
-def _data_inputs(data_dir: str, series: dict) -> list[Path]:
-    return [Path(data_dir) / f"{t}.csv" for t in series]
+    return out, files
 
 
 def _parse_years(text: str) -> list[int]:
@@ -149,11 +149,11 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _mapped(args, years: list[int]) -> tuple[pn.TxnCandles, list[Path]]:
-    """The candles mapped once to the years' ``--kind`` clocks, and the files read."""
-    series = _load_dir(args.data_dir, years)
-    clocks = [build_clock(series.values(), ClockKind(args.kind), y) for y in years]
-    return pn.map_candles(series, clocks), _data_inputs(args.data_dir, series)
+def _mapped(data_dir: str, years: list[int], kind: str) -> tuple[pn.TxnCandles, list[Path]]:
+    """The candles mapped once to the years' clocks of the given kind, and the files read."""
+    series, files = _load_dir(data_dir, years)
+    clocks = [build_clock(series.values(), ClockKind(kind), y) for y in years]
+    return pn.map_candles(series, clocks), files
 
 
 # ---------------------------------------------------------------------------
@@ -161,27 +161,27 @@ def _mapped(args, years: list[int]) -> tuple[pn.TxnCandles, list[Path]]:
 # ---------------------------------------------------------------------------
 
 def cmd_clock(args) -> int:
-    series = _load_dir(args.data_dir, [args.year])
+    series, inputs = _load_dir(args.data_dir, [args.year])
     clock = build_clock(series.values(), ClockKind(args.kind), args.year)
     out = _out_dir(args)
     clock.write_csv(out / f"clock_{args.year}_{args.kind}.csv")
-    _write_manifest(out, "clock", args, _data_inputs(args.data_dir, series))
+    _write_manifest(out, "clock", args, inputs)
     return 0
 
 
 def cmd_variogram(args) -> int:
     grid = _parse_tau_grid(args.tau_grid)
     _check_normalize_at(args.normalize_at, grid)
-    series = _load_dir(args.data_dir, [args.year])
-    clock = build_clock(series.values(), ClockKind(args.clock), args.year)
+    candles, inputs = _mapped(args.data_dir, [args.year], args.clock)
     results = {}
-    for t in sorted(series):    # a ticker with fewer than two candles omits every tau
+    for t in candles.coords:    # a ticker with fewer than two candles omits every tau
+        one = candles.in_year(args.year, [t])
         if args.method == "diff_of_avg":
-            v = vg.variogram_diff_of_avg(series[t], clock, grid)
+            v = vg.variogram_diff_of_avg(one, grid)
         elif args.method == "two_point_grid":
-            v = vg.variogram_two_point(series[t], clock, grid, mode="grid_points")
+            v = vg.variogram_two_point(one, grid, mode="grid_points")
         else:
-            v = vg.variogram_two_point(series[t], clock, grid, mode="full_resolution")
+            v = vg.variogram_two_point(one, grid, mode="full_resolution")
         # a ticker whose taus miss --normalize-at, or whose V is not positive
         # (a constant price), cannot be normalized there and is left out
         if len(v) >= 2 and v.tau[0] <= args.normalize_at <= v.tau[-1] and (v.v > 0).all():
@@ -196,7 +196,7 @@ def cmd_variogram(args) -> int:
     if full:
         write_table(out / "ensemble.csv", ["tau_hours"] + [f"p{p}" for p in vg.PERCENTILES],
                     [grid, *vg.percentile_curves(np.stack(full))])
-    _write_manifest(out, "variogram", args, _data_inputs(args.data_dir, series))
+    _write_manifest(out, "variogram", args, inputs)
     return 0
 
 
@@ -249,7 +249,7 @@ def cmd_backtest(args) -> int:
             min_side_count=args.min_side_count, stake=args.stake,
             cost_per_round_trip=args.cost)
         pn.check_active_fraction(args.min_active_fraction)    # before the market is parsed
-        candles, files = _mapped(args, years)
+        candles, files = _mapped(args.data_dir, years, args.kind)
         inputs += files
         panel = pn.build_panel(candles).eligible(args.min_active_fraction)
         del candles
@@ -281,7 +281,7 @@ def cmd_predict(args) -> int:
     predict_years = _parse_years(args.predict_years)
     all_years = sorted(set(train_years) | set(predict_years))
     pn.check_active_fraction(args.min_active_fraction)        # before the market is parsed
-    candles, inputs = _mapped(args, all_years)
+    candles, inputs = _mapped(args.data_dir, all_years, args.kind)
     panel = pn.build_panel(candles).eligible(args.min_active_fraction)
     tickers = panel.tickers
     returns = panel.adjacent_returns()
@@ -305,8 +305,11 @@ def cmd_predict(args) -> int:
     for py in predict_years:
         r = returns[py]
         variances = np.nanvar(r, axis=1)
-        if np.any(variances <= 0) or np.isnan(variances).any():
-            raise DataError(f"year {py}: a ticker has no return variance")
+        flat = np.flatnonzero(~(variances > 0))      # zero, or NaN with no return
+        if len(flat):
+            t = tickers[flat[0]]
+            raise DataError(f"{Path(args.data_dir) / t}.csv: ticker {t} has no "
+                            f"return variance in year {py}")
         grid["none"][str(py)] = pred.prediction_report(pred.naive_predict(r, variances), r)
     _write_json(out / "report.json", {"tickers": tickers, "fve_grid": grid})
     _write_manifest(out, "predict", args, inputs)
@@ -321,7 +324,7 @@ def cmd_correlate(args) -> int:
     grid = _parse_tau_grid(args.tau_grid) if args.tau_grid else None
     if grid is not None:
         _check_normalize_at(args.normalize_at, grid)
-    candles, inputs = _mapped(args, years)
+    candles, inputs = _mapped(args.data_dir, years, args.kind)
     out = _out_dir(args)
 
     cmat = cov.estimate_cov(candles, args.tau, min_obs=args.min_obs)
@@ -334,10 +337,8 @@ def cmd_correlate(args) -> int:
     if grid is not None:
         # rho(tau) curves use the first requested year; the others are let go
         candles = candles.in_year(years[0], cmat.tickers)
-        _, curves, v = cov.corr_vs_tau(candles, grid, normalize_tau=args.normalize_at)
-        ok_rows = ~np.isnan(curves).any(axis=1)
-        perc = (vg.percentile_curves(curves[ok_rows]) if ok_rows.any()
-                else np.full((5, len(grid)), np.nan))
+        _, curves, v = cov.corr_vs_tau(candles, grid, args.normalize_at)
+        perc = vg.percentile_curves(curves)     # each tau over the pairs with a value there
         # the median variogram of the tickers that have a positive V at every
         # tau; a constant price's V of 0 is left out, as variogram leaves it out
         full = v[(v > 0).all(axis=1)]

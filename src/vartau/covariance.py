@@ -43,6 +43,8 @@ from .panel import TxnCandles, grid_returns
 from .variogram import MAX_DT_FACTOR, loglog_interp, weighted_v
 
 DEFAULT_MIN_OBS = 50
+# the fewest joint returns behind any covariance or correlation that is reported
+MIN_JOINT_OBS = 2
 # grid columns per block of pair_stats' products; bounds its dense temporaries
 _BLOCK_BINS = 4096
 
@@ -180,7 +182,7 @@ def estimate_cov(candles: TxnCandles, tau: float, min_obs: int = DEFAULT_MIN_OBS
                 tickers.append(t)
                 yield rs
     c, n_obs = pair_stats(rows(), sum(candles.widths(tau)), tau)
-    c[n_obs < max(min_obs, 2)] = np.nan
+    c[n_obs < max(min_obs, MIN_JOINT_OBS)] = np.nan
     return CovMatrix(tickers, c, n_obs)
 
 
@@ -217,34 +219,31 @@ def _value_at(tau_grid, values: np.ndarray, tau0: float) -> np.ndarray:
     return v0
 
 
-def corr_vs_tau(candles: TxnCandles, tau_grid, normalize_tau: float = 1.0, min_obs: int = 2):
+def corr_vs_tau(candles: TxnCandles, tau_grid, normalize_tau: float):
     """Pairwise correlation as a function of resolution, normalized at normalize_tau.
 
     Per tau, one ``pair_stats`` call over the tickers' ``grid_returns`` gives
     every pair, with the variances on the diagonal. Returns (pairs, curves,
     v). curves is (n_pairs, n_tau) normalized rho, NaN where a pair or a
-    variance had fewer than ``min_obs`` samples or a variance was not
+    variance had fewer than MIN_JOINT_OBS samples or a variance was not
     positive, and for a pair whose values do not reach normalize_tau on both
-    sides. The ``correlate`` command leaves ``min_obs`` at 2, so its curves
-    keep every pair with two joint returns; its ``--min-obs`` applies to the
-    covariance and correlation matrices only.
+    sides.
     v is (n_tickers, n_tau): each ticker's V(tau) from the same returns,
     which for one year is its ``variogram_diff_of_avg`` (NaN where omitted).
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     tickers = list(candles.coords)
     upper = np.triu_indices(len(tickers), 1)
-    floor = max(min_obs, 2)
     raw = np.full((len(upper[0]), len(tau_grid)), np.nan)
     v = np.full((len(tickers), len(tau_grid)), np.nan)
     for k, tau in enumerate(tau_grid):
         returns = _with_variogram(grid_returns(candles, tau), v[:, k])
         c, n_obs = pair_stats(returns, sum(candles.widths(tau)), tau)
         var = np.diag(c)
-        good = (var > 0) & (np.diag(n_obs) >= floor)
+        good = (var > 0) & (np.diag(n_obs) >= MIN_JOINT_OBS)
         with np.errstate(invalid="ignore"):
             rho = c / np.sqrt(np.outer(var, var))
-        rho[(n_obs < floor) | ~np.outer(good, good)] = np.nan
+        rho[(n_obs < MIN_JOINT_OBS) | ~np.outer(good, good)] = np.nan
         raw[:, k] = rho[upper]
     ok = ~np.isnan(raw)
     reach = ((ok & (tau_grid <= normalize_tau)).any(axis=1)
@@ -261,8 +260,8 @@ def _with_variogram(returns, v):
         yield rs
 
 
-def predicted_corr_ratio(v_tot, tau_grid, normalize_tau: float = 1.0) -> np.ndarray:
-    """Two-component prediction tau / V_tot(tau), normalized to 1 at 1 hr.
+def predicted_corr_ratio(v_tot, tau_grid, normalize_tau: float) -> np.ndarray:
+    """Two-component prediction tau / V_tot(tau), normalized to 1 at normalize_tau.
 
     ``v_tot`` is a Variogram of the total return variance; it is
     interpolated onto the requested grid in log-log space.

@@ -107,14 +107,12 @@ def loo_coefficients(a: PrecisionMatrix) -> PredictionCoeffs:
 
 
 def predict(b: PredictionCoeffs, r: np.ndarray) -> np.ndarray:
-    """Apply coefficients to returns; missing (NaN) returns contribute 0.
-
-    r may be a vector (one period) or an (n_tickers, n_periods) panel.
-    """
+    """Apply coefficients to an (n_tickers, n_periods) return panel; missing
+    (NaN) returns contribute 0."""
     r = np.asarray(r, dtype=float)
-    if r.shape[0] != len(b.tickers):
-        raise DataError(f"return vector size {r.shape[0]} does not match "
-                        f"{len(b.tickers)} tickers")
+    if r.ndim != 2 or r.shape[0] != len(b.tickers):
+        raise DataError(f"return panel shape {r.shape} does not have "
+                        f"{len(b.tickers)} ticker rows")
     return b.b @ np.nan_to_num(r, nan=0.0)
 
 

@@ -5,9 +5,11 @@ transaction-time interval tau; a martingale has V proportional to tau,
 so V(tau)/tau plotted against tau is flat for a memoryless process and
 a power law tau^(1-2*eps) signals memory.
 
-Three estimators are provided. The difference-of-average method takes
-log returns of adjacent tau-bin average prices, ``panel.grid_returns``
-(the method of choice for candle inputs, which are themselves averages).
+Three estimators are provided. Each reads one ticker's mapped candles,
+a ``panel.TxnCandles`` of one ticker and one year on its transaction-time
+clock. The difference-of-average method takes log returns of adjacent
+tau-bin average prices, ``panel.grid_returns`` (the method of choice for
+candle inputs, which are themselves averages).
 The two-point method differences prices spaced tau apart, one sample per
 grid step or at full one-minute resolution. Because sampling is
 asynchronous, a return spanning elapsed time dt contributes r^2 * (tau/dt)
@@ -22,9 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .candles import CandleSeries, write_table
+from .candles import write_table
 from .errors import DataError
-from .panel import grid_returns, map_candles
+from .panel import TxnCandles, grid_returns
 
 # the dt band: a return is kept when 0 < dt <= MAX_DT_FACTOR * tau
 MAX_DT_FACTOR = 3.0
@@ -66,9 +68,8 @@ class PowerLawFit:
         return self.exponent / 2.0
 
 
-def default_tau_grid(tau_min: float = 2.0 / 60.0, tau_max: float = 200.0,
-                     points_per_decade: int = 25) -> np.ndarray:
-    """Log-spaced grid, 25 points per decade from 2 minutes to 200 hours."""
+def default_tau_grid(tau_min: float, tau_max: float, points_per_decade: int) -> np.ndarray:
+    """Log-spaced grid from tau_min to tau_max hours, points_per_decade to a decade."""
     n = int(round(np.log10(tau_max / tau_min) * points_per_decade)) + 1
     return np.geomspace(tau_min, tau_max, max(n, 2))
 
@@ -104,16 +105,13 @@ def _assemble(tau_grid, values, counts) -> Variogram:
     return Variogram(tau_grid[ok], values[ok], counts[ok], omitted=tau_grid[~ok])
 
 
-def variogram_diff_of_avg(s: CandleSeries, clock, tau_grid) -> Variogram:
-    """Difference-of-average estimator over a tau grid.
+def variogram_diff_of_avg(candles: TxnCandles, tau_grid) -> Variogram:
+    """Difference-of-average estimator of one ticker's mapped candles over a tau grid.
 
     For each tau, the year's candles are sorted into tau bins, bin prices
     are the mean representative prices, and returns are log differences of
     adjacent non-empty bins, as ``panel.grid_returns`` gives them.
     """
-    if np.any(s.price <= 0):
-        raise DataError(f"{s.ticker}: non-positive representative price")
-    candles = map_candles({s.ticker: s}, [clock])
     vals, counts = [], []
     for tau in np.asarray(tau_grid, dtype=float):
         # fewer than 2 bins give no return, and so (nan, 0)
@@ -131,9 +129,8 @@ def _nearest_index(coords: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return np.where(use_left, left, right)
 
 
-def variogram_two_point(s: CandleSeries, clock, tau_grid,
-                        mode: str = "grid_points") -> Variogram:
-    """Two-point difference estimator.
+def variogram_two_point(candles: TxnCandles, tau_grid, mode: str) -> Variogram:
+    """Two-point difference estimator of one ticker's mapped candles.
 
     grid_points: one sample per grid step, using the candle price nearest
     each grid point k*tau (within tau/2). full_resolution: every candle is
@@ -142,9 +139,7 @@ def variogram_two_point(s: CandleSeries, clock, tau_grid,
     """
     if mode not in ("grid_points", "full_resolution"):
         raise DataError(f"unknown two-point mode {mode!r}")
-    if np.any(s.price <= 0):
-        raise DataError(f"{s.ticker}: non-positive representative price")
-    (xp,) = map_candles({s.ticker: s}, [clock]).coords[s.ticker]
+    ((xp,),) = candles.coords.values()
     if xp is None:
         return _assemble(tau_grid, np.full(len(tau_grid), np.nan), np.zeros(len(tau_grid)))
     coords, logp = xp[0], np.log(xp[1])
@@ -168,7 +163,7 @@ def variogram_two_point(s: CandleSeries, clock, tau_grid,
     return _assemble(tau_grid, vals, counts)
 
 
-def normalize_at(v: Variogram, tau0: float = 1.0) -> Variogram:
+def normalize_at(v: Variogram, tau0: float) -> Variogram:
     """Scale so the (log-log interpolated) value at tau0 is exactly 1."""
     if len(v) == 0:
         raise DataError("cannot normalize an empty variogram")
@@ -200,12 +195,16 @@ def fit_power_law(v: Variogram, fit_range: tuple[float, float] | None = None) ->
 
 
 def percentile_curves(values: np.ndarray) -> np.ndarray:
-    """Column-wise PERCENTILES (linear interpolation convention).
+    """Column-wise PERCENTILES (linear interpolation convention) of each
+    column's non-NaN cells; NaN in a column with none.
 
     values is (n_members, n_tau); returns (len(PERCENTILES), n_tau).
     """
     values = np.asarray(values, dtype=float)
-    if values.ndim != 2 or values.shape[0] < 1:
+    if values.ndim != 2:
         raise DataError("need a 2-d stack of curves")
-    return np.percentile(values, list(PERCENTILES), axis=0)
+    out = np.full((len(PERCENTILES), values.shape[1]), np.nan)
+    has = ~np.isnan(values).all(axis=0)
+    out[:, has] = np.nanpercentile(values[:, has], list(PERCENTILES), axis=0)
+    return out
 

@@ -28,8 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from vartau.backtest import (ANNUAL_HOURS, BacktestResult, EquityCurve, StrategyConfig,
-                             TradeLedger)
+from vartau.backtest import ANNUAL_HOURS, BacktestResult, EquityCurve, TradeLedger
 from vartau.candles import CSV_HEADER, CandleSeries, ReturnSeries, bin_coordinates
 from vartau.clock import ClockKind, ClockMap, build_clock, hours_in_year, year_bounds
 from vartau.covariance import corr_vs_tau, predicted_corr_ratio
@@ -38,7 +37,7 @@ from vartau.hurst import HurstParams, PricePanel, SimConfig, _postprocess
 from vartau.panel import map_candles
 from vartau.predictor import _per_ticker_moments, fmse, naive_predict
 from vartau.variogram import (MAX_DT_FACTOR, PERCENTILES, Variogram, loglog_interp,
-                              percentile_curves, variogram_diff_of_avg)
+                              variogram_diff_of_avg)
 
 
 def validate_row(t, o, h, l, c, v) -> None:
@@ -104,8 +103,7 @@ def build_clock_dict(all_candles, kind: ClockKind, year: int) -> ClockMap:
     t0, t1 = year_bounds(year)
     total_hours = float((t1 - t0) // 3600)
     if kind is ClockKind.CLOCK:
-        return ClockMap(year, kind, np.array([t0, t1], dtype=float),
-                        np.array([0.0, total_hours]))
+        return ClockMap(year, np.array([t0, t1], dtype=float), np.array([0.0, total_hours]))
     weights: dict[int, float] = {}
     n_seen = 0
     for series in all_candles:
@@ -133,7 +131,7 @@ def build_clock_dict(all_candles, kind: ClockKind, year: int) -> ClockMap:
     knots_c[-1], knots_x[-1] = float(t1), total_hours
     knots_x[-2] = total_hours
     keep = np.concatenate(([True], np.diff(knots_c) > 0))
-    return ClockMap(year, kind, knots_c[keep], knots_x[keep])
+    return ClockMap(year, knots_c[keep], knots_x[keep])
 
 
 def build_clock_unique(all_candles, kind: ClockKind, year: int) -> ClockMap:
@@ -141,8 +139,7 @@ def build_clock_unique(all_candles, kind: ClockKind, year: int) -> ClockMap:
     t0, t1 = year_bounds(year)
     total_hours = float((t1 - t0) // 3600)
     if kind is ClockKind.CLOCK:
-        return ClockMap(year, kind, np.array([t0, t1], dtype=float),
-                        np.array([0.0, total_hours]))
+        return ClockMap(year, np.array([t0, t1], dtype=float), np.array([0.0, total_hours]))
     subs = [series.slice_window(t0, t1) for series in all_candles]
     if sum(len(s) for s in subs) == 0:
         raise DataError(f"no candles inside year {year}")
@@ -167,7 +164,7 @@ def build_clock_unique(all_candles, kind: ClockKind, year: int) -> ClockMap:
     knots_x[-2] = total_hours
     np.minimum(knots_x, total_hours, out=knots_x)
     keep = np.concatenate(([True], np.diff(knots_c) > 0))
-    return ClockMap(year, kind, knots_c[keep], knots_x[keep])
+    return ClockMap(year, knots_c[keep], knots_x[keep])
 
 
 def write_candles_csv_rows(series: CandleSeries, path) -> None:
@@ -291,8 +288,9 @@ def normalize_curve(tau_grid, values, tau0: float):
 
 
 def corr_vs_tau_loop(series, clock, tau_grid, normalize_tau: float = 1.0,
-                     min_obs: int = 2, max_dt_factor: float = MAX_DT_FACTOR):
-    """rho(tau) with three pair_stats calls per pair and tau, then one curve at a time."""
+                     max_dt_factor: float = MAX_DT_FACTOR):
+    """rho(tau) with three pair_stats calls per pair and tau, then one curve at a time;
+    a pair or a variance needs two joint returns."""
     tau_grid = np.asarray(tau_grid, dtype=float)
     tickers = list(series)
     pairs = [(a, b) for i, a in enumerate(tickers) for b in tickers[i + 1:]]
@@ -313,7 +311,7 @@ def corr_vs_tau_loop(series, clock, tau_grid, normalize_tau: float = 1.0,
             cab, nab = pair_stats_loop(*prepped[a], *prepped[b], tau)
             caa, naa = pair_stats_loop(*prepped[a], *prepped[a], tau)
             cbb, nbb = pair_stats_loop(*prepped[b], *prepped[b], tau)
-            if min(nab, naa, nbb) >= max(min_obs, 2) and caa > 0 and cbb > 0:
+            if min(nab, naa, nbb) >= 2 and caa > 0 and cbb > 0:
                 raw[p, k] = cab / np.sqrt(caa * cbb)
     curves = np.full_like(raw, np.nan)
     for p in range(len(pairs)):
@@ -326,18 +324,21 @@ def corr_vs_tau_loop(series, clock, tau_grid, normalize_tau: float = 1.0,
 def write_corr_vs_tau_csv_loop(series, clock, tau_grid, normalize_tau, path) -> None:
     """corr_vs_tau.csv with ``predicted`` from a second binning pass.
 
-    rho(tau) comes from ``corr_vs_tau``; the median variogram behind
-    ``predicted`` is taken over the tickers whose ``variogram_diff_of_avg``
-    keeps every tau, one variogram per ticker.
+    rho(tau) comes from ``corr_vs_tau``; each tau's percentiles are taken
+    over the pairs with a value there, one tau at a time (NaN where no pair
+    has one). The median variogram behind ``predicted`` is taken over the
+    tickers whose ``variogram_diff_of_avg`` keeps every tau, one variogram
+    per ticker.
     """
-    _, curves, _ = corr_vs_tau(map_candles(series, [clock]), tau_grid,
-                               normalize_tau=normalize_tau)
-    ok_rows = ~np.isnan(curves).any(axis=1)
-    perc = (percentile_curves(curves[ok_rows]) if ok_rows.any()
-            else np.full((5, len(tau_grid)), np.nan))
+    _, curves, _ = corr_vs_tau(map_candles(series, [clock]), tau_grid, normalize_tau)
+    perc = np.full((len(PERCENTILES), len(tau_grid)), np.nan)
+    for k, column in enumerate(curves.T):
+        present = column[~np.isnan(column)]
+        if len(present):
+            perc[:, k] = np.percentile(present, PERCENTILES)
     stack = []
     for t in sorted(series):
-        v = variogram_diff_of_avg(series[t], clock, tau_grid)
+        v = variogram_diff_of_avg(map_candles({t: series[t]}, [clock]), tau_grid)
         if len(v) == len(tau_grid):
             stack.append(v.v)
     if stack:
@@ -496,9 +497,8 @@ def _collect(rows, tickers, n_hours, stake) -> BacktestResult:
     return BacktestResult(ledger, curve)
 
 
-def run_market_meanrev_loop(prices, tickers, config=None, long_only=False) -> BacktestResult:
+def run_market_meanrev_loop(prices, tickers, config, long_only=False) -> BacktestResult:
     """``run_market_meanrev`` one decision hour at a time."""
-    config = config or StrategyConfig()
     prices = np.asarray(prices, dtype=float)
     n, n_hours = prices.shape
     entry_offset = 2
@@ -526,9 +526,8 @@ def run_market_meanrev_loop(prices, tickers, config=None, long_only=False) -> Ba
     return result
 
 
-def run_xcorr_strategy_loop(prices, tickers, coeffs, config=None) -> BacktestResult:
+def run_xcorr_strategy_loop(prices, tickers, coeffs, config) -> BacktestResult:
     """``run_xcorr_strategy`` one decision hour at a time."""
-    config = config or StrategyConfig()
     prices = np.asarray(prices, dtype=float)
     n, n_hours = prices.shape
     if list(coeffs.tickers) != list(tickers):

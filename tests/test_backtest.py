@@ -140,9 +140,10 @@ class TestPanelPrep:
             panel.eligible(0.5)
 
 
-def meanrev_config(**kw):
-    kw.setdefault("min_side_count", 1)
-    return StrategyConfig(**kw)
+def strategy_config(**kw):
+    """The CLI's default settings, but a side of one name is enough."""
+    return StrategyConfig(**{"staleness": 1, "top_fraction": 0.05, "min_side_count": 1,
+                             "stake": 1.0, "cost_per_round_trip": 0.0, **kw})
 
 
 class TestMarketMeanrev:
@@ -151,7 +152,7 @@ class TestMarketMeanrev:
         logp = np.cumsum(np.tile([0.01, 0.02, -0.01], 10))
         prices = np.exp(np.tile(logp, (6, 1)))
         res = run_market_meanrev(prices, [f"T{i}" for i in range(6)],
-                                 meanrev_config(min_side_count=3))
+                                 strategy_config(min_side_count=3))
         assert len(res.ledger) == 0
         assert res.info["skipped_hours"] > 0
 
@@ -160,7 +161,7 @@ class TestMarketMeanrev:
         prices = np.exp(np.cumsum(rng.normal(0, 0.01, size=(12, 200)), axis=1))
         prices[3, 50:70] = np.nan    # gaps must not break the balance
         res = run_market_meanrev(prices, [f"T{i}" for i in range(12)],
-                                 meanrev_config(min_side_count=2, stake=2.5))
+                                 strategy_config(min_side_count=2, stake=2.5))
         ledger = res.ledger
         for h in np.unique(ledger.hour):
             rows = ledger.hour == h
@@ -174,7 +175,7 @@ class TestMarketMeanrev:
         rng = np.random.default_rng(4)
         prices = np.exp(np.cumsum(rng.normal(0, 0.01, size=(8, 150)), axis=1))
         res = run_market_meanrev(prices, [f"T{i}" for i in range(8)],
-                                 meanrev_config(min_side_count=2))
+                                 strategy_config(min_side_count=2))
         assert res.curve.cum_pnl[-1] == pytest.approx(res.ledger.total_pnl(),
                                                       abs=1e-12)
 
@@ -182,7 +183,7 @@ class TestMarketMeanrev:
         rng = np.random.default_rng(5)
         prices = np.exp(np.cumsum(rng.normal(0, 0.01, size=(8, 100)), axis=1))
         res = run_market_meanrev(prices, [f"T{i}" for i in range(8)],
-                                 meanrev_config(min_side_count=2), long_only=True)
+                                 strategy_config(min_side_count=2), long_only=True)
         assert np.all(res.ledger.side == 1)
 
     def test_missing_fill_redistributes_within_side(self):
@@ -194,7 +195,7 @@ class TestMarketMeanrev:
         prices[2] = [10, 7.0, 7.1, 7.2, 7.3, 7.4, 7.5, 7.6]
         prices[3] = [10, 11.0, 11.1, 11.2, 11.3, 11.4, 11.5, 11.6]
         prices[2, 2] = np.nan        # decision hour 0 entry (h+2) missing
-        res = run_market_meanrev(prices, list("ABCD"), meanrev_config())
+        res = run_market_meanrev(prices, list("ABCD"), strategy_config())
         rows = (res.ledger.hour == 0) & (res.ledger.side == 1)
         names = sorted(np.array(res.ledger.ticker)[rows])
         assert names == ["A", "B"]
@@ -205,9 +206,9 @@ class TestMarketMeanrev:
         rng = np.random.default_rng(6)
         prices = np.exp(np.cumsum(rng.normal(0, 0.01, size=(8, 120)), axis=1))
         free = run_market_meanrev(prices, [f"T{i}" for i in range(8)],
-                                  meanrev_config(min_side_count=2))
+                                  strategy_config(min_side_count=2))
         costly = run_market_meanrev(prices, [f"T{i}" for i in range(8)],
-                                    meanrev_config(min_side_count=2,
+                                    strategy_config(min_side_count=2,
                                                    cost_per_round_trip=1e-3))
         n_hours_traded = len(np.unique(costly.ledger.hour))
         drag = 2 * 1e-3 * 1.0 * n_hours_traded   # both sides pay on the stake
@@ -218,12 +219,12 @@ class TestMarketMeanrev:
         rng = np.random.default_rng(7)
         prices = np.exp(np.cumsum(rng.normal(0, 0.01, size=(10, 120)), axis=1))
         base = run_market_meanrev(prices, [f"T{i}" for i in range(10)],
-                                  meanrev_config(min_side_count=2))
+                                  strategy_config(min_side_count=2))
         h_prime = 60
         bumped = prices.copy()
         bumped[4, h_prime] *= 1.05
         other = run_market_meanrev(bumped, [f"T{i}" for i in range(10)],
-                                   meanrev_config(min_side_count=2))
+                                   strategy_config(min_side_count=2))
         def decisions(res, h_max):
             keep = res.ledger.hour < h_max
             return (res.ledger.hour[keep].tolist(),
@@ -260,7 +261,7 @@ def assert_market_neutral(res, stake, n_decisions):
 @given(gappy_prices(), st.floats(0.5, 3.0))
 def test_meanrev_notionals_equal_in_every_traded_hour(prices, stake):
     tickers = [f"T{i}" for i in range(len(prices))]
-    res = run_market_meanrev(prices, tickers, meanrev_config(stake=stake))
+    res = run_market_meanrev(prices, tickers, strategy_config(stake=stake))
     assert_market_neutral(res, stake, prices.shape[1] - 3)
 
 
@@ -271,7 +272,7 @@ def test_xcorr_notionals_equal_in_every_traded_hour(prices, staleness, top, rnd)
     b = np.array([[0.0 if i == j else rnd.uniform(-0.5, 0.5) for j in range(n)]
                   for i in range(n)])
     tickers = [f"T{i}" for i in range(n)]
-    cfg = StrategyConfig(staleness=staleness, top_fraction=top, min_side_count=1)
+    cfg = strategy_config(staleness=staleness, top_fraction=top)
     res = run_xcorr_strategy(prices, tickers, PredictionCoeffs(tickers, b), cfg)
     assert_market_neutral(res, 1.0, max(prices.shape[1] - 3 - staleness, 0))
 
@@ -284,7 +285,7 @@ class TestXcorr:
         n = 10
         prices = np.exp(np.cumsum(rng.normal(0, 0.01, size=(n, 30)), axis=1))
         b = PredictionCoeffs([f"T{i}" for i in range(n)], np.zeros((n, n)))
-        cfg = StrategyConfig(staleness=0, top_fraction=0.2, min_side_count=1)
+        cfg = strategy_config(staleness=0, top_fraction=0.2)
         res = run_xcorr_strategy(prices, [f"T{i}" for i in range(n)], b, cfg)
         h = 0
         r = np.log(prices[:, h + 1] / prices[:, h])
@@ -302,7 +303,7 @@ class TestXcorr:
         prices = np.ones((4, 10))
         prices[:, 1] = [1.01, 1.01, 0.99, 0.99]   # two-way ties on both sides
         b = PredictionCoeffs(list("ABCD"), np.zeros((4, 4)))
-        cfg = StrategyConfig(staleness=0, top_fraction=0.25, min_side_count=1)
+        cfg = strategy_config(staleness=0, top_fraction=0.25)
         res = run_xcorr_strategy(prices, list("ABCD"), b, cfg)
         names = np.array(res.ledger.ticker)
         def side_names(h, side):
@@ -319,7 +320,7 @@ class TestXcorr:
         prices = prices * np.exp(jitter[:, None] * np.arange(12)[None, :] % 3)
         b = PredictionCoeffs(list("ABCD"), np.zeros((4, 4)))
         for s in (0, 2):
-            cfg = StrategyConfig(staleness=s, top_fraction=0.25, min_side_count=1)
+            cfg = strategy_config(staleness=s, top_fraction=0.25)
             res = run_xcorr_strategy(prices, list("ABCD"), b, cfg)
             if len(res.ledger):
                 first = res.ledger.hour[0]
@@ -331,13 +332,13 @@ class TestXcorr:
         b = PredictionCoeffs(list("AB"), np.array([[0.0, np.nan], [0.1, 0.0]]))
         with pytest.raises(DataError, match="finite"):
             run_xcorr_strategy(np.ones((2, 10)), list("AB"), b,
-                               StrategyConfig(min_side_count=1))
+                               strategy_config())
 
     def test_ticker_mismatch_rejected(self):
         b = PredictionCoeffs(list("AB"), np.zeros((2, 2)))
         with pytest.raises(DataError, match="tickers"):
             run_xcorr_strategy(np.ones((2, 10)), list("BA"), b,
-                               StrategyConfig(min_side_count=1))
+                               strategy_config())
 
 
 class TestYield:

@@ -203,8 +203,7 @@ class TestBinning:
 
     def test_two_segment_clock_hand_assignment(self):
         # map: first clock hour -> 1 txn hour, next clock hour -> 2 more
-        clock = ClockMap(2021, ClockKind.DOLLAR_WEIGHTED,
-                         np.array([T0, T0 + 3600, T0 + 7200], dtype=float),
+        clock = ClockMap(2021, np.array([T0, T0 + 3600, T0 + 7200], dtype=float),
                          np.array([0.0, 1.0, 3.0]))
         ts = np.array([T0, T0 + 1800, T0 + 5400], dtype=np.int64)
         # hand evaluation: coords 0.0, 0.5 (half of first segment),

@@ -19,7 +19,7 @@ from vartau.hurst import (HurstParams, SimConfig, read_panel_csv, simulate_fbm,
 from vartau.panel import map_candles
 from vartau.synthetic import random_walk_candles
 from vartau.variogram import (default_tau_grid, normalize_at, percentile_curves,
-                              variogram_two_point)
+                              variogram_diff_of_avg, variogram_two_point)
 
 YEARS = (2021, 2022)
 # minutes between candles, one ticker each: every ticker trades up to the
@@ -161,7 +161,7 @@ def test_corr_vs_tau_csv_matches_second_binning_pass(tmp_path):
                      "--out-dir", str(tmp_path / "out")]) == 0
     series = {t: parse_candles(data / f"{t}.csv") for t in sorted(series)}
     clock = build_clock(series.values(), ClockKind.DOLLAR_WEIGHTED, 2021)
-    _, _, v = corr_vs_tau(map_candles(series, [clock]), grid)
+    _, _, v = corr_vs_tau(map_candles(series, [clock]), grid, 1.0)
     assert np.isnan(v).any(axis=1).tolist() == [False, False, True, True]
     write_corr_vs_tau_csv_loop(series, clock, grid, 1.0, tmp_path / "want.csv")
     assert (tmp_path / "out" / "corr_vs_tau.csv").read_bytes() == \
@@ -423,7 +423,7 @@ def test_one_year_commands_ignore_the_other_years(data, tmp_path):
     t0, t1 = year_bounds(2021)
     for t, s in market().items():
         write_candles(only / f"{t}.csv", s.slice_window(t0, t1))
-    loaded = cli._load_dir(str(data), [2021])
+    loaded, _ = cli._load_dir(str(data), [2021])
     for t, s in loaded.items():
         assert s.timestamps[0] >= t0 and s.timestamps[-1] < t1
         assert all(getattr(s, c).base is None for c in ("timestamps", "price", "volume"))
@@ -447,7 +447,7 @@ def test_loaded_candles_hold_24_bytes_each(data, years):
     # timestamps, representative price and volume: 8 bytes each a candle
     tracemalloc.start()
     try:
-        loaded = cli._load_dir(str(data), years)
+        loaded, _ = cli._load_dir(str(data), years)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -455,11 +455,11 @@ def test_loaded_candles_hold_24_bytes_each(data, years):
     assert held <= 24 * n + (64 << 10), (held, n)
 
 
-def constant_price_market(tmp_path):
+def constant_price_market(tmp_path, years=(2021,)):
     """Three random walks and TC, whose every candle is priced 50.0."""
     data = tmp_path / "data"
     data.mkdir()
-    series = market(years=(2021,), spacings=(60, 90, 120))
+    series = market(years=years, spacings=(60, 90, 120))
     walk = series["T0"]
     flat = np.full(len(walk), 50.0)
     series["TC"] = CandleSeries("TC", walk.timestamps, flat, flat, flat, flat, walk.volume)
@@ -499,6 +499,15 @@ def test_constant_price_ticker_gets_nan_correlations(tmp_path):
     curves = (tmp_path / "with" / "corr_vs_tau.csv").read_text()
     assert "nan" not in curves
     assert curves == (tmp_path / "without" / "corr_vs_tau.csv").read_text()
+
+
+def test_predict_names_the_ticker_with_no_return_variance(tmp_path, capsys):
+    # TC's returns are all 0: the naive predictor cannot scale by its variance
+    data = constant_price_market(tmp_path, YEARS)
+    assert cli.main(["predict", "--data-dir", str(data), "--train-years", "2021",
+                     "--predict-years", "2022", "--out-dir", str(tmp_path / "out")]) == 3
+    assert (f"data error: {data / 'TC.csv'}: ticker TC has no return variance in year 2022"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("strategy", ["xcorr", "sim-meanrev"])
@@ -546,6 +555,34 @@ def test_variogram_two_point_methods(tmp_path, method, mode):
     clock = build_clock(series.values(), ClockKind.DOLLAR_WEIGHTED, 2021)
     grid = default_tau_grid(0.5, 32.0, 4)
     for t, s in series.items():
-        normalize_at(variogram_two_point(s, clock, grid, mode), 2.0).write_csv(tmp_path / "want.csv")
+        v = variogram_two_point(map_candles({t: s}, [clock]), grid, mode)
+        normalize_at(v, 2.0).write_csv(tmp_path / "want.csv")
         assert (out / f"variogram_{t}.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
     assert len((out / "ensemble.csv").read_text().splitlines()) == len(grid) + 1
+
+
+@pytest.mark.parametrize("kind", ["volume", "clock"])
+def test_variogram_clock_flag_picks_the_clock(data, outputs, tmp_path, kind):
+    # each ticker's variogram on the --clock kind's transaction time, which
+    # moves it off the default dollar clock's
+    out = tmp_path / "out"
+    assert cli.main(["variogram", "--data-dir", str(data), "--year", "2021", "--clock", kind,
+                     "--tau-grid", "0.25:32:4", "--out-dir", str(out)]) == 0
+    series = {t: parse_candles(data / f"{t}.csv") for t in sorted(market())}
+    clock = build_clock(series.values(), ClockKind(kind), 2021)
+    grid = default_tau_grid(0.25, 32.0, 4)
+    written = sorted(p.name for p in out.glob("variogram_*.csv"))
+    assert len(written) >= 3
+    for name in written:
+        t = name[len("variogram_"):-len(".csv")]
+        v = variogram_diff_of_avg(map_candles({t: series[t]}, [clock]), grid)
+        normalize_at(v, 1.0).write_csv(tmp_path / "want.csv")
+        got = (out / name).read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert got != (outputs / "variogram" / name).read_bytes()
+
+
+def test_rho_tau_percentiles_take_each_tau_over_the_pairs_there(outputs):
+    # a pair that misses one tau still counts at the others, so the fan has width
+    rows = np.loadtxt(outputs / "correlate" / "corr_vs_tau.csv", delimiter=",", skiprows=1)
+    assert (rows[:, 1] < rows[:, 5]).any()

@@ -165,6 +165,6 @@ class TestCsv:
         path = tmp_path / "clock.csv"
         clock.write_csv(path)
         knots = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        back = ClockMap(2021, ClockKind.DOLLAR_WEIGHTED, knots[:, 0], knots[:, 1])
+        back = ClockMap(2021, knots[:, 0], knots[:, 1])
         t = np.linspace(T0, T1, 50)
         assert np.allclose(back.to_txn_time(t), clock.to_txn_time(t))

@@ -152,7 +152,7 @@ class TestCorrVsTau:
         series = {f"T{i}": hourly_candles_from_prices(f"T{i}", 2021, prices[i])
                   for i in range(2)}
         grid = np.array([1.0, 2.0, 4.0, 8.0])
-        pairs, curves, _ = corr_vs_tau(map_candles(series, [clock]), grid, min_obs=2)
+        pairs, curves, _ = corr_vs_tau(map_candles(series, [clock]), grid, 1.0)
         assert len(pairs) == 1
         se = 3.0 / np.sqrt(8000 / grid)
         assert np.all(np.abs(curves[0] - 1.0) < (se / rho + se[0] / rho))
@@ -162,7 +162,7 @@ class TestCorrVsTau:
         prices = correlated_walk_panel(2, 400, 0.4, seed=9)
         series = {f"T{i}": hourly_candles_from_prices(f"T{i}", 2021, prices[i])
                   for i in range(2)}
-        _, curves, _ = corr_vs_tau(map_candles(series, [clock]), np.array([1.0]), min_obs=2)
+        _, curves, _ = corr_vs_tau(map_candles(series, [clock]), np.array([1.0]), 1.0)
         assert np.allclose(curves, 1.0)
 
     @pytest.mark.parametrize("case", ["walks", "year_end"])
@@ -183,9 +183,9 @@ class TestCorrVsTau:
                                          volume=np.array([1.0, 1.0, 0.0]))}
             clock = build_clock(series.values(), ClockKind.VOLUME_WEIGHTED, 2021)
             grid = np.array([1460.0, 2920.0, 8760.0])
-        _, _, v = corr_vs_tau(map_candles(series, [clock]), grid, min_obs=2)
+        _, _, v = corr_vs_tau(map_candles(series, [clock]), grid, 1.0)
         for row, s in zip(v, series.values()):
-            want = variogram_diff_of_avg(s, clock, grid)
+            want = variogram_diff_of_avg(map_candles({"x": s}, [clock]), grid)
             assert np.array_equal(grid[~np.isnan(row)], want.tau)
             assert np.array_equal(row[~np.isnan(row)], want.v)
         assert np.isnan(v).sum() > 0
@@ -199,12 +199,12 @@ class TestPredictedRatio:
     def test_memoryless_flat_one(self):
         tau = default_tau_grid(0.1, 10, 10)
         v = Variogram(tau, 5.0 * tau, np.full(len(tau), 10))
-        assert np.allclose(predicted_corr_ratio(v, tau), 1.0)
+        assert np.allclose(predicted_corr_ratio(v, tau, 1.0), 1.0)
 
     def test_power_law_rises_like_tau_to_2eps(self):
         tau = default_tau_grid(0.1, 10, 10)
         v = Variogram(tau, 2.0 * tau ** 0.93, np.full(len(tau), 10))
-        curve = predicted_corr_ratio(v, tau)
+        curve = predicted_corr_ratio(v, tau, 1.0)
         assert np.allclose(curve, tau ** 0.07, rtol=1e-10)
 
     def test_normalization_point_is_one(self):

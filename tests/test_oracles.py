@@ -494,17 +494,17 @@ def candle_sets(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(candle_sets(), st.sampled_from([1.0, 1.5, 0.1, 9.0]), st.integers(0, 30))
-def test_corr_vs_tau_matches_pair_loop(series, tau0, min_obs):
+@given(candle_sets(), st.sampled_from([1.0, 1.5, 0.1, 9.0]))
+def test_corr_vs_tau_matches_pair_loop(series, tau0):
     clock = build_clock(series.values(), ClockKind.CLOCK, 2021)
     grid = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
     try:
-        want_pairs, want = corr_vs_tau_loop(series, clock, grid, tau0, min_obs)
+        want_pairs, want = corr_vs_tau_loop(series, clock, grid, tau0)
     except DataError as exc:
         with pytest.raises(DataError, match=re.escape(str(exc))):
-            corr_vs_tau(map_candles(series, [clock]), grid, tau0, min_obs)
+            corr_vs_tau(map_candles(series, [clock]), grid, tau0)
         return
-    pairs, got, _ = corr_vs_tau(map_candles(series, [clock]), grid, tau0, min_obs)
+    pairs, got, _ = corr_vs_tau(map_candles(series, [clock]), grid, tau0)
     assert pairs == want_pairs
     assert np.array_equal(np.isnan(got), np.isnan(want))
     # a cell is c = rho / rho0, rho0 = rho at tau0. Each rho is within
@@ -634,7 +634,8 @@ def assert_same_backtest(got, want, cost):
        st.sampled_from([3, 1024]))
 def test_meanrev_matches_hour_loop(prices, min_side_count, long_only, cost, block):
     tickers = [f"T{i}" for i in range(len(prices))]
-    cfg = StrategyConfig(min_side_count=min_side_count, cost_per_round_trip=cost)
+    cfg = StrategyConfig(staleness=1, top_fraction=0.05, min_side_count=min_side_count,
+                         stake=1.0, cost_per_round_trip=cost)
     want = run_market_meanrev_loop(prices, tickers, cfg, long_only)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(backtest, "_BLOCK_HOURS", block)
@@ -652,7 +653,8 @@ def test_xcorr_matches_hour_loop(prices, staleness, top, cost, zero_b, seed, blo
     np.fill_diagonal(b, 0.0)
     tickers = [f"T{i}" for i in range(n)]
     coeffs = PredictionCoeffs(tickers, b)
-    cfg = StrategyConfig(staleness=staleness, top_fraction=top, cost_per_round_trip=cost)
+    cfg = StrategyConfig(staleness=staleness, top_fraction=top, min_side_count=100,
+                         stake=1.0, cost_per_round_trip=cost)
     want = run_xcorr_strategy_loop(prices, tickers, coeffs, cfg)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(backtest, "_BLOCK_HOURS", block)

@@ -118,19 +118,19 @@ def test_loo_coefficients_equal_direct_regressions(seed, n, log_scale, rel_ridge
 class TestPredict:
     def test_zero_coeffs(self):
         b = PredictionCoeffs(["A", "B"], np.zeros((2, 2)))
-        assert np.allclose(predict(b, np.array([1.0, -2.0])), 0.0)
+        assert np.allclose(predict(b, np.array([[1.0], [-2.0]])), 0.0)
 
     def test_two_ticker_cross(self):
         rho = 0.4
         b = PredictionCoeffs(["A", "B"], np.array([[0.0, rho], [rho, 0.0]]))
-        got = predict(b, np.array([3.0, 5.0]))
-        assert np.allclose(got, [rho * 5.0, rho * 3.0])
+        got = predict(b, np.array([[3.0], [5.0]]))
+        assert np.allclose(got, [[rho * 5.0], [rho * 3.0]])
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(2)
         c = random_spd(5, rng)
         b = loo_coefficients(invert_with_ridge(cov_of(c), 0.0))
-        r = rng.normal(size=5)
+        r = rng.normal(size=(5, 1))
         base = predict(b, r)
         perm = rng.permutation(5)
         cp = cov_of(c[np.ix_(perm, perm)])
@@ -140,8 +140,8 @@ class TestPredict:
     def test_missing_contributes_zero(self):
         b = PredictionCoeffs(["A", "B", "C"],
                              np.array([[0, 1.0, 1.0], [1.0, 0, 1.0], [1.0, 1.0, 0]]))
-        r = np.array([1.0, np.nan, 2.0])
-        assert np.allclose(predict(b, r), [2.0, 3.0, 1.0])
+        r = np.array([[1.0], [np.nan], [2.0]])
+        assert np.allclose(predict(b, r), [[2.0], [3.0], [1.0]])
 
 
 class TestNaive:

@@ -7,6 +7,7 @@ from vartau import cli, hurst
 from vartau.candles import write_candles
 from vartau.clock import ClockKind, build_clock, year_bounds
 from vartau.errors import DataError
+from vartau.panel import map_candles
 from vartau.synthetic import point_candles, random_walk_candles
 from vartau.variogram import (PERCENTILES, Variogram, default_tau_grid, fit_power_law,
                               loglog_interp, normalize_at, percentile_curves,
@@ -24,12 +25,17 @@ def identity_clock(year=2021):
 CLOCK = identity_clock()
 
 
+def mapped(s):
+    """One ticker's candles on the identity clock, as the estimators read them."""
+    return map_candles({s.ticker: s}, [CLOCK])
+
+
 class TestDiffOfAvg:
     def test_memoryless_flat(self):
         # random-walk null: normalized V(tau)/tau constant across the grid
         s = random_walk_candles("M", 2021, 120_000, vol_per_candle=1e-3, seed=8)
         grid = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
-        v = variogram_diff_of_avg(s, CLOCK, grid)
+        v = variogram_diff_of_avg(mapped(s), grid)
         ratio = v.v / v.tau
         n_eff = v.n_samples.astype(float)
         # each point is a mean of ~n chi-square terms; allow 4 relative sigmas
@@ -40,15 +46,15 @@ class TestDiffOfAvg:
         # interval averaging shrinks return variance by 2/3 vs point prices
         s = random_walk_candles("P", 2021, 80_000, vol_per_candle=1e-3, seed=9)
         grid = np.array([0.5])
-        vd = variogram_diff_of_avg(s, CLOCK, grid)
-        vt = variogram_two_point(s, CLOCK, grid, mode="grid_points")
+        vd = variogram_diff_of_avg(mapped(s), grid)
+        vt = variogram_two_point(mapped(s), grid, mode="grid_points")
         assert vd.v[0] / vt.v[0] == pytest.approx(2.0 / 3.0, rel=0.05)
 
     def test_insufficient_tau_omitted_and_flagged(self):
         ts = T0 + 60 * np.arange(30, dtype=np.int64)
         s = point_candles("S", ts, np.exp(np.linspace(0, 0.01, 30)))
         grid = np.array([0.25, 100.0])  # no two bins exist at tau=100
-        v = variogram_diff_of_avg(s, CLOCK, grid)
+        v = variogram_diff_of_avg(mapped(s), grid)
         assert 100.0 not in v.tau
         assert 100.0 in v.omitted
 
@@ -57,7 +63,7 @@ class TestTwoPoint:
     def test_constant_series_zero(self):
         ts = T0 + 60 * np.arange(500, dtype=np.int64)
         s = point_candles("C", ts, np.full(500, 42.0))
-        v = variogram_two_point(s, CLOCK, [0.5, 1.0], mode="grid_points")
+        v = variogram_two_point(mapped(s), [0.5, 1.0], mode="grid_points")
         assert np.allclose(v.v, 0.0)
 
     def test_linear_ramp_exact(self):
@@ -67,7 +73,7 @@ class TestTwoPoint:
         s = point_candles("L", T0 + 3600 * hours.astype(np.int64),
                           np.exp(c * hours))
         grid = np.array([1.0, 2.0, 5.0])
-        v = variogram_two_point(s, CLOCK, grid, mode="grid_points")
+        v = variogram_two_point(mapped(s), grid, mode="grid_points")
         assert np.allclose(v.v, (c * grid) ** 2, rtol=1e-10)
 
     def test_two_point_less_consistent_on_candle_averages(self):
@@ -77,8 +83,8 @@ class TestTwoPoint:
         s = random_walk_candles("B", 2021, 40_000, vol_per_candle=1e-3, seed=10,
                                 substeps=30, price_mode="ohlc")
         grid = np.array([2.0 / 60.0, 1.0])
-        vt = variogram_two_point(s, CLOCK, grid, mode="full_resolution")
-        vd = variogram_diff_of_avg(s, CLOCK, grid)
+        vt = variogram_two_point(mapped(s), grid, mode="full_resolution")
+        vd = variogram_diff_of_avg(mapped(s), grid)
         tp_small = (vt.v[0] / vt.tau[0]) / (vt.v[1] / vt.tau[1])
         doa_small = (vd.v[0] / vd.tau[0]) / (vd.v[1] / vd.tau[1])
         assert abs(tp_small - 1) > 1.5 * abs(doa_small - 1)
@@ -86,8 +92,8 @@ class TestTwoPoint:
     def test_grid_and_full_resolution_agree(self):
         s = random_walk_candles("G", 2021, 60_000, vol_per_candle=1e-3, seed=11)
         grid = np.array([1.0, 3.0])
-        vg_ = variogram_two_point(s, CLOCK, grid, mode="grid_points")
-        vf = variogram_two_point(s, CLOCK, grid, mode="full_resolution")
+        vg_ = variogram_two_point(mapped(s), grid, mode="grid_points")
+        vf = variogram_two_point(mapped(s), grid, mode="full_resolution")
         for i in range(len(grid)):
             se = vg_.v[i] * np.sqrt(2.0 / vg_.n_samples[i])
             assert abs(vg_.v[i] - vf.v[i]) < 3 * se
@@ -106,8 +112,8 @@ class TestTwoPoint:
 
     @pytest.mark.parametrize("estimate", [
         variogram_diff_of_avg,
-        lambda s, clock, grid: variogram_two_point(s, clock, grid, mode="grid_points"),
-        lambda s, clock, grid: variogram_two_point(s, clock, grid, mode="full_resolution"),
+        lambda candles, grid: variogram_two_point(candles, grid, mode="grid_points"),
+        lambda candles, grid: variogram_two_point(candles, grid, mode="full_resolution"),
     ])
     def test_candles_outside_the_year_are_ignored(self, estimate):
         ts = T0 + 3600 * np.arange(40, dtype=np.int64)
@@ -116,16 +122,16 @@ class TestTwoPoint:
         wider = point_candles("Y", np.concatenate([[T0 - 3600], ts, [year_bounds(2022)[0]]]),
                               np.concatenate([[5.0], prices, [7.0]]))
         grid = np.array([1.0, 3.0])
-        want, got = estimate(inside, CLOCK, grid), estimate(wider, CLOCK, grid)
+        want, got = estimate(mapped(inside), grid), estimate(mapped(wider), grid)
         assert got.v.tolist() == want.v.tolist() and len(want) == 2
         assert got.n_samples.tolist() == want.n_samples.tolist()
-        alone = estimate(point_candles("Y", ts[:1], prices[:1]), CLOCK, grid)
+        alone = estimate(mapped(point_candles("Y", ts[:1], prices[:1])), grid)
         assert len(alone) == 0 and alone.omitted.tolist() == grid.tolist()
 
     def test_unknown_mode(self):
         s = point_candles("U", np.array([T0], dtype=np.int64), [1.0])
         with pytest.raises(DataError, match="mode"):
-            variogram_two_point(s, CLOCK, [1.0], mode="bogus")
+            variogram_two_point(mapped(s), [1.0], mode="bogus")
 
 
 class TestNormalize:
@@ -238,7 +244,7 @@ class TestEnsemble:
         for _ in range(40):
             s = random_walk_candles("Y", 2021, 8760, spacing_minutes=60,
                                     vol_per_candle=4e-3, rng=rng)
-            members.append(normalize_at(variogram_diff_of_avg(s, CLOCK, grid), 1.0))
+            members.append(normalize_at(variogram_diff_of_avg(mapped(s), grid), 1.0))
         tau = grid
         curves = percentile_curves(np.stack([m.v for m in members]))
         spread = curves[-1] - curves[0]          # p90 - p10 per tau
