@@ -285,8 +285,18 @@ def cmd_predict(args) -> int:
     panel = pn.build_panel(candles).eligible(args.min_active_fraction)
     tickers = panel.tickers
     returns = panel.adjacent_returns()
+    # before training, so a ticker with no return variance leaves no coeffs file
+    grid: dict[str, dict] = {"none": {}}
+    for py in predict_years:
+        r = returns[py]
+        variances = np.nanvar(r, axis=1)
+        flat = np.flatnonzero(~(variances > 0))      # zero, or NaN with no return
+        if len(flat):
+            t = tickers[flat[0]]
+            raise DataError(f"{Path(args.data_dir) / t}.csv: ticker {t} has no "
+                            f"return variance in year {py}")
+        grid["none"][str(py)] = pred.prediction_report(pred.naive_predict(r, variances), r)
     out = _out_dir(args)
-    grid: dict[str, dict] = {}
     for ty in train_years:
         cmat = cov.estimate_cov(candles.in_year(ty, tickers), 1.0, min_obs=args.min_obs)
         if cmat.tickers != tickers:
@@ -301,16 +311,6 @@ def cmd_predict(args) -> int:
         b.write_csv(out / f"coeffs_{ty}.csv")
         grid[str(ty)] = {str(py): pred.prediction_report(pred.predict(b, returns[py]), returns[py])
                          for py in predict_years}
-    grid["none"] = {}
-    for py in predict_years:
-        r = returns[py]
-        variances = np.nanvar(r, axis=1)
-        flat = np.flatnonzero(~(variances > 0))      # zero, or NaN with no return
-        if len(flat):
-            t = tickers[flat[0]]
-            raise DataError(f"{Path(args.data_dir) / t}.csv: ticker {t} has no "
-                            f"return variance in year {py}")
-        grid["none"][str(py)] = pred.prediction_report(pred.naive_predict(r, variances), r)
     _write_json(out / "report.json", {"tickers": tickers, "fve_grid": grid})
     _write_manifest(out, "predict", args, inputs)
     print(json.dumps(grid, sort_keys=True))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -49,13 +49,18 @@ class TxnCandles:
         return TxnCandles([year], {t: self.coords[t][j:j + 1] for t in tickers})
 
 
-def map_candles(series: Mapping[str, CandleSeries], clocks: list[ClockMap]) -> TxnCandles:
-    """Map each ticker's in-year candles through each clock; tickers sorted by name."""
+def map_candles(series: dict[str, CandleSeries], clocks: list[ClockMap]) -> TxnCandles:
+    """Map each ticker's in-year candles through each clock; tickers sorted by name.
+    Empties ``series`` one ticker at a time, so a series' timestamps and volumes
+    are freed once it is mapped (the mapped prices share its price array)."""
     def mapped(s, clock):
         sub = s.slice_window(clock.year_start, clock.year_end)
         return (clock.to_txn_time(sub.timestamps), sub.price) if len(sub) >= 2 else None
-    return TxnCandles([c.year for c in clocks],
-                      {t: [mapped(series[t], c) for c in clocks] for t in sorted(series)})
+    coords = {}
+    for t in sorted(series):
+        s = series.pop(t)
+        coords[t] = [mapped(s, c) for c in clocks]
+    return TxnCandles([c.year for c in clocks], coords)
 
 
 def grid_bins(candles: TxnCandles, tau: float) -> Iterator[tuple]:

@@ -330,7 +330,7 @@ def write_corr_vs_tau_csv_loop(series, clock, tau_grid, normalize_tau, path) -> 
     tickers whose ``variogram_diff_of_avg`` keeps every tau, one variogram
     per ticker.
     """
-    _, curves, _ = corr_vs_tau(map_candles(series, [clock]), tau_grid, normalize_tau)
+    _, curves, _ = corr_vs_tau(map_candles(dict(series), [clock]), tau_grid, normalize_tau)
     perc = np.full((len(PERCENTILES), len(tau_grid)), np.nan)
     for k, column in enumerate(curves.T):
         present = column[~np.isnan(column)]

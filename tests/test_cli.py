@@ -161,7 +161,7 @@ def test_corr_vs_tau_csv_matches_second_binning_pass(tmp_path):
                      "--out-dir", str(tmp_path / "out")]) == 0
     series = {t: parse_candles(data / f"{t}.csv") for t in sorted(series)}
     clock = build_clock(series.values(), ClockKind.DOLLAR_WEIGHTED, 2021)
-    _, _, v = corr_vs_tau(map_candles(series, [clock]), grid, 1.0)
+    _, _, v = corr_vs_tau(map_candles(dict(series), [clock]), grid, 1.0)
     assert np.isnan(v).any(axis=1).tolist() == [False, False, True, True]
     write_corr_vs_tau_csv_loop(series, clock, grid, 1.0, tmp_path / "want.csv")
     assert (tmp_path / "out" / "corr_vs_tau.csv").read_bytes() == \
@@ -504,10 +504,13 @@ def test_constant_price_ticker_gets_nan_correlations(tmp_path):
 def test_predict_names_the_ticker_with_no_return_variance(tmp_path, capsys):
     # TC's returns are all 0: the naive predictor cannot scale by its variance
     data = constant_price_market(tmp_path, YEARS)
+    out = tmp_path / "out"
     assert cli.main(["predict", "--data-dir", str(data), "--train-years", "2021",
-                     "--predict-years", "2022", "--out-dir", str(tmp_path / "out")]) == 3
+                     "--predict-years", "2022", "--out-dir", str(out)]) == 3
     assert (f"data error: {data / 'TC.csv'}: ticker TC has no return variance in year 2022"
             in capsys.readouterr().err)
+    # no coeffs_2021.csv is left for backtest --coeffs without a report beside it
+    assert not list(out.glob("coeffs_*.csv")) and not out.exists()
 
 
 @pytest.mark.parametrize("strategy", ["xcorr", "sim-meanrev"])

@@ -183,7 +183,7 @@ class TestCorrVsTau:
                                          volume=np.array([1.0, 1.0, 0.0]))}
             clock = build_clock(series.values(), ClockKind.VOLUME_WEIGHTED, 2021)
             grid = np.array([1460.0, 2920.0, 8760.0])
-        _, _, v = corr_vs_tau(map_candles(series, [clock]), grid, 1.0)
+        _, _, v = corr_vs_tau(map_candles(dict(series), [clock]), grid, 1.0)
         for row, s in zip(v, series.values()):
             want = variogram_diff_of_avg(map_candles({"x": s}, [clock]), grid)
             assert np.array_equal(grid[~np.isnan(row)], want.tau)

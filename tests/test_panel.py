@@ -48,11 +48,11 @@ def test_returns_span_the_year_boundary_and_adjacent_returns_do_not():
     ts = np.array([T21, T21 + 3600, T22 - 3600, T22, T22 + 7200], dtype=np.int64)
     prices = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
     candles = {"A": point_candles("A", ts, prices)}
-    (rs,) = grid_returns(map_candles(candles, clocks_of(candles)), 1.0)
+    (rs,) = grid_returns(map_candles(dict(candles), clocks_of(candles)), 1.0)
     assert rs.start_index.tolist() == [0, 1, 8759, 8760]
     assert np.allclose(rs.r, np.log(2.0))
     assert rs.dt.tolist() == [1.0, 8758.0, 1.0, 2.0]     # one chained hour axis
-    adj = panel_of(candles).adjacent_returns()
+    adj = panel_of(dict(candles)).adjacent_returns()
     assert adj[2021].shape == adj[2022].shape == (1, 8759)
     assert np.flatnonzero(np.isfinite(adj[2021][0])).tolist() == [0]
     assert np.flatnonzero(np.isfinite(adj[2022][0])).tolist() == []
