@@ -101,12 +101,23 @@ def _load_dir(data_dir: str, years: list[int]) -> tuple[dict, list[Path]]:
     return out, files
 
 
+def _year(text: str) -> int:
+    """A year that the clocks can span; the type of ``--year`` and of each year in a list."""
+    try:
+        year = int(text)
+        year_bounds(year)
+    except (ValueError, OverflowError):
+        msg = f"{text.strip()!r} is not a year the clocks can span"
+        raise argparse.ArgumentTypeError(msg) from None
+    return year
+
+
 def _parse_years(text: str) -> list[int]:
     """Distinct comma-separated years, ascending so year blocks chain in order."""
     try:
-        years = [int(x) for x in str(text).split(",") if x.strip()]
-    except ValueError:
-        raise UsageError(f"bad year list {text!r}") from None
+        years = [_year(x) for x in str(text).split(",") if x.strip()]
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"bad year list {text!r}: {exc}") from None
     if not years:
         raise UsageError("empty year list")
     repeated = sorted({y for y in years if years.count(y) > 1})
@@ -175,13 +186,7 @@ def cmd_variogram(args) -> int:
     candles, inputs = _mapped(args.data_dir, [args.year], args.clock)
     results = {}
     for t in candles.coords:    # a ticker with fewer than two candles omits every tau
-        one = candles.in_year(args.year, [t])
-        if args.method == "diff_of_avg":
-            v = vg.variogram_diff_of_avg(one, grid)
-        elif args.method == "two_point_grid":
-            v = vg.variogram_two_point(one, grid, mode="grid_points")
-        else:
-            v = vg.variogram_two_point(one, grid, mode="full_resolution")
+        v = vg.variogram_diff_of_avg(candles.in_year(args.year, [t]), grid)
         # a ticker whose taus miss --normalize-at, or whose V is not positive
         # (a constant price), cannot be normalized there and is left out
         if len(v) >= 2 and v.tau[0] <= args.normalize_at <= v.tau[-1] and (v.v > 0).all():
@@ -367,17 +372,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("clock", help="build a transaction-time clock")
     sp.add_argument("--data-dir", required=True)
-    sp.add_argument("--year", type=int, required=True)
+    sp.add_argument("--year", type=_year, required=True)
     sp.add_argument("--kind", choices=CLOCK_KINDS, default="dollar")
     sp.add_argument("--out-dir", required=True)
     sp.set_defaults(func=cmd_clock)
 
     sp = sub.add_parser("variogram", help="per-ticker and ensemble variograms")
     sp.add_argument("--data-dir", required=True)
-    sp.add_argument("--year", type=int, required=True)
+    sp.add_argument("--year", type=_year, required=True)
     sp.add_argument("--clock", choices=CLOCK_KINDS, default="dollar")
-    sp.add_argument("--method", choices=["diff_of_avg", "two_point_grid",
-                                         "two_point_full"], default="diff_of_avg")
     sp.add_argument("--tau-grid", default="0.0333333:200:25")
     sp.add_argument("--normalize-at", type=float, default=1.0)
     sp.add_argument("--out-dir", required=True)
@@ -441,6 +444,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# flags that a command no longer has, each with the one value that a manifest
+# may still record: the behaviour the command now always has
+_RETIRED_FLAGS = {"variogram": {"method": "diff_of_avg"}}
+
+
 def _replay(manifest_path: str) -> int:
     try:
         with open(manifest_path, encoding="utf-8") as fh:
@@ -449,23 +457,41 @@ def _replay(manifest_path: str) -> int:
         raise not_utf8(manifest_path) from None
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read manifest {manifest_path!r}: {exc}") from exc
+
+    def bad(what: str) -> DataError:
+        return DataError(f"manifest {manifest_path!r} {what}")
+
+    if not isinstance(manifest, dict):
+        raise bad("is not a JSON object")
     command = manifest.get("command")
-    if not command:
-        raise DataError(f"manifest {manifest_path!r} has no command")
-    for path, digest in sorted(manifest.get("inputs", {}).items()):
+    if not command or not isinstance(command, str):
+        raise bad("has no command")
+    inputs, args = manifest.get("inputs", {}), manifest.get("args", {})
+    if not isinstance(inputs, dict) or not all(isinstance(d, str) for d in inputs.values()):
+        raise bad("has inputs that are not an object of file paths to digests")
+    if not isinstance(args, dict) or not all(isinstance(v, (str, int, float, type(None)))
+                                             for v in args.values()):
+        raise bad("has args that are not an object of flag values")
+    if not isinstance(args.get("data_dir", ""), (str, type(None))):
+        raise bad(f"has a data_dir that is not a path: {args['data_dir']!r}")
+    for flag, kept in _RETIRED_FLAGS.get(command, {}).items():
+        if (value := args.pop(flag, kept)) != kept:
+            raise bad(f"records {command} --{flag.replace('_', '-')} {value}, "
+                      f"which is gone; only {kept} replays")
+    for path, digest in sorted(inputs.items()):
         if not Path(path).is_file():
             raise DataError(f"manifest input {path} is missing")
         if _sha256(Path(path)) != digest:
             raise DataError(f"manifest input {path} has changed since the run")
-    data_dir = manifest.get("args", {}).get("data_dir")
+    data_dir = args.get("data_dir")
     if data_dir:
         # the command reads every *.csv in the directory, not only the inputs
-        recorded = set(map(Path, manifest.get("inputs", {})))
+        recorded = set(map(Path, inputs))
         for path in sorted(Path(data_dir).glob("*.csv")):
             if path not in recorded:
                 raise DataError(f"{path} was added to {data_dir} after the run")
     argv = [command]
-    for key, val in sorted(manifest.get("args", {}).items()):
+    for key, val in sorted(args.items()):
         flag = "--" + key.replace("_", "-")
         if isinstance(val, bool):
             if val:

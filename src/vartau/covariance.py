@@ -4,8 +4,8 @@ Each ticker's returns are its ``panel.grid_returns`` at resolution tau, and
 two tickers' returns are paired by the grid column of the bin they start
 from: the standard pairing on a synchronous grid. Each product r_A * r_B is
 reweighted by tau/sqrt(dt_A*dt_B) to put unequal elapsed times on the common
-tau scale (as the variogram estimators do), after returns outside the dt
-band 0 < dt <= 3 tau (``variogram.MAX_DT_FACTOR``) are dropped and
+tau scale (as ``variogram.weighted_v`` reweights r^2), after returns outside
+the dt band 0 < dt <= 3 tau (``variogram.MAX_DT_FACTOR``) are dropped and
 per-ticker mean returns are removed. Pairs with too few joint observations
 are reported as missing. The weight factorises, so with z = r*sqrt(tau/dt)
 on a (ticker x start bin) grid Z, zero where a ticker has no return, and its

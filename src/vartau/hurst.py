@@ -182,11 +182,6 @@ def impulse_response(epsilon: float, delta: float, t) -> np.ndarray:
     return out if out.ndim else float(out)
 
 
-def analytic_variogram(epsilon: float, tau) -> np.ndarray:
-    """Model variogram tau^(2H) = tau^(1-2*eps), unit amplitude."""
-    return np.asarray(tau, dtype=float) ** (1.0 - 2.0 * epsilon)
-
-
 def _next_fast_len(n: int) -> int:
     """Smallest 5-smooth integer >= n (decent FFT sizes without scipy)."""
     if n <= 6:

@@ -1,10 +1,9 @@
 """Synthetic candle generators for tests, demos and pipeline checks.
 
-These build CandleSeries objects from simulated processes: geometric
-random walks sampled at candle boundaries (point prices) or averaged
-within each candle from a finer sub-walk (candle prices are then
-interval averages, like real candles), and arbitrary price paths wrapped
-into candles.
+These build candles and hourly price matrices from simulated processes:
+geometric random walks sampled at candle start times (point prices),
+hourly price paths wrapped into candles, and single-factor correlated
+hourly walks.
 """
 
 from __future__ import annotations
@@ -28,44 +27,16 @@ def point_candles(ticker: str, timestamps, prices, volume=1.0) -> CandleSeries:
 
 def random_walk_candles(ticker: str, year: int, n_candles: int,
                         spacing_minutes: int = 1, vol_per_candle: float = 1e-3,
-                        seed: int = 0, substeps: int = 1,
-                        price_mode: str = "point", start_price: float = 100.0,
-                        volume: float = 1.0, rng=None) -> CandleSeries:
-    """Memoryless Gaussian log-price walk rendered as candles.
-
-    price_mode 'point' samples the walk at candle start times; 'average'
-    sets all four candle prices to the arithmetic mean of the candle's
-    sub-walk (``substeps`` points per candle); 'ohlc' records the actual
-    open/high/low/close of the sub-walk.
-    """
-    if price_mode not in ("point", "average", "ohlc"):
-        raise DataError(f"unknown price_mode {price_mode!r}")
+                        seed: int = 0, rng=None) -> CandleSeries:
+    """Memoryless Gaussian log-price walk from 100, sampled at candle start times."""
     if rng is None:
         rng = np.random.default_rng(seed)
     t0, t1 = year_bounds(year)
     timestamps = t0 + np.arange(n_candles, dtype=np.int64) * (60 * spacing_minutes)
     if timestamps[-1] >= t1:
         raise DataError(f"{n_candles} candles at {spacing_minutes} min overflow year {year}")
-    if price_mode == "point" and substeps == 1:
-        logp = np.log(start_price) + np.cumsum(
-            rng.standard_normal(n_candles)) * vol_per_candle
-        p = np.exp(logp)
-        return point_candles(ticker, timestamps, p, volume)
-    steps = rng.standard_normal(n_candles * substeps) * (vol_per_candle / np.sqrt(substeps))
-    logp = np.log(start_price) + np.cumsum(steps)
-    path = np.exp(logp).reshape(n_candles, substeps)
-    if price_mode == "point":
-        p = path[:, 0]
-        return point_candles(ticker, timestamps, p, volume)
-    if price_mode == "average":
-        p = path.mean(axis=1)
-        return point_candles(ticker, timestamps, p, volume)
-    o = path[:, 0]
-    c = path[:, -1]
-    h = path.max(axis=1)
-    low = path.min(axis=1)
-    v = np.broadcast_to(np.asarray(volume, dtype=float), o.shape)
-    return CandleSeries(ticker, timestamps, o, h, low, c, v)
+    logp = np.log(100.0) + np.cumsum(rng.standard_normal(n_candles)) * vol_per_candle
+    return point_candles(ticker, timestamps, np.exp(logp))
 
 
 def hourly_candles_from_prices(ticker: str, year: int, prices) -> CandleSeries:

@@ -5,17 +5,27 @@ transaction-time interval tau; a martingale has V proportional to tau,
 so V(tau)/tau plotted against tau is flat for a memoryless process and
 a power law tau^(1-2*eps) signals memory.
 
-Three estimators are provided. Each reads one ticker's mapped candles,
-a ``panel.TxnCandles`` of one ticker and one year on its transaction-time
-clock. The difference-of-average method takes log returns of adjacent
-tau-bin average prices, ``panel.grid_returns`` (the method of choice for
-candle inputs, which are themselves averages).
-The two-point method differences prices spaced tau apart, one sample per
-grid step or at full one-minute resolution. Because sampling is
-asynchronous, a return spanning elapsed time dt contributes r^2 * (tau/dt)
-to the estimate at tau -- the variance of a martingale increment grows
-linearly with elapsed time, so this reweighting makes unequal spans
-comparable -- and spans longer than MAX_DT_FACTOR = 3 times tau are dropped.
+One estimator is provided, difference of averages. It reads one ticker's
+mapped candles, a ``panel.TxnCandles`` of one ticker and one year on its
+transaction-time clock, and takes log returns of adjacent tau-bin average
+prices, ``panel.grid_returns``. Because sampling is asynchronous, a return
+spanning elapsed time dt contributes r^2 * (tau/dt) to the estimate at tau
+-- the variance of a martingale increment grows linearly with elapsed
+time, so this reweighting makes unequal spans comparable -- and spans
+longer than MAX_DT_FACTOR = 3 times tau are dropped.
+
+A candle's price is an average over its minute, not a point price. An
+estimator that differences candle prices tau apart, as if they were point
+prices, is biased at taus near the candle length, and the bias raises the
+fitted exponent. This was measured on 30 seeded markets of one ticker with
+250 sessions x 390 minute candles, each bar built from six lattice steps of
+``hurst.simulate_fbm``, on the volume clock, fitted over the default
+0.033-200 h grid. At a planted eps of 0.035 (exponent 0.93), point
+differences, sampled once per grid step or at every candle, fitted 1.007 +-
+0.013 and 1.001 +- 0.015, so they read eps as zero; difference of averages
+fitted 0.953 +- 0.018. On the same seed, its exponent fell by 0.0655 +-
+0.0012 from eps = 0 to eps = 0.035 (one seed of this is
+``test_recovers_the_planted_epsilon_of_minute_candles``).
 """
 
 from __future__ import annotations
@@ -97,70 +107,22 @@ def weighted_v(r: np.ndarray, dt: np.ndarray, tau: float):
     return float(np.mean(r * r * (tau / dt))), int(len(r))
 
 
-def _assemble(tau_grid, values, counts) -> Variogram:
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    values = np.asarray(values, dtype=float)
-    counts = np.asarray(counts, dtype=np.int64)
-    ok = counts >= 1
-    return Variogram(tau_grid[ok], values[ok], counts[ok], omitted=tau_grid[~ok])
-
-
 def variogram_diff_of_avg(candles: TxnCandles, tau_grid) -> Variogram:
     """Difference-of-average estimator of one ticker's mapped candles over a tau grid.
 
     For each tau, the year's candles are sorted into tau bins, bin prices
     are the mean representative prices, and returns are log differences of
-    adjacent non-empty bins, as ``panel.grid_returns`` gives them.
+    adjacent non-empty bins, as ``panel.grid_returns`` gives them. A tau
+    with no return is left out of the result and listed in ``omitted``.
     """
-    vals, counts = [], []
-    for tau in np.asarray(tau_grid, dtype=float):
+    tau_grid = np.asarray(tau_grid, dtype=float)
+    vals, counts = np.empty(len(tau_grid)), np.empty(len(tau_grid), dtype=np.int64)
+    for i, tau in enumerate(tau_grid):
         # fewer than 2 bins give no return, and so (nan, 0)
         (rs,) = grid_returns(candles, tau)
-        v, n = weighted_v(rs.r, rs.dt, tau)
-        vals.append(v); counts.append(n)
-    return _assemble(tau_grid, vals, counts)
-
-
-def _nearest_index(coords: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    pos = np.searchsorted(coords, targets)
-    left = np.clip(pos - 1, 0, len(coords) - 1)
-    right = np.clip(pos, 0, len(coords) - 1)
-    use_left = (targets - coords[left]) <= (coords[right] - targets)
-    return np.where(use_left, left, right)
-
-
-def variogram_two_point(candles: TxnCandles, tau_grid, mode: str) -> Variogram:
-    """Two-point difference estimator of one ticker's mapped candles.
-
-    grid_points: one sample per grid step, using the candle price nearest
-    each grid point k*tau (within tau/2). full_resolution: every candle is
-    paired with the candle nearest tau ahead of it, keeping one-minute
-    granularity (samples overlap and are correlated).
-    """
-    if mode not in ("grid_points", "full_resolution"):
-        raise DataError(f"unknown two-point mode {mode!r}")
-    ((xp,),) = candles.coords.values()
-    if xp is None:
-        return _assemble(tau_grid, np.full(len(tau_grid), np.nan), np.zeros(len(tau_grid)))
-    coords, logp = xp[0], np.log(xp[1])
-    vals, counts = [], []
-    for tau in np.asarray(tau_grid, dtype=float):
-        if mode == "grid_points":
-            kmax = int(np.floor(coords[-1] / tau))
-            grid = np.arange(kmax + 1) * tau
-            sel = _nearest_index(coords, grid)
-            ok = np.abs(coords[sel] - grid) <= tau / 2
-            sel = np.unique(sel[ok])
-            r = np.diff(logp[sel])
-            dt = np.diff(coords[sel])
-        else:
-            j2 = _nearest_index(coords, coords + tau)
-            ok = j2 > np.arange(len(coords))
-            r = logp[j2[ok]] - logp[ok]
-            dt = coords[j2[ok]] - coords[ok]
-        v, n = weighted_v(r, dt, tau)
-        vals.append(v); counts.append(n)
-    return _assemble(tau_grid, vals, counts)
+        vals[i], counts[i] = weighted_v(rs.r, rs.dt, tau)
+    ok = counts >= 1
+    return Variogram(tau_grid[ok], vals[ok], counts[ok], omitted=tau_grid[~ok])
 
 
 def normalize_at(v: Variogram, tau0: float) -> Variogram:

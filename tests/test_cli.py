@@ -19,7 +19,7 @@ from vartau.hurst import (HurstParams, SimConfig, read_panel_csv, simulate_fbm,
 from vartau.panel import map_candles
 from vartau.synthetic import random_walk_candles
 from vartau.variogram import (default_tau_grid, normalize_at, percentile_curves,
-                              variogram_diff_of_avg, variogram_two_point)
+                              variogram_diff_of_avg)
 
 YEARS = (2021, 2022)
 # minutes between candles, one ticker each: every ticker trades up to the
@@ -543,25 +543,73 @@ def test_eligibility_fraction_is_checked_before_the_market(tmp_path, capsys, com
     assert "min_active_fraction must be in (0, 1]" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("method, mode", [("two_point_grid", "grid_points"),
-                                          ("two_point_full", "full_resolution")])
-def test_variogram_two_point_methods(tmp_path, method, mode):
+def test_variogram_has_no_method_flag(data, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["variogram", "--data-dir", str(data), "--year", "2021",
+                  "--method", "diff_of_avg", "--out-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_retired_variogram_method_replays_only_as_diff_of_avg(data, tmp_path, capsys):
+    # manifests written while variogram had --method record it; the one value
+    # that is still the command's behaviour replays, any other is refused
+    argv = ["variogram", "--data-dir", str(data), "--year", "2021", "--tau-grid", "0.25:32:4"]
+    assert cli.main([*argv, "--out-dir", str(tmp_path / "run")]) == 0
+    manifest = json.loads((tmp_path / "run" / "run_manifest.json").read_text())
+
+    def replay(method):
+        manifest["args"].update(method=method, out_dir=str(tmp_path / method))
+        path = tmp_path / f"{method}.json"
+        path.write_text(json.dumps(manifest))
+        return cli.main(["--manifest", str(path)]), path
+
+    assert replay("diff_of_avg")[0] == 0
+    written = sorted(p.name for p in (tmp_path / "run").iterdir())
+    assert written == sorted(p.name for p in (tmp_path / "diff_of_avg").iterdir())
+    for name in written:
+        if name != "run_manifest.json":
+            assert (tmp_path / "run" / name).read_bytes() == \
+                (tmp_path / "diff_of_avg" / name).read_bytes(), name
+    capsys.readouterr()
+    code, path = replay("two_point_grid")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert str(path) in err and "--method two_point_grid" in err
+    assert not (tmp_path / "two_point_grid").exists()
+
+
+@pytest.mark.parametrize("text", [
+    '[]', '{"command": 5}', '{"command": "clock", "args": [1]}',
+    '{"command": "clock", "inputs": []}', '{"command": "clock", "args": {"data_dir": 3}}',
+])
+def test_malformed_manifest_exits_3(tmp_path, capsys, text):
+    manifest = tmp_path / "run_manifest.json"
+    manifest.write_text(text)
+    assert cli.main(["--manifest", str(manifest)]) == 3
+    assert f"manifest {str(manifest)!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["clock", "--year", "0"],
+    ["variogram", "--year", "9999"],
+    ["correlate", "--years", "0"],
+    ["predict", "--train-years", "2021", "--predict-years", "10000"],
+    ["backtest", "--strategy", "market-meanrev", "--years", "2021,0"],
+], ids=["clock", "variogram", "correlate", "predict", "backtest"])
+def test_year_the_clock_cannot_span_is_a_usage_error(tmp_path, capsys, command):
+    # the market is not parsed at all: its one file is not a candle file
     data = tmp_path / "data"
     data.mkdir()
-    for t, s in market(years=(2021,), spacings=(10, 15, 20)).items():
-        write_candles(data / f"{t}.csv", s)
-    out = tmp_path / "out"
-    assert cli.main(["variogram", "--data-dir", str(data), "--year", "2021",
-                     "--method", method, "--tau-grid", "0.5:32:4", "--normalize-at", "2",
-                     "--out-dir", str(out)]) == 0
-    series = {t: parse_candles(data / f"{t}.csv") for t in ("T0", "T1", "T2")}
-    clock = build_clock(series.values(), ClockKind.DOLLAR_WEIGHTED, 2021)
-    grid = default_tau_grid(0.5, 32.0, 4)
-    for t, s in series.items():
-        v = variogram_two_point(map_candles({t: s}, [clock]), grid, mode)
-        normalize_at(v, 2.0).write_csv(tmp_path / "want.csv")
-        assert (out / f"variogram_{t}.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-    assert len((out / "ensemble.csv").read_text().splitlines()) == len(grid) + 1
+    (data / "T0.csv").write_text("not a candle file\n")
+    argv = [*command, "--data-dir", str(data), "--out-dir", str(tmp_path / "out")]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:          # --year is checked by the argument parser
+        code = exc.code
+    assert code == 2
+    assert "is not a year the clocks can span" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("kind", ["volume", "clock"])

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from vartau.errors import DataError
-from vartau.hurst import (HurstParams, SimConfig, analytic_variogram, fft_convolve,
-                          impulse_response, panel_variogram, read_panel_csv, sampled_kernel,
-                          simulate_fbm, simulate_shot_noise)
+from vartau.hurst import (HurstParams, SimConfig, fft_convolve, impulse_response,
+                          panel_variogram, read_panel_csv, sampled_kernel, simulate_fbm,
+                          simulate_shot_noise)
 from vartau.variogram import fit_power_law
 
 
@@ -107,13 +107,6 @@ class TestShotNoise:
 
 
 class TestAnalytic:
-    def test_variogram_exponents(self):
-        assert analytic_variogram(0.0, 7.0) == pytest.approx(7.0)
-        r = analytic_variogram(0.035, 10.0) / analytic_variogram(0.035, 1.0)
-        assert r == pytest.approx(10 ** 0.93)
-        # H = 0.4 means eps = 0.1 and exponent 0.8
-        assert analytic_variogram(0.1, 4.0) == pytest.approx(4.0 ** 0.8)
-
     def test_simulated_autocorr_consistent_with_own_variogram(self):
         # R(1) = (V(2) - 2 V(1)) / 2 for stationary increments; the
         # simulation must satisfy its own variogram algebra
