@@ -44,6 +44,11 @@ class UsageError(Exception):
     """Bad flag values detected after parsing."""
 
 
+class _RaisingParser(argparse.ArgumentParser):
+    def error(self, message):       # raise, where argparse would exit
+        raise UsageError(message)
+
+
 # ---------------------------------------------------------------------------
 # shared plumbing
 # ---------------------------------------------------------------------------
@@ -126,8 +131,8 @@ def _parse_years(text: str) -> list[int]:
     return sorted(years)
 
 
-def _parse_tau_grid(text: str) -> np.ndarray:
-    """Either 'min:max:points_per_decade' or a comma list of hours."""
+def _parse_tau_grid(text: str, normalize_at: float) -> np.ndarray:
+    """Either 'min:max:points_per_decade' or a comma list of hours; it must span normalize_at."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -138,20 +143,18 @@ def _parse_tau_grid(text: str) -> np.ndarray:
             raise UsageError(f"bad tau grid {text!r}") from None
         if not 0 < lo < hi < np.inf or ppd < 1:
             raise UsageError(f"bad tau grid {text!r}")
-        return vg.default_tau_grid(lo, hi, ppd)
-    try:
-        grid = np.array([float(x) for x in text.split(",") if x.strip()])
-    except ValueError:
-        raise UsageError(f"bad tau grid {text!r}") from None
-    if len(grid) == 0 or not (grid[0] > 0 and np.all(np.diff(grid) > 0) and grid[-1] < np.inf):
-        raise UsageError("tau grid must be positive, finite and increasing")
-    return grid
-
-
-def _check_normalize_at(value: float, grid: np.ndarray) -> None:
-    if not grid[0] <= value <= grid[-1]:
-        raise UsageError(f"--normalize-at {value} is outside the tau grid "
+        grid = vg.default_tau_grid(lo, hi, ppd)
+    else:
+        try:
+            grid = np.array([float(x) for x in text.split(",") if x.strip()])
+        except ValueError:
+            raise UsageError(f"bad tau grid {text!r}") from None
+        if len(grid) == 0 or not (grid[0] > 0 and np.all(np.diff(grid) > 0) and grid[-1] < np.inf):
+            raise UsageError("tau grid must be positive, finite and increasing")
+    if not grid[0] <= normalize_at <= grid[-1]:
+        raise UsageError(f"--normalize-at {normalize_at} is outside the tau grid "
                          f"[{grid[0]:g}, {grid[-1]:g}]")
+    return grid
 
 
 def _out_dir(args) -> Path:
@@ -181,16 +184,16 @@ def cmd_clock(args) -> int:
 
 
 def cmd_variogram(args) -> int:
-    grid = _parse_tau_grid(args.tau_grid)
-    _check_normalize_at(args.normalize_at, grid)
+    grid = _parse_tau_grid(args.tau_grid, args.normalize_at)
     candles, inputs = _mapped(args.data_dir, [args.year], args.clock)
     results = {}
     for t in candles.coords:    # a ticker with fewer than two candles omits every tau
         v = vg.variogram_diff_of_avg(candles.in_year(args.year, [t]), grid)
-        # a ticker whose taus miss --normalize-at, or whose V is not positive
-        # (a constant price), cannot be normalized there and is left out
-        if len(v) >= 2 and v.tau[0] <= args.normalize_at <= v.tau[-1] and (v.v > 0).all():
-            results[t] = vg.normalize_at(v, args.normalize_at)
+        # a ticker whose V cannot be read at --normalize-at is left out
+        v0 = vg.value_at(v.tau, v.v[None], args.normalize_at)[0] if len(v) else np.nan
+        if not np.isnan(v0):
+            v.v /= v0
+            results[t] = v
     if not results:
         raise DataError("no ticker produced a usable variogram")
     out = _out_dir(args)
@@ -199,7 +202,7 @@ def cmd_variogram(args) -> int:
     # the ensemble takes the tickers that kept every tau of the grid
     full = [v.v for v in results.values() if len(v) == len(grid)]
     if full:
-        write_table(out / "ensemble.csv", ["tau_hours"] + [f"p{p}" for p in vg.PERCENTILES],
+        write_table(out / "ensemble.csv", ["tau_hours", *(f"p{p}" for p in vg.PERCENTILES)],
                     [grid, *vg.percentile_curves(np.stack(full))])
     _write_manifest(out, "variogram", args, inputs)
     return 0
@@ -286,6 +289,8 @@ def cmd_predict(args) -> int:
     predict_years = _parse_years(args.predict_years)
     all_years = sorted(set(train_years) | set(predict_years))
     pn.check_active_fraction(args.min_active_fraction)        # before the market is parsed
+    if args.ridge is not None:
+        pred.check_ridge(args.ridge)
     candles, inputs = _mapped(args.data_dir, all_years, args.kind)
     panel = pn.build_panel(candles).eligible(args.min_active_fraction)
     tickers = panel.tickers
@@ -326,9 +331,7 @@ def cmd_correlate(args) -> int:
     years = _parse_years(args.years)
     if not 0 < args.tau < np.inf:
         raise UsageError(f"--tau must be positive and finite, got {args.tau}")
-    grid = _parse_tau_grid(args.tau_grid) if args.tau_grid else None
-    if grid is not None:
-        _check_normalize_at(args.normalize_at, grid)
+    grid = _parse_tau_grid(args.tau_grid, args.normalize_at) if args.tau_grid else None
     candles, inputs = _mapped(args.data_dir, years, args.kind)
     out = _out_dir(args)
 
@@ -344,17 +347,12 @@ def cmd_correlate(args) -> int:
         candles = candles.in_year(years[0], cmat.tickers)
         _, curves, v = cov.corr_vs_tau(candles, grid, args.normalize_at)
         perc = vg.percentile_curves(curves)     # each tau over the pairs with a value there
-        # the median variogram of the tickers that have a positive V at every
-        # tau; a constant price's V of 0 is left out, as variogram leaves it out
+        # the median V of the tickers with a positive V at every tau, not a constant price
         full = v[(v > 0).all(axis=1)]
-        if len(full):
-            med_v = vg.Variogram(grid, np.median(full, axis=0),
-                                 np.ones(len(grid), dtype=int))
-            predicted = cov.predicted_corr_ratio(med_v, grid, args.normalize_at)
-        else:
-            predicted = np.full(len(grid), np.nan)
+        predicted = (cov.predicted_corr_ratio(np.median(full, axis=0), grid, args.normalize_at)
+                     if len(full) else np.full(len(grid), np.nan))
         write_table(out / "corr_vs_tau.csv",
-                    ["tau_hours", "p10", "p25", "p50", "p75", "p90", "predicted"],
+                    ["tau_hours", *(f"p{p}" for p in vg.PERCENTILES), "predicted"],
                     [grid, *perc, predicted])
     _write_manifest(out, "correlate", args, inputs)
     return 0
@@ -364,9 +362,9 @@ def cmd_correlate(args) -> int:
 # parser / dispatch
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="vartau", description=__doc__,
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
+def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    p = parser_class(prog="vartau", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--manifest", help="replay a prior run from its manifest")
     sub = p.add_subparsers(dest="command")
 
@@ -382,7 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--year", type=_year, required=True)
     sp.add_argument("--clock", choices=CLOCK_KINDS, default="dollar")
     sp.add_argument("--tau-grid", default="0.0333333:200:25")
-    sp.add_argument("--normalize-at", type=float, default=1.0)
+    sp.add_argument("--normalize-at", type=float, default=1.0,
+                    help="tau (hours) where each V is 1, read log-log if V > 0, else linearly "
+                         "in log tau; a ticker whose V does not reach it is left out")
     sp.add_argument("--out-dir", required=True)
     sp.set_defaults(func=cmd_variogram)
 
@@ -435,7 +435,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", choices=CLOCK_KINDS, default="dollar")
     sp.add_argument("--tau", type=float, default=1.0)
     sp.add_argument("--tau-grid", default=None)
-    sp.add_argument("--normalize-at", type=float, default=1.0)
+    sp.add_argument("--normalize-at", type=float, default=1.0,
+                    help="with --tau-grid, tau (hours) where each rho(tau) and the prediction "
+                         "are 1, read log-log if positive, else linearly in log tau; a pair "
+                         "whose curve does not reach it is left out")
     sp.add_argument("--min-obs", type=int, default=cov.DEFAULT_MIN_OBS,
                     help="joint returns a pair needs in cov.csv and corr.csv; the "
                          "rho(tau) curves keep every pair with at least 2")
@@ -498,7 +501,11 @@ def _replay(manifest_path: str) -> int:
                 argv.append(flag)
         elif val is not None:
             argv += [flag, str(val)]
-    return main(argv)
+    try:        # a command or flag that the program does not have
+        replayed = build_parser(_RaisingParser).parse_args(argv)
+    except UsageError as exc:
+        raise bad(f"does not replay: {exc}") from None
+    return replayed.func(replayed)
 
 
 def main(argv=None) -> int:

@@ -19,7 +19,7 @@ estimator (Bernoulli 11(2), 2005), which sums the products of all
 overlapping return intervals with no common grid, is the usual asynchronous
 alternative; it is not implemented here. Correlation falling as tau shrinks
 is the Epps effect (Epps, JASA 1979), which ``corr_vs_tau`` measures beside
-each ticker's V(tau) from the same returns.
+each ticker's V(tau) from the same returns, normalized by ``variogram.value_at``.
 
 The two-component return model splits each stock's return into a
 cross-correlated part with partial variogram V(tau) sharing one factor
@@ -40,7 +40,7 @@ import numpy as np
 from .candles import ReturnSeries, write_table
 from .errors import DataError
 from .panel import TxnCandles, grid_returns
-from .variogram import MAX_DT_FACTOR, loglog_interp, weighted_v
+from .variogram import MAX_DT_FACTOR, value_at, weighted_v
 
 DEFAULT_MIN_OBS = 50
 # the fewest joint returns behind any covariance or correlation that is reported
@@ -195,30 +195,6 @@ def cov_to_corr(c: CovMatrix) -> CorrMatrix:
     return CorrMatrix(list(c.tickers), rho)
 
 
-def _value_at(tau_grid, values: np.ndarray, tau0: float) -> np.ndarray:
-    """Each row's value at tau0, interpolated over its non-NaN cells.
-
-    Every row needs a cell at or below tau0 and one at or above it. All
-    positive rows interpolate log-log (the power-law convention), others
-    linearly in log tau, with ``np.interp``'s arithmetic. Zero raises.
-    """
-    x, x0 = np.log(tau_grid), np.log(tau0)
-    ok = ~np.isnan(values)
-    k = np.arange(len(x))
-    lo = np.where(ok & (x <= x0), k, -1).max(axis=1)
-    hi = np.where(ok & (x >= x0), k, len(x)).min(axis=1)
-    loglog = np.all((values > 0) | ~ok, axis=1)
-    rows = np.arange(len(values))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        y = np.where(loglog[:, None], np.log(values), values)
-        slope = (y[rows, hi] - y[rows, lo]) / (x[hi] - x[lo])
-        v0 = np.where(lo == hi, y[rows, lo], slope * (x0 - x[lo]) + y[rows, lo])
-    v0 = np.where(loglog, np.exp(v0), v0)
-    if np.any((v0 == 0) | ~np.isfinite(v0)):
-        raise DataError("curve vanishes at the normalization point")
-    return v0
-
-
 def corr_vs_tau(candles: TxnCandles, tau_grid, normalize_tau: float):
     """Pairwise correlation as a function of resolution, normalized at normalize_tau.
 
@@ -226,8 +202,8 @@ def corr_vs_tau(candles: TxnCandles, tau_grid, normalize_tau: float):
     every pair, with the variances on the diagonal. Returns (pairs, curves,
     v). curves is (n_pairs, n_tau) normalized rho, NaN where a pair or a
     variance had fewer than MIN_JOINT_OBS samples or a variance was not
-    positive, and for a pair whose values do not reach normalize_tau on both
-    sides.
+    positive, and for a pair that ``variogram.value_at`` cannot read at
+    normalize_tau.
     v is (n_tickers, n_tau): each ticker's V(tau) from the same returns,
     which for one year is its ``variogram_diff_of_avg`` (NaN where omitted).
     """
@@ -245,12 +221,8 @@ def corr_vs_tau(candles: TxnCandles, tau_grid, normalize_tau: float):
             rho = c / np.sqrt(np.outer(var, var))
         rho[(n_obs < MIN_JOINT_OBS) | ~np.outer(good, good)] = np.nan
         raw[:, k] = rho[upper]
-    ok = ~np.isnan(raw)
-    reach = ((ok & (tau_grid <= normalize_tau)).any(axis=1)
-             & (ok & (tau_grid >= normalize_tau)).any(axis=1))
-    curves = np.full_like(raw, np.nan)
-    curves[reach] = raw[reach] / _value_at(tau_grid, raw[reach], normalize_tau)[:, None]
-    return list(itertools.combinations(tickers, 2)), curves, v
+    raw /= value_at(tau_grid, raw, normalize_tau)[:, None]      # normalized in place
+    return list(itertools.combinations(tickers, 2)), raw, v
 
 
 def _with_variogram(returns, v):
@@ -261,15 +233,10 @@ def _with_variogram(returns, v):
 
 
 def predicted_corr_ratio(v_tot, tau_grid, normalize_tau: float) -> np.ndarray:
-    """Two-component prediction tau / V_tot(tau), normalized to 1 at normalize_tau.
-
-    ``v_tot`` is a Variogram of the total return variance; it is
-    interpolated onto the requested grid in log-log space.
-    """
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    vt = loglog_interp(tau_grid, v_tot.tau, v_tot.v)
-    curve = tau_grid / vt
-    return curve / float(loglog_interp(normalize_tau, tau_grid, curve))
+    """Two-component prediction tau / V_tot(tau), V_tot the total return variance
+    at each tau of tau_grid, divided by its value at normalize_tau (``value_at``)."""
+    curve = np.asarray(tau_grid, dtype=float) / np.asarray(v_tot, dtype=float)
+    return curve / value_at(tau_grid, curve[None], normalize_tau)[0]
 
 
 def simulate_two_component(model: TwoComponentModel, tau: float,

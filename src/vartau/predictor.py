@@ -65,11 +65,16 @@ def read_coeffs_csv(path) -> PredictionCoeffs:
     return PredictionCoeffs(tickers, b)
 
 
+def check_ridge(ridge: float) -> None:
+    """A ridge must be non-negative and finite."""
+    if not 0 <= ridge < np.inf:
+        raise DataError(f"ridge must be non-negative and finite, got {ridge}")
+
+
 def invert_with_ridge(c: CovMatrix, ridge: float) -> PrecisionMatrix:
     """Exact inverse of C + ridge*I; raises if not positive definite."""
     m = c.c
-    if not 0 <= ridge < np.inf:
-        raise DataError(f"ridge must be non-negative and finite, got {ridge}")
+    check_ridge(ridge)
     if np.isnan(m).any():
         raise DataError("covariance matrix has missing entries; impute first")
     if not np.allclose(m, m.T, atol=1e-10 * max(1.0, float(np.abs(m).max()))):

@@ -3,7 +3,8 @@
 The variogram V(tau) is the expected squared log return over a
 transaction-time interval tau; a martingale has V proportional to tau,
 so V(tau)/tau plotted against tau is flat for a memoryless process and
-a power law tau^(1-2*eps) signals memory.
+a power law tau^(1-2*eps) signals memory. ``value_at`` is the one
+normalizer of these curves: V(tau), rho(tau) and its prediction.
 
 One estimator is provided, difference of averages. It reads one ticker's
 mapped candles, a ``panel.TxnCandles`` of one ticker and one year on its
@@ -84,15 +85,6 @@ def default_tau_grid(tau_min: float, tau_max: float, points_per_decade: int) -> 
     return np.geomspace(tau_min, tau_max, max(n, 2))
 
 
-def loglog_interp(x, xp, fp):
-    """Power-law (log-log linear) interpolation; fp must be positive."""
-    xp = np.asarray(xp, dtype=float)
-    fp = np.asarray(fp, dtype=float)
-    if np.any(fp <= 0):
-        raise DataError("log-log interpolation needs positive values")
-    return np.exp(np.interp(np.log(x), np.log(xp), np.log(fp)))
-
-
 def weighted_v(r: np.ndarray, dt: np.ndarray, tau: float):
     """Asynchronous variance estimate: mean of r^2 * (tau/dt).
 
@@ -125,18 +117,26 @@ def variogram_diff_of_avg(candles: TxnCandles, tau_grid) -> Variogram:
     return Variogram(tau_grid[ok], vals[ok], counts[ok], omitted=tau_grid[~ok])
 
 
-def normalize_at(v: Variogram, tau0: float) -> Variogram:
-    """Scale so the (log-log interpolated) value at tau0 is exactly 1."""
-    if len(v) == 0:
-        raise DataError("cannot normalize an empty variogram")
-    if not (v.tau[0] <= tau0 <= v.tau[-1]):
-        raise DataError(f"tau0={tau0} outside variogram span "
-                        f"[{v.tau[0]}, {v.tau[-1]}]")
-    v0 = float(loglog_interp(tau0, v.tau, v.v))
-    if v0 <= 0:
-        raise DataError("variogram is zero at the normalization point")
-    return Variogram(v.tau.copy(), v.v / v0, v.n_samples.copy(),
-                     omitted=v.omitted.copy())
+def value_at(tau_grid, values, tau0: float) -> np.ndarray:
+    """Each (n_rows, n_tau) row's value at tau0 over its non-NaN cells, read
+    log-log if they are all positive (the power-law convention) and else
+    linearly in log tau, with ``np.interp``'s arithmetic; NaN for a row with no
+    cell on one side of tau0, or that is zero or not finite there.
+    """
+    x, x0 = np.log(tau_grid), np.log(tau0)
+    ok = ~np.isnan(values)
+    below, above = ok & (x <= x0), ok & (x >= x0)
+    lo = len(x) - 1 - below[:, ::-1].argmax(axis=1)     # the last cell below
+    hi = above.argmax(axis=1)                          # the first cell above
+    ends = np.take_along_axis(values, np.stack([lo, hi], axis=1), axis=1)
+    loglog = ~(values <= 0).any(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        y_lo, y_hi = np.where(loglog[:, None], np.log(ends), ends).T
+        slope = (y_hi - y_lo) / (x[hi] - x[lo])
+        v0 = np.where(lo == hi, y_lo, slope * (x0 - x[lo]) + y_lo)
+        v0 = np.where(loglog, np.exp(v0), v0)
+    usable = below.any(axis=1) & above.any(axis=1) & (v0 != 0) & np.isfinite(v0)
+    return np.where(usable, v0, np.nan)
 
 
 def fit_power_law(v: Variogram, fit_range: tuple[float, float] | None = None) -> PowerLawFit:

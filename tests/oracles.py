@@ -36,8 +36,7 @@ from vartau.errors import DataError
 from vartau.hurst import HurstParams, PricePanel, SimConfig, _postprocess
 from vartau.panel import map_candles
 from vartau.predictor import _per_ticker_moments, fmse, naive_predict
-from vartau.variogram import (MAX_DT_FACTOR, PERCENTILES, Variogram, loglog_interp,
-                              variogram_diff_of_avg)
+from vartau.variogram import MAX_DT_FACTOR, PERCENTILES, Variogram, variogram_diff_of_avg
 
 
 def validate_row(t, o, h, l, c, v) -> None:
@@ -277,13 +276,14 @@ def estimate_cov_loop(returns, tau: float, min_obs: int = 50,
 
 
 def normalize_curve(tau_grid, values, tau0: float):
-    """Divide one curve by its interpolated value at tau0."""
+    """Divide one curve by its interpolated value at tau0, log-log when it is
+    positive; a curve that vanishes there becomes NaN."""
     if np.all(values > 0):
-        v0 = float(loglog_interp(tau0, tau_grid, values))
+        v0 = float(np.exp(np.interp(np.log(tau0), np.log(tau_grid), np.log(values))))
     else:
         v0 = float(np.interp(np.log(tau0), np.log(tau_grid), values))
     if v0 == 0 or not np.isfinite(v0):
-        raise DataError("curve vanishes at the normalization point")
+        v0 = np.nan
     return values / v0
 
 
@@ -342,9 +342,8 @@ def write_corr_vs_tau_csv_loop(series, clock, tau_grid, normalize_tau, path) -> 
         if len(v) == len(tau_grid):
             stack.append(v.v)
     if stack:
-        med_v = Variogram(tau_grid, np.median(np.stack(stack), axis=0),
-                          np.ones(len(tau_grid), dtype=int))
-        predicted = predicted_corr_ratio(med_v, tau_grid, normalize_tau)
+        predicted = predicted_corr_ratio(np.median(np.stack(stack), axis=0), tau_grid,
+                                         normalize_tau)
     else:
         predicted = np.full(len(tau_grid), np.nan)
     write_corr_vs_tau_csv_rows(tau_grid, perc, predicted, path)

@@ -18,7 +18,7 @@ from vartau.hurst import (HurstParams, SimConfig, read_panel_csv, simulate_fbm,
                           simulate_shot_noise)
 from vartau.panel import map_candles
 from vartau.synthetic import random_walk_candles
-from vartau.variogram import (default_tau_grid, normalize_at, percentile_curves,
+from vartau.variogram import (Variogram, default_tau_grid, percentile_curves, value_at,
                               variogram_diff_of_avg)
 
 YEARS = (2021, 2022)
@@ -543,6 +543,20 @@ def test_eligibility_fraction_is_checked_before_the_market(tmp_path, capsys, com
     assert "min_active_fraction must be in (0, 1]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ridge", ["-1", "nan"])
+def test_ridge_is_checked_before_the_market(tmp_path, capsys, ridge):
+    # the market is not parsed at all: its one file is not a candle file
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "T0.csv").write_text("not a candle file\n")
+    argv = ["predict", "--train-years", "2021", "--predict-years", "2021",
+            "--data-dir", str(data), f"--ridge={ridge}", "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == 3
+    assert f"ridge must be non-negative and finite, got {float(ridge)}" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_variogram_has_no_method_flag(data, tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["variogram", "--data-dir", str(data), "--year", "2021",
@@ -590,6 +604,21 @@ def test_malformed_manifest_exits_3(tmp_path, capsys, text):
     assert f"manifest {str(manifest)!r}" in capsys.readouterr().err
 
 
+def test_manifest_with_a_flag_or_command_the_program_lacks_exits_3(data, tmp_path, capsys):
+    assert cli.main(["clock", "--data-dir", str(data), "--year", "2021",
+                     "--out-dir", str(tmp_path / "run")]) == 0
+    manifest = json.loads((tmp_path / "run" / "run_manifest.json").read_text())
+    manifest["args"].update(bogus=1, out_dir=str(tmp_path / "replay"))
+    cases = {"flag": (manifest, "--bogus 1"), "command": ({"command": "bogus"}, "'bogus'")}
+    for name, (written, named) in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(written))
+        assert cli.main(["--manifest", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert f"data error: manifest {str(path)!r}" in err and named in err
+    assert not (tmp_path / "replay").exists()
+
+
 @pytest.mark.parametrize("command", [
     ["clock", "--year", "0"],
     ["variogram", "--year", "9999"],
@@ -627,7 +656,8 @@ def test_variogram_clock_flag_picks_the_clock(data, outputs, tmp_path, kind):
     for name in written:
         t = name[len("variogram_"):-len(".csv")]
         v = variogram_diff_of_avg(map_candles({t: series[t]}, [clock]), grid)
-        normalize_at(v, 1.0).write_csv(tmp_path / "want.csv")
+        v0 = value_at(v.tau, v.v[None], 1.0)[0]
+        Variogram(v.tau, v.v / v0, v.n_samples).write_csv(tmp_path / "want.csv")
         got = (out / name).read_bytes()
         assert got == (tmp_path / "want.csv").read_bytes()
         assert got != (outputs / "variogram" / name).read_bytes()

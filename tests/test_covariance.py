@@ -12,7 +12,7 @@ from vartau.errors import DataError
 from vartau.panel import grid_returns, map_candles
 from vartau.synthetic import (correlated_walk_panel, hourly_candles_from_prices,
                               point_candles)
-from vartau.variogram import Variogram, default_tau_grid, variogram_diff_of_avg
+from vartau.variogram import default_tau_grid, value_at, variogram_diff_of_avg
 
 T0, _ = year_bounds(2021)
 
@@ -198,21 +198,21 @@ class TestCorrVsTau:
 class TestPredictedRatio:
     def test_memoryless_flat_one(self):
         tau = default_tau_grid(0.1, 10, 10)
-        v = Variogram(tau, 5.0 * tau, np.full(len(tau), 10))
-        assert np.allclose(predicted_corr_ratio(v, tau, 1.0), 1.0)
+        assert np.allclose(predicted_corr_ratio(5.0 * tau, tau, 1.0), 1.0)
 
     def test_power_law_rises_like_tau_to_2eps(self):
         tau = default_tau_grid(0.1, 10, 10)
-        v = Variogram(tau, 2.0 * tau ** 0.93, np.full(len(tau), 10))
-        curve = predicted_corr_ratio(v, tau, 1.0)
+        curve = predicted_corr_ratio(2.0 * tau ** 0.93, tau, 1.0)
         assert np.allclose(curve, tau ** 0.07, rtol=1e-10)
 
     def test_normalization_point_is_one(self):
         tau = default_tau_grid(0.2, 5, 8)
-        v = Variogram(tau, tau ** 0.9, np.full(len(tau), 10))
-        curve = predicted_corr_ratio(v, tau, normalize_tau=1.0)
-        from vartau.variogram import loglog_interp
-        assert loglog_interp(1.0, tau, curve) == pytest.approx(1.0, rel=1e-10)
+        curve = predicted_corr_ratio(tau ** 0.9, tau, normalize_tau=1.0)
+        assert value_at(tau, curve[None], 1.0)[0] == pytest.approx(1.0, rel=1e-10)
+
+    def test_curve_that_misses_the_normalization_point_is_nan(self):
+        tau = default_tau_grid(0.2, 5, 8)
+        assert np.isnan(predicted_corr_ratio(tau ** 0.9, tau, 10.0)).all()
 
 
 class TestTwoComponent:

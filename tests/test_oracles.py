@@ -498,12 +498,7 @@ def candle_sets(draw):
 def test_corr_vs_tau_matches_pair_loop(series, tau0):
     clock = build_clock(series.values(), ClockKind.CLOCK, 2021)
     grid = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
-    try:
-        want_pairs, want = corr_vs_tau_loop(series, clock, grid, tau0)
-    except DataError as exc:
-        with pytest.raises(DataError, match=re.escape(str(exc))):
-            corr_vs_tau(map_candles(series, [clock]), grid, tau0)
-        return
+    want_pairs, want = corr_vs_tau_loop(series, clock, grid, tau0)
     pairs, got, _ = corr_vs_tau(map_candles(series, [clock]), grid, tau0)
     assert pairs == want_pairs
     assert np.array_equal(np.isnan(got), np.isnan(want))

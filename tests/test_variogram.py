@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vartau import cli, hurst
 from vartau.candles import CandleSeries, write_candles
@@ -10,8 +12,7 @@ from vartau.errors import DataError
 from vartau.panel import map_candles
 from vartau.synthetic import point_candles, random_walk_candles
 from vartau.variogram import (PERCENTILES, Variogram, default_tau_grid, fit_power_law,
-                              loglog_interp, normalize_at, percentile_curves,
-                              variogram_diff_of_avg)
+                              percentile_curves, value_at, variogram_diff_of_avg)
 
 T0, _ = year_bounds(2021)
 
@@ -27,6 +28,11 @@ CLOCK = identity_clock()
 def mapped(s):
     """One ticker's candles on the identity clock, as the estimator reads them."""
     return map_candles({s.ticker: s}, [CLOCK])
+
+
+def normalize_at(v: Variogram, tau0: float) -> Variogram:
+    """v divided by its value at tau0, as the variogram command writes it."""
+    return Variogram(v.tau, v.v / value_at(v.tau, v.v[None], tau0)[0], v.n_samples)
 
 
 def fbm_minute_candles(epsilon, seed):
@@ -109,7 +115,7 @@ class TestNormalize:
 
     def test_unit_at_tau0(self):
         v = normalize_at(self.grid_vario(0.8), 1.0)
-        assert loglog_interp(1.0, v.tau, v.v) == pytest.approx(1.0)
+        assert value_at(v.tau, v.v[None], 1.0)[0] == pytest.approx(1.0)
 
     def test_scale_cancels(self):
         v = normalize_at(self.grid_vario(1.0, amp=3.0), 1.0)
@@ -120,8 +126,69 @@ class TestNormalize:
         assert fit_power_law(v).exponent == pytest.approx(0.93, abs=1e-12)
 
     def test_outside_span(self):
-        with pytest.raises(DataError, match="span"):
-            normalize_at(self.grid_vario(1.0), 1e-6)
+        # a row with no cell on one side of tau0 cannot be read there
+        v = self.grid_vario(1.0)
+        assert np.isnan(value_at(v.tau, v.v[None], 1e-6)).all()
+        assert np.isnan(value_at(v.tau, v.v[None], 1e6)).all()
+
+    def test_power_law_is_read_log_log(self):
+        # between two cells of a power law, log-log interpolation is exact
+        tau = np.array([0.5, 2.0])
+        assert value_at(tau, (3.0 * tau ** 0.8)[None], 1.0)[0] == pytest.approx(3.0, rel=1e-14)
+
+    def test_rows_are_read_independently(self):
+        tau = np.array([0.5, 1.0, 2.0, 4.0])
+        values = np.array([[np.nan, 2.0, 4.0, 8.0],      # exactly on a cell
+                           [1.0, np.nan, np.nan, 4.0],   # log-log over the gap
+                           [np.nan, np.nan, 3.0, 5.0],   # misses tau0 below
+                           [-1.0, np.nan, 3.0, 0.0],     # not positive: linear in log tau
+                           [0.0, 0.0, 0.0, 0.0],         # vanishes at tau0
+                           [np.nan] * 4])
+        got = value_at(tau, values, 1.0)
+        assert got[0] == 2.0
+        assert got[1] == pytest.approx(2.0 ** (2 / 3), rel=1e-14)
+        assert np.isnan(got[2])
+        assert got[3] == pytest.approx(1.0, rel=1e-14)       # midway from -1 to 3
+        assert np.isnan(got[4]) and np.isnan(got[5])
+
+
+# curves on a grid of distinct taus, with NaN, zero, negative and positive cells
+taus = st.lists(st.integers(-12, 12), min_size=1, max_size=8, unique=True).map(
+    lambda k: 0.1 * 1.5 ** np.sort(np.array(k, dtype=float)))
+cells = st.one_of(st.just(np.nan), st.just(0.0), st.floats(1e-6, 1e6),
+                  st.floats(-1e6, 1e6))
+
+
+@st.composite
+def curve_rows(draw):
+    tau = draw(taus)
+    rows = draw(st.lists(st.lists(cells, min_size=len(tau), max_size=len(tau)),
+                         min_size=1, max_size=5))
+    tau0 = draw(st.one_of(st.sampled_from(list(tau)), st.floats(0.01, 200.0)))
+    return tau, np.array(rows, dtype=float), tau0
+
+
+@settings(max_examples=300, deadline=None)
+@given(curve_rows())
+def test_value_at_is_np_interp_of_each_row(case):
+    # log-log for an all-positive row, linear in log tau for any other, over
+    # the row's non-NaN cells and bit for bit; NaN where the row does not
+    # reach tau0 on both sides or is zero there
+    tau, values, tau0 = case
+    x0 = np.log(tau0)
+    got = value_at(tau, values, tau0)
+    for row, v0 in zip(values, got):
+        ok = ~np.isnan(row)
+        x, y = np.log(tau[ok]), row[ok]
+        if not (ok.any() and x[0] <= x0 <= x[-1]):
+            want = np.nan
+        elif (y > 0).all():
+            want = np.exp(np.interp(x0, x, np.log(y)))
+        else:
+            want = np.interp(x0, x, y)
+        if want == 0 or not np.isfinite(want):
+            want = np.nan
+        assert np.array_equal(v0, want, equal_nan=True), (row, tau0, v0, want)
 
 
 class TestFit:
