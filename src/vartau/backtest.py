@@ -17,7 +17,8 @@ Decisions for hour h use only the average prices of hours h and h+1
 (fully causal); positions open during hour h+2+S at that hour's average
 price and close during hour h+3+S, where S >= 0 is the staleness. The
 market mean-reversion strategy is the S=0 case, entering at h+2 and
-exiting at h+3. Hourly stakes are constant: profits are never
+exiting at h+3. Each traded side of an hour stakes one unit of notional,
+and ledger, equity and yields are per unit stake: profits are never
 reinvested, so yearly results are sums, not compounds.
 """
 
@@ -39,7 +40,6 @@ class StrategyConfig:
     staleness: int                 # extra delay S before entering
     top_fraction: float            # tail size for the discrepancy strategy
     min_side_count: int            # mean reversion: skip thinner hours
-    stake: float                   # per-side notional per hour
     cost_per_round_trip: float     # fraction of notional charged per trade
 
     def __post_init__(self):
@@ -49,8 +49,6 @@ class StrategyConfig:
             raise DataError("top_fraction must be in (0, 0.5]")
         if self.min_side_count < 1:
             raise DataError("min_side_count must be >= 1")
-        if not 0 < self.stake < np.inf:
-            raise DataError(f"stake must be positive and finite, got {self.stake}")
         if not 0 <= self.cost_per_round_trip < np.inf:
             raise DataError(f"cost must be >= 0 and finite, got {self.cost_per_round_trip}")
 
@@ -81,12 +79,11 @@ class TradeLedger:
 @dataclass
 class EquityCurve:
     cum_pnl: np.ndarray    # running sum of realized pnl at every panel hour
-    stake: float
 
     def write_csv(self, path) -> None:
         """txn_hour, cum_pnl and the yield annualized over the hours up to it."""
         hours = np.arange(len(self.cum_pnl))
-        ann = self.cum_pnl / self.stake * ANNUAL_HOURS / (hours + 1)
+        ann = self.cum_pnl * ANNUAL_HOURS / (hours + 1)
         write_table(path, ["txn_hour", "cum_pnl", "annualized"], [hours, self.cum_pnl, ann])
 
 
@@ -98,10 +95,10 @@ class BacktestResult:
 
 
 def annualized_yield(curve: EquityCurve) -> float:
-    """End-point cumulative P&L per stake, scaled to an 8760-hour year."""
+    """End-point cumulative P&L per unit stake, scaled to an 8760-hour year."""
     if len(curve.cum_pnl) == 0:
         return 0.0
-    return float(curve.cum_pnl[-1] / curve.stake * ANNUAL_HOURS / len(curve.cum_pnl))
+    return float(curve.cum_pnl[-1] * ANNUAL_HOURS / len(curve.cum_pnl))
 
 
 def rms_hourly_return(prices: np.ndarray) -> float:
@@ -142,7 +139,7 @@ def _book(prices, tickers, entry_offset, config, sides) -> BacktestResult:
     each hour (both empty in an hour that does not trade), weight is
     broadcast against one side, and slot s of hour j holds ticker
     ``order[s, j]`` (slot s holds ticker s when order is None). A side trades
-    its fillable names, those with entry and exit prices, with the stake
+    its fillable names, those with entry and exit prices, with its unit stake
     spread over them in proportion to weight; an hour in which a non-empty
     side has no fillable name books nothing and counts as skipped.
     """
@@ -168,7 +165,7 @@ def _book(prices, tickers, entry_offset, config, sides) -> BacktestResult:
         j, s, slot = np.nonzero((fill & book).transpose(2, 0, 1))  # hour, long first, slot
         w = np.broadcast_to(weight, ok.shape)[slot, j]
         side_sum = np.bincount(2 * j + s, w, 2 * (h1 - h0))[2 * j + s]
-        notional = config.stake * (w / side_sum)
+        notional = w / side_sum
         e, x = entry[slot, j], exit_[slot, j]
         side = 1 - 2 * s
         qty = notional / e
@@ -177,7 +174,7 @@ def _book(prices, tickers, entry_offset, config, sides) -> BacktestResult:
     hour, tick, side, qty, entry, exit_, pnl = (np.concatenate(col) for col in zip(*parts))
     ledger = TradeLedger(hour, np.asarray(tickers, dtype=object)[tick].tolist(),
                          side, qty, entry, exit_, pnl)
-    curve = EquityCurve(np.cumsum(np.bincount(hour, pnl, n_hours)), config.stake)
+    curve = EquityCurve(np.cumsum(np.bincount(hour, pnl, n_hours)))
     return BacktestResult(ledger, curve, {"skipped_hours": n_decisions - booked})
 
 

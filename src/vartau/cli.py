@@ -11,7 +11,8 @@ Every candle command but ``clock`` loads through ``_mapped``, which maps
 each ticker's candles to transaction time once, on the clocks of the
 requested kind and years; the analysis modules read only mapped candles.
 
-Exit codes: 0 success, 2 usage, 3 data error, 4 numerical failure.
+Exit codes: 0 success, 2 usage, 3 data error (such as a manifest that does not
+replay, or a value a simulation cannot take), 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ class UsageError(Exception):
 class _RaisingParser(argparse.ArgumentParser):
     def error(self, message):       # raise, where argparse would exit
         raise UsageError(message)
+
+    def print_help(self, file=None):        # a replayed --help would print and exit 0
+        raise UsageError("--help runs no command")
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +213,7 @@ def cmd_variogram(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if not -0.5 < args.epsilon < 0.5:
-        raise UsageError(f"--epsilon must be in (-0.5, 0.5), got {args.epsilon}")
-    if args.years < 1 or args.hours_per_year < 4 or not 0 < args.vol < np.inf:
-        raise UsageError("--years >= 1, --hours-per-year >= 4, finite --vol > 0 required")
-    params = hurst.HurstParams(args.epsilon, delta=args.delta,
-                               rate=args.rate, sigma=args.sigma)
+    params = hurst.HurstParams(args.epsilon, delta=args.delta, rate=args.rate)
     config = hurst.SimConfig(args.years, args.hours_per_year, args.vol, args.seed)
     simulate = hurst.simulate_fbm if args.method == "fft" else hurst.simulate_shot_noise
     panel = simulate(params, config)
@@ -254,8 +253,7 @@ def cmd_backtest(args) -> int:
             inputs.append(Path(args.coeffs))
         config = bt.StrategyConfig(
             staleness=args.staleness, top_fraction=args.top_fraction,
-            min_side_count=args.min_side_count, stake=args.stake,
-            cost_per_round_trip=args.cost)
+            min_side_count=args.min_side_count, cost_per_round_trip=args.cost)
         pn.check_active_fraction(args.min_active_fraction)    # before the market is parsed
         candles, files = _mapped(args.data_dir, years, args.kind)
         inputs += files
@@ -305,7 +303,8 @@ def cmd_predict(args) -> int:
             t = tickers[flat[0]]
             raise DataError(f"{Path(args.data_dir) / t}.csv: ticker {t} has no "
                             f"return variance in year {py}")
-        grid["none"][str(py)] = pred.prediction_report(pred.naive_predict(r, variances), r)
+        naive = pred.predict(pred.market_mode(tickers, variances), r)
+        grid["none"][str(py)] = pred.prediction_report(naive, r)
     out = _out_dir(args)
     for ty in train_years:
         cmat = cov.estimate_cov(candles.in_year(ty, tickers), 1.0, min_obs=args.min_obs)
@@ -366,6 +365,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p = parser_class(prog="vartau", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--manifest", help="replay a prior run from its manifest")
+    grid_help = "tau hours: 'min:max:points_per_decade', log-spaced, or an increasing comma list"
     sub = p.add_subparsers(dest="command")
 
     sp = sub.add_parser("clock", help="build a transaction-time clock")
@@ -379,7 +379,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     sp.add_argument("--data-dir", required=True)
     sp.add_argument("--year", type=_year, required=True)
     sp.add_argument("--clock", choices=CLOCK_KINDS, default="dollar")
-    sp.add_argument("--tau-grid", default="0.0333333:200:25")
+    sp.add_argument("--tau-grid", default="0.0333333:200:25", help=grid_help)
     sp.add_argument("--normalize-at", type=float, default=1.0,
                     help="tau (hours) where each V is 1, read log-log if V > 0, else linearly "
                          "in log tau; a ticker whose V does not reach it is left out")
@@ -394,26 +394,30 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--method", choices=["fft", "shot"], default="fft")
     sp.add_argument("--delta", type=float, default=0.5)
-    sp.add_argument("--rate", type=float, default=10.0)
-    sp.add_argument("--sigma", type=float, default=1.0)
+    sp.add_argument("--rate", type=float, default=10.0, help="impulses per hour; shot only")
     sp.add_argument("--out-dir", required=True)
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("backtest", help="run a trading strategy")
     sp.add_argument("--strategy", choices=["sim-meanrev", "market-meanrev",
                                            "xcorr"], required=True)
-    sp.add_argument("--panel", help="panel CSV (sim-meanrev)")
-    sp.add_argument("--data-dir")
-    sp.add_argument("--years", help="comma-separated calendar years")
-    sp.add_argument("--kind", choices=CLOCK_KINDS, default="dollar")
-    sp.add_argument("--coeffs", help="prediction coefficients CSV (xcorr)")
-    sp.add_argument("--staleness", type=int, default=1)
-    sp.add_argument("--top-fraction", type=float, default=0.05)
-    sp.add_argument("--min-side-count", type=int, default=100)
-    sp.add_argument("--min-active-fraction", type=float, default=0.5)
-    sp.add_argument("--stake", type=float, default=1.0)
-    sp.add_argument("--cost", type=float, default=0.0)
-    sp.add_argument("--long-only", action="store_true")
+    both = "market-meanrev and xcorr"
+    sp.add_argument("--panel", help="simulated panel CSV; sim-meanrev only")
+    sp.add_argument("--data-dir", help=f"candle directory; {both}")
+    sp.add_argument("--years", help=f"comma-separated calendar years; {both}")
+    sp.add_argument("--kind", choices=CLOCK_KINDS, default="dollar", help=f"price clock; {both}")
+    sp.add_argument("--coeffs", help="prediction coefficients CSV; xcorr only")
+    sp.add_argument("--staleness", type=int, default=1,
+                    help="enter at h+2+S; xcorr only (market-meanrev always enters at h+2)")
+    sp.add_argument("--top-fraction", type=float, default=0.05,
+                    help="share of the present names bought, and sold; xcorr only")
+    sp.add_argument("--min-side-count", type=int, default=100,
+                    help="fewest decliners and gainers an hour trades; market-meanrev only")
+    sp.add_argument("--min-active-fraction", type=float, default=0.5,
+                    help=f"share of each year's hours a kept ticker trades in; {both}")
+    sp.add_argument("--cost", type=float, default=0.0,
+                    help=f"charge per round trip, as a fraction of notional; {both}")
+    sp.add_argument("--long-only", action="store_true", help="no shorts; market-meanrev only")
     sp.add_argument("--out-dir", required=True)
     sp.set_defaults(func=cmd_backtest)
 
@@ -434,7 +438,8 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     sp.add_argument("--years", required=True)
     sp.add_argument("--kind", choices=CLOCK_KINDS, default="dollar")
     sp.add_argument("--tau", type=float, default=1.0)
-    sp.add_argument("--tau-grid", default=None)
+    sp.add_argument("--tau-grid", default=None,
+                    help=grid_help + "; rho(tau) uses only the first of --years")
     sp.add_argument("--normalize-at", type=float, default=1.0,
                     help="with --tau-grid, tau (hours) where each rho(tau) and the prediction "
                          "are 1, read log-log if positive, else linearly in log tau; a pair "
@@ -449,7 +454,8 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
 
 # flags that a command no longer has, each with the one value that a manifest
 # may still record: the behaviour the command now always has
-_RETIRED_FLAGS = {"variogram": {"method": "diff_of_avg"}}
+_RETIRED_FLAGS = {"variogram": {"method": "diff_of_avg"}, "simulate": {"sigma": 1.0},
+                  "backtest": {"stake": 1.0}}
 
 
 def _replay(manifest_path: str) -> int:

@@ -121,17 +121,15 @@ def pair_stats(returns, width: int, tau: float):
     z_a*z_b is r_a*r_b reweighted by tau/sqrt(dt_a*dt_b), so the sums are
     Z @ Z.T and the joint counts M @ M.T over the zero-filled grid Z and its
     0/1 mask M. Each row is kept compactly, as its z and their positions in
-    column blocks of ``_BLOCK_BINS``; block by block, every row's values fill
-    one dense block and its mask, whose products are added up (the float32
-    mask counts exactly within a block). Returns (covariance, int64 counts),
-    both exactly symmetric; a pair with no joint bin gets (nan, 0).
+    the column blocks of ``_BLOCK_BINS`` that hold them, so the state grows
+    with the returns, not with width; block by block in ascending order, every
+    row's values fill one dense block and its mask, whose products are added
+    up (the float32 mask counts exactly within a block). Returns (covariance,
+    int64 counts), both exactly symmetric; a pair with no joint bin gets (nan, 0).
     """
-    edges = np.append(np.arange(0, width, _BLOCK_BINS), width)
-    widths = np.diff(edges)
-    # pieces[b]: each row's returns in block b, as their positions in the
-    # block's row-major (n, widths[b]) array and their z
-    pieces = [[] for _ in widths]
-    sizes = np.zeros(len(widths), dtype=np.int64)
+    # pieces[b]: each row's returns in column block b, if it has any, as their
+    # positions in the block's row-major (n, block width) array and their z
+    pieces: dict[int, list] = {}
     n = 0
     for i, rs in enumerate(returns):
         n = i + 1
@@ -146,22 +144,26 @@ def pair_stats(returns, width: int, tau: float):
                             f"inside [0, {width})")
         z = r - r.mean()
         z *= np.sqrt(tau / dt)
-        cut = np.searchsorted(k, edges)
-        sizes += np.diff(cut)
-        for b in np.flatnonzero(np.diff(cut)).tolist():
-            lo, hi = cut[b], cut[b + 1]
-            pieces[b].append((k[lo:hi] + (i * widths[b] - edges[b]), z[lo:hi]))
+        lo = 0
+        while lo < len(k):      # one step per block that holds returns of the row
+            b = int(k[lo]) // _BLOCK_BINS
+            start = b * _BLOCK_BINS
+            hi = int(np.searchsorted(k, start + _BLOCK_BINS))
+            offset = i * min(_BLOCK_BINS, width - start) - start
+            pieces.setdefault(b, []).append((k[lo:hi] + offset, z[lo:hi]))
+            lo = hi
     sums = np.zeros((n, n))
     n_obs = np.zeros((n, n), dtype=np.int64)
     # one block's positions and values at a time, in buffers reused by every block
-    flat_buf = np.empty(sizes.max(initial=0), dtype=np.int64)
-    z_buf = np.empty(len(flat_buf))
-    for b, block in enumerate(pieces):
-        if not block:
-            continue
-        flat = np.concatenate([p[0] for p in block], out=flat_buf[:sizes[b]])
-        zb = np.zeros((n, widths[b]))
-        zb.ravel()[flat] = np.concatenate([p[1] for p in block], out=z_buf[:sizes[b]])
+    size = max((sum(len(p[1]) for p in block) for block in pieces.values()), default=0)
+    flat_buf = np.empty(size, dtype=np.int64)
+    z_buf = np.empty(size)
+    for b in sorted(pieces):
+        block = pieces.pop(b)
+        m = sum(len(p[1]) for p in block)
+        flat = np.concatenate([p[0] for p in block], out=flat_buf[:m])
+        zb = np.zeros((n, min(_BLOCK_BINS, width - b * _BLOCK_BINS)))
+        zb.ravel()[flat] = np.concatenate([p[1] for p in block], out=z_buf[:m])
         mb = np.zeros(zb.shape, dtype=np.float32)
         mb.ravel()[flat] = 1.0
         sums += zb @ zb.T

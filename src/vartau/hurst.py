@@ -76,12 +76,11 @@ class HurstParams:
     epsilon: float
     delta: float = 0.5
     rate: float = 10.0       # Poisson events per hour (shot noise only)
-    sigma: float = 1.0       # impulse amplitude scale (shot noise only)
 
     def __post_init__(self):
         if not -0.5 < self.epsilon < 0.5:
             raise DataError(f"epsilon must be in (-1/2, 1/2), got {self.epsilon}")
-        for name in ("delta", "rate", "sigma"):
+        for name in ("delta", "rate"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise DataError(f"{name} must be positive and finite, got {value}")
@@ -105,6 +104,8 @@ class SimConfig:
             raise DataError("hours_per_year must be >= 4")
         if not 0 < self.target_vol < math.inf:
             raise DataError("target_vol must be positive and finite")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -289,13 +290,13 @@ def _shot_logp(params: HurstParams, n: int, times: np.ndarray,
 def simulate_shot_noise(params: HurstParams, config: SimConfig) -> PricePanel:
     """Exact-event-time simulation, sampled hourly.
 
-    Event gaps are Exponential(rate), amplitudes Normal(0, sigma); the
-    log price at hour t is the sum of s_i * f(t - t_i) over past events.
-    For eps = 0 that is a prefix sum of amplitudes. Otherwise the K =
-    max(32, ceil(delta)) hours after each event's hour bucket are summed
-    exactly and the rest by a P = 8 term series in phi/d evaluated with
-    FFTs, each kernel value within 7.3e-13 relative of the exact one (see
-    the module docstring).
+    Event gaps are Exponential(rate), amplitudes Normal(0, 1) (the volatility
+    rescale sets the scale); the log price at hour t is the sum of
+    s_i * f(t - t_i) over past events. For eps = 0 that is a prefix sum of
+    amplitudes. Otherwise the K = max(32, ceil(delta)) hours after each
+    event's hour bucket are summed exactly and the rest by a P = 8 term
+    series in phi/d evaluated with FFTs, each kernel value within 7.3e-13
+    relative of the exact one (see the module docstring).
     """
     rng = np.random.default_rng(config.seed)
     duration = float(config.n_years * config.hours_per_year)
@@ -308,7 +309,7 @@ def simulate_shot_noise(params: HurstParams, config: SimConfig) -> PricePanel:
         times = np.concatenate([times, new])
         t_last = float(times[-1])
     times = times[times < duration]
-    amps = rng.normal(0.0, params.sigma, size=len(times))
+    amps = rng.normal(0.0, 1.0, size=len(times))
 
     n = config.n_years * config.hours_per_year
     if len(times) == 0:

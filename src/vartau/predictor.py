@@ -121,25 +121,18 @@ def predict(b: PredictionCoeffs, r: np.ndarray) -> np.ndarray:
     return b.b @ np.nan_to_num(r, nan=0.0)
 
 
-def naive_predict(r: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    """Equal-weight prediction of a return panel r (n_tickers, n_periods):
-    the scaled mean of all other normalized returns.
-
-    Missing returns contribute 0, keeping the constant n-1 denominator so
-    this stays identical to ``predict`` under an equal-correlation matrix.
-    """
-    r = np.asarray(r, dtype=float)
+def market_mode(tickers: list[str], variances) -> PredictionCoeffs:
+    """The market-mode baseline B[I, K] = sd_I / ((n - 1) sd_K), zero diagonal: each
+    return predicted by the mean of the others' standardized returns, a missing one 0."""
     variances = np.asarray(variances, dtype=float)
-    if np.any(variances <= 0):
+    if not np.all(variances > 0):
         raise DataError("variances must be positive")
-    n = r.shape[0]
-    if n < 2:
+    if len(variances) < 2:
         raise DataError("need at least 2 tickers")
-    sd = np.sqrt(variances)[:, None]
-    z = np.nan_to_num(r, nan=0.0) / sd
-    total = z.sum(axis=0)
-    others = (total - z) / (n - 1)
-    return others * sd
+    sd = np.sqrt(variances)
+    b = sd[:, None] / ((len(sd) - 1) * sd)
+    np.fill_diagonal(b, 0.0)
+    return PredictionCoeffs(list(tickers), b)
 
 
 def _per_ticker_moments(r_hat: np.ndarray, r: np.ndarray):

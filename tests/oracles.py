@@ -17,7 +17,10 @@ pnl within 1e-12 of the terms it subtracts and cum_pnl within 1e-12 of the
 summed |pnl|. The per-metric scores that ``prediction_report`` replaced,
 means over the tickers with an observed non-zero outcome, must equal its
 entries when every ticker has one, and be within 1e-12 relative otherwise,
-since its NaN-skipping mean sums in another order.
+since its NaN-skipping mean sums in another order. ``naive_predict_loop`` is
+the market-mode prediction that ``predict`` with ``market_mode``'s
+coefficients replaced; their scores must agree within 1e-12 relative, since
+the matrix product sums in another order.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from vartau.covariance import corr_vs_tau, predicted_corr_ratio
 from vartau.errors import DataError
 from vartau.hurst import HurstParams, PricePanel, SimConfig, _postprocess
 from vartau.panel import map_candles
-from vartau.predictor import _per_ticker_moments, fmse, naive_predict
+from vartau.predictor import _per_ticker_moments, fmse
 from vartau.variogram import MAX_DT_FACTOR, PERCENTILES, Variogram, variogram_diff_of_avg
 
 
@@ -445,7 +448,7 @@ def simulate_shot_noise_loop(params: HurstParams, config: SimConfig) -> PricePan
         times = np.concatenate([times, new])
         t_last = float(times[-1])
     times = times[times < duration]
-    amps = rng.normal(0.0, params.sigma, size=len(times))
+    amps = rng.normal(0.0, 1.0, size=len(times))
     n = config.n_years * config.hours_per_year
     logp = shot_logp_loop(params, n, times, amps)
     prices = _postprocess(logp.reshape(config.n_years, config.hours_per_year),
@@ -473,7 +476,7 @@ def _settle(p_entry, p_exit, sides, h, config, rows) -> bool:
             return False
         fills.append((members[ok], weights[ok], side))
     for members, weights, side in fills:
-        notional = config.stake * (weights / weights.sum())
+        notional = weights / weights.sum()
         qty = notional / p_entry[members]
         move = p_exit[members] - p_entry[members]
         pnl = side * qty * move - config.cost_per_round_trip * notional
@@ -481,7 +484,7 @@ def _settle(p_entry, p_exit, sides, h, config, rows) -> bool:
     return True
 
 
-def _collect(rows, tickers, n_hours, stake) -> BacktestResult:
+def _collect(rows, tickers, n_hours) -> BacktestResult:
     hour, names, side, qty, entry, exit_, pnl = [], [], [], [], [], [], []
     pnl_by_hour = np.zeros(n_hours)
     for h, members, s, q, pe, px, pl in rows:
@@ -492,7 +495,7 @@ def _collect(rows, tickers, n_hours, stake) -> BacktestResult:
     ledger = TradeLedger(np.asarray(hour, dtype=np.int64), names,
                          np.asarray(side, dtype=np.int64), np.asarray(qty),
                          np.asarray(entry), np.asarray(exit_), np.asarray(pnl))
-    curve = EquityCurve(np.cumsum(pnl_by_hour), stake)
+    curve = EquityCurve(np.cumsum(pnl_by_hour))
     return BacktestResult(ledger, curve)
 
 
@@ -519,7 +522,7 @@ def run_market_meanrev_loop(prices, tickers, config, long_only=False) -> Backtes
         if not _settle(prices[:, h + entry_offset], prices[:, h + entry_offset + 1],
                        sides, h, config, rows):
             skipped += 1
-    result = _collect(rows, tickers, n_hours, config.stake)
+    result = _collect(rows, tickers, n_hours)
     result.info = {"skipped_hours": skipped, "long_only": long_only,
                    "entry_offset": entry_offset}
     return result
@@ -555,7 +558,7 @@ def run_xcorr_strategy_loop(prices, tickers, coeffs, config) -> BacktestResult:
         if not _settle(prices[:, h + entry_offset], prices[:, h + entry_offset + 1],
                        [(longs, w, +1), (shorts, w, -1)], h, config, rows):
             skipped += 1
-    result = _collect(rows, tickers, n_hours, config.stake)
+    result = _collect(rows, tickers, n_hours)
     result.info = {"skipped_hours": skipped, "staleness": config.staleness,
                    "entry_offset": entry_offset}
     return result
@@ -579,7 +582,7 @@ def write_equity_csv_rows(curve: EquityCurve, path) -> None:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["txn_hour", "cum_pnl", "annualized"])
         for i, h in enumerate(range(len(curve.cum_pnl))):
-            ann = curve.cum_pnl[i] / curve.stake * ANNUAL_HOURS / max(int(h) + 1, 1)
+            ann = curve.cum_pnl[i] * ANNUAL_HOURS / max(int(h) + 1, 1)
             w.writerow([int(h), repr(float(curve.cum_pnl[i])), repr(float(ann))])
 
 
@@ -606,10 +609,24 @@ def fve_plain(r_hat, r) -> float:
     return float(np.mean(per[ok]))
 
 
+def naive_predict_loop(r, variances) -> np.ndarray:
+    """The market-mode prediction of each return, one ticker and hour at a time:
+    the mean of the other tickers' returns over their standard deviations, a
+    missing one counted as 0, times the ticker's own standard deviation."""
+    n, n_hours = r.shape
+    sd = np.sqrt(variances)
+    r_hat = np.zeros((n, n_hours))
+    for i in range(n):
+        for h in range(n_hours):
+            total = sum(r[k, h] / sd[k] for k in range(n) if k != i and not np.isnan(r[k, h]))
+            r_hat[i, h] = total / (n - 1) * sd[i]
+    return r_hat
+
+
 def naive_scores(r) -> dict:
     """The ``none`` row of the predict command's fve_grid for one year's returns."""
     variances = np.nanvar(r, axis=1)
     if np.any(variances <= 0) or np.isnan(variances).any():
         raise DataError("a ticker has no return variance")
-    r_hat = naive_predict(r, variances)
+    r_hat = naive_predict_loop(r, variances)
     return {"fve": fve(r_hat, r), "fmse": fmse(r_hat, r), "fve_plain": fve_plain(r_hat, r)}

@@ -143,7 +143,7 @@ class TestPanelPrep:
 def strategy_config(**kw):
     """The CLI's default settings, but a side of one name is enough."""
     return StrategyConfig(**{"staleness": 1, "top_fraction": 0.05, "min_side_count": 1,
-                             "stake": 1.0, "cost_per_round_trip": 0.0, **kw})
+                             "cost_per_round_trip": 0.0, **kw})
 
 
 class TestMarketMeanrev:
@@ -161,7 +161,7 @@ class TestMarketMeanrev:
         prices = np.exp(np.cumsum(rng.normal(0, 0.01, size=(12, 200)), axis=1))
         prices[3, 50:70] = np.nan    # gaps must not break the balance
         res = run_market_meanrev(prices, [f"T{i}" for i in range(12)],
-                                 strategy_config(min_side_count=2, stake=2.5))
+                                 strategy_config(min_side_count=2))
         ledger = res.ledger
         for h in np.unique(ledger.hour):
             rows = ledger.hour == h
@@ -169,7 +169,7 @@ class TestMarketMeanrev:
                 sel = rows & (ledger.side == side)
                 if sel.any():
                     notional = np.sum(ledger.qty[sel] * ledger.entry[sel])
-                    assert notional == pytest.approx(2.5, rel=1e-9)
+                    assert notional == pytest.approx(1.0, rel=1e-9)
 
     def test_accounting_identity(self):
         rng = np.random.default_rng(4)
@@ -245,24 +245,24 @@ def gappy_prices(draw, max_n=8):
     return prices
 
 
-def assert_market_neutral(res, stake, n_decisions):
-    """Every traded hour books both sides at the full stake; the rest are skipped."""
+def assert_market_neutral(res, n_decisions):
+    """Every traded hour books both sides at the unit stake; the rest are skipped."""
     notional = res.ledger.qty * res.ledger.entry
     hours = np.unique(res.ledger.hour)
     for h in hours:
         for side in (1, -1):
             sel = (res.ledger.hour == h) & (res.ledger.side == side)
             assert sel.any()
-            assert notional[sel].sum() == pytest.approx(stake, rel=1e-9)
+            assert notional[sel].sum() == pytest.approx(1.0, rel=1e-9)
     assert len(hours) + res.info["skipped_hours"] == n_decisions
 
 
 @settings(max_examples=150, deadline=None)
-@given(gappy_prices(), st.floats(0.5, 3.0))
-def test_meanrev_notionals_equal_in_every_traded_hour(prices, stake):
+@given(gappy_prices())
+def test_meanrev_notionals_equal_in_every_traded_hour(prices):
     tickers = [f"T{i}" for i in range(len(prices))]
-    res = run_market_meanrev(prices, tickers, strategy_config(stake=stake))
-    assert_market_neutral(res, stake, prices.shape[1] - 3)
+    res = run_market_meanrev(prices, tickers, strategy_config())
+    assert_market_neutral(res, prices.shape[1] - 3)
 
 
 @settings(max_examples=150, deadline=None)
@@ -274,7 +274,7 @@ def test_xcorr_notionals_equal_in_every_traded_hour(prices, staleness, top, rnd)
     tickers = [f"T{i}" for i in range(n)]
     cfg = strategy_config(staleness=staleness, top_fraction=top)
     res = run_xcorr_strategy(prices, tickers, PredictionCoeffs(tickers, b), cfg)
-    assert_market_neutral(res, 1.0, max(prices.shape[1] - 3 - staleness, 0))
+    assert_market_neutral(res, max(prices.shape[1] - 3 - staleness, 0))
 
 
 class TestXcorr:
@@ -343,15 +343,15 @@ class TestXcorr:
 
 class TestYield:
     def test_flat_curve(self):
-        c = EquityCurve(np.zeros(10), 1.0)
+        c = EquityCurve(np.zeros(10))
         assert annualized_yield(c) == 0.0
 
     def test_linear_gain_over_year(self):
-        c = EquityCurve(np.linspace(0, 0.53, 8760), 1.0)
+        c = EquityCurve(np.linspace(0, 0.53, 8760))
         assert annualized_yield(c) == pytest.approx(0.53)
 
     def test_two_years_constant_hourly_pnl(self):
         p = 1e-4
         n = 2 * 8760
-        c = EquityCurve(np.cumsum(np.full(n, p)), 2.0)
-        assert annualized_yield(c) == pytest.approx(8760 * p / 2.0)
+        c = EquityCurve(np.cumsum(np.full(n, p)))
+        assert annualized_yield(c) == pytest.approx(8760 * p)

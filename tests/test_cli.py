@@ -1,5 +1,6 @@
 """The command-line driver end to end on a small generated market."""
 
+import argparse
 import csv
 import json
 import tracemalloc
@@ -17,6 +18,7 @@ from vartau.covariance import corr_vs_tau
 from vartau.hurst import (HurstParams, SimConfig, read_panel_csv, simulate_fbm,
                           simulate_shot_noise)
 from vartau.panel import map_candles
+from vartau.predictor import PredictionCoeffs
 from vartau.synthetic import random_walk_candles
 from vartau.variogram import (Variogram, default_tau_grid, percentile_curves, value_at,
                               variogram_diff_of_avg)
@@ -269,7 +271,7 @@ def test_variogram_rejects_bad_tau_flags(data, tmp_path, capsys, flags):
 @pytest.mark.parametrize("value", ["-1", "nan", "inf", "-inf"])
 @pytest.mark.parametrize("flag, code", [
     ("--ridge", 3), ("--cost", 3), ("--stake", 3),
-    ("--vol", 2), ("--delta", 3), ("--rate", 3), ("--sigma", 3),
+    ("--vol", 3), ("--delta", 3), ("--rate", 3), ("--sigma", 3),
 ])
 def test_non_finite_flag_is_rejected_like_a_negative_one(data, tmp_path, capsys, flag,
                                                           code, value):
@@ -283,8 +285,16 @@ def test_non_finite_flag_is_rejected_like_a_negative_one(data, tmp_path, capsys,
     else:
         argv = ["simulate", "--epsilon", "0.1", "--hours-per-year", "50",
                 "--method", "shot"]
-    assert cli.main([*argv, f"{flag}={value}", "--out-dir", str(out)]) == code
-    assert ("usage error" if code == 2 else "data error") in capsys.readouterr().err
+    if flag in ("--stake", "--sigma"):      # retired: only a manifest still records a value
+        assert cli.main([*argv, "--out-dir", str(tmp_path / "run")]) == 0
+        manifest = json.loads((tmp_path / "run" / "run_manifest.json").read_text())
+        manifest["args"].update({flag[2:]: float(value), "out_dir": str(out)})
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        argv = ["--manifest", str(tmp_path / "manifest.json")]
+    else:
+        argv = [*argv, f"{flag}={value}", "--out-dir", str(out)]
+    assert cli.main(argv) == code
+    assert "data error" in capsys.readouterr().err
     written = {p.name for p in out.glob("*")} if out.exists() else set()
     assert not {"summary.json", "panel.csv"} & written
     assert not [n for n in written if n.startswith("coeffs_")]
@@ -309,6 +319,101 @@ def test_simulate_method_picks_the_simulator(tmp_path, method, simulate):
                      "--out-dir", str(tmp_path)]) == 0
     simulate(HurstParams(0.1, rate=2.0), SimConfig(1, 50, seed=3)).write_csv(tmp_path / "want.csv")
     assert (tmp_path / "panel.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--epsilon", "0.5"), ("--years", "0"), ("--hours-per-year", "3"), ("--seed", "-1"),
+])
+def test_simulate_value_it_cannot_take_exits_3_before_any_file(tmp_path, capsys, flag,
+                                                               value):
+    # --seed -1 once ended in numpy's traceback, and the others exited 2
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--epsilon", "0.1", "--hours-per-year", "50",
+                     f"{flag}={value}", "--out-dir", str(out)]) == 3
+    assert "data error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# For each (command, mode): the base run's flags, and every setting that the
+# mode reads with a value off the base run's, which must change an output file.
+# The base market-meanrev run trades one-name sides, so that its other settings
+# have trades to act on; the base xcorr run keeps five tickers or more, so that
+# a side of the top fraction can hold two. xcorr trades its coefficient file's
+# tickers, so --min-active-fraction can only stop it (when it drops one), not
+# change it.
+SETTINGS = {
+    ("simulate", "fft"): (["--epsilon", "0.1", "--hours-per-year", "50"], {
+        "--epsilon": "0.2", "--years": "2", "--hours-per-year": "60", "--vol": "0.3",
+        "--seed": "1", "--delta": "2.0"}),      # at or below 0.5, delta only rescales fft
+    ("simulate", "shot"): (["--epsilon", "0.1", "--hours-per-year", "50"], {
+        "--epsilon": "0.2", "--years": "2", "--hours-per-year": "60", "--vol": "0.3",
+        "--seed": "1", "--delta": "2.0", "--rate": "3"}),
+    ("backtest", "sim-meanrev"): (["--panel", "{panel}"], {"--panel": "{panel2}"}),
+    ("backtest", "market-meanrev"): (
+        ["--data-dir", "{market}", "--years", "2021", "--min-side-count", "1"], {
+            "--data-dir": "{other}", "--years": "2021,2022", "--kind": "volume",
+            "--min-active-fraction": "0.8", "--cost": "0.001", "--min-side-count": "2",
+            "--long-only": None}),
+    ("backtest", "xcorr"): (
+        ["--data-dir", "{market}", "--years", "2021", "--coeffs", "{coeffs}",
+         "--min-active-fraction", "0.3"], {
+            "--data-dir": "{other}", "--years": "2021,2022", "--kind": "volume",
+            "--cost": "0.001", "--coeffs": "{coeffs2}", "--staleness": "2",
+            "--top-fraction": "0.5"}),
+}
+
+
+@pytest.fixture(scope="module")
+def setting_inputs(tmp_path_factory):
+    """Paths for SETTINGS: two markets that differ in T5's spacing, two simulated
+    panels, and two coefficient files for T0-T4.
+
+    In the module's market only T0 has, in one hour, a return and both fill
+    prices, so market-meanrev never trades there; here T0, T1 and T2 do, and
+    T2 is active in 76 % of the hours of 2021 on the dollar clock."""
+    root = tmp_path_factory.mktemp("settings")
+    paths = {}
+    for name, last in (("market", 180), ("other", 150)):
+        paths[name] = root / name
+        paths[name].mkdir()
+        for t, s in market(spacings=(60, 60, 75, 90, 120, last)).items():
+            write_candles(paths[name] / f"{t}.csv", s)
+    for name, seed in (("panel", 4), ("panel2", 5)):
+        paths[name] = root / f"{name}.csv"
+        simulate_fbm(HurstParams(0.1), SimConfig(3, 50, seed=seed)).write_csv(paths[name])
+    b = np.random.default_rng(6).uniform(-0.5, 0.5, (5, 5))
+    np.fill_diagonal(b, 0.0)
+    for name, sign in (("coeffs", 1.0), ("coeffs2", -1.0)):
+        paths[name] = root / f"{name}.csv"
+        PredictionCoeffs([f"T{i}" for i in range(5)], sign * b).write_csv(paths[name])
+    return paths
+
+
+@pytest.mark.parametrize("command, mode", list(SETTINGS))
+def test_every_setting_changes_a_result(setting_inputs, tmp_path, command, mode):
+    base, settings = SETTINGS[command, mode]
+    head = [command, "--method" if command == "simulate" else "--strategy", mode,
+            *(a.format(**setting_inputs) for a in base)]
+
+    def outputs(*extra):
+        out = tmp_path / str(len(list(tmp_path.iterdir())))
+        assert cli.main([*head, *extra, "--out-dir", str(out)]) == 0, extra
+        return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "run_manifest.json"}
+
+    want = outputs()
+    for flag, value in settings.items():
+        # the last of a repeated flag wins
+        extra = [flag] if value is None else [flag, value.format(**setting_inputs)]
+        assert outputs(*extra) != want, f"{command} {mode} {flag} changes nothing"
+
+
+def test_settings_table_covers_every_simulate_and_backtest_option():
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for command in ("simulate", "backtest"):
+        options = {a.option_strings[-1] for a in commands[command]._actions if a.option_strings}
+        covered = set().union(*(flags for (c, _), (_, flags) in SETTINGS.items() if c == command))
+        assert options - {"--help", "--out-dir", "--method", "--strategy"} == covered
 
 
 def test_refine_does_not_validate_on_a_predict_year(data, tmp_path):
@@ -566,31 +671,41 @@ def test_variogram_has_no_method_flag(data, tmp_path):
 
 
 def test_retired_variogram_method_replays_only_as_diff_of_avg(data, tmp_path, capsys):
-    # manifests written while variogram had --method record it; the one value
-    # that is still the command's behaviour replays, any other is refused
-    argv = ["variogram", "--data-dir", str(data), "--year", "2021", "--tau-grid", "0.25:32:4"]
-    assert cli.main([*argv, "--out-dir", str(tmp_path / "run")]) == 0
-    manifest = json.loads((tmp_path / "run" / "run_manifest.json").read_text())
+    # manifests written while a command had a flag that is now gone record it;
+    # the one value that is still the command's behaviour replays, any other is refused
+    runs = {
+        "variogram": (["variogram", "--data-dir", str(data), "--year", "2021",
+                       "--tau-grid", "0.25:32:4"], "method", "diff_of_avg", "two_point_grid"),
+        "simulate": (["simulate", "--epsilon", "0.1", "--hours-per-year", "50",
+                      "--method", "shot"], "sigma", 1.0, 2.0),
+        "backtest": (["backtest", "--strategy", "market-meanrev", "--data-dir", str(data),
+                      "--years", "2021", "--min-side-count", "1"], "stake", 1.0, 2.0),
+    }
+    for command, (argv, flag, kept, gone) in runs.items():
+        run = tmp_path / command / "run"
+        assert cli.main([*argv, "--out-dir", str(run)]) == 0
+        manifest = json.loads((run / "run_manifest.json").read_text())
 
-    def replay(method):
-        manifest["args"].update(method=method, out_dir=str(tmp_path / method))
-        path = tmp_path / f"{method}.json"
-        path.write_text(json.dumps(manifest))
-        return cli.main(["--manifest", str(path)]), path
+        def replay(value):
+            out = tmp_path / command / str(value)
+            manifest["args"].update({flag: value, "out_dir": str(out)})
+            path = tmp_path / command / f"{value}.json"
+            path.write_text(json.dumps(manifest))
+            return cli.main(["--manifest", str(path)]), path, out
 
-    assert replay("diff_of_avg")[0] == 0
-    written = sorted(p.name for p in (tmp_path / "run").iterdir())
-    assert written == sorted(p.name for p in (tmp_path / "diff_of_avg").iterdir())
-    for name in written:
-        if name != "run_manifest.json":
-            assert (tmp_path / "run" / name).read_bytes() == \
-                (tmp_path / "diff_of_avg" / name).read_bytes(), name
-    capsys.readouterr()
-    code, path = replay("two_point_grid")
-    assert code == 3
-    err = capsys.readouterr().err
-    assert str(path) in err and "--method two_point_grid" in err
-    assert not (tmp_path / "two_point_grid").exists()
+        code, _, out = replay(kept)
+        assert code == 0
+        written = sorted(p.name for p in run.iterdir())
+        assert written == sorted(p.name for p in out.iterdir())
+        for name in written:
+            if name != "run_manifest.json":
+                assert (run / name).read_bytes() == (out / name).read_bytes(), name
+        capsys.readouterr()
+        code, path, out = replay(gone)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(path) in err and f"--{flag} {gone}" in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("text", [
@@ -609,13 +724,16 @@ def test_manifest_with_a_flag_or_command_the_program_lacks_exits_3(data, tmp_pat
                      "--out-dir", str(tmp_path / "run")]) == 0
     manifest = json.loads((tmp_path / "run" / "run_manifest.json").read_text())
     manifest["args"].update(bogus=1, out_dir=str(tmp_path / "replay"))
-    cases = {"flag": (manifest, "--bogus 1"), "command": ({"command": "bogus"}, "'bogus'")}
+    # a recorded help once printed the command's usage and replayed nothing, exiting 0
+    cases = {"flag": (manifest, "--bogus 1"), "command": ({"command": "bogus"}, "'bogus'"),
+             "help": ({"command": "clock", "args": {"help": True}}, "--help")}
     for name, (written, named) in cases.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(written))
         assert cli.main(["--manifest", str(path)]) == 3
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert f"data error: manifest {str(path)!r}" in err and named in err
+        assert out == ""
     assert not (tmp_path / "replay").exists()
 
 

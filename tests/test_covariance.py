@@ -1,5 +1,7 @@
 """Asynchronous covariance, correlation curves, two-component model."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -259,3 +261,19 @@ class TestTwoComponent:
         with pytest.raises(DataError, match="start indices of row 1"):
             pair_stats([rs([0.1, 0.2, 0.3]), rs([0.1, 0.2, 0.3], idx=np.array(idx))],
                        7, 1.0)
+
+    def test_pair_stats_state_grows_with_the_returns_not_the_grid(self):
+        # three rows of ten returns on a grid of 200,000 column blocks once
+        # held state for every block, 20 MiB of it, and took a second
+        rng = np.random.default_rng(0)
+        width = 4096 * 200_000
+        rows = [rs(rng.normal(size=10), idx=np.sort(rng.choice(width, 10, replace=False)))
+                for _ in range(3)]
+        tracemalloc.start()
+        try:
+            _, n = pair_stats(rows, width, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+        assert np.diag(n).tolist() == [10, 10, 10]

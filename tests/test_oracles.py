@@ -56,7 +56,7 @@ from vartau.errors import DataError
 from vartau.hurst import (PANEL_HEADER, HurstParams, PricePanel, SimConfig, _shot_logp,
                           read_panel_csv, simulate_fbm, simulate_shot_noise)
 from vartau.panel import build_panel, grid_returns, map_candles
-from vartau.predictor import (PredictionCoeffs, fmse, naive_predict, prediction_report,
+from vartau.predictor import (PredictionCoeffs, fmse, market_mode, predict, prediction_report,
                               read_coeffs_csv)
 from vartau.variogram import PERCENTILES, Variogram, default_tau_grid
 
@@ -630,7 +630,7 @@ def assert_same_backtest(got, want, cost):
 def test_meanrev_matches_hour_loop(prices, min_side_count, long_only, cost, block):
     tickers = [f"T{i}" for i in range(len(prices))]
     cfg = StrategyConfig(staleness=1, top_fraction=0.05, min_side_count=min_side_count,
-                         stake=1.0, cost_per_round_trip=cost)
+                         cost_per_round_trip=cost)
     want = run_market_meanrev_loop(prices, tickers, cfg, long_only)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(backtest, "_BLOCK_HOURS", block)
@@ -649,7 +649,7 @@ def test_xcorr_matches_hour_loop(prices, staleness, top, cost, zero_b, seed, blo
     tickers = [f"T{i}" for i in range(n)]
     coeffs = PredictionCoeffs(tickers, b)
     cfg = StrategyConfig(staleness=staleness, top_fraction=top, min_side_count=100,
-                         stake=1.0, cost_per_round_trip=cost)
+                         cost_per_round_trip=cost)
     want = run_xcorr_strategy_loop(prices, tickers, coeffs, cfg)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(backtest, "_BLOCK_HOURS", block)
@@ -673,10 +673,9 @@ def test_ledger_csv_matches_rows(cols, block):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 12).flatmap(lambda n: hnp.arrays(np.float64, n)),
-       st.one_of(st.floats(1e-3, 1e3), st.integers(1, 5)), BLOCKS)
-def test_equity_csv_matches_rows(cum_pnl, stake, block):
-    curve = EquityCurve(cum_pnl, stake)
+@given(st.integers(0, 12).flatmap(lambda n: hnp.arrays(np.float64, n)), BLOCKS)
+def test_equity_csv_matches_rows(cum_pnl, block):
+    curve = EquityCurve(cum_pnl)
     assert (written(EquityCurve.write_csv, curve, block)
             == written(write_equity_csv_rows, curve))
 
@@ -782,5 +781,8 @@ def test_naive_row_matches_per_metric_scores(data):
     r = r[(~np.isnan(r)).sum(axis=1) >= 2]      # a variance needs two observed hours
     if len(r) < 2:
         return
-    variances = np.nanvar(r, axis=1)
-    assert prediction_report(naive_predict(r, variances), r) == naive_scores(r)
+    tickers = [f"T{i}" for i in range(len(r))]
+    got = prediction_report(predict(market_mode(tickers, np.nanvar(r, axis=1)), r), r)
+    want = naive_scores(r)
+    assert got.keys() == want.keys()
+    assert all(abs(got[k] - want[k]) <= 1e-12 * abs(want[k]) for k in want)

@@ -10,7 +10,7 @@ from vartau.covariance import CovMatrix
 from vartau.errors import DataError, NumericalError
 from vartau.predictor import (PredictionCoeffs, default_ridge, fmse,
                               gradient_refine, invert_with_ridge, loo_coefficients,
-                              naive_predict, predict, prediction_report, read_coeffs_csv)
+                              market_mode, predict, prediction_report, read_coeffs_csv)
 
 
 def equal_corr_matrix(variances: np.ndarray, rho: float) -> np.ndarray:
@@ -144,6 +144,11 @@ class TestPredict:
         assert np.allclose(predict(b, r), [[2.0], [3.0], [1.0]])
 
 
+def naive_predict(r, variances):
+    """The market-mode prediction of a return panel, as the predict command scores it."""
+    return predict(market_mode([f"T{i}" for i in range(len(r))], variances), r)
+
+
 class TestNaive:
     def test_identical_returns_reproduced(self):
         r = np.full((5, 1), 0.7)
@@ -173,6 +178,14 @@ class TestNaive:
             scale = (n - 1) * rho / (1 + (n - 2) * rho)
             assert np.allclose(predict(b, r),
                                scale * naive_predict(r, variances), atol=1e-10)
+
+    @pytest.mark.parametrize("tickers, variances", [
+        (["A", "B", "C"], [1.0, 0.0, 2.0]), (["A", "B"], [1.0, np.nan]), (["A"], [1.0]),
+    ])
+    def test_rejects_a_variance_that_is_not_positive_and_a_lone_ticker(self, tickers,
+                                                                       variances):
+        with pytest.raises(DataError):
+            market_mode(tickers, np.array(variances))
 
 
 class TestMetrics:
