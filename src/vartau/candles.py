@@ -24,8 +24,12 @@ simulated panels, prediction coefficients) and its ``path:line`` errors, as
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
+import hashlib
 import io
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,6 +42,10 @@ CSV_HEADER = ["timestamp", "open", "high", "low", "close", "volume"]
 _ROW = np.dtype([("timestamp", np.int64)] + [(n, np.float64) for n in CSV_HEADER[1:]])
 # cells that write_table formats at a time, bounding its Python lists
 _WRITE_CELLS = 1 << 15
+# the parse cache beside each candle file, and its rows as stored: the
+# timestamps, then the bit patterns of the prices and of the volumes
+_CACHE_DIR = ".vartau"
+_ENTRY_COLUMNS = ("<i8", "<f8", "<f8")
 
 
 class CandleSeries:
@@ -48,7 +56,9 @@ class CandleSeries:
     series built from bars, ``CandleSeries(ticker, timestamps, open, high,
     low, close, volume)``, also keeps its ``open``, ``high``, ``low`` and
     ``close`` columns, so ``write_candles`` can write it back. A series read
-    by ``parse_candles`` holds no bars: those four attributes are None.
+    by ``parse_candles`` holds no bars: those four attributes are None, and
+    ``sha256`` is the digest of the file content it was read from (None for
+    any other series).
     """
 
     def __init__(self, ticker, timestamps, open_, high, low, close, volume):
@@ -70,12 +80,13 @@ class CandleSeries:
 
     def _hold(self, ticker, timestamps, price, volume) -> None:
         self.ticker = str(ticker)
+        self.sha256 = None
         self.timestamps = np.asarray(timestamps, dtype=np.int64)
         self.price = np.asarray(price, dtype=float)
         self.volume = np.asarray(volume, dtype=float)
         if len({len(self.timestamps), len(self.price), len(self.volume)}) != 1:
             raise DataError("candle column arrays have mismatched lengths")
-        if np.any(np.diff(self.timestamps) <= 0):
+        if np.any(self.timestamps[1:] <= self.timestamps[:-1]):    # np.diff can overflow
             raise DataError(f"{self.ticker}: timestamps not strictly increasing")
 
     def __len__(self) -> int:
@@ -148,8 +159,101 @@ def parse_candles(path) -> CandleSeries:
     Once every row is checked, the representative price ``(open + high +
     low + close) / 4.0`` is computed, and only it, the timestamps and the
     volumes are kept, in time order: the returned series holds no bars.
+
+    Each file is parsed once. The result is cached beside it, in
+    ``<dir>/.vartau/<stem>.<sha256>.<tag>.npy``: one (3, n) int64 array of
+    the timestamps and the bit patterns of the prices and volumes, so a
+    cached series is bit-identical to a parsed one. The key is the file's
+    content (its sha256) and the parser (``tag``, a digest of this module's
+    source), so an entry never goes stale and the directory is safe to
+    delete. An entry is written only for a file that passed every check and
+    did not change while it was parsed; it replaces the stem's older
+    entries. An entry that cannot be read is parsed again and rewritten, and
+    a directory that cannot be written is parsed every time, without error.
     """
     path = Path(path)
+    try:
+        digest = sha256_file(path)
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc}") from exc
+    entry = path.parent / _CACHE_DIR / f"{path.stem}.{digest}.{_parser_tag()}.npy"
+    series = _read_entry(entry, path.stem)
+    if series is None:
+        series = _parse(path)
+        with contextlib.suppress(OSError):      # unwritable, or the file is gone since
+            if sha256_file(path) == digest:
+                _write_entry(entry, path.stem, series)
+    series.sha256 = digest
+    return series
+
+
+def sha256_file(path) -> str:
+    """The hex sha256 of a file's bytes, read through one reused buffer."""
+    h, buf = hashlib.sha256(), bytearray(1 << 20)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            h.update(view[:n])
+    return h.hexdigest()
+
+
+@functools.cache
+def _parser_tag() -> str:
+    """A digest of this module's source, in every cache entry's name, so that
+    no entry written by other parser code is read."""
+    return hashlib.sha256(Path(__file__).read_bytes()).hexdigest()[:12]
+
+
+def _read_entry(entry: Path, ticker: str) -> CandleSeries | None:
+    """The series cached in ``entry``, or None if it is missing or not a
+    whole entry of this format.
+
+    Nothing is unpickled: the header must describe a C-order (3, n) ``<i8``
+    array and the file must hold exactly its 24n bytes. Each column is read
+    into its own array, so a column that a caller drops is freed.
+    """
+    try:
+        with open(entry, "rb") as fh:
+            if np.lib.format.read_magic(fh) != (1, 0):
+                return None
+            shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
+            if dtype != np.dtype("<i8") or fortran or len(shape) != 2 or shape[0] != 3:
+                return None
+            n = shape[1]
+            if n < 1 or os.fstat(fh.fileno()).st_size != fh.tell() + 24 * n:
+                return None
+            cols = [np.empty(n, kind) for kind in _ENTRY_COLUMNS]
+            if any(fh.readinto(c) != c.nbytes for c in cols):
+                return None
+        return CandleSeries.from_prices(ticker, *cols)
+    except (OSError, ValueError, DataError):     # DataError: timestamps out of order
+        return None
+
+
+def _write_entry(entry: Path, stem: str, series: CandleSeries) -> None:
+    """Write ``series`` to ``entry`` through a temporary file, then delete the
+    stem's other entries. An OSError is raised with no temporary file left."""
+    tmp = entry.with_name(f"{entry.name}.{os.getpid()}.tmp")
+    try:
+        entry.parent.mkdir(exist_ok=True)
+        with open(tmp, "wb") as fh:
+            np.lib.format.write_array_header_1_0(
+                fh, {"descr": "<i8", "fortran_order": False, "shape": (3, len(series))})
+            for col, kind in zip((series.timestamps, series.price, series.volume),
+                                 _ENTRY_COLUMNS):
+                fh.write(col.astype(kind, copy=False).data)
+        os.replace(tmp, entry)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        raise
+    for p in entry.parent.iterdir():
+        parts = p.name.rsplit(".", 3)       # stem, sha256, tag, "npy"
+        if p != entry and len(parts) == 4 and parts[0] == stem and parts[3] == "npy":
+            p.unlink(missing_ok=True)
+
+
+def _parse(path: Path) -> CandleSeries:
+    """``parse_candles`` without its cache."""
     _, rows = read_table(path, _ROW, CSV_HEADER, _candle_faults)
     if len(rows) == 0:
         raise DataError(f"{path}: no candles")

@@ -11,6 +11,12 @@ Every candle command but ``clock`` loads through ``_mapped``, which maps
 each ticker's candles to transaction time once, on the clocks of the
 requested kind and years; the analysis modules read only mapped candles.
 
+Each candle file is parsed once: ``parse_candles`` caches its columns in
+``<data-dir>/.vartau/``, keyed on the file's content and on the parser's
+code, so a later command on the same files loads them instead. The
+directory is safe to delete, and a data directory that cannot be written
+is parsed on every run. Replay ignores it, as it reads only ``*.csv``.
+
 Exit codes: 0 success, 2 usage, 3 data error (such as a manifest that does not
 replay, or a value a simulation cannot take), 4 numerical failure.
 """
@@ -18,7 +24,6 @@ replay, or a value a simulation cannot take), 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from datetime import datetime, timezone
@@ -33,7 +38,7 @@ from . import hurst
 from . import panel as pn
 from . import predictor as pred
 from . import variogram as vg
-from .candles import CandleSeries, not_utf8, parse_candles, write_table
+from .candles import CandleSeries, not_utf8, parse_candles, sha256_file, write_table
 from .clock import ClockKind, build_clock, year_bounds
 from .errors import DataError, NumericalError
 
@@ -46,6 +51,11 @@ class UsageError(Exception):
 
 
 class _RaisingParser(argparse.ArgumentParser):
+    """The replay parser: a manifest's flags must be spelt out in full."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs, allow_abbrev=False)
+
     def error(self, message):       # raise, where argparse would exit
         raise UsageError(message)
 
@@ -57,22 +67,15 @@ class _RaisingParser(argparse.ArgumentParser):
 # shared plumbing
 # ---------------------------------------------------------------------------
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _write_manifest(out_dir: Path, command: str, args, inputs: list[Path]) -> None:
+def _write_manifest(out_dir: Path, command: str, args, inputs: dict[Path, str]) -> None:
+    """``inputs`` maps each file read to its sha256, taken when it was read."""
     flags = {k: v for k, v in vars(args).items() if k not in _NON_FLAG_KEYS}
     _write_json(out_dir / "run_manifest.json", {
         "tool": "vartau",
         "version": __version__,
         "command": command,
         "args": flags,
-        "inputs": {str(p): _sha256(p) for p in sorted(set(map(Path, inputs)))},
+        "inputs": {str(p): inputs[p] for p in sorted(inputs)},
         "created_utc": datetime.now(timezone.utc).isoformat(),
     })
 
@@ -87,8 +90,9 @@ def _write_json(path: Path, obj) -> None:
         fh.write(text + "\n")
 
 
-def _load_dir(data_dir: str, years: list[int]) -> tuple[dict, list[Path]]:
-    """Every candle file's series, cut to the span of the given years, and the files read.
+def _load_dir(data_dir: str, years: list[int]) -> tuple[dict, dict[Path, str]]:
+    """Every candle file's series, cut to the span of the given years, and
+    each file read with the sha256 of the content parsed.
 
     Each series holds three columns (see ``parse_candles``). A cut series gets
     its own copy of the kept rows, so the rest of the file is freed; a file
@@ -101,13 +105,14 @@ def _load_dir(data_dir: str, years: list[int]) -> tuple[dict, list[Path]]:
     if not files:
         raise DataError(f"no .csv candle files in {data_dir!r}")
     t0, t1 = year_bounds(min(years))[0], year_bounds(max(years))[1]
-    out = {}
+    out, digests = {}, {}
     for f in files:
         s = parse_candles(f)
+        digests[f] = s.sha256
         sub = s.slice_window(t0, t1)
         out[f.stem] = s if len(sub) == len(s) else CandleSeries.from_prices(
             s.ticker, *(a.copy() for a in (sub.timestamps, sub.price, sub.volume)))
-    return out, files
+    return out, digests
 
 
 def _year(text: str) -> int:
@@ -167,11 +172,12 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _mapped(data_dir: str, years: list[int], kind: str) -> tuple[pn.TxnCandles, list[Path]]:
-    """The candles mapped once to the years' clocks of the given kind, and the files read."""
-    series, files = _load_dir(data_dir, years)
+def _mapped(data_dir: str, years: list[int], kind: str) -> tuple[pn.TxnCandles, dict[Path, str]]:
+    """The candles mapped once to the years' clocks of the given kind, and
+    the files read with their digests."""
+    series, digests = _load_dir(data_dir, years)
     clocks = [build_clock(series.values(), ClockKind(kind), y) for y in years]
-    return pn.map_candles(series, clocks), files
+    return pn.map_candles(series, clocks), digests
 
 
 # ---------------------------------------------------------------------------
@@ -219,19 +225,19 @@ def cmd_simulate(args) -> int:
     panel = simulate(params, config)
     out = _out_dir(args)
     panel.write_csv(out / "panel.csv")
-    _write_manifest(out, "simulate", args, [])
+    _write_manifest(out, "simulate", args, {})
     return 0
 
 
 def cmd_backtest(args) -> int:
     if args.long_only and args.strategy != "market-meanrev":
         raise UsageError(f"--long-only applies to market-meanrev only, not {args.strategy}")
-    inputs: list[Path] = []
+    inputs: dict[Path, str] = {}
     if args.strategy == "sim-meanrev":
         if not args.panel:
             raise UsageError("sim-meanrev needs --panel")
         panel = hurst.read_panel_csv(args.panel)
-        inputs.append(Path(args.panel))
+        inputs[Path(args.panel)] = sha256_file(args.panel)
         p_y = bt.run_sim_meanrev(panel.prices)
         summary = {
             "mean": float(p_y.mean()),
@@ -250,13 +256,13 @@ def cmd_backtest(args) -> int:
             if not args.coeffs:
                 raise UsageError("xcorr needs --coeffs")
             coeffs = pred.read_coeffs_csv(args.coeffs)     # before the market is parsed
-            inputs.append(Path(args.coeffs))
+            inputs[Path(args.coeffs)] = sha256_file(args.coeffs)
         config = bt.StrategyConfig(
             staleness=args.staleness, top_fraction=args.top_fraction,
             min_side_count=args.min_side_count, cost_per_round_trip=args.cost)
         pn.check_active_fraction(args.min_active_fraction)    # before the market is parsed
-        candles, files = _mapped(args.data_dir, years, args.kind)
-        inputs += files
+        candles, digests = _mapped(args.data_dir, years, args.kind)
+        inputs.update(digests)
         panel = pn.build_panel(candles).eligible(args.min_active_fraction)
         del candles
         tickers, prices = panel.tickers, panel.price
@@ -490,7 +496,7 @@ def _replay(manifest_path: str) -> int:
     for path, digest in sorted(inputs.items()):
         if not Path(path).is_file():
             raise DataError(f"manifest input {path} is missing")
-        if _sha256(Path(path)) != digest:
+        if sha256_file(Path(path)) != digest:
             raise DataError(f"manifest input {path} has changed since the run")
     data_dir = args.get("data_dir")
     if data_dir:

@@ -92,6 +92,9 @@ class HurstParams:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Size, volatility and seed of a simulated panel; an error names the
+    ``simulate`` flag of the bad field and the value it got."""
+
     n_years: int
     hours_per_year: int = HOURS_PER_YEAR
     target_vol: float = 0.15
@@ -99,13 +102,13 @@ class SimConfig:
 
     def __post_init__(self):
         if self.n_years < 1:
-            raise DataError("n_years must be >= 1")
+            raise DataError(f"--years must be >= 1, got {self.n_years}")
         if self.hours_per_year < 4:
-            raise DataError("hours_per_year must be >= 4")
+            raise DataError(f"--hours-per-year must be >= 4, got {self.hours_per_year}")
         if not 0 < self.target_vol < math.inf:
-            raise DataError("target_vol must be positive and finite")
+            raise DataError(f"--vol must be positive and finite, got {self.target_vol}")
         if self.seed < 0:
-            raise DataError(f"seed must be >= 0, got {self.seed}")
+            raise DataError(f"--seed must be >= 0, got {self.seed}")
 
 
 @dataclass

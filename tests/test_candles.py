@@ -1,12 +1,20 @@
-"""Candle parsing, representative prices, binning and log returns."""
+"""Candle parsing and its cache, representative prices, binning and log returns."""
 
 import math
+import os
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vartau import cli
-from vartau.candles import CandleSeries, bin_series, parse_candles, write_candles
+from oracles import parse_candles_loop
+from test_oracles import candle_rows, layouts, render, write
+from vartau import candles, cli
+from vartau.candles import CandleSeries, bin_series, parse_candles, sha256_file, write_candles
 from vartau.clock import ClockKind, ClockMap, build_clock, hours_in_year, year_bounds
 from vartau.errors import DataError
 from vartau.panel import grid_returns, map_candles
@@ -113,7 +121,7 @@ class TestParse:
                          "--kind", "dollar", "--out-dir", str(tmp_path / "out")]) == 3
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="cannot open .*NOPE.csv"):
             parse_candles(tmp_path / "NOPE.csv")
 
     def test_byte_order_mark_before_header(self, tmp_path):
@@ -159,6 +167,139 @@ class TestParse:
         with pytest.raises(DataError, match="no bars"):
             write_candles(tmp_path / "OUT.csv", s)
         assert not (tmp_path / "OUT.csv").exists()
+
+
+# three valid candles out of order, one with a volume of -0.0
+CACHED_ROWS = ["1609459260,10,11,9,10.5,1000", "1609459200,11,12,10,11,-0.0",
+               "1609459320,9.5,9.75,9.25,9.5,3.5"]
+
+
+def entries(d):
+    cache = d / ".vartau"
+    return sorted(cache.iterdir()) if cache.is_dir() else []
+
+
+def bits(s):
+    """A series' three columns, floats as their bit patterns."""
+    return [s.timestamps, s.price.view(np.int64), s.volume.view(np.int64)]
+
+
+def same_bits(a, b):
+    return all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(bits(a), bits(b)))
+
+
+def parsed_by_loop(path):
+    """``oracles.parse_candles_loop``'s series, in the three columns a parse keeps."""
+    want = parse_candles_loop(path)
+    price = (want.open + want.high + want.low + want.close) / 4.0
+    return CandleSeries.from_prices(want.ticker, want.timestamps, price, want.volume)
+
+
+def no_parse():
+    """Within it, a parse_candles that reads its CSV fails the test."""
+    return mock.patch.object(candles, "read_table", side_effect=AssertionError("parsed"))
+
+
+class TestCache:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_a_hit_is_bit_identical_to_a_parse(self, data):
+        lines, ends = data.draw(layouts(data.draw(candle_rows())))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write(tmp, render(lines, ends))
+            cold = parse_candles(path)
+            assert len(entries(Path(tmp))) == 1
+            with no_parse():
+                hit = parse_candles(path)
+            want = parsed_by_loop(path)
+        assert same_bits(hit, cold) and same_bits(hit, want)
+        assert hit.ticker == cold.ticker == want.ticker
+
+    def test_a_changed_byte_misses(self, tmp_path):
+        p = write_csv(tmp_path, CACHED_ROWS)
+        assert parse_candles(p).volume.tolist() == [-0.0, 1000.0, 3.5]
+        p.write_text(p.read_text().replace(",3.5\n", ",4.5\n"))
+        assert parse_candles(p).volume.tolist() == [-0.0, 1000.0, 4.5]
+        [entry] = entries(tmp_path)         # the older entry is deleted
+        assert entry.name.startswith(f"TEST.{sha256_file(p)}.")
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda e: e.write_bytes(e.read_bytes()[:-1]),
+        lambda e: e.write_bytes(e.read_bytes() + b"\0" * 8),
+        lambda e: e.write_bytes(b"not an entry"),
+        lambda e: e.write_bytes(b""),
+        lambda e: np.save(e, np.load(e).view(np.float64)),
+        lambda e: np.save(e, np.load(e)[:2]),
+        lambda e: np.save(e, np.load(e).T.copy()),
+        lambda e: np.save(e, np.asfortranarray(np.load(e))),
+        lambda e: np.save(e, np.load(e)[:, ::-1].copy()),
+    ], ids=["truncated", "trailing", "text", "empty", "dtype", "rows", "transposed",
+            "fortran", "unsorted"])
+    def test_an_unreadable_entry_is_parsed_again_and_replaced(self, tmp_path, corrupt):
+        p = write_csv(tmp_path, CACHED_ROWS)
+        want = parse_candles(p)
+        [entry] = entries(tmp_path)
+        good = entry.read_bytes()
+        corrupt(entry)
+        assert same_bits(parse_candles(p), want)
+        assert entries(tmp_path) == [entry] and entry.read_bytes() == good
+
+    @pytest.mark.parametrize("blocked", ["read_only", "cache_is_a_file"])
+    def test_a_directory_that_cannot_be_written_parses_and_writes_nothing(self, tmp_path,
+                                                                           blocked):
+        d = tmp_path / "data"
+        d.mkdir()
+        p = write_csv(d, CACHED_ROWS)
+        if blocked == "cache_is_a_file":
+            (d / ".vartau").write_text("x")
+        files = {q: q.read_bytes() for q in d.iterdir()}
+        if blocked == "read_only":
+            d.chmod(0o555)
+        try:
+            if os.access(d, os.W_OK) and blocked == "read_only":
+                pytest.skip("this user may write to a read-only directory")
+            for _ in range(2):
+                assert same_bits(parse_candles(p), parsed_by_loop(p))
+        finally:
+            d.chmod(0o755)
+        assert {q: q.read_bytes() for q in d.iterdir()} == files
+
+    def test_a_bad_row_raises_on_every_run_and_leaves_no_entry(self, tmp_path):
+        p = write_csv(tmp_path, ["1609459200,10,11,9,10.5,1000", "1609459260,10,9.5,9,9.2,50"])
+        for _ in range(2):
+            with pytest.raises(DataError, match=r"TEST\.csv:3: high"):
+                parse_candles(p)
+        assert entries(tmp_path) == []
+
+    def test_an_entry_of_other_parser_code_is_not_read(self, tmp_path):
+        p = write_csv(tmp_path, CACHED_ROWS)
+        want = parse_candles(p)
+        [entry] = entries(tmp_path)
+        stem, digest, tag, _ = entry.name.split(".")
+        other = entry.with_name(f"{stem}.{digest}.{'0' * len(tag)}.npy")
+        shifted = np.load(entry)
+        shifted[0] += 60
+        np.save(other, shifted)
+        entry.unlink()
+        assert same_bits(parse_candles(p), want)
+        assert entries(tmp_path) == [entry]     # the other code's entry is replaced
+
+    def test_a_stem_keeps_the_entries_of_a_longer_stem(self, tmp_path):
+        a = write_csv(tmp_path, CACHED_ROWS, "A.csv")
+        parse_candles(write_csv(tmp_path, CACHED_ROWS, "A.B.csv"))
+        parse_candles(a)
+        a.write_text(a.read_text() + "1609459380,9,9,9,9,1\n")
+        parse_candles(a)
+        names = {".".join(e.name.split(".")[:2]) for e in entries(tmp_path)}
+        assert names == {"A.B", f"A.{sha256_file(a)}"}
+
+    def test_loaded_columns_are_separate_allocations(self, tmp_path):
+        # a column that map_candles drops must free its memory
+        p = write_csv(tmp_path, CACHED_ROWS)
+        parse_candles(p)
+        with no_parse():
+            s = parse_candles(p)
+        assert all(c.base is None and c.flags.owndata for c in (s.timestamps, s.price, s.volume))
 
 
 class TestRepresentativePrice:

@@ -104,6 +104,27 @@ def test_manifest_replay_checks_its_inputs(tmp_path, capsys):
     assert f"{path} is missing" in capsys.readouterr().err
 
 
+def test_manifest_records_each_file_as_it_was_parsed(tmp_path, monkeypatch, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for t, s in market(years=(2021,), spacings=(600, 900)).items():
+        write_candles(data / f"{t}.csv", s)
+    parse = cli.parse_candles
+
+    def parse_then_edit(path):
+        series = parse(path)
+        path.write_bytes(path.read_bytes() + b"\n")    # a blank line: other bytes, same candles
+        return series
+
+    monkeypatch.setattr(cli, "parse_candles", parse_then_edit)
+    out = tmp_path / "out"
+    assert cli.main(["clock", "--data-dir", str(data), "--year", "2021",
+                     "--out-dir", str(out)]) == 0
+    monkeypatch.undo()
+    assert cli.main(["--manifest", str(out / "run_manifest.json")]) == 3
+    assert f"{data / 'T0.csv'} has changed" in capsys.readouterr().err
+
+
 def test_byte_order_mark_header_is_read(tmp_path):
     data = tmp_path / "data"
     data.mkdir()
@@ -125,6 +146,8 @@ def test_manifest_replay_rejects_an_added_candle_file(tmp_path, capsys):
     assert cli.main(["correlate", "--data-dir", str(data), "--years", "2021",
                      "--out-dir", str(out)]) == 0
     manifest = str(out / "run_manifest.json")
+    # the parse cache beside the files is no candle file
+    assert len(list((data / ".vartau").iterdir())) == 3
     assert cli.main(["--manifest", manifest]) == 0
 
     (data / "T9.csv").write_bytes((data / "T0.csv").read_bytes())
@@ -321,16 +344,20 @@ def test_simulate_method_picks_the_simulator(tmp_path, method, simulate):
     assert (tmp_path / "panel.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--epsilon", "0.5"), ("--years", "0"), ("--hours-per-year", "3"), ("--seed", "-1"),
-])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--epsilon", "0.5", "epsilon must be in (-1/2, 1/2), got 0.5"),
+    ("--years", "0", "--years must be >= 1, got 0"),
+    ("--hours-per-year", "3", "--hours-per-year must be >= 4, got 3"),
+    ("--vol", "-1", "--vol must be positive and finite, got -1.0"),
+    ("--seed", "-1", "--seed must be >= 0, got -1"),
+], ids=["--epsilon-0.5", "--years-0", "--hours-per-year-3", "--vol--1", "--seed--1"])
 def test_simulate_value_it_cannot_take_exits_3_before_any_file(tmp_path, capsys, flag,
-                                                               value):
+                                                               value, message):
     # --seed -1 once ended in numpy's traceback, and the others exited 2
     out = tmp_path / "out"
     assert cli.main(["simulate", "--epsilon", "0.1", "--hours-per-year", "50",
                      f"{flag}={value}", "--out-dir", str(out)]) == 3
-    assert "data error" in capsys.readouterr().err
+    assert f"data error: {message}\n" == capsys.readouterr().err
     assert not out.exists()
 
 
@@ -725,8 +752,11 @@ def test_manifest_with_a_flag_or_command_the_program_lacks_exits_3(data, tmp_pat
     manifest = json.loads((tmp_path / "run" / "run_manifest.json").read_text())
     manifest["args"].update(bogus=1, out_dir=str(tmp_path / "replay"))
     # a recorded help once printed the command's usage and replayed nothing, exiting 0
+    # an abbreviated flag once replayed as the flag it abbreviates, exiting 0
+    abbreviated = {"data": str(data), "year": 2021, "out_dir": str(tmp_path / "replay")}
     cases = {"flag": (manifest, "--bogus 1"), "command": ({"command": "bogus"}, "'bogus'"),
-             "help": ({"command": "clock", "args": {"help": True}}, "--help")}
+             "help": ({"command": "clock", "args": {"help": True}}, "--help"),
+             "abbreviation": ({"command": "clock", "args": abbreviated}, "--data-dir")}
     for name, (written, named) in cases.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(written))
