@@ -83,7 +83,8 @@ class EquityCurve:
     def write_csv(self, path) -> None:
         """txn_hour, cum_pnl and the yield annualized over the hours up to it."""
         hours = np.arange(len(self.cum_pnl))
-        ann = self.cum_pnl * ANNUAL_HOURS / (hours + 1)
+        with np.errstate(over="ignore"):        # a cum_pnl near the float maximum: inf
+            ann = self.cum_pnl * ANNUAL_HOURS / (hours + 1)
         write_table(path, ["txn_hour", "cum_pnl", "annualized"], [hours, self.cum_pnl, ann])
 
 

@@ -263,19 +263,17 @@ def cmd_backtest(args) -> int:
         pn.check_active_fraction(args.min_active_fraction)    # before the market is parsed
         candles, digests = _mapped(args.data_dir, years, args.kind)
         inputs.update(digests)
-        panel = pn.build_panel(candles).eligible(args.min_active_fraction)
+        if coeffs is not None:      # xcorr trades the coefficient file's tickers, in its order
+            missing = [t for t in coeffs.tickers if t not in candles.coords]
+            if missing:
+                raise DataError(f"coefficient ticker {missing[0]} has no candle file in "
+                                f"{args.data_dir}")
+            candles.coords = {t: candles.coords[t] for t in coeffs.tickers}
+        panel = pn.build_panel(candles, args.min_active_fraction if coeffs is None else None)
         del candles
         tickers, prices = panel.tickers, panel.price
-        if coeffs is None:
-            result = bt.run_market_meanrev(prices, tickers, config,
-                                           long_only=args.long_only)
-        else:
-            missing = [t for t in coeffs.tickers if t not in tickers]
-            if missing:
-                raise DataError(f"coefficient tickers missing from panel: {missing[:5]}")
-            idx = [tickers.index(t) for t in coeffs.tickers]
-            result = bt.run_xcorr_strategy(prices[idx], list(coeffs.tickers),
-                                           coeffs, config)
+        result = (bt.run_xcorr_strategy(prices, tickers, coeffs, config) if coeffs else
+                  bt.run_market_meanrev(prices, tickers, config, long_only=args.long_only))
         summary = {"annualized_yield": bt.annualized_yield(result.curve),
                    "total_pnl": result.ledger.total_pnl(),
                    "n_trades": len(result.ledger), **result.info}
@@ -296,7 +294,7 @@ def cmd_predict(args) -> int:
     if args.ridge is not None:
         pred.check_ridge(args.ridge)
     candles, inputs = _mapped(args.data_dir, all_years, args.kind)
-    panel = pn.build_panel(candles).eligible(args.min_active_fraction)
+    panel = pn.build_panel(candles, args.min_active_fraction)
     tickers = panel.tickers
     returns = panel.adjacent_returns()
     # before training, so a ticker with no return variance leaves no coeffs file
@@ -420,7 +418,8 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     sp.add_argument("--min-side-count", type=int, default=100,
                     help="fewest decliners and gainers an hour trades; market-meanrev only")
     sp.add_argument("--min-active-fraction", type=float, default=0.5,
-                    help=f"share of each year's hours a kept ticker trades in; {both}")
+                    help="share of each year's hours a kept ticker trades in; "
+                         "market-meanrev only (xcorr trades its coefficient file's tickers)")
     sp.add_argument("--cost", type=float, default=0.0,
                     help=f"charge per round trip, as a fraction of notional; {both}")
     sp.add_argument("--long-only", action="store_true", help="no shorts; market-meanrev only")

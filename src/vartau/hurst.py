@@ -23,6 +23,14 @@ spans of one to a few hundred hours. Each simulated year is linearly
 detrended to begin and end at log price zero, the panel is rescaled to
 the target global volatility, and exponentiated.
 
+The transform is at least twice the series, so the circular wrap-around
+lands in the discarded half, and one full-size operand is live at a time:
+the kernel is transformed and let go before the innovations are drawn, their
+spectrum is multiplied by the kernel's in place, and the post-processing
+works in place. pocketfft's scratch is about twice its output (13.6 MB beside
+the 6.75 MB spectrum of a 50-year panel), so one spectrum, one input and one
+transform are the floor of this path.
+
 The shot-noise path sums s_i * f(h - t_i) over the events before each
 hour h without visiting every (hour, event) pair. Event i falls in hour
 bucket b_i = floor(t_i) at offset phi_i = t_i - b_i. Its near field,
@@ -214,36 +222,27 @@ def sampled_kernel(params: HurstParams, n: int) -> np.ndarray:
     return k
 
 
-def fft_convolve(signal: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Linear (non-circular) convolution, truncated to len(signal).
-
-    The transform buffer is at least twice the signal so the circular
-    wrap-around lands entirely in the discarded half.
-    """
-    n = len(signal)
-    size = _next_fast_len(n + len(kernel) - 1)
-    out = np.fft.irfft(np.fft.rfft(signal, size) * np.fft.rfft(kernel, size), size)
-    return out[:n]
-
-
 def _postprocess(x: np.ndarray, target_vol: float) -> np.ndarray:
-    """Per-year linear detrend to zero endpoints, global vol rescale, exp."""
+    """Per-year linear detrend to zero endpoints, global vol rescale, exp; in place on x."""
     n_years, hours = x.shape
     ramp = np.arange(hours) / (hours - 1)
-    x = x - (x[:, [0]] + (x[:, [-1]] - x[:, [0]]) * ramp)
+    x -= x[:, [0]] + (x[:, [-1]] - x[:, [0]]) * ramp
     sd = x.std()
     if sd > 0:
-        x = x * (target_vol / sd)
-    return np.exp(x)
+        x *= target_vol / sd
+    return np.exp(x, out=x)
 
 
 def simulate_fbm(params: HurstParams, config: SimConfig) -> PricePanel:
     """Gaussian-limit simulation: FFT-convolve hourly normals with the kernel."""
     rng = np.random.default_rng(config.seed)
     n = config.n_years * config.hours_per_year
-    innovations = rng.standard_normal(n)
-    kernel = sampled_kernel(params, n)
-    logp = fft_convolve(innovations, kernel)
+    size = _next_fast_len(2 * n - 1)
+    kernel = np.fft.rfft(sampled_kernel(params, n), size)
+    spectrum = np.fft.rfft(rng.standard_normal(n), size)
+    spectrum *= kernel          # in this order: kernel * spectrum rounds differently
+    del kernel
+    logp = np.fft.irfft(spectrum, size)[:n]
     prices = _postprocess(logp.reshape(config.n_years, config.hours_per_year),
                           config.target_vol)
     return PricePanel(prices)
@@ -270,9 +269,12 @@ def _shot_logp(params: HurstParams, n: int, times: np.ndarray,
         h = buckets[lo:lo + chunk, None] + offsets
         u = h - times[lo:lo + chunk, None]
         live = (u >= delta) & (h < n)
-        s = np.broadcast_to(amps[lo:lo + chunk, None], h.shape)[live]
-        logp += np.bincount(h[live], weights=s * np.power(u[live] / delta, -eps),
-                            minlength=n)
+        w = u[live]
+        del u
+        w /= delta
+        np.power(w, -eps, out=w)
+        w *= np.broadcast_to(amps[lo:lo + chunk, None], h.shape)[live]
+        logp += np.bincount(h[live], weights=w, minlength=n)
     if n <= near + 1:
         return logp
     # every far pair has u > near >= delta, so the kernel is live there

@@ -92,37 +92,35 @@ class Panel:
     blocks: list[slice]      # each year's columns, in the order of ``years``
     price: np.ndarray        # (ticker, hour) mean representative price, NaN if empty
 
-    def eligible(self, min_active_fraction: float) -> "Panel":
-        """The rows with a bin in at least the given share, in (0, 1], of every
-        year's columns; exactly that share keeps a row."""
-        check_active_fraction(min_active_fraction)
-        present = np.isfinite(self.price)
-        keep = np.logical_and.reduce([present[:, sl].mean(axis=1) >= min_active_fraction
-                                      for sl in self.blocks])
-        if not keep.any():
-            raise DataError("no tickers pass the eligibility filter")
-        return Panel([t for t, k in zip(self.tickers, keep) if k], self.years,
-                     self.blocks, self.price[keep])
-
     def adjacent_returns(self) -> dict[int, np.ndarray]:
         """Per year, log returns of adjacent columns; NaN unless both are present."""
-        out = {}
-        for y, sl in zip(self.years, self.blocks):
-            p = self.price[:, sl]
-            ok = np.isfinite(p[:, 1:]) & np.isfinite(p[:, :-1])
-            out[y] = np.full((p.shape[0], p.shape[1] - 1), np.nan)
-            out[y][ok] = np.log(p[:, 1:][ok] / p[:, :-1][ok])
-        return out
+        return {y: np.log(self.price[:, sl][:, 1:] / self.price[:, sl][:, :-1])
+                for y, sl in zip(self.years, self.blocks)}
 
 
-def build_panel(candles: TxnCandles) -> Panel:
-    """The hourly prices: ``grid_bins`` at tau = 1, a row per ticker, a block per year."""
-    ends = np.cumsum(candles.widths(1.0)).tolist()
-    price = np.full((len(candles.coords), ends[-1]), np.nan)
-    for row, (k, _, p) in zip(price, grid_bins(candles, 1.0)):
+def build_panel(candles: TxnCandles, min_active_fraction: float | None = None) -> Panel:
+    """The hourly prices: ``grid_bins`` at tau = 1, a row per ticker, a block per year.
+
+    Given a share in (0, 1], only the tickers with a bin in at least that share
+    of every year's columns are kept (exactly that share keeps one), and a panel
+    that keeps none raises DataError.
+    """
+    if min_active_fraction is not None:
+        check_active_fraction(min_active_fraction)
+    widths = candles.widths(1.0)
+    ends = np.cumsum(widths).tolist()
+    blocks = [slice(a, b) for a, b in zip([0] + ends[:-1], ends)]
+    tickers, rows = [], []
+    for t, (k, _, p) in zip(candles.coords, grid_bins(candles, 1.0)):
+        row = np.full(ends[-1], np.nan)
         row[k] = p
-    return Panel(list(candles.coords), candles.years,
-                 [slice(a, b) for a, b in zip([0] + ends[:-1], ends)], price)
+        if min_active_fraction is None or all(np.isfinite(row[sl]).sum() / w >= min_active_fraction
+                                              for sl, w in zip(blocks, widths)):
+            tickers.append(t)
+            rows.append(row)
+    if min_active_fraction is not None and not rows:
+        raise DataError("no tickers pass the eligibility filter")
+    return Panel(tickers, candles.years, blocks, np.array(rows).reshape(len(rows), ends[-1]))
 
 
 def check_active_fraction(value: float) -> None:

@@ -148,15 +148,6 @@ def _per_ticker_moments(r_hat: np.ndarray, r: np.ndarray):
     return n, err2, rr, cross, hh
 
 
-def fmse(r_hat: np.ndarray, r: np.ndarray) -> float:
-    """Fractional mean-square error, averaged across tickers."""
-    n, err2, rr, _, _ = _per_ticker_moments(r_hat, r)
-    ok = (n > 0) & (rr > 0)
-    if not ok.any():
-        raise DataError("no ticker has usable observations")
-    return float(np.mean(err2[ok] / rr[ok]))
-
-
 def prediction_report(r_hat: np.ndarray, r: np.ndarray) -> dict[str, float]:
     """Score predictions r_hat of a return panel r (n_tickers, n_periods).
 
@@ -175,6 +166,27 @@ def prediction_report(r_hat: np.ndarray, r: np.ndarray) -> dict[str, float]:
         plain_k = np.where(ok, plain_k, np.nan)
     return {"fve": float(np.nanmean(fve_k)), "fmse": float(np.nanmean(fmse_k)),
             "fve_plain": float(np.nanmean(plain_k))}
+
+
+def validation_fmse(validation: list[np.ndarray]):
+    """b -> the FMSE of ``predict(b, v)`` (over the tickers with a non-zero outcome, the
+    mean of squared error over sum of squares), averaged over the panels v. Each panel's
+    mask, usable tickers and sums of squares are taken once; no zero-filled copy is kept."""
+    panels = []
+    for v in validation:
+        rr = np.where(np.isnan(v), 0.0, np.nan_to_num(v) ** 2).sum(axis=1)
+        if not (rr > 0).any():
+            raise DataError("no ticker has usable observations")
+        panels.append((v, np.isnan(v), rr > 0, rr[rr > 0]))
+
+    def fmse(b, v, missing, use, rr) -> float:
+        z = np.nan_to_num(v, nan=0.0)
+        err = np.nan_to_num(b @ z, copy=False)
+        err -= z
+        np.square(err, out=err)
+        err[missing] = 0.0
+        return float(np.mean(err.sum(axis=1)[use] / rr))
+    return lambda b: float(np.mean([fmse(b, *panel) for panel in panels]))
 
 
 def _loss(b: np.ndarray, s: np.ndarray) -> float:
@@ -201,9 +213,7 @@ def gradient_refine(train: np.ndarray, validation: list[np.ndarray],
         raise DataError("training panel does not match coefficient tickers")
     s = train @ train.T / n_h
 
-    def val_fmse(bmat: np.ndarray) -> float:
-        coeffs = PredictionCoeffs(init.tickers, bmat)
-        return float(np.mean([fmse(predict(coeffs, v), v) for v in validation]))
+    val_fmse = validation_fmse(validation)
 
     b = init.b.copy()
     np.fill_diagonal(b, 0.0)

@@ -37,8 +37,8 @@ from vartau.clock import ClockKind, ClockMap, build_clock, hours_in_year, year_b
 from vartau.covariance import corr_vs_tau, predicted_corr_ratio
 from vartau.errors import DataError
 from vartau.hurst import HurstParams, PricePanel, SimConfig, _postprocess
-from vartau.panel import map_candles
-from vartau.predictor import _per_ticker_moments, fmse
+from vartau.panel import build_panel, map_candles
+from vartau.predictor import _per_ticker_moments
 from vartau.variogram import MAX_DT_FACTOR, PERCENTILES, Variogram, variogram_diff_of_avg
 
 
@@ -419,6 +419,19 @@ def build_panel_loop(series, years, kind: ClockKind):
     return tickers, price
 
 
+def build_then_filter(candles, min_active_fraction: float):
+    """(tickers, prices) kept by the eligibility filter as it once ran: the
+    panel of every ticker, then the rows with a bin in at least the share of
+    every year's columns, taken as the mean of a boolean row."""
+    panel = build_panel(candles)
+    present = np.isfinite(panel.price)
+    keep = np.logical_and.reduce([present[:, sl].mean(axis=1) >= min_active_fraction
+                                  for sl in panel.blocks])
+    if not keep.any():
+        raise DataError("no tickers pass the eligibility filter")
+    return [t for t, k in zip(panel.tickers, keep) if k], panel.price[keep]
+
+
 def shot_logp_loop(params: HurstParams, n: int, times, amps) -> np.ndarray:
     """Every (hour, event) kernel value, summed one block of events at a time."""
     hours = np.arange(n, dtype=float)
@@ -582,8 +595,18 @@ def write_equity_csv_rows(curve: EquityCurve, path) -> None:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["txn_hour", "cum_pnl", "annualized"])
         for i, h in enumerate(range(len(curve.cum_pnl))):
-            ann = curve.cum_pnl[i] * ANNUAL_HOURS / max(int(h) + 1, 1)
+            with np.errstate(over="ignore"):        # a cum_pnl near the float maximum
+                ann = curve.cum_pnl[i] * ANNUAL_HOURS / max(int(h) + 1, 1)
             w.writerow([int(h), repr(float(curve.cum_pnl[i])), repr(float(ann))])
+
+
+def fmse(r_hat, r) -> float:
+    """Fractional mean-square error, averaged across tickers."""
+    n, err2, rr, _, _ = _per_ticker_moments(r_hat, r)
+    ok = (n > 0) & (rr > 0)
+    if not ok.any():
+        raise DataError("no ticker has usable observations")
+    return float(np.mean(err2[ok] / rr[ok]))
 
 
 def fve(r_hat, r) -> float:

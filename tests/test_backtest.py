@@ -11,7 +11,7 @@ from vartau.backtest import (EquityCurve, StrategyConfig, annualized_yield,
 from vartau.clock import ClockKind, build_clock, year_bounds
 from vartau.errors import DataError
 from vartau.hurst import HurstParams, SimConfig, simulate_fbm
-from vartau.panel import Panel, build_panel, map_candles
+from vartau.panel import build_panel, map_candles
 from vartau.predictor import PredictionCoeffs
 from vartau.synthetic import hourly_candles_from_prices, point_candles
 
@@ -102,13 +102,14 @@ class TestSimMeanrev:
 
 
 class TestPanelPrep:
-    def make_panel(self, candles):
-        """One-year identity-clock grid of {ticker: (hours, prices)} candles."""
-        t0, _ = year_bounds(2021)
+    def make_panel(self, candles, share=None, years=(2021,)):
+        """Identity-clock grid of {ticker: (hours, prices)} candles, hours counted
+        from the start of the first year, kept at the given eligibility share."""
+        t0, _ = year_bounds(years[0])
         series = {t: point_candles(t, t0 + 3600 * np.asarray(h, dtype=np.int64), p)
                   for t, (h, p) in candles.items()}
-        clock = build_clock(series.values(), ClockKind.CLOCK, 2021)
-        return build_panel(map_candles(series, [clock]))
+        clocks = [build_clock(series.values(), ClockKind.CLOCK, y) for y in years]
+        return build_panel(map_candles(series, clocks), share)
 
     def test_price_matrix_placement(self):
         panel = self.make_panel({"T": ([0, 2, 5], [10.0, 11.0, 12.0])})
@@ -118,26 +119,22 @@ class TestPanelPrep:
         assert np.isnan(p[0, 1]) and np.isnan(p[0, 7])
 
     def test_eligibility_boundary_inclusive(self):
-        p = np.full((3, 10), np.nan)
-        p[0] = 1.0                   # always active
-        p[1, :5] = 1.0               # exactly half
-        p[2, :1] = 1.0               # 10 percent
-        panel = Panel(["A", "B", "C"], [2021], [slice(0, 10)], p)
-        assert panel.eligible(0.5).tickers == ["A", "B"]
+        panel = self.make_panel({"A": (range(8760), np.ones(8760)),      # always active
+                                 "B": (range(4380), np.ones(4380)),      # exactly half
+                                 "C": (range(876), np.ones(876))}, 0.5)  # 10 percent
+        assert panel.tickers == ["A", "B"] and panel.price.shape == (2, 8760)
 
     def test_eligibility_any_year_fails(self):
-        p = np.full((1, 20), 1.0)
-        p[0, 10:] = np.nan           # active year 1, dead year 2
-        panel = Panel(["T"], [2021, 2022], [slice(0, 10), slice(10, 20)], p)
+        # active all of 2021, two candles in 2022
+        hours = [*range(8760), 8760, 8761]
         with pytest.raises(DataError, match="eligibility"):
-            panel.eligible(0.5)
+            self.make_panel({"T": (hours, np.ones(len(hours)))}, 0.5, years=(2021, 2022))
 
     def test_filter_names(self):
-        panel = self.make_panel({"T": (range(24), np.full(24, 5.0)),
-                                 "S": ([0, 1], [5.0, 5.0])})
-        assert panel.eligible(20 / 8760).tickers == ["T"]
+        candles = {"T": (range(24), np.full(24, 5.0)), "S": ([0, 1], [5.0, 5.0])}
+        assert self.make_panel(candles, 20 / 8760).tickers == ["T"]
         with pytest.raises(DataError, match="eligibility"):
-            panel.eligible(0.5)
+            self.make_panel(candles, 0.5)
 
 
 def strategy_config(**kw):

@@ -364,10 +364,9 @@ def test_simulate_value_it_cannot_take_exits_3_before_any_file(tmp_path, capsys,
 # For each (command, mode): the base run's flags, and every setting that the
 # mode reads with a value off the base run's, which must change an output file.
 # The base market-meanrev run trades one-name sides, so that its other settings
-# have trades to act on; the base xcorr run keeps five tickers or more, so that
-# a side of the top fraction can hold two. xcorr trades its coefficient file's
-# tickers, so --min-active-fraction can only stop it (when it drops one), not
-# change it.
+# have trades to act on; the base xcorr run trades the coefficient file's five
+# tickers, so that a side of the top fraction can hold two. xcorr does not read
+# --min-active-fraction (see test_xcorr_does_not_read_the_eligibility_share).
 SETTINGS = {
     ("simulate", "fft"): (["--epsilon", "0.1", "--hours-per-year", "50"], {
         "--epsilon": "0.2", "--years": "2", "--hours-per-year": "60", "--vol": "0.3",
@@ -382,8 +381,7 @@ SETTINGS = {
             "--min-active-fraction": "0.8", "--cost": "0.001", "--min-side-count": "2",
             "--long-only": None}),
     ("backtest", "xcorr"): (
-        ["--data-dir", "{market}", "--years", "2021", "--coeffs", "{coeffs}",
-         "--min-active-fraction", "0.3"], {
+        ["--data-dir", "{market}", "--years", "2021", "--coeffs", "{coeffs}"], {
             "--data-dir": "{other}", "--years": "2021,2022", "--kind": "volume",
             "--cost": "0.001", "--coeffs": "{coeffs2}", "--staleness": "2",
             "--top-fraction": "0.5"}),
@@ -432,6 +430,32 @@ def test_every_setting_changes_a_result(setting_inputs, tmp_path, command, mode)
         # the last of a repeated flag wins
         extra = [flag] if value is None else [flag, value.format(**setting_inputs)]
         assert outputs(*extra) != want, f"{command} {mode} {flag} changes nothing"
+
+
+def test_xcorr_does_not_read_the_eligibility_share(setting_inputs, tmp_path):
+    # the share once filtered every ticker first, and at 1.0 it dropped the
+    # coefficient file's tickers, so the run exited 3
+    def ledger(share):
+        out = tmp_path / share
+        assert cli.main(["backtest", "--strategy", "xcorr", "--data-dir",
+                         str(setting_inputs["market"]), "--years", "2021",
+                         "--coeffs", str(setting_inputs["coeffs"]),
+                         "--min-active-fraction", share, "--out-dir", str(out)]) == 0
+        return (out / "ledger.csv").read_bytes()
+
+    want = ledger("0.3")
+    assert want.count(b"\n") > 1 and ledger("1.0") == want
+
+
+def test_coefficient_ticker_without_a_candle_file_exits_3(data, tmp_path, capsys):
+    coeffs = tmp_path / "coeffs.csv"
+    coeffs.write_text("T0,TX\n0.0,0.5\n0.5,0.0\n")
+    out = tmp_path / "out"
+    assert cli.main(["backtest", "--strategy", "xcorr", "--data-dir", str(data),
+                     "--years", "2021", "--coeffs", str(coeffs), "--out-dir", str(out)]) == 3
+    assert (f"data error: coefficient ticker TX has no candle file in {data}\n"
+            == capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_settings_table_covers_every_simulate_and_backtest_option():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vartau.errors import DataError
-from vartau.hurst import (HurstParams, SimConfig, fft_convolve, impulse_response,
+from vartau.hurst import (HurstParams, SimConfig, _postprocess, impulse_response,
                           panel_variogram, read_panel_csv, sampled_kernel, simulate_fbm,
                           simulate_shot_noise)
 from vartau.variogram import fit_power_law
@@ -51,15 +51,15 @@ class TestSimulateFbm:
         assert np.log(pan.prices).std() == pytest.approx(0.15, abs=1e-9)
 
     def test_no_circular_leakage(self):
-        # prepending zeros to the innovations shifts the output exactly
-        rng = np.random.default_rng(3)
-        e = rng.standard_normal(400)
-        k = sampled_kernel(HurstParams(0.05), 500)
-        shift = 37
-        base = fft_convolve(e, k)
-        shifted = fft_convolve(np.concatenate([np.zeros(shift), e]), k)
-        assert np.allclose(shifted[shift:], base, atol=1e-10)
-        assert np.allclose(shifted[:shift], 0.0, atol=1e-10)
+        # the FFT product is the direct linear convolution of the same draws
+        for eps, years, hours in [(0.05, 2, 500), (-0.3, 3, 97), (0.45, 1, 4)]:
+            params, config = HurstParams(eps), SimConfig(years, hours, seed=3)
+            n = years * hours
+            e = np.random.default_rng(config.seed).standard_normal(n)
+            direct = np.convolve(e, sampled_kernel(params, n))[:n].reshape(years, hours)
+            want = _postprocess(direct, config.target_vol)
+            got = simulate_fbm(params, config).prices
+            assert np.allclose(np.log(got), np.log(want), rtol=0, atol=1e-12)
 
     def test_random_walk_exponent(self):
         pan = simulate_fbm(HurstParams(0.0), SimConfig(60, 8760, seed=4))

@@ -35,8 +35,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import (bin_coordinates_unique, build_clock_dict, build_clock_unique,
-                     build_panel_loop, corr_vs_tau_loop,
-                     estimate_cov_loop, fve, fve_plain, multi_year_returns_loop, naive_scores,
+                     build_panel_loop, build_then_filter, corr_vs_tau_loop,
+                     estimate_cov_loop, fmse, fve, fve_plain, multi_year_returns_loop,
+                     naive_scores,
                      parse_candles_loop,
                      run_market_meanrev_loop,
                      run_xcorr_strategy_loop, shot_logp_loop, simulate_shot_noise_loop,
@@ -56,8 +57,9 @@ from vartau.errors import DataError
 from vartau.hurst import (PANEL_HEADER, HurstParams, PricePanel, SimConfig, _shot_logp,
                           read_panel_csv, simulate_fbm, simulate_shot_noise)
 from vartau.panel import build_panel, grid_returns, map_candles
-from vartau.predictor import (PredictionCoeffs, fmse, market_mode, predict, prediction_report,
+from vartau.predictor import (PredictionCoeffs, market_mode, predict, prediction_report,
                               read_coeffs_csv)
+from vartau.synthetic import point_candles
 from vartau.variogram import PERCENTILES, Variogram, default_tau_grid
 
 T0, T1 = year_bounds(2021)
@@ -431,6 +433,49 @@ def test_build_panel_matches_year_loop(market, kind):
                                            for y in years]))
     assert got.tickers == tickers and got.years == years
     assert [b.stop - b.start for b in got.blocks] == [hours_in_year(y) for y in years]
+    assert got.price.dtype == want.dtype and got.price.tobytes() == want.tobytes()
+
+
+@st.composite
+def active_hour_markets(draw):
+    """Identity-clock candles of one to four tickers over one or two years, on
+    whole hours: in each year all of them, all but a few, or a few (maybe none
+    or one, which leaves the year's columns empty)."""
+    years = draw(st.sampled_from([[2021], [2020, 2021]]))
+    series = {}
+    for i in range(draw(st.integers(1, 4))):
+        ts = []
+        for y in years:
+            width = hours_in_year(y)
+            few = draw(st.sets(st.integers(0, width - 1), max_size=30))
+            hours = draw(st.sampled_from([set(range(width)) - few, few]))
+            ts.append(year_bounds(y)[0] + 3600 * np.array(sorted(hours), dtype=np.int64))
+        ts = np.concatenate(ts)
+        series[f"T{i}"] = point_candles(f"T{i}", ts, 1.0 + np.arange(len(ts)) % 7)
+    clocks = [build_clock(series.values(), ClockKind.CLOCK, y) for y in years]
+    return map_candles(series, clocks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(active_hour_markets(), st.data())
+def test_build_panel_share_matches_build_then_filter(candles, data):
+    # the share is some ticker-year's own share of its year, or the float
+    # next to it on either side, so that the ticker sits on the boundary
+    full = build_panel(candles)
+    counts = [(np.isfinite(full.price[:, sl]).sum(axis=1), sl.stop - sl.start)
+              for sl in full.blocks]
+    exact = {float(c) / w for cs, w in counts for c in cs.tolist() if c}
+    shares = sorted({x for s in exact for x in (s, np.nextafter(s, 0), np.nextafter(s, 2))
+                     if 0 < x <= 1} | {1.0})
+    share = data.draw(st.sampled_from(shares))
+    try:
+        tickers, want = build_then_filter(candles, share)
+    except DataError:
+        with pytest.raises(DataError, match="no tickers pass the eligibility filter"):
+            build_panel(candles, share)
+        return
+    got = build_panel(candles, share)
+    assert got.tickers == tickers and got.blocks == full.blocks
     assert got.price.dtype == want.dtype and got.price.tobytes() == want.tobytes()
 
 

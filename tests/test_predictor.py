@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import fmse
 from vartau import predictor
 from vartau.covariance import CovMatrix
 from vartau.errors import DataError, NumericalError
-from vartau.predictor import (PredictionCoeffs, default_ridge, fmse,
+from vartau.predictor import (PredictionCoeffs, default_ridge,
                               gradient_refine, invert_with_ridge, loo_coefficients,
-                              market_mode, predict, prediction_report, read_coeffs_csv)
+                              market_mode, predict, prediction_report, read_coeffs_csv,
+                              validation_fmse)
 
 
 def equal_corr_matrix(variances: np.ndarray, rho: float) -> np.ndarray:
@@ -319,6 +321,27 @@ class TestRefine:
         monkeypatch.setattr(predictor, "_REFINE_STEPS", 30)
         out, _ = gradient_refine(train, [val], init)
         assert np.all(np.diag(out.b) == 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 40), st.integers(1, 3),
+       st.sampled_from([1e-3, 1.0, 1e100]), st.sampled_from([0.0, 0.3, 0.95]),
+       st.integers(0, 2**32 - 1))
+def test_validation_fmse_is_fmse_of_predict(n, n_h, n_panels, scale, gaps, seed):
+    # a panel may leave a ticker, or every ticker, with no return or only zeros
+    rng = np.random.default_rng(seed)
+    panels = [np.where(rng.random((n, n_h)) < gaps, np.nan,
+                       np.where(rng.random((n, n_h)) < 0.1, 0.0, rng.normal(0, scale, (n, n_h))))
+              for _ in range(n_panels)]
+    b = PredictionCoeffs([f"T{i}" for i in range(n)], rng.normal(0, 1, (n, n)))
+    np.fill_diagonal(b.b, 0.0)
+    try:
+        want = float(np.mean([fmse(predict(b, v), v) for v in panels]))
+    except DataError:
+        with pytest.raises(DataError, match="no ticker has usable observations"):
+            validation_fmse(panels)
+        return
+    assert validation_fmse(panels)(b.b) == want
 
 
 class TestCsv:
