@@ -18,8 +18,10 @@ Decisions for hour h use only the average prices of hours h and h+1
 price and close during hour h+3+S, where S >= 0 is the staleness. The
 market mean-reversion strategy is the S=0 case, entering at h+2 and
 exiting at h+3. Each traded side of an hour stakes one unit of notional,
-and ledger, equity and yields are per unit stake: profits are never
-reinvested, so yearly results are sums, not compounds.
+and ledger, equity and yields are per unit stake at zero cost: profits are
+never reinvested, so yearly results are sums, not compounds. A cost c per
+round trip would take ``c * qty * entry`` off a trade's pnl and
+``c * info["notional"]`` off the total, where notional counts traded sides.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ class StrategyConfig:
     staleness: int                 # extra delay S before entering
     top_fraction: float            # tail size for the discrepancy strategy
     min_side_count: int            # mean reversion: skip thinner hours
-    cost_per_round_trip: float     # fraction of notional charged per trade
 
     def __post_init__(self):
         if self.staleness < 0:
@@ -49,8 +50,6 @@ class StrategyConfig:
             raise DataError("top_fraction must be in (0, 0.5]")
         if self.min_side_count < 1:
             raise DataError("min_side_count must be >= 1")
-        if not 0 <= self.cost_per_round_trip < np.inf:
-            raise DataError(f"cost must be >= 0 and finite, got {self.cost_per_round_trip}")
 
 
 @dataclass
@@ -131,7 +130,7 @@ def run_sim_meanrev(prices: np.ndarray) -> np.ndarray:
                      out=np.zeros(len(staked)), where=staked != 0)
 
 
-def _book(prices, tickers, entry_offset, config, sides) -> BacktestResult:
+def _book(prices, tickers, entry_offset, sides) -> BacktestResult:
     """Fill every decision hour, one block of ``_BLOCK_HOURS`` hours at a time.
 
     ``sides(ok, r)`` gets a block's present mask and log returns (tickers x
@@ -147,7 +146,7 @@ def _book(prices, tickers, entry_offset, config, sides) -> BacktestResult:
     n_hours = prices.shape[1]
     n_decisions = max(n_hours - entry_offset - 1, 0)
     parts = [(np.empty(0, np.int64),) * 3 + (np.empty(0),) * 4]
-    booked = 0
+    skipped, notional = n_decisions, 0
     for h0 in range(0, n_decisions, _BLOCK_HOURS):
         h1 = min(h0 + _BLOCK_HOURS, n_decisions)
         p0, p1 = prices[:, h0:h1], prices[:, h0 + 1:h1 + 1]
@@ -162,21 +161,21 @@ def _book(prices, tickers, entry_offset, config, sides) -> BacktestResult:
             exit_ = np.take_along_axis(exit_, order, axis=0)
         fill = members & np.isfinite(entry) & np.isfinite(exit_)
         book = members[0].any(axis=0) & np.all(fill.any(axis=1) | ~members.any(axis=1), axis=0)
-        booked += int(book.sum())
+        skipped -= int(book.sum())
+        notional += int((fill.any(axis=1) & book).sum())
         j, s, slot = np.nonzero((fill & book).transpose(2, 0, 1))  # hour, long first, slot
         w = np.broadcast_to(weight, ok.shape)[slot, j]
         side_sum = np.bincount(2 * j + s, w, 2 * (h1 - h0))[2 * j + s]
-        notional = w / side_sum
         e, x = entry[slot, j], exit_[slot, j]
         side = 1 - 2 * s
-        qty = notional / e
-        pnl = side * qty * (x - e) - config.cost_per_round_trip * notional
+        qty = w / side_sum / e
+        pnl = side * qty * (x - e)
         parts.append((h0 + j, slot if order is None else order[slot, j], side, qty, e, x, pnl))
     hour, tick, side, qty, entry, exit_, pnl = (np.concatenate(col) for col in zip(*parts))
     ledger = TradeLedger(hour, np.asarray(tickers, dtype=object)[tick].tolist(),
                          side, qty, entry, exit_, pnl)
     curve = EquityCurve(np.cumsum(np.bincount(hour, pnl, n_hours)))
-    return BacktestResult(ledger, curve, {"skipped_hours": n_decisions - booked})
+    return BacktestResult(ledger, curve, {"skipped_hours": skipped, "notional": notional})
 
 
 def run_market_meanrev(prices: np.ndarray, tickers: list[str], config: StrategyConfig,
@@ -195,7 +194,7 @@ def run_market_meanrev(prices: np.ndarray, tickers: list[str], config: StrategyC
                  & (shorts.sum(axis=0) >= config.min_side_count))
         return np.stack([longs & trade, shorts & trade & (not long_only)]), np.abs(r), None
 
-    result = _book(np.asarray(prices, dtype=float), tickers, 2, config, sides)
+    result = _book(np.asarray(prices, dtype=float), tickers, 2, sides)
     result.info.update(long_only=long_only, entry_offset=2)
     return result
 
@@ -228,6 +227,6 @@ def run_xcorr_strategy(prices: np.ndarray, tickers: list[str], coeffs,
         members = np.stack([rank < k, (rank >= n_present - k) & (rank < n_present)]) & trade
         return members, 1.0 / k, order
 
-    result = _book(np.asarray(prices, dtype=float), tickers, entry_offset, config, sides)
+    result = _book(np.asarray(prices, dtype=float), tickers, entry_offset, sides)
     result.info.update(staleness=config.staleness, entry_offset=entry_offset)
     return result

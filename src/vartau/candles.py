@@ -153,8 +153,9 @@ def parse_candles(path) -> CandleSeries:
     order (rows are sorted). The timestamp is a signed decimal integer of
     ASCII digits within int64; prices and volume are finite decimal floats
     with an optional sign, fraction and exponent, and no ``_`` digit
-    separators. A row that breaks an OHLC invariant is rejected with its
-    line number, a repeated timestamp with both of its lines.
+    separators. A row that breaks an OHLC invariant, or whose high is at or
+    above 2**1000, is rejected with its line number, a repeated timestamp
+    with both of its lines.
 
     Once every row is checked, the representative price ``(open + high +
     low + close) / 4.0`` is computed, and only it, the timestamps and the
@@ -278,6 +279,8 @@ def _candle_faults(rows) -> dict:
         "high {high} below open/close at ts {timestamp}": h < np.maximum(o, c),
         "negative volume at ts {timestamp}": v < 0,
         "non-positive price at ts {timestamp}": np.minimum(np.minimum(o, h), np.minimum(l, c)) <= 0,
+        # a ticker-year holds under 2**20 minute candles, so no OHLC or bin sum overflows
+        "high {high} at or above 2**1000 at ts {timestamp}": h >= 2.0**1000,
     }
 
 

@@ -257,9 +257,8 @@ def cmd_backtest(args) -> int:
                 raise UsageError("xcorr needs --coeffs")
             coeffs = pred.read_coeffs_csv(args.coeffs)     # before the market is parsed
             inputs[Path(args.coeffs)] = sha256_file(args.coeffs)
-        config = bt.StrategyConfig(
-            staleness=args.staleness, top_fraction=args.top_fraction,
-            min_side_count=args.min_side_count, cost_per_round_trip=args.cost)
+        config = bt.StrategyConfig(staleness=args.staleness, top_fraction=args.top_fraction,
+                                   min_side_count=args.min_side_count)
         pn.check_active_fraction(args.min_active_fraction)    # before the market is parsed
         candles, digests = _mapped(args.data_dir, years, args.kind)
         inputs.update(digests)
@@ -274,8 +273,9 @@ def cmd_backtest(args) -> int:
         tickers, prices = panel.tickers, panel.price
         result = (bt.run_xcorr_strategy(prices, tickers, coeffs, config) if coeffs else
                   bt.run_market_meanrev(prices, tickers, config, long_only=args.long_only))
-        summary = {"annualized_yield": bt.annualized_yield(result.curve),
-                   "total_pnl": result.ledger.total_pnl(),
+        total, notional = result.ledger.total_pnl(), result.info["notional"]
+        summary = {"annualized_yield": bt.annualized_yield(result.curve), "total_pnl": total,
+                   "breakeven_cost": total / notional if notional else None,
                    "n_trades": len(result.ledger), **result.info}
         out = _out_dir(args)
         result.ledger.write_csv(out / "ledger.csv")
@@ -402,7 +402,11 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     sp.add_argument("--out-dir", required=True)
     sp.set_defaults(func=cmd_simulate)
 
-    sp = sub.add_parser("backtest", help="run a trading strategy")
+    sp = sub.add_parser("backtest", help="run a trading strategy", description=(
+        "Fills are booked at zero transaction cost, per unit stake. For market-meanrev and "
+        "xcorr, summary.json gives the notional traded, one unit per traded side of an hour, and "
+        "breakeven_cost = total_pnl / notional, null when nothing trades: a cost c per round "
+        "trip would take c * notional off total_pnl and c * qty * entry off each row's pnl."))
     sp.add_argument("--strategy", choices=["sim-meanrev", "market-meanrev",
                                            "xcorr"], required=True)
     both = "market-meanrev and xcorr"
@@ -420,21 +424,27 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     sp.add_argument("--min-active-fraction", type=float, default=0.5,
                     help="share of each year's hours a kept ticker trades in; "
                          "market-meanrev only (xcorr trades its coefficient file's tickers)")
-    sp.add_argument("--cost", type=float, default=0.0,
-                    help=f"charge per round trip, as a fraction of notional; {both}")
     sp.add_argument("--long-only", action="store_true", help="no shorts; market-meanrev only")
     sp.add_argument("--out-dir", required=True)
     sp.set_defaults(func=cmd_backtest)
 
     sp = sub.add_parser("predict", help="leave-one-out prediction grid")
     sp.add_argument("--data-dir", required=True)
-    sp.add_argument("--train-years", required=True)
-    sp.add_argument("--predict-years", required=True)
-    sp.add_argument("--kind", choices=CLOCK_KINDS, default="dollar")
-    sp.add_argument("--ridge", type=float, default=None)
-    sp.add_argument("--refine", action="store_true")
-    sp.add_argument("--min-obs", type=int, default=cov.DEFAULT_MIN_OBS)
-    sp.add_argument("--min-active-fraction", type=float, default=0.5)
+    sp.add_argument("--train-years", required=True,
+                    help="comma-separated years; each fits one coeffs_<year>.csv")
+    sp.add_argument("--predict-years", required=True,
+                    help="comma-separated years on which every fit is scored")
+    sp.add_argument("--kind", choices=CLOCK_KINDS, default="dollar", help="price clock")
+    sp.add_argument("--ridge", type=float, default=None,
+                    help="added to the covariance diagonal; by default RIDGE_SCALE "
+                         f"({pred.RIDGE_SCALE:g}) times the mean variance")
+    sp.add_argument("--refine", action="store_true",
+                    help="refine each fit by gradient descent, stopped early on the other "
+                         "training years; with one training year, on that year, in sample")
+    sp.add_argument("--min-obs", type=int, default=cov.DEFAULT_MIN_OBS,
+                    help="joint hourly returns a pair needs; below it its cell is imputed")
+    sp.add_argument("--min-active-fraction", type=float, default=0.5,
+                    help="share of each year's hours a kept ticker trades in")
     sp.add_argument("--out-dir", required=True)
     sp.set_defaults(func=cmd_predict)
 
@@ -460,7 +470,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
 # flags that a command no longer has, each with the one value that a manifest
 # may still record: the behaviour the command now always has
 _RETIRED_FLAGS = {"variogram": {"method": "diff_of_avg"}, "simulate": {"sigma": 1.0},
-                  "backtest": {"stake": 1.0}}
+                  "backtest": {"stake": 1.0, "cost": 0.0}}
 
 
 def _replay(manifest_path: str) -> int:

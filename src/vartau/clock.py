@@ -102,7 +102,8 @@ def build_clock(all_candles, kind: ClockKind, year: int) -> ClockMap:
         if off.any():
             bad = int(sub.timestamps[np.argmax(off != 0)])
             raise DataError(f"{series.ticker}: timestamp {bad} is not a minute boundary")
-        acc[slot] += sub.dollar_weights() if kind is ClockKind.DOLLAR_WEIGHTED else sub.volume
+        with np.errstate(over="ignore"):        # an inf weight is refused below
+            acc[slot] += sub.dollar_weights() if kind is ClockKind.DOLLAR_WEIGHTED else sub.volume
         traded[slot] = True
     slot = np.flatnonzero(traded)
     if len(slot) == 0:
@@ -110,7 +111,10 @@ def build_clock(all_candles, kind: ClockKind, year: int) -> ClockMap:
     minutes = t0 + 60 * slot
     w = acc[slot]
     del acc, traded
-    total_w = w.sum()
+    with np.errstate(over="ignore"):
+        total_w = w.sum()
+    if total_w == np.inf:
+        raise DataError(f"total weight for year {year} overflows: a price or volume is too large")
     if total_w <= 0:
         raise DataError(f"zero total weight for year {year}")
 

@@ -242,7 +242,10 @@ def simulate_fbm(params: HurstParams, config: SimConfig) -> PricePanel:
     spectrum = np.fft.rfft(rng.standard_normal(n), size)
     spectrum *= kernel          # in this order: kernel * spectrum rounds differently
     del kernel
-    logp = np.fft.irfft(spectrum, size)[:n]
+    out = np.fft.irfft(spectrum, size)
+    del spectrum
+    logp = out[:n].copy()       # the prices hold only their own n values, not the transform
+    del out
     prices = _postprocess(logp.reshape(config.n_years, config.hours_per_year),
                           config.target_vol)
     return PricePanel(prices)

@@ -54,6 +54,8 @@ def validate_row(t, o, h, l, c, v) -> None:
         raise DataError(f"negative volume at ts {t}")
     if min(o, h, l, c) <= 0:
         raise DataError(f"non-positive price at ts {t}")
+    if h >= 2.0**1000:
+        raise DataError(f"high {h} at or above 2**1000 at ts {t}")
 
 
 def parse_candles_loop(path, ticker: str | None = None) -> CandleSeries:
@@ -480,8 +482,13 @@ def write_panel_csv_rows(panel: PricePanel, path) -> None:
                 w.writerow([y, h, repr(float(row[h]))])
 
 
-def _settle(p_entry, p_exit, sides, h, config, rows) -> bool:
-    """Fill every side of one hour, or none when a side cannot fill."""
+# relative tolerance on sums of many fills, as the bench's ledger checks take it
+BALANCE_TOL = 1e-9
+
+
+def _settle(p_entry, p_exit, sides, h, cost, rows) -> bool:
+    """Fill every side of one hour, or none when a side cannot fill; each fill
+    pays ``cost`` per round trip, as a fraction of its notional."""
     fills = []
     for members, weights, side in sides:
         ok = np.isfinite(p_entry[members]) & np.isfinite(p_exit[members])
@@ -492,7 +499,7 @@ def _settle(p_entry, p_exit, sides, h, config, rows) -> bool:
         notional = weights / weights.sum()
         qty = notional / p_entry[members]
         move = p_exit[members] - p_entry[members]
-        pnl = side * qty * move - config.cost_per_round_trip * notional
+        pnl = side * qty * move - cost * notional
         rows.append((h, members, side, qty, p_entry[members], p_exit[members], pnl))
     return True
 
@@ -509,11 +516,12 @@ def _collect(rows, tickers, n_hours) -> BacktestResult:
                          np.asarray(side, dtype=np.int64), np.asarray(qty),
                          np.asarray(entry), np.asarray(exit_), np.asarray(pnl))
     curve = EquityCurve(np.cumsum(pnl_by_hour))
-    return BacktestResult(ledger, curve)
+    return BacktestResult(ledger, curve, {"notional": len(rows)})   # one row per traded side
 
 
-def run_market_meanrev_loop(prices, tickers, config, long_only=False) -> BacktestResult:
-    """``run_market_meanrev`` one decision hour at a time."""
+def run_market_meanrev_loop(prices, tickers, config, long_only=False,
+                            cost=0.0) -> BacktestResult:
+    """``run_market_meanrev`` one decision hour at a time, at a cost per round trip."""
     prices = np.asarray(prices, dtype=float)
     n, n_hours = prices.shape
     entry_offset = 2
@@ -533,16 +541,15 @@ def run_market_meanrev_loop(prices, tickers, config, long_only=False) -> Backtes
         if not long_only:
             sides.append((shorts, np.abs(r[shorts]) / np.abs(r[shorts]).sum(), -1))
         if not _settle(prices[:, h + entry_offset], prices[:, h + entry_offset + 1],
-                       sides, h, config, rows):
+                       sides, h, cost, rows):
             skipped += 1
     result = _collect(rows, tickers, n_hours)
-    result.info = {"skipped_hours": skipped, "long_only": long_only,
-                   "entry_offset": entry_offset}
+    result.info.update(skipped_hours=skipped, long_only=long_only, entry_offset=entry_offset)
     return result
 
 
-def run_xcorr_strategy_loop(prices, tickers, coeffs, config) -> BacktestResult:
-    """``run_xcorr_strategy`` one decision hour at a time."""
+def run_xcorr_strategy_loop(prices, tickers, coeffs, config, cost=0.0) -> BacktestResult:
+    """``run_xcorr_strategy`` one decision hour at a time, at a cost per round trip."""
     prices = np.asarray(prices, dtype=float)
     n, n_hours = prices.shape
     if list(coeffs.tickers) != list(tickers):
@@ -569,11 +576,11 @@ def run_xcorr_strategy_loop(prices, tickers, coeffs, config) -> BacktestResult:
         shorts = order[-k:]
         w = np.full(k, 1.0 / k)
         if not _settle(prices[:, h + entry_offset], prices[:, h + entry_offset + 1],
-                       [(longs, w, +1), (shorts, w, -1)], h, config, rows):
+                       [(longs, w, +1), (shorts, w, -1)], h, cost, rows):
             skipped += 1
     result = _collect(rows, tickers, n_hours)
-    result.info = {"skipped_hours": skipped, "staleness": config.staleness,
-                   "entry_offset": entry_offset}
+    result.info.update(skipped_hours=skipped, staleness=config.staleness,
+                       entry_offset=entry_offset)
     return result
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import BALANCE_TOL, run_market_meanrev_loop
 from vartau.backtest import (EquityCurve, StrategyConfig, annualized_yield,
                              rms_hourly_return, run_market_meanrev,
                              run_sim_meanrev, run_xcorr_strategy)
@@ -139,8 +140,7 @@ class TestPanelPrep:
 
 def strategy_config(**kw):
     """The CLI's default settings, but a side of one name is enough."""
-    return StrategyConfig(**{"staleness": 1, "top_fraction": 0.05, "min_side_count": 1,
-                             "cost_per_round_trip": 0.0, **kw})
+    return StrategyConfig(**{"staleness": 1, "top_fraction": 0.05, "min_side_count": 1, **kw})
 
 
 class TestMarketMeanrev:
@@ -199,18 +199,17 @@ class TestMarketMeanrev:
         assert np.sum(res.ledger.qty[rows] * res.ledger.entry[rows]) == \
             pytest.approx(1.0, rel=1e-12)
 
-    def test_cost_reduces_pnl(self):
+    def test_breakeven_cost_zeroes_the_total(self):
         rng = np.random.default_rng(6)
         prices = np.exp(np.cumsum(rng.normal(0, 0.01, size=(8, 120)), axis=1))
-        free = run_market_meanrev(prices, [f"T{i}" for i in range(8)],
-                                  strategy_config(min_side_count=2))
-        costly = run_market_meanrev(prices, [f"T{i}" for i in range(8)],
-                                    strategy_config(min_side_count=2,
-                                                   cost_per_round_trip=1e-3))
-        n_hours_traded = len(np.unique(costly.ledger.hour))
-        drag = 2 * 1e-3 * 1.0 * n_hours_traded   # both sides pay on the stake
-        assert costly.ledger.total_pnl() == pytest.approx(
-            free.ledger.total_pnl() - drag, rel=1e-9, abs=1e-12)
+        tickers, config = [f"T{i}" for i in range(8)], strategy_config(min_side_count=2)
+        free = run_market_meanrev(prices, tickers, config)
+        # both sides of every traded hour stake one unit
+        assert free.info["notional"] == 2 * len(np.unique(free.ledger.hour)) > 0
+        breakeven = free.ledger.total_pnl() / free.info["notional"]
+        assert breakeven != 0
+        charged = run_market_meanrev_loop(prices, tickers, config, cost=breakeven).ledger
+        assert abs(charged.total_pnl()) <= BALANCE_TOL * np.abs(charged.pnl).sum()
 
     def test_causality_injection(self):
         rng = np.random.default_rng(7)

@@ -107,6 +107,28 @@ class TestParse:
         with pytest.raises(DataError, match=r":4: non-finite"):
             parse_candles(p)
 
+    @pytest.mark.parametrize("row", [
+        "1609459200,1.5e308,1.5e308,1e308,1e308,1",     # the OHLC sum passes the float maximum
+        "1609459200,4e307,4e307,4e307,4e307,1",         # five in one bin pass it when binned
+    ], ids=["ohlc_sum", "bin_sum"])
+    def test_price_whose_sums_overflow_is_rejected(self, tmp_path, row):
+        # such a row once parsed to an inf price, or to bins with an inf mean,
+        # and the clock wrote NaN knots
+        p = write_csv(tmp_path, ["1609459140,10,11,9,10.5,1000", row])
+        with pytest.raises(DataError, match=r":3: high .* at or above 2\*\*1000"):
+            parse_candles(p)
+        assert cli.main(["clock", "--data-dir", str(tmp_path), "--year", "2021",
+                         "--out-dir", str(tmp_path / "out")]) == 3
+
+    def test_bin_of_the_largest_accepted_prices_has_a_finite_mean(self, tmp_path):
+        top = float(np.nextafter(2.0**1000, 0))
+        p = write_csv(tmp_path, [f"1609459200,{top!r},{top!r},{top!r},{top!r},0"])
+        price = parse_candles(p).price
+        # a ticker-year's every minute in one bin
+        n = 366 * 1440
+        _, _, means, counts = candles.bin_coordinates(np.zeros(n), np.repeat(price, n), 1.0)
+        assert counts[0] == n and means[0] == pytest.approx(price[0], rel=1e-12)
+
     def test_digit_separators_rejected(self, tmp_path):
         p = write_csv(tmp_path, ["1609459200,1_0,11,9,10.5,1000"])
         with pytest.raises(DataError, match=":2:.*open"):

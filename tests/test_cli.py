@@ -308,7 +308,7 @@ def test_non_finite_flag_is_rejected_like_a_negative_one(data, tmp_path, capsys,
     else:
         argv = ["simulate", "--epsilon", "0.1", "--hours-per-year", "50",
                 "--method", "shot"]
-    if flag in ("--stake", "--sigma"):      # retired: only a manifest still records a value
+    if flag in ("--cost", "--stake", "--sigma"):    # retired: only a manifest records a value
         assert cli.main([*argv, "--out-dir", str(tmp_path / "run")]) == 0
         manifest = json.loads((tmp_path / "run" / "run_manifest.json").read_text())
         manifest["args"].update({flag[2:]: float(value), "out_dir": str(out)})
@@ -378,12 +378,12 @@ SETTINGS = {
     ("backtest", "market-meanrev"): (
         ["--data-dir", "{market}", "--years", "2021", "--min-side-count", "1"], {
             "--data-dir": "{other}", "--years": "2021,2022", "--kind": "volume",
-            "--min-active-fraction": "0.8", "--cost": "0.001", "--min-side-count": "2",
+            "--min-active-fraction": "0.8", "--min-side-count": "2",
             "--long-only": None}),
     ("backtest", "xcorr"): (
         ["--data-dir", "{market}", "--years", "2021", "--coeffs", "{coeffs}"], {
             "--data-dir": "{other}", "--years": "2021,2022", "--kind": "volume",
-            "--cost": "0.001", "--coeffs": "{coeffs2}", "--staleness": "2",
+            "--coeffs": "{coeffs2}", "--staleness": "2",
             "--top-fraction": "0.5"}),
 }
 
@@ -721,26 +721,51 @@ def test_variogram_has_no_method_flag(data, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_backtest_reports_the_notional_and_the_breakeven_cost(data, setting_inputs, tmp_path):
+    def run(market, *flags):
+        out = tmp_path / str(len(list(tmp_path.iterdir())))
+        return cli.main(["backtest", "--strategy", "market-meanrev", "--data-dir", str(market),
+                         "--years", "2021", "--min-side-count", "1", *flags,
+                         "--out-dir", str(out)]), out
+
+    code, out = run(setting_inputs["market"])
+    summary = json.loads((out / "summary.json").read_text())
+    with open(out / "ledger.csv", newline="") as fh:
+        sides = {(row["hour"], row["side"]) for row in csv.DictReader(fh)}
+    assert code == 0 and summary["notional"] == len(sides) > 0
+    assert summary["breakeven_cost"] == summary["total_pnl"] / summary["notional"]
+    # the module's market books no hour, so no cost breaks even: null, not 0/0
+    code, out = run(data)
+    summary = json.loads((out / "summary.json").read_text())
+    assert code == 0 and summary["notional"] == summary["n_trades"] == 0
+    assert summary["breakeven_cost"] is None
+    with pytest.raises(SystemExit) as exc:      # the cost is not a setting
+        run(data, "--cost", "0.0")
+    assert exc.value.code == 2
+
+
 def test_retired_variogram_method_replays_only_as_diff_of_avg(data, tmp_path, capsys):
     # manifests written while a command had a flag that is now gone record it;
     # the one value that is still the command's behaviour replays, any other is refused
+    backtest = ["backtest", "--strategy", "market-meanrev", "--data-dir", str(data),
+                "--years", "2021", "--min-side-count", "1"]
     runs = {
         "variogram": (["variogram", "--data-dir", str(data), "--year", "2021",
                        "--tau-grid", "0.25:32:4"], "method", "diff_of_avg", "two_point_grid"),
         "simulate": (["simulate", "--epsilon", "0.1", "--hours-per-year", "50",
                       "--method", "shot"], "sigma", 1.0, 2.0),
-        "backtest": (["backtest", "--strategy", "market-meanrev", "--data-dir", str(data),
-                      "--years", "2021", "--min-side-count", "1"], "stake", 1.0, 2.0),
+        "stake": (backtest, "stake", 1.0, 2.0),
+        "cost": (backtest, "cost", 0.0, 0.001),
     }
-    for command, (argv, flag, kept, gone) in runs.items():
-        run = tmp_path / command / "run"
+    for case, (argv, flag, kept, gone) in runs.items():
+        run = tmp_path / case / "run"
         assert cli.main([*argv, "--out-dir", str(run)]) == 0
         manifest = json.loads((run / "run_manifest.json").read_text())
 
         def replay(value):
-            out = tmp_path / command / str(value)
+            out = tmp_path / case / str(value)
             manifest["args"].update({flag: value, "out_dir": str(out)})
-            path = tmp_path / command / f"{value}.json"
+            path = tmp_path / case / f"{value}.json"
             path.write_text(json.dumps(manifest))
             return cli.main(["--manifest", str(path)]), path, out
 

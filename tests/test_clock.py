@@ -48,6 +48,16 @@ class TestBuild:
         assert dollar.to_txn_time(T0 + 60) == pytest.approx(0.9 * 8760)
         assert volume.to_txn_time(T0 + 60) == pytest.approx(0.5 * 8760)
 
+    @pytest.mark.parametrize("kind, weights", [
+        (ClockKind.DOLLAR_WEIGHTED, [1e307]),           # price 100 times 1e307 shares
+        (ClockKind.VOLUME_WEIGHTED, [1e308, 1e308]),    # two finite volumes, summed
+    ])
+    def test_weight_past_the_float_maximum_names_the_year(self, kind, weights):
+        # the clock once divided by an inf total and wrote NaN knots
+        s = make_series("V", np.arange(len(weights)), np.full(len(weights), 100.0), weights)
+        with pytest.raises(DataError, match="total weight for year 2021 overflows"):
+            build_clock([s], kind, 2021)
+
     def test_clock_kind_identity(self):
         s = make_series("C", [0], [1.0], [1.0])
         clock = build_clock([s], ClockKind.CLOCK, 2021)

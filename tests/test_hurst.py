@@ -46,6 +46,11 @@ class TestSimulateFbm:
         assert np.allclose(np.log(pan.prices[:, 0]), 0.0)
         assert np.allclose(np.log(pan.prices[:, -1]), 0.0)
 
+    def test_prices_hold_no_more_than_their_own_values(self):
+        # the prices once viewed the whole inverse transform, about twice their size
+        prices = simulate_fbm(HurstParams(0.05), SimConfig(3, 500, seed=1)).prices
+        assert prices.base is None or prices.base.nbytes <= prices.nbytes
+
     def test_global_volatility_exact(self):
         pan = simulate_fbm(HurstParams(0.0), SimConfig(4, 2048, target_vol=0.15, seed=2))
         assert np.log(pan.prices).std() == pytest.approx(0.15, abs=1e-9)

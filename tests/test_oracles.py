@@ -34,7 +34,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import (bin_coordinates_unique, build_clock_dict, build_clock_unique,
+from oracles import (BALANCE_TOL, bin_coordinates_unique, build_clock_dict, build_clock_unique,
                      build_panel_loop, build_then_filter, corr_vs_tau_loop,
                      estimate_cov_loop, fmse, fve, fve_plain, multi_year_returns_loop,
                      naive_scores,
@@ -153,6 +153,7 @@ CHECKED = {
     "low_above": lambda t, o, h, l, c, v: (t, o, h, max(o, c) * 2, c, v),
     "negative_volume": lambda t, o, h, l, c, v: (t, o, h, l, c, -1.0),
     "zero_prices": lambda t, o, h, l, c, v: (t, 0.0, 0.0, 0.0, 0.0, v),
+    "huge_high": lambda t, o, h, l, c, v: (t, o, 2.0**1000, l, c, v),
 }
 UNREADABLE = {
     "short": lambda f: f[:-1],
@@ -648,12 +649,15 @@ def backtest_panels(draw):
 
 
 def assert_same_backtest(got, want, cost):
-    """Equal trades, fill prices and skips; quantities within their rounding.
+    """Equal trades, fill prices, skips and notional; quantities within their
+    rounding; the zero-cost run less ``cost`` equal to the loop run at ``cost``.
 
     The loop normalizes a side's weights twice and the blocks once, and sums
-    the hourly pnl in another order, so qty may differ in the last bits. A
-    trade's pnl is within 1e-12 of the terms it subtracts, and cum_pnl within
-    1e-12 of the summed |pnl| it adds up, since either may cancel to near zero.
+    the hourly pnl in another order, so qty may differ in the last bits. Each
+    trade's pnl less ``cost * qty * entry`` is within 1e-12 of the terms it
+    adds up, and cum_pnl less the running cost within 1e-12 of the summed
+    |pnl| and cost, since either may cancel to near zero. The total less
+    ``cost * notional`` is within BALANCE_TOL of the same sums.
     """
     g, w = got.ledger, want.ledger
     assert got.info == want.info
@@ -662,11 +666,16 @@ def assert_same_backtest(got, want, cost):
     assert np.array_equal(g.side, w.side) and g.side.dtype == w.side.dtype
     assert np.array_equal(g.entry, w.entry) and np.array_equal(g.exit, w.exit)
     assert np.all(np.abs(g.qty - w.qty) <= 1e-12 * np.abs(w.qty))
-    terms = np.abs(w.qty * (w.exit - w.entry)) + cost * w.qty * w.entry
-    assert np.all(np.abs(g.pnl - w.pnl) <= 1e-12 * terms)
-    assert len(got.curve.cum_pnl) == len(want.curve.cum_pnl)
-    assert np.all(np.abs(got.curve.cum_pnl - want.curve.cum_pnl)
-                  <= 1e-12 * np.abs(w.pnl).sum())
+    charge = cost * g.qty * g.entry
+    terms = np.abs(w.qty * (w.exit - w.entry)) + charge
+    assert np.all(np.abs(g.pnl - charge - w.pnl) <= 1e-12 * terms)
+    n_hours = len(want.curve.cum_pnl)
+    assert len(got.curve.cum_pnl) == n_hours
+    charged = np.cumsum(np.bincount(g.hour, charge, n_hours))
+    assert np.all(np.abs(got.curve.cum_pnl - charged - want.curve.cum_pnl)
+                  <= 1e-12 * terms.sum())
+    assert (abs(g.total_pnl() - cost * got.info["notional"] - w.total_pnl())
+            <= BALANCE_TOL * terms.sum())
 
 
 @settings(max_examples=200, deadline=None)
@@ -674,9 +683,8 @@ def assert_same_backtest(got, want, cost):
        st.sampled_from([3, 1024]))
 def test_meanrev_matches_hour_loop(prices, min_side_count, long_only, cost, block):
     tickers = [f"T{i}" for i in range(len(prices))]
-    cfg = StrategyConfig(staleness=1, top_fraction=0.05, min_side_count=min_side_count,
-                         cost_per_round_trip=cost)
-    want = run_market_meanrev_loop(prices, tickers, cfg, long_only)
+    cfg = StrategyConfig(staleness=1, top_fraction=0.05, min_side_count=min_side_count)
+    want = run_market_meanrev_loop(prices, tickers, cfg, long_only, cost)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(backtest, "_BLOCK_HOURS", block)
         got = run_market_meanrev(prices, tickers, cfg, long_only)
@@ -693,9 +701,8 @@ def test_xcorr_matches_hour_loop(prices, staleness, top, cost, zero_b, seed, blo
     np.fill_diagonal(b, 0.0)
     tickers = [f"T{i}" for i in range(n)]
     coeffs = PredictionCoeffs(tickers, b)
-    cfg = StrategyConfig(staleness=staleness, top_fraction=top, min_side_count=100,
-                         cost_per_round_trip=cost)
-    want = run_xcorr_strategy_loop(prices, tickers, coeffs, cfg)
+    cfg = StrategyConfig(staleness=staleness, top_fraction=top, min_side_count=100)
+    want = run_xcorr_strategy_loop(prices, tickers, coeffs, cfg, cost)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(backtest, "_BLOCK_HOURS", block)
         got = run_xcorr_strategy(prices, tickers, coeffs, cfg)
