@@ -253,6 +253,18 @@ def _write_entry(entry: Path, stem: str, series: CandleSeries) -> None:
             p.unlink(missing_ok=True)
 
 
+def candle_files(data_dir) -> list[Path]:
+    """Every ``*.csv`` of a directory, sorted. The parse-cache entries of a stem
+    with no file left are deleted; a cache that cannot be written keeps them."""
+    files = sorted(Path(data_dir).glob("*.csv"))
+    stems = {f.stem for f in files}
+    with contextlib.suppress(OSError):
+        for p in (Path(data_dir) / _CACHE_DIR).glob("*.npy"):
+            if p.name.rsplit(".", 3)[0] not in stems:      # <stem>.<sha256>.<tag>.npy
+                p.unlink()
+    return files
+
+
 def _parse(path: Path) -> CandleSeries:
     """``parse_candles`` without its cache."""
     _, rows = read_table(path, _ROW, CSV_HEADER, _candle_faults)
@@ -462,6 +474,9 @@ def write_table(path, header: list[str], cols) -> None:
     longer row. Lines end in LF. Rows are formatted _WRITE_CELLS cells at a
     time; a matrix ``m`` is written row by row as ``m.T``.
     """
+    # text as Python strings, which hash and compare faster than NumPy's
+    cols = [c.tolist() if isinstance(c, np.ndarray) and c.dtype.kind == "U" else c
+            for c in cols]
     fields = [_field_format(c) for c in cols]
     step = max(1, _WRITE_CELLS // max(1, len(cols)))
     with open(path, "w", newline="", encoding="utf-8") as fh:

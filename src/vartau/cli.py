@@ -7,6 +7,13 @@ fit/evaluate leave-one-out predictors. Every command writes
 machine-readable CSV/JSON plus a run manifest sufficient to replay it
 bit-identically via ``vartau --manifest <file>``.
 
+Each ``cmd_*`` validates, loads and computes, and returns ``(inputs, files,
+stdout)``: the sha256 of each file read, by path; a writer of each output
+file, by name; and the object to print as JSON, or None. Only once it has
+returned does ``_run`` make ``--out-dir``, write the files, then the
+manifest, and print, so a command that fails (a NaN in its JSON included)
+writes nothing.
+
 Every candle command but ``clock`` loads through ``_mapped``, which maps
 each ticker's candles to transaction time once, on the clocks of the
 requested kind and years; the analysis modules read only mapped candles.
@@ -14,8 +21,9 @@ requested kind and years; the analysis modules read only mapped candles.
 Each candle file is parsed once: ``parse_candles`` caches its columns in
 ``<data-dir>/.vartau/``, keyed on the file's content and on the parser's
 code, so a later command on the same files loads them instead. The
-directory is safe to delete, and a data directory that cannot be written
-is parsed on every run. Replay ignores it, as it reads only ``*.csv``.
+entries of a file that is gone are deleted when a command next lists the
+directory. The cache is safe to delete, and a data directory that cannot be
+written is parsed on every run. Replay ignores it, as it reads only ``*.csv``.
 
 Exit codes: 0 success, 2 usage, 3 data error (such as a manifest that does not
 replay, or a value a simulation cannot take), 4 numerical failure.
@@ -38,12 +46,11 @@ from . import hurst
 from . import panel as pn
 from . import predictor as pred
 from . import variogram as vg
-from .candles import CandleSeries, not_utf8, parse_candles, sha256_file, write_table
+from .candles import CandleSeries, candle_files, not_utf8, parse_candles, sha256_file, write_table
 from .clock import ClockKind, build_clock, year_bounds
 from .errors import DataError, NumericalError
 
 CLOCK_KINDS = [k.value for k in ClockKind]
-_NON_FLAG_KEYS = ("func", "command", "manifest")
 
 
 class UsageError(Exception):
@@ -67,27 +74,13 @@ class _RaisingParser(argparse.ArgumentParser):
 # shared plumbing
 # ---------------------------------------------------------------------------
 
-def _write_manifest(out_dir: Path, command: str, args, inputs: dict[Path, str]) -> None:
-    """``inputs`` maps each file read to its sha256, taken when it was read."""
-    flags = {k: v for k, v in vars(args).items() if k not in _NON_FLAG_KEYS}
-    _write_json(out_dir / "run_manifest.json", {
-        "tool": "vartau",
-        "version": __version__,
-        "command": command,
-        "args": flags,
-        "inputs": {str(p): inputs[p] for p in sorted(inputs)},
-        "created_utc": datetime.now(timezone.utc).isoformat(),
-    })
-
-
-def _write_json(path: Path, obj) -> None:
-    """Strict JSON: a NaN or infinity raises NumericalError and writes no file."""
+def _json(name: str, obj):
+    """A writer of ``obj`` as strict JSON, rendered now, so a NaN raises before any write."""
     try:
-        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
-        raise NumericalError(f"{path}: {exc}") from None
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+        raise NumericalError(f"{name}: {exc}") from None
+    return lambda path: path.write_text(text)
 
 
 def _load_dir(data_dir: str, years: list[int]) -> tuple[dict, dict[Path, str]]:
@@ -101,7 +94,7 @@ def _load_dir(data_dir: str, years: list[int]) -> tuple[dict, dict[Path, str]]:
     d = Path(data_dir)
     if not d.is_dir():
         raise DataError(f"data directory {data_dir!r} does not exist")
-    files = sorted(d.glob("*.csv"))
+    files = candle_files(d)
     if not files:
         raise DataError(f"no .csv candle files in {data_dir!r}")
     t0, t1 = year_bounds(min(years))[0], year_bounds(max(years))[1]
@@ -166,12 +159,6 @@ def _parse_tau_grid(text: str, normalize_at: float) -> np.ndarray:
     return grid
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _mapped(data_dir: str, years: list[int], kind: str) -> tuple[pn.TxnCandles, dict[Path, str]]:
     """The candles mapped once to the years' clocks of the given kind, and
     the files read with their digests."""
@@ -184,52 +171,42 @@ def _mapped(data_dir: str, years: list[int], kind: str) -> tuple[pn.TxnCandles, 
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_clock(args) -> int:
+def cmd_clock(args):
     series, inputs = _load_dir(args.data_dir, [args.year])
     clock = build_clock(series.values(), ClockKind(args.kind), args.year)
-    out = _out_dir(args)
-    clock.write_csv(out / f"clock_{args.year}_{args.kind}.csv")
-    _write_manifest(out, "clock", args, inputs)
-    return 0
+    return inputs, {f"clock_{args.year}_{args.kind}.csv": clock.write_csv}, None
 
 
-def cmd_variogram(args) -> int:
+def cmd_variogram(args):
     grid = _parse_tau_grid(args.tau_grid, args.normalize_at)
     candles, inputs = _mapped(args.data_dir, [args.year], args.clock)
-    results = {}
+    files, full = {}, []
     for t in candles.coords:    # a ticker with fewer than two candles omits every tau
         v = vg.variogram_diff_of_avg(candles.in_year(args.year, [t]), grid)
         # a ticker whose V cannot be read at --normalize-at is left out
         v0 = vg.value_at(v.tau, v.v[None], args.normalize_at)[0] if len(v) else np.nan
         if not np.isnan(v0):
             v.v /= v0
-            results[t] = v
-    if not results:
+            files[f"variogram_{t}.csv"] = v.write_csv
+            if len(v) == len(grid):     # the ensemble takes the tickers that kept every tau
+                full.append(v.v)
+    if not files:
         raise DataError("no ticker produced a usable variogram")
-    out = _out_dir(args)
-    for t, v in results.items():
-        v.write_csv(out / f"variogram_{t}.csv")
-    # the ensemble takes the tickers that kept every tau of the grid
-    full = [v.v for v in results.values() if len(v) == len(grid)]
     if full:
-        write_table(out / "ensemble.csv", ["tau_hours", *(f"p{p}" for p in vg.PERCENTILES)],
-                    [grid, *vg.percentile_curves(np.stack(full))])
-    _write_manifest(out, "variogram", args, inputs)
-    return 0
+        cols = [grid, *vg.percentile_curves(np.stack(full))]
+        files["ensemble.csv"] = lambda path: write_table(
+            path, ["tau_hours", *(f"p{p}" for p in vg.PERCENTILES)], cols)
+    return inputs, files, None
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args):
     params = hurst.HurstParams(args.epsilon, delta=args.delta, rate=args.rate)
     config = hurst.SimConfig(args.years, args.hours_per_year, args.vol, args.seed)
     simulate = hurst.simulate_fbm if args.method == "fft" else hurst.simulate_shot_noise
-    panel = simulate(params, config)
-    out = _out_dir(args)
-    panel.write_csv(out / "panel.csv")
-    _write_manifest(out, "simulate", args, {})
-    return 0
+    return {}, {"panel.csv": simulate(params, config).write_csv}, None
 
 
-def cmd_backtest(args) -> int:
+def cmd_backtest(args):
     if args.long_only and args.strategy != "market-meanrev":
         raise UsageError(f"--long-only applies to market-meanrev only, not {args.strategy}")
     inputs: dict[Path, str] = {}
@@ -245,8 +222,8 @@ def cmd_backtest(args) -> int:
             "n_years": int(len(p_y)),
             "rms_hourly_return": bt.rms_hourly_return(panel.prices),
         }
-        out = _out_dir(args)
-        write_table(out / "yearly_returns.csv", ["year", "net_return"], [np.arange(len(p_y)), p_y])
+        files = {"yearly_returns.csv": lambda path: write_table(
+            path, ["year", "net_return"], [np.arange(len(p_y)), p_y])}
     else:
         if not args.data_dir or not args.years:
             raise UsageError(f"{args.strategy} needs --data-dir and --years")
@@ -277,16 +254,12 @@ def cmd_backtest(args) -> int:
         summary = {"annualized_yield": bt.annualized_yield(result.curve), "total_pnl": total,
                    "breakeven_cost": total / notional if notional else None,
                    "n_trades": len(result.ledger), **result.info}
-        out = _out_dir(args)
-        result.ledger.write_csv(out / "ledger.csv")
-        result.curve.write_csv(out / "equity.csv")
-    _write_json(out / "summary.json", summary)
-    _write_manifest(out, "backtest", args, inputs)
-    print(json.dumps(summary, sort_keys=True))
-    return 0
+        files = {"ledger.csv": result.ledger.write_csv, "equity.csv": result.curve.write_csv}
+    files["summary.json"] = _json("summary.json", summary)
+    return inputs, files, summary
 
 
-def cmd_predict(args) -> int:
+def cmd_predict(args):
     train_years = _parse_years(args.train_years)
     predict_years = _parse_years(args.predict_years)
     all_years = sorted(set(train_years) | set(predict_years))
@@ -297,7 +270,7 @@ def cmd_predict(args) -> int:
     panel = pn.build_panel(candles, args.min_active_fraction)
     tickers = panel.tickers
     returns = panel.adjacent_returns()
-    # before training, so a ticker with no return variance leaves no coeffs file
+    # before training, so a ticker with no return variance is named before any fit
     grid: dict[str, dict] = {"none": {}}
     for py in predict_years:
         r = returns[py]
@@ -309,7 +282,7 @@ def cmd_predict(args) -> int:
                             f"return variance in year {py}")
         naive = pred.predict(pred.market_mode(tickers, variances), r)
         grid["none"][str(py)] = pred.prediction_report(naive, r)
-    out = _out_dir(args)
+    files = {}
     for ty in train_years:
         cmat = cov.estimate_cov(candles.in_year(ty, tickers), 1.0, min_obs=args.min_obs)
         if cmat.tickers != tickers:
@@ -321,29 +294,26 @@ def cmd_predict(args) -> int:
         if args.refine:
             others = [returns[y] for y in train_years if y != ty] or [returns[ty]]
             b, _ = pred.gradient_refine(returns[ty], others, b)
-        b.write_csv(out / f"coeffs_{ty}.csv")
+        files[f"coeffs_{ty}.csv"] = b.write_csv
         grid[str(ty)] = {str(py): pred.prediction_report(pred.predict(b, returns[py]), returns[py])
                          for py in predict_years}
-    _write_json(out / "report.json", {"tickers": tickers, "fve_grid": grid})
-    _write_manifest(out, "predict", args, inputs)
-    print(json.dumps(grid, sort_keys=True))
-    return 0
+    files["report.json"] = _json("report.json", {"tickers": tickers, "fve_grid": grid})
+    return inputs, files, grid
 
 
-def cmd_correlate(args) -> int:
+def cmd_correlate(args):
     years = _parse_years(args.years)
     if not 0 < args.tau < np.inf:
         raise UsageError(f"--tau must be positive and finite, got {args.tau}")
     grid = _parse_tau_grid(args.tau_grid, args.normalize_at) if args.tau_grid else None
     candles, inputs = _mapped(args.data_dir, years, args.kind)
-    out = _out_dir(args)
 
     cmat = cov.estimate_cov(candles, args.tau, min_obs=args.min_obs)
     if not cmat.tickers:
         raise DataError("no ticker has enough bins at the requested tau")
-    rmat = cov.cov_to_corr(cmat)
-    cmat.write_csv(out / "cov.csv", out / "n_obs.csv")
-    rmat.write_csv(out / "corr.csv")
+    files = {"cov.csv": cmat.write_csv,
+             "n_obs.csv": lambda path: write_table(path, cmat.tickers, cmat.n_obs.T),
+             "corr.csv": cov.cov_to_corr(cmat).write_csv}
 
     if grid is not None:
         # rho(tau) curves use the first requested year; the others are let go
@@ -354,11 +324,10 @@ def cmd_correlate(args) -> int:
         full = v[(v > 0).all(axis=1)]
         predicted = (cov.predicted_corr_ratio(np.median(full, axis=0), grid, args.normalize_at)
                      if len(full) else np.full(len(grid), np.nan))
-        write_table(out / "corr_vs_tau.csv",
-                    ["tau_hours", *(f"p{p}" for p in vg.PERCENTILES), "predicted"],
-                    [grid, *perc, predicted])
-    _write_manifest(out, "correlate", args, inputs)
-    return 0
+        files["corr_vs_tau.csv"] = lambda path: write_table(
+            path, ["tau_hours", *(f"p{p}" for p in vg.PERCENTILES), "predicted"],
+            [grid, *perc, predicted])
+    return inputs, files, None
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +436,23 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     return p
 
 
+def _run(args) -> int:
+    """Run a command; then make --out-dir, write its files and manifest, and print."""
+    inputs, files, stdout = args.func(args)
+    flags = {k: v for k, v in vars(args).items() if k not in ("func", "command", "manifest")}
+    files["run_manifest.json"] = _json("run_manifest.json", {
+        "tool": "vartau", "version": __version__, "command": args.command, "args": flags,
+        "inputs": {str(p): inputs[p] for p in sorted(inputs)},
+        "created_utc": datetime.now(timezone.utc).isoformat()})
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, write in files.items():
+        write(out / name)
+    if stdout is not None:
+        print(json.dumps(stdout, sort_keys=True))
+    return 0
+
+
 # flags that a command no longer has, each with the one value that a manifest
 # may still record: the behaviour the command now always has
 _RETIRED_FLAGS = {"variogram": {"method": "diff_of_avg"}, "simulate": {"sigma": 1.0},
@@ -511,7 +497,7 @@ def _replay(manifest_path: str) -> int:
     if data_dir:
         # the command reads every *.csv in the directory, not only the inputs
         recorded = set(map(Path, inputs))
-        for path in sorted(Path(data_dir).glob("*.csv")):
+        for path in candle_files(data_dir):
             if path not in recorded:
                 raise DataError(f"{path} was added to {data_dir} after the run")
     argv = [command]
@@ -526,7 +512,7 @@ def _replay(manifest_path: str) -> int:
         replayed = build_parser(_RaisingParser).parse_args(argv)
     except UsageError as exc:
         raise bad(f"does not replay: {exc}") from None
-    return replayed.func(replayed)
+    return _run(replayed)
 
 
 def main(argv=None) -> int:
@@ -538,7 +524,7 @@ def main(argv=None) -> int:
         if not getattr(args, "command", None):
             parser.print_help()
             return 2
-        return args.func(args)
+        return _run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -31,7 +31,6 @@ observed correlation must follow tau/V_tot(tau), which is what
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -73,10 +72,8 @@ class CovMatrix:
             c[miss] = c[have].mean() if have.any() else 0.0
         return CovMatrix(list(self.tickers), c, self.n_obs.copy())
 
-    def write_csv(self, path, n_obs_path=None) -> None:
+    def write_csv(self, path) -> None:
         write_table(path, self.tickers, self.c.T)
-        if n_obs_path is not None:
-            write_table(n_obs_path, self.tickers, self.n_obs.T)
 
 
 @dataclass
@@ -201,11 +198,11 @@ def corr_vs_tau(candles: TxnCandles, tau_grid, normalize_tau: float):
     """Pairwise correlation as a function of resolution, normalized at normalize_tau.
 
     Per tau, one ``pair_stats`` call over the tickers' ``grid_returns`` gives
-    every pair, with the variances on the diagonal. Returns (pairs, curves,
-    v). curves is (n_pairs, n_tau) normalized rho, NaN where a pair or a
-    variance had fewer than MIN_JOINT_OBS samples or a variance was not
-    positive, and for a pair that ``variogram.value_at`` cannot read at
-    normalize_tau.
+    every pair, with the variances on the diagonal. Returns (tickers, curves,
+    v). curves is (n_pairs, n_tau) normalized rho, the pairs in the order of
+    ``np.triu_indices(len(tickers), 1)``, NaN where a pair or a variance had
+    fewer than MIN_JOINT_OBS samples or a variance was not positive, and for
+    a pair that ``variogram.value_at`` cannot read at normalize_tau.
     v is (n_tickers, n_tau): each ticker's V(tau) from the same returns,
     which for one year is its ``variogram_diff_of_avg`` (NaN where omitted).
     """
@@ -224,7 +221,7 @@ def corr_vs_tau(candles: TxnCandles, tau_grid, normalize_tau: float):
         rho[(n_obs < MIN_JOINT_OBS) | ~np.outer(good, good)] = np.nan
         raw[:, k] = rho[upper]
     raw /= value_at(tau_grid, raw, normalize_tau)[:, None]      # normalized in place
-    return list(itertools.combinations(tickers, 2)), raw, v
+    return tickers, raw, v
 
 
 def _with_variogram(returns, v):

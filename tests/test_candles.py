@@ -282,6 +282,7 @@ class TestCache:
                 pytest.skip("this user may write to a read-only directory")
             for _ in range(2):
                 assert same_bits(parse_candles(p), parsed_by_loop(p))
+                assert candles.candle_files(d) == [p]
         finally:
             d.chmod(0o755)
         assert {q: q.read_bytes() for q in d.iterdir()} == files

@@ -363,11 +363,32 @@ def test_simulate_value_it_cannot_take_exits_3_before_any_file(tmp_path, capsys,
 
 # For each (command, mode): the base run's flags, and every setting that the
 # mode reads with a value off the base run's, which must change an output file.
-# The base market-meanrev run trades one-name sides, so that its other settings
-# have trades to act on; the base xcorr run trades the coefficient file's five
-# tickers, so that a side of the top fraction can hold two. xcorr does not read
+# The base variogram and correlate runs have a tau grid, so that
+# --normalize-at has curves to act on. Each --min-obs leaves out the cells of
+# some pairs of 2021 but keeps every variance: 1200 those of T5 with T2 and
+# T4 in correlate, 4000 those of T4 with T2 and T3 among the tickers that
+# predict keeps (T5 trades in under half the hours). The base market-meanrev
+# run trades one-name sides, so that its other settings have trades to act
+# on; the base xcorr run trades the coefficient file's five tickers, so that
+# a side of the top fraction can hold two. xcorr does not read
 # --min-active-fraction (see test_xcorr_does_not_read_the_eligibility_share).
 SETTINGS = {
+    ("clock", None): (["--data-dir", "{market}", "--year", "2021"], {
+        "--data-dir": "{other}", "--year": "2022", "--kind": "volume"}),
+    ("variogram", None): (
+        ["--data-dir", "{market}", "--year", "2021", "--tau-grid", "0.25:32:4"], {
+            "--data-dir": "{other}", "--year": "2022", "--clock": "volume",
+            "--tau-grid": "0.5:32:4", "--normalize-at": "2"}),
+    ("correlate", None): (
+        ["--data-dir", "{market}", "--years", "2021", "--tau-grid", "0.5,1,2,4"], {
+            "--data-dir": "{other}", "--years": "2021,2022", "--kind": "volume",
+            "--tau": "2", "--tau-grid": "0.5,1,2,8", "--normalize-at": "2",
+            "--min-obs": "1200"}),
+    ("predict", None): (
+        ["--data-dir", "{market}", "--train-years", "2021", "--predict-years", "2022"], {
+            "--data-dir": "{other}", "--train-years": "2022", "--predict-years": "2021",
+            "--kind": "volume", "--ridge": "1e-6", "--refine": None, "--min-obs": "4000",
+            "--min-active-fraction": "0.8"}),
     ("simulate", "fft"): (["--epsilon", "0.1", "--hours-per-year", "50"], {
         "--epsilon": "0.2", "--years": "2", "--hours-per-year": "60", "--vol": "0.3",
         "--seed": "1", "--delta": "2.0"}),      # at or below 0.5, delta only rescales fft
@@ -417,8 +438,8 @@ def setting_inputs(tmp_path_factory):
 @pytest.mark.parametrize("command, mode", list(SETTINGS))
 def test_every_setting_changes_a_result(setting_inputs, tmp_path, command, mode):
     base, settings = SETTINGS[command, mode]
-    head = [command, "--method" if command == "simulate" else "--strategy", mode,
-            *(a.format(**setting_inputs) for a in base)]
+    picks = ["--method" if command == "simulate" else "--strategy", mode] if mode else []
+    head = [command, *picks, *(a.format(**setting_inputs) for a in base)]
 
     def outputs(*extra):
         out = tmp_path / str(len(list(tmp_path.iterdir())))
@@ -458,13 +479,14 @@ def test_coefficient_ticker_without_a_candle_file_exits_3(data, tmp_path, capsys
     assert not out.exists()
 
 
-def test_settings_table_covers_every_simulate_and_backtest_option():
+def test_settings_table_covers_every_option():
     commands = next(a for a in cli.build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
-    for command in ("simulate", "backtest"):
-        options = {a.option_strings[-1] for a in commands[command]._actions if a.option_strings}
+    assert set(commands) == {c for c, _ in SETTINGS}
+    for command, parser in commands.items():
+        options = {a.option_strings[-1] for a in parser._actions if a.option_strings}
         covered = set().union(*(flags for (c, _), (_, flags) in SETTINGS.items() if c == command))
-        assert options - {"--help", "--out-dir", "--method", "--strategy"} == covered
+        assert options - {"--help", "--out-dir", "--method", "--strategy"} == covered, command
 
 
 def test_refine_does_not_validate_on_a_predict_year(data, tmp_path):
@@ -564,11 +586,11 @@ def test_flat_year_of_sim_meanrev_returns_zero(tmp_path):
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_json_outputs_are_strict(tmp_path, value):
+    # the JSON is rendered when the writer is made, so a NaN raises before any write
+    with pytest.raises(cli.NumericalError, match="summary.json: Out of range float"):
+        cli._json("summary.json", {"n": 1, "x": [0.5, value]})
     path = tmp_path / "summary.json"
-    with pytest.raises(cli.NumericalError, match=f"{path}: Out of range float"):
-        cli._write_json(path, {"n": 1, "x": [0.5, value]})
-    assert not path.exists()
-    cli._write_json(path, {"n": 1, "x": [0.5, 2.0]})
+    cli._json("summary.json", {"n": 1, "x": [0.5, 2.0]})(path)
     assert path.read_text() == json.dumps({"n": 1, "x": [0.5, 2.0]}, indent=2) + "\n"
 
 
@@ -667,6 +689,95 @@ def test_predict_names_the_ticker_with_no_return_variance(tmp_path, capsys):
             in capsys.readouterr().err)
     # no coeffs_2021.csv is left for backtest --coeffs without a report beside it
     assert not list(out.glob("coeffs_*.csv")) and not out.exists()
+
+
+def test_predict_that_fails_on_a_later_training_year_writes_nothing(tmp_path, capsys):
+    # T3 trades at one price all through 2022, so that year's covariance has a
+    # zero row and no inverse at ridge 0; the command once left coeffs_2021.csv
+    # with no report or manifest, and backtest xcorr --coeffs traded it
+    data = tmp_path / "data"
+    data.mkdir()
+    series = market(spacings=(60, 90, 120, 60))
+    t3 = series["T3"]
+    flat = t3.timestamps >= year_bounds(2022)[0]
+    bars = [np.where(flat, 50.0, getattr(t3, c)) for c in ("open", "high", "low", "close")]
+    series["T3"] = CandleSeries("T3", t3.timestamps, *bars, t3.volume)
+    for t, s in series.items():
+        write_candles(data / f"{t}.csv", s)
+
+    def predict(train_years, out):
+        return cli.main(["predict", "--data-dir", str(data), "--train-years", train_years,
+                         "--predict-years", "2021", "--ridge", "0", "--out-dir", str(out)])
+
+    out = tmp_path / "out"
+    assert predict("2021,2022", out) == 4
+    assert "matrix not positive definite at ridge=0.0" in capsys.readouterr().err
+    assert not out.exists()
+    assert predict("2021", out) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["coeffs_2021.csv", "report.json",
+                                                     "run_manifest.json"]
+
+
+@pytest.mark.parametrize("argv, module, name", [
+    (["clock", "--year", "2021"], cli, "build_clock"),
+    (["variogram", "--year", "2021", "--tau-grid", "0.25:32:4"], cli.vg, "percentile_curves"),
+    (["correlate", "--years", "2021", "--tau-grid", "0.5,1,2"], cli.cov,
+     "predicted_corr_ratio"),
+    (["predict", "--train-years", "2021", "--predict-years", "2022"], cli.pred,
+     "prediction_report"),
+    (["backtest", "--strategy", "market-meanrev", "--years", "2021", "--min-side-count", "1"],
+     cli.bt, "annualized_yield"),
+    (["simulate", "--epsilon", "0.1", "--hours-per-year", "50"], cli.hurst, "simulate_fbm"),
+], ids=["clock", "variogram", "correlate", "predict", "backtest", "simulate"])
+def test_command_that_fails_at_its_last_library_call_writes_nothing(
+        data, tmp_path, monkeypatch, capsys, argv, module, name):
+    real, calls, fail_at = getattr(module, name), [], [0]
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        if len(calls) == fail_at[0]:
+            raise cli.NumericalError(f"{name} failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    if argv[0] != "simulate":
+        argv = [*argv, "--data-dir", str(data)]
+    assert cli.main([*argv, "--out-dir", str(tmp_path / "ok")]) == 0
+    fail_at[0], calls[:] = len(calls), []       # the last call of the run that succeeded
+    capsys.readouterr()
+    assert cli.main([*argv, "--out-dir", str(tmp_path / "failed")]) == 4
+    assert capsys.readouterr() == ("", f"numerical error: {name} failed\n")
+    assert not (tmp_path / "failed").exists()
+
+
+def test_summary_holding_a_nan_writes_nothing(data, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli.bt, "annualized_yield", lambda curve: float("nan"))
+    out = tmp_path / "out"
+    assert cli.main(["backtest", "--strategy", "market-meanrev", "--data-dir", str(data),
+                     "--years", "2021", "--min-side-count", "1", "--out-dir", str(out)]) == 4
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err.startswith("numerical error: summary.json: Out of range float values")
+    assert not out.exists()
+
+
+def test_renamed_candle_file_leaves_no_cache_entry(tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    for t, s in market(years=(2021,), spacings=(600, 900)).items():
+        write_candles(data / f"{t}.csv", s)
+
+    def clock(name):
+        out = tmp_path / name
+        assert cli.main(["clock", "--data-dir", str(data), "--year", "2021",
+                         "--out-dir", str(out)]) == 0
+        stems = sorted(p.name.split(".")[0] for p in (data / ".vartau").iterdir())
+        return stems, (out / "clock_2021_dollar.csv").read_bytes()
+
+    stems, want = clock("before")
+    assert stems == ["T0", "T1"]
+    (data / "T1.csv").rename(data / "T2.csv")
+    assert clock("after") == (["T0", "T2"], want)
 
 
 @pytest.mark.parametrize("strategy", ["xcorr", "sim-meanrev"])

@@ -154,8 +154,8 @@ class TestCorrVsTau:
         series = {f"T{i}": hourly_candles_from_prices(f"T{i}", 2021, prices[i])
                   for i in range(2)}
         grid = np.array([1.0, 2.0, 4.0, 8.0])
-        pairs, curves, _ = corr_vs_tau(map_candles(series, [clock]), grid, 1.0)
-        assert len(pairs) == 1
+        tickers, curves, _ = corr_vs_tau(map_candles(series, [clock]), grid, 1.0)
+        assert tickers == ["T0", "T1"] and curves.shape == (1, len(grid))
         se = 3.0 / np.sqrt(8000 / grid)
         assert np.all(np.abs(curves[0] - 1.0) < (se / rho + se[0] / rho))
 

@@ -545,8 +545,9 @@ def test_corr_vs_tau_matches_pair_loop(series, tau0):
     clock = build_clock(series.values(), ClockKind.CLOCK, 2021)
     grid = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
     want_pairs, want = corr_vs_tau_loop(series, clock, grid, tau0)
-    pairs, got, _ = corr_vs_tau(map_candles(series, [clock]), grid, tau0)
-    assert pairs == want_pairs
+    tickers, got, _ = corr_vs_tau(map_candles(series, [clock]), grid, tau0)
+    assert [(tickers[i], tickers[j])
+            for i, j in zip(*np.triu_indices(len(tickers), 1))] == want_pairs
     assert np.array_equal(np.isnan(got), np.isnan(want))
     # a cell is c = rho / rho0, rho0 = rho at tau0. Each rho is within
     # e = 1e-12 * s of the loop's, s the row's largest |rho|, so
@@ -762,7 +763,8 @@ def test_matrix_csvs_match_rows(data, block):
     cmat = CovMatrix(tickers, m, n_obs)
     assert (written(lambda c, p: c.write_csv(p), cmat, block)
             == written(lambda c, p: write_matrix_csv_rows(c.tickers, c.c, p), cmat))
-    assert (written(lambda c, p: c.write_csv(p.with_suffix(".cov"), p), cmat, block)
+    # n_obs.csv, as the correlate command writes it
+    assert (written(lambda c, p: write_table(p, c.tickers, c.n_obs.T), cmat, block)
             == written(lambda c, p: write_matrix_csv_rows(c.tickers, c.n_obs, p, True), cmat))
     rmat = CorrMatrix(tickers, m)
     assert (written(CorrMatrix.write_csv, rmat, block)
