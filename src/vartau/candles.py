@@ -16,6 +16,12 @@ columns, the step that ``panel.grid_bins`` chains into each ticker's returns
 and its row of the hourly panel. Returns are log differences of consecutive
 known bin prices, each carrying its actual elapsed transaction time.
 
+``parse_candles`` reads a candle file and caches what it parsed, keyed on
+the file's sha256; ``load_parsed`` reads that series again by the digest
+that ``parse_candles`` recorded, without hashing the file again, so a
+command can pass over its files more than once while it holds one at a
+time.
+
 ``read_table`` owns the CSV syntax of every table vartau reads (candles,
 simulated panels, prediction coefficients) and its ``path:line`` errors, as
 ``write_table`` owns the format of every table vartau writes; only
@@ -165,27 +171,81 @@ def parse_candles(path) -> CandleSeries:
     ``<dir>/.vartau/<stem>.<sha256>.<tag>.npy``: one (3, n) int64 array of
     the timestamps and the bit patterns of the prices and volumes, so a
     cached series is bit-identical to a parsed one. The key is the file's
-    content (its sha256) and the parser (``tag``, a digest of this module's
-    source), so an entry never goes stale and the directory is safe to
-    delete. An entry is written only for a file that passed every check and
-    did not change while it was parsed; it replaces the stem's older
-    entries. An entry that cannot be read is parsed again and rewritten, and
-    a directory that cannot be written is parsed every time, without error.
+    content (its sha256, taken before the file is read) and the parser
+    (``tag``, a digest of this module's source), so an entry never goes stale
+    and the directory is safe to delete. A parse is followed by a second
+    hash, and a file whose bytes changed while it was parsed raises DataError
+    ``<path> changed while the command read it``. An entry is written only
+    for a file that passed every check; it replaces the stem's older entries.
+    An entry that cannot be read is parsed again and rewritten, and a
+    directory that cannot be written is parsed every time, without error.
+    ``load_parsed`` reads the same series again by its digest.
     """
     path = Path(path)
-    try:
-        digest = sha256_file(path)
-    except OSError as exc:
-        raise DataError(f"cannot open {path}: {exc}") from exc
-    entry = path.parent / _CACHE_DIR / f"{path.stem}.{digest}.{_parser_tag()}.npy"
+    digest = _sha256_of_input(path)
+    entry = _entry(path, digest)
     series = _read_entry(entry, path.stem)
     if series is None:
-        series = _parse(path)
-        with contextlib.suppress(OSError):      # unwritable, or the file is gone since
-            if sha256_file(path) == digest:
-                _write_entry(entry, path.stem, series)
+        series = _read_unchanged(path, digest, _parse)
+        with contextlib.suppress(OSError):      # unwritable
+            _write_entry(entry, path.stem, series)
     series.sha256 = digest
     return series
+
+
+def load_parsed(path, digest: str) -> CandleSeries:
+    """The series that ``parse_candles`` read from ``path`` when its content had
+    sha256 ``digest``, loaded from the parse cache without hashing the file.
+
+    This is how a command reads a file a second time. Only when the entry is
+    missing (the directory cannot be written) is the file parsed again and
+    hashed, and a file whose digest is no longer ``digest`` raises DataError
+    ``<path> changed while the command read it``.
+    """
+    path = Path(path)
+    series = _read_entry(_entry(path, digest), path.stem)
+    if series is None:
+        series = _read_unchanged(path, digest, _parse)
+    series.sha256 = digest
+    return series
+
+
+def read_hashed(path, read):
+    """``read(path)`` and the sha256 of the bytes it read.
+
+    The file is hashed before it is read and again after; a file that changed
+    in between raises DataError ``<path> changed while the command read it``,
+    as does one that ``read`` rejected if it changed meanwhile.
+    """
+    digest = _sha256_of_input(path)
+    return _read_unchanged(path, digest, read), digest
+
+
+def _sha256_of_input(path) -> str:
+    try:
+        return sha256_file(path)
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc}") from exc
+
+
+def _read_unchanged(path, digest: str, read):
+    """``read(path)``, checked to have read the bytes of sha256 ``digest``."""
+    try:
+        result = read(path)
+    except DataError:
+        _check_unchanged(path, digest)      # an error of bytes that changed names the change
+        raise
+    _check_unchanged(path, digest)
+    return result
+
+
+def _check_unchanged(path, digest: str) -> None:
+    try:
+        same = sha256_file(path) == digest
+    except OSError:
+        same = False
+    if not same:
+        raise DataError(f"{path} changed while the command read it")
 
 
 def sha256_file(path) -> str:
@@ -203,6 +263,10 @@ def _parser_tag() -> str:
     """A digest of this module's source, in every cache entry's name, so that
     no entry written by other parser code is read."""
     return hashlib.sha256(Path(__file__).read_bytes()).hexdigest()[:12]
+
+
+def _entry(path: Path, digest: str) -> Path:
+    return path.parent / _CACHE_DIR / f"{path.stem}.{digest}.{_parser_tag()}.npy"
 
 
 def _read_entry(entry: Path, ticker: str) -> CandleSeries | None:

@@ -14,16 +14,26 @@ returned does ``_run`` make ``--out-dir``, write the files, then the
 manifest, and print, so a command that fails (a NaN in its JSON included)
 writes nothing.
 
-Every candle command but ``clock`` loads through ``_mapped``, which maps
-each ticker's candles to transaction time once, on the clocks of the
-requested kind and years; the analysis modules read only mapped candles.
+A candle command reads its data directory through ``_CandleFiles``, a
+stream that loads one file's ``CandleSeries`` at a time and can be iterated
+more than once, so no command holds two files' series at once. The first
+pass calls ``parse_candles`` once per file, which hashes the file and
+records the digest of the content parsed (the manifest's input digest). Each
+later pass loads the file's parse-cache entry by that digest through
+``load_parsed``, with no second hash. ``build_clock`` takes one pass per
+year, and every command but ``clock`` then maps the stream to transaction
+time once, in ``_mapped`` or, for ``variogram``, file by file; the analysis
+modules read only mapped candles, 16 bytes a candle. ``predict`` lets its
+mapped candles go once it has its panel and its training covariances.
 
 Each candle file is parsed once: ``parse_candles`` caches its columns in
 ``<data-dir>/.vartau/``, keyed on the file's content and on the parser's
-code, so a later command on the same files loads them instead. The
+code, so a later pass or command on the same files loads them instead. The
 entries of a file that is gone are deleted when a command next lists the
-directory. The cache is safe to delete, and a data directory that cannot be
-written is parsed on every run. Replay ignores it, as it reads only ``*.csv``.
+directory. The cache is safe to delete. A data directory that cannot be
+written is parsed on every pass of every run: a later pass parses each file
+again and hashes it, and raises DataError if the file changed since the
+first. Replay ignores the cache, as it reads only ``*.csv``.
 
 Exit codes: 0 success, 2 usage, 3 data error (such as a manifest that does not
 replay, or a value a simulation cannot take), 4 numerical failure.
@@ -34,6 +44,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -46,7 +57,8 @@ from . import hurst
 from . import panel as pn
 from . import predictor as pred
 from . import variogram as vg
-from .candles import CandleSeries, candle_files, not_utf8, parse_candles, sha256_file, write_table
+from .candles import (CandleSeries, candle_files, load_parsed, not_utf8, parse_candles,
+                      read_hashed, sha256_file, write_table)
 from .clock import ClockKind, build_clock, year_bounds
 from .errors import DataError, NumericalError
 
@@ -83,29 +95,41 @@ def _json(name: str, obj):
     return lambda path: path.write_text(text)
 
 
-def _load_dir(data_dir: str, years: list[int]) -> tuple[dict, dict[Path, str]]:
-    """Every candle file's series, cut to the span of the given years, and
-    each file read with the sha256 of the content parsed.
+class _CandleFiles:
+    """Every candle file of a data directory as a ``CandleSeries``, one at a
+    time, in file order; each iteration is one pass over the files.
 
-    Each series holds three columns (see ``parse_candles``). A cut series gets
-    its own copy of the kept rows, so the rest of the file is freed; a file
-    with no candle in the span gives an empty series.
+    The first pass over a file parses it with ``parse_candles`` and records
+    the sha256 of the content parsed; a later pass loads the same series by
+    that digest with ``load_parsed``.
     """
-    d = Path(data_dir)
-    if not d.is_dir():
-        raise DataError(f"data directory {data_dir!r} does not exist")
-    files = candle_files(d)
-    if not files:
-        raise DataError(f"no .csv candle files in {data_dir!r}")
-    t0, t1 = year_bounds(min(years))[0], year_bounds(max(years))[1]
-    out, digests = {}, {}
-    for f in files:
-        s = parse_candles(f)
-        digests[f] = s.sha256
-        sub = s.slice_window(t0, t1)
-        out[f.stem] = s if len(sub) == len(s) else CandleSeries.from_prices(
-            s.ticker, *(a.copy() for a in (sub.timestamps, sub.price, sub.volume)))
-    return out, digests
+
+    def __init__(self, data_dir: str):
+        d = Path(data_dir)
+        if not d.is_dir():
+            raise DataError(f"data directory {data_dir!r} does not exist")
+        self.files = candle_files(d)
+        if not self.files:
+            raise DataError(f"no .csv candle files in {data_dir!r}")
+        self.digests: dict[Path, str] = {}
+
+    def __iter__(self) -> Iterator[CandleSeries]:
+        return map(self._load, self.files)
+
+    def _load(self, path: Path) -> CandleSeries:
+        if path in self.digests:
+            return load_parsed(path, self.digests[path])
+        series = parse_candles(path)
+        self.digests[path] = series.sha256
+        return series
+
+    def inputs(self) -> dict[Path, str]:
+        """Each file read, with the sha256 of the content parsed; a file that no
+        pass has reached yet (the plain clock reads none) is parsed now."""
+        for path in self.files:
+            if path not in self.digests:
+                self._load(path)
+        return self.digests
 
 
 def _year(text: str) -> int:
@@ -162,9 +186,9 @@ def _parse_tau_grid(text: str, normalize_at: float) -> np.ndarray:
 def _mapped(data_dir: str, years: list[int], kind: str) -> tuple[pn.TxnCandles, dict[Path, str]]:
     """The candles mapped once to the years' clocks of the given kind, and
     the files read with their digests."""
-    series, digests = _load_dir(data_dir, years)
-    clocks = [build_clock(series.values(), ClockKind(kind), y) for y in years]
-    return pn.map_candles(series, clocks), digests
+    stream = _CandleFiles(data_dir)
+    clocks = [build_clock(stream, ClockKind(kind), y) for y in years]
+    return pn.map_candles(stream, clocks), stream.inputs()
 
 
 # ---------------------------------------------------------------------------
@@ -172,17 +196,24 @@ def _mapped(data_dir: str, years: list[int], kind: str) -> tuple[pn.TxnCandles, 
 # ---------------------------------------------------------------------------
 
 def cmd_clock(args):
-    series, inputs = _load_dir(args.data_dir, [args.year])
-    clock = build_clock(series.values(), ClockKind(args.kind), args.year)
-    return inputs, {f"clock_{args.year}_{args.kind}.csv": clock.write_csv}, None
+    stream = _CandleFiles(args.data_dir)
+    clock = build_clock(stream, ClockKind(args.kind), args.year)
+    return stream.inputs(), {f"clock_{args.year}_{args.kind}.csv": clock.write_csv}, None
 
 
 def cmd_variogram(args):
     grid = _parse_tau_grid(args.tau_grid, args.normalize_at)
-    candles, inputs = _mapped(args.data_dir, [args.year], args.clock)
+    stream = _CandleFiles(args.data_dir)
+    clock = build_clock(stream, ClockKind(args.clock), args.year)
+    curves = {}
+    for series in stream:       # one ticker loaded, mapped and estimated at a time
+        t, one = series.ticker, pn.map_candles([series], [clock])
+        del series
+        # a ticker with fewer than two candles omits every tau
+        curves[t] = vg.variogram_diff_of_avg(one, grid)
+        del one                 # let go before the next file is loaded
     files, full = {}, []
-    for t in candles.coords:    # a ticker with fewer than two candles omits every tau
-        v = vg.variogram_diff_of_avg(candles.in_year(args.year, [t]), grid)
+    for t, v in sorted(curves.items()):
         # a ticker whose V cannot be read at --normalize-at is left out
         v0 = vg.value_at(v.tau, v.v[None], args.normalize_at)[0] if len(v) else np.nan
         if not np.isnan(v0):
@@ -196,7 +227,7 @@ def cmd_variogram(args):
         cols = [grid, *vg.percentile_curves(np.stack(full))]
         files["ensemble.csv"] = lambda path: write_table(
             path, ["tau_hours", *(f"p{p}" for p in vg.PERCENTILES)], cols)
-    return inputs, files, None
+    return stream.inputs(), files, None
 
 
 def cmd_simulate(args):
@@ -213,8 +244,7 @@ def cmd_backtest(args):
     if args.strategy == "sim-meanrev":
         if not args.panel:
             raise UsageError("sim-meanrev needs --panel")
-        panel = hurst.read_panel_csv(args.panel)
-        inputs[Path(args.panel)] = sha256_file(args.panel)
+        panel, inputs[Path(args.panel)] = read_hashed(args.panel, hurst.read_panel_csv)
         p_y = bt.run_sim_meanrev(panel.prices)
         summary = {
             "mean": float(p_y.mean()),
@@ -232,8 +262,8 @@ def cmd_backtest(args):
         if args.strategy == "xcorr":
             if not args.coeffs:
                 raise UsageError("xcorr needs --coeffs")
-            coeffs = pred.read_coeffs_csv(args.coeffs)     # before the market is parsed
-            inputs[Path(args.coeffs)] = sha256_file(args.coeffs)
+            # before the market is parsed
+            coeffs, inputs[Path(args.coeffs)] = read_hashed(args.coeffs, pred.read_coeffs_csv)
         config = bt.StrategyConfig(staleness=args.staleness, top_fraction=args.top_fraction,
                                    min_side_count=args.min_side_count)
         pn.check_active_fraction(args.min_active_fraction)    # before the market is parsed
@@ -269,6 +299,10 @@ def cmd_predict(args):
     candles, inputs = _mapped(args.data_dir, all_years, args.kind)
     panel = pn.build_panel(candles, args.min_active_fraction)
     tickers = panel.tickers
+    # the training covariances, so that the mapped candles are let go before the fits
+    cmats = {ty: cov.estimate_cov(candles.in_year(ty, tickers), 1.0, min_obs=args.min_obs)
+             for ty in train_years}
+    del candles
     returns = panel.adjacent_returns()
     # before training, so a ticker with no return variance is named before any fit
     grid: dict[str, dict] = {"none": {}}
@@ -284,9 +318,16 @@ def cmd_predict(args):
         grid["none"][str(py)] = pred.prediction_report(naive, r)
     files = {}
     for ty in train_years:
-        cmat = cov.estimate_cov(candles.in_year(ty, tickers), 1.0, min_obs=args.min_obs)
+        cmat = cmats.pop(ty)
         if cmat.tickers != tickers:
             raise DataError(f"year {ty}: an eligible ticker has no hourly return")
+        counts = np.diag(cmat.n_obs)
+        need = max(args.min_obs, cov.MIN_JOINT_OBS)
+        if (counts < need).any():       # its variance is missing, and cannot be imputed
+            i = int(np.argmax(counts < need))
+            raise DataError(f"{Path(args.data_dir) / tickers[i]}.csv: ticker {tickers[i]} has "
+                            f"{counts[i]} hourly returns in training year {ty}, fewer than the "
+                            f"{need} a variance needs at --min-obs {args.min_obs}")
         cmat = cmat.filled()
         ridge = args.ridge if args.ridge is not None else pred.default_ridge(cmat)
         a = pred.invert_with_ridge(cmat, ridge)

@@ -9,9 +9,11 @@ with no trading, so no transaction time elapses between sessions.
 
 ``build_clock`` adds each series' in-year weights into one array over the
 year's minutes (4.2 MB, 525,600 float64), series by series, and reads the
-traded minutes off a boolean array of the same length. Its working memory
-is that array plus one series' weights, whatever the number of candles,
-and it needs every in-year timestamp on a minute boundary.
+traded minutes off a boolean array of the same length. It lets each series
+go before it takes the next, so given a stream that loads one file at a
+time, its working memory is those arrays plus one series and its weights,
+whatever the number of candles. It needs every in-year timestamp on a
+minute boundary.
 
 Supported weightings: dollar volume (representative price x shares),
 share volume, and the identity clock (plain rescaled clock time).
@@ -105,6 +107,7 @@ def build_clock(all_candles, kind: ClockKind, year: int) -> ClockMap:
         with np.errstate(over="ignore"):        # an inf weight is refused below
             acc[slot] += sub.dollar_weights() if kind is ClockKind.DOLLAR_WEIGHTED else sub.volume
         traded[slot] = True
+        del series, sub, slot, off      # freed before the next series is loaded
     slot = np.flatnonzero(traded)
     if len(slot) == 0:
         raise DataError(f"no candles inside year {year}")

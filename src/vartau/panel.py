@@ -2,9 +2,11 @@
 
 At resolution tau each year of a run gets its own block of ceil(hours in the
 year / tau) grid columns, in calendar order. ``map_candles`` puts each
-ticker's candles on its year's transaction-hour axis once per command, and
-``grid_bins`` bins them at a tau, ticker by ticker, one ``bin_series`` step
-per ticker-year. A bin past its year's block (a candle at the year's last
+ticker's candles on its year's transaction-hour axis once per command, as a
+stream of series yields them, and keeps 16 bytes a candle (the hour and a
+copy of the price), so it never holds more than one series. ``grid_bins``
+bins them at a tau, ticker by ticker, one ``bin_series`` step per
+ticker-year. A bin past its year's block (a candle at the year's last
 transaction hour, when tau divides the year) is dropped. ``grid_returns``
 takes the log returns between consecutive present bins. Returns run across
 year boundaries: ``start_index`` is the column of the earlier bin, and
@@ -49,18 +51,22 @@ class TxnCandles:
         return TxnCandles([year], {t: self.coords[t][j:j + 1] for t in tickers})
 
 
-def map_candles(series: dict[str, CandleSeries], clocks: list[ClockMap]) -> TxnCandles:
-    """Map each ticker's in-year candles through each clock; tickers sorted by name.
-    Empties ``series`` one ticker at a time, so a series' timestamps and volumes
-    are freed once it is mapped (the mapped prices share its price array)."""
+def map_candles(series: Iterable[CandleSeries], clocks: list[ClockMap]) -> TxnCandles:
+    """Map each series' in-year candles through each clock, as ``series`` yields
+    it; the tickers are the series' names, sorted.
+
+    Only the mapped coordinates and a copy of the in-year prices are kept, 16
+    bytes a candle, so each series is freed once it is mapped: a stream of
+    series is held one at a time.
+    """
     def mapped(s, clock):
         sub = s.slice_window(clock.year_start, clock.year_end)
-        return (clock.to_txn_time(sub.timestamps), sub.price) if len(sub) >= 2 else None
+        return (clock.to_txn_time(sub.timestamps), sub.price.copy()) if len(sub) >= 2 else None
     coords = {}
-    for t in sorted(series):
-        s = series.pop(t)
-        coords[t] = [mapped(s, c) for c in clocks]
-    return TxnCandles([c.year for c in clocks], coords)
+    for s in series:
+        coords[s.ticker] = [mapped(s, c) for c in clocks]
+        del s           # freed before the next series is loaded
+    return TxnCandles([c.year for c in clocks], {t: coords[t] for t in sorted(coords)})
 
 
 def grid_bins(candles: TxnCandles, tau: float) -> Iterator[tuple]:

@@ -335,7 +335,7 @@ def write_corr_vs_tau_csv_loop(series, clock, tau_grid, normalize_tau, path) -> 
     tickers whose ``variogram_diff_of_avg`` keeps every tau, one variogram
     per ticker.
     """
-    _, curves, _ = corr_vs_tau(map_candles(dict(series), [clock]), tau_grid, normalize_tau)
+    _, curves, _ = corr_vs_tau(map_candles(series.values(), [clock]), tau_grid, normalize_tau)
     perc = np.full((len(PERCENTILES), len(tau_grid)), np.nan)
     for k, column in enumerate(curves.T):
         present = column[~np.isnan(column)]
@@ -343,7 +343,7 @@ def write_corr_vs_tau_csv_loop(series, clock, tau_grid, normalize_tau, path) -> 
             perc[:, k] = np.percentile(present, PERCENTILES)
     stack = []
     for t in sorted(series):
-        v = variogram_diff_of_avg(map_candles({t: series[t]}, [clock]), tau_grid)
+        v = variogram_diff_of_avg(map_candles([series[t]], [clock]), tau_grid)
         if len(v) == len(tau_grid):
             stack.append(v.v)
     if stack:

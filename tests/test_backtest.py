@@ -110,7 +110,7 @@ class TestPanelPrep:
         series = {t: point_candles(t, t0 + 3600 * np.asarray(h, dtype=np.int64), p)
                   for t, (h, p) in candles.items()}
         clocks = [build_clock(series.values(), ClockKind.CLOCK, y) for y in years]
-        return build_panel(map_candles(series, clocks), share)
+        return build_panel(map_candles(series.values(), clocks), share)
 
     def test_price_matrix_placement(self):
         panel = self.make_panel({"T": ([0, 2, 5], [10.0, 11.0, 12.0])})

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -43,7 +44,7 @@ def year_bins(s, clock, tau):
 
 def panel_returns(s, tau=1.0):
     """The log returns a one-ticker grid gives, as the multi-ticker commands read them."""
-    return next(grid_returns(map_candles({s.ticker: s}, [identity_clock()]), tau))
+    return next(grid_returns(map_candles([s], [identity_clock()]), tau))
 
 
 class TestParse:
@@ -293,6 +294,38 @@ class TestCache:
             with pytest.raises(DataError, match=r"TEST\.csv:3: high"):
                 parse_candles(p)
         assert entries(tmp_path) == []
+
+    def test_a_file_that_changes_while_it_is_parsed_raises_and_leaves_no_entry(self, tmp_path):
+        # the series would once have come back with the digest of other bytes
+        p = write_csv(tmp_path, CACHED_ROWS)
+        real = candles._parse
+
+        def parse_then_edit(path):
+            got = real(path)
+            path.write_bytes(path.read_bytes() + b"\n")    # a blank line: other bytes, same rows
+            return got
+
+        changed = rf"^{re.escape(str(p))} changed while the command read it$"
+        with mock.patch.object(candles, "_parse", parse_then_edit):
+            with pytest.raises(DataError, match=changed):
+                parse_candles(p)
+        assert entries(tmp_path) == []
+        assert parse_candles(p).sha256 == sha256_file(p)
+
+    def test_load_parsed_reads_the_entry_without_hashing(self, tmp_path):
+        p = write_csv(tmp_path, CACHED_ROWS)
+        want = parse_candles(p)
+        with no_parse(), mock.patch.object(candles, "sha256_file",
+                                           side_effect=AssertionError("hashed")):
+            got = candles.load_parsed(p, want.sha256)
+        assert same_bits(got, want) and got.sha256 == want.sha256
+        # with no entry, the file is parsed and hashed again, and must be unchanged
+        entries(tmp_path)[0].unlink()
+        assert same_bits(candles.load_parsed(p, want.sha256), want)
+        assert entries(tmp_path) == []
+        p.write_text(p.read_text() + "\n")
+        with pytest.raises(DataError, match=rf"^{re.escape(str(p))} changed while the command"):
+            candles.load_parsed(p, want.sha256)
 
     def test_an_entry_of_other_parser_code_is_not_read(self, tmp_path):
         p = write_csv(tmp_path, CACHED_ROWS)

@@ -3,14 +3,16 @@
 import argparse
 import csv
 import json
+import shutil
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import (estimate_cov_loop, multi_year_returns_loop, write_corr_vs_tau_csv_loop,
                      write_ensemble_csv_rows, write_yearly_returns_csv_rows)
-from vartau import cli
+from vartau import candles, cli
 from vartau.backtest import run_sim_meanrev
 from vartau.candles import CandleSeries, parse_candles, write_candles
 from vartau.clock import ClockKind, build_clock, year_bounds
@@ -186,7 +188,7 @@ def test_corr_vs_tau_csv_matches_second_binning_pass(tmp_path):
                      "--out-dir", str(tmp_path / "out")]) == 0
     series = {t: parse_candles(data / f"{t}.csv") for t in sorted(series)}
     clock = build_clock(series.values(), ClockKind.DOLLAR_WEIGHTED, 2021)
-    _, _, v = corr_vs_tau(map_candles(dict(series), [clock]), grid, 1.0)
+    _, _, v = corr_vs_tau(map_candles(series.values(), [clock]), grid, 1.0)
     assert np.isnan(v).any(axis=1).tolist() == [False, False, True, True]
     write_corr_vs_tau_csv_loop(series, clock, grid, 1.0, tmp_path / "want.csv")
     assert (tmp_path / "out" / "corr_vs_tau.csv").read_bytes() == \
@@ -479,6 +481,36 @@ def test_coefficient_ticker_without_a_candle_file_exits_3(data, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("strategy", ["sim-meanrev", "xcorr"])
+def test_backtest_input_that_changes_while_read_exits_3(setting_inputs, tmp_path, monkeypatch,
+                                                        capsys, strategy):
+    # the manifest records the digest taken before the file was read; the
+    # file once was hashed only after, so the digest could be of other bytes
+    flag, module, reader = {"sim-meanrev": ("panel", cli.hurst, "read_panel_csv"),
+                            "xcorr": ("coeffs", cli.pred, "read_coeffs_csv")}[strategy]
+    path = tmp_path / f"{flag}.csv"
+    path.write_bytes(setting_inputs[flag].read_bytes())
+    real = getattr(module, reader)
+
+    def read_then_edit(p):
+        got = real(p)
+        path.write_bytes(path.read_bytes() + b"\n")     # a blank line: other bytes, same table
+        return got
+
+    monkeypatch.setattr(module, reader, read_then_edit)
+    argv = ["backtest", "--strategy", strategy, f"--{flag}", str(path)]
+    if strategy == "xcorr":
+        argv += ["--data-dir", str(setting_inputs["market"]), "--years", "2021"]
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out-dir", str(out)]) == 3
+    assert capsys.readouterr().err == f"data error: {path} changed while the command read it\n"
+    assert not out.exists()
+    monkeypatch.undo()
+    assert cli.main([*argv, "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["inputs"][str(path)] == candles.sha256_file(path)
+
+
 def test_settings_table_covers_every_option():
     commands = next(a for a in cli.build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
@@ -601,10 +633,12 @@ def test_one_year_commands_ignore_the_other_years(data, tmp_path):
     t0, t1 = year_bounds(2021)
     for t, s in market().items():
         write_candles(only / f"{t}.csv", s.slice_window(t0, t1))
-    loaded, _ = cli._load_dir(str(data), [2021])
-    for t, s in loaded.items():
-        assert s.timestamps[0] >= t0 and s.timestamps[-1] < t1
-        assert all(getattr(s, c).base is None for c in ("timestamps", "price", "volume"))
+    # the mapped candles are the year's own copies, so each file's columns are freed
+    mapped, _ = cli._mapped(str(data), [2021], "dollar")
+    for t, s in market().items():
+        ((hours, price),) = mapped.coords[t]
+        assert len(hours) == len(price) == len(s.slice_window(t0, t1))
+        assert hours.base is None and price.base is None
     runs = {
         "clock": ["clock", "--year", "2021"],
         "variogram": ["variogram", "--year", "2021", "--tau-grid", "0.25:32:4"],
@@ -622,15 +656,109 @@ def test_one_year_commands_ignore_the_other_years(data, tmp_path):
 
 @pytest.mark.parametrize("years", [[2021], [2021, 2022]], ids=["cut", "whole"])
 def test_loaded_candles_hold_24_bytes_each(data, years):
-    # timestamps, representative price and volume: 8 bytes each a candle
+    # a loaded series holds timestamps, representative price and volume, 8
+    # bytes each a candle, and a later pass holds one file's series at a time;
+    # mapped to the years' clocks, a candle of the years holds 16 bytes (its
+    # transaction hour and its price), and the other years' candles none
+    stream = cli._CandleFiles(str(data))
+    clocks = [build_clock(stream, ClockKind.DOLLAR_WEIGHTED, y) for y in years]
     tracemalloc.start()
     try:
-        loaded, _ = cli._load_dir(str(data), years)
+        for s in stream:
+            held, _ = tracemalloc.get_traced_memory()
+            assert held <= 24 * len(s) + (64 << 10), (held, len(s))
+            del s
+        mapped = map_candles(stream, clocks)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    n = sum(len(s) for s in loaded.values())
-    assert held <= 24 * n + (64 << 10), (held, n)
+    n = sum(len(xp[0]) for per_year in mapped.coords.values() for xp in per_year)
+    assert n == sum(len(s.slice_window(year_bounds(years[0])[0], year_bounds(years[-1])[1]))
+                    for s in market().values())
+    assert held <= 16 * n + (64 << 10), (held, n)
+
+
+def test_clock_holds_one_file_at_a_time(tmp_path):
+    # k copies of one ticker's file: the year's minute arrays and one file, whatever k
+    walk = market(years=(2021,), spacings=(60,))["T0"]
+
+    def peak(k):
+        d = tmp_path / str(k)
+        d.mkdir()
+        for i in range(k):
+            write_candles(d / f"T{i}.csv", walk)
+        argv = ["clock", "--data-dir", str(d), "--year", "2021"]
+        assert cli.main([*argv, "--out-dir", str(d / "warm")]) == 0      # fills the cache
+        tracemalloc.start()
+        try:
+            assert cli.main([*argv, "--out-dir", str(d / "out")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, six = peak(1), peak(6)
+    assert one > 8 * 525600                  # the year's minute weights, at least
+    assert six - one < 8 * len(walk), (one, six, len(walk))
+
+
+def test_each_candle_file_is_hashed_once_per_command(data, tmp_path, monkeypatch):
+    # the first pass hashes each file; later passes load it by that digest.
+    # The cache is warm: a parse would hash the file once more, to check it
+    real, hashed = candles.sha256_file, []
+    monkeypatch.setattr(candles, "sha256_file", lambda path: hashed.append(path) or real(path))
+    files = sorted(data.glob("*.csv"))
+    for argv in (["clock", "--year", "2021"],
+                 ["variogram", "--year", "2021", "--tau-grid", "0.25:32:4"],
+                 ["correlate", "--years", "2021,2022"],
+                 ["predict", "--train-years", "2021", "--predict-years", "2022"],
+                 ["backtest", "--strategy", "market-meanrev", "--years", "2021,2022",
+                  "--min-side-count", "1"]):
+        assert cli.main([*argv, "--data-dir", str(data),
+                         "--out-dir", str(tmp_path / argv[0])]) == 0
+        assert sorted(map(Path, hashed)) == files, argv[0]
+        hashed.clear()
+
+
+@pytest.mark.parametrize("command", [
+    ["variogram", "--year", "2021", "--tau-grid", "0.25:32:4"],
+    ["correlate", "--years", "2021"]], ids=["variogram", "correlate"])
+def test_a_file_that_changes_between_passes_exits_3(tmp_path, monkeypatch, capsys, command):
+    # with no cache entry to load, a later pass parses the file again and
+    # must find the bytes that the first pass parsed
+    data = tmp_path / "data"
+    data.mkdir()
+    for t, s in market(years=(2021,), spacings=(60, 90, 120)).items():
+        write_candles(data / f"{t}.csv", s)
+
+    def unwritable(*args):
+        raise OSError("read-only file system")
+
+    monkeypatch.setattr(candles, "_write_entry", unwritable)
+    argv = [*command, "--data-dir", str(data)]
+    assert cli.main([*argv, "--out-dir", str(tmp_path / "unedited")]) == 0
+    assert not (data / ".vartau").exists()
+    monkeypatch.undo()
+    assert cli.main([*argv, "--out-dir", str(tmp_path / "cached")]) == 0
+    assert {p.name: p.read_bytes() for p in (tmp_path / "unedited").glob("*.csv")} == \
+        {p.name: p.read_bytes() for p in (tmp_path / "cached").glob("*.csv")}
+    shutil.rmtree(data / ".vartau")
+
+    parse = cli.parse_candles
+
+    def parse_then_edit(path):
+        series = parse(path)
+        if path.stem == "T1":
+            path.write_bytes(path.read_bytes() + b"\n")    # other bytes, same candles
+        return series
+
+    monkeypatch.setattr(candles, "_write_entry", unwritable)
+    monkeypatch.setattr(cli, "parse_candles", parse_then_edit)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out-dir", str(out)]) == 3
+    assert capsys.readouterr().err == \
+        f"data error: {data / 'T1.csv'} changed while the command read it\n"
+    assert not out.exists()
 
 
 def constant_price_market(tmp_path, years=(2021,)):
@@ -689,6 +817,18 @@ def test_predict_names_the_ticker_with_no_return_variance(tmp_path, capsys):
             in capsys.readouterr().err)
     # no coeffs_2021.csv is left for backtest --coeffs without a report beside it
     assert not list(out.glob("coeffs_*.csv")) and not out.exists()
+
+
+def test_predict_names_the_ticker_below_min_obs(setting_inputs, tmp_path, capsys):
+    # T4 has 4379 hourly returns in 2021, so at 5000 its variance is missing;
+    # the command once said only that a diagonal entry could not be imputed
+    data, out = setting_inputs["market"], tmp_path / "out"
+    assert cli.main(["predict", "--data-dir", str(data), "--train-years", "2021",
+                     "--predict-years", "2022", "--min-obs", "5000", "--out-dir", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {data / 'T4.csv'}: ticker T4 has 4379 hourly returns in training year "
+        "2021, fewer than the 5000 a variance needs at --min-obs 5000\n")
+    assert not out.exists()
 
 
 def test_predict_that_fails_on_a_later_training_year_writes_nothing(tmp_path, capsys):
@@ -963,7 +1103,7 @@ def test_variogram_clock_flag_picks_the_clock(data, outputs, tmp_path, kind):
     assert len(written) >= 3
     for name in written:
         t = name[len("variogram_"):-len(".csv")]
-        v = variogram_diff_of_avg(map_candles({t: series[t]}, [clock]), grid)
+        v = variogram_diff_of_avg(map_candles([series[t]], [clock]), grid)
         v0 = value_at(v.tau, v.v[None], 1.0)[0]
         Variogram(v.tau, v.v / v0, v.n_samples).write_csv(tmp_path / "want.csv")
         got = (out / name).read_bytes()

@@ -414,7 +414,7 @@ def test_grid_returns_match_year_loop(market, kind, tau):
     # and at 0.1, which as a float is a little over a tenth
     series, years = market
     want = multi_year_returns_loop(series, years, kind, tau)
-    candles = map_candles(series, [build_clock(series.values(), kind, y) for y in years])
+    candles = map_candles(series.values(), [build_clock(series.values(), kind, y) for y in years])
     got = {t: rs for t, rs in zip(candles.coords, grid_returns(candles, tau)) if len(rs)}
     assert list(got) == list(want)
     for t, rs in got.items():
@@ -430,7 +430,7 @@ def test_build_panel_matches_year_loop(market, kind):
     # a ticker with fewer than two candles in a year leaves that block NaN
     series, years = market
     tickers, want = build_panel_loop(series, years, kind)
-    got = build_panel(map_candles(series, [build_clock(series.values(), kind, y)
+    got = build_panel(map_candles(series.values(), [build_clock(series.values(), kind, y)
                                            for y in years]))
     assert got.tickers == tickers and got.years == years
     assert [b.stop - b.start for b in got.blocks] == [hours_in_year(y) for y in years]
@@ -454,7 +454,7 @@ def active_hour_markets(draw):
         ts = np.concatenate(ts)
         series[f"T{i}"] = point_candles(f"T{i}", ts, 1.0 + np.arange(len(ts)) % 7)
     clocks = [build_clock(series.values(), ClockKind.CLOCK, y) for y in years]
-    return map_candles(series, clocks)
+    return map_candles(series.values(), clocks)
 
 
 @settings(max_examples=100, deadline=None)
@@ -545,7 +545,7 @@ def test_corr_vs_tau_matches_pair_loop(series, tau0):
     clock = build_clock(series.values(), ClockKind.CLOCK, 2021)
     grid = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
     want_pairs, want = corr_vs_tau_loop(series, clock, grid, tau0)
-    tickers, got, _ = corr_vs_tau(map_candles(series, [clock]), grid, tau0)
+    tickers, got, _ = corr_vs_tau(map_candles(series.values(), [clock]), grid, tau0)
     assert [(tickers[i], tickers[j])
             for i, j in zip(*np.triu_indices(len(tickers), 1))] == want_pairs
     assert np.array_equal(np.isnan(got), np.isnan(want))

@@ -27,7 +27,7 @@ CLOCK = identity_clock()
 
 def mapped(s):
     """One ticker's candles on the identity clock, as the estimator reads them."""
-    return map_candles({s.ticker: s}, [CLOCK])
+    return map_candles([s], [CLOCK])
 
 
 def normalize_at(v: Variogram, tau0: float) -> Variogram:
@@ -102,7 +102,7 @@ class TestDiffOfAvg:
         for epsilon in (0.0, 0.035):
             s = fbm_minute_candles(epsilon, seed=0)
             clock = build_clock([s], ClockKind.VOLUME_WEIGHTED, 2021)
-            v = variogram_diff_of_avg(map_candles({s.ticker: s}, [clock]), grid)
+            v = variogram_diff_of_avg(map_candles([s], [clock]), grid)
             slopes.append(fit_power_law(v).exponent)
         assert slopes[0] - slopes[1] == pytest.approx(0.07, abs=0.01)
         assert slopes[1] == pytest.approx(0.93, abs=0.06)
