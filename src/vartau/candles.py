@@ -47,7 +47,7 @@ from .errors import DataError
 CSV_HEADER = ["timestamp", "open", "high", "low", "close", "volume"]
 _ROW = np.dtype([("timestamp", np.int64)] + [(n, np.float64) for n in CSV_HEADER[1:]])
 # cells that write_table formats at a time, bounding its Python lists
-_WRITE_CELLS = 1 << 15
+_WRITE_CELLS = 1 << 12
 # the parse cache beside each candle file, and its rows as stored: the
 # timestamps, then the bit patterns of the prices and of the volumes
 _CACHE_DIR = ".vartau"
@@ -273,19 +273,19 @@ def _read_entry(entry: Path, ticker: str) -> CandleSeries | None:
     """The series cached in ``entry``, or None if it is missing or not a
     whole entry of this format.
 
-    Nothing is unpickled: the header must describe a C-order (3, n) ``<i8``
-    array and the file must hold exactly its 24n bytes. Each column is read
-    into its own array, so a column that a caller drops is freed.
+    Nothing is parsed or unpickled: the file must be the header that
+    ``_entry_header`` writes for shape (3, n), byte for byte, followed by
+    exactly 24n bytes, n taken from the file's size. Each column is read into
+    its own array, so a column that a caller drops is freed.
     """
     try:
         with open(entry, "rb") as fh:
-            if np.lib.format.read_magic(fh) != (1, 0):
+            head = fh.read(10)      # the magic string and the header's length
+            size = 10 + int.from_bytes(head[8:], "little")
+            n, rest = divmod(os.fstat(fh.fileno()).st_size - size, 24)
+            if len(head) < 10 or n < 1 or rest:
                 return None
-            shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
-            if dtype != np.dtype("<i8") or fortran or len(shape) != 2 or shape[0] != 3:
-                return None
-            n = shape[1]
-            if n < 1 or os.fstat(fh.fileno()).st_size != fh.tell() + 24 * n:
+            if head + fh.read(size - 10) != _entry_header(n):
                 return None
             cols = [np.empty(n, kind) for kind in _ENTRY_COLUMNS]
             if any(fh.readinto(c) != c.nbytes for c in cols):
@@ -295,6 +295,14 @@ def _read_entry(entry: Path, ticker: str) -> CandleSeries | None:
         return None
 
 
+def _entry_header(n: int) -> bytes:
+    """The ``.npy`` header (format 1.0) of a C-order (3, n) ``<i8`` array."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": "<i8", "fortran_order": False, "shape": (3, n)})
+    return buf.getvalue()
+
+
 def _write_entry(entry: Path, stem: str, series: CandleSeries) -> None:
     """Write ``series`` to ``entry`` through a temporary file, then delete the
     stem's other entries. An OSError is raised with no temporary file left."""
@@ -302,8 +310,7 @@ def _write_entry(entry: Path, stem: str, series: CandleSeries) -> None:
     try:
         entry.parent.mkdir(exist_ok=True)
         with open(tmp, "wb") as fh:
-            np.lib.format.write_array_header_1_0(
-                fh, {"descr": "<i8", "fortran_order": False, "shape": (3, len(series))})
+            fh.write(_entry_header(len(series)))
             for col, kind in zip((series.timestamps, series.price, series.volume),
                                  _ENTRY_COLUMNS):
                 fh.write(col.astype(kind, copy=False).data)

@@ -363,7 +363,7 @@ def cmd_correlate(args):
         perc = vg.percentile_curves(curves)     # each tau over the pairs with a value there
         # the median V of the tickers with a positive V at every tau, not a constant price
         full = v[(v > 0).all(axis=1)]
-        predicted = (cov.predicted_corr_ratio(np.median(full, axis=0), grid, args.normalize_at)
+        predicted = (cov.predicted_corr_ratio(vg.column_quantiles(full), grid, args.normalize_at)
                      if len(full) else np.full(len(grid), np.nan))
         files["corr_vs_tau.csv"] = lambda path: write_table(
             path, ["tau_hours", *(f"p{p}" for p in vg.PERCENTILES), "predicted"],

@@ -11,8 +11,9 @@ are reported as missing. The weight factorises, so with z = r*sqrt(tau/dt)
 on a (ticker x start bin) grid Z, zero where a ticker has no return, and its
 0/1 mask M, the sums for all pairs are Z @ Z.T and the joint counts M @ M.T.
 ``pair_stats`` never holds Z whole: it reads the tickers' returns one at a
-time, keeps each one's z and start bins, and adds both products up over
-blocks of ``_BLOCK_BINS`` columns, so its dense temporaries are tickers x
+time, keeps each kept return once, in 10 bytes (its z as float64 and its
+column within its block of ``_BLOCK_BINS`` columns as int16), and adds both
+products up block by block, so its dense temporaries are tickers x
 ``_BLOCK_BINS`` at any tau. The blocks reorder the sums, so they agree with
 a pair-by-pair loop to rounding, not bit for bit. The Hayashi-Yoshida
 estimator (Bernoulli 11(2), 2005), which sums the products of all
@@ -117,20 +118,24 @@ def pair_stats(returns, width: int, tau: float):
     indices, which must be strictly increasing and in [0, width).
     z_a*z_b is r_a*r_b reweighted by tau/sqrt(dt_a*dt_b), so the sums are
     Z @ Z.T and the joint counts M @ M.T over the zero-filled grid Z and its
-    0/1 mask M. Each row is kept compactly, as its z and their positions in
-    the column blocks of ``_BLOCK_BINS`` that hold them, so the state grows
-    with the returns, not with width; block by block in ascending order, every
-    row's values fill one dense block and its mask, whose products are added
-    up (the float32 mask counts exactly within a block). Returns (covariance,
-    int64 counts), both exactly symmetric; a pair with no joint bin gets (nan, 0).
+    0/1 mask M. Each row keeps each of its returns once, in 10 bytes: its z
+    (float64) and its column within its block of ``_BLOCK_BINS`` columns
+    (int16), so the state grows with the returns, not with width. Block by
+    block in ascending order, the rows' positions in one dense block are
+    built in one reused buffer, every row's values fill the block and its
+    mask, and their products are added up (the float32 mask counts exactly
+    within a block). Returns (covariance, int64 counts), both exactly
+    symmetric; a pair with no joint bin gets (nan, 0).
     """
-    # pieces[b]: each row's returns in column block b, if it has any, as their
-    # positions in the block's row-major (n, block width) array and their z
+    assert _BLOCK_BINS <= 32768     # a column within a block fits in int16
+    # pieces[b]: (row, columns within block b, z) of each row with returns in block b
     pieces: dict[int, list] = {}
     n = 0
-    for i, rs in enumerate(returns):
-        n = i + 1
+    # no enumerate(): its last tuple would hold a row while the next is read
+    for rs in returns:
+        i, n = n, n + 1
         k, r, dt = rs.start_index, rs.r, rs.dt
+        del rs
         keep = (dt > 0) & (dt <= MAX_DT_FACTOR * tau)
         if not keep.all():
             k, r, dt = k[keep], r[keep], dt[keep]
@@ -144,25 +149,30 @@ def pair_stats(returns, width: int, tau: float):
         lo = 0
         while lo < len(k):      # one step per block that holds returns of the row
             b = int(k[lo]) // _BLOCK_BINS
-            start = b * _BLOCK_BINS
-            hi = int(np.searchsorted(k, start + _BLOCK_BINS))
-            offset = i * min(_BLOCK_BINS, width - start) - start
-            pieces.setdefault(b, []).append((k[lo:hi] + offset, z[lo:hi]))
+            hi = int(np.searchsorted(k, (b + 1) * _BLOCK_BINS))
+            cols = (k[lo:hi] - b * _BLOCK_BINS).astype(np.int16)
+            pieces.setdefault(b, []).append((i, cols, z[lo:hi]))
             lo = hi
+        del k, r, dt, keep      # the row is freed before the next one is read
     sums = np.zeros((n, n))
     n_obs = np.zeros((n, n), dtype=np.int64)
     # one block's positions and values at a time, in buffers reused by every block
-    size = max((sum(len(p[1]) for p in block) for block in pieces.values()), default=0)
-    flat_buf = np.empty(size, dtype=np.int64)
-    z_buf = np.empty(size)
+    size = max((sum(len(p[2]) for p in block) for block in pieces.values()), default=0)
+    flat = np.empty(size, dtype=np.int64)
+    zs = np.empty(size)
     for b in sorted(pieces):
-        block = pieces.pop(b)
-        m = sum(len(p[1]) for p in block)
-        flat = np.concatenate([p[0] for p in block], out=flat_buf[:m])
-        zb = np.zeros((n, min(_BLOCK_BINS, width - b * _BLOCK_BINS)))
-        zb.ravel()[flat] = np.concatenate([p[1] for p in block], out=z_buf[:m])
+        bw = min(_BLOCK_BINS, width - b * _BLOCK_BINS)
+        m = 0
+        for i, cols, z in pieces.pop(b):
+            e = m + len(z)
+            flat[m:e] = cols
+            flat[m:e] += i * bw
+            zs[m:e] = z
+            m = e
+        zb = np.zeros((n, bw))
+        zb.ravel()[flat[:m]] = zs[:m]
         mb = np.zeros(zb.shape, dtype=np.float32)
-        mb.ravel()[flat] = 1.0
+        mb.ravel()[flat[:m]] = 1.0
         sums += zb @ zb.T
         n_obs += (mb @ mb.T).astype(np.int64)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -212,7 +222,7 @@ def corr_vs_tau(candles: TxnCandles, tau_grid, normalize_tau: float):
     raw = np.full((len(upper[0]), len(tau_grid)), np.nan)
     v = np.full((len(tickers), len(tau_grid)), np.nan)
     for k, tau in enumerate(tau_grid):
-        returns = _with_variogram(grid_returns(candles, tau), v[:, k])
+        returns = _in_band(grid_returns(candles, tau), v[:, k])
         c, n_obs = pair_stats(returns, sum(candles.widths(tau)), tau)
         var = np.diag(c)
         good = (var > 0) & (np.diag(n_obs) >= MIN_JOINT_OBS)
@@ -224,11 +234,19 @@ def corr_vs_tau(candles: TxnCandles, tau_grid, normalize_tau: float):
     return tickers, raw, v
 
 
-def _with_variogram(returns, v):
-    """Pass each ReturnSeries on; set v[i] to the i-th one's V(tau)."""
-    for i, rs in enumerate(returns):
+def _in_band(returns, v):
+    """Pass each ReturnSeries on cut to the dt band 0 < dt <= MAX_DT_FACTOR * tau,
+    which ``weighted_v`` and ``pair_stats`` then keep whole; set v[i] to the
+    i-th one's V(tau). A row is let go before the next one is read."""
+    i = 0
+    for rs in returns:
+        keep = (rs.dt > 0) & (rs.dt <= MAX_DT_FACTOR * rs.tau)
+        if not keep.all():
+            rs = ReturnSeries(rs.tau, rs.r[keep], rs.dt[keep], rs.start_index[keep])
         v[i] = weighted_v(rs.r, rs.dt, rs.tau)[0]
+        i += 1
         yield rs
+        del rs, keep
 
 
 def predicted_corr_ratio(v_tot, tau_grid, normalize_tau: float) -> np.ndarray:

@@ -78,6 +78,7 @@ def grid_bins(candles: TxnCandles, tau: float) -> Iterator[tuple]:
         bins = [_chained(bin_series(*xp, tau, w), first, offset)
                 for xp, w, first, offset in zip(per_year, widths, firsts, offsets) if xp]
         yield bins[0] if len(bins) == 1 else tuple(map(np.concatenate, zip(*bins or [_NO_BINS])))
+        del bins        # freed before the next ticker is binned
 
 
 def _chained(b, first: int, offset: int) -> tuple:
@@ -89,6 +90,7 @@ def grid_returns(candles: TxnCandles, tau: float) -> Iterator[ReturnSeries]:
     """Per ticker, in order, its log returns between consecutive bins at tau."""
     for k, t, p in grid_bins(candles, tau):
         yield ReturnSeries(tau, np.diff(np.log(p)), np.diff(t), k[:-1])
+        del k, t, p     # freed before the next ticker is binned
 
 
 @dataclass

@@ -92,8 +92,8 @@ def weighted_v(r: np.ndarray, dt: np.ndarray, tau: float):
     kept. Returns (estimate, count); (nan, 0) when nothing survives.
     """
     keep = (dt > 0) & (dt <= MAX_DT_FACTOR * tau)
-    r = r[keep]
-    dt = dt[keep]
+    if not keep.all():
+        r, dt = r[keep], dt[keep]
     if len(r) == 0:
         return np.nan, 0
     return float(np.mean(r * r * (tau / dt))), int(len(r))
@@ -157,16 +157,65 @@ def fit_power_law(v: Variogram, fit_range: tuple[float, float] | None = None) ->
 
 
 def percentile_curves(values: np.ndarray) -> np.ndarray:
-    """Column-wise PERCENTILES (linear interpolation convention) of each
-    column's non-NaN cells; NaN in a column with none.
+    """Column-wise PERCENTILES of each column's non-NaN cells; NaN in a column
+    with none.
 
-    values is (n_members, n_tau); returns (len(PERCENTILES), n_tau).
+    values is (n_members, n_tau); returns (len(PERCENTILES), n_tau). They
+    equal ``np.nanpercentile(values, PERCENTILES, axis=0)`` (its default
+    linear method) bit for bit, through ``column_quantiles``, which does not
+    import numpy.ma.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise DataError("need a 2-d stack of curves")
-    out = np.full((len(PERCENTILES), values.shape[1]), np.nan)
-    has = ~np.isnan(values).all(axis=0)
-    out[:, has] = np.nanpercentile(values[:, has], list(PERCENTILES), axis=0)
-    return out
+    return column_quantiles(values, np.array(PERCENTILES) / 100)
 
+
+def column_quantiles(values: np.ndarray, q=None) -> np.ndarray:
+    """Each column's quantiles ``q`` (a float array in [0, 1]) of its non-NaN
+    cells, or with q None its median, bit for bit as ``np.nanquantile(values,
+    q, axis=0)`` and ``np.median(values, axis=0)`` give them, but without
+    importing numpy.ma, which NumPy 2.4 imports for both (through
+    ``np.unique`` and ``np.ma.isMaskedArray``).
+
+    values is a 2-d float array. The order statistics are those that
+    ``np.partition`` leaves at NumPy's own kth set, from NumPy's own order of
+    each column, so a tie between +0.0 and -0.0 breaks as it does there. A
+    column's n non-NaN cells keep their order, except that the last cells'
+    values fill the places of its NaN. A quantile then takes NumPy's linear
+    method: the virtual index (n - 1) q, its floor and the next index (both
+    the last when (n - 1) q >= n - 1), and both branches of its
+    interpolation. Returns (len(q), n_columns), NaN in a column with no value.
+    The median of at least one row is ``np.mean`` of the middle value, or of
+    the two middle values, and a column that holds a NaN gets that NaN;
+    returns (n_columns,).
+    """
+    n = len(values)
+    if q is None:
+        kth = [n // 2 - 1, n // 2, -1] if n % 2 == 0 else [n // 2, -1]
+        part = np.partition(values, kth, axis=0)
+        mid = part[(n - 1) // 2:n // 2 + 1].mean(axis=0)
+        return np.where(np.isnan(part[-1]), part[-1], mid)
+    out = np.full((len(q), values.shape[1]), np.nan)
+    for j, col in enumerate(values.T):
+        nan = np.flatnonzero(np.isnan(col))
+        if len(nan) == len(col):
+            continue
+        col = col.copy()
+        if len(nan):
+            tail = col[-len(nan):]
+            tail = tail[~np.isnan(tail)]
+            col[nan[:len(tail)]] = tail
+            col = col[:-len(nan)]
+        m = len(col)
+        virtual = (m - 1) * q
+        lo = np.floor(virtual)
+        hi = lo + 1
+        lo[virtual >= m - 1] = hi[virtual >= m - 1] = -1
+        lo, hi = lo.astype(np.intp), hi.astype(np.intp)
+        col.partition(sorted({0, -1, *lo.tolist(), *hi.tolist()}))
+        a, b, t = col[lo], col[hi], virtual - lo
+        diff = b - a
+        out[:, j] = a + diff * t
+        np.subtract(b, diff * (1 - t), out=out[:, j], where=t >= 0.5)
+    return out

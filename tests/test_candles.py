@@ -327,6 +327,43 @@ class TestCache:
         with pytest.raises(DataError, match=rf"^{re.escape(str(p))} changed while the command"):
             candles.load_parsed(p, want.sha256)
 
+    @pytest.mark.parametrize("header", [
+        {"descr": "<f8"}, {"descr": ">i8"}, {"descr": "<u8"}, {"fortran_order": True},
+        {"shape": "n,3"}, {"shape": "3n"}, {"shape": "1,3,n"}, {"version": (2, 0)},
+    ], ids=["float", "big-endian", "unsigned", "fortran", "transposed", "flat", "3-d",
+            "version-2"])
+    def test_an_entry_with_a_rewritten_header_is_refused(self, tmp_path, header):
+        # the same 24n column bytes under another header, which an .npy reader
+        # would take for another array: the entry is read only under its own
+        p = write_csv(tmp_path, [*CACHED_ROWS, "1609459380,9,9,9,9,1"])     # n = 4, not 3
+        want = parse_candles(p)
+        [entry] = entries(tmp_path)
+        good = entry.read_bytes()
+        n = len(want)
+        shape = {"n,3": (n, 3), "3n": (3 * n,), "1,3,n": (1, 3, n)}.get(header.get("shape"),
+                                                                      (3, n))
+        d = {"descr": "<i8", "fortran_order": False, **header, "shape": shape}
+        write_header = (np.lib.format.write_array_header_2_0 if d.pop("version", None)
+                        else np.lib.format.write_array_header_1_0)
+        with open(entry, "wb") as fh:
+            write_header(fh, d)
+            fh.write(good[-24 * n:])
+        assert entry.read_bytes() != good
+        assert candles._read_entry(entry, "TEST") is None
+        assert same_bits(parse_candles(p), want) and entry.read_bytes() == good
+
+    def test_a_good_entry_loads_bit_identically_without_parsing_its_header(self, tmp_path):
+        p = write_csv(tmp_path, CACHED_ROWS)
+        want = parse_candles(p)
+        [entry] = entries(tmp_path)
+        with mock.patch.object(np.lib.format, "read_array_header_1_0",
+                               side_effect=AssertionError("header parsed")):
+            got = candles._read_entry(entry, "TEST")
+        assert same_bits(got, want) and got.ticker == "TEST"
+        assert np.array_equal(np.load(entry), np.stack([want.timestamps,
+                                                        want.price.view(np.int64),
+                                                        want.volume.view(np.int64)]))
+
     def test_an_entry_of_other_parser_code_is_not_read(self, tmp_path):
         p = write_csv(tmp_path, CACHED_ROWS)
         want = parse_candles(p)

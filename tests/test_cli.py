@@ -3,7 +3,10 @@
 import argparse
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -699,6 +702,26 @@ def test_clock_holds_one_file_at_a_time(tmp_path):
     one, six = peak(1), peak(6)
     assert one > 8 * 525600                  # the year's minute weights, at least
     assert six - one < 8 * len(walk), (one, six, len(walk))
+
+
+def test_summaries_do_not_import_numpy_ma(data, tmp_path):
+    # np.nanpercentile and np.median import numpy.ma, 1-2 MB of a command's
+    # peak RSS; the ensemble and rho(tau) summaries are taken without them
+    runs = [["variogram", "--data-dir", str(data), "--year", "2021", "--tau-grid", "0.25:32:4",
+             "--out-dir", str(tmp_path / "variogram")],
+            ["correlate", "--data-dir", str(data), "--years", "2021",
+             "--tau-grid", "0.25,0.5,1,2,4,8", "--out-dir", str(tmp_path / "correlate")]]
+    script = ("import sys\n"
+              "from vartau import cli\n"
+              f"assert [cli.main(argv) for argv in {runs!r}] == [0, 0]\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", script],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "correlate" / "corr_vs_tau.csv").is_file()
+    assert (tmp_path / "variogram" / "ensemble.csv").is_file()
 
 
 def test_each_candle_file_is_hashed_once_per_command(data, tmp_path, monkeypatch):

@@ -1,10 +1,13 @@
 """Asynchronous covariance, correlation curves, two-component model."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from oracles import estimate_cov_loop
+from vartau import covariance, panel
 from vartau.candles import ReturnSeries
 from vartau.clock import ClockKind, build_clock, year_bounds
 from vartau.covariance import (CovMatrix, TwoComponentModel, cov_to_corr, corr_vs_tau,
@@ -261,6 +264,66 @@ class TestTwoComponent:
         with pytest.raises(DataError, match="start indices of row 1"):
             pair_stats([rs([0.1, 0.2, 0.3]), rs([0.1, 0.2, 0.3], idx=np.array(idx))],
                        7, 1.0)
+
+    def test_pair_stats_keeps_ten_bytes_per_kept_return(self):
+        # 16 rows of ~49,000 returns over 40 column blocks, 5 % of them
+        # outside the dt band. Each kept return is held once, as its z
+        # (float64) and its column within its block (int16); besides that
+        # state the peak holds one dense block with its mask and position
+        # buffers, one row's temporaries (its band-filtered copies and
+        # weights) and a few objects per (row, block). At 16 bytes per kept
+        # return the peak was 14.1 MiB; at 10 it is 9.0 MiB
+        rng = np.random.default_rng(5)
+        n, blocks = 16, 40
+        width = blocks * covariance._BLOCK_BINS
+        rows = {}
+        for i in range(n):
+            idx = np.flatnonzero(rng.random(width) < 0.3)
+            dt = np.where(rng.random(len(idx)) < 0.05, 5.0, 1.0)
+            rows[f"T{i}"] = rs(rng.normal(size=len(idx)), dt=dt, idx=idx)
+        kept = [int((r.dt <= 3.0).sum()) for r in rows.values()]
+        fullest = max(sum(((r.start_index[r.dt <= 3.0] // covariance._BLOCK_BINS) == b).sum()
+                          for r in rows.values()) for b in range(blocks))
+        tracemalloc.start()
+        try:
+            c, n_obs = pair_stats(rows.values(), width, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = 12 * n * covariance._BLOCK_BINS + 16 * fullest
+        row = 64 * max(len(r) for r in rows.values())
+        assert peak < 10 * sum(kept) + block + row + 512 * n * blocks + (64 << 10)
+        want, want_n, raw = estimate_cov_loop(rows, 1.0, min_obs=0)
+        assert np.array_equal(n_obs, want_n) and np.diag(n_obs).tolist() == kept
+        scale = np.sqrt(np.outer(np.diag(raw), np.diag(raw)))
+        assert np.all(np.abs(c - want) <= 1e-12 * scale)
+
+    def test_corr_vs_tau_lets_each_ticker_go_before_binning_the_next(self, monkeypatch):
+        # enumerate()'s reused tuple and the generators' loop variables once
+        # held one ticker's bins and returns while the next ticker was binned
+        rng = np.random.default_rng(3)
+        gaps = {t: rng.choice([1, 1, 1, 5], 300) for t in "ABCD"}      # dt 5 is out of band
+        candles = walk_candles({t: rng.normal(0, 0.01, 300) for t in "ABCD"}, gaps=gaps)
+        held, calls = [], []
+        real_bins, real_returns = panel.bin_series, covariance.grid_returns
+
+        def bin_series(*args):
+            assert all(ref() is None for ref in held), f"held at bin_series call {len(calls)}"
+            calls.append(1)
+            b = real_bins(*args)
+            held[:] = [weakref.ref(b.time), weakref.ref(b.price)]
+            return b
+
+        def grid_returns(candles, tau):
+            for rs in real_returns(candles, tau):
+                held.extend([weakref.ref(rs.r), weakref.ref(rs.dt)])
+                yield rs
+                del rs
+
+        monkeypatch.setattr(panel, "bin_series", bin_series)
+        monkeypatch.setattr(covariance, "grid_returns", grid_returns)
+        tickers, curves, v = corr_vs_tau(candles, np.array([0.5, 1.0, 2.0]), 1.0)
+        assert len(calls) == 12 and tickers == list("ABCD") and np.isfinite(v).all()
 
     def test_pair_stats_state_grows_with_the_returns_not_the_grid(self):
         # three rows of ten returns on a grid of 200,000 column blocks once

@@ -1,5 +1,7 @@
 """Variogram estimators, normalization, power-law fits, ensembles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,9 @@ from vartau.clock import ClockKind, build_clock, year_bounds
 from vartau.errors import DataError
 from vartau.panel import map_candles
 from vartau.synthetic import point_candles, random_walk_candles
-from vartau.variogram import (PERCENTILES, Variogram, default_tau_grid, fit_power_law,
-                              percentile_curves, value_at, variogram_diff_of_avg)
+from vartau.variogram import (PERCENTILES, Variogram, column_quantiles, default_tau_grid,
+                              fit_power_law, percentile_curves, value_at,
+                              variogram_diff_of_avg)
 
 T0, _ = year_bounds(2021)
 
@@ -286,3 +289,42 @@ class TestEnsemble:
         assert spread[-1] > 2 * spread[1]
         med = curves[2] / tau * tau[0]
         assert np.all(np.abs(med / med[0] - 1) < 0.4)
+
+
+# finite cells that tie, signed zeros, NaN and extremes, so partition order
+# and both branches of the linear interpolation are exercised
+SUMMARY_CELLS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.nan, np.nan, 1e-300,
+                                           -1e300]),
+                          st.floats(-1e6, 1e6, allow_subnormal=True))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_column_summaries_are_numpys_bit_for_bit(data):
+    rows = data.draw(st.integers(1, 9), label="members")
+    cols = data.draw(st.integers(1, 4), label="taus")
+    values = np.array(data.draw(st.lists(SUMMARY_CELLS, min_size=rows * cols,
+                                         max_size=rows * cols))).reshape(rows, cols)
+    if data.draw(st.booleans(), label="an all-NaN column"):
+        values[:, data.draw(st.integers(0, cols - 1))] = np.nan
+    has = ~np.isnan(values).all(axis=0)
+    want = np.full((len(PERCENTILES), cols), np.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        want[:, has] = np.nanpercentile(values[:, has], list(PERCENTILES), axis=0)
+        want_median = np.median(values, axis=0)
+    got = percentile_curves(values)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(column_quantiles(values).view(np.int64), want_median.view(np.int64))
+
+
+def test_column_summaries_break_signed_zero_ties_as_numpy_does():
+    # NumPy's partition leaves -0.0 or +0.0 at a kth place by the order of
+    # the cells and the kth set; the NaN cells are filled from the end first
+    values = np.array([[0.0, np.nan, -0.0, 0.0], [-0.0, -0.0, np.nan, -0.0],
+                       [-0.0, 0.0, 0.0, np.nan], [0.0, 0.0, -0.0, -0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        want = np.nanpercentile(values, list(PERCENTILES), axis=0)
+    assert np.array_equal(percentile_curves(values).view(np.int64), want.view(np.int64))
+    assert np.signbit(want).any() and not np.signbit(want).all()
