@@ -21,10 +21,9 @@ pass calls ``parse_candles`` once per file, which hashes the file and
 records the digest of the content parsed (the manifest's input digest). Each
 later pass loads the file's parse-cache entry by that digest through
 ``load_parsed``, with no second hash. ``build_clock`` takes one pass per
-year, and every command but ``clock`` then maps the stream to transaction
-time once, in ``_mapped`` or, for ``variogram``, file by file; the analysis
-modules read only mapped candles, 16 bytes a candle. ``predict`` lets its
-mapped candles go once it has its panel and its training covariances.
+year. Every other pass is one of ``_CandleFiles.view``, a lazy
+``panel.TxnCandles`` in sorted-stem order that lets each file go once it is
+binned; only ``correlate --tau-grid`` holds mapped candles, 16 bytes a candle.
 
 Each candle file is parsed once: ``parse_candles`` caches its columns in
 ``<data-dir>/.vartau/``, keyed on the file's content and on the parser's
@@ -97,11 +96,15 @@ def _json(name: str, obj):
 
 class _CandleFiles:
     """Every candle file of a data directory as a ``CandleSeries``, one at a
-    time, in file order; each iteration is one pass over the files.
+    time, in file order; each iteration, or one of a ``view``, is a pass.
 
     The first pass over a file parses it with ``parse_candles`` and records
     the sha256 of the content parsed; a later pass loads the same series by
-    that digest with ``load_parsed``.
+    that digest with ``load_parsed`` or, with no cache entry (an unwritable
+    directory), parses and hashes it again. Each command takes one pass per
+    year (all of predict's) for the clocks, then: ``variogram``, ``correlate``
+    (held across ``--tau-grid``) and ``backtest``, one; ``predict``, one for
+    the panel, then one per training year over the eligible tickers' files.
     """
 
     def __init__(self, data_dir: str):
@@ -122,6 +125,12 @@ class _CandleFiles:
         series = parse_candles(path)
         self.digests[path] = series.sha256
         return series
+
+    def view(self, clocks) -> pn.TxnCandles:
+        """The files' candles on the clocks' transaction-hour axes, as a lazy
+        ``panel.TxnCandles`` whose tickers are the file stems, sorted."""
+        paths = {p.stem: p for p in self.files}
+        return pn.TxnCandles(sorted(paths), clocks, lambda t: self._load(paths[t]))
 
     def inputs(self) -> dict[Path, str]:
         """Each file read, with the sha256 of the content parsed; a file that no
@@ -184,11 +193,11 @@ def _parse_tau_grid(text: str, normalize_at: float) -> np.ndarray:
 
 
 def _mapped(data_dir: str, years: list[int], kind: str) -> tuple[pn.TxnCandles, dict[Path, str]]:
-    """The candles mapped once to the years' clocks of the given kind, and
-    the files read with their digests."""
+    """The candles as a lazy view on the years' clocks of the given kind, and
+    the files read with their digests (the clocks read every file)."""
     stream = _CandleFiles(data_dir)
     clocks = [build_clock(stream, ClockKind(kind), y) for y in years]
-    return pn.map_candles(stream, clocks), stream.inputs()
+    return stream.view(clocks), stream.inputs()
 
 
 # ---------------------------------------------------------------------------
@@ -203,15 +212,10 @@ def cmd_clock(args):
 
 def cmd_variogram(args):
     grid = _parse_tau_grid(args.tau_grid, args.normalize_at)
-    stream = _CandleFiles(args.data_dir)
-    clock = build_clock(stream, ClockKind(args.clock), args.year)
-    curves = {}
-    for series in stream:       # one ticker loaded, mapped and estimated at a time
-        t, one = series.ticker, pn.map_candles([series], [clock])
-        del series
-        # a ticker with fewer than two candles omits every tau
-        curves[t] = vg.variogram_diff_of_avg(one, grid)
-        del one                 # let go before the next file is loaded
+    candles, inputs = _mapped(args.data_dir, [args.year], args.clock)
+    # one ticker loaded, mapped and estimated at a time; a ticker with fewer
+    # than two candles omits every tau
+    curves = {t: vg.variogram_diff_of_avg(candles.select([t]), grid) for t in candles.tickers}
     files, full = {}, []
     for t, v in sorted(curves.items()):
         # a ticker whose V cannot be read at --normalize-at is left out
@@ -227,7 +231,7 @@ def cmd_variogram(args):
         cols = [grid, *vg.percentile_curves(np.stack(full))]
         files["ensemble.csv"] = lambda path: write_table(
             path, ["tau_hours", *(f"p{p}" for p in vg.PERCENTILES)], cols)
-    return stream.inputs(), files, None
+    return inputs, files, None
 
 
 def cmd_simulate(args):
@@ -270,13 +274,14 @@ def cmd_backtest(args):
         candles, digests = _mapped(args.data_dir, years, args.kind)
         inputs.update(digests)
         if coeffs is not None:      # xcorr trades the coefficient file's tickers, in its order
-            missing = [t for t in coeffs.tickers if t not in candles.coords]
+            have = set(candles.tickers)
+            missing = [t for t in coeffs.tickers if t not in have]
             if missing:
                 raise DataError(f"coefficient ticker {missing[0]} has no candle file in "
                                 f"{args.data_dir}")
-            candles.coords = {t: candles.coords[t] for t in coeffs.tickers}
+            candles = candles.select(coeffs.tickers)
         panel = pn.build_panel(candles, args.min_active_fraction if coeffs is None else None)
-        del candles
+        del candles     # the view holds the clocks' knots
         tickers, prices = panel.tickers, panel.price
         result = (bt.run_xcorr_strategy(prices, tickers, coeffs, config) if coeffs else
                   bt.run_market_meanrev(prices, tickers, config, long_only=args.long_only))
@@ -299,10 +304,10 @@ def cmd_predict(args):
     candles, inputs = _mapped(args.data_dir, all_years, args.kind)
     panel = pn.build_panel(candles, args.min_active_fraction)
     tickers = panel.tickers
-    # the training covariances, so that the mapped candles are let go before the fits
-    cmats = {ty: cov.estimate_cov(candles.in_year(ty, tickers), 1.0, min_obs=args.min_obs)
+    # one more pass per training year, over the eligible tickers' files
+    cmats = {ty: cov.estimate_cov(candles.select(tickers, ty), 1.0, min_obs=args.min_obs)
              for ty in train_years}
-    del candles
+    del candles         # the view holds the clocks' knots
     returns = panel.adjacent_returns()
     # before training, so a ticker with no return variance is named before any fit
     grid: dict[str, dict] = {"none": {}}
@@ -348,6 +353,8 @@ def cmd_correlate(args):
         raise UsageError(f"--tau must be positive and finite, got {args.tau}")
     grid = _parse_tau_grid(args.tau_grid, args.normalize_at) if args.tau_grid else None
     candles, inputs = _mapped(args.data_dir, years, args.kind)
+    if grid is not None:        # held once, for the covariances and every tau of rho(tau)
+        candles = candles.held()
 
     cmat = cov.estimate_cov(candles, args.tau, min_obs=args.min_obs)
     if not cmat.tickers:
@@ -358,7 +365,7 @@ def cmd_correlate(args):
 
     if grid is not None:
         # rho(tau) curves use the first requested year; the others are let go
-        candles = candles.in_year(years[0], cmat.tickers)
+        candles = candles.select(cmat.tickers, years[0])
         _, curves, v = cov.corr_vs_tau(candles, grid, args.normalize_at)
         perc = vg.percentile_curves(curves)     # each tau over the pairs with a value there
         # the median V of the tickers with a positive V at every tau, not a constant price

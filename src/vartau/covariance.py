@@ -183,10 +183,11 @@ def pair_stats(returns, width: int, tau: float):
 
 
 def estimate_cov(candles: TxnCandles, tau: float, min_obs: int = DEFAULT_MIN_OBS) -> CovMatrix:
-    """Covariance of the tickers' grid returns at tau; a ticker with none is left out."""
+    """Covariance of the tickers' grid returns at tau, in one pass over the
+    candles; a ticker with none is left out."""
     tickers = []
     def rows():
-        for t, rs in zip(candles.coords, grid_returns(candles, tau)):
+        for t, rs in zip(candles.tickers, grid_returns(candles, tau)):
             if len(rs):
                 tickers.append(t)
                 yield rs
@@ -215,9 +216,11 @@ def corr_vs_tau(candles: TxnCandles, tau_grid, normalize_tau: float):
     a pair that ``variogram.value_at`` cannot read at normalize_tau.
     v is (n_tickers, n_tau): each ticker's V(tau) from the same returns,
     which for one year is its ``variogram_diff_of_avg`` (NaN where omitted).
+    The candles are held (``TxnCandles.held``) across the taus.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
-    tickers = list(candles.coords)
+    candles = candles.held()
+    tickers = candles.tickers
     upper = np.triu_indices(len(tickers), 1)
     raw = np.full((len(upper[0]), len(tau_grid)), np.nan)
     v = np.full((len(tickers), len(tau_grid)), np.nan)

@@ -1,17 +1,18 @@
 """Each ticker's bins on one grid of transaction time: its returns, and the hourly panel.
 
 At resolution tau each year of a run gets its own block of ceil(hours in the
-year / tau) grid columns, in calendar order. ``map_candles`` puts each
-ticker's candles on its year's transaction-hour axis once per command, as a
-stream of series yields them, and keeps 16 bytes a candle (the hour and a
-copy of the price), so it never holds more than one series. ``grid_bins``
+year / tau) grid columns, in calendar order. A ``TxnCandles`` view puts each
+ticker's candles on its year's transaction-hour axis as a pass reaches the
+ticker: it loads the ticker's series, maps it, and lets the series go, so a
+pass holds one ticker's candles, whatever the number of tickers. ``grid_bins``
 bins them at a tau, ticker by ticker, one ``bin_series`` step per
-ticker-year. A bin past its year's block (a candle at the year's last
-transaction hour, when tau divides the year) is dropped. ``grid_returns``
-takes the log returns between consecutive present bins. Returns run across
-year boundaries: ``start_index`` is the column of the earlier bin, and
-``dt`` is taken on the transaction-hour axis that chains the years.
-Covariance, rho(tau) and the difference-of-average variogram read them.
+ticker-year, and drops each ticker's candles before it reads the next. A bin
+past its year's block (a candle at the year's last transaction hour, when
+tau divides the year) is dropped. ``grid_returns`` takes the log returns
+between consecutive present bins. Returns run across year boundaries:
+``start_index`` is the column of the earlier bin, and ``dt`` is taken on the
+transaction-hour axis that chains the years. Covariance, rho(tau) and the
+difference-of-average variogram read them.
 
 A ``Panel`` holds the same grid's tau = 1 bin-mean prices, NaN where a
 ticker (row) has no candle in the hour (column). ``predict`` scores its
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -33,40 +34,58 @@ from .errors import DataError
 _NO_BINS = (np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))
 
 
-@dataclass
 class TxnCandles:
-    """Candles mapped once: ``coords[ticker][j]`` is (transaction hours, prices) of
-    the ticker's candles in ``years[j]``, None if fewer than two."""
+    """Tickers' candles on the years' clocks. Each iteration is a pass that
+    yields, per ticker in order, its (transaction hours, prices) in each
+    year, None if fewer than two: it loads the series with ``load(ticker)``,
+    maps copies and lets it go. ``held()`` maps once and keeps them, 16 bytes
+    a candle, for a caller that takes one pass per tau."""
 
-    years: list[int]
-    coords: dict[str, list]
+    def __init__(self, tickers: Iterable[str], clocks: list[ClockMap],
+                 load: Callable[[str], CandleSeries]):
+        self.tickers, self.clocks, self._load = list(tickers), list(clocks), load
+        self.years = [c.year for c in self.clocks]
+
+    def __iter__(self) -> Iterator[list]:
+        # map() holds no item it has yielded: the consumer decides when one goes
+        return map(self._map, self.tickers)
+
+    def _map(self, ticker: str) -> list:
+        s = self._load(ticker)          # freed on return: only the copies are kept
+        subs = [(c, s.slice_window(c.year_start, c.year_end)) for c in self.clocks]
+        return [(c.to_txn_time(u.timestamps), u.price.copy()) if len(u) >= 2 else None
+                for c, u in subs]
 
     def widths(self, tau: float) -> list[int]:
         """Each year's block of grid columns at resolution tau; at tau = 1, its hours."""
         return [math.ceil(hours_in_year(y) / tau) for y in self.years]
 
-    def in_year(self, year: int, tickers: Iterable[str]) -> "TxnCandles":
-        """The given tickers' candles of one of the years."""
-        j = self.years.index(year)
-        return TxnCandles([year], {t: self.coords[t][j:j + 1] for t in tickers})
+    def select(self, tickers: list[str], year: int | None = None) -> "TxnCandles":
+        """The given tickers' candles, in that order, of one of the years or of all."""
+        clocks = self.clocks if year is None else [self.clocks[self.years.index(year)]]
+        return TxnCandles(tickers, clocks, self._load)
+
+    def held(self) -> "TxnCandles":
+        """The same candles mapped in one pass and kept; later passes read no file."""
+        return _Held(self.tickers, self.years, dict(zip(self.tickers, self)))
 
 
-def map_candles(series: Iterable[CandleSeries], clocks: list[ClockMap]) -> TxnCandles:
-    """Map each series' in-year candles through each clock, as ``series`` yields
-    it; the tickers are the series' names, sorted.
+class _Held(TxnCandles):
+    """Candles mapped once and kept, with no clock or loader; passes read no file."""
 
-    Only the mapped coordinates and a copy of the in-year prices are kept, 16
-    bytes a candle, so each series is freed once it is mapped: a stream of
-    series is held one at a time.
-    """
-    def mapped(s, clock):
-        sub = s.slice_window(clock.year_start, clock.year_end)
-        return (clock.to_txn_time(sub.timestamps), sub.price.copy()) if len(sub) >= 2 else None
-    coords = {}
-    for s in series:
-        coords[s.ticker] = [mapped(s, c) for c in clocks]
-        del s           # freed before the next series is loaded
-    return TxnCandles([c.year for c in clocks], {t: coords[t] for t in sorted(coords)})
+    def __init__(self, tickers: list[str], years: list[int], coords: dict[str, list]):
+        self.tickers, self.years, self._coords = list(tickers), years, coords
+
+    def __iter__(self) -> Iterator[list]:
+        return map(self._coords.__getitem__, self.tickers)
+
+    def select(self, tickers: list[str], year: int | None = None) -> "TxnCandles":
+        js = range(len(self.years)) if year is None else [self.years.index(year)]
+        return _Held(tickers, [self.years[j] for j in js],
+                     {t: [self._coords[t][j] for j in js] for t in tickers})
+
+    def held(self) -> "TxnCandles":
+        return self
 
 
 def grid_bins(candles: TxnCandles, tau: float) -> Iterator[tuple]:
@@ -74,9 +93,10 @@ def grid_bins(candles: TxnCandles, tau: float) -> Iterator[tuple]:
     years' ``bin_series`` on their blocks' columns and the chained hour axis."""
     widths, hours = candles.widths(tau), candles.widths(1.0)
     firsts, offsets = (np.cumsum([0] + a[:-1]).tolist() for a in (widths, hours))
-    for per_year in candles.coords.values():
+    for per_year in candles:
         bins = [_chained(bin_series(*xp, tau, w), first, offset)
                 for xp, w, first, offset in zip(per_year, widths, firsts, offsets) if xp]
+        del per_year    # a lazy view's candles are freed once binned
         yield bins[0] if len(bins) == 1 else tuple(map(np.concatenate, zip(*bins or [_NO_BINS])))
         del bins        # freed before the next ticker is binned
 
@@ -119,7 +139,7 @@ def build_panel(candles: TxnCandles, min_active_fraction: float | None = None) -
     ends = np.cumsum(widths).tolist()
     blocks = [slice(a, b) for a, b in zip([0] + ends[:-1], ends)]
     tickers, rows = [], []
-    for t, (k, _, p) in zip(candles.coords, grid_bins(candles, 1.0)):
+    for t, (k, _, p) in zip(candles.tickers, grid_bins(candles, 1.0)):
         row = np.full(ends[-1], np.nan)
         row[k] = p
         if min_active_fraction is None or all(np.isfinite(row[sl]).sum() / w >= min_active_fraction

@@ -34,6 +34,7 @@ RIDGE_SCALE = 1e-4
 _REFINE_STEPS = 500
 _REFINE_PATIENCE = 20
 _MIN_STEP = 1e-12
+_SCORE_CELLS = 1 << 14      # cells of a block of rows scored at a time
 
 
 @dataclass
@@ -136,16 +137,24 @@ def market_mode(tickers: list[str], variances) -> PredictionCoeffs:
 
 
 def _per_ticker_moments(r_hat: np.ndarray, r: np.ndarray):
-    """Per-ticker sums over periods where the outcome is present."""
+    """Per-ticker sums over periods where the outcome is present, a block of
+    rows at a time: each row adds the same values as over the whole panel."""
     if r_hat.shape != r.shape:
         raise DataError(f"shape mismatch {r_hat.shape} vs {r.shape}")
-    ok = ~np.isnan(r)
-    n = ok.sum(axis=1)
-    err2 = np.where(ok, (np.nan_to_num(r_hat) - np.nan_to_num(r)) ** 2, 0.0).sum(axis=1)
-    rr = np.where(ok, np.nan_to_num(r) ** 2, 0.0).sum(axis=1)
-    cross = np.where(ok, np.nan_to_num(r_hat) * np.nan_to_num(r), 0.0).sum(axis=1)
-    hh = np.where(ok, np.nan_to_num(r_hat) ** 2, 0.0).sum(axis=1)
-    return n, err2, rr, cross, hh
+    n = np.empty(len(r), dtype=np.int64)
+    sums = np.empty((4, len(r)))
+    step = max(1, _SCORE_CELLS // max(r.shape[1], 1))
+    for lo in range(0, len(r), step):
+        rows = slice(lo, lo + step)
+        missing = np.isnan(r[rows])
+        n[rows] = r.shape[1] - missing.sum(axis=1)
+        z, h = np.nan_to_num(r[rows]), np.nan_to_num(r_hat[rows])
+        h[missing] = 0.0            # both zero where the outcome is missing
+        buf = np.subtract(h, z)     # and every product made in this buffer
+        sums[0, rows] = np.square(buf, out=buf).sum(axis=1)
+        for k, (a, b) in enumerate(((z, z), (h, z), (h, h)), start=1):
+            sums[k, rows] = np.multiply(a, b, out=buf).sum(axis=1)
+    return n, *sums
 
 
 def prediction_report(r_hat: np.ndarray, r: np.ndarray) -> dict[str, float]:

@@ -105,9 +105,11 @@ def variogram_diff_of_avg(candles: TxnCandles, tau_grid) -> Variogram:
     For each tau, the year's candles are sorted into tau bins, bin prices
     are the mean representative prices, and returns are log differences of
     adjacent non-empty bins, as ``panel.grid_returns`` gives them. A tau
-    with no return is left out of the result and listed in ``omitted``.
+    with no return is left out of the result and listed in ``omitted``. The
+    candles are held (``TxnCandles.held``) across the taus.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
+    candles = candles.held()
     vals, counts = np.empty(len(tau_grid)), np.empty(len(tau_grid), dtype=np.int64)
     for i, tau in enumerate(tau_grid):
         # fewer than 2 bins give no return, and so (nan, 0)

@@ -37,9 +37,16 @@ from vartau.clock import ClockKind, ClockMap, build_clock, hours_in_year, year_b
 from vartau.covariance import corr_vs_tau, predicted_corr_ratio
 from vartau.errors import DataError
 from vartau.hurst import HurstParams, PricePanel, SimConfig, _postprocess
-from vartau.panel import build_panel, map_candles
+from vartau.panel import TxnCandles, build_panel
 from vartau.predictor import _per_ticker_moments
 from vartau.variogram import MAX_DT_FACTOR, PERCENTILES, Variogram, variogram_diff_of_avg
+
+
+def txn_candles(series, clocks) -> TxnCandles:
+    """A lazy view of series held in memory on the clocks, its tickers sorted, as
+    ``cli._CandleFiles.view`` gives one of a directory's files."""
+    by_ticker = {s.ticker: s for s in series}
+    return TxnCandles(sorted(by_ticker), clocks, by_ticker.__getitem__)
 
 
 def validate_row(t, o, h, l, c, v) -> None:
@@ -335,7 +342,7 @@ def write_corr_vs_tau_csv_loop(series, clock, tau_grid, normalize_tau, path) -> 
     tickers whose ``variogram_diff_of_avg`` keeps every tau, one variogram
     per ticker.
     """
-    _, curves, _ = corr_vs_tau(map_candles(series.values(), [clock]), tau_grid, normalize_tau)
+    _, curves, _ = corr_vs_tau(txn_candles(series.values(), [clock]), tau_grid, normalize_tau)
     perc = np.full((len(PERCENTILES), len(tau_grid)), np.nan)
     for k, column in enumerate(curves.T):
         present = column[~np.isnan(column)]
@@ -343,7 +350,7 @@ def write_corr_vs_tau_csv_loop(series, clock, tau_grid, normalize_tau, path) -> 
             perc[:, k] = np.percentile(present, PERCENTILES)
     stack = []
     for t in sorted(series):
-        v = variogram_diff_of_avg(map_candles([series[t]], [clock]), tau_grid)
+        v = variogram_diff_of_avg(txn_candles([series[t]], [clock]), tau_grid)
         if len(v) == len(tau_grid):
             stack.append(v.v)
     if stack:

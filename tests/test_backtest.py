@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import BALANCE_TOL, run_market_meanrev_loop
+from oracles import BALANCE_TOL, run_market_meanrev_loop, txn_candles
 from vartau.backtest import (EquityCurve, StrategyConfig, annualized_yield,
                              rms_hourly_return, run_market_meanrev,
                              run_sim_meanrev, run_xcorr_strategy)
 from vartau.clock import ClockKind, build_clock, year_bounds
 from vartau.errors import DataError
 from vartau.hurst import HurstParams, SimConfig, simulate_fbm
-from vartau.panel import build_panel, map_candles
+from vartau.panel import build_panel
 from vartau.predictor import PredictionCoeffs
 from vartau.synthetic import hourly_candles_from_prices, point_candles
 
@@ -110,7 +110,7 @@ class TestPanelPrep:
         series = {t: point_candles(t, t0 + 3600 * np.asarray(h, dtype=np.int64), p)
                   for t, (h, p) in candles.items()}
         clocks = [build_clock(series.values(), ClockKind.CLOCK, y) for y in years]
-        return build_panel(map_candles(series.values(), clocks), share)
+        return build_panel(txn_candles(series.values(), clocks), share)
 
     def test_price_matrix_placement(self):
         panel = self.make_panel({"T": ([0, 2, 5], [10.0, 11.0, 12.0])})

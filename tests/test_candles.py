@@ -12,13 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import parse_candles_loop
+from oracles import parse_candles_loop, txn_candles
 from test_oracles import candle_rows, layouts, render, write
 from vartau import candles, cli
 from vartau.candles import CandleSeries, bin_series, parse_candles, sha256_file, write_candles
 from vartau.clock import ClockKind, ClockMap, build_clock, hours_in_year, year_bounds
 from vartau.errors import DataError
-from vartau.panel import grid_returns, map_candles
+from vartau.panel import grid_returns
 from vartau.synthetic import point_candles
 
 T0, _ = year_bounds(2021)
@@ -44,7 +44,7 @@ def year_bins(s, clock, tau):
 
 def panel_returns(s, tau=1.0):
     """The log returns a one-ticker grid gives, as the multi-ticker commands read them."""
-    return next(grid_returns(map_candles([s], [identity_clock()]), tau))
+    return next(grid_returns(txn_candles([s], [identity_clock()]), tau))
 
 
 class TestParse:

@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import (estimate_cov_loop, multi_year_returns_loop, write_corr_vs_tau_csv_loop,
+from oracles import (estimate_cov_loop, multi_year_returns_loop, txn_candles,
+                     write_corr_vs_tau_csv_loop,
                      write_ensemble_csv_rows, write_yearly_returns_csv_rows)
 from vartau import candles, cli
 from vartau.backtest import run_sim_meanrev
@@ -22,7 +23,6 @@ from vartau.clock import ClockKind, build_clock, year_bounds
 from vartau.covariance import corr_vs_tau
 from vartau.hurst import (HurstParams, SimConfig, read_panel_csv, simulate_fbm,
                           simulate_shot_noise)
-from vartau.panel import map_candles
 from vartau.predictor import PredictionCoeffs
 from vartau.synthetic import random_walk_candles
 from vartau.variogram import (Variogram, default_tau_grid, percentile_curves, value_at,
@@ -191,7 +191,7 @@ def test_corr_vs_tau_csv_matches_second_binning_pass(tmp_path):
                      "--out-dir", str(tmp_path / "out")]) == 0
     series = {t: parse_candles(data / f"{t}.csv") for t in sorted(series)}
     clock = build_clock(series.values(), ClockKind.DOLLAR_WEIGHTED, 2021)
-    _, _, v = corr_vs_tau(map_candles(series.values(), [clock]), grid, 1.0)
+    _, _, v = corr_vs_tau(txn_candles(series.values(), [clock]), grid, 1.0)
     assert np.isnan(v).any(axis=1).tolist() == [False, False, True, True]
     write_corr_vs_tau_csv_loop(series, clock, grid, 1.0, tmp_path / "want.csv")
     assert (tmp_path / "out" / "corr_vs_tau.csv").read_bytes() == \
@@ -638,8 +638,8 @@ def test_one_year_commands_ignore_the_other_years(data, tmp_path):
         write_candles(only / f"{t}.csv", s.slice_window(t0, t1))
     # the mapped candles are the year's own copies, so each file's columns are freed
     mapped, _ = cli._mapped(str(data), [2021], "dollar")
-    for t, s in market().items():
-        ((hours, price),) = mapped.coords[t]
+    assert mapped.tickers == sorted(market())
+    for s, ((hours, price),) in zip(market().values(), mapped):
         assert len(hours) == len(price) == len(s.slice_window(t0, t1))
         assert hours.base is None and price.base is None
     runs = {
@@ -661,8 +661,9 @@ def test_one_year_commands_ignore_the_other_years(data, tmp_path):
 def test_loaded_candles_hold_24_bytes_each(data, years):
     # a loaded series holds timestamps, representative price and volume, 8
     # bytes each a candle, and a later pass holds one file's series at a time;
-    # mapped to the years' clocks, a candle of the years holds 16 bytes (its
-    # transaction hour and its price), and the other years' candles none
+    # held mapped to the years' clocks, as correlate --tau-grid holds them, a
+    # candle of the years holds 16 bytes (its transaction hour and its
+    # price), and the other years' candles none
     stream = cli._CandleFiles(str(data))
     clocks = [build_clock(stream, ClockKind.DOLLAR_WEIGHTED, y) for y in years]
     tracemalloc.start()
@@ -671,11 +672,11 @@ def test_loaded_candles_hold_24_bytes_each(data, years):
             held, _ = tracemalloc.get_traced_memory()
             assert held <= 24 * len(s) + (64 << 10), (held, len(s))
             del s
-        mapped = map_candles(stream, clocks)
+        mapped = stream.view(clocks).held()
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    n = sum(len(xp[0]) for per_year in mapped.coords.values() for xp in per_year)
+    n = sum(len(xp[0]) for per_year in mapped for xp in per_year)
     assert n == sum(len(s.slice_window(year_bounds(years[0])[0], year_bounds(years[-1])[1]))
                     for s in market().values())
     assert held <= 16 * n + (64 << 10), (held, n)
@@ -702,6 +703,118 @@ def test_clock_holds_one_file_at_a_time(tmp_path):
     one, six = peak(1), peak(6)
     assert one > 8 * 525600                  # the year's minute weights, at least
     assert six - one < 8 * len(walk), (one, six, len(walk))
+
+
+STREAMED = {
+    "correlate": ["correlate", "--years", "2021"],
+    "predict": ["predict", "--train-years", "2021", "--predict-years", "2021"],
+    "backtest": ["backtest", "--strategy", "market-meanrev", "--years", "2021",
+                 "--min-side-count", "1"],
+}
+
+
+@pytest.fixture(scope="module")
+def copies(tmp_path_factory):
+    """Directories of 2 and of 7 copies of one dense ticker's file (5-minute
+    candles through 2021), each command run once on each to warm the cache."""
+    walk = market(years=(2021,), spacings=(5,))["T0"]
+    root = tmp_path_factory.mktemp("copies")
+    write_candles(root / "walk.csv", walk)
+    for k in (2, 7):
+        (root / str(k)).mkdir()
+        for i in range(k):
+            shutil.copy(root / "walk.csv", root / str(k) / f"T{i}.csv")
+        for name, argv in STREAMED.items():
+            assert cli.main([*argv, "--data-dir", str(root / str(k)),
+                             "--out-dir", str(root / "warm" / str(k) / name)]) == 0
+    return root, len(walk)
+
+
+@pytest.mark.parametrize("command", sorted(STREAMED))
+def test_streaming_commands_hold_one_file_at_a_time(copies, command, monkeypatch, capsys):
+    # once the clock is built, a command that streams its candles holds each
+    # ticker's bins and panel row, not its mapped candles: five more copies of
+    # the file add their rows and returns, 8760 hours each, not 16 bytes a candle
+    root, n = copies
+    real = cli.build_clock
+
+    def clock_then_reset(*args, **kwargs):
+        clock = real(*args, **kwargs)
+        tracemalloc.reset_peak()        # the peak from here on: the year's minutes are gone
+        return clock
+
+    monkeypatch.setattr(cli, "build_clock", clock_then_reset)
+
+    def peak(k):
+        tracemalloc.start()
+        try:
+            assert cli.main([*STREAMED[command], "--data-dir", str(root / str(k)),
+                             "--out-dir", str(root / "out" / str(k) / command)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    two, seven = peak(2), peak(7)
+    capsys.readouterr()
+    # rows and returns: up to 32 bytes an hour for each added ticker, plus one
+    # file's series (24 bytes a candle); five tickers' held candles would be 80n
+    assert seven - two < 5 * 32 * 8760 + 24 * n, (two, seven, n)
+
+
+@pytest.fixture(scope="module")
+def stems(tmp_path_factory):
+    """Three tickers whose file paths sort A-B.csv, A.csv, AB.csv and whose
+    stems sort A, A-B, AB."""
+    d = tmp_path_factory.mktemp("stems")
+    for stem, s in zip(("A-B", "A", "AB"), market(spacings=(60, 60, 60)).values()):
+        write_candles(d / f"{stem}.csv", s)
+    assert [p.name for p in candles.candle_files(d)] == ["A-B.csv", "A.csv", "AB.csv"]
+    return d
+
+
+def test_commands_list_tickers_in_stem_order(stems, tmp_path):
+    order = ["A", "A-B", "AB"]
+    runs = {"correlate": ["correlate", "--years", "2021,2022"],
+            "predict": ["predict", "--train-years", "2021", "--predict-years", "2022"],
+            "backtest": ["backtest", "--strategy", "market-meanrev", "--years", "2021,2022",
+                         "--min-side-count", "1"]}
+    for name, argv in runs.items():
+        assert cli.main([*argv, "--data-dir", str(stems), "--out-dir", str(tmp_path / name)]) == 0
+    for path in ("correlate/cov.csv", "correlate/corr.csv", "predict/coeffs_2021.csv"):
+        assert read_matrix(tmp_path / path)[0] == order, path
+    assert json.loads((tmp_path / "predict" / "report.json").read_text())["tickers"] == order
+    # an hour's trades on one side are listed in ticker order
+    with open(tmp_path / "backtest" / "ledger.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    sides: dict[tuple, list] = {}
+    for row in rows:
+        sides.setdefault((row["hour"], row["side"]), []).append(order.index(row["ticker"]))
+    assert any(len(ranks) > 1 for ranks in sides.values())
+    assert all(ranks == sorted(ranks) for ranks in sides.values())
+
+
+@pytest.mark.parametrize("argv", [
+    ["clock", "--year", "2021"],
+    ["variogram", "--year", "2021", "--tau-grid", "0.25:32:4"],
+    ["correlate", "--years", "2021"],
+    ["correlate", "--years", "2021", "--tau-grid", "0.5,1,2"],
+    ["predict", "--train-years", "2021", "--predict-years", "2022"],
+    ["backtest", "--strategy", "market-meanrev", "--years", "2021,2022"],
+], ids=["clock", "variogram", "correlate", "rho_tau", "predict", "backtest"])
+def test_a_bad_file_is_reported_by_the_first_pass(stems, tmp_path, capsys, argv):
+    # the first pass in file order (the first clock's) parses every file and
+    # names the first bad one; no later pass, in stem order, reaches it first
+    d = tmp_path / "data"
+    shutil.copytree(stems, d, ignore=shutil.ignore_patterns(".vartau"))
+    for stem in ("A-B", "AB"):
+        with open(d / f"{stem}.csv", "a") as fh:
+            fh.write(f"{year_bounds(2021)[0] + 30},1,1,1,1,1\n")     # not on a minute
+    with pytest.raises(cli.DataError) as first:
+        parse_candles(d / "A-B.csv")
+    capsys.readouterr()
+    assert cli.main([*argv, "--data-dir", str(d), "--out-dir", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"data error: {first.value}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_summaries_do_not_import_numpy_ma(data, tmp_path):
@@ -1126,7 +1239,7 @@ def test_variogram_clock_flag_picks_the_clock(data, outputs, tmp_path, kind):
     assert len(written) >= 3
     for name in written:
         t = name[len("variogram_"):-len(".csv")]
-        v = variogram_diff_of_avg(map_candles([series[t]], [clock]), grid)
+        v = variogram_diff_of_avg(txn_candles([series[t]], [clock]), grid)
         v0 = value_at(v.tau, v.v[None], 1.0)[0]
         Variogram(v.tau, v.v / v0, v.n_samples).write_csv(tmp_path / "want.csv")
         got = (out / name).read_bytes()

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import estimate_cov_loop
+from oracles import estimate_cov_loop, txn_candles
 from vartau import covariance, panel
 from vartau.candles import ReturnSeries
 from vartau.clock import ClockKind, build_clock, year_bounds
@@ -14,7 +14,7 @@ from vartau.covariance import (CovMatrix, TwoComponentModel, cov_to_corr, corr_v
                                estimate_cov, pair_stats, predicted_corr_ratio,
                                simulate_two_component)
 from vartau.errors import DataError
-from vartau.panel import grid_returns, map_candles
+from vartau.panel import grid_returns
 from vartau.synthetic import (correlated_walk_panel, hourly_candles_from_prices,
                               point_candles)
 from vartau.variogram import default_tau_grid, value_at, variogram_diff_of_avg
@@ -46,7 +46,7 @@ def walk_candles(returns, tau=1.0, first=None, gaps=None):
         bins = (first or {}).get(t, 0) + np.concatenate(([0], np.cumsum(steps)))
         prices = np.exp(np.concatenate(([0.0], np.cumsum(r))))
         series[t] = point_candles(t, T0 + (bins * round(tau * 3600)).astype(np.int64), prices)
-    return map_candles(series.values(), [identity_clock()])
+    return txn_candles(series.values(), [identity_clock()])
 
 
 def model_rho(ra, rb, tau):
@@ -115,7 +115,7 @@ class TestEstimate:
         prices = correlated_walk_panel(4, 6000, rho, seed=6)
         series = {f"T{i}": hourly_candles_from_prices(f"T{i}", 2021, prices[i])
                   for i in range(4)}
-        rm = cov_to_corr(estimate_cov(map_candles(series.values(), [clock]), 1.0))
+        rm = cov_to_corr(estimate_cov(txn_candles(series.values(), [clock]), 1.0))
         off = rm.rho[np.triu_indices(4, 1)]
         assert np.all(np.abs(off - rho) < 4 / np.sqrt(6000) + 0.02)
 
@@ -157,7 +157,7 @@ class TestCorrVsTau:
         series = {f"T{i}": hourly_candles_from_prices(f"T{i}", 2021, prices[i])
                   for i in range(2)}
         grid = np.array([1.0, 2.0, 4.0, 8.0])
-        tickers, curves, _ = corr_vs_tau(map_candles(series.values(), [clock]), grid, 1.0)
+        tickers, curves, _ = corr_vs_tau(txn_candles(series.values(), [clock]), grid, 1.0)
         assert tickers == ["T0", "T1"] and curves.shape == (1, len(grid))
         se = 3.0 / np.sqrt(8000 / grid)
         assert np.all(np.abs(curves[0] - 1.0) < (se / rho + se[0] / rho))
@@ -167,7 +167,7 @@ class TestCorrVsTau:
         prices = correlated_walk_panel(2, 400, 0.4, seed=9)
         series = {f"T{i}": hourly_candles_from_prices(f"T{i}", 2021, prices[i])
                   for i in range(2)}
-        _, curves, _ = corr_vs_tau(map_candles(series.values(), [clock]), np.array([1.0]), 1.0)
+        _, curves, _ = corr_vs_tau(txn_candles(series.values(), [clock]), np.array([1.0]), 1.0)
         assert np.allclose(curves, 1.0)
 
     @pytest.mark.parametrize("case", ["walks", "year_end"])
@@ -188,9 +188,9 @@ class TestCorrVsTau:
                                          volume=np.array([1.0, 1.0, 0.0]))}
             clock = build_clock(series.values(), ClockKind.VOLUME_WEIGHTED, 2021)
             grid = np.array([1460.0, 2920.0, 8760.0])
-        _, _, v = corr_vs_tau(map_candles(series.values(), [clock]), grid, 1.0)
+        _, _, v = corr_vs_tau(txn_candles(series.values(), [clock]), grid, 1.0)
         for row, s in zip(v, series.values()):
-            want = variogram_diff_of_avg(map_candles([s], [clock]), grid)
+            want = variogram_diff_of_avg(txn_candles([s], [clock]), grid)
             assert np.array_equal(grid[~np.isnan(row)], want.tau)
             assert np.array_equal(row[~np.isnan(row)], want.v)
         assert np.isnan(v).sum() > 0

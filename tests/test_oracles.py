@@ -40,7 +40,7 @@ from oracles import (BALANCE_TOL, bin_coordinates_unique, build_clock_dict, buil
                      naive_scores,
                      parse_candles_loop,
                      run_market_meanrev_loop,
-                     run_xcorr_strategy_loop, shot_logp_loop, simulate_shot_noise_loop,
+                     run_xcorr_strategy_loop, shot_logp_loop, simulate_shot_noise_loop, txn_candles,
                      write_candles_csv_rows, write_clock_csv_rows, write_corr_vs_tau_csv_rows,
                      write_ensemble_csv_rows, write_equity_csv_rows, write_ledger_csv_rows,
                      write_matrix_csv_rows, write_panel_csv_rows, write_variogram_csv_rows,
@@ -56,7 +56,7 @@ from vartau.covariance import CorrMatrix, CovMatrix, corr_vs_tau, pair_stats
 from vartau.errors import DataError
 from vartau.hurst import (PANEL_HEADER, HurstParams, PricePanel, SimConfig, _shot_logp,
                           read_panel_csv, simulate_fbm, simulate_shot_noise)
-from vartau.panel import build_panel, grid_returns, map_candles
+from vartau.panel import build_panel, grid_returns
 from vartau.predictor import (PredictionCoeffs, market_mode, predict, prediction_report,
                               read_coeffs_csv)
 from vartau.synthetic import point_candles
@@ -414,8 +414,8 @@ def test_grid_returns_match_year_loop(market, kind, tau):
     # and at 0.1, which as a float is a little over a tenth
     series, years = market
     want = multi_year_returns_loop(series, years, kind, tau)
-    candles = map_candles(series.values(), [build_clock(series.values(), kind, y) for y in years])
-    got = {t: rs for t, rs in zip(candles.coords, grid_returns(candles, tau)) if len(rs)}
+    candles = txn_candles(series.values(), [build_clock(series.values(), kind, y) for y in years])
+    got = {t: rs for t, rs in zip(candles.tickers, grid_returns(candles, tau)) if len(rs)}
     assert list(got) == list(want)
     for t, rs in got.items():
         for field in ("r", "dt", "start_index"):
@@ -430,7 +430,7 @@ def test_build_panel_matches_year_loop(market, kind):
     # a ticker with fewer than two candles in a year leaves that block NaN
     series, years = market
     tickers, want = build_panel_loop(series, years, kind)
-    got = build_panel(map_candles(series.values(), [build_clock(series.values(), kind, y)
+    got = build_panel(txn_candles(series.values(), [build_clock(series.values(), kind, y)
                                            for y in years]))
     assert got.tickers == tickers and got.years == years
     assert [b.stop - b.start for b in got.blocks] == [hours_in_year(y) for y in years]
@@ -454,7 +454,7 @@ def active_hour_markets(draw):
         ts = np.concatenate(ts)
         series[f"T{i}"] = point_candles(f"T{i}", ts, 1.0 + np.arange(len(ts)) % 7)
     clocks = [build_clock(series.values(), ClockKind.CLOCK, y) for y in years]
-    return map_candles(series.values(), clocks)
+    return txn_candles(series.values(), clocks)
 
 
 @settings(max_examples=100, deadline=None)
@@ -545,7 +545,7 @@ def test_corr_vs_tau_matches_pair_loop(series, tau0):
     clock = build_clock(series.values(), ClockKind.CLOCK, 2021)
     grid = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
     want_pairs, want = corr_vs_tau_loop(series, clock, grid, tau0)
-    tickers, got, _ = corr_vs_tau(map_candles(series.values(), [clock]), grid, tau0)
+    tickers, got, _ = corr_vs_tau(txn_candles(series.values(), [clock]), grid, tau0)
     assert [(tickers[i], tickers[j])
             for i, j in zip(*np.triu_indices(len(tickers), 1))] == want_pairs
     assert np.array_equal(np.isnan(got), np.isnan(want))

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import txn_candles
 from vartau import cli, hurst
 from vartau.candles import CandleSeries, write_candles
 from vartau.clock import ClockKind, build_clock, year_bounds
 from vartau.errors import DataError
-from vartau.panel import map_candles
 from vartau.synthetic import point_candles, random_walk_candles
 from vartau.variogram import (PERCENTILES, Variogram, column_quantiles, default_tau_grid,
                               fit_power_law, percentile_curves, value_at,
@@ -30,7 +30,7 @@ CLOCK = identity_clock()
 
 def mapped(s):
     """One ticker's candles on the identity clock, as the estimator reads them."""
-    return map_candles([s], [CLOCK])
+    return txn_candles([s], [CLOCK])
 
 
 def normalize_at(v: Variogram, tau0: float) -> Variogram:
@@ -105,7 +105,7 @@ class TestDiffOfAvg:
         for epsilon in (0.0, 0.035):
             s = fbm_minute_candles(epsilon, seed=0)
             clock = build_clock([s], ClockKind.VOLUME_WEIGHTED, 2021)
-            v = variogram_diff_of_avg(map_candles([s], [clock]), grid)
+            v = variogram_diff_of_avg(txn_candles([s], [clock]), grid)
             slopes.append(fit_power_law(v).exponent)
         assert slopes[0] - slopes[1] == pytest.approx(0.07, abs=0.01)
         assert slopes[1] == pytest.approx(0.93, abs=0.06)
