@@ -12,9 +12,9 @@ Coarser resolutions are built by sorting candles into consecutive
 half-open bins of length tau along a transaction-time axis (see
 ``vartau.clock``), averaging representative prices and coordinates within
 each bin. ``bin_series`` bins one ticker-year into its year's block of grid
-columns, the step that ``panel.grid_bins`` chains into each ticker's returns
-and its row of the hourly panel. Returns are log differences of consecutive
-known bin prices, each carrying its actual elapsed transaction time.
+columns, the step that ``panel.grid_bins`` chains into each ticker's row of
+bins. Returns are log differences of consecutive known bin prices, each
+spanning its actual elapsed transaction time.
 
 ``parse_candles`` reads a candle file and caches what it parsed, keyed on
 the file's sha256; ``load_parsed`` reads that series again by the digest
@@ -130,24 +130,6 @@ class BinnedSeries:
 
     def __len__(self) -> int:
         return len(self.index)
-
-
-@dataclass
-class ReturnSeries:
-    """Log returns of consecutive known bin prices.
-
-    Entry i is the return from bin i to bin i+1 of a ticker's bins in
-    ``panel.grid_bins``; ``dt`` is the elapsed transaction time between the
-    two bin mean times and ``start_index`` the grid index of the earlier bin.
-    """
-
-    tau: float
-    r: np.ndarray
-    dt: np.ndarray
-    start_index: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.r)
 
 
 def parse_candles(path) -> CandleSeries:
@@ -594,10 +576,13 @@ def bin_coordinates(coords: np.ndarray, prices: np.ndarray, tau: float):
     first = np.flatnonzero(idx[1:] != idx[:-1]) + 1
     if len(idx):
         first = np.concatenate(([0], first))
-    counts = np.diff(np.append(first, len(idx)))
-    sums_t = np.add.reduceat(coords, first)
-    sums_p = np.add.reduceat(prices, first)
-    return idx[first].astype(np.int64), sums_t / counts, sums_p / counts, counts
+    index = idx[first].astype(np.int64)
+    del idx                 # freed, and the means divided in place, to bound the peak
+    counts = np.diff(first, append=len(coords))
+    means = [np.add.reduceat(x, first) for x in (coords, prices)]
+    for m in means:
+        m /= counts
+    return index, *means, counts
 
 
 def bin_series(coords: np.ndarray, prices: np.ndarray, tau: float, width: int) -> BinnedSeries:

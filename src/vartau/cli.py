@@ -321,19 +321,21 @@ def cmd_predict(args):
                             f"return variance in year {py}")
         naive = pred.predict(pred.market_mode(tickers, variances), r)
         grid["none"][str(py)] = pred.prediction_report(naive, r)
-    files = {}
-    for ty in train_years:
-        cmat = cmats.pop(ty)
+    need = max(args.min_obs, cov.MIN_VARIANCE_OBS)
+    for ty, cmat in cmats.items():
         if cmat.tickers != tickers:
             raise DataError(f"year {ty}: an eligible ticker has no hourly return")
         counts = np.diag(cmat.n_obs)
-        need = max(args.min_obs, cov.MIN_JOINT_OBS)
-        if (counts < need).any():       # its variance is missing, and cannot be imputed
-            i = int(np.argmax(counts < need))
-            raise DataError(f"{Path(args.data_dir) / tickers[i]}.csv: ticker {tickers[i]} has "
-                            f"{counts[i]} hourly returns in training year {ty}, fewer than the "
-                            f"{need} a variance needs at --min-obs {args.min_obs}")
-        cmat = cmat.filled()
+        missing = np.flatnonzero((counts < need) | np.isnan(np.diag(cmat.c)))
+        if len(missing):        # a missing variance cannot be imputed
+            t, n = tickers[missing[0]], counts[missing[0]]
+            raise DataError(f"{Path(args.data_dir) / t}.csv: ticker {t} has " + (
+                f"{n} overlapping pairs of hourly returns in training year {ty}, fewer "
+                f"than the {need} a variance needs at --min-obs {args.min_obs}" if n < need
+                else f"a non-positive hourly return variance in training year {ty}"))
+    files = {}
+    for ty in train_years:
+        cmat = cmats.pop(ty).filled()
         ridge = args.ridge if args.ridge is not None else pred.default_ridge(cmat)
         a = pred.invert_with_ridge(cmat, ridge)
         b = pred.loo_coefficients(a)
@@ -459,7 +461,8 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
                     help="refine each fit by gradient descent, stopped early on the other "
                          "training years; with one training year, on that year, in sample")
     sp.add_argument("--min-obs", type=int, default=cov.DEFAULT_MIN_OBS,
-                    help="joint hourly returns a pair needs; below it its cell is imputed")
+                    help="overlapping pairs of hourly returns a pair of tickers needs; "
+                         "below it its cell is imputed")
     sp.add_argument("--min-active-fraction", type=float, default=0.5,
                     help="share of each year's hours a kept ticker trades in")
     sp.add_argument("--out-dir", required=True)
@@ -477,8 +480,8 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
                          "are 1, read log-log if positive, else linearly in log tau; a pair "
                          "whose curve does not reach it is left out")
     sp.add_argument("--min-obs", type=int, default=cov.DEFAULT_MIN_OBS,
-                    help="joint returns a pair needs in cov.csv and corr.csv; the "
-                         "rho(tau) curves keep every pair with at least 2")
+                    help="overlapping pairs of returns a pair of tickers needs in cov.csv "
+                         "and corr.csv; the rho(tau) curves keep every pair with at least 2")
     sp.add_argument("--out-dir", required=True)
     sp.set_defaults(func=cmd_correlate)
     return p

@@ -1,33 +1,27 @@
 """Pairwise covariance and correlation of asynchronous returns.
 
-Each ticker's returns are its ``panel.grid_returns`` at resolution tau, and
-two tickers' returns are paired by the grid column of the bin they start
-from: the standard pairing on a synchronous grid. Each product r_A * r_B is
-reweighted by tau/sqrt(dt_A*dt_B) to put unequal elapsed times on the common
-tau scale (as ``variogram.weighted_v`` reweights r^2), after returns outside
-the dt band 0 < dt <= 3 tau (``variogram.MAX_DT_FACTOR``) are dropped and
-per-ticker mean returns are removed. Pairs with too few joint observations
-are reported as missing. The weight factorises, so with z = r*sqrt(tau/dt)
-on a (ticker x start bin) grid Z, zero where a ticker has no return, and its
-0/1 mask M, the sums for all pairs are Z @ Z.T and the joint counts M @ M.T.
-``pair_stats`` never holds Z whole: it reads the tickers' returns one at a
-time, keeps each kept return once, in 10 bytes (its z as float64 and its
-column within its block of ``_BLOCK_BINS`` columns as int16), and adds both
-products up block by block, so its dense temporaries are tickers x
-``_BLOCK_BINS`` at any tau. The blocks reorder the sums, so they agree with
-a pair-by-pair loop to rounding, not bit for bit. The Hayashi-Yoshida
-estimator (Bernoulli 11(2), 2005), which sums the products of all
-overlapping return intervals with no common grid, is the usual asynchronous
-alternative; it is not implemented here. Correlation falling as tau shrinks
-is the Epps effect (Epps, JASA 1979), which ``corr_vs_tau`` measures beside
-each ticker's V(tau) from the same returns, normalized by ``variogram.value_at``.
+A ticker's returns at resolution tau are the demeaned log differences of its
+consecutive bin prices in ``panel.grid_bins``. A bin price averages the
+candles of its bin, so the return from bin k_i to k_{i+1} has the closed
+support [k_i, k_{i+1}]. A pair's covariance is the Hayashi-Yoshida sum
+(Bernoulli 11(2), 2005) of r_A r_B over every pair of returns whose supports
+overlap, and its count is the number of those pairs. On the diagonal this is
+sum r_i^2 + 2 sum r_i r_{i+1}, a lag-1 realised kernel (Barndorff-Nielsen
+et al., Econometrica 76(6), 2008) that takes in the lag-1 autocovariance
+averaging gives adjacent returns, so a correlation and its variances come
+from one matrix. The kernel need not be positive (prices alternating between
+two values give returns +a, -a, ...); such a variance is reported missing.
+``estimate_cov`` scales the sums to a per-return covariance, HY * tau / the
+hours the grid spans. Correlation falling as tau shrinks is the Epps effect
+(Epps, JASA 1979), which ``corr_vs_tau`` measures beside each ticker's
+variance from the same diagonal, normalized by ``variogram.value_at``.
 
 The two-component return model splits each stock's return into a
 cross-correlated part with partial variogram V(tau) sharing one factor
 draw per period, and an uncorrelated part U(tau). Its observable
 correlation is rho * V/(V+U); when V is memoryless the normalized
 observed correlation must follow tau/V_tot(tau), which is what
-``predicted_corr_ratio`` computes from a measured total variogram.
+``predicted_corr_ratio`` computes from a measured total variance.
 """
 
 from __future__ import annotations
@@ -37,23 +31,27 @@ from typing import Callable
 
 import numpy as np
 
-from .candles import ReturnSeries, write_table
+from .candles import write_table
 from .errors import DataError
-from .panel import TxnCandles, grid_returns
-from .variogram import MAX_DT_FACTOR, value_at, weighted_v
+from .panel import TxnCandles, grid_bins
+from .variogram import value_at
 
 DEFAULT_MIN_OBS = 50
-# the fewest joint returns behind any covariance or correlation that is reported
+# the fewest overlapping return pairs behind any covariance or correlation reported
 MIN_JOINT_OBS = 2
-# grid columns per block of pair_stats' products; bounds its dense temporaries
-_BLOCK_BINS = 4096
+# and behind a variance: 3 returns give 7. The lag-1 kernel of 2 demeaned
+# returns, (z_1 + z_2)^2, is 0, and only rounding would give it a sign
+MIN_VARIANCE_OBS = 7
+# grid columns per block of pair_stats' products, whose float64 operands take
+# 16 bytes a cell: 48 KiB a row
+_BLOCK_BINS = 3072
 
 
 @dataclass
 class CovMatrix:
     tickers: list[str]
-    c: np.ndarray           # n x n, NaN where a pair had too few samples
-    n_obs: np.ndarray       # n x n joint sample counts
+    c: np.ndarray           # n x n, NaN where a pair or a variance is missing
+    n_obs: np.ndarray       # n x n counts of overlapping return pairs
 
     def filled(self) -> "CovMatrix":
         """Impute missing off-diagonal cells with the observed mean.
@@ -110,95 +108,126 @@ class TwoComponentModel:
 
 
 
-def pair_stats(returns, width: int, tau: float):
-    """Weighted cross-moments of all pairs of rows of a (series, start bin) grid.
+def pair_stats(bins, width: int):
+    """Support Hayashi-Yoshida sums and overlap counts of all pairs of rows.
 
-    Row i takes the i-th ReturnSeries (read once): the returns with dt in
-    (0, MAX_DT_FACTOR*tau], demeaned, as z = r*sqrt(tau/dt) at their start
-    indices, which must be strictly increasing and in [0, width).
-    z_a*z_b is r_a*r_b reweighted by tau/sqrt(dt_a*dt_b), so the sums are
-    Z @ Z.T and the joint counts M @ M.T over the zero-filled grid Z and its
-    0/1 mask M. Each row keeps each of its returns once, in 10 bytes: its z
-    (float64) and its column within its block of ``_BLOCK_BINS`` columns
-    (int16), so the state grows with the returns, not with width. Block by
-    block in ascending order, the rows' positions in one dense block are
-    built in one reused buffer, every row's values fill the block and its
-    mask, and their products are added up (the float32 mask counts exactly
-    within a block). Returns (covariance, int64 counts), both exactly
-    symmetric; a pair with no joint bin gets (nan, 0).
+    Row i is the i-th (grid index, bin time, bin price) of ``grid_bins``,
+    read once, its indices strictly increasing inside [0, width). Its
+    returns z_j are demeaned log differences of its prices, with supports
+    [k_j, k_{j+1}]. Returns (hy, n_obs): hy[a, b] sums z_a,i z_b,j over the
+    pairs of returns whose supports overlap and n_obs[a, b] counts them
+    (3 m - 2 on the diagonal for m returns), both exactly symmetric.
+
+    Two closed supports overlap exactly when one starts inside the other,
+    and only equal starts count twice. So with Q each z at its start column,
+    R each column's sum of the z whose supports cover it and W = R - Q/2,
+    hy = Q W^T + (Q W^T)^T, and the counts follow from the 0/1 masks alike.
+    Each row keeps each bin once, in 10 bytes: its column within its block of
+    ``_BLOCK_BINS`` (int16) and the z of the return it starts (float64, NaN
+    at the last bin). Block by block, all rows' runs are filled at once from
+    the return each row carries in, so a support may span blocks with no bin.
     """
     assert _BLOCK_BINS <= 32768     # a column within a block fits in int16
-    # pieces[b]: (row, columns within block b, z) of each row with returns in block b
+    # pieces[b]: (row, columns within block b, z) of each row with bins in block b
     pieces: dict[int, list] = {}
     n = 0
     # no enumerate(): its last tuple would hold a row while the next is read
-    for rs in returns:
+    for row in bins:
         i, n = n, n + 1
-        k, r, dt = rs.start_index, rs.r, rs.dt
-        del rs
-        keep = (dt > 0) & (dt <= MAX_DT_FACTOR * tau)
-        if not keep.all():
-            k, r, dt = k[keep], r[keep], dt[keep]
-        if not len(k):
+        k, p = row[0], row[2]
+        del row
+        if len(k) < 2:
             continue
         if k[0] < 0 or k[-1] >= width or np.any(k[1:] <= k[:-1]):
-            raise DataError(f"start indices of row {i} are not increasing "
-                            f"inside [0, {width})")
-        z = r - r.mean()
-        z *= np.sqrt(tau / dt)
+            raise DataError(f"grid indices of row {i} are not increasing inside [0, {width})")
+        z = np.log(p)
+        z[:-1] = z[1:] - z[:-1]
+        z[:-1] -= z[:-1].mean()
+        z[-1] = np.nan
         lo = 0
-        while lo < len(k):      # one step per block that holds returns of the row
+        while lo < len(k):      # one step per block that holds bins of the row
             b = int(k[lo]) // _BLOCK_BINS
             hi = int(np.searchsorted(k, (b + 1) * _BLOCK_BINS))
             cols = (k[lo:hi] - b * _BLOCK_BINS).astype(np.int16)
             pieces.setdefault(b, []).append((i, cols, z[lo:hi]))
             lo = hi
-        del k, r, dt, keep      # the row is freed before the next one is read
-    sums = np.zeros((n, n))
-    n_obs = np.zeros((n, n), dtype=np.int64)
-    # one block's positions and values at a time, in buffers reused by every block
-    size = max((sum(len(p[2]) for p in block) for block in pieces.values()), default=0)
-    flat = np.empty(size, dtype=np.int64)
-    zs = np.empty(size)
+        del k, p, z             # the row is freed before the next one is read
+    hy, counts = np.zeros((n, n)), np.zeros((n, n))
+    carry = np.full(n, np.nan)  # each row's return that is open at the next block
     for b in sorted(pieces):
         bw = min(_BLOCK_BINS, width - b * _BLOCK_BINS)
-        m = 0
-        for i, cols, z in pieces.pop(b):
-            e = m + len(z)
-            flat[m:e] = cols
-            flat[m:e] += i * bw
-            zs[m:e] = z
-            m = e
-        zb = np.zeros((n, bw))
-        zb.ravel()[flat[:m]] = zs[:m]
-        mb = np.zeros(zb.shape, dtype=np.float32)
-        mb.ravel()[flat[:m]] = 1.0
-        sums += zb @ zb.T
-        n_obs += (mb @ mb.T).astype(np.int64)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        c = sums / n_obs
-    lower = np.tril_indices(len(c), -1)
-    c[lower] = c.T[lower]
-    return c, n_obs
+        block = pieces.pop(b)
+        rows = np.array([piece[0] for piece in block])
+        sizes = np.array([len(piece[1]) for piece in block])
+        cols = np.concatenate([piece[1] for piece in block])
+        z = np.concatenate([piece[2] for piece in block])
+        del block
+        # W's runs, row after row: from column 0 on the return the row carries
+        # in, then one from each bin. ``first`` and ``at`` number each row's
+        # first run and each bin's; in ``values``, after Q's zeros, a bin's
+        # run is at + 1 and the run before it at
+        count = np.zeros(n, dtype=np.intp)
+        count[rows] = sizes
+        first = np.cumsum(count) - count + np.arange(n)
+        at = np.repeat(rows, sizes)
+        pos = at * bw + cols                    # each bin's flat position in the block
+        at += np.arange(1, len(z) + 1)
+        edges = np.empty(n + len(z), dtype=np.intp)
+        edges[first], edges[at] = np.arange(n) * bw, pos
+        runs = np.diff(edges, prepend=-n * bw, append=n * bw)   # Q's zeros, then W's runs
+        values = np.empty(len(runs))             # NaN where no return is open
+        values[0], values[1 + first], values[1 + at] = np.nan, carry, z
+        carry[rows] = z[np.cumsum(sizes) - 1]
+        del count, first, edges, cols, z
+        known = ~np.isnan(values)
+        values[~known] = 0.0
+        hy += _block_product(runs, pos, at, values, bw)
+        counts += _block_product(runs, pos, at, known.astype(np.float32), bw)
+    return hy + hy.T, (counts + counts.T).astype(np.int64)
+
+
+def _block_product(runs, pos, at, run_values, bw: int):
+    """Q W^T of one block: [Q; W] repeats ``run_values`` over ``runs`` (Q's
+    zeros, then W's runs); at each bin's flat position ``pos`` Q takes its
+    run's value (``at + 1``) and W the run before's plus half that. In
+    float64 it is a corner of [Q; W] [Q; W]^T, which BLAS sums alike on any
+    number of threads; float32 counts are exact in any order."""
+    x = np.repeat(run_values, runs).reshape(-1, bw)
+    n = len(x) // 2
+    starting = run_values[at + 1]
+    x[:n].reshape(-1)[pos] = starting
+    starting *= 0.5
+    starting += run_values[at]
+    x[n:].reshape(-1)[pos] = starting
+    if run_values.dtype == np.float32:
+        return x[:n] @ x[n:].T
+    return (x @ x.T)[:n, n:]
 
 
 def estimate_cov(candles: TxnCandles, tau: float, min_obs: int = DEFAULT_MIN_OBS) -> CovMatrix:
-    """Covariance of the tickers' grid returns at tau, in one pass over the
-    candles; a ticker with none is left out."""
+    """Support-HY covariance per return (the sums times tau / the hours the
+    grid spans), in one pass over the candles; a ticker with no return is
+    left out. A cell is NaN below max(min_obs, MIN_JOINT_OBS) overlapping
+    returns, and so are the row and column of a variance that is not
+    positive or counts fewer than MIN_VARIANCE_OBS."""
     tickers = []
     def rows():
-        for t, rs in zip(candles.tickers, grid_returns(candles, tau)):
-            if len(rs):
+        for t, row in zip(candles.tickers, grid_bins(candles, tau)):
+            if len(row[0]) >= 2:
                 tickers.append(t)
-                yield rs
-    c, n_obs = pair_stats(rows(), sum(candles.widths(tau)), tau)
+                yield row
+            del row
+    hy, n_obs = pair_stats(rows(), sum(candles.widths(tau)))
+    c = hy * (tau / sum(candles.widths(1.0)))
     c[n_obs < max(min_obs, MIN_JOINT_OBS)] = np.nan
+    flat = ~((np.diag(hy) > 0) & (np.diag(n_obs) >= MIN_VARIANCE_OBS))
+    c[flat] = c[:, flat] = np.nan
     return CovMatrix(tickers, c, n_obs)
 
 
 def cov_to_corr(c: CovMatrix) -> CorrMatrix:
     """Normalize by the diagonal; clamp into [-1, 1]; force unit diagonal. A
-    ticker whose variance is not positive (a constant price) gets NaN correlations."""
+    ticker whose variance is missing or not positive gets NaN correlations."""
     d = np.where(np.diag(c.c) > 0, np.diag(c.c), np.nan)
     rho = np.clip(c.c / np.sqrt(np.outer(d, d)), -1.0, 1.0)
     np.fill_diagonal(rho, 1.0)
@@ -208,48 +237,32 @@ def cov_to_corr(c: CovMatrix) -> CorrMatrix:
 def corr_vs_tau(candles: TxnCandles, tau_grid, normalize_tau: float):
     """Pairwise correlation as a function of resolution, normalized at normalize_tau.
 
-    Per tau, one ``pair_stats`` call over the tickers' ``grid_returns`` gives
+    Per tau, one ``pair_stats`` call over the tickers' ``grid_bins`` gives
     every pair, with the variances on the diagonal. Returns (tickers, curves,
     v). curves is (n_pairs, n_tau) normalized rho, the pairs in the order of
-    ``np.triu_indices(len(tickers), 1)``, NaN where a pair or a variance had
-    fewer than MIN_JOINT_OBS samples or a variance was not positive, and for
-    a pair that ``variogram.value_at`` cannot read at normalize_tau.
-    v is (n_tickers, n_tau): each ticker's V(tau) from the same returns,
-    which for one year is its ``variogram_diff_of_avg`` (NaN where omitted).
-    The candles are held (``TxnCandles.held``) across the taus.
+    ``np.triu_indices(len(tickers), 1)``, NaN below MIN_JOINT_OBS overlapping
+    returns, where a variance counts fewer than MIN_VARIANCE_OBS or is not
+    positive, and for a pair that ``variogram.value_at`` cannot read at
+    normalize_tau. v is (n_tickers, n_tau): each variance per return (HY *
+    tau / the hours the grid spans), NaN where its correlations are. The
+    candles are held (``TxnCandles.held``) across the taus.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     candles = candles.held()
-    tickers = candles.tickers
+    tickers, hours = candles.tickers, sum(candles.widths(1.0))
     upper = np.triu_indices(len(tickers), 1)
     raw = np.full((len(upper[0]), len(tau_grid)), np.nan)
     v = np.full((len(tickers), len(tau_grid)), np.nan)
     for k, tau in enumerate(tau_grid):
-        returns = _in_band(grid_returns(candles, tau), v[:, k])
-        c, n_obs = pair_stats(returns, sum(candles.widths(tau)), tau)
-        var = np.diag(c)
-        good = (var > 0) & (np.diag(n_obs) >= MIN_JOINT_OBS)
-        with np.errstate(invalid="ignore"):
-            rho = c / np.sqrt(np.outer(var, var))
-        rho[(n_obs < MIN_JOINT_OBS) | ~np.outer(good, good)] = np.nan
+        hy, n_obs = pair_stats(grid_bins(candles, tau), sum(candles.widths(tau)))
+        var = np.diag(hy)
+        var = np.where((var > 0) & (np.diag(n_obs) >= MIN_VARIANCE_OBS), var, np.nan)
+        rho = hy / np.sqrt(np.outer(var, var))
+        rho[n_obs < MIN_JOINT_OBS] = np.nan
         raw[:, k] = rho[upper]
+        v[:, k] = var * (tau / hours)
     raw /= value_at(tau_grid, raw, normalize_tau)[:, None]      # normalized in place
     return tickers, raw, v
-
-
-def _in_band(returns, v):
-    """Pass each ReturnSeries on cut to the dt band 0 < dt <= MAX_DT_FACTOR * tau,
-    which ``weighted_v`` and ``pair_stats`` then keep whole; set v[i] to the
-    i-th one's V(tau). A row is let go before the next one is read."""
-    i = 0
-    for rs in returns:
-        keep = (rs.dt > 0) & (rs.dt <= MAX_DT_FACTOR * rs.tau)
-        if not keep.all():
-            rs = ReturnSeries(rs.tau, rs.r[keep], rs.dt[keep], rs.start_index[keep])
-        v[i] = weighted_v(rs.r, rs.dt, rs.tau)[0]
-        i += 1
-        yield rs
-        del rs, keep
 
 
 def predicted_corr_ratio(v_tot, tau_grid, normalize_tau: float) -> np.ndarray:
@@ -261,8 +274,9 @@ def predicted_corr_ratio(v_tot, tau_grid, normalize_tau: float) -> np.ndarray:
 
 def simulate_two_component(model: TwoComponentModel, tau: float,
                            n_periods: int, seed: int = 0
-                           ) -> tuple[ReturnSeries, ReturnSeries]:
-    """Draw paired returns at resolution tau from the two-component model.
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """Draw paired returns, one each per period of length tau, from the
+    two-component model.
 
     Each period shares one factor draw between the two stocks; the
     uncorrelated parts get independent draws. A negative latent rho puts
@@ -285,7 +299,4 @@ def simulate_two_component(model: TwoComponentModel, tau: float,
     resid = np.sqrt(1.0 - abs(model.rho))
     r_a = np.sqrt(v) * (root * n_c + resid * n_a1) + np.sqrt(u) * n_a2
     r_b = np.sqrt(v) * (sign_b * root * n_c + resid * n_b1) + np.sqrt(u) * n_b2
-    idx = np.arange(n_periods, dtype=np.int64)
-    dt = np.full(n_periods, float(tau))
-    return (ReturnSeries(float(tau), r_a, dt, idx),
-            ReturnSeries(float(tau), r_b, dt, idx))
+    return r_a, r_b

@@ -1,4 +1,4 @@
-"""Each ticker's bins on one grid of transaction time: its returns, and the hourly panel.
+"""Each ticker's bins on one grid of transaction time, and the hourly panel.
 
 At resolution tau each year of a run gets its own block of ceil(hours in the
 year / tau) grid columns, in calendar order. A ``TxnCandles`` view puts each
@@ -8,11 +8,10 @@ pass holds one ticker's candles, whatever the number of tickers. ``grid_bins``
 bins them at a tau, ticker by ticker, one ``bin_series`` step per
 ticker-year, and drops each ticker's candles before it reads the next. A bin
 past its year's block (a candle at the year's last transaction hour, when
-tau divides the year) is dropped. ``grid_returns`` takes the log returns
-between consecutive present bins. Returns run across year boundaries:
-``start_index`` is the column of the earlier bin, and ``dt`` is taken on the
-transaction-hour axis that chains the years. Covariance, rho(tau) and the
-difference-of-average variogram read them.
+tau divides the year) is dropped. The years chain: a ticker's grid indices
+run on through the years' blocks and its bin times on one transaction-hour
+axis, so the return between consecutive bins, which covariance, rho(tau)
+and the difference-of-average variogram take, may cross a year boundary.
 
 A ``Panel`` holds the same grid's tau = 1 bin-mean prices, NaN where a
 ticker (row) has no candle in the hour (column). ``predict`` scores its
@@ -27,7 +26,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .candles import CandleSeries, ReturnSeries, bin_series
+from .candles import CandleSeries, bin_series
 from .clock import ClockMap, hours_in_year
 from .errors import DataError
 
@@ -104,13 +103,6 @@ def grid_bins(candles: TxnCandles, tau: float) -> Iterator[tuple]:
 def _chained(b, first: int, offset: int) -> tuple:
     """A year's bins on the chained grid; the rest of ``b`` is let go before the yield."""
     return b.index + first if first else b.index, b.time + offset if offset else b.time, b.price
-
-
-def grid_returns(candles: TxnCandles, tau: float) -> Iterator[ReturnSeries]:
-    """Per ticker, in order, its log returns between consecutive bins at tau."""
-    for k, t, p in grid_bins(candles, tau):
-        yield ReturnSeries(tau, np.diff(np.log(p)), np.diff(t), k[:-1])
-        del k, t, p     # freed before the next ticker is binned
 
 
 @dataclass

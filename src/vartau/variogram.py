@@ -9,7 +9,7 @@ normalizer of these curves: V(tau), rho(tau) and its prediction.
 One estimator is provided, difference of averages. It reads one ticker's
 mapped candles, a ``panel.TxnCandles`` of one ticker and one year on its
 transaction-time clock, and takes log returns of adjacent tau-bin average
-prices, ``panel.grid_returns``. Because sampling is asynchronous, a return
+prices, ``panel.grid_bins``. Because sampling is asynchronous, a return
 spanning elapsed time dt contributes r^2 * (tau/dt) to the estimate at tau
 -- the variance of a martingale increment grows linearly with elapsed
 time, so this reweighting makes unequal spans comparable -- and spans
@@ -37,7 +37,7 @@ import numpy as np
 
 from .candles import write_table
 from .errors import DataError
-from .panel import TxnCandles, grid_returns
+from .panel import TxnCandles, grid_bins
 
 # the dt band: a return is kept when 0 < dt <= MAX_DT_FACTOR * tau
 MAX_DT_FACTOR = 3.0
@@ -104,17 +104,18 @@ def variogram_diff_of_avg(candles: TxnCandles, tau_grid) -> Variogram:
 
     For each tau, the year's candles are sorted into tau bins, bin prices
     are the mean representative prices, and returns are log differences of
-    adjacent non-empty bins, as ``panel.grid_returns`` gives them. A tau
-    with no return is left out of the result and listed in ``omitted``. The
-    candles are held (``TxnCandles.held``) across the taus.
+    adjacent non-empty bins of ``panel.grid_bins``, each over the time
+    between their mean times. A tau with no return is left out of the result
+    and listed in ``omitted``. The candles are held (``TxnCandles.held``)
+    across the taus.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     candles = candles.held()
     vals, counts = np.empty(len(tau_grid)), np.empty(len(tau_grid), dtype=np.int64)
     for i, tau in enumerate(tau_grid):
         # fewer than 2 bins give no return, and so (nan, 0)
-        (rs,) = grid_returns(candles, tau)
-        vals[i], counts[i] = weighted_v(rs.r, rs.dt, tau)
+        ((_, t, p),) = grid_bins(candles, tau)
+        vals[i], counts[i] = weighted_v(np.diff(np.log(p)), np.diff(t), tau)
     ok = counts >= 1
     return Variogram(tau_grid[ok], vals[ok], counts[ok], omitted=tau_grid[~ok])
 

@@ -4,12 +4,14 @@ Each function is the loop that ``vartau`` used before a whole-array
 version replaced it; ``build_clock_unique`` is the whole-array clock that
 the per-minute accumulation replaced. ``test_oracles.py`` requires the library to give the
 same answers: equal arrays for the ingest layers, whose arithmetic is done
-in the same order, equal bytes for every CSV writer against the
-``csv.writer`` row loop it replaced, and for the rho(tau) table whose
-variograms a second binning pass made, equal counts with values within
-1e-12 relative for the covariance, whose sums the grid product adds in
-another order, and shot-noise paths within the far-field series'
-truncation and rounding error. The block-wise backtests
+in the same order, and equal bytes for every CSV writer against the
+``csv.writer`` row loop it replaced. ``support_hy_pair`` is the
+covariance's definition: a sort-merge over two rows' return supports. The
+blocked grid products must give its overlap counts exactly and its sums
+within 1e-12 of the |products| behind them, since they add in another order,
+and so must rho(tau) and the variances behind the ``predicted`` column of its
+table, which a second binning pass makes. Shot-noise paths must agree within
+the far-field series' truncation and rounding error. The block-wise backtests
 must book the same trades in the same row order with equal fill prices and
 skipped hours; a side's weights are normalized once instead of twice and the
 hourly pnl summed in another order, so qty must be within 1e-12 relative,
@@ -32,14 +34,14 @@ from pathlib import Path
 import numpy as np
 
 from vartau.backtest import ANNUAL_HOURS, BacktestResult, EquityCurve, TradeLedger
-from vartau.candles import CSV_HEADER, CandleSeries, ReturnSeries, bin_coordinates
+from vartau.candles import CSV_HEADER, CandleSeries, bin_coordinates
 from vartau.clock import ClockKind, ClockMap, build_clock, hours_in_year, year_bounds
 from vartau.covariance import corr_vs_tau, predicted_corr_ratio
 from vartau.errors import DataError
 from vartau.hurst import HurstParams, PricePanel, SimConfig, _postprocess
 from vartau.panel import TxnCandles, build_panel
 from vartau.predictor import _per_ticker_moments
-from vartau.variogram import MAX_DT_FACTOR, PERCENTILES, Variogram, variogram_diff_of_avg
+from vartau.variogram import PERCENTILES, Variogram
 
 
 def txn_candles(series, clocks) -> TxnCandles:
@@ -253,38 +255,55 @@ def bin_coordinates_unique(coords, prices, tau):
     return uniq, sums_t / counts, sums_p / counts, counts
 
 
-def prep_returns(rs: ReturnSeries, tau: float, max_dt_factor: float):
-    """Apply the dt acceptance band, demean, map start index -> (r, dt)."""
-    keep = (rs.dt > 0) & (rs.dt <= max_dt_factor * tau)
-    r = rs.r[keep]
-    if len(r):
-        r = r - r.mean()
-    return rs.start_index[keep], r, rs.dt[keep]
+def support_returns(k, p):
+    """A row's grid indices and its demeaned log returns between consecutive bins."""
+    z = np.diff(np.log(np.asarray(p, dtype=float)))
+    return np.asarray(k), z - z.mean() if len(z) else z
 
 
-def pair_stats_loop(idx_a, r_a, dt_a, idx_b, r_b, dt_b, tau: float):
-    """Weighted cross-moment of two prepared return sets; (nan, 0) without overlap."""
-    common, ia, ib = np.intersect1d(idx_a, idx_b, assume_unique=True,
-                                    return_indices=True)
-    if len(common) == 0:
-        return np.nan, 0
-    w = tau / np.sqrt(dt_a[ia] * dt_b[ib])
-    return float(np.mean(w * r_a[ia] * r_b[ib])), int(len(common))
+def support_hy_pair(ka, za, kb, zb):
+    """(HY sum, overlapping pairs, sum of |products|) of two rows' returns, return i
+    of a row having the support [k_i, k_{i+1}]. For each return of B,
+    ``searchsorted`` finds the run of A's returns whose supports overlap its
+    own, and a prefix sum of A's returns adds them."""
+    if not len(za) or not len(zb):
+        return 0.0, 0, 0.0
+    lo = np.searchsorted(ka[1:], kb[:-1])       # A's first return ending at or after B_j's start
+    hi = np.maximum(np.searchsorted(ka[:-1], kb[1:], side="right"), lo)    # past its last
+    csum, asum = (np.concatenate(([0.0], np.cumsum(x))) for x in (za, np.abs(za)))
+    return (float(np.sum(zb * (csum[hi] - csum[lo]))), int(np.sum(hi - lo)),
+            float(np.sum(np.abs(zb) * (asum[hi] - asum[lo]))))
 
 
-def estimate_cov_loop(returns, tau: float, min_obs: int = 50,
-                      max_dt_factor: float = MAX_DT_FACTOR):
-    """(covariance, joint counts, covariance before the min_obs floor), pair by pair."""
-    prepped = [prep_returns(rs, tau, max_dt_factor) for rs in returns.values()]
+def support_hy_loop(rows):
+    """(hy, n_obs, scale) of rows of (grid indices, bin prices), pair by pair;
+    scale sums the |products| behind each cell."""
+    prepped = [support_returns(k, p) for k, p in rows]
     n = len(prepped)
-    raw = np.full((n, n), np.nan)
-    n_obs = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(i, n):
-            raw[i, j], n_obs[i, j] = pair_stats_loop(*prepped[i], *prepped[j], tau)
-            raw[j, i], n_obs[j, i] = raw[i, j], n_obs[i, j]
-    c = np.where(n_obs >= max(min_obs, 2), raw, np.nan)
-    return c, n_obs, raw
+    hy, n_obs, scale = np.zeros((n, n)), np.zeros((n, n), dtype=np.int64), np.zeros((n, n))
+    for a in range(n):
+        for b in range(a, n):
+            hy[a, b], n_obs[a, b], scale[a, b] = support_hy_pair(*prepped[a], *prepped[b])
+            hy[b, a], n_obs[b, a], scale[b, a] = hy[a, b], n_obs[a, b], scale[a, b]
+    return hy, n_obs, scale
+
+
+def support_cov_loop(rows, per_return: float, min_obs: int):
+    """``estimate_cov`` of rows of (grid indices, bin prices) from
+    ``support_hy_loop``: (cov, n_obs, scale, doubtful). cov and scale are
+    the sums and their |products| times per_return; a cell is NaN below
+    max(min_obs, 2) overlapping pairs, and so are the row and column of a
+    variance below 7 or not positive. doubtful marks the tickers with 7 or
+    more whose variance lies within 1e-12 of its scale of 0, where rounding
+    decides the sign."""
+    hy, n_obs, scale = support_hy_loop(rows)
+    c = hy * per_return
+    c[n_obs < max(min_obs, 2)] = np.nan
+    var, counted = np.diag(hy), np.diag(n_obs) >= 7
+    flat = ~((var > 0) & counted)
+    c[flat] = c[:, flat] = np.nan
+    doubtful = counted & (np.abs(var) <= 1e-12 * np.diag(scale))
+    return c, n_obs, scale * per_return, doubtful
 
 
 def normalize_curve(tau_grid, values, tau0: float):
@@ -299,48 +318,48 @@ def normalize_curve(tau_grid, values, tau0: float):
     return values / v0
 
 
-def corr_vs_tau_loop(series, clock, tau_grid, normalize_tau: float = 1.0,
-                     max_dt_factor: float = MAX_DT_FACTOR):
-    """rho(tau) with three pair_stats calls per pair and tau, then one curve at a time;
-    a pair or a variance needs two joint returns."""
+def corr_vs_tau_loop(series, clock, tau_grid, normalize_tau: float = 1.0):
+    """rho(tau) from ``support_hy_pair`` one pair and tau at a time, then one
+    curve at a time, and each ticker's per-return variance (HY tau / the
+    year's hours). A variance needs three returns (seven overlapping pairs)
+    and must be positive, a pair two overlapping returns. Returns (pairs,
+    curves, v)."""
     tau_grid = np.asarray(tau_grid, dtype=float)
-    tickers = list(series)
+    tickers = sorted(series)
     pairs = [(a, b) for i, a in enumerate(tickers) for b in tickers[i + 1:]]
     coords = {t: clock.to_txn_time(series[t].timestamps) for t in tickers}
-    prices = {t: series[t].price for t in tickers}
+    hours = hours_in_year(clock.year)
     raw = np.full((len(pairs), len(tau_grid)), np.nan)
+    v = np.full((len(tickers), len(tau_grid)), np.nan)
     for k, tau in enumerate(tau_grid):
-        prepped = {}
-        for t in tickers:
-            idx, tbar, pbar, _ = bin_coordinates(coords[t], prices[t], tau)
-            if len(pbar) < 2 or np.any(pbar <= 0):
-                continue
-            rs = ReturnSeries(tau, np.diff(np.log(pbar)), np.diff(tbar), idx[:-1])
-            prepped[t] = prep_returns(rs, tau, max_dt_factor)
+        prepped, var = {}, {}
+        for i, t in enumerate(tickers):
+            idx, _, pbar, _ = bin_coordinates(coords[t], series[t].price, tau)
+            keep = idx < math.ceil(hours / tau)         # a bin past the year's block is dropped
+            prepped[t] = support_returns(idx[keep], pbar[keep])
+            hy, n, _ = support_hy_pair(*prepped[t], *prepped[t])
+            if n >= 7 and hy > 0:
+                var[t] = hy
+                v[i, k] = hy * tau / hours
         for p, (a, b) in enumerate(pairs):
-            if a not in prepped or b not in prepped:
-                continue
-            cab, nab = pair_stats_loop(*prepped[a], *prepped[b], tau)
-            caa, naa = pair_stats_loop(*prepped[a], *prepped[a], tau)
-            cbb, nbb = pair_stats_loop(*prepped[b], *prepped[b], tau)
-            if min(nab, naa, nbb) >= 2 and caa > 0 and cbb > 0:
-                raw[p, k] = cab / np.sqrt(caa * cbb)
+            hy, n, _ = support_hy_pair(*prepped[a], *prepped[b])
+            if a in var and b in var and n >= 2:
+                raw[p, k] = hy / np.sqrt(var[a] * var[b])
     curves = np.full_like(raw, np.nan)
     for p in range(len(pairs)):
         ok = ~np.isnan(raw[p])
         if ok.any() and tau_grid[ok][0] <= normalize_tau <= tau_grid[ok][-1]:
             curves[p, ok] = normalize_curve(tau_grid[ok], raw[p, ok], normalize_tau)
-    return pairs, curves
+    return pairs, curves, v
 
 
-def write_corr_vs_tau_csv_loop(series, clock, tau_grid, normalize_tau, path) -> None:
-    """corr_vs_tau.csv with ``predicted`` from a second binning pass.
+def corr_vs_tau_csv_loop(series, clock, tau_grid, normalize_tau) -> np.ndarray:
+    """The rows of corr_vs_tau.csv, with ``predicted`` from a second binning pass.
 
     rho(tau) comes from ``corr_vs_tau``; each tau's percentiles are taken
     over the pairs with a value there, one tau at a time (NaN where no pair
-    has one). The median variogram behind ``predicted`` is taken over the
-    tickers whose ``variogram_diff_of_avg`` keeps every tau, one variogram
-    per ticker.
+    has one). The median variance behind ``predicted`` is taken over the
+    tickers whose ``corr_vs_tau_loop`` variance is positive at every tau.
     """
     _, curves, _ = corr_vs_tau(txn_candles(series.values(), [clock]), tau_grid, normalize_tau)
     perc = np.full((len(PERCENTILES), len(tau_grid)), np.nan)
@@ -348,17 +367,14 @@ def write_corr_vs_tau_csv_loop(series, clock, tau_grid, normalize_tau, path) -> 
         present = column[~np.isnan(column)]
         if len(present):
             perc[:, k] = np.percentile(present, PERCENTILES)
-    stack = []
-    for t in sorted(series):
-        v = variogram_diff_of_avg(txn_candles([series[t]], [clock]), tau_grid)
-        if len(v) == len(tau_grid):
-            stack.append(v.v)
+    _, _, v = corr_vs_tau_loop(series, clock, tau_grid, normalize_tau)
+    stack = [row for row in v if np.all(row > 0)]
     if stack:
         predicted = predicted_corr_ratio(np.median(np.stack(stack), axis=0), tau_grid,
                                          normalize_tau)
     else:
         predicted = np.full(len(tau_grid), np.nan)
-    write_corr_vs_tau_csv_rows(tau_grid, perc, predicted, path)
+    return np.column_stack([tau_grid, *perc, predicted])
 
 
 def year_bins_loop(series, years, kind: ClockKind, tau: float):
@@ -383,8 +399,9 @@ def year_bins_loop(series, years, kind: ClockKind, tau: float):
     return out
 
 
-def multi_year_returns_loop(series, years, kind: ClockKind, tau: float = 1.0):
-    """Per-ticker returns of the years' bins chained end to end, ticker by ticker.
+def multi_year_bins_loop(series, years, kind: ClockKind, tau: float = 1.0):
+    """Per ticker with a bin, its (grid indices, bin times, bin prices) of the
+    years chained end to end, ticker by ticker.
 
     Each year is binned on its own clock (``year_bins_loop``). A year's grid
     indices are offset by the summed ceil(hours / tau) of the years before
@@ -405,10 +422,8 @@ def multi_year_returns_loop(series, years, kind: ClockKind, tau: float = 1.0):
                 idx.append(width[i] + k)
                 time.append(x + hours[i])
                 price.append(p)
-        if len(idx) < 2:
-            continue
-        out[t] = ReturnSeries(tau, np.diff(np.log(price)), np.diff(time),
-                              np.array(idx[:-1], dtype=np.int64))
+        if idx:
+            out[t] = (np.array(idx, dtype=np.int64), np.array(time), np.array(price))
     return out
 
 

@@ -5,6 +5,7 @@ import os
 import re
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,7 @@ from vartau import candles, cli
 from vartau.candles import CandleSeries, bin_series, parse_candles, sha256_file, write_candles
 from vartau.clock import ClockKind, ClockMap, build_clock, hours_in_year, year_bounds
 from vartau.errors import DataError
-from vartau.panel import grid_returns
+from vartau.panel import grid_bins
 from vartau.synthetic import point_candles
 
 T0, _ = year_bounds(2021)
@@ -43,8 +44,10 @@ def year_bins(s, clock, tau):
 
 
 def panel_returns(s, tau=1.0):
-    """The log returns a one-ticker grid gives, as the multi-ticker commands read them."""
-    return next(grid_returns(txn_candles([s], [identity_clock()]), tau))
+    """The log returns between a one-ticker grid's bins, as the multi-ticker
+    commands take them: r, dt and the start index of each."""
+    k, t, p = next(grid_bins(txn_candles([s], [identity_clock()]), tau))
+    return SimpleNamespace(r=np.diff(np.log(p)), dt=np.diff(t), start_index=k[:-1])
 
 
 class TestParse:
@@ -426,7 +429,7 @@ class TestBinning:
         b = year_bins(s, identity_clock(), 1.0)
         assert list(b.index) == [0, 2]
         r = panel_returns(s)
-        assert len(r) == 1
+        assert len(r.r) == 1
         assert r.dt[0] > 1.0
 
     def test_boundary_goes_to_later_bin(self):
@@ -511,7 +514,7 @@ class TestLogReturns:
     def test_constant_prices(self):
         r = panel_returns(point_candles("K", T0 + 3600 * np.arange(5, dtype=np.int64),
                                         np.full(5, 3.0)))
-        assert len(r) == 4 and np.allclose(r.r, 0.0)
+        assert len(r.r) == 4 and np.allclose(r.r, 0.0)
 
     def test_small_sequence(self):
         r = panel_returns(point_candles("S", T0 + 3600 * np.arange(3, dtype=np.int64),
@@ -530,4 +533,4 @@ class TestLogReturns:
         # two candles in one bin: a price, and no return
         s = point_candles("E", np.array([T0, T0 + 60], dtype=np.int64), [1.0, 2.0])
         assert len(year_bins(s, identity_clock(), 1.0)) == 1
-        assert len(panel_returns(s)) == 0
+        assert len(panel_returns(s).r) == 0

@@ -13,18 +13,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import (estimate_cov_loop, multi_year_returns_loop, txn_candles,
-                     write_corr_vs_tau_csv_loop,
+from oracles import (corr_vs_tau_csv_loop, multi_year_bins_loop, support_cov_loop,
+                     txn_candles,
                      write_ensemble_csv_rows, write_yearly_returns_csv_rows)
 from vartau import candles, cli
 from vartau.backtest import run_sim_meanrev
 from vartau.candles import CandleSeries, parse_candles, write_candles
-from vartau.clock import ClockKind, build_clock, year_bounds
+from vartau.clock import ClockKind, build_clock, hours_in_year, year_bounds
 from vartau.covariance import corr_vs_tau
 from vartau.hurst import (HurstParams, SimConfig, read_panel_csv, simulate_fbm,
                           simulate_shot_noise)
 from vartau.predictor import PredictionCoeffs
-from vartau.synthetic import random_walk_candles
+from vartau.synthetic import point_candles, random_walk_candles
 from vartau.variogram import (Variogram, default_tau_grid, percentile_curves, value_at,
                               variogram_diff_of_avg)
 
@@ -73,12 +73,13 @@ def test_correlate_matches_pair_loop(data, tmp_path, tau):
     _, n_obs = read_matrix(tmp_path / "n_obs.csv")
     assert np.array_equal(c, c.T, equal_nan=True)
     series = {t: parse_candles(data / f"{t}.csv") for t in sorted(market())}
-    returns = multi_year_returns_loop(series, YEARS, ClockKind.DOLLAR_WEIGHTED, tau)
-    want, want_n, raw = estimate_cov_loop(returns, tau)
-    assert tickers == list(returns)
+    bins = {t: b for t, b in multi_year_bins_loop(series, YEARS, ClockKind.DOLLAR_WEIGHTED,
+                                                  tau).items() if len(b[0]) >= 2}
+    want, want_n, scale, doubtful = support_cov_loop(
+        [(k, p) for k, _, p in bins.values()], tau / sum(map(hours_in_year, YEARS)), 50)
+    assert tickers == list(bins) and not doubtful.any()
     assert np.array_equal(n_obs, want_n)
     assert np.array_equal(np.isnan(c), np.isnan(want))
-    scale = np.sqrt(np.abs(np.outer(np.diag(raw), np.diag(raw))))
     ok = ~np.isnan(want)
     assert ok.sum() > len(c)                    # off-diagonal cells are compared
     assert np.all(np.abs(c[ok] - want[ok]) <= 1e-12 * scale[ok])
@@ -176,9 +177,9 @@ def test_years_chain_in_calendar_order(data, tmp_path):
 
 
 def test_corr_vs_tau_csv_matches_second_binning_pass(tmp_path):
-    # the median variogram leaves out T2, whose returns all span more than
-    # 3 tau at tau 0.5, and T9, which trades in the year's first 300 hours
-    # only and so has one bin at tau 1024
+    # the median variance leaves out T9, which trades in the year's first 300
+    # hours only and so has one bin at tau 1024; T2, whose returns all span
+    # more than 3 tau at tau 0.5, is in it
     data = tmp_path / "data"
     data.mkdir()
     series = market(years=(2021,), spacings=(60, 90, 120))
@@ -192,10 +193,13 @@ def test_corr_vs_tau_csv_matches_second_binning_pass(tmp_path):
     series = {t: parse_candles(data / f"{t}.csv") for t in sorted(series)}
     clock = build_clock(series.values(), ClockKind.DOLLAR_WEIGHTED, 2021)
     _, _, v = corr_vs_tau(txn_candles(series.values(), [clock]), grid, 1.0)
-    assert np.isnan(v).any(axis=1).tolist() == [False, False, True, True]
-    write_corr_vs_tau_csv_loop(series, clock, grid, 1.0, tmp_path / "want.csv")
-    assert (tmp_path / "out" / "corr_vs_tau.csv").read_bytes() == \
-        (tmp_path / "want.csv").read_bytes()
+    assert np.isnan(v).any(axis=1).tolist() == [False, False, False, True]
+    got = np.loadtxt(tmp_path / "out" / "corr_vs_tau.csv", delimiter=",", skiprows=1)
+    want = corr_vs_tau_csv_loop(series, clock, grid, 1.0)
+    # tau and the percentiles of the same curves are equal; the variances
+    # behind predicted agree to rounding, each within 1e-12 of its scale
+    assert np.array_equal(got[:, :-1], want[:, :-1])
+    assert np.allclose(got[:, -1], want[:, -1], rtol=1e-10, atol=0)
 
 
 @pytest.mark.parametrize("row, message", [("0.0,x", "cannot read T1 from 'x' as float64"),
@@ -369,10 +373,12 @@ def test_simulate_value_it_cannot_take_exits_3_before_any_file(tmp_path, capsys,
 # For each (command, mode): the base run's flags, and every setting that the
 # mode reads with a value off the base run's, which must change an output file.
 # The base variogram and correlate runs have a tau grid, so that
-# --normalize-at has curves to act on. Each --min-obs leaves out the cells of
-# some pairs of 2021 but keeps every variance: 1200 those of T5 with T2 and
-# T4 in correlate, 4000 those of T4 with T2 and T3 among the tickers that
-# predict keeps (T5 trades in under half the hours). The base market-meanrev
+# --normalize-at has curves to act on. --min-obs counts overlapping pairs of
+# returns of 2021: in correlate 9000 leaves out T5's variance (8755 pairs)
+# and its cell with T4 (8961), since no pair of T5 has fewer pairs than its
+# variance; in predict 13100 leaves out the cell of T3 and T4 (13057) but
+# keeps the variances of the tickers it keeps (T5 trades in under half the
+# hours; T4's variance has 13135). The base market-meanrev
 # run trades one-name sides, so that its other settings have trades to act
 # on; the base xcorr run trades the coefficient file's five tickers, so that
 # a side of the top fraction can hold two. xcorr does not read
@@ -388,11 +394,11 @@ SETTINGS = {
         ["--data-dir", "{market}", "--years", "2021", "--tau-grid", "0.5,1,2,4"], {
             "--data-dir": "{other}", "--years": "2021,2022", "--kind": "volume",
             "--tau": "2", "--tau-grid": "0.5,1,2,8", "--normalize-at": "2",
-            "--min-obs": "1200"}),
+            "--min-obs": "9000"}),
     ("predict", None): (
         ["--data-dir", "{market}", "--train-years", "2021", "--predict-years", "2022"], {
             "--data-dir": "{other}", "--train-years": "2022", "--predict-years": "2021",
-            "--kind": "volume", "--ridge": "1e-6", "--refine": None, "--min-obs": "4000",
+            "--kind": "volume", "--ridge": "1e-6", "--refine": None, "--min-obs": "13100",
             "--min-active-fraction": "0.8"}),
     ("simulate", "fft"): (["--epsilon", "0.1", "--hours-per-year", "50"], {
         "--epsilon": "0.2", "--years": "2", "--hours-per-year": "60", "--vol": "0.3",
@@ -955,22 +961,51 @@ def test_predict_names_the_ticker_with_no_return_variance(tmp_path, capsys):
     assert not list(out.glob("coeffs_*.csv")) and not out.exists()
 
 
+def test_predict_names_the_ticker_with_a_non_positive_variance(tmp_path):
+    # TA's hourly price alternates between 50 and 51 all through 2021, so its
+    # returns are +a, -a, ... and their lag-1 kernel is negative; in 2022 it
+    # walks, so the predicted year's check passes. The command stops before
+    # any fit, with no RuntimeWarning on the way
+    data = tmp_path / "data"
+    data.mkdir()
+    series = market(spacings=(60, 60, 90))
+    hours = year_bounds(2021)[0] + 3600 * np.arange(8760, dtype=np.int64)
+    walk = random_walk_candles("TA", 2022, 8760, 60, seed=5)
+    series["TA"] = point_candles("TA", np.concatenate([hours, walk.timestamps]),
+                                 np.concatenate([50.0 + np.arange(8760) % 2, walk.price]))
+    for t, s in series.items():
+        write_candles(data / f"{t}.csv", s)
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "vartau.cli",
+                          "predict", "--data-dir", str(data), "--kind", "clock",
+                          "--train-years", "2021", "--predict-years", "2022",
+                          "--out-dir", str(out)],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 3, run.stderr
+    assert run.stderr == (f"data error: {data / 'TA.csv'}: ticker TA has a non-positive hourly "
+                          "return variance in training year 2021\n")
+    assert not out.exists()
+
+
 def test_predict_names_the_ticker_below_min_obs(setting_inputs, tmp_path, capsys):
-    # T4 has 4379 hourly returns in 2021, so at 5000 its variance is missing;
-    # the command once said only that a diagonal entry could not be imputed
+    # T4's 4379 hourly returns of 2021 make 3 * 4379 - 2 = 13135 overlapping
+    # pairs, so at 15000 its variance is missing; the command once said only
+    # that a diagonal entry could not be imputed
     data, out = setting_inputs["market"], tmp_path / "out"
     assert cli.main(["predict", "--data-dir", str(data), "--train-years", "2021",
-                     "--predict-years", "2022", "--min-obs", "5000", "--out-dir", str(out)]) == 3
+                     "--predict-years", "2022", "--min-obs", "15000", "--out-dir", str(out)]) == 3
     assert capsys.readouterr().err == (
-        f"data error: {data / 'T4.csv'}: ticker T4 has 4379 hourly returns in training year "
-        "2021, fewer than the 5000 a variance needs at --min-obs 5000\n")
+        f"data error: {data / 'T4.csv'}: ticker T4 has 13135 overlapping pairs of hourly returns "
+        "in training year 2021, fewer than the 15000 a variance needs at --min-obs 15000\n")
     assert not out.exists()
 
 
 def test_predict_that_fails_on_a_later_training_year_writes_nothing(tmp_path, capsys):
-    # T3 trades at one price all through 2022, so that year's covariance has a
-    # zero row and no inverse at ridge 0; the command once left coeffs_2021.csv
-    # with no report or manifest, and backtest xcorr --coeffs traded it
+    # T3 trades at one price all through 2022, so that year's covariance has
+    # no variance for it; the command once left coeffs_2021.csv with no report
+    # or manifest, and backtest xcorr --coeffs traded it. The variance is now
+    # checked for every training year before any fit
     data = tmp_path / "data"
     data.mkdir()
     series = market(spacings=(60, 90, 120, 60))
@@ -986,8 +1021,9 @@ def test_predict_that_fails_on_a_later_training_year_writes_nothing(tmp_path, ca
                          "--predict-years", "2021", "--ridge", "0", "--out-dir", str(out)])
 
     out = tmp_path / "out"
-    assert predict("2021,2022", out) == 4
-    assert "matrix not positive definite at ridge=0.0" in capsys.readouterr().err
+    assert predict("2021,2022", out) == 3
+    assert (f"data error: {data / 'T3.csv'}: ticker T3 has a non-positive hourly return "
+            "variance in training year 2022\n") == capsys.readouterr().err
     assert not out.exists()
     assert predict("2021", out) == 0
     assert sorted(p.name for p in out.iterdir()) == ["coeffs_2021.csv", "report.json",

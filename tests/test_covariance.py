@@ -6,27 +6,27 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import estimate_cov_loop, txn_candles
+from oracles import corr_vs_tau_loop, support_hy_loop, support_returns, txn_candles
 from vartau import covariance, panel
-from vartau.candles import ReturnSeries
 from vartau.clock import ClockKind, build_clock, year_bounds
 from vartau.covariance import (CovMatrix, TwoComponentModel, cov_to_corr, corr_vs_tau,
                                estimate_cov, pair_stats, predicted_corr_ratio,
                                simulate_two_component)
 from vartau.errors import DataError
-from vartau.panel import grid_returns
+from vartau.panel import grid_bins
 from vartau.synthetic import (correlated_walk_panel, hourly_candles_from_prices,
                               point_candles)
-from vartau.variogram import default_tau_grid, value_at, variogram_diff_of_avg
+from vartau.variogram import default_tau_grid, value_at
 
 T0, _ = year_bounds(2021)
 
 
-def rs(r, tau=1.0, dt=None, idx=None):
-    r = np.asarray(r, dtype=float)
-    dt = np.full(len(r), tau) if dt is None else np.asarray(dt, dtype=float)
-    idx = np.arange(len(r)) if idx is None else np.asarray(idx)
-    return ReturnSeries(tau, r, dt, idx.astype(np.int64))
+def row(idx, r=None):
+    """A row of bins at grid indices idx, as ``grid_bins`` yields it, whose log
+    returns are r (default 0.01 each)."""
+    idx = np.asarray(idx, dtype=np.int64)
+    r = np.full(len(idx) - 1, 0.01) if r is None else np.asarray(r, dtype=float)
+    return idx, np.zeros(len(idx)), np.exp(np.concatenate(([0.0], np.cumsum(r))))
 
 
 def identity_clock(year=2021):
@@ -49,31 +49,38 @@ def walk_candles(returns, tau=1.0, first=None, gaps=None):
     return txn_candles(series.values(), [identity_clock()])
 
 
-def model_rho(ra, rb, tau):
-    """Correlation of two return series paired by start index, from one return grid."""
-    c, n_obs = pair_stats([ra, rb], len(ra), tau)
-    return cov_to_corr(CovMatrix(["A", "B"], c, n_obs)).rho[0, 1]
+def model_rho(ra, rb):
+    """Sample correlation of two return series drawn period by period."""
+    return np.corrcoef(ra, rb)[0, 1]
+
+
+def lag1_kernel(z):
+    """The support-HY variance of demeaned returns: sum z^2 + 2 sum z_i z_{i+1}."""
+    return z @ z + 2 * (z[1:] @ z[:-1])
 
 
 class TestEstimate:
     def test_self_covariance_is_variance(self):
+        # per return: the lag-1 kernel of the 500 hourly returns times 1/8760 h
         rng = np.random.default_rng(0)
         r = rng.normal(0, 0.01, 500)
         candles = walk_candles({"A": r, "B": r})
         c = estimate_cov(candles, 1.0, min_obs=2)
-        got = next(grid_returns(candles, 1.0)).r
-        want = np.mean((got - got.mean()) ** 2)
+        k, _, p = next(grid_bins(candles, 1.0))
+        want = lag1_kernel(support_returns(k, p)[1]) / 8760
         assert c.c[0, 1] == pytest.approx(want, rel=1e-12)
         assert c.c[0, 0] == pytest.approx(want, rel=1e-12)
-        assert c.n_obs[0, 1] == 500
+        assert c.n_obs[0, 1] == 3 * 500 - 2          # each return overlaps its neighbours
 
     def test_independent_null(self):
+        # each return meets three of the other's, so the null spread of rho
+        # is sqrt(3 / n), not sqrt(1 / n)
         rng = np.random.default_rng(1)
         n = 4000
         c = estimate_cov(walk_candles({"A": rng.normal(0, 1, n), "B": rng.normal(0, 1, n)}),
                          1.0, min_obs=2)
         rho = cov_to_corr(c).rho[0, 1]
-        assert abs(rho) < 3 / np.sqrt(n)
+        assert abs(rho) < 3 * np.sqrt(3 / n)
 
     def test_planted_factor_correlation(self):
         # single-factor construction with shared draws, rho = 0.49; the
@@ -81,24 +88,45 @@ class TestEstimate:
         rho = 0.49
         model = TwoComponentModel(v=lambda t: 1.0, u=lambda t: 0.0, rho=rho)
         ra, rb = simulate_two_component(model, 1.0, 20000, seed=2)
-        c = estimate_cov(walk_candles({"A": ra.r, "B": rb.r}, tau=0.25), 0.25, min_obs=2)
+        c = estimate_cov(walk_candles({"A": ra, "B": rb}, tau=0.25), 0.25, min_obs=2)
         assert cov_to_corr(c).rho[0, 1] == pytest.approx(rho, abs=0.05)
 
     def test_partial_overlap_and_floor(self):
         rng = np.random.default_rng(3)
         candles = walk_candles({"A": rng.normal(size=100), "B": rng.normal(size=100)},
                                first={"B": 60})
-        c = estimate_cov(candles, 1.0, min_obs=50)
-        assert c.n_obs[0, 1] == 40          # joint start bins 60..99
+        c = estimate_cov(candles, 1.0, min_obs=150)
+        # B's returns from bins 60..98 overlap three of A's, 99 two and 100 one
+        assert c.n_obs[0, 1] == 3 * 39 + 2 + 1
         assert np.isnan(c.c[0, 1])          # below the floor -> missing
+        assert np.isfinite(np.diag(c.c)).all()      # 298 pairs each
         filled = c.filled()
         assert not np.isnan(filled.c).any()
         assert filled.c[0, 1] == 0.0        # nothing observed to impute from
 
-    def test_dt_band_discards_long_gaps(self):
-        # the third return spans 10 bins, past the band's 3 tau
-        candles = walk_candles({"A": [0.1, 0.2, 0.3, 0.4]}, gaps={"A": [1, 1, 10, 1]})
-        assert estimate_cov(candles, 1.0, min_obs=2).n_obs[0, 0] == 3
+    def test_long_gap_return_overlaps_every_return_inside_its_support(self):
+        # A's third return runs from bin 2 to bin 12 and overlaps B's returns
+        # 1..12, the returns from bins 1, 2, ..., 12; A's others meet 2, 3 and 3
+        rng = np.random.default_rng(2)
+        ra, rb = [0.1, 0.2, 0.3, 0.4], rng.normal(0, 0.01, 20)
+        candles = walk_candles({"A": ra, "B": rb}, gaps={"A": [1, 1, 10, 1], "B": [1] * 20})
+        c = estimate_cov(candles, 1.0, min_obs=2)
+        assert c.n_obs[0, 1] == 2 + 3 + 12 + 3
+        za, zb = (r - np.mean(r) for r in (np.array(ra), rb))
+        want = (za[0] * zb[:2].sum() + za[1] * zb[:3].sum() + za[2] * zb[1:13].sum()
+                + za[3] * zb[11:14].sum())
+        assert c.c[0, 1] == pytest.approx(want / 8760, rel=1e-12)
+
+    def test_alternating_price_has_no_variance(self):
+        # returns +a, -a, ...: the lag-1 kernel is (2 - m) a^2, not positive,
+        # so A's variance, row and column are missing, as below min_obs
+        rng = np.random.default_rng(3)
+        candles = walk_candles({"A": 0.01 * (-1.0) ** np.arange(200),
+                                "B": rng.normal(0, 0.01, 200), "C": rng.normal(0, 0.01, 200)})
+        c = estimate_cov(candles, 1.0, min_obs=2)
+        assert np.isnan(c.c[0]).all() and np.isnan(c.c[:, 0]).all()
+        assert np.isfinite(c.c[1:, 1:]).all()
+        assert np.isnan(cov_to_corr(c).rho[0, 1:]).all()
 
     def test_permutation_equivariance(self):
         # the grid sorts its rows by ticker, so renaming permutes the matrix
@@ -171,7 +199,7 @@ class TestCorrVsTau:
         assert np.allclose(curves, 1.0)
 
     @pytest.mark.parametrize("case", ["walks", "year_end"])
-    def test_variogram_rows_match_diff_of_avg(self, case):
+    def test_variance_rows_match_pair_loop(self, case):
         if case == "walks":
             clock = identity_clock()
             prices = correlated_walk_panel(3, 600, 0.4, seed=10)
@@ -189,15 +217,14 @@ class TestCorrVsTau:
             clock = build_clock(series.values(), ClockKind.VOLUME_WEIGHTED, 2021)
             grid = np.array([1460.0, 2920.0, 8760.0])
         _, _, v = corr_vs_tau(txn_candles(series.values(), [clock]), grid, 1.0)
-        for row, s in zip(v, series.values()):
-            want = variogram_diff_of_avg(txn_candles([s], [clock]), grid)
-            assert np.array_equal(grid[~np.isnan(row)], want.tau)
-            assert np.array_equal(row[~np.isnan(row)], want.v)
+        _, _, want = corr_vs_tau_loop(series, clock, grid, 1.0)
+        assert np.array_equal(np.isnan(v), np.isnan(want))
+        assert np.allclose(v[~np.isnan(v)], want[~np.isnan(want)], rtol=1e-12, atol=0)
         assert np.isnan(v).sum() > 0
         if case == "year_end":
-            # the one return left runs from hour 0 to hour 4380; at tau 8760
-            # both candles share bin 0 and there is none
-            assert np.allclose(v[0, :2], np.log(2.0) ** 2 * grid[:2] / 4380, rtol=1e-14)
+            # the one return left, from hour 0 to hour 4380, has no variance:
+            # demeaned, it is 0
+            assert np.isnan(v).all()
 
 
 class TestPredictedRatio:
@@ -224,23 +251,23 @@ class TestTwoComponent:
     def test_no_uncorrelated_part_recovers_latent(self):
         model = TwoComponentModel(v=lambda t: 2.0 * t, u=lambda t: 0.0, rho=0.7)
         ra, rb = simulate_two_component(model, 1.0, 30000, seed=10)
-        rho = model_rho(ra, rb, 1.0)
+        rho = model_rho(ra, rb)
         assert rho == pytest.approx(0.7, abs=3 * (1 - 0.7 ** 2) / np.sqrt(30000))
 
     def test_no_correlated_part_gives_zero(self):
         model = TwoComponentModel(v=lambda t: 0.0, u=lambda t: 1.0, rho=0.7)
         ra, rb = simulate_two_component(model, 1.0, 30000, seed=11)
-        assert abs(model_rho(ra, rb, 1.0)) < 3 / np.sqrt(30000)
+        assert abs(model_rho(ra, rb)) < 3 / np.sqrt(30000)
 
     def test_equal_parts_halve_latent(self):
         model = TwoComponentModel(v=lambda t: 1.5, u=lambda t: 1.5, rho=0.8)
         ra, rb = simulate_two_component(model, 1.0, 60000, seed=12)
-        assert model_rho(ra, rb, 1.0) == pytest.approx(0.4, abs=0.02)
+        assert model_rho(ra, rb) == pytest.approx(0.4, abs=0.02)
 
     def test_negative_latent_correlation(self):
         model = TwoComponentModel(v=lambda t: 1.0, u=lambda t: 0.0, rho=-0.6)
         ra, rb = simulate_two_component(model, 1.0, 30000, seed=13)
-        assert model_rho(ra, rb, 1.0) == pytest.approx(-0.6, abs=0.02)
+        assert model_rho(ra, rb) == pytest.approx(-0.6, abs=0.02)
 
     def test_observed_rho_closure_across_tau(self):
         # measured rho(tau) tracks rho * V/(V+U) at every grid point
@@ -248,80 +275,74 @@ class TestTwoComponent:
         for tau in (0.25, 1.0, 4.0, 16.0):
             n = 20000
             ra, rb = simulate_two_component(model, tau, n, seed=int(tau * 100))
-            got = model_rho(ra, rb, tau)
+            got = model_rho(ra, rb)
             want = model.observed_rho(tau)
             assert abs(got - want) < 3 * (1 - want ** 2) / np.sqrt(n)
 
     def test_pair_stats_empty_overlap(self):
-        a = rs(np.array([0.1, 0.2]), idx=np.array([0, 1]))
-        b = rs(np.array([0.1, 0.2]), idx=np.array([5, 6]))
-        c, n = pair_stats([a, b], 7, 1.0)
-        assert n[0, 1] == n[1, 0] == 0 and np.isnan(c[0, 1]) and np.isnan(c[1, 0])
-        assert n[0, 0] == n[1, 1] == 2
+        # the supports [0, 1], [1, 2] and [5, 6], [6, 7] never meet
+        hy, n = pair_stats([row([0, 1, 2]), row([5, 6, 7])], 8)
+        assert n[0, 1] == n[1, 0] == 0 and hy[0, 1] == hy[1, 0] == 0.0
+        assert n[0, 0] == n[1, 1] == 3 * 2 - 2
 
     @pytest.mark.parametrize("idx", [[0, 2, 1], [0, 1, 1], [-1, 0, 1], [4, 5, 7]])
     def test_pair_stats_needs_increasing_starts_on_the_grid(self, idx):
-        with pytest.raises(DataError, match="start indices of row 1"):
-            pair_stats([rs([0.1, 0.2, 0.3]), rs([0.1, 0.2, 0.3], idx=np.array(idx))],
-                       7, 1.0)
+        with pytest.raises(DataError, match="grid indices of row 1"):
+            pair_stats([row([0, 1, 2]), row(idx)], 7)
 
     def test_pair_stats_keeps_ten_bytes_per_kept_return(self):
-        # 16 rows of ~49,000 returns over 40 column blocks, 5 % of them
-        # outside the dt band. Each kept return is held once, as its z
-        # (float64) and its column within its block (int16); besides that
-        # state the peak holds one dense block with its mask and position
-        # buffers, one row's temporaries (its band-filtered copies and
-        # weights) and a few objects per (row, block). At 16 bytes per kept
-        # return the peak was 14.1 MiB; at 10 it is 9.0 MiB
+        # 16 rows of ~37,000 bins over 40 column blocks. Each bin is held
+        # once, as the z of the return it starts (float64) and its column
+        # within its block (int16); besides that state the peak holds one
+        # block's two dense float64 operands and the per-bin buffers that
+        # fill them (54 bytes a bin of the fullest block here), one row's
+        # temporaries and a few objects per (row, block). The peak is
+        # 7.5 MB, of which the state is 5.9; at 16 bytes a bin it would be 11
         rng = np.random.default_rng(5)
         n, blocks = 16, 40
         width = blocks * covariance._BLOCK_BINS
-        rows = {}
-        for i in range(n):
-            idx = np.flatnonzero(rng.random(width) < 0.3)
-            dt = np.where(rng.random(len(idx)) < 0.05, 5.0, 1.0)
-            rows[f"T{i}"] = rs(rng.normal(size=len(idx)), dt=dt, idx=idx)
-        kept = [int((r.dt <= 3.0).sum()) for r in rows.values()]
-        fullest = max(sum(((r.start_index[r.dt <= 3.0] // covariance._BLOCK_BINS) == b).sum()
-                          for r in rows.values()) for b in range(blocks))
+        rows = [row(idx, rng.normal(0, 0.01, len(idx) - 1))
+                for idx in (np.flatnonzero(rng.random(width) < 0.3) for _ in range(n))]
+        bins = sum(len(k) for k, _, _ in rows)
+        fullest = max(sum(((k // covariance._BLOCK_BINS) == b).sum() for k, _, _ in rows)
+                      for b in range(blocks))
         tracemalloc.start()
         try:
-            c, n_obs = pair_stats(rows.values(), width, 1.0)
+            hy, n_obs = pair_stats(iter(rows), width)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        block = 12 * n * covariance._BLOCK_BINS + 16 * fullest
-        row = 64 * max(len(r) for r in rows.values())
-        assert peak < 10 * sum(kept) + block + row + 512 * n * blocks + (64 << 10)
-        want, want_n, raw = estimate_cov_loop(rows, 1.0, min_obs=0)
-        assert np.array_equal(n_obs, want_n) and np.diag(n_obs).tolist() == kept
-        scale = np.sqrt(np.outer(np.diag(raw), np.diag(raw)))
-        assert np.all(np.abs(c - want) <= 1e-12 * scale)
+        block = 16 * n * covariance._BLOCK_BINS + 64 * fullest
+        longest = 64 * max(len(k) for k, _, _ in rows)
+        assert peak < 10 * bins + block + longest + 512 * n * blocks + (64 << 10)
+        want, want_n, scale = support_hy_loop([(k, p) for k, _, p in rows])
+        assert np.array_equal(n_obs, want_n)
+        assert np.all(np.abs(hy - want) <= 1e-12 * scale)
 
     def test_corr_vs_tau_lets_each_ticker_go_before_binning_the_next(self, monkeypatch):
         # enumerate()'s reused tuple and the generators' loop variables once
         # held one ticker's bins and returns while the next ticker was binned
         rng = np.random.default_rng(3)
-        gaps = {t: rng.choice([1, 1, 1, 5], 300) for t in "ABCD"}      # dt 5 is out of band
+        gaps = {t: rng.choice([1, 1, 1, 5], 300) for t in "ABCD"}
         candles = walk_candles({t: rng.normal(0, 0.01, 300) for t in "ABCD"}, gaps=gaps)
         held, calls = [], []
-        real_bins, real_returns = panel.bin_series, covariance.grid_returns
+        real_series, real_bins = panel.bin_series, covariance.grid_bins
 
         def bin_series(*args):
             assert all(ref() is None for ref in held), f"held at bin_series call {len(calls)}"
             calls.append(1)
-            b = real_bins(*args)
+            b = real_series(*args)
             held[:] = [weakref.ref(b.time), weakref.ref(b.price)]
             return b
 
-        def grid_returns(candles, tau):
-            for rs in real_returns(candles, tau):
-                held.extend([weakref.ref(rs.r), weakref.ref(rs.dt)])
-                yield rs
-                del rs
+        def grid_bins(candles, tau):
+            for bins in real_bins(candles, tau):
+                held.extend(map(weakref.ref, bins))
+                yield bins
+                del bins
 
         monkeypatch.setattr(panel, "bin_series", bin_series)
-        monkeypatch.setattr(covariance, "grid_returns", grid_returns)
+        monkeypatch.setattr(covariance, "grid_bins", grid_bins)
         tickers, curves, v = corr_vs_tau(candles, np.array([0.5, 1.0, 2.0]), 1.0)
         assert len(calls) == 12 and tickers == list("ABCD") and np.isfinite(v).all()
 
@@ -329,14 +350,14 @@ class TestTwoComponent:
         # three rows of ten returns on a grid of 200,000 column blocks once
         # held state for every block, 20 MiB of it, and took a second
         rng = np.random.default_rng(0)
-        width = 4096 * 200_000
-        rows = [rs(rng.normal(size=10), idx=np.sort(rng.choice(width, 10, replace=False)))
+        width = covariance._BLOCK_BINS * 200_000
+        rows = [row(np.sort(rng.choice(width, 11, replace=False)), rng.normal(size=10))
                 for _ in range(3)]
         tracemalloc.start()
         try:
-            _, n = pair_stats(rows, width, 1.0)
+            _, n = pair_stats(rows, width)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 << 20
-        assert np.diag(n).tolist() == [10, 10, 10]
+        assert np.diag(n).tolist() == [3 * 10 - 2] * 3

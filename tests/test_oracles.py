@@ -36,11 +36,12 @@ from hypothesis.extra import numpy as hnp
 
 from oracles import (BALANCE_TOL, bin_coordinates_unique, build_clock_dict, build_clock_unique,
                      build_panel_loop, build_then_filter, corr_vs_tau_loop,
-                     estimate_cov_loop, fmse, fve, fve_plain, multi_year_returns_loop,
+                     fmse, fve, fve_plain, multi_year_bins_loop,
                      naive_scores,
                      parse_candles_loop,
                      run_market_meanrev_loop,
-                     run_xcorr_strategy_loop, shot_logp_loop, simulate_shot_noise_loop, txn_candles,
+                     run_xcorr_strategy_loop, shot_logp_loop, simulate_shot_noise_loop,
+                     support_cov_loop, support_hy_loop, txn_candles,
                      write_candles_csv_rows, write_clock_csv_rows, write_corr_vs_tau_csv_rows,
                      write_ensemble_csv_rows, write_equity_csv_rows, write_ledger_csv_rows,
                      write_matrix_csv_rows, write_panel_csv_rows, write_variogram_csv_rows,
@@ -49,14 +50,14 @@ from test_backtest import gappy_prices
 from vartau import backtest, candles, covariance
 from vartau.backtest import (EquityCurve, StrategyConfig, TradeLedger, run_market_meanrev,
                              run_xcorr_strategy)
-from vartau.candles import (CSV_HEADER, CandleSeries, ReturnSeries, bin_coordinates,
+from vartau.candles import (CSV_HEADER, CandleSeries, bin_coordinates,
                             parse_candles, write_candles, write_table)
 from vartau.clock import ClockKind, ClockMap, build_clock, hours_in_year, year_bounds
-from vartau.covariance import CorrMatrix, CovMatrix, corr_vs_tau, pair_stats
+from vartau.covariance import CorrMatrix, CovMatrix, corr_vs_tau, estimate_cov, pair_stats
 from vartau.errors import DataError
 from vartau.hurst import (PANEL_HEADER, HurstParams, PricePanel, SimConfig, _shot_logp,
                           read_panel_csv, simulate_fbm, simulate_shot_noise)
-from vartau.panel import build_panel, grid_returns
+from vartau.panel import build_panel, grid_bins
 from vartau.predictor import (PredictionCoeffs, market_mode, predict, prediction_report,
                               read_coeffs_csv)
 from vartau.synthetic import point_candles
@@ -408,19 +409,40 @@ def multi_year_markets(draw):
 @given(multi_year_markets(),
        st.sampled_from([ClockKind.VOLUME_WEIGHTED, ClockKind.DOLLAR_WEIGHTED]),
        st.sampled_from([1.0, 10.0, 24.0, 7.0, 0.1]))
-def test_grid_returns_match_year_loop(market, kind, tau):
+def test_grid_bins_match_year_loop(market, kind, tau):
     # the year's last transaction hour starts a bin past the year's block at
     # tau 1, 10 and 24 (24 in leap years too); it falls in the last bin at 7
     # and at 0.1, which as a float is a little over a tenth
     series, years = market
-    want = multi_year_returns_loop(series, years, kind, tau)
+    want = multi_year_bins_loop(series, years, kind, tau)
     candles = txn_candles(series.values(), [build_clock(series.values(), kind, y) for y in years])
-    got = {t: rs for t, rs in zip(candles.tickers, grid_returns(candles, tau)) if len(rs)}
+    got = {t: bins for t, bins in zip(candles.tickers, grid_bins(candles, tau)) if len(bins[0])}
     assert list(got) == list(want)
-    for t, rs in got.items():
-        for field in ("r", "dt", "start_index"):
-            a, b = getattr(rs, field), getattr(want[t], field)
+    for t, bins in got.items():
+        for field, a, b in zip(("index", "time", "price"), bins, want[t]):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (t, field)
+
+
+@settings(max_examples=150, deadline=None)
+@given(multi_year_markets(),
+       st.sampled_from([ClockKind.VOLUME_WEIGHTED, ClockKind.DOLLAR_WEIGHTED]),
+       st.sampled_from([1.0, 24.0, 7.0, 0.1]), st.integers(0, 8))
+def test_estimate_cov_matches_pair_loop(market, kind, tau, min_obs):
+    # the years chain: a ticker's return from its last bin of one year to its
+    # first of the next overlaps the other tickers' returns across the boundary
+    series, years = market
+    bins = {t: b for t, b in multi_year_bins_loop(series, years, kind, tau).items()
+            if len(b[0]) >= 2}
+    per_return = tau / sum(hours_in_year(y) for y in years)
+    want, n_obs, scale, doubtful = support_cov_loop([(k, p) for k, _, p in bins.values()],
+                                                    per_return, min_obs)
+    candles = txn_candles(series.values(), [build_clock(series.values(), kind, y) for y in years])
+    got = estimate_cov(candles, tau, min_obs)
+    assert got.tickers == list(bins) and np.array_equal(got.n_obs, n_obs)
+    sure = ~np.logical_or.outer(doubtful, doubtful)
+    assert np.array_equal(np.isnan(got.c)[sure], np.isnan(want)[sure])
+    ok = sure & ~np.isnan(want)
+    assert np.all(np.abs(got.c - want)[ok] <= 1e-12 * scale[ok])
 
 
 @settings(max_examples=150, deadline=None)
@@ -481,49 +503,43 @@ def test_build_panel_share_matches_build_then_filter(candles, data):
 
 
 @st.composite
-def return_sets(draw, block=100):
-    """A few tickers' return series on a shared grid of start indices.
+def bin_sets(draw, block=100):
+    """A few tickers' rows of bins on a shared grid, as ``grid_bins`` yields them.
 
-    Each series starts from its own random subset of the grid (gaps, and
-    pairs that may never meet); elapsed times straddle the dt band, some
-    at or below zero. The grid holds the first 100 columns and the columns
-    on and beside the first three multiples of ``block``; about a third of
-    the series start on one of those multiples. Returns (series, tau,
-    grid width), the width at most two columns past the last index.
+    Each row's grid indices are its own random subset of the grid: its first
+    100 columns, the columns on and beside the first two multiples of
+    ``block``, and column 4 * block + 1 (gaps, rows that never meet, and at
+    the larger blocks a return that spans block 3, which holds no column).
+    A row may hold no bin or one; about a third of the rows start on a
+    multiple of ``block``. Returns (rows, grid width), the width at most two
+    columns past the last index.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    tau = draw(st.sampled_from([1 / 60, 0.5, 1.0, 7.0]))
-    edges = block * np.arange(1, 4)
-    pool = np.unique(np.concatenate([np.arange(100), edges - 1, edges, edges + 1]))
-    out = {}
-    for i in range(draw(st.integers(1, 6))):
-        n = draw(st.integers(0, 60))
-        idx = np.sort(rng.choice(pool, size=n, replace=False))
+    edges = block * np.arange(1, 3)
+    pool = np.unique(np.concatenate([np.arange(100), edges - 1, edges, edges + 1,
+                                     [4 * block + 1]]))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        idx = np.sort(rng.choice(pool, size=draw(st.integers(0, 60)), replace=False))
         if rng.random() < 0.35:
             e = rng.choice(edges)
             idx = np.concatenate(([e], idx[idx > e]))
-        n = len(idx)
-        dt = tau * rng.choice([rng.uniform(0.05, 4.0), 3.0, 1.0, 0.0], size=n,
-                              p=[0.85, 0.05, 0.05, 0.05])
-        out[f"T{i}"] = ReturnSeries(tau, rng.normal(0, 0.01, n), dt, idx.astype(np.int64))
-    return out, tau, int(pool[-1]) + 1 + draw(st.integers(0, 2))
+        price = 50.0 * np.exp(np.cumsum(rng.normal(0, 0.01, len(idx))))
+        rows.append((idx.astype(np.int64), np.zeros(len(idx)), price))
+    return rows, int(pool[-1]) + 1 + draw(st.integers(0, 2))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.data(), st.sampled_from([1, 3, 7, covariance._BLOCK_BINS]), st.integers(0, 6))
-def test_grid_cov_matches_pair_loop(data, block, min_obs):
-    returns, tau, width = data.draw(return_sets(block))
-    want, want_n, raw = estimate_cov_loop(returns, tau, min_obs)
+@given(st.data(), st.sampled_from([1, 3, 7, 100, covariance._BLOCK_BINS]))
+def test_grid_cov_matches_pair_loop(data, block):
+    rows, width = data.draw(bin_sets(block))
+    want, want_n, scale = support_hy_loop([(k, p) for k, _, p in rows])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(covariance, "_BLOCK_BINS", block)
-        got, n_obs = pair_stats(returns.values(), width, tau)
-    got[n_obs < max(min_obs, 2)] = np.nan
+        got, n_obs = pair_stats(iter(rows), width)
     assert np.array_equal(n_obs, want_n)
-    assert np.array_equal(np.isnan(got), np.isnan(want))
-    assert np.array_equal(got, got.T, equal_nan=True)
-    scale = np.sqrt(np.abs(np.outer(np.diag(raw), np.diag(raw))))
-    ok = ~np.isnan(want)
-    assert np.all(np.abs(got[ok] - want[ok]) <= 1e-12 * scale[ok])
+    assert np.array_equal(got, got.T)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
 @st.composite
@@ -544,8 +560,8 @@ def candle_sets(draw):
 def test_corr_vs_tau_matches_pair_loop(series, tau0):
     clock = build_clock(series.values(), ClockKind.CLOCK, 2021)
     grid = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
-    want_pairs, want = corr_vs_tau_loop(series, clock, grid, tau0)
-    tickers, got, _ = corr_vs_tau(txn_candles(series.values(), [clock]), grid, tau0)
+    want_pairs, want, want_v = corr_vs_tau_loop(series, clock, grid, tau0)
+    tickers, got, v = corr_vs_tau(txn_candles(series.values(), [clock]), grid, tau0)
     assert [(tickers[i], tickers[j])
             for i, j in zip(*np.triu_indices(len(tickers), 1))] == want_pairs
     assert np.array_equal(np.isnan(got), np.isnan(want))
@@ -557,6 +573,8 @@ def test_corr_vs_tau_matches_pair_loop(series, tau0):
     curve_max = np.abs(np.where(ok, want, 0.0)).max(axis=1, keepdims=True)
     bound = 1e-12 * curve_max * (1 + np.abs(want))
     assert np.all(np.abs(got - want)[ok] <= bound[ok])
+    assert np.array_equal(np.isnan(v), np.isnan(want_v))
+    assert np.allclose(v[~np.isnan(v)], want_v[~np.isnan(want_v)], rtol=1e-12, atol=0)
 
 
 @settings(max_examples=30, deadline=None)

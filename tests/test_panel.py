@@ -1,10 +1,10 @@
-"""The grid of each ticker's returns, the hourly panel, and their boundary rules."""
+"""The grid of each ticker's bins, the hourly panel, and their boundary rules."""
 
 import numpy as np
 
 from oracles import txn_candles
 from vartau.clock import ClockKind, build_clock, year_bounds
-from vartau.panel import build_panel, grid_returns
+from vartau.panel import build_panel, grid_bins
 from vartau.synthetic import point_candles
 
 T21, _ = year_bounds(2021)
@@ -26,9 +26,9 @@ def test_blocks_do_not_share_columns_when_tau_does_not_divide_the_year():
                           clocks_of({}))
     assert candles.widths(7.0) == [1252, 1252]
     assert panel_of({}, years=(2020, 2021)).blocks == [slice(0, 8784), slice(8784, 17544)]
-    (rs,) = grid_returns(candles, 7.0)
-    assert rs.start_index.tolist() == [1251, 1252]       # last of 2021, first of 2022
-    assert np.allclose(rs.r, np.log([3.5 / 1.5, 5.0 / 3.5]))
+    ((k, _, p),) = grid_bins(candles, 7.0)
+    assert k.tolist() == [1251, 1252, 1253]             # last of 2021, first two of 2022
+    assert np.allclose(np.diff(np.log(p)), np.log([3.5 / 1.5, 5.0 / 3.5]))
 
 
 def test_bin_at_the_year_end_is_dropped():
@@ -41,24 +41,24 @@ def test_bin_at_the_year_end_is_dropped():
     p = build_panel(candles)
     assert p.price.shape == (1, 8760)
     assert np.flatnonzero(np.isfinite(p.price[0])).tolist() == [0, 4380]
-    (rs,) = grid_returns(candles, 1.0)
-    assert rs.start_index.tolist() == [0] and rs.dt.tolist() == [4380.0]
+    ((k, t, _),) = grid_bins(candles, 1.0)
+    assert k.tolist() == [0, 4380] and np.diff(t).tolist() == [4380.0]
 
 
 def test_returns_span_the_year_boundary_and_adjacent_returns_do_not():
     ts = np.array([T21, T21 + 3600, T22 - 3600, T22, T22 + 7200], dtype=np.int64)
     prices = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
     candles = {"A": point_candles("A", ts, prices)}
-    (rs,) = grid_returns(txn_candles(candles.values(), clocks_of(candles)), 1.0)
-    assert rs.start_index.tolist() == [0, 1, 8759, 8760]
-    assert np.allclose(rs.r, np.log(2.0))
-    assert rs.dt.tolist() == [1.0, 8758.0, 1.0, 2.0]     # one chained hour axis
+    ((k, t, p),) = grid_bins(txn_candles(candles.values(), clocks_of(candles)), 1.0)
+    assert k.tolist() == [0, 1, 8759, 8760, 8762]
+    assert np.allclose(np.diff(np.log(p)), np.log(2.0))
+    assert np.diff(t).tolist() == [1.0, 8758.0, 1.0, 2.0]     # one chained hour axis
     adj = panel_of(dict(candles)).adjacent_returns()
     assert adj[2021].shape == adj[2022].shape == (1, 8759)
     assert np.flatnonzero(np.isfinite(adj[2021][0])).tolist() == [0]
     assert np.flatnonzero(np.isfinite(adj[2022][0])).tolist() == []
-    (rs22,) = grid_returns(txn_candles(candles.values(), clocks_of(candles, (2022,))), 1.0)
-    assert rs22.start_index.tolist() == [0] and rs22.dt.tolist() == [2.0]
+    ((k22, t22, _),) = grid_bins(txn_candles(candles.values(), clocks_of(candles, (2022,))), 1.0)
+    assert k22.tolist() == [0, 2] and np.diff(t22).tolist() == [2.0]
 
 
 def test_rows_are_sorted_tickers_with_two_candles_in_a_year():
