@@ -313,25 +313,24 @@ def cmd_predict(args):
     grid: dict[str, dict] = {"none": {}}
     for py in predict_years:
         r = returns[py]
-        variances = np.nanvar(r, axis=1)
-        flat = np.flatnonzero(~(variances > 0))      # zero, or NaN with no return
+        variances = np.array([0.0 if np.isnan(x).all() else np.nanvar(x) for x in r])
+        flat = np.flatnonzero(~(variances > 0))     # 0 with no return, where nanvar warns
         if len(flat):
             t = tickers[flat[0]]
             raise DataError(f"{Path(args.data_dir) / t}.csv: ticker {t} has no "
                             f"return variance in year {py}")
         naive = pred.predict(pred.market_mode(tickers, variances), r)
         grid["none"][str(py)] = pred.prediction_report(naive, r)
-    need = max(args.min_obs, cov.MIN_VARIANCE_OBS)
+    need = max(args.min_obs, (cov.MIN_VARIANCE_OBS + 2) // 3)     # returns
     for ty, cmat in cmats.items():
         if cmat.tickers != tickers:
             raise DataError(f"year {ty}: an eligible ticker has no hourly return")
-        counts = np.diag(cmat.n_obs)
-        missing = np.flatnonzero((counts < need) | np.isnan(np.diag(cmat.c)))
+        missing = np.flatnonzero(np.isnan(np.diag(cmat.c)))
         if len(missing):        # a missing variance cannot be imputed
-            t, n = tickers[missing[0]], counts[missing[0]]
+            t, m = tickers[missing[0]], (cmat.n_obs[missing[0], missing[0]] + 2) // 3
             raise DataError(f"{Path(args.data_dir) / t}.csv: ticker {t} has " + (
-                f"{n} overlapping pairs of hourly returns in training year {ty}, fewer "
-                f"than the {need} a variance needs at --min-obs {args.min_obs}" if n < need
+                f"{m} hourly returns in training year {ty}, fewer than the {need} "
+                f"a variance needs at --min-obs {args.min_obs}" if m < need
                 else f"a non-positive hourly return variance in training year {ty}"))
     files = {}
     for ty in train_years:
@@ -461,8 +460,8 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
                     help="refine each fit by gradient descent, stopped early on the other "
                          "training years; with one training year, on that year, in sample")
     sp.add_argument("--min-obs", type=int, default=cov.DEFAULT_MIN_OBS,
-                    help="overlapping pairs of hourly returns a pair of tickers needs; "
-                         "below it its cell is imputed")
+                    help="overlapping pairs of hourly returns a pair of tickers needs, "
+                         "and hourly returns each of them needs; below it a cell is imputed")
     sp.add_argument("--min-active-fraction", type=float, default=0.5,
                     help="share of each year's hours a kept ticker trades in")
     sp.add_argument("--out-dir", required=True)
@@ -481,7 +480,8 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
                          "whose curve does not reach it is left out")
     sp.add_argument("--min-obs", type=int, default=cov.DEFAULT_MIN_OBS,
                     help="overlapping pairs of returns a pair of tickers needs in cov.csv "
-                         "and corr.csv; the rho(tau) curves keep every pair with at least 2")
+                         "and corr.csv, and returns each of them needs; the rho(tau) "
+                         "curves keep every pair with at least 2")
     sp.add_argument("--out-dir", required=True)
     sp.set_defaults(func=cmd_correlate)
     return p

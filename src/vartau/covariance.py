@@ -11,8 +11,9 @@ et al., Econometrica 76(6), 2008) that takes in the lag-1 autocovariance
 averaging gives adjacent returns, so a correlation and its variances come
 from one matrix. The kernel need not be positive (prices alternating between
 two values give returns +a, -a, ...); such a variance is reported missing.
-``estimate_cov`` scales the sums to a per-return covariance, HY * tau / the
-hours the grid spans. Correlation falling as tau shrinks is the Epps effect
+Each sum is divided by the grid steps both tickers' returns span, a
+covariance per return that does not shrink the correlation of two tickers
+whose spans differ. Correlation falling as tau shrinks is the Epps effect
 (Epps, JASA 1979), which ``corr_vs_tau`` measures beside each ticker's
 variance from the same diagonal, normalized by ``variogram.value_at``.
 
@@ -42,8 +43,7 @@ MIN_JOINT_OBS = 2
 # and behind a variance: 3 returns give 7. The lag-1 kernel of 2 demeaned
 # returns, (z_1 + z_2)^2, is 0, and only rounding would give it a sign
 MIN_VARIANCE_OBS = 7
-# grid columns per block of pair_stats' products, whose float64 operands take
-# 16 bytes a cell: 48 KiB a row
+# grid columns per block of pair_stats' products: 48 KiB a row of float64 operands
 _BLOCK_BINS = 3072
 
 
@@ -107,21 +107,21 @@ class TwoComponentModel:
         return self.rho * float(self.v(tau)) / vt
 
 
-
 def pair_stats(bins, width: int):
     """Support Hayashi-Yoshida sums and overlap counts of all pairs of rows.
 
     Row i is the i-th (grid index, bin time, bin price) of ``grid_bins``,
     read once, its indices strictly increasing inside [0, width). Its
     returns z_j are demeaned log differences of its prices, with supports
-    [k_j, k_{j+1}]. Returns (hy, n_obs): hy[a, b] sums z_a,i z_b,j over the
-    pairs of returns whose supports overlap and n_obs[a, b] counts them
-    (3 m - 2 on the diagonal for m returns), both exactly symmetric.
+    [k_j, k_{j+1}]. Returns (hy, n_obs, steps): hy[a, b] sums z_a,i z_b,j
+    over the pairs of returns whose supports overlap, n_obs[a, b] counts them
+    (3 m - 2 on the diagonal for m returns), both exactly symmetric, and
+    steps[a, b] is the grid steps both rows' returns span (0 if none).
 
     Two closed supports overlap exactly when one starts inside the other,
     and only equal starts count twice. So with Q each z at its start column,
     R each column's sum of the z whose supports cover it and W = R - Q/2,
-    hy = Q W^T + (Q W^T)^T, and the counts follow from the 0/1 masks alike.
+    hy = Q W^T + (Q W^T)^T, and the counts, exact, from the 0/1 masks alike.
     Each row keeps each bin once, in 10 bytes: its column within its block of
     ``_BLOCK_BINS`` (int16) and the z of the return it starts (float64, NaN
     at the last bin). Block by block, all rows' runs are filled at once from
@@ -130,12 +130,13 @@ def pair_stats(bins, width: int):
     assert _BLOCK_BINS <= 32768     # a column within a block fits in int16
     # pieces[b]: (row, columns within block b, z) of each row with bins in block b
     pieces: dict[int, list] = {}
-    n = 0
+    n, ends = 0, []             # each row's first and last grid index
     # no enumerate(): its last tuple would hold a row while the next is read
     for row in bins:
         i, n = n, n + 1
         k, p = row[0], row[2]
         del row
+        ends.append((k[0], k[-1]) if len(k) >= 2 else (0, 0))
         if len(k) < 2:
             continue
         if k[0] < 0 or k[-1] >= width or np.any(k[1:] <= k[:-1]):
@@ -182,16 +183,18 @@ def pair_stats(bins, width: int):
         known = ~np.isnan(values)
         values[~known] = 0.0
         hy += _block_product(runs, pos, at, values, bw)
-        counts += _block_product(runs, pos, at, known.astype(np.float32), bw)
-    return hy + hy.T, (counts + counts.T).astype(np.int64)
+        counts += _block_product(runs, pos, at, known.astype(float), bw)
+    first, last = np.array(ends, dtype=np.int64).reshape(-1, 2).T
+    steps = np.maximum(np.minimum.outer(last, last) - np.maximum.outer(first, first), 0)
+    return hy + hy.T, (counts + counts.T).astype(np.int64), steps
 
 
 def _block_product(runs, pos, at, run_values, bw: int):
     """Q W^T of one block: [Q; W] repeats ``run_values`` over ``runs`` (Q's
     zeros, then W's runs); at each bin's flat position ``pos`` Q takes its
-    run's value (``at + 1``) and W the run before's plus half that. In
-    float64 it is a corner of [Q; W] [Q; W]^T, which BLAS sums alike on any
-    number of threads; float32 counts are exact in any order."""
+    run's value (``at + 1``) and W the run before's plus half that. Taken as
+    a corner of [Q; W] [Q; W]^T, its sums came out alike on 1, 2 and 4 BLAS
+    threads at the bench's row counts, where Q W^T's did not (32 x 2160)."""
     x = np.repeat(run_values, runs).reshape(-1, bw)
     n = len(x) // 2
     starting = run_values[at + 1]
@@ -199,17 +202,26 @@ def _block_product(runs, pos, at, run_values, bw: int):
     starting *= 0.5
     starting += run_values[at]
     x[n:].reshape(-1)[pos] = starting
-    if run_values.dtype == np.float32:
-        return x[:n] @ x[n:].T
     return (x @ x.T)[:n, n:]
 
 
+def _per_return(bins, width: int):
+    """``pair_stats``' sums per grid step both rows' returns span (at least 1
+    from MIN_JOINT_OBS pairs on), and the counts; NaN below MIN_JOINT_OBS and
+    in the row and column of a variance that is not positive or counts fewer
+    than MIN_VARIANCE_OBS."""
+    hy, n_obs, steps = pair_stats(bins, width)
+    c = hy / np.where(n_obs >= MIN_JOINT_OBS, steps, np.nan)
+    flat = ~((np.diag(c) > 0) & (np.diag(n_obs) >= MIN_VARIANCE_OBS))
+    c[flat] = c[:, flat] = np.nan
+    return c, n_obs
+
+
 def estimate_cov(candles: TxnCandles, tau: float, min_obs: int = DEFAULT_MIN_OBS) -> CovMatrix:
-    """Support-HY covariance per return (the sums times tau / the hours the
-    grid spans), in one pass over the candles; a ticker with no return is
-    left out. A cell is NaN below max(min_obs, MIN_JOINT_OBS) overlapping
-    returns, and so are the row and column of a variance that is not
-    positive or counts fewer than MIN_VARIANCE_OBS."""
+    """Support-HY covariance per return (``_per_return``), in one pass over
+    the candles; a ticker with no return is left out. A cell is NaN where
+    ``_per_return`` leaves it so, below min_obs overlapping return pairs, and
+    where either ticker has fewer than min_obs returns."""
     tickers = []
     def rows():
         for t, row in zip(candles.tickers, grid_bins(candles, tau)):
@@ -217,11 +229,10 @@ def estimate_cov(candles: TxnCandles, tau: float, min_obs: int = DEFAULT_MIN_OBS
                 tickers.append(t)
                 yield row
             del row
-    hy, n_obs = pair_stats(rows(), sum(candles.widths(tau)))
-    c = hy * (tau / sum(candles.widths(1.0)))
-    c[n_obs < max(min_obs, MIN_JOINT_OBS)] = np.nan
-    flat = ~((np.diag(hy) > 0) & (np.diag(n_obs) >= MIN_VARIANCE_OBS))
-    c[flat] = c[:, flat] = np.nan
+    c, n_obs = _per_return(rows(), sum(candles.widths(tau)))
+    returns = (np.diag(n_obs) + 2) // 3     # m returns overlap in 3 m - 2 pairs
+    few = np.minimum.outer(returns, returns) < min_obs
+    c[few | (n_obs < min_obs)] = np.nan
     return CovMatrix(tickers, c, n_obs)
 
 
@@ -243,26 +254,21 @@ def corr_vs_tau(candles: TxnCandles, tau_grid, normalize_tau: float):
     ``np.triu_indices(len(tickers), 1)``, NaN below MIN_JOINT_OBS overlapping
     returns, where a variance counts fewer than MIN_VARIANCE_OBS or is not
     positive, and for a pair that ``variogram.value_at`` cannot read at
-    normalize_tau. v is (n_tickers, n_tau): each variance per return (HY *
-    tau / the hours the grid spans), NaN where its correlations are. The
-    candles are held (``TxnCandles.held``) across the taus.
+    normalize_tau. v is (n_tickers, n_tau): each variance per return
+    (``_per_return``), NaN where its correlations are. The candles are held
+    (``TxnCandles.held``) across the taus.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     candles = candles.held()
-    tickers, hours = candles.tickers, sum(candles.widths(1.0))
-    upper = np.triu_indices(len(tickers), 1)
+    upper = np.triu_indices(len(candles.tickers), 1)
     raw = np.full((len(upper[0]), len(tau_grid)), np.nan)
-    v = np.full((len(tickers), len(tau_grid)), np.nan)
+    v = np.full((len(candles.tickers), len(tau_grid)), np.nan)
     for k, tau in enumerate(tau_grid):
-        hy, n_obs = pair_stats(grid_bins(candles, tau), sum(candles.widths(tau)))
-        var = np.diag(hy)
-        var = np.where((var > 0) & (np.diag(n_obs) >= MIN_VARIANCE_OBS), var, np.nan)
-        rho = hy / np.sqrt(np.outer(var, var))
-        rho[n_obs < MIN_JOINT_OBS] = np.nan
-        raw[:, k] = rho[upper]
-        v[:, k] = var * (tau / hours)
+        c, _ = _per_return(grid_bins(candles, tau), sum(candles.widths(tau)))
+        v[:, k] = np.diag(c)
+        raw[:, k] = (c / np.sqrt(np.outer(v[:, k], v[:, k])))[upper]
     raw /= value_at(tau_grid, raw, normalize_tau)[:, None]      # normalized in place
-    return tickers, raw, v
+    return candles.tickers, raw, v
 
 
 def predicted_corr_ratio(v_tot, tau_grid, normalize_tau: float) -> np.ndarray:

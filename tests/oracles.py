@@ -288,22 +288,27 @@ def support_hy_loop(rows):
     return hy, n_obs, scale
 
 
-def support_cov_loop(rows, per_return: float, min_obs: int):
+def support_cov_loop(rows, min_obs: int):
     """``estimate_cov`` of rows of (grid indices, bin prices) from
     ``support_hy_loop``: (cov, n_obs, scale, doubtful). cov and scale are
-    the sums and their |products| times per_return; a cell is NaN below
-    max(min_obs, 2) overlapping pairs, and so are the row and column of a
-    variance below 7 or not positive. doubtful marks the tickers with 7 or
-    more whose variance lies within 1e-12 of its scale of 0, where rounding
-    decides the sign."""
+    the sums and their |products| per grid step both rows span, from its
+    first to its last index; a cell is NaN below max(min_obs, 2) overlapping
+    pairs or where a row has fewer than min_obs returns, and so are the row
+    and column of a variance below 7 pairs or not positive. doubtful marks
+    the tickers with 7 or more whose variance lies within 1e-12 of its scale
+    of 0, where rounding decides the sign."""
     hy, n_obs, scale = support_hy_loop(rows)
-    c = hy * per_return
-    c[n_obs < max(min_obs, 2)] = np.nan
-    var, counted = np.diag(hy), np.diag(n_obs) >= 7
-    flat = ~((var > 0) & counted)
+    counted = np.diag(n_obs) >= 7
+    doubtful = counted & (np.abs(np.diag(hy)) <= 1e-12 * np.diag(scale))
+    steps = np.array([[min(ka[-1], kb[-1]) - max(ka[0], kb[0]) for kb, _ in rows]
+                      for ka, _ in rows], dtype=float)
+    steps[steps <= 0] = np.nan
+    c, scale = hy / steps, scale / steps
+    returns = np.array([len(k) - 1 for k, _ in rows])
+    c[(n_obs < max(min_obs, 2)) | (np.minimum.outer(returns, returns) < min_obs)] = np.nan
+    flat = ~((np.diag(c) > 0) & counted)
     c[flat] = c[:, flat] = np.nan
-    doubtful = counted & (np.abs(var) <= 1e-12 * np.diag(scale))
-    return c, n_obs, scale * per_return, doubtful
+    return c, n_obs, scale, doubtful
 
 
 def normalize_curve(tau_grid, values, tau0: float):
@@ -320,10 +325,13 @@ def normalize_curve(tau_grid, values, tau0: float):
 
 def corr_vs_tau_loop(series, clock, tau_grid, normalize_tau: float = 1.0):
     """rho(tau) from ``support_hy_pair`` one pair and tau at a time, then one
-    curve at a time, and each ticker's per-return variance (HY tau / the
-    year's hours). A variance needs three returns (seven overlapping pairs)
-    and must be positive, a pair two overlapping returns. Returns (pairs,
-    curves, v)."""
+    curve at a time, and each ticker's per-return variance. Each sum is
+    divided by the grid steps both tickers' bins span. A variance needs three
+    returns (seven overlapping pairs) and must be positive, a pair two
+    overlapping returns. Returns (pairs, curves, v, doubtful); doubtful marks
+    the pairs whose sum at some tau lies within 1e-12 of its |products| of 0
+    (one return of B that covers all of A's sums them, which demeaned is 0),
+    so that rounding decides the curve that is normalized by it."""
     tau_grid = np.asarray(tau_grid, dtype=float)
     tickers = sorted(series)
     pairs = [(a, b) for i, a in enumerate(tickers) for b in tickers[i + 1:]]
@@ -331,26 +339,35 @@ def corr_vs_tau_loop(series, clock, tau_grid, normalize_tau: float = 1.0):
     hours = hours_in_year(clock.year)
     raw = np.full((len(pairs), len(tau_grid)), np.nan)
     v = np.full((len(tickers), len(tau_grid)), np.nan)
+    doubtful = np.zeros(len(pairs), dtype=bool)
+
+    def per_step(a, b):
+        (ka, za), (kb, zb) = prepped[a], prepped[b]
+        hy, n, scale = support_hy_pair(ka, za, kb, zb)
+        if n < 2:
+            return np.nan, n, False
+        return hy / (min(ka[-1], kb[-1]) - max(ka[0], kb[0])), n, abs(hy) <= 1e-12 * scale
+
     for k, tau in enumerate(tau_grid):
         prepped, var = {}, {}
         for i, t in enumerate(tickers):
             idx, _, pbar, _ = bin_coordinates(coords[t], series[t].price, tau)
             keep = idx < math.ceil(hours / tau)         # a bin past the year's block is dropped
             prepped[t] = support_returns(idx[keep], pbar[keep])
-            hy, n, _ = support_hy_pair(*prepped[t], *prepped[t])
-            if n >= 7 and hy > 0:
-                var[t] = hy
-                v[i, k] = hy * tau / hours
+            c, n, _ = per_step(t, t)
+            if n >= 7 and c > 0:
+                var[t] = v[i, k] = c
         for p, (a, b) in enumerate(pairs):
-            hy, n, _ = support_hy_pair(*prepped[a], *prepped[b])
+            c, n, near_zero = per_step(a, b)
             if a in var and b in var and n >= 2:
-                raw[p, k] = hy / np.sqrt(var[a] * var[b])
+                raw[p, k] = c / np.sqrt(var[a] * var[b])
+                doubtful[p] |= near_zero
     curves = np.full_like(raw, np.nan)
     for p in range(len(pairs)):
         ok = ~np.isnan(raw[p])
         if ok.any() and tau_grid[ok][0] <= normalize_tau <= tau_grid[ok][-1]:
             curves[p, ok] = normalize_curve(tau_grid[ok], raw[p, ok], normalize_tau)
-    return pairs, curves, v
+    return pairs, curves, v, doubtful
 
 
 def corr_vs_tau_csv_loop(series, clock, tau_grid, normalize_tau) -> np.ndarray:
@@ -367,7 +384,7 @@ def corr_vs_tau_csv_loop(series, clock, tau_grid, normalize_tau) -> np.ndarray:
         present = column[~np.isnan(column)]
         if len(present):
             perc[:, k] = np.percentile(present, PERCENTILES)
-    _, _, v = corr_vs_tau_loop(series, clock, tau_grid, normalize_tau)
+    _, _, v, _ = corr_vs_tau_loop(series, clock, tau_grid, normalize_tau)
     stack = [row for row in v if np.all(row > 0)]
     if stack:
         predicted = predicted_corr_ratio(np.median(np.stack(stack), axis=0), tau_grid,

@@ -19,7 +19,7 @@ from oracles import (corr_vs_tau_csv_loop, multi_year_bins_loop, support_cov_loo
 from vartau import candles, cli
 from vartau.backtest import run_sim_meanrev
 from vartau.candles import CandleSeries, parse_candles, write_candles
-from vartau.clock import ClockKind, build_clock, hours_in_year, year_bounds
+from vartau.clock import ClockKind, build_clock, year_bounds
 from vartau.covariance import corr_vs_tau
 from vartau.hurst import (HurstParams, SimConfig, read_panel_csv, simulate_fbm,
                           simulate_shot_noise)
@@ -76,7 +76,7 @@ def test_correlate_matches_pair_loop(data, tmp_path, tau):
     bins = {t: b for t, b in multi_year_bins_loop(series, YEARS, ClockKind.DOLLAR_WEIGHTED,
                                                   tau).items() if len(b[0]) >= 2}
     want, want_n, scale, doubtful = support_cov_loop(
-        [(k, p) for k, _, p in bins.values()], tau / sum(map(hours_in_year, YEARS)), 50)
+        [(k, p) for k, _, p in bins.values()], 50)
     assert tickers == list(bins) and not doubtful.any()
     assert np.array_equal(n_obs, want_n)
     assert np.array_equal(np.isnan(c), np.isnan(want))
@@ -373,12 +373,13 @@ def test_simulate_value_it_cannot_take_exits_3_before_any_file(tmp_path, capsys,
 # For each (command, mode): the base run's flags, and every setting that the
 # mode reads with a value off the base run's, which must change an output file.
 # The base variogram and correlate runs have a tau grid, so that
-# --normalize-at has curves to act on. --min-obs counts overlapping pairs of
-# returns of 2021: in correlate 9000 leaves out T5's variance (8755 pairs)
-# and its cell with T4 (8961), since no pair of T5 has fewer pairs than its
-# variance; in predict 13100 leaves out the cell of T3 and T4 (13057) but
-# keeps the variances of the tickers it keeps (T5 trades in under half the
-# hours; T4's variance has 13135). The base market-meanrev
+# --normalize-at has curves to act on. A cell of --min-obs needs that many
+# overlapping pairs of returns of 2021 and that many returns of each ticker:
+# in correlate 4000 leaves out T5 (2919 returns). A pair of tickers that
+# trade all year has more pairs than either has returns, so the base predict
+# run reads the partial market, where T0 and T1 overlap in 996 pairs and
+# each ticker it keeps (active in 40 % of the hours) has 3783 returns or
+# more, so 2000 imputes only their cell. The base market-meanrev
 # run trades one-name sides, so that its other settings have trades to act
 # on; the base xcorr run trades the coefficient file's five tickers, so that
 # a side of the top fraction can hold two. xcorr does not read
@@ -394,12 +395,13 @@ SETTINGS = {
         ["--data-dir", "{market}", "--years", "2021", "--tau-grid", "0.5,1,2,4"], {
             "--data-dir": "{other}", "--years": "2021,2022", "--kind": "volume",
             "--tau": "2", "--tau-grid": "0.5,1,2,8", "--normalize-at": "2",
-            "--min-obs": "9000"}),
+            "--min-obs": "4000"}),
     ("predict", None): (
-        ["--data-dir", "{market}", "--train-years", "2021", "--predict-years", "2022"], {
-            "--data-dir": "{other}", "--train-years": "2022", "--predict-years": "2021",
-            "--kind": "volume", "--ridge": "1e-6", "--refine": None, "--min-obs": "13100",
-            "--min-active-fraction": "0.8"}),
+        ["--data-dir", "{partial}", "--train-years", "2021", "--predict-years", "2022",
+         "--min-active-fraction", "0.4"], {
+            "--data-dir": "{market}", "--train-years": "2022", "--predict-years": "2021",
+            "--kind": "volume", "--ridge": "1e-6", "--refine": None, "--min-obs": "2000",
+            "--min-active-fraction": "0.45"}),
     ("simulate", "fft"): (["--epsilon", "0.1", "--hours-per-year", "50"], {
         "--epsilon": "0.2", "--years": "2", "--hours-per-year": "60", "--vol": "0.3",
         "--seed": "1", "--delta": "2.0"}),      # at or below 0.5, delta only rescales fft
@@ -422,8 +424,9 @@ SETTINGS = {
 
 @pytest.fixture(scope="module")
 def setting_inputs(tmp_path_factory):
-    """Paths for SETTINGS: two markets that differ in T5's spacing, two simulated
-    panels, and two coefficient files for T0-T4.
+    """Paths for SETTINGS: two markets that differ in T5's spacing, the first
+    with T0 cut to the first 52 % of 2021 and T1 to the last 52 % (partial),
+    two simulated panels, and two coefficient files for T0-T4.
 
     In the module's market only T0 has, in one hour, a return and both fill
     prices, so market-meanrev never trades there; here T0, T1 and T2 do, and
@@ -435,6 +438,15 @@ def setting_inputs(tmp_path_factory):
         paths[name].mkdir()
         for t, s in market(spacings=(60, 60, 75, 90, 120, last)).items():
             write_candles(paths[name] / f"{t}.csv", s)
+    paths["partial"] = root / "partial"
+    paths["partial"].mkdir()
+    t0, t1 = year_bounds(2021)
+    for t, s in market(spacings=(60, 60, 75, 90, 120, 180)).items():
+        a, b = {"T0": (0.52, 1.0), "T1": (0.0, 0.48)}.get(t, (0.0, 0.0))
+        keep = (s.timestamps < t0 + a * (t1 - t0)) | (s.timestamps >= t0 + b * (t1 - t0))
+        cols = ("timestamps", "open", "high", "low", "close", "volume")
+        write_candles(paths["partial"] / f"{t}.csv",
+                      CandleSeries(t, *(getattr(s, c)[keep] for c in cols)))
     for name, seed in (("panel", 4), ("panel2", 5)):
         paths[name] = root / f"{name}.csv"
         simulate_fbm(HurstParams(0.1), SimConfig(3, 50, seed=seed)).write_csv(paths[name])
@@ -988,16 +1000,31 @@ def test_predict_names_the_ticker_with_a_non_positive_variance(tmp_path):
     assert not out.exists()
 
 
+def test_predict_names_a_ticker_with_no_return_in_a_predicted_year(tmp_path, capsys):
+    # on the wall clock T2's bars, two hours apart, leave no two adjacent
+    # active hours: np.nanvar of its all-NaN row warned, which under
+    # -W error::RuntimeWarning ended the command with a traceback (exit 1)
+    data, out = tmp_path / "data", tmp_path / "out"
+    data.mkdir()
+    for t, s in market(spacings=(60, 90, 120)).items():
+        write_candles(data / f"{t}.csv", s)
+    assert cli.main(["predict", "--data-dir", str(data), "--train-years", "2021",
+                     "--predict-years", "2022", "--kind", "clock", "--out-dir", str(out)]) == 3
+    assert capsys.readouterr().err == (f"data error: {data / 'T2.csv'}: ticker T2 has no "
+                                       "return variance in year 2022\n")
+    assert not out.exists()
+
+
 def test_predict_names_the_ticker_below_min_obs(setting_inputs, tmp_path, capsys):
-    # T4's 4379 hourly returns of 2021 make 3 * 4379 - 2 = 13135 overlapping
-    # pairs, so at 15000 its variance is missing; the command once said only
-    # that a diagonal entry could not be imputed
+    # T4 has 4379 hourly returns of 2021, the fewest, so at 5000 its variance
+    # is missing; the command once said only that a diagonal entry could not
+    # be imputed
     data, out = setting_inputs["market"], tmp_path / "out"
     assert cli.main(["predict", "--data-dir", str(data), "--train-years", "2021",
-                     "--predict-years", "2022", "--min-obs", "15000", "--out-dir", str(out)]) == 3
+                     "--predict-years", "2022", "--min-obs", "5000", "--out-dir", str(out)]) == 3
     assert capsys.readouterr().err == (
-        f"data error: {data / 'T4.csv'}: ticker T4 has 13135 overlapping pairs of hourly returns "
-        "in training year 2021, fewer than the 15000 a variance needs at --min-obs 15000\n")
+        f"data error: {data / 'T4.csv'}: ticker T4 has 4379 hourly returns in training year "
+        "2021, fewer than the 5000 a variance needs at --min-obs 5000\n")
     assert not out.exists()
 
 

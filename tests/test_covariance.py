@@ -61,13 +61,13 @@ def lag1_kernel(z):
 
 class TestEstimate:
     def test_self_covariance_is_variance(self):
-        # per return: the lag-1 kernel of the 500 hourly returns times 1/8760 h
+        # per return: the lag-1 kernel of the 500 hourly returns over their 500 steps
         rng = np.random.default_rng(0)
         r = rng.normal(0, 0.01, 500)
         candles = walk_candles({"A": r, "B": r})
         c = estimate_cov(candles, 1.0, min_obs=2)
         k, _, p = next(grid_bins(candles, 1.0))
-        want = lag1_kernel(support_returns(k, p)[1]) / 8760
+        want = lag1_kernel(support_returns(k, p)[1]) / 500
         assert c.c[0, 1] == pytest.approx(want, rel=1e-12)
         assert c.c[0, 0] == pytest.approx(want, rel=1e-12)
         assert c.n_obs[0, 1] == 3 * 500 - 2          # each return overlaps its neighbours
@@ -94,12 +94,12 @@ class TestEstimate:
     def test_partial_overlap_and_floor(self):
         rng = np.random.default_rng(3)
         candles = walk_candles({"A": rng.normal(size=100), "B": rng.normal(size=100)},
-                               first={"B": 60})
-        c = estimate_cov(candles, 1.0, min_obs=150)
-        # B's returns from bins 60..98 overlap three of A's, 99 two and 100 one
-        assert c.n_obs[0, 1] == 3 * 39 + 2 + 1
+                               first={"B": 80})
+        c = estimate_cov(candles, 1.0, min_obs=100)
+        # B's returns from bins 80..98 overlap three of A's, 99 two and 100 one
+        assert c.n_obs[0, 1] == 3 * 19 + 2 + 1
         assert np.isnan(c.c[0, 1])          # below the floor -> missing
-        assert np.isfinite(np.diag(c.c)).all()      # 298 pairs each
+        assert np.isfinite(np.diag(c.c)).all()      # 100 returns, 298 pairs each
         filled = c.filled()
         assert not np.isnan(filled.c).any()
         assert filled.c[0, 1] == 0.0        # nothing observed to impute from
@@ -115,7 +115,32 @@ class TestEstimate:
         za, zb = (r - np.mean(r) for r in (np.array(ra), rb))
         want = (za[0] * zb[:2].sum() + za[1] * zb[:3].sum() + za[2] * zb[1:13].sum()
                 + za[3] * zb[11:14].sum())
-        assert c.c[0, 1] == pytest.approx(want / 8760, rel=1e-12)
+        assert c.c[0, 1] == pytest.approx(want / 13, rel=1e-12)      # A spans bins 0..13
+
+    def test_different_spans_keep_a_perfect_correlation(self):
+        # one walk: A trades bins 0..6000, B only 2000..4000, C only 0..3000
+        # at every third bin. Each sum is divided by the steps both tickers
+        # span, so every raw ratio is about 1; divided by the grid's hours
+        # each was shrunk by T_ab / sqrt(T_a T_b) of the spans: 0.58, 0.71, 0.41
+        rng = np.random.default_rng(6)
+        r = rng.normal(0, 0.01, 6000)
+        candles = walk_candles({"A": r, "B": r[2000:4000], "C": r[:3000].reshape(-1, 3).sum(1)},
+                               first={"B": 2000}, gaps={"A": [1] * 6000, "B": [1] * 2000,
+                                                        "C": [3] * 1000})
+        c = estimate_cov(candles, 1.0, min_obs=2).c
+        raw = c / np.sqrt(np.outer(np.diag(c), np.diag(c)))
+        assert raw[np.triu_indices(3, 1)] == pytest.approx(1.0, abs=0.05)
+
+    def test_few_returns_beside_a_dense_ticker_are_below_the_floor(self):
+        # A's 10 returns span 1000 bins and overlap 1009 of B's returns, but
+        # a cell also needs min_obs returns of each ticker
+        rng = np.random.default_rng(7)
+        candles = walk_candles({"A": rng.normal(0, 0.03, 10), "B": rng.normal(0, 0.01, 1000)},
+                               gaps={"A": [100] * 10, "B": [1] * 1000})
+        c = estimate_cov(candles, 1.0, min_obs=50)
+        assert c.n_obs[0, 1] >= 1000
+        assert np.isnan(c.c[0]).all() and np.isnan(c.c[:, 0]).all()
+        assert np.isfinite(c.c[1, 1])
 
     def test_alternating_price_has_no_variance(self):
         # returns +a, -a, ...: the lag-1 kernel is (2 - m) a^2, not positive,
@@ -217,7 +242,7 @@ class TestCorrVsTau:
             clock = build_clock(series.values(), ClockKind.VOLUME_WEIGHTED, 2021)
             grid = np.array([1460.0, 2920.0, 8760.0])
         _, _, v = corr_vs_tau(txn_candles(series.values(), [clock]), grid, 1.0)
-        _, _, want = corr_vs_tau_loop(series, clock, grid, 1.0)
+        _, _, want, _ = corr_vs_tau_loop(series, clock, grid, 1.0)
         assert np.array_equal(np.isnan(v), np.isnan(want))
         assert np.allclose(v[~np.isnan(v)], want[~np.isnan(want)], rtol=1e-12, atol=0)
         assert np.isnan(v).sum() > 0
@@ -281,9 +306,10 @@ class TestTwoComponent:
 
     def test_pair_stats_empty_overlap(self):
         # the supports [0, 1], [1, 2] and [5, 6], [6, 7] never meet
-        hy, n = pair_stats([row([0, 1, 2]), row([5, 6, 7])], 8)
+        hy, n, steps = pair_stats([row([0, 1, 2]), row([5, 6, 7])], 8)
         assert n[0, 1] == n[1, 0] == 0 and hy[0, 1] == hy[1, 0] == 0.0
         assert n[0, 0] == n[1, 1] == 3 * 2 - 2
+        assert steps.tolist() == [[2, 0], [0, 2]]
 
     @pytest.mark.parametrize("idx", [[0, 2, 1], [0, 1, 1], [-1, 0, 1], [4, 5, 7]])
     def test_pair_stats_needs_increasing_starts_on_the_grid(self, idx):
@@ -308,7 +334,7 @@ class TestTwoComponent:
                       for b in range(blocks))
         tracemalloc.start()
         try:
-            hy, n_obs = pair_stats(iter(rows), width)
+            hy, n_obs, _ = pair_stats(iter(rows), width)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -355,7 +381,7 @@ class TestTwoComponent:
                 for _ in range(3)]
         tracemalloc.start()
         try:
-            _, n = pair_stats(rows, width)
+            _, n, _ = pair_stats(rows, width)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -433,9 +433,8 @@ def test_estimate_cov_matches_pair_loop(market, kind, tau, min_obs):
     series, years = market
     bins = {t: b for t, b in multi_year_bins_loop(series, years, kind, tau).items()
             if len(b[0]) >= 2}
-    per_return = tau / sum(hours_in_year(y) for y in years)
     want, n_obs, scale, doubtful = support_cov_loop([(k, p) for k, _, p in bins.values()],
-                                                    per_return, min_obs)
+                                                    min_obs)
     candles = txn_candles(series.values(), [build_clock(series.values(), kind, y) for y in years])
     got = estimate_cov(candles, tau, min_obs)
     assert got.tickers == list(bins) and np.array_equal(got.n_obs, n_obs)
@@ -536,8 +535,11 @@ def test_grid_cov_matches_pair_loop(data, block):
     want, want_n, scale = support_hy_loop([(k, p) for k, _, p in rows])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(covariance, "_BLOCK_BINS", block)
-        got, n_obs = pair_stats(iter(rows), width)
+        got, n_obs, steps = pair_stats(iter(rows), width)
     assert np.array_equal(n_obs, want_n)
+    ends = np.array([(k[0], k[-1]) if len(k) >= 2 else (0, 0) for k, _, _ in rows]).reshape(-1, 2)
+    want_steps = [[max(0, min(a[1], b[1]) - max(a[0], b[0])) for b in ends] for a in ends]
+    assert steps.tolist() == want_steps
     assert np.array_equal(got, got.T)
     assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
@@ -560,10 +562,11 @@ def candle_sets(draw):
 def test_corr_vs_tau_matches_pair_loop(series, tau0):
     clock = build_clock(series.values(), ClockKind.CLOCK, 2021)
     grid = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
-    want_pairs, want, want_v = corr_vs_tau_loop(series, clock, grid, tau0)
+    want_pairs, want, want_v, doubtful = corr_vs_tau_loop(series, clock, grid, tau0)
     tickers, got, v = corr_vs_tau(txn_candles(series.values(), [clock]), grid, tau0)
     assert [(tickers[i], tickers[j])
             for i, j in zip(*np.triu_indices(len(tickers), 1))] == want_pairs
+    got, want = got[~doubtful], want[~doubtful]
     assert np.array_equal(np.isnan(got), np.isnan(want))
     # a cell is c = rho / rho0, rho0 = rho at tau0. Each rho is within
     # e = 1e-12 * s of the loop's, s the row's largest |rho|, so
