@@ -7,11 +7,16 @@
 * correlation-discrepancy: long the stocks whose return fell most below
   its leave-one-out prediction, short the opposite tail, equal weights.
 
-The two market strategies share one fill engine, ``_book``, which takes
+The two market strategies share one fill engine, ``_fills``, which takes
 ``_BLOCK_HOURS`` decision hours per step as (side x ticker x hour) arrays;
-the block size bounds those temporaries. Its ledger lists trades by hour,
-then longs before shorts, then ticker (mean reversion) or rank
-(discrepancy). ``run_sim_meanrev`` is whole-panel arithmetic, no ledger.
+the block size bounds those temporaries and each block's trades. The first
+fill pass, ``_book``, keeps no trade: it gives the equity curve, the total
+pnl, the trade count, the notional and the skipped hours. The ledger is
+written block by block, as a second fill pass makes it. It lists trades by
+hour, then longs before shorts, then ticker (mean reversion) or rank
+(discrepancy). So a backtest holds the price panel and one block, whatever
+the number of trades. ``run_sim_meanrev`` is whole-panel arithmetic, no
+ledger.
 
 Decisions for hour h use only the average prices of hours h and h+1
 (fully causal); positions open during hour h+2+S at that hour's average
@@ -26,10 +31,13 @@ round trip would take ``c * qty * entry`` off a trade's pnl and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Callable, Iterator
+
 import numpy as np
 
-from .candles import write_table
+from .candles import write_blocks, write_table
 from .errors import DataError
 
 ANNUAL_HOURS = 8760.0
@@ -54,25 +62,26 @@ class StrategyConfig:
 
 @dataclass
 class TradeLedger:
-    hour: np.ndarray       # decision hour of each round trip
-    ticker: list[str]
-    side: np.ndarray       # +1 long, -1 short
-    qty: np.ndarray
-    entry: np.ndarray
-    exit: np.ndarray
-    pnl: np.ndarray
+    """A backtest's round trips, counted and summed by the first fill pass but
+    not kept: each call of ``blocks`` is a new fill pass, which yields each
+    block's rows as columns (hour, ticker, side, qty, entry, exit, pnl), side
+    +1 long and -1 short."""
+    blocks: Callable[[], Iterator[tuple]]
+    n_trades: int
+    total_pnl: float        # the exact sum of every trade's pnl, rounded once
 
     def __len__(self) -> int:
-        return len(self.hour)
-
-    def total_pnl(self) -> float:
-        return float(self.pnl.sum())
+        return self.n_trades
 
     def write_csv(self, path) -> None:
-        """One row per trade, floats as their repr, tickers quoted as csv does."""
-        write_table(path, ["hour", "ticker", "side", "qty", "entry", "exit", "pnl"],
-                    [self.hour, self.ticker, np.where(self.side > 0, "long", "short"),
-                     self.qty, self.entry, self.exit, self.pnl])
+        """One row per trade, floats as their repr, tickers quoted as csv does;
+        written a block at a time as the fills are made again."""
+        def rows():
+            for cols in self.blocks():
+                cols = (*cols[:2], np.where(cols[2] > 0, "long", "short"), *cols[3:])
+                yield cols
+                del cols        # freed before the next block is filled
+        write_blocks(path, ["hour", "ticker", "side", "qty", "entry", "exit", "pnl"], rows())
 
 
 @dataclass
@@ -130,8 +139,10 @@ def run_sim_meanrev(prices: np.ndarray) -> np.ndarray:
                      out=np.zeros(len(staked)), where=staked != 0)
 
 
-def _book(prices, tickers, entry_offset, sides) -> BacktestResult:
-    """Fill every decision hour, one block of ``_BLOCK_HOURS`` hours at a time.
+def _fills(prices, entry_offset, sides) -> Iterator[tuple]:
+    """One fill pass: per block of ``_BLOCK_HOURS`` decision hours, the hours
+    it books, the sides traded in them and its rows (decision hour, ticker
+    index, side, qty, entry, exit, pnl), each block let go before the next.
 
     ``sides(ok, r)`` gets a block's present mask and log returns (tickers x
     hours, r = 0 where a price is missing) and returns ``(members, weight,
@@ -143,39 +154,66 @@ def _book(prices, tickers, entry_offset, sides) -> BacktestResult:
     spread over them in proportion to weight; an hour in which a non-empty
     side has no fillable name books nothing and counts as skipped.
     """
+    n_decisions = max(prices.shape[1] - entry_offset - 1, 0)
+    return (_fill_block(prices, entry_offset, sides, h0, min(h0 + _BLOCK_HOURS, n_decisions))
+            for h0 in range(0, n_decisions, _BLOCK_HOURS))
+
+
+def _fill_block(prices, entry_offset, sides, h0: int, h1: int) -> tuple:
+    p0, p1 = prices[:, h0:h1], prices[:, h0 + 1:h1 + 1]
+    ok = np.isfinite(p0) & np.isfinite(p1)
+    r = np.zeros(ok.shape)
+    np.log(np.divide(p1, p0, out=r, where=ok), out=r, where=ok)
+    members, weight, order = sides(ok, r)
+    entry = prices[:, h0 + entry_offset:h1 + entry_offset]
+    exit_ = prices[:, h0 + entry_offset + 1:h1 + entry_offset + 1]
+    if order is not None:
+        entry = np.take_along_axis(entry, order, axis=0)
+        exit_ = np.take_along_axis(exit_, order, axis=0)
+    fill = members & np.isfinite(entry) & np.isfinite(exit_)
+    book = members[0].any(axis=0) & np.all(fill.any(axis=1) | ~members.any(axis=1), axis=0)
+    traded = int((fill.any(axis=1) & book).sum())
+    j, s, slot = np.nonzero((fill & book).transpose(2, 0, 1))  # hour, long first, slot
+    w = np.broadcast_to(weight, ok.shape)[slot, j]
+    side_sum = np.bincount(2 * j + s, w, 2 * (h1 - h0))[2 * j + s]
+    e, x = entry[slot, j], exit_[slot, j]
+    side = 1 - 2 * s
+    qty = w / side_sum / e
+    pnl = side * qty * (x - e)
+    tick = slot if order is None else order[slot, j]
+    return int(book.sum()), traded, (h0 + j, tick, side, qty, e, x, pnl)
+
+
+def _book(prices, tickers, entry_offset, sides) -> BacktestResult:
+    """The first fill pass (``_fills``), which keeps no row: the equity curve,
+    each block's pnl added by hour into one array, the exact total pnl
+    (``math.fsum``), the trades, skipped hours and notional. The ledger fills
+    the hours again each time it is read or written."""
     n_hours = prices.shape[1]
-    n_decisions = max(n_hours - entry_offset - 1, 0)
-    parts = [(np.empty(0, np.int64),) * 3 + (np.empty(0),) * 4]
-    skipped, notional = n_decisions, 0
-    for h0 in range(0, n_decisions, _BLOCK_HOURS):
-        h1 = min(h0 + _BLOCK_HOURS, n_decisions)
-        p0, p1 = prices[:, h0:h1], prices[:, h0 + 1:h1 + 1]
-        ok = np.isfinite(p0) & np.isfinite(p1)
-        r = np.zeros(ok.shape)
-        np.log(np.divide(p1, p0, out=r, where=ok), out=r, where=ok)
-        members, weight, order = sides(ok, r)
-        entry = prices[:, h0 + entry_offset:h1 + entry_offset]
-        exit_ = prices[:, h0 + entry_offset + 1:h1 + entry_offset + 1]
-        if order is not None:
-            entry = np.take_along_axis(entry, order, axis=0)
-            exit_ = np.take_along_axis(exit_, order, axis=0)
-        fill = members & np.isfinite(entry) & np.isfinite(exit_)
-        book = members[0].any(axis=0) & np.all(fill.any(axis=1) | ~members.any(axis=1), axis=0)
-        skipped -= int(book.sum())
-        notional += int((fill.any(axis=1) & book).sum())
-        j, s, slot = np.nonzero((fill & book).transpose(2, 0, 1))  # hour, long first, slot
-        w = np.broadcast_to(weight, ok.shape)[slot, j]
-        side_sum = np.bincount(2 * j + s, w, 2 * (h1 - h0))[2 * j + s]
-        e, x = entry[slot, j], exit_[slot, j]
-        side = 1 - 2 * s
-        qty = w / side_sum / e
-        pnl = side * qty * (x - e)
-        parts.append((h0 + j, slot if order is None else order[slot, j], side, qty, e, x, pnl))
-    hour, tick, side, qty, entry, exit_, pnl = (np.concatenate(col) for col in zip(*parts))
-    ledger = TradeLedger(hour, np.asarray(tickers, dtype=object)[tick].tolist(),
-                         side, qty, entry, exit_, pnl)
-    curve = EquityCurve(np.cumsum(np.bincount(hour, pnl, n_hours)))
-    return BacktestResult(ledger, curve, {"skipped_hours": skipped, "notional": notional})
+    by_hour = np.zeros(n_hours)
+    counts = {"skipped_hours": max(n_hours - entry_offset - 1, 0), "notional": 0, "n_trades": 0}
+
+    def pnls():
+        for booked, traded, rows in _fills(prices, entry_offset, sides):
+            hour, pnl = rows[0], rows[-1]
+            counts["skipped_hours"] -= booked
+            counts["notional"] += traded
+            counts["n_trades"] += len(pnl)
+            if len(hour):       # a block's hours are its own: their sums keep their bits
+                by_hour[hour[0]:hour[-1] + 1] = np.bincount(hour - hour[0], pnl)
+            yield from pnl.tolist()
+            del rows, hour, pnl         # freed before the next block is filled
+
+    total = math.fsum(pnls())
+    names = np.asarray(tickers, dtype=object)
+
+    def blocks():
+        for _, _, (hour, tick, *cols) in _fills(prices, entry_offset, sides):
+            yield (hour, names[tick].tolist(), *cols)
+            del hour, tick, cols        # freed before the next block is filled
+
+    ledger = TradeLedger(blocks, counts.pop("n_trades"), total)
+    return BacktestResult(ledger, EquityCurve(np.cumsum(by_hour)), counts)
 
 
 def run_market_meanrev(prices: np.ndarray, tickers: list[str], config: StrategyConfig,

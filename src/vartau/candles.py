@@ -527,16 +527,28 @@ def write_table(path, header: list[str], cols) -> None:
     longer row. Lines end in LF. Rows are formatted _WRITE_CELLS cells at a
     time; a matrix ``m`` is written row by row as ``m.T``.
     """
+    write_blocks(path, header, [cols])
+
+
+def write_blocks(path, header: list[str], blocks) -> None:
+    """``write_table`` of the rows of each column list that ``blocks`` yields, in
+    turn: the same bytes as of their concatenation, one block held at a time."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for cols in blocks:
+            _write_rows(fh, cols)
+            del cols        # freed before the next block is made
+
+
+def _write_rows(fh, cols) -> None:
     # text as Python strings, which hash and compare faster than NumPy's
     cols = [c.tolist() if isinstance(c, np.ndarray) and c.dtype.kind == "U" else c
             for c in cols]
     fields = [_field_format(c) for c in cols]
     step = max(1, _WRITE_CELLS // max(1, len(cols)))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
-        for lo in range(0, len(cols[0]) if len(cols) else 0, step):
-            block = (f(c[lo:lo + step]) for f, c in zip(fields, cols))
-            fh.write("\n".join(map(",".join, zip(*block))) + "\n")
+    for lo in range(0, len(cols[0]) if len(cols) else 0, step):
+        block = (f(c[lo:lo + step]) for f, c in zip(fields, cols))
+        fh.write("\n".join(map(",".join, zip(*block))) + "\n")
 
 
 def _field_format(col):

@@ -58,7 +58,7 @@ from . import predictor as pred
 from . import variogram as vg
 from .candles import (CandleSeries, candle_files, load_parsed, not_utf8, parse_candles,
                       read_hashed, sha256_file, write_table)
-from .clock import ClockKind, build_clock, year_bounds
+from .clock import ClockKind, build_clock, hours_in_year, year_bounds
 from .errors import DataError, NumericalError
 
 CLOCK_KINDS = [k.value for k in ClockKind]
@@ -102,9 +102,9 @@ class _CandleFiles:
     the sha256 of the content parsed; a later pass loads the same series by
     that digest with ``load_parsed`` or, with no cache entry (an unwritable
     directory), parses and hashes it again. Each command takes one pass per
-    year (all of predict's) for the clocks, then: ``variogram``, ``correlate``
-    (held across ``--tau-grid``) and ``backtest``, one; ``predict``, one for
-    the panel, then one per training year over the eligible tickers' files.
+    year (all of predict's) for the clocks, then one more: ``correlate``'s is
+    held across ``--tau-grid``, and ``predict``'s builds the hourly panel,
+    whose year blocks give every training year's covariance.
     """
 
     def __init__(self, data_dir: str):
@@ -285,7 +285,7 @@ def cmd_backtest(args):
         tickers, prices = panel.tickers, panel.price
         result = (bt.run_xcorr_strategy(prices, tickers, coeffs, config) if coeffs else
                   bt.run_market_meanrev(prices, tickers, config, long_only=args.long_only))
-        total, notional = result.ledger.total_pnl(), result.info["notional"]
+        total, notional = result.ledger.total_pnl, result.info["notional"]
         summary = {"annualized_yield": bt.annualized_yield(result.curve), "total_pnl": total,
                    "breakeven_cost": total / notional if notional else None,
                    "n_trades": len(result.ledger), **result.info}
@@ -303,16 +303,13 @@ def cmd_predict(args):
         pred.check_ridge(args.ridge)
     candles, inputs = _mapped(args.data_dir, all_years, args.kind)
     panel = pn.build_panel(candles, args.min_active_fraction)
-    tickers = panel.tickers
-    # one more pass per training year, over the eligible tickers' files
-    cmats = {ty: cov.estimate_cov(candles.select(tickers, ty), 1.0, min_obs=args.min_obs)
-             for ty in train_years}
     del candles         # the view holds the clocks' knots
-    returns = panel.adjacent_returns()
-    # before training, so a ticker with no return variance is named before any fit
+    tickers = panel.tickers
+    # before training, so a ticker with no return variance is named before any
+    # fit; each year's returns are made when they are used and let go after
     grid: dict[str, dict] = {"none": {}}
     for py in predict_years:
-        r = returns[py]
+        r = panel.adjacent_returns(py)
         variances = np.array([0.0 if np.isnan(x).all() else np.nanvar(x) for x in r])
         flat = np.flatnonzero(~(variances > 0))     # 0 with no return, where nanvar warns
         if len(flat):
@@ -321,8 +318,13 @@ def cmd_predict(args):
                             f"return variance in year {py}")
         naive = pred.predict(pred.market_mode(tickers, variances), r)
         grid["none"][str(py)] = pred.prediction_report(naive, r)
+        del r, naive
     need = max(args.min_obs, (cov.MIN_VARIANCE_OBS + 2) // 3)     # returns
-    for ty, cmat in cmats.items():
+    cmats = {}
+    for ty in train_years:
+        # the year's hourly bins are its block of the panel: no pass over the files
+        cmat = cmats[ty] = cov.estimate_cov(tickers, panel.bins(ty), hours_in_year(ty),
+                                            min_obs=args.min_obs)
         if cmat.tickers != tickers:
             raise DataError(f"year {ty}: an eligible ticker has no hourly return")
         missing = np.flatnonzero(np.isnan(np.diag(cmat.c)))
@@ -332,18 +334,24 @@ def cmd_predict(args):
                 f"{m} hourly returns in training year {ty}, fewer than the {need} "
                 f"a variance needs at --min-obs {args.min_obs}" if m < need
                 else f"a non-positive hourly return variance in training year {ty}"))
-    files = {}
+    files, fits = {}, {}
     for ty in train_years:
         cmat = cmats.pop(ty).filled()
         ridge = args.ridge if args.ridge is not None else pred.default_ridge(cmat)
         a = pred.invert_with_ridge(cmat, ridge)
         b = pred.loo_coefficients(a)
         if args.refine:
-            others = [returns[y] for y in train_years if y != ty] or [returns[ty]]
-            b, _ = pred.gradient_refine(returns[ty], others, b)
+            train = panel.adjacent_returns(ty)
+            others = [panel.adjacent_returns(y) for y in train_years if y != ty] or [train]
+            b, _ = pred.gradient_refine(train, others, b)
+            del train, others
         files[f"coeffs_{ty}.csv"] = b.write_csv
-        grid[str(ty)] = {str(py): pred.prediction_report(pred.predict(b, returns[py]), returns[py])
-                         for py in predict_years}
+        fits[str(ty)], grid[str(ty)] = b, {}
+    for py in predict_years:
+        r = panel.adjacent_returns(py)
+        for ty, b in fits.items():
+            grid[ty][str(py)] = pred.prediction_report(pred.predict(b, r), r)
+        del r
     files["report.json"] = _json("report.json", {"tickers": tickers, "fve_grid": grid})
     return inputs, files, grid
 
@@ -357,7 +365,8 @@ def cmd_correlate(args):
     if grid is not None:        # held once, for the covariances and every tau of rho(tau)
         candles = candles.held()
 
-    cmat = cov.estimate_cov(candles, args.tau, min_obs=args.min_obs)
+    cmat = cov.estimate_cov(candles.tickers, pn.grid_bins(candles, args.tau),
+                            sum(candles.widths(args.tau)), min_obs=args.min_obs)
     if not cmat.tickers:
         raise DataError("no ticker has enough bins at the requested tau")
     files = {"cov.csv": cmat.write_csv,

@@ -110,8 +110,9 @@ class TwoComponentModel:
 def pair_stats(bins, width: int):
     """Support Hayashi-Yoshida sums and overlap counts of all pairs of rows.
 
-    Row i is the i-th (grid index, bin time, bin price) of ``grid_bins``,
-    read once, its indices strictly increasing inside [0, width). Its
+    Row i is the i-th (grid index, bin time, bin price) of ``grid_bins`` or
+    ``Panel.bins``, read once; the time is not read. Its indices are strictly
+    increasing inside [0, width). Its
     returns z_j are demeaned log differences of its prices, with supports
     [k_j, k_{j+1}]. Returns (hy, n_obs, steps): hy[a, b] sums z_a,i z_b,j
     over the pairs of returns whose supports overlap, n_obs[a, b] counts them
@@ -217,23 +218,25 @@ def _per_return(bins, width: int):
     return c, n_obs
 
 
-def estimate_cov(candles: TxnCandles, tau: float, min_obs: int = DEFAULT_MIN_OBS) -> CovMatrix:
-    """Support-HY covariance per return (``_per_return``), in one pass over
-    the candles; a ticker with no return is left out. A cell is NaN where
+def estimate_cov(tickers: list[str], bins, width: int,
+                 min_obs: int = DEFAULT_MIN_OBS) -> CovMatrix:
+    """Support-HY covariance per return (``_per_return``) of the tickers' rows
+    of ``bins`` on a grid of ``width`` columns, as ``pair_stats`` takes them,
+    read once; a ticker with no return is left out. A cell is NaN where
     ``_per_return`` leaves it so, below min_obs overlapping return pairs, and
     where either ticker has fewer than min_obs returns."""
-    tickers = []
+    kept = []
     def rows():
-        for t, row in zip(candles.tickers, grid_bins(candles, tau)):
+        for t, row in zip(tickers, bins):
             if len(row[0]) >= 2:
-                tickers.append(t)
+                kept.append(t)
                 yield row
             del row
-    c, n_obs = _per_return(rows(), sum(candles.widths(tau)))
+    c, n_obs = _per_return(rows(), width)
     returns = (np.diag(n_obs) + 2) // 3     # m returns overlap in 3 m - 2 pairs
     few = np.minimum.outer(returns, returns) < min_obs
     c[few | (n_obs < min_obs)] = np.nan
-    return CovMatrix(tickers, c, n_obs)
+    return CovMatrix(kept, c, n_obs)
 
 
 def cov_to_corr(c: CovMatrix) -> CorrMatrix:

@@ -14,8 +14,11 @@ axis, so the return between consecutive bins, which covariance, rho(tau)
 and the difference-of-average variogram take, may cross a year boundary.
 
 A ``Panel`` holds the same grid's tau = 1 bin-mean prices, NaN where a
-ticker (row) has no candle in the hour (column). ``predict`` scores its
-``adjacent_returns``, which stay within each year; the backtests trade on it.
+ticker (row) has no candle in the hour (column), in one array that
+``build_panel`` fills row by row. ``predict`` reads each training year's
+covariance from the year's ``bins`` and scores one year's
+``adjacent_returns`` at a time, which stay within the year; the backtests
+trade on it.
 """
 
 from __future__ import annotations
@@ -112,10 +115,18 @@ class Panel:
     blocks: list[slice]      # each year's columns, in the order of ``years``
     price: np.ndarray        # (ticker, hour) mean representative price, NaN if empty
 
-    def adjacent_returns(self) -> dict[int, np.ndarray]:
-        """Per year, log returns of adjacent columns; NaN unless both are present."""
-        return {y: np.log(self.price[:, sl][:, 1:] / self.price[:, sl][:, :-1])
-                for y, sl in zip(self.years, self.blocks)}
+    def adjacent_returns(self, year: int) -> np.ndarray:
+        """The year's log returns of adjacent columns; NaN unless both are present."""
+        p = self.price[:, self.blocks[self.years.index(year)]]
+        return np.log(p[:, 1:] / p[:, :-1])
+
+    def bins(self, year: int) -> Iterator[tuple]:
+        """Per ticker, in order, its tau = 1 bins in the year as ``grid_bins``
+        gives them on that year's block alone: (grid index, None, bin price)
+        of each present hour. No bin time is kept, so none is given."""
+        for row in self.price[:, self.blocks[self.years.index(year)]]:
+            k = np.flatnonzero(np.isfinite(row))
+            yield k, None, row[k]
 
 
 def build_panel(candles: TxnCandles, min_active_fraction: float | None = None) -> Panel:
@@ -123,24 +134,30 @@ def build_panel(candles: TxnCandles, min_active_fraction: float | None = None) -
 
     Given a share in (0, 1], only the tickers with a bin in at least that share
     of every year's columns are kept (exactly that share keeps one), and a panel
-    that keeps none raises DataError.
+    that keeps none raises DataError. Each ticker's row is made in place, at the
+    next row of the result, and a row that is not kept is overwritten, so the
+    panel is the one array of rows.
     """
     if min_active_fraction is not None:
         check_active_fraction(min_active_fraction)
     widths = candles.widths(1.0)
     ends = np.cumsum(widths).tolist()
     blocks = [slice(a, b) for a, b in zip([0] + ends[:-1], ends)]
-    tickers, rows = [], []
+    # pages of rows never reached are never written, so they take no memory
+    price = np.empty((len(candles.tickers), ends[-1]))
+    tickers = []
     for t, (k, _, p) in zip(candles.tickers, grid_bins(candles, 1.0)):
-        row = np.full(ends[-1], np.nan)
-        row[k] = p
-        if min_active_fraction is None or all(np.isfinite(row[sl]).sum() / w >= min_active_fraction
+        i = len(tickers)
+        price[i] = np.nan
+        price[i, k] = p
+        if min_active_fraction is None or all(np.isfinite(price[i, sl]).sum() / w
+                                              >= min_active_fraction
                                               for sl, w in zip(blocks, widths)):
             tickers.append(t)
-            rows.append(row)
-    if min_active_fraction is not None and not rows:
+    if min_active_fraction is not None and not tickers:
         raise DataError("no tickers pass the eligibility filter")
-    return Panel(tickers, candles.years, blocks, np.array(rows).reshape(len(rows), ends[-1]))
+    price.resize((len(tickers), ends[-1]), refcheck=False)    # the rows kept, not a copy
+    return Panel(tickers, candles.years, blocks, price)
 
 
 def check_active_fraction(value: float) -> None:

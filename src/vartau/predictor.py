@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -177,24 +178,41 @@ def prediction_report(r_hat: np.ndarray, r: np.ndarray) -> dict[str, float]:
             "fve_plain": float(np.nanmean(plain_k))}
 
 
+def _column_blocks(v: np.ndarray) -> Iterator[tuple]:
+    """A panel's column blocks of about ``_SCORE_CELLS`` cells: each block's
+    columns, and a copy of them with NaN as 0, made when the block is reached."""
+    step = max(1, _SCORE_CELLS // max(len(v), 1))
+    for lo in range(0, v.shape[1], step):
+        cols = slice(lo, lo + step)
+        yield cols, np.nan_to_num(v[:, cols])
+
+
 def validation_fmse(validation: list[np.ndarray]):
     """b -> the FMSE of ``predict(b, v)`` (over the tickers with a non-zero outcome, the
     mean of squared error over sum of squares), averaged over the panels v. Each panel's
-    mask, usable tickers and sums of squares are taken once; no zero-filled copy is kept."""
+    usable tickers and sums of squares are taken once, and each call scores column blocks
+    of ``_SCORE_CELLS`` cells: no zero-filled copy of a panel is made."""
     panels = []
     for v in validation:
-        rr = np.where(np.isnan(v), 0.0, np.nan_to_num(v) ** 2).sum(axis=1)
+        rr = np.zeros(len(v))
+        for _, z in _column_blocks(v):
+            rr += np.square(z, out=z).sum(axis=1)
+            del z
         if not (rr > 0).any():
             raise DataError("no ticker has usable observations")
-        panels.append((v, np.isnan(v), rr > 0, rr[rr > 0]))
+        panels.append((v, rr > 0, rr[rr > 0]))
 
-    def fmse(b, v, missing, use, rr) -> float:
-        z = np.nan_to_num(v, nan=0.0)
-        err = np.nan_to_num(b @ z, copy=False)
-        err -= z
-        np.square(err, out=err)
-        err[missing] = 0.0
-        return float(np.mean(err.sum(axis=1)[use] / rr))
+    def fmse(b, v, use, rr) -> float:
+        err2 = np.zeros(len(v))
+        for cols, z in _column_blocks(v):
+            err = np.nan_to_num(b @ z, copy=False)
+            err -= z
+            del z
+            np.square(err, out=err)
+            err[np.isnan(v[:, cols])] = 0.0
+            err2 += err.sum(axis=1)
+            del err         # each block's buffers are freed before the next is made
+        return float(np.mean(err2[use] / rr))
     return lambda b: float(np.mean([fmse(b, *panel) for panel in panels]))
 
 
@@ -216,11 +234,15 @@ def gradient_refine(train: np.ndarray, validation: list[np.ndarray],
     validation panels, never worse than the initialization; the info dict
     counts the accepted steps.
     """
-    train = np.nan_to_num(np.asarray(train, dtype=float), nan=0.0)
+    train = np.asarray(train, dtype=float)
     n, n_h = train.shape
     if n != len(init.tickers):
         raise DataError("training panel does not match coefficient tickers")
-    s = train @ train.T / n_h
+    s = np.zeros((n, n))        # the second moment, NaN as 0, a column block at a time
+    for _, z in _column_blocks(train):
+        s += z @ z.T
+        del z
+    s /= n_h
 
     val_fmse = validation_fmse(validation)
 

@@ -13,10 +13,11 @@ and so must rho(tau) and the variances behind the ``predicted`` column of its
 table, which a second binning pass makes. Shot-noise paths must agree within
 the far-field series' truncation and rounding error. The block-wise backtests
 must book the same trades in the same row order with equal fill prices and
-skipped hours; a side's weights are normalized once instead of twice and the
-hourly pnl summed in another order, so qty must be within 1e-12 relative,
-pnl within 1e-12 of the terms it subtracts and cum_pnl within 1e-12 of the
-summed |pnl|. The per-metric scores that ``prediction_report`` replaced,
+skipped hours. The loops add a side's weights and an hour's pnl one trade at
+a time in ledger order, as ``np.bincount`` does, so at zero cost ledgers and
+equity curves must be equal bit for bit, whatever the block size; at a cost,
+pnl must be within 1e-12 of the terms it subtracts and cum_pnl within 1e-12
+of the summed |pnl|. The per-metric scores that ``prediction_report`` replaced,
 means over the tickers with an observed non-zero outcome, must equal its
 entries when every ticker has one, and be within 1e-12 relative otherwise,
 since its NaN-skipping mean sums in another order. ``naive_predict_loop`` is
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import csv
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,10 +38,11 @@ import numpy as np
 from vartau.backtest import ANNUAL_HOURS, BacktestResult, EquityCurve, TradeLedger
 from vartau.candles import CSV_HEADER, CandleSeries, bin_coordinates
 from vartau.clock import ClockKind, ClockMap, build_clock, hours_in_year, year_bounds
-from vartau.covariance import corr_vs_tau, predicted_corr_ratio
+from vartau.covariance import (DEFAULT_MIN_OBS, corr_vs_tau, estimate_cov,
+                               predicted_corr_ratio)
 from vartau.errors import DataError
 from vartau.hurst import HurstParams, PricePanel, SimConfig, _postprocess
-from vartau.panel import TxnCandles, build_panel
+from vartau.panel import TxnCandles, build_panel, grid_bins
 from vartau.predictor import _per_ticker_moments
 from vartau.variogram import PERCENTILES, Variogram
 
@@ -49,6 +52,12 @@ def txn_candles(series, clocks) -> TxnCandles:
     ``cli._CandleFiles.view`` gives one of a directory's files."""
     by_ticker = {s.ticker: s for s in series}
     return TxnCandles(sorted(by_ticker), clocks, by_ticker.__getitem__)
+
+
+def candle_cov(candles: TxnCandles, tau: float, min_obs: int = DEFAULT_MIN_OBS):
+    """``estimate_cov`` of a view's ``grid_bins`` at tau, as ``correlate`` takes it."""
+    return estimate_cov(candles.tickers, grid_bins(candles, tau), sum(candles.widths(tau)),
+                        min_obs)
 
 
 def validate_row(t, o, h, l, c, v) -> None:
@@ -525,6 +534,35 @@ def write_panel_csv_rows(panel: PricePanel, path) -> None:
 BALANCE_TOL = 1e-9
 
 
+@dataclass
+class LedgerRows:
+    """Every row of a ledger at once, as columns."""
+    hour: np.ndarray
+    ticker: list[str]
+    side: np.ndarray
+    qty: np.ndarray
+    entry: np.ndarray
+    exit: np.ndarray
+    pnl: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.hour)
+
+    @property
+    def total_pnl(self) -> float:
+        return math.fsum(self.pnl.tolist())
+
+
+_NO_ROWS = (np.empty(0, np.int64), [], np.empty(0, np.int64), *[np.empty(0)] * 4)
+
+
+def ledger_rows(ledger: TradeLedger) -> LedgerRows:
+    """A streamed ledger's blocks concatenated."""
+    hour, ticker, *cols = zip(*ledger.blocks(), _NO_ROWS)
+    return LedgerRows(np.concatenate(hour), [t for part in ticker for t in part],
+                      *map(np.concatenate, cols))
+
+
 def _settle(p_entry, p_exit, sides, h, cost, rows) -> bool:
     """Fill every side of one hour, or none when a side cannot fill; each fill
     pays ``cost`` per round trip, as a fraction of its notional."""
@@ -535,7 +573,10 @@ def _settle(p_entry, p_exit, sides, h, cost, rows) -> bool:
             return False
         fills.append((members[ok], weights[ok], side))
     for members, weights, side in fills:
-        notional = weights / weights.sum()
+        total = 0.0
+        for w in weights.tolist():      # one at a time, in ledger order
+            total += w
+        notional = weights / total
         qty = notional / p_entry[members]
         move = p_exit[members] - p_entry[members]
         pnl = side * qty * move - cost * notional
@@ -550,10 +591,11 @@ def _collect(rows, tickers, n_hours) -> BacktestResult:
         for k in range(len(members)):
             hour.append(h); names.append(tickers[members[k]]); side.append(s)
             qty.append(q[k]); entry.append(pe[k]); exit_.append(px[k]); pnl.append(pl[k])
-        pnl_by_hour[h] += pl.sum()
-    ledger = TradeLedger(np.asarray(hour, dtype=np.int64), names,
-                         np.asarray(side, dtype=np.int64), np.asarray(qty),
-                         np.asarray(entry), np.asarray(exit_), np.asarray(pnl))
+        for v in pl.tolist():           # one at a time, in ledger order
+            pnl_by_hour[h] += v
+    ledger = LedgerRows(np.asarray(hour, dtype=np.int64), names,
+                        np.asarray(side, dtype=np.int64), np.asarray(qty),
+                        np.asarray(entry), np.asarray(exit_), np.asarray(pnl))
     curve = EquityCurve(np.cumsum(pnl_by_hour))
     return BacktestResult(ledger, curve, {"notional": len(rows)})   # one row per traded side
 
@@ -576,9 +618,9 @@ def run_market_meanrev_loop(prices, tickers, config, long_only=False,
         if len(longs) < config.min_side_count or len(shorts) < config.min_side_count:
             skipped += 1
             continue
-        sides = [(longs, np.abs(r[longs]) / np.abs(r[longs]).sum(), +1)]
+        sides = [(longs, np.abs(r[longs]), +1)]
         if not long_only:
-            sides.append((shorts, np.abs(r[shorts]) / np.abs(r[shorts]).sum(), -1))
+            sides.append((shorts, np.abs(r[shorts]), -1))
         if not _settle(prices[:, h + entry_offset], prices[:, h + entry_offset + 1],
                        sides, h, cost, rows):
             skipped += 1
@@ -623,7 +665,7 @@ def run_xcorr_strategy_loop(prices, tickers, coeffs, config, cost=0.0) -> Backte
     return result
 
 
-def write_ledger_csv_rows(ledger: TradeLedger, path) -> None:
+def write_ledger_csv_rows(ledger: LedgerRows, path) -> None:
     """The trade ledger written by ``csv.writer``, one row at a time."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")

@@ -1,11 +1,14 @@
 """Backtest engines: fills, accounting, causality, strategy behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import BALANCE_TOL, run_market_meanrev_loop, txn_candles
+from oracles import BALANCE_TOL, ledger_rows, run_market_meanrev_loop, txn_candles
+from vartau import backtest
 from vartau.backtest import (EquityCurve, StrategyConfig, annualized_yield,
                              rms_hourly_return, run_market_meanrev,
                              run_sim_meanrev, run_xcorr_strategy)
@@ -159,7 +162,7 @@ class TestMarketMeanrev:
         prices[3, 50:70] = np.nan    # gaps must not break the balance
         res = run_market_meanrev(prices, [f"T{i}" for i in range(12)],
                                  strategy_config(min_side_count=2))
-        ledger = res.ledger
+        ledger = ledger_rows(res.ledger)
         for h in np.unique(ledger.hour):
             rows = ledger.hour == h
             for side in (1, -1):
@@ -173,7 +176,7 @@ class TestMarketMeanrev:
         prices = np.exp(np.cumsum(rng.normal(0, 0.01, size=(8, 150)), axis=1))
         res = run_market_meanrev(prices, [f"T{i}" for i in range(8)],
                                  strategy_config(min_side_count=2))
-        assert res.curve.cum_pnl[-1] == pytest.approx(res.ledger.total_pnl(),
+        assert res.curve.cum_pnl[-1] == pytest.approx(res.ledger.total_pnl,
                                                       abs=1e-12)
 
     def test_long_only_has_no_shorts(self):
@@ -181,7 +184,7 @@ class TestMarketMeanrev:
         prices = np.exp(np.cumsum(rng.normal(0, 0.01, size=(8, 100)), axis=1))
         res = run_market_meanrev(prices, [f"T{i}" for i in range(8)],
                                  strategy_config(min_side_count=2), long_only=True)
-        assert np.all(res.ledger.side == 1)
+        assert np.all(ledger_rows(res.ledger).side == 1)
 
     def test_missing_fill_redistributes_within_side(self):
         # three decliners, one loses its entry price: its stake moves to
@@ -193,10 +196,11 @@ class TestMarketMeanrev:
         prices[3] = [10, 11.0, 11.1, 11.2, 11.3, 11.4, 11.5, 11.6]
         prices[2, 2] = np.nan        # decision hour 0 entry (h+2) missing
         res = run_market_meanrev(prices, list("ABCD"), strategy_config())
-        rows = (res.ledger.hour == 0) & (res.ledger.side == 1)
-        names = sorted(np.array(res.ledger.ticker)[rows])
+        ledger = ledger_rows(res.ledger)
+        rows = (ledger.hour == 0) & (ledger.side == 1)
+        names = sorted(np.array(ledger.ticker)[rows])
         assert names == ["A", "B"]
-        assert np.sum(res.ledger.qty[rows] * res.ledger.entry[rows]) == \
+        assert np.sum(ledger.qty[rows] * ledger.entry[rows]) == \
             pytest.approx(1.0, rel=1e-12)
 
     def test_breakeven_cost_zeroes_the_total(self):
@@ -205,11 +209,11 @@ class TestMarketMeanrev:
         tickers, config = [f"T{i}" for i in range(8)], strategy_config(min_side_count=2)
         free = run_market_meanrev(prices, tickers, config)
         # both sides of every traded hour stake one unit
-        assert free.info["notional"] == 2 * len(np.unique(free.ledger.hour)) > 0
-        breakeven = free.ledger.total_pnl() / free.info["notional"]
+        assert free.info["notional"] == 2 * len(np.unique(ledger_rows(free.ledger).hour)) > 0
+        breakeven = free.ledger.total_pnl / free.info["notional"]
         assert breakeven != 0
         charged = run_market_meanrev_loop(prices, tickers, config, cost=breakeven).ledger
-        assert abs(charged.total_pnl()) <= BALANCE_TOL * np.abs(charged.pnl).sum()
+        assert abs(charged.total_pnl) <= BALANCE_TOL * np.abs(charged.pnl).sum()
 
     def test_causality_injection(self):
         rng = np.random.default_rng(7)
@@ -222,11 +226,12 @@ class TestMarketMeanrev:
         other = run_market_meanrev(bumped, [f"T{i}" for i in range(10)],
                                    strategy_config(min_side_count=2))
         def decisions(res, h_max):
-            keep = res.ledger.hour < h_max
-            return (res.ledger.hour[keep].tolist(),
-                    np.array(res.ledger.ticker)[keep].tolist(),
-                    res.ledger.side[keep].tolist(),
-                    np.round(res.ledger.qty[keep] * res.ledger.entry[keep],
+            ledger = ledger_rows(res.ledger)
+            keep = ledger.hour < h_max
+            return (ledger.hour[keep].tolist(),
+                    np.array(ledger.ticker)[keep].tolist(),
+                    ledger.side[keep].tolist(),
+                    np.round(ledger.qty[keep] * ledger.entry[keep],
                              12).tolist())
         assert decisions(base, h_prime - 1) == decisions(other, h_prime - 1)
 
@@ -243,11 +248,12 @@ def gappy_prices(draw, max_n=8):
 
 def assert_market_neutral(res, n_decisions):
     """Every traded hour books both sides at the unit stake; the rest are skipped."""
-    notional = res.ledger.qty * res.ledger.entry
-    hours = np.unique(res.ledger.hour)
+    ledger = ledger_rows(res.ledger)
+    notional = ledger.qty * ledger.entry
+    hours = np.unique(ledger.hour)
     for h in hours:
         for side in (1, -1):
-            sel = (res.ledger.hour == h) & (res.ledger.side == side)
+            sel = (ledger.hour == h) & (ledger.side == side)
             assert sel.any()
             assert notional[sel].sum() == pytest.approx(1.0, rel=1e-9)
     assert len(hours) + res.info["skipped_hours"] == n_decisions
@@ -288,11 +294,12 @@ class TestXcorr:
         k = max(1, int(0.2 * n))
         want_long = set(np.argsort(r, kind="stable")[:k])
         want_short = set(np.argsort(-r, kind="stable")[:k])
-        rows = res.ledger.hour == h
-        got_long = {int(t[1:]) for t, s in zip(np.array(res.ledger.ticker)[rows],
-                                               res.ledger.side[rows]) if s == 1}
-        got_short = {int(t[1:]) for t, s in zip(np.array(res.ledger.ticker)[rows],
-                                                res.ledger.side[rows]) if s == -1}
+        ledger = ledger_rows(res.ledger)
+        rows = ledger.hour == h
+        got_long = {int(t[1:]) for t, s in zip(np.array(ledger.ticker)[rows],
+                                               ledger.side[rows]) if s == 1}
+        got_short = {int(t[1:]) for t, s in zip(np.array(ledger.ticker)[rows],
+                                                ledger.side[rows]) if s == -1}
         assert got_long == want_long and got_short == want_short
 
     def test_tie_break_by_ticker_order(self):
@@ -301,9 +308,10 @@ class TestXcorr:
         b = PredictionCoeffs(list("ABCD"), np.zeros((4, 4)))
         cfg = strategy_config(staleness=0, top_fraction=0.25)
         res = run_xcorr_strategy(prices, list("ABCD"), b, cfg)
-        names = np.array(res.ledger.ticker)
+        ledger = ledger_rows(res.ledger)
+        names = np.array(ledger.ticker)
         def side_names(h, side):
-            return names[(res.ledger.hour == h) & (res.ledger.side == side)].tolist()
+            return names[(ledger.hour == h) & (ledger.side == side)].tolist()
         # hour 0: C and D fell alike, A and B rose alike; the first of each tie wins
         assert side_names(0, 1) == ["C"] and side_names(0, -1) == ["B"]
         # hour 1 ties two ways, later hours all four ways: first ticker long, last short
@@ -318,10 +326,11 @@ class TestXcorr:
         for s in (0, 2):
             cfg = strategy_config(staleness=s, top_fraction=0.25)
             res = run_xcorr_strategy(prices, list("ABCD"), b, cfg)
-            if len(res.ledger):
-                first = res.ledger.hour[0]
-                entry = res.ledger.entry[0]
-                tick = int("ABCD".index(res.ledger.ticker[0]))
+            ledger = ledger_rows(res.ledger)
+            if len(ledger):
+                first = ledger.hour[0]
+                entry = ledger.entry[0]
+                tick = int("ABCD".index(ledger.ticker[0]))
                 assert entry == pytest.approx(prices[tick, first + 2 + s])
 
     def test_non_finite_coeffs_rejected(self):
@@ -351,3 +360,27 @@ class TestYield:
         n = 2 * 8760
         c = EquityCurve(np.cumsum(np.full(n, p)))
         assert annualized_yield(c) == pytest.approx(8760 * p)
+
+
+def test_meanrev_memory_grows_with_the_panel_not_the_trades(tmp_path):
+    # the first fill pass keeps no trade and the ledger is written a block at a
+    # time: six times the hours (and the trades) may raise the peak of booking
+    # and writing by the panel's growth and one block, not by the trades
+    n, tickers = 20, [f"T{i}" for i in range(20)]
+
+    def peak(hours):
+        rng = np.random.default_rng(1)
+        prices = np.exp(np.cumsum(rng.normal(0, 0.01, (n, hours)), axis=1))
+        tracemalloc.start()
+        try:
+            res = run_market_meanrev(prices, tickers, strategy_config())
+            res.ledger.write_csv(tmp_path / f"ledger_{hours}.csv")
+            return tracemalloc.get_traced_memory()[1], len(res.ledger)
+        finally:
+            tracemalloc.stop()
+
+    hours = 2 * backtest._BLOCK_HOURS
+    (one, trades), (six, six_trades) = peak(hours), peak(6 * hours)
+    assert six_trades > 5 * trades > 5 * 10 * hours         # about 20 trades an hour
+    block = 2 * n * backtest._BLOCK_HOURS * 8
+    assert six - one < n * 5 * hours * 8 + block, (one, six)

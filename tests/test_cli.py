@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import (corr_vs_tau_csv_loop, multi_year_bins_loop, support_cov_loop,
+from oracles import (candle_cov, corr_vs_tau_csv_loop, multi_year_bins_loop, support_cov_loop,
                      txn_candles,
                      write_ensemble_csv_rows, write_yearly_returns_csv_rows)
 from vartau import candles, cli
@@ -23,7 +23,9 @@ from vartau.clock import ClockKind, build_clock, year_bounds
 from vartau.covariance import corr_vs_tau
 from vartau.hurst import (HurstParams, SimConfig, read_panel_csv, simulate_fbm,
                           simulate_shot_noise)
-from vartau.predictor import PredictionCoeffs
+from vartau.panel import build_panel
+from vartau.predictor import (PredictionCoeffs, default_ridge, invert_with_ridge,
+                              loo_coefficients)
 from vartau.synthetic import point_candles, random_walk_candles
 from vartau.variogram import (Variogram, default_tau_grid, percentile_curves, value_at,
                               variogram_diff_of_avg)
@@ -540,6 +542,25 @@ def test_settings_table_covers_every_option():
         options = {a.option_strings[-1] for a in parser._actions if a.option_strings}
         covered = set().union(*(flags for (c, _), (_, flags) in SETTINGS.items() if c == command))
         assert options - {"--help", "--out-dir", "--method", "--strategy"} == covered, command
+
+
+@pytest.mark.parametrize("share", ["0.5", "0.4"])
+@pytest.mark.parametrize("train", ["2021", "2021,2022"], ids=["one", "two"])
+def test_predict_fits_the_candle_paths_covariances(data, tmp_path, train, share):
+    # each training year's covariance is read off its block of the panel; the
+    # coefficients are those of a pass over that year's candles of the same tickers
+    out = tmp_path / "out"
+    assert cli.main(["predict", "--data-dir", str(data), "--train-years", train,
+                     "--predict-years", "2022", "--min-active-fraction", share,
+                     "--out-dir", str(out)]) == 0
+    stream = cli._CandleFiles(str(data))
+    view = stream.view([build_clock(stream, ClockKind.DOLLAR_WEIGHTED, y) for y in YEARS])
+    tickers = build_panel(view, float(share)).tickers
+    assert len(tickers) == (3 if share == "0.5" else 4)      # of 6
+    for ty in map(int, train.split(",")):
+        cmat = candle_cov(view.select(tickers, ty), 1.0).filled()
+        loo_coefficients(invert_with_ridge(cmat, default_ridge(cmat))).write_csv(tmp_path / "want")
+        assert (out / f"coeffs_{ty}.csv").read_bytes() == (tmp_path / "want").read_bytes()
 
 
 def test_refine_does_not_validate_on_a_predict_year(data, tmp_path):

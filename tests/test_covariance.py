@@ -6,11 +6,12 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import corr_vs_tau_loop, support_hy_loop, support_returns, txn_candles
+from oracles import (candle_cov, corr_vs_tau_loop, support_hy_loop, support_returns,
+                     txn_candles)
 from vartau import covariance, panel
 from vartau.clock import ClockKind, build_clock, year_bounds
 from vartau.covariance import (CovMatrix, TwoComponentModel, cov_to_corr, corr_vs_tau,
-                               estimate_cov, pair_stats, predicted_corr_ratio,
+                               pair_stats, predicted_corr_ratio,
                                simulate_two_component)
 from vartau.errors import DataError
 from vartau.panel import grid_bins
@@ -65,7 +66,7 @@ class TestEstimate:
         rng = np.random.default_rng(0)
         r = rng.normal(0, 0.01, 500)
         candles = walk_candles({"A": r, "B": r})
-        c = estimate_cov(candles, 1.0, min_obs=2)
+        c = candle_cov(candles, 1.0, min_obs=2)
         k, _, p = next(grid_bins(candles, 1.0))
         want = lag1_kernel(support_returns(k, p)[1]) / 500
         assert c.c[0, 1] == pytest.approx(want, rel=1e-12)
@@ -77,7 +78,7 @@ class TestEstimate:
         # is sqrt(3 / n), not sqrt(1 / n)
         rng = np.random.default_rng(1)
         n = 4000
-        c = estimate_cov(walk_candles({"A": rng.normal(0, 1, n), "B": rng.normal(0, 1, n)}),
+        c = candle_cov(walk_candles({"A": rng.normal(0, 1, n), "B": rng.normal(0, 1, n)}),
                          1.0, min_obs=2)
         rho = cov_to_corr(c).rho[0, 1]
         assert abs(rho) < 3 * np.sqrt(3 / n)
@@ -88,14 +89,14 @@ class TestEstimate:
         rho = 0.49
         model = TwoComponentModel(v=lambda t: 1.0, u=lambda t: 0.0, rho=rho)
         ra, rb = simulate_two_component(model, 1.0, 20000, seed=2)
-        c = estimate_cov(walk_candles({"A": ra, "B": rb}, tau=0.25), 0.25, min_obs=2)
+        c = candle_cov(walk_candles({"A": ra, "B": rb}, tau=0.25), 0.25, min_obs=2)
         assert cov_to_corr(c).rho[0, 1] == pytest.approx(rho, abs=0.05)
 
     def test_partial_overlap_and_floor(self):
         rng = np.random.default_rng(3)
         candles = walk_candles({"A": rng.normal(size=100), "B": rng.normal(size=100)},
                                first={"B": 80})
-        c = estimate_cov(candles, 1.0, min_obs=100)
+        c = candle_cov(candles, 1.0, min_obs=100)
         # B's returns from bins 80..98 overlap three of A's, 99 two and 100 one
         assert c.n_obs[0, 1] == 3 * 19 + 2 + 1
         assert np.isnan(c.c[0, 1])          # below the floor -> missing
@@ -110,7 +111,7 @@ class TestEstimate:
         rng = np.random.default_rng(2)
         ra, rb = [0.1, 0.2, 0.3, 0.4], rng.normal(0, 0.01, 20)
         candles = walk_candles({"A": ra, "B": rb}, gaps={"A": [1, 1, 10, 1], "B": [1] * 20})
-        c = estimate_cov(candles, 1.0, min_obs=2)
+        c = candle_cov(candles, 1.0, min_obs=2)
         assert c.n_obs[0, 1] == 2 + 3 + 12 + 3
         za, zb = (r - np.mean(r) for r in (np.array(ra), rb))
         want = (za[0] * zb[:2].sum() + za[1] * zb[:3].sum() + za[2] * zb[1:13].sum()
@@ -127,7 +128,7 @@ class TestEstimate:
         candles = walk_candles({"A": r, "B": r[2000:4000], "C": r[:3000].reshape(-1, 3).sum(1)},
                                first={"B": 2000}, gaps={"A": [1] * 6000, "B": [1] * 2000,
                                                         "C": [3] * 1000})
-        c = estimate_cov(candles, 1.0, min_obs=2).c
+        c = candle_cov(candles, 1.0, min_obs=2).c
         raw = c / np.sqrt(np.outer(np.diag(c), np.diag(c)))
         assert raw[np.triu_indices(3, 1)] == pytest.approx(1.0, abs=0.05)
 
@@ -137,7 +138,7 @@ class TestEstimate:
         rng = np.random.default_rng(7)
         candles = walk_candles({"A": rng.normal(0, 0.03, 10), "B": rng.normal(0, 0.01, 1000)},
                                gaps={"A": [100] * 10, "B": [1] * 1000})
-        c = estimate_cov(candles, 1.0, min_obs=50)
+        c = candle_cov(candles, 1.0, min_obs=50)
         assert c.n_obs[0, 1] >= 1000
         assert np.isnan(c.c[0]).all() and np.isnan(c.c[:, 0]).all()
         assert np.isfinite(c.c[1, 1])
@@ -148,7 +149,7 @@ class TestEstimate:
         rng = np.random.default_rng(3)
         candles = walk_candles({"A": 0.01 * (-1.0) ** np.arange(200),
                                 "B": rng.normal(0, 0.01, 200), "C": rng.normal(0, 0.01, 200)})
-        c = estimate_cov(candles, 1.0, min_obs=2)
+        c = candle_cov(candles, 1.0, min_obs=2)
         assert np.isnan(c.c[0]).all() and np.isnan(c.c[:, 0]).all()
         assert np.isfinite(c.c[1:, 1:]).all()
         assert np.isnan(cov_to_corr(c).rho[0, 1:]).all()
@@ -157,8 +158,8 @@ class TestEstimate:
         # the grid sorts its rows by ticker, so renaming permutes the matrix
         rng = np.random.default_rng(4)
         x, y, z = rng.normal(size=(3, 300))
-        c1 = estimate_cov(walk_candles({"A": x, "B": y, "C": z}), 1.0, min_obs=2)
-        c2 = estimate_cov(walk_candles({"B": x, "C": y, "A": z}), 1.0, min_obs=2)
+        c1 = candle_cov(walk_candles({"A": x, "B": y, "C": z}), 1.0, min_obs=2)
+        c2 = candle_cov(walk_candles({"B": x, "C": y, "A": z}), 1.0, min_obs=2)
         perm = [2, 0, 1]
         assert np.allclose(c2.c, c1.c[np.ix_(perm, perm)], rtol=1e-12, atol=0)
 
@@ -168,7 +169,7 @@ class TestEstimate:
         prices = correlated_walk_panel(4, 6000, rho, seed=6)
         series = {f"T{i}": hourly_candles_from_prices(f"T{i}", 2021, prices[i])
                   for i in range(4)}
-        rm = cov_to_corr(estimate_cov(txn_candles(series.values(), [clock]), 1.0))
+        rm = cov_to_corr(candle_cov(txn_candles(series.values(), [clock]), 1.0))
         off = rm.rho[np.triu_indices(4, 1)]
         assert np.all(np.abs(off - rho) < 4 / np.sqrt(6000) + 0.02)
 
@@ -196,7 +197,7 @@ class TestCorrMatrix:
 
     def test_no_clamp_on_synchronous_complete_data(self):
         rng = np.random.default_rng(7)
-        c = estimate_cov(walk_candles(dict(zip("ABCDE", rng.normal(size=(5, 400))))),
+        c = candle_cov(walk_candles(dict(zip("ABCDE", rng.normal(size=(5, 400))))),
                          1.0, min_obs=2).c
         raw = c / np.sqrt(np.outer(np.diag(c), np.diag(c)))
         assert np.all(np.abs(raw) <= 1 + 1e-12)

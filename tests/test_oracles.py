@@ -34,12 +34,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import (BALANCE_TOL, bin_coordinates_unique, build_clock_dict, build_clock_unique,
-                     build_panel_loop, build_then_filter, corr_vs_tau_loop,
-                     fmse, fve, fve_plain, multi_year_bins_loop,
-                     naive_scores,
-                     parse_candles_loop,
-                     run_market_meanrev_loop,
+from oracles import (BALANCE_TOL, LedgerRows, bin_coordinates_unique, build_clock_dict,
+                     build_clock_unique, build_panel_loop, build_then_filter, candle_cov,
+                     corr_vs_tau_loop, fmse, fve, fve_plain, ledger_rows, multi_year_bins_loop,
+                     naive_scores, parse_candles_loop, run_market_meanrev_loop,
                      run_xcorr_strategy_loop, shot_logp_loop, simulate_shot_noise_loop,
                      support_cov_loop, support_hy_loop, txn_candles,
                      write_candles_csv_rows, write_clock_csv_rows, write_corr_vs_tau_csv_rows,
@@ -53,7 +51,7 @@ from vartau.backtest import (EquityCurve, StrategyConfig, TradeLedger, run_marke
 from vartau.candles import (CSV_HEADER, CandleSeries, bin_coordinates,
                             parse_candles, write_candles, write_table)
 from vartau.clock import ClockKind, ClockMap, build_clock, hours_in_year, year_bounds
-from vartau.covariance import CorrMatrix, CovMatrix, corr_vs_tau, estimate_cov, pair_stats
+from vartau.covariance import CorrMatrix, CovMatrix, corr_vs_tau, pair_stats
 from vartau.errors import DataError
 from vartau.hurst import (PANEL_HEADER, HurstParams, PricePanel, SimConfig, _shot_logp,
                           read_panel_csv, simulate_fbm, simulate_shot_noise)
@@ -436,7 +434,7 @@ def test_estimate_cov_matches_pair_loop(market, kind, tau, min_obs):
     want, n_obs, scale, doubtful = support_cov_loop([(k, p) for k, _, p in bins.values()],
                                                     min_obs)
     candles = txn_candles(series.values(), [build_clock(series.values(), kind, y) for y in years])
-    got = estimate_cov(candles, tau, min_obs)
+    got = candle_cov(candles, tau, min_obs)
     assert got.tickers == list(bins) and np.array_equal(got.n_obs, n_obs)
     sure = ~np.logical_or.outer(doubtful, doubtful)
     assert np.array_equal(np.isnan(got.c)[sure], np.isnan(want)[sure])
@@ -671,23 +669,21 @@ def backtest_panels(draw):
 
 
 def assert_same_backtest(got, want, cost):
-    """Equal trades, fill prices, skips and notional; quantities within their
-    rounding; the zero-cost run less ``cost`` equal to the loop run at ``cost``.
+    """Equal trades, fill prices, quantities, skips and notional; the zero-cost
+    run less ``cost`` equal to the loop run at ``cost``.
 
-    The loop normalizes a side's weights twice and the blocks once, and sums
-    the hourly pnl in another order, so qty may differ in the last bits. Each
-    trade's pnl less ``cost * qty * entry`` is within 1e-12 of the terms it
-    adds up, and cum_pnl less the running cost within 1e-12 of the summed
+    Each trade's pnl less ``cost * qty * entry`` is within 1e-12 of the terms
+    it adds up, and cum_pnl less the running cost within 1e-12 of the summed
     |pnl| and cost, since either may cancel to near zero. The total less
     ``cost * notional`` is within BALANCE_TOL of the same sums.
     """
-    g, w = got.ledger, want.ledger
-    assert got.info == want.info
+    g, w = ledger_rows(got.ledger), want.ledger
+    assert got.info == want.info and len(got.ledger) == len(w)
     assert np.array_equal(g.hour, w.hour) and g.hour.dtype == w.hour.dtype
     assert g.ticker == w.ticker
     assert np.array_equal(g.side, w.side) and g.side.dtype == w.side.dtype
     assert np.array_equal(g.entry, w.entry) and np.array_equal(g.exit, w.exit)
-    assert np.all(np.abs(g.qty - w.qty) <= 1e-12 * np.abs(w.qty))
+    assert np.array_equal(g.qty, w.qty)
     charge = cost * g.qty * g.entry
     terms = np.abs(w.qty * (w.exit - w.entry)) + charge
     assert np.all(np.abs(g.pnl - charge - w.pnl) <= 1e-12 * terms)
@@ -696,8 +692,9 @@ def assert_same_backtest(got, want, cost):
     charged = np.cumsum(np.bincount(g.hour, charge, n_hours))
     assert np.all(np.abs(got.curve.cum_pnl - charged - want.curve.cum_pnl)
                   <= 1e-12 * terms.sum())
-    assert (abs(g.total_pnl() - cost * got.info["notional"] - w.total_pnl())
+    assert (abs(got.ledger.total_pnl - cost * got.info["notional"] - w.total_pnl)
             <= BALANCE_TOL * terms.sum())
+    assert got.ledger.total_pnl == g.total_pnl
 
 
 @settings(max_examples=200, deadline=None)
@@ -741,9 +738,44 @@ def test_xcorr_matches_hour_loop(prices, staleness, top, cost, zero_b, seed, blo
 @example((np.array([3, 3]), ["A,B", 'Q"X'], np.array([1, -1]), *[np.array([0.5, -1e-300])] * 4),
          3)
 def test_ledger_csv_matches_rows(cols, block):
-    ledger = TradeLedger(*cols)
-    assert (written(TradeLedger.write_csv, ledger, block)
-            == written(write_ledger_csv_rows, ledger))
+    # the rows streamed in blocks of one, two and three, and all at once
+    rows = LedgerRows(*cols)
+    want = written(write_ledger_csv_rows, rows)
+    for size in (1, 2, 3, len(rows) or 1):
+        blocks = lambda: ([c[lo:lo + size] for c in cols] for lo in range(0, len(rows), size))
+        ledger = TradeLedger(blocks, len(rows), rows.total_pnl)
+        assert written(TradeLedger.write_csv, ledger, block) == want, size
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+@pytest.mark.parametrize("strategy", ["meanrev", "xcorr"])
+def test_streamed_ledger_is_the_hour_loops_bytes(strategy, block, tmp_path):
+    # trades spread over many blocks of a few hours: ledger.csv and equity.csv
+    # are the loop's bytes, and so are the counts of the summary
+    rng = np.random.default_rng(5)
+    prices = np.exp(np.cumsum(rng.normal(0, 0.01, (9, 60)), axis=1))
+    prices[rng.random(prices.shape) < 0.1] = np.nan
+    tickers = [f"T{i}" for i in range(len(prices))]
+    cfg = StrategyConfig(staleness=1, top_fraction=0.25, min_side_count=2)
+    if strategy == "meanrev":
+        want = run_market_meanrev_loop(prices, tickers, cfg)
+        run = lambda: run_market_meanrev(prices, tickers, cfg)
+    else:
+        b = rng.uniform(-0.5, 0.5, (len(tickers),) * 2)
+        np.fill_diagonal(b, 0.0)
+        coeffs = PredictionCoeffs(tickers, b)
+        want = run_xcorr_strategy_loop(prices, tickers, coeffs, cfg)
+        run = lambda: run_xcorr_strategy(prices, tickers, coeffs, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(backtest, "_BLOCK_HOURS", block)
+        got = run()
+        assert (written(TradeLedger.write_csv, got.ledger)
+                == written(write_ledger_csv_rows, want.ledger))
+    assert written(EquityCurve.write_csv, got.curve) == written(write_equity_csv_rows, want.curve)
+    assert len(got.ledger) == len(want.ledger) > 5 * block
+    assert len(np.unique(want.ledger.hour // block)) > 5        # many blocks trade
+    for key in ("notional", "skipped_hours"):
+        assert got.info[key] == want.info[key]
 
 
 @settings(max_examples=100, deadline=None)

@@ -53,7 +53,8 @@ def test_returns_span_the_year_boundary_and_adjacent_returns_do_not():
     assert k.tolist() == [0, 1, 8759, 8760, 8762]
     assert np.allclose(np.diff(np.log(p)), np.log(2.0))
     assert np.diff(t).tolist() == [1.0, 8758.0, 1.0, 2.0]     # one chained hour axis
-    adj = panel_of(dict(candles)).adjacent_returns()
+    panel = panel_of(dict(candles))
+    adj = {y: panel.adjacent_returns(y) for y in panel.years}
     assert adj[2021].shape == adj[2022].shape == (1, 8759)
     assert np.flatnonzero(np.isfinite(adj[2021][0])).tolist() == [0]
     assert np.flatnonzero(np.isfinite(adj[2022][0])).tolist() == []
@@ -67,3 +68,17 @@ def test_rows_are_sorted_tickers_with_two_candles_in_a_year():
                   "A": point_candles("A", ts[:1], [1.0])}, years=(2021,))
     assert p.tickers == ["A", "B"]
     assert not np.isfinite(p.price[0]).any() and np.isfinite(p.price[1]).sum() == 2
+
+
+def test_a_years_bins_are_its_block_of_the_panel():
+    # the tau = 1 bins of a view of one year, read off that year's block
+    ts = np.array([T21, T21 + 60, T21 + 5400, T22 - 60, T22, T22 + 3600, T22 + 3660],
+                  dtype=np.int64)
+    candles = {"A": point_candles("A", ts, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]),
+               "B": point_candles("B", ts[2:5], [1.5, 2.5, 3.5])}
+    panel = panel_of(candles)
+    for y in panel.years:
+        one = txn_candles(candles.values(), clocks_of(candles, (y,)))
+        for (k, _, p), (want_k, _, want_p) in zip(panel.bins(y), grid_bins(one, 1.0),
+                                                  strict=True):
+            assert k.tolist() == want_k.tolist() and p.tobytes() == want_p.tobytes()

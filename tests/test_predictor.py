@@ -1,5 +1,7 @@
 """Leave-one-out prediction: inverses, coefficients, metrics, refinement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -321,6 +323,30 @@ class TestRefine:
         monkeypatch.setattr(predictor, "_REFINE_STEPS", 30)
         out, _ = gradient_refine(train, [val], init)
         assert np.all(np.diag(out.b) == 0.0)
+
+
+def test_refine_holds_one_block_beyond_its_inputs(monkeypatch):
+    # the second moment and every validation score are taken a column block at
+    # a time: six times the hours raise the peak by less than one block
+    monkeypatch.setattr(predictor, "_REFINE_STEPS", 5)
+    n = 8
+    init = PredictionCoeffs([f"T{i}" for i in range(n)], np.zeros((n, n)))
+
+    def peak(hours):
+        rng = np.random.default_rng(15)
+        train, val = (np.where(rng.random((n, hours)) < 0.2, np.nan, rng.normal(size=(n, hours)))
+                      for _ in range(2))
+        tracemalloc.start()
+        try:
+            gradient_refine(train, [val, train], init)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    hours = 4 * predictor._SCORE_CELLS // n
+    one, six = peak(hours), peak(6 * hours)
+    assert one < 4 * 8 * predictor._SCORE_CELLS, one      # a few blocks, not a panel
+    assert six - one < 8 * predictor._SCORE_CELLS, (one, six)
 
 
 @settings(max_examples=100, deadline=None)
