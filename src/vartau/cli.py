@@ -298,7 +298,9 @@ def cmd_predict(args):
     train_years = _parse_years(args.train_years)
     predict_years = _parse_years(args.predict_years)
     all_years = sorted(set(train_years) | set(predict_years))
-    pn.check_active_fraction(args.min_active_fraction)        # before the market is parsed
+    if args.min_obs < 0:        # these before the market is parsed
+        raise UsageError(f"--min-obs must be non-negative, got {args.min_obs}")
+    pn.check_active_fraction(args.min_active_fraction)
     if args.ridge is not None:
         pred.check_ridge(args.ridge)
     candles, inputs = _mapped(args.data_dir, all_years, args.kind)
@@ -316,9 +318,8 @@ def cmd_predict(args):
             t = tickers[flat[0]]
             raise DataError(f"{Path(args.data_dir) / t}.csv: ticker {t} has no "
                             f"return variance in year {py}")
-        naive = pred.predict(pred.market_mode(tickers, variances), r)
-        grid["none"][str(py)] = pred.prediction_report(naive, r)
-        del r, naive
+        grid["none"][str(py)] = pred.prediction_report(pred.market_mode(tickers, variances), r)
+        del r
     need = max(args.min_obs, (cov.MIN_VARIANCE_OBS + 2) // 3)     # returns
     cmats = {}
     for ty in train_years:
@@ -350,7 +351,7 @@ def cmd_predict(args):
     for py in predict_years:
         r = panel.adjacent_returns(py)
         for ty, b in fits.items():
-            grid[ty][str(py)] = pred.prediction_report(pred.predict(b, r), r)
+            grid[ty][str(py)] = pred.prediction_report(b, r)
         del r
     files["report.json"] = _json("report.json", {"tickers": tickers, "fve_grid": grid})
     return inputs, files, grid
@@ -360,6 +361,8 @@ def cmd_correlate(args):
     years = _parse_years(args.years)
     if not 0 < args.tau < np.inf:
         raise UsageError(f"--tau must be positive and finite, got {args.tau}")
+    if args.min_obs < 0:
+        raise UsageError(f"--min-obs must be non-negative, got {args.min_obs}")
     grid = _parse_tau_grid(args.tau_grid, args.normalize_at) if args.tau_grid else None
     candles, inputs = _mapped(args.data_dir, years, args.kind)
     if grid is not None:        # held once, for the covariances and every tau of rho(tau)

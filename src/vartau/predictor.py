@@ -7,9 +7,10 @@ full inverse A = C^-1 through the partitioned-inverse identity:
     B[I, K] = -(A[K, I] / A[I, I])  for K != I,  B[I, I] = 0
 
 so one n x n inversion replaces n separate (n-1) x (n-1) inversions.
-Prediction quality is summarized by the fraction of variance explained
-(FVE) and the fractional mean-square error (FMSE), linked for
-standardized data by FVE = (1 - FMSE/2)^2.
+``prediction_report`` scores coefficients on a return panel, a column block
+at a time, by the fraction of variance explained (FVE) and the fractional
+mean-square error (FMSE), linked for standardized data by
+FVE = (1 - FMSE/2)^2; no prediction panel is made.
 
 Coefficients can optionally be refined by direct gradient descent on the
 empirical mean-square prediction error, early-stopped on validation
@@ -35,7 +36,7 @@ RIDGE_SCALE = 1e-4
 _REFINE_STEPS = 500
 _REFINE_PATIENCE = 20
 _MIN_STEP = 1e-12
-_SCORE_CELLS = 1 << 14      # cells of a block of rows scored at a time
+_SCORE_CELLS = 1 << 14      # cells of a block of columns scored at a time
 
 
 @dataclass
@@ -113,16 +114,6 @@ def loo_coefficients(a: PrecisionMatrix) -> PredictionCoeffs:
     return PredictionCoeffs(list(a.tickers), b)
 
 
-def predict(b: PredictionCoeffs, r: np.ndarray) -> np.ndarray:
-    """Apply coefficients to an (n_tickers, n_periods) return panel; missing
-    (NaN) returns contribute 0."""
-    r = np.asarray(r, dtype=float)
-    if r.ndim != 2 or r.shape[0] != len(b.tickers):
-        raise DataError(f"return panel shape {r.shape} does not have "
-                        f"{len(b.tickers)} ticker rows")
-    return b.b @ np.nan_to_num(r, nan=0.0)
-
-
 def market_mode(tickers: list[str], variances) -> PredictionCoeffs:
     """The market-mode baseline B[I, K] = sd_I / ((n - 1) sd_K), zero diagonal: each
     return predicted by the mean of the others' standardized returns, a missing one 0."""
@@ -137,47 +128,6 @@ def market_mode(tickers: list[str], variances) -> PredictionCoeffs:
     return PredictionCoeffs(list(tickers), b)
 
 
-def _per_ticker_moments(r_hat: np.ndarray, r: np.ndarray):
-    """Per-ticker sums over periods where the outcome is present, a block of
-    rows at a time: each row adds the same values as over the whole panel."""
-    if r_hat.shape != r.shape:
-        raise DataError(f"shape mismatch {r_hat.shape} vs {r.shape}")
-    n = np.empty(len(r), dtype=np.int64)
-    sums = np.empty((4, len(r)))
-    step = max(1, _SCORE_CELLS // max(r.shape[1], 1))
-    for lo in range(0, len(r), step):
-        rows = slice(lo, lo + step)
-        missing = np.isnan(r[rows])
-        n[rows] = r.shape[1] - missing.sum(axis=1)
-        z, h = np.nan_to_num(r[rows]), np.nan_to_num(r_hat[rows])
-        h[missing] = 0.0            # both zero where the outcome is missing
-        buf = np.subtract(h, z)     # and every product made in this buffer
-        sums[0, rows] = np.square(buf, out=buf).sum(axis=1)
-        for k, (a, b) in enumerate(((z, z), (h, z), (h, h)), start=1):
-            sums[k, rows] = np.multiply(a, b, out=buf).sum(axis=1)
-    return n, *sums
-
-
-def prediction_report(r_hat: np.ndarray, r: np.ndarray) -> dict[str, float]:
-    """Score predictions r_hat of a return panel r (n_tickers, n_periods).
-
-    Returns the means over tickers of ``fmse``, of ``fve``, which follows the
-    printed squared-bracket formula, and of ``fve_plain``, the plain squared
-    correlation between prediction and outcome (the two coincide when
-    predictions are standardized to the outcome's variance). A ticker with
-    no observed outcome, or only zero outcomes, is left out of the means.
-    """
-    n, err2, rr, cross, hh = _per_ticker_moments(r_hat, r)
-    ok = (n > 0) & (rr > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fmse_k = np.where(ok, err2 / rr, np.nan)
-        fve_k = (1.0 - 0.5 * fmse_k) ** 2
-        plain_k = np.where(hh > 0, cross ** 2 / np.where(hh > 0, rr * hh, 1.0), 0.0)
-        plain_k = np.where(ok, plain_k, np.nan)
-    return {"fve": float(np.nanmean(fve_k)), "fmse": float(np.nanmean(fmse_k)),
-            "fve_plain": float(np.nanmean(plain_k))}
-
-
 def _column_blocks(v: np.ndarray) -> Iterator[tuple]:
     """A panel's column blocks of about ``_SCORE_CELLS`` cells: each block's
     columns, and a copy of them with NaN as 0, made when the block is reached."""
@@ -187,33 +137,40 @@ def _column_blocks(v: np.ndarray) -> Iterator[tuple]:
         yield cols, np.nan_to_num(v[:, cols])
 
 
-def validation_fmse(validation: list[np.ndarray]):
-    """b -> the FMSE of ``predict(b, v)`` (over the tickers with a non-zero outcome, the
-    mean of squared error over sum of squares), averaged over the panels v. Each panel's
-    usable tickers and sums of squares are taken once, and each call scores column blocks
-    of ``_SCORE_CELLS`` cells: no zero-filled copy of a panel is made."""
-    panels = []
-    for v in validation:
-        rr = np.zeros(len(v))
-        for _, z in _column_blocks(v):
-            rr += np.square(z, out=z).sum(axis=1)
-            del z
-        if not (rr > 0).any():
-            raise DataError("no ticker has usable observations")
-        panels.append((v, rr > 0, rr[rr > 0]))
+def prediction_report(b: PredictionCoeffs, r: np.ndarray) -> dict[str, float]:
+    """Score coefficients on a return panel r (n_tickers, n_periods).
 
-    def fmse(b, v, use, rr) -> float:
-        err2 = np.zeros(len(v))
-        for cols, z in _column_blocks(v):
-            err = np.nan_to_num(b @ z, copy=False)
-            err -= z
-            del z
-            np.square(err, out=err)
-            err[np.isnan(v[:, cols])] = 0.0
-            err2 += err.sum(axis=1)
-            del err         # each block's buffers are freed before the next is made
-        return float(np.mean(err2[use] / rr))
-    return lambda b: float(np.mean([fmse(b, *panel) for panel in panels]))
+    Each ticker is predicted by ``b.b @ r`` with a missing (NaN) return as 0,
+    and scored over the periods where its own return is present. Returns the
+    means over tickers of ``fmse``, of ``fve``, which follows the printed
+    squared-bracket formula, and of ``fve_plain``, the plain squared
+    correlation between prediction and outcome (the two coincide when
+    predictions are standardized to the outcome's variance). A ticker with
+    no observed outcome, or only zero outcomes, is left out of the means;
+    raises if every ticker is. The panel is scored a column block of
+    ``_SCORE_CELLS`` cells at a time, so no prediction panel is made.
+    """
+    r = np.asarray(r, dtype=float)
+    if r.ndim != 2 or r.shape[0] != len(b.tickers):
+        raise DataError(f"return panel shape {r.shape} does not have "
+                        f"{len(b.tickers)} ticker rows")
+    sums = np.zeros((4, len(r)))        # per ticker: err^2, z^2, hz, h^2
+    for cols, z in _column_blocks(r):
+        h = np.nan_to_num(b.b @ z, copy=False)
+        h[np.isnan(r[:, cols])] = 0.0   # both zero where the outcome is missing
+        buf = np.subtract(h, z)         # and every product made in this buffer
+        sums[0] += np.square(buf, out=buf).sum(axis=1)
+        sums[1:] += [np.multiply(x, y, out=buf).sum(axis=1) for x, y in ((z, z), (h, z), (h, h))]
+        del z, h, buf       # each block's buffers are freed before the next is made
+    ok = sums[1] > 0
+    if not ok.any():
+        raise DataError("no ticker has usable observations")
+    err2, rr, cross, hh = sums[:, ok]
+    fmse_k = err2 / rr
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plain_k = np.where(hh > 0, cross ** 2 / (rr * hh), 0.0)
+    return {"fve": float(np.mean((1.0 - 0.5 * fmse_k) ** 2)), "fmse": float(np.mean(fmse_k)),
+            "fve_plain": float(np.mean(plain_k))}
 
 
 def _loss(b: np.ndarray, s: np.ndarray) -> float:
@@ -244,7 +201,9 @@ def gradient_refine(train: np.ndarray, validation: list[np.ndarray],
         del z
     s /= n_h
 
-    val_fmse = validation_fmse(validation)
+    def val_fmse(b: np.ndarray) -> float:
+        coeffs = PredictionCoeffs(init.tickers, b)
+        return float(np.mean([prediction_report(coeffs, v)["fmse"] for v in validation]))
 
     b = init.b.copy()
     np.fill_diagonal(b, 0.0)

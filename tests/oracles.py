@@ -17,13 +17,13 @@ skipped hours. The loops add a side's weights and an hour's pnl one trade at
 a time in ledger order, as ``np.bincount`` does, so at zero cost ledgers and
 equity curves must be equal bit for bit, whatever the block size; at a cost,
 pnl must be within 1e-12 of the terms it subtracts and cum_pnl within 1e-12
-of the summed |pnl|. The per-metric scores that ``prediction_report`` replaced,
-means over the tickers with an observed non-zero outcome, must equal its
-entries when every ticker has one, and be within 1e-12 relative otherwise,
-since its NaN-skipping mean sums in another order. ``naive_predict_loop`` is
-the market-mode prediction that ``predict`` with ``market_mode``'s
-coefficients replaced; their scores must agree within 1e-12 relative, since
-the matrix product sums in another order.
+of the summed |pnl|. ``predict_loop`` applies coefficients one ticker pair at a
+time, and ``prediction_scores`` scores a prediction from each ticker's exact
+sums over the hours where its return is present; ``prediction_report``, which
+sums column blocks of a matrix product, must agree within 1e-12 relative, and
+its plain squared correlation within 1e-12 of that of |prediction| and |return|.
+``naive_predict_loop`` is the market-mode prediction, one ticker and hour at a
+time, that ``market_mode``'s coefficients replaced; it is scored alike.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from statistics import fmean
 
 import numpy as np
 
@@ -43,7 +44,6 @@ from vartau.covariance import (DEFAULT_MIN_OBS, corr_vs_tau, estimate_cov,
 from vartau.errors import DataError
 from vartau.hurst import HurstParams, PricePanel, SimConfig, _postprocess
 from vartau.panel import TxnCandles, build_panel, grid_bins
-from vartau.predictor import _per_ticker_moments
 from vartau.variogram import PERCENTILES, Variogram
 
 
@@ -688,36 +688,40 @@ def write_equity_csv_rows(curve: EquityCurve, path) -> None:
             w.writerow([int(h), repr(float(curve.cum_pnl[i])), repr(float(ann))])
 
 
-def fmse(r_hat, r) -> float:
-    """Fractional mean-square error, averaged across tickers."""
-    n, err2, rr, _, _ = _per_ticker_moments(r_hat, r)
-    ok = (n > 0) & (rr > 0)
-    if not ok.any():
+def predict_loop(b, r) -> np.ndarray:
+    """Coefficients applied to a return panel one ticker pair at a time: each
+    ticker's prediction adds coefficient times return over the tickers whose
+    return is present."""
+    r_hat = np.zeros(r.shape)
+    for i in range(len(r)):
+        for k in range(len(r)):
+            present = ~np.isnan(r[k])
+            r_hat[i, present] += b.b[i, k] * r[k, present]
+    return r_hat
+
+
+def prediction_scores(r_hat, r) -> dict:
+    """The means over the tickers with a non-zero return of FMSE, of FVE = (1 - FMSE/2)^2
+    and of the plain squared correlation of prediction and return (0 for a zero
+    prediction), from each ticker's exact sums over the hours where its return is present."""
+    fmse_k, plain_k = [], []
+    for h, z in zip(r_hat, r):
+        present = ~np.isnan(z)
+        h, z = h[present].tolist(), z[present].tolist()
+        rr = math.fsum(x * x for x in z)
+        if rr > 0:
+            hh, cross = math.fsum(x * x for x in h), math.fsum(x * y for x, y in zip(h, z))
+            fmse_k.append(math.fsum((x - y) * (x - y) for x, y in zip(h, z)) / rr)
+            plain_k.append(cross * cross / (rr * hh) if hh > 0 else 0.0)
+    if not fmse_k:
         raise DataError("no ticker has usable observations")
-    return float(np.mean(err2[ok] / rr[ok]))
+    return {"fve": fmean((1 - f / 2) ** 2 for f in fmse_k), "fmse": fmean(fmse_k),
+            "fve_plain": fmean(plain_k)}
 
 
-def fve(r_hat, r) -> float:
-    """Fraction of variance explained: mean over tickers of (1 - FMSE_K/2)^2."""
-    n, err2, rr, _, _ = _per_ticker_moments(r_hat, r)
-    ok = (n > 0) & (rr > 0)
-    if not ok.any():
-        raise DataError("no ticker has usable observations")
-    return float(np.mean((1.0 - 0.5 * err2[ok] / rr[ok]) ** 2))
-
-
-def fve_plain(r_hat, r) -> float:
-    """Mean over tickers of the plain squared correlation of r_hat and r.
-
-    A constant (zero-variance) prediction explains nothing and counts 0.
-    """
-    n, _, rr, cross, hh = _per_ticker_moments(r_hat, r)
-    ok = (n > 0) & (rr > 0)
-    if not ok.any():
-        raise DataError("no ticker has usable observations")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        per = np.where(hh > 0, cross ** 2 / np.where(hh > 0, rr * hh, 1.0), 0.0)
-    return float(np.mean(per[ok]))
+def fmse(b, r) -> float:
+    """The FMSE of coefficients b on a return panel r."""
+    return prediction_scores(predict_loop(b, r), r)["fmse"]
 
 
 def naive_predict_loop(r, variances) -> np.ndarray:
@@ -739,5 +743,4 @@ def naive_scores(r) -> dict:
     variances = np.nanvar(r, axis=1)
     if np.any(variances <= 0) or np.isnan(variances).any():
         raise DataError("a ticker has no return variance")
-    r_hat = naive_predict_loop(r, variances)
-    return {"fve": fve(r_hat, r), "fmse": fmse(r_hat, r), "fve_plain": fve_plain(r_hat, r)}
+    return prediction_scores(naive_predict_loop(r, variances), r)

@@ -292,6 +292,20 @@ def test_correlate_rejects_bad_tau_flags(data, tmp_path, capsys, flags):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["correlate", "--years", "2021"],
+    ["predict", "--train-years", "2021", "--predict-years", "2022"],
+], ids=["correlate", "predict"])
+def test_negative_min_obs_is_a_usage_error_before_any_file(tmp_path, capsys, argv):
+    # --min-obs -3 once ran as 0; the data directory does not exist, so the
+    # flag is rejected before any file is looked for
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--data-dir", str(tmp_path / "none"), "--min-obs", "-3",
+                     "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "usage error: --min-obs must be non-negative, got -3\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["--tau-grid", "0.5,1,inf"], ["--tau-grid", "0.5,nan,4"],
     ["--normalize-at", "nan"], ["--normalize-at", "500"],

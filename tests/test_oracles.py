@@ -20,8 +20,11 @@ generated parameters and events, and every CSV writer with the
 blocks cut to 3 and 20 cells as well as at their default. The block-wise
 backtests are compared with their hour loops on generated gappy prices
 with exact ties and one-sided hours, across block boundaries. The prediction report is compared
-with the per-metric scores it replaced on generated predictions with NaN
-cells, tickers with no observed outcome and rows of zero predictions.
+with exact per-ticker sums over a loop's predictions on generated coefficients and
+returns with NaN cells, tickers with no observed return and rows of zero
+coefficients, with its column blocks cut to 1, 7 and 40 cells as well as at their
+default: within 1e-12 relative, and the plain squared correlation within 1e-12 of
+its value from the |products|.
 """
 
 import re
@@ -36,8 +39,8 @@ from hypothesis.extra import numpy as hnp
 
 from oracles import (BALANCE_TOL, LedgerRows, bin_coordinates_unique, build_clock_dict,
                      build_clock_unique, build_panel_loop, build_then_filter, candle_cov,
-                     corr_vs_tau_loop, fmse, fve, fve_plain, ledger_rows, multi_year_bins_loop,
-                     naive_scores, parse_candles_loop, run_market_meanrev_loop,
+                     corr_vs_tau_loop, ledger_rows, multi_year_bins_loop, naive_scores,
+                     parse_candles_loop, predict_loop, prediction_scores, run_market_meanrev_loop,
                      run_xcorr_strategy_loop, shot_logp_loop, simulate_shot_noise_loop,
                      support_cov_loop, support_hy_loop, txn_candles,
                      write_candles_csv_rows, write_clock_csv_rows, write_corr_vs_tau_csv_rows,
@@ -45,7 +48,7 @@ from oracles import (BALANCE_TOL, LedgerRows, bin_coordinates_unique, build_cloc
                      write_matrix_csv_rows, write_panel_csv_rows, write_variogram_csv_rows,
                      write_yearly_returns_csv_rows)
 from test_backtest import gappy_prices
-from vartau import backtest, candles, covariance
+from vartau import backtest, candles, covariance, predictor
 from vartau.backtest import (EquityCurve, StrategyConfig, TradeLedger, run_market_meanrev,
                              run_xcorr_strategy)
 from vartau.candles import (CSV_HEADER, CandleSeries, bin_coordinates,
@@ -56,8 +59,7 @@ from vartau.errors import DataError
 from vartau.hurst import (PANEL_HEADER, HurstParams, PricePanel, SimConfig, _shot_logp,
                           read_panel_csv, simulate_fbm, simulate_shot_noise)
 from vartau.panel import build_panel, grid_bins
-from vartau.predictor import (PredictionCoeffs, market_mode, predict, prediction_report,
-                              read_coeffs_csv)
+from vartau.predictor import PredictionCoeffs, market_mode, prediction_report, read_coeffs_csv
 from vartau.synthetic import point_candles
 from vartau.variogram import PERCENTILES, Variogram, default_tau_grid
 
@@ -743,7 +745,7 @@ def test_ledger_csv_matches_rows(cols, block):
     want = written(write_ledger_csv_rows, rows)
     for size in (1, 2, 3, len(rows) or 1):
         blocks = lambda: ([c[lo:lo + size] for c in cols] for lo in range(0, len(rows), size))
-        ledger = TradeLedger(blocks, len(rows), rows.total_pnl)
+        ledger = TradeLedger(blocks, len(rows), 0.0)       # write_csv reads no total
         assert written(TradeLedger.write_csv, ledger, block) == want, size
 
 
@@ -848,37 +850,41 @@ def test_cli_tables_match_rows(cols, block):
 
 @st.composite
 def scored_panels(draw):
-    """Predictions and outcomes (tickers x hours) with NaN cells, maybe a ticker
-    with no observed outcome, and maybe a row of zero predictions (hh = 0)."""
+    """Coefficients and returns (tickers x hours) with NaN cells, maybe a ticker
+    with no observed return, and maybe a row of zero coefficients (hh = 0)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, hours = draw(st.integers(1, 20)), draw(st.integers(1, 30))
     r = rng.normal(0, 0.01, (n, hours))
-    r_hat = rng.normal(0, 0.01, (n, hours)) * draw(st.sampled_from([0.1, 1.0, 10.0]))
+    b = rng.normal(0, 1, (n, n)) * draw(st.sampled_from([0.1, 1.0, 10.0]))
+    np.fill_diagonal(b, 0.0)
     r[rng.random((n, hours)) < draw(st.sampled_from([0.0, 0.3]))] = np.nan
-    r_hat[rng.random((n, hours)) < draw(st.sampled_from([0.0, 0.2]))] = np.nan
     if draw(st.booleans()):
         r[rng.integers(n)] = np.nan
     if draw(st.booleans()):
-        r_hat[rng.integers(n)] = 0.0
-    return r_hat, r
+        b[rng.integers(n)] = 0.0
+    return PredictionCoeffs([f"T{i}" for i in range(n)], b), r
 
 
 @settings(max_examples=300, deadline=None)
-@given(scored_panels())
-def test_prediction_report_matches_per_metric_scores(data):
-    r_hat, r = data
-    usable = (~np.isnan(r)).any(axis=1)
-    if not usable.any():
-        with pytest.raises(DataError):
-            fve(r_hat, r)
-        return
-    rep = prediction_report(r_hat, r)
-    got = (rep["fmse"], rep["fve"], rep["fve_plain"])
-    want = (fmse(r_hat, r), fve(r_hat, r), fve_plain(r_hat, r))
-    if usable.all():
-        assert got == want
-    else:
-        assert all(abs(g - w) <= 1e-12 * abs(w) for g, w in zip(got, want))
+@given(scored_panels(), st.sampled_from([1, 7, 40, predictor._SCORE_CELLS]))
+def test_prediction_report_matches_per_metric_scores(data, cells):
+    b, r = data
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(predictor, "_SCORE_CELLS", cells)
+        if not (~np.isnan(r)).any(axis=1).any():
+            with pytest.raises(DataError, match="no ticker has usable observations"):
+                prediction_report(b, r)
+            with pytest.raises(DataError):
+                prediction_scores(predict_loop(b, r), r)
+            return
+        got = prediction_report(b, r)
+    r_hat = predict_loop(b, r)
+    want = prediction_scores(r_hat, r)
+    # a squared correlation near 0 cancels in its sum of h*z: it is held to the
+    # same sum of |h*z|, as the covariances are to the |products| behind them
+    scale = dict(want, fve_plain=prediction_scores(np.abs(r_hat), np.abs(r))["fve_plain"])
+    assert got.keys() == want.keys()
+    assert all(abs(got[k] - want[k]) <= 1e-12 * scale[k] for k in want)
 
 
 @settings(max_examples=200, deadline=None)
@@ -889,7 +895,7 @@ def test_naive_row_matches_per_metric_scores(data):
     if len(r) < 2:
         return
     tickers = [f"T{i}" for i in range(len(r))]
-    got = prediction_report(predict(market_mode(tickers, np.nanvar(r, axis=1)), r), r)
+    got = prediction_report(market_mode(tickers, np.nanvar(r, axis=1)), r)
     want = naive_scores(r)
     assert got.keys() == want.keys()
     assert all(abs(got[k] - want[k]) <= 1e-12 * abs(want[k]) for k in want)

@@ -11,10 +11,9 @@ from oracles import fmse
 from vartau import predictor
 from vartau.covariance import CovMatrix
 from vartau.errors import DataError, NumericalError
-from vartau.predictor import (PredictionCoeffs, default_ridge,
-                              gradient_refine, invert_with_ridge, loo_coefficients,
-                              market_mode, predict, prediction_report, read_coeffs_csv,
-                              validation_fmse)
+from vartau.predictor import (PredictionCoeffs, default_ridge, gradient_refine,
+                              invert_with_ridge, loo_coefficients, market_mode,
+                              prediction_report, read_coeffs_csv)
 
 
 def equal_corr_matrix(variances: np.ndarray, rho: float) -> np.ndarray:
@@ -120,37 +119,52 @@ def test_loo_coefficients_equal_direct_regressions(seed, n, log_scale, rel_ridge
 
 
 class TestPredict:
+    """Each ticker is predicted from the present returns of the others; the
+    report scores that prediction over the hours where the ticker's own return is present."""
+
     def test_zero_coeffs(self):
         b = PredictionCoeffs(["A", "B"], np.zeros((2, 2)))
-        assert np.allclose(predict(b, np.array([[1.0], [-2.0]])), 0.0)
+        rep = prediction_report(b, np.array([[1.0], [-2.0]]))
+        assert rep == {"fmse": 1.0, "fve": 0.25, "fve_plain": 0.0}
 
     def test_two_ticker_cross(self):
+        # predictions [[2, -0.8], [1.2, 0.4]]; each ticker's sum of h*z is 5.2
         rho = 0.4
         b = PredictionCoeffs(["A", "B"], np.array([[0.0, rho], [rho, 0.0]]))
-        got = predict(b, np.array([[3.0], [5.0]]))
-        assert np.allclose(got, [[rho * 5.0], [rho * 3.0]])
+        rep = prediction_report(b, np.array([[3.0, 1.0], [5.0, -2.0]]))
+        fmse_k = np.array([(1.0 + 1.8 ** 2) / 10.0, (3.8 ** 2 + 2.4 ** 2) / 29.0])
+        assert rep["fmse"] == pytest.approx(fmse_k.mean(), rel=1e-12)
+        assert rep["fve"] == pytest.approx(np.mean((1 - fmse_k / 2) ** 2), rel=1e-12)
+        assert rep["fve_plain"] == pytest.approx(5.2 ** 2 / 46.4, rel=1e-12)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(2)
         c = random_spd(5, rng)
         b = loo_coefficients(invert_with_ridge(cov_of(c), 0.0))
-        r = rng.normal(size=(5, 1))
-        base = predict(b, r)
+        r = rng.normal(size=(5, 50))
+        base = prediction_report(b, r)
         perm = rng.permutation(5)
-        cp = cov_of(c[np.ix_(perm, perm)])
-        bp = loo_coefficients(invert_with_ridge(cp, 0.0))
-        assert np.allclose(predict(bp, r[perm]), base[perm], atol=1e-10)
+        bp = loo_coefficients(invert_with_ridge(cov_of(c[np.ix_(perm, perm)]), 0.0))
+        got = prediction_report(bp, r[perm])
+        assert all(got[k] == pytest.approx(base[k], rel=1e-10) for k in base)
 
     def test_missing_contributes_zero(self):
+        # predictions [2, 3, 1]; B's outcome is missing, so A and C are scored
         b = PredictionCoeffs(["A", "B", "C"],
                              np.array([[0, 1.0, 1.0], [1.0, 0, 1.0], [1.0, 1.0, 0]]))
-        r = np.array([[1.0], [np.nan], [2.0]])
-        assert np.allclose(predict(b, r), [[2.0], [3.0], [1.0]])
+        rep = prediction_report(b, np.array([[1.0], [np.nan], [2.0]]))
+        assert rep == {"fmse": 0.625, "fve": (0.25 + 0.875 ** 2) / 2, "fve_plain": 1.0}
+
+    def test_panel_rows_must_match_tickers(self):
+        b = PredictionCoeffs(["A", "B"], np.zeros((2, 2)))
+        with pytest.raises(DataError, match="does not have 2 ticker rows"):
+            prediction_report(b, np.ones((3, 4)))
 
 
 def naive_predict(r, variances):
-    """The market-mode prediction of a return panel, as the predict command scores it."""
-    return predict(market_mode([f"T{i}" for i in range(len(r))], variances), r)
+    """The market-mode prediction of a return panel, a missing return as 0, as
+    ``prediction_report`` makes it from ``market_mode``'s coefficients."""
+    return market_mode([f"T{i}" for i in range(len(r))], variances).b @ np.nan_to_num(r)
 
 
 class TestNaive:
@@ -180,8 +194,7 @@ class TestNaive:
             c = equal_corr_matrix(variances, rho)
             b = loo_coefficients(invert_with_ridge(cov_of(c), 0.0))
             scale = (n - 1) * rho / (1 + (n - 2) * rho)
-            assert np.allclose(predict(b, r),
-                               scale * naive_predict(r, variances), atol=1e-10)
+            assert np.allclose(b.b @ r, scale * naive_predict(r, variances), atol=1e-10)
 
     @pytest.mark.parametrize("tickers, variances", [
         (["A", "B", "C"], [1.0, 0.0, 2.0]), (["A", "B"], [1.0, np.nan]), (["A"], [1.0]),
@@ -196,15 +209,16 @@ class TestMetrics:
     def test_perfect_prediction(self):
         rng = np.random.default_rng(4)
         r = rng.normal(size=(3, 200))
-        rep = prediction_report(r, r)
-        assert fmse(r, r) == 0.0 and rep["fmse"] == 0.0
+        b = PredictionCoeffs(["A", "B", "C"], np.eye(3))
+        rep = prediction_report(b, r)
+        assert fmse(b, r) == 0.0 and rep["fmse"] == 0.0
         assert rep["fve"] == 1.0
         assert rep["fve_plain"] == pytest.approx(1.0)
 
     def test_zero_prediction(self):
         rng = np.random.default_rng(5)
         r = rng.normal(size=(3, 200))
-        rep = prediction_report(np.zeros_like(r), r)
+        rep = prediction_report(PredictionCoeffs(["A", "B", "C"], np.zeros((3, 3))), r)
         assert rep["fmse"] == pytest.approx(1.0)
         # the printed squared-bracket formula gives 1/4 at FMSE = 1
         assert rep["fve"] == pytest.approx(0.25)
@@ -219,14 +233,20 @@ class TestMetrics:
         noisy = (noisy - noisy.mean()) / noisy.std() * r.std()
         r = r - r.mean()
         corr = np.mean(noisy * r) / np.sqrt(np.mean(noisy ** 2) * np.mean(r ** 2))
+        # each of two tickers predicts the other, so both have the same FMSE, and
         # FVE = (1 - FMSE/2)^2 on standardized data
-        assert (1 - fmse(noisy[None, :], r[None, :]) / 2) ** 2 == \
-            pytest.approx(corr ** 2, abs=1e-10)
+        b = PredictionCoeffs(["A", "B"], np.array([[0.0, 1.0], [1.0, 0.0]]))
+        rep = prediction_report(b, np.stack([r, noisy]))
+        assert rep["fve"] == pytest.approx(corr ** 2, abs=1e-10)
+        assert rep["fve_plain"] == pytest.approx(corr ** 2, abs=1e-10)
 
     def test_missing_hours_excluded(self):
-        r = np.array([[0.1, np.nan, 0.3]])
-        r_hat = np.array([[0.1, 99.0, 0.3]])
-        assert fmse(r_hat, r) == 0.0
+        # A is predicted 99 at the hour its return is missing, and scores 0
+        b = PredictionCoeffs(["A", "B"], np.array([[0.0, 1.0], [1.0, 0.0]]))
+        r = np.array([[0.1, np.nan, 0.3], [0.1, 99.0, 0.3]])
+        want = 99.0 ** 2 / (0.1 ** 2 + 99.0 ** 2 + 0.3 ** 2) / 2
+        assert prediction_report(b, r)["fmse"] == pytest.approx(want, rel=1e-12)
+        assert fmse(b, r) == pytest.approx(want, rel=1e-12)
 
     def test_report_and_groups(self):
         # a group of periods is scored by the report of its columns
@@ -234,13 +254,12 @@ class TestMetrics:
         c = random_spd(4, rng)
         b = loo_coefficients(invert_with_ridge(cov_of(c), 0.0))
         r = np.linalg.cholesky(c) @ rng.normal(size=(4, 500))
-        r_hat = predict(b, r)
-        rep = prediction_report(r_hat, r)
+        rep = prediction_report(b, r)
         assert 0.0 <= rep["fve"] <= 1.0
-        assert rep["fmse"] == fmse(r_hat, r)
+        assert rep["fmse"] == pytest.approx(fmse(b, r), rel=1e-12)
         for cols in (slice(0, 250), slice(250, 500)):
-            group = prediction_report(r_hat[:, cols], r[:, cols])
-            assert group["fmse"] == fmse(r_hat[:, cols], r[:, cols])
+            group = prediction_report(b, r[:, cols])
+            assert group["fmse"] == pytest.approx(fmse(b, r[:, cols]), rel=1e-12)
             assert 0.0 <= group["fve"] <= 1.0
 
     def test_scale_equivariance(self):
@@ -249,19 +268,18 @@ class TestMetrics:
         rng = np.random.default_rng(8)
         n, n_h = 5, 300
         r = np.linalg.cholesky(random_spd(n, rng)) @ rng.normal(size=(n, n_h))
-        def pipeline(panel):
-            c = np.cov(panel, bias=True)
-            b = loo_coefficients(invert_with_ridge(cov_of(c), 0.0))
-            return b, predict(b, panel)
-        b1, pred1 = pipeline(r)
+        def coeffs(panel):
+            return loo_coefficients(invert_with_ridge(cov_of(np.cov(panel, bias=True)), 0.0))
+        b1 = coeffs(r)
         scaled = r.copy()
         scaled[2] *= 3.0
-        b2, pred2 = pipeline(scaled)
+        b2 = coeffs(scaled)
+        pred1, pred2 = b1.b @ r, b2.b @ scaled
         assert np.allclose(pred2[2], 3.0 * pred1[2], rtol=1e-9)
         others = [i for i in range(n) if i != 2]
         assert np.allclose(pred2[others], pred1[others], rtol=1e-9)
-        assert prediction_report(pred2, scaled)["fve"] == \
-            pytest.approx(prediction_report(pred1, r)["fve"], rel=1e-9)
+        assert prediction_report(b2, scaled)["fve"] == \
+            pytest.approx(prediction_report(b1, r)["fve"], rel=1e-9)
 
 
 class TestRefine:
@@ -280,8 +298,7 @@ class TestRefine:
             cov_of(np.cov(train, bias=True)), default_ridge(cov_of(c_true))))
         monkeypatch.setattr(predictor, "_REFINE_STEPS", 300)
         refined, _ = gradient_refine(train, [val], init)
-        base_val = fmse(predict(init, val), val)
-        assert fmse(predict(refined, val), val) <= base_val + 1e-12
+        assert fmse(refined, val) <= fmse(init, val) + 1e-12
         # sampling noise floor for coefficients is ~ 1/sqrt(n_h)
         assert np.abs(refined.b - b_true.b).max() < 0.15
 
@@ -313,7 +330,7 @@ class TestRefine:
         _, b_true, train, val = self.planted(rng, n=5, n_h=500)
         monkeypatch.setattr(predictor, "_REFINE_STEPS", 40)
         out, _ = gradient_refine(train, [val], b_true)
-        assert fmse(predict(out, val), val) <= fmse(predict(b_true, val), val) + 1e-12
+        assert fmse(out, val) <= fmse(b_true, val) + 1e-12
 
     def test_diagonal_stays_zero(self, monkeypatch):
         rng = np.random.default_rng(13)
@@ -349,25 +366,36 @@ def test_refine_holds_one_block_beyond_its_inputs(monkeypatch):
     assert six - one < 8 * predictor._SCORE_CELLS, (one, six)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 6), st.integers(1, 40), st.integers(1, 3),
-       st.sampled_from([1e-3, 1.0, 1e100]), st.sampled_from([0.0, 0.3, 0.95]),
-       st.integers(0, 2**32 - 1))
-def test_validation_fmse_is_fmse_of_predict(n, n_h, n_panels, scale, gaps, seed):
-    # a panel may leave a ticker, or every ticker, with no return or only zeros
-    rng = np.random.default_rng(seed)
-    panels = [np.where(rng.random((n, n_h)) < gaps, np.nan,
-                       np.where(rng.random((n, n_h)) < 0.1, 0.0, rng.normal(0, scale, (n, n_h))))
-              for _ in range(n_panels)]
-    b = PredictionCoeffs([f"T{i}" for i in range(n)], rng.normal(0, 1, (n, n)))
-    np.fill_diagonal(b.b, 0.0)
-    try:
-        want = float(np.mean([fmse(predict(b, v), v) for v in panels]))
-    except DataError:
-        with pytest.raises(DataError, match="no ticker has usable observations"):
-            validation_fmse(panels)
-        return
-    assert validation_fmse(panels)(b.b) == want
+def test_refine_rejects_a_validation_panel_with_no_usable_ticker():
+    # every return of the second panel is missing or zero
+    rng = np.random.default_rng(16)
+    train = rng.normal(size=(3, 50))
+    empty = np.where(rng.random((3, 50)) < 0.5, np.nan, 0.0)
+    init = PredictionCoeffs(["A", "B", "C"], np.zeros((3, 3)))
+    with pytest.raises(DataError, match="no ticker has usable observations"):
+        gradient_refine(train, [train, empty], init)
+
+
+def test_report_holds_one_block_beyond_its_inputs():
+    # the predictions and their sums are made a column block at a time: six
+    # times the hours raise the peak by less than one block
+    n = 8
+    rng = np.random.default_rng(17)
+    b = PredictionCoeffs([f"T{i}" for i in range(n)], rng.normal(size=(n, n)))
+
+    def peak(hours):
+        r = np.where(rng.random((n, hours)) < 0.2, np.nan, rng.normal(size=(n, hours)))
+        tracemalloc.start()
+        try:
+            prediction_report(b, r)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    hours = 4 * predictor._SCORE_CELLS // n
+    one, six = peak(hours), peak(6 * hours)
+    assert one < 4 * 8 * predictor._SCORE_CELLS, one      # a few blocks, not a panel
+    assert six - one < 8 * predictor._SCORE_CELLS, (one, six)
 
 
 class TestCsv:
