@@ -23,13 +23,19 @@ spans of one to a few hundred hours. Each simulated year is linearly
 detrended to begin and end at log price zero, the panel is rescaled to
 the target global volatility, and exponentiated.
 
-The transform is at least twice the series, so the circular wrap-around
-lands in the discarded half, and one full-size operand is live at a time:
-the kernel is transformed and let go before the innovations are drawn, their
-spectrum is multiplied by the kernel's in place, and the post-processing
-works in place. pocketfft's scratch is about twice its output (13.6 MB beside
-the 6.75 MB spectrum of a 50-year panel), so one spectrum, one input and one
-transform are the floor of this path.
+The convolution is sectioned (Stockham, AFIPS 1966) into the panel's own
+rows: kernel block p and innovation block q, one simulated year of H hours
+each, are transformed at the next fast length >= 2H - 1, so their linear
+convolution K_p * X_q never wraps, and it lands at year p + q. Year s's
+output is the inverse transform of the sum over p + q = s of the block
+spectra; its first H values add into row s and the rest into row s + 1.
+Each year's kernel and innovations are sampled, drawn and transformed in
+turn, so no full-length operand or transform exists: the path holds the
+block spectra of both, about 33 bytes an hour, and the 8-byte log prices.
+Peak RSS grows by about 40 bytes a simulated hour, against about 75 for
+one transform twice the series long with pocketfft's scratch. The cost is
+years^2 / 2 block products beside 3 transforms a year: on one Xeon core,
+about 1.0 s against 0.5 s at 200 years, and no slower at 50.
 
 The shot-noise path sums s_i * f(h - t_i) over the events before each
 hour h without visiting every (hour, event) pair. Event i falls in hour
@@ -68,7 +74,7 @@ PANEL_HEADER = ["year", "hour", "price"]
 _NEAR_HOURS = 32
 _FAR_TERMS = 8
 # (event x near hour) cells evaluated per chunk, bounding near-field memory
-_NEAR_CELLS = 1 << 20
+_NEAR_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -170,16 +176,20 @@ def read_panel_csv(path) -> PricePanel:
         raise DataError(f"{path}: panel has missing (year, hour) cells")
     # with no repeated cell, the len(data) >= ny * nh rows fill the panel
     cell = (year * nh + hour).astype(np.int64)
-    order = np.argsort(cell, kind="stable")
-    check_unique(path, cell[order], order, lambda i: f"year {year[i]:g}, hour {hour[i]:g}")
+    if np.bincount(cell).max() > 1:
+        order = np.argsort(cell, kind="stable")
+        check_unique(path, cell[order], order, lambda i: f"year {year[i]:g}, hour {hour[i]:g}")
     prices = np.empty(ny * nh)
     prices[cell] = price
     return PricePanel(prices.reshape(ny, nh))
 
 
 def _panel_faults(data) -> dict:
-    ok = (np.all((data >= 0) & (data < np.inf), axis=1) & (data[:, 2] > 0)
-          & np.all(data[:, :2] == np.floor(data[:, :2]), axis=1))
+    # a column at a time: no temporary as large as two columns
+    ok = (data[:, 2] > 0) & (data[:, 2] < np.inf)
+    for col in data[:, 0], data[:, 1]:
+        ok &= (col >= 0) & (col < np.inf)
+        ok &= col == np.floor(col)
     return {"want a whole year and hour from 0 and a positive finite price, "
             "got {line!r}": ~ok}
 
@@ -213,13 +223,11 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-def sampled_kernel(params: HurstParams, n: int) -> np.ndarray:
-    """Impulse response sampled at hourly step midpoints, length n."""
-    t = (np.arange(n, dtype=float) - 0.5)
-    t[0] = 0.0
-    k = impulse_response(params.epsilon, params.delta, t)
-    k[0] = 0.0
-    return k
+def sampled_kernel(params: HurstParams, n: int, start: int = 0) -> np.ndarray:
+    """Impulse response sampled at hourly step midpoints, hours start .. start + n - 1."""
+    t = np.arange(start, start + n, dtype=float)
+    t -= 0.5
+    return impulse_response(params.epsilon, params.delta, t)     # 0 at t = -1/2 < delta
 
 
 def _postprocess(x: np.ndarray, target_vol: float) -> np.ndarray:
@@ -234,21 +242,24 @@ def _postprocess(x: np.ndarray, target_vol: float) -> np.ndarray:
 
 
 def simulate_fbm(params: HurstParams, config: SimConfig) -> PricePanel:
-    """Gaussian-limit simulation: FFT-convolve hourly normals with the kernel."""
+    """Gaussian-limit simulation: convolve hourly normals with the kernel a
+    year block at a time (see the module docstring)."""
     rng = np.random.default_rng(config.seed)
-    n = config.n_years * config.hours_per_year
-    size = _next_fast_len(2 * n - 1)
-    kernel = np.fft.rfft(sampled_kernel(params, n), size)
-    spectrum = np.fft.rfft(rng.standard_normal(n), size)
-    spectrum *= kernel          # in this order: kernel * spectrum rounds differently
-    del kernel
-    out = np.fft.irfft(spectrum, size)
-    del spectrum
-    logp = out[:n].copy()       # the prices hold only their own n values, not the transform
-    del out
-    prices = _postprocess(logp.reshape(config.n_years, config.hours_per_year),
-                          config.target_vol)
-    return PricePanel(prices)
+    years, hours = config.n_years, config.hours_per_year
+    size = _next_fast_len(2 * hours - 1)
+    kernel = np.empty((years, size // 2 + 1), dtype=complex)
+    normals = np.empty_like(kernel)
+    logp = np.zeros((years, hours))
+    for s in range(years):
+        kernel[s] = np.fft.rfft(sampled_kernel(params, hours, s * hours), size)
+        normals[s] = np.fft.rfft(rng.standard_normal(hours), size)
+        # year s: the sum over p + q = s of K_p X_q, spilling into year s + 1
+        out = np.fft.irfft(np.einsum("ij,ij->j", kernel[:s + 1], normals[s::-1]), size)
+        logp[s] += out[:hours]
+        if s + 1 < years:
+            logp[s + 1, :hours - 1] = out[hours:2 * hours - 1]
+    del kernel, normals         # before the post-processing's panel-sized temporaries
+    return PricePanel(_postprocess(logp, config.target_vol))
 
 
 def _shot_logp(params: HurstParams, n: int, times: np.ndarray,

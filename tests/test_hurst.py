@@ -1,12 +1,19 @@
 """Hurst process simulation and its analytic companions."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from vartau import hurst
 from vartau.errors import DataError
-from vartau.hurst import (HurstParams, SimConfig, _postprocess, impulse_response,
-                          panel_variogram, read_panel_csv, sampled_kernel, simulate_fbm,
-                          simulate_shot_noise)
+from vartau.hurst import (HurstParams, PricePanel, SimConfig, _postprocess,
+                          impulse_response, panel_variogram, read_panel_csv, sampled_kernel,
+                          simulate_fbm, simulate_shot_noise)
 from vartau.variogram import fit_power_law
 
 
@@ -56,8 +63,10 @@ class TestSimulateFbm:
         assert np.log(pan.prices).std() == pytest.approx(0.15, abs=1e-9)
 
     def test_no_circular_leakage(self):
-        # the FFT product is the direct linear convolution of the same draws
-        for eps, years, hours in [(0.05, 2, 500), (-0.3, 3, 97), (0.45, 1, 4)]:
+        # the year blocks' FFT products are the direct linear convolution of the
+        # same draws, also over many blocks, where every year adds into the next
+        for eps, years, hours in [(0.05, 2, 500), (-0.3, 3, 97), (0.45, 1, 4), (0.2, 40, 4),
+                                  (-0.45, 25, 33), (0.1, 12, 300)]:
             params, config = HurstParams(eps), SimConfig(years, hours, seed=3)
             n = years * hours
             e = np.random.default_rng(config.seed).standard_normal(n)
@@ -65,6 +74,38 @@ class TestSimulateFbm:
             want = _postprocess(direct, config.target_vol)
             got = simulate_fbm(params, config).prices
             assert np.allclose(np.log(got), np.log(want), rtol=0, atol=1e-12)
+
+    def test_kernel_sampled_from_an_hour_is_that_part_of_the_kernel(self):
+        params = HurstParams(0.3, delta=0.4)
+        whole = sampled_kernel(params, 30)
+        assert whole[0] == 0.0
+        assert np.array_equal(sampled_kernel(params, 12, 18), whole[18:])
+
+    def test_memory_grows_by_the_block_spectra_not_a_full_transform(self):
+        # pocketfft's scratch is invisible to tracemalloc, so a child's peak RSS
+        # is read after a one-year warm-up and after a 20-year panel. One
+        # transform twice the series long grew it by about 75 bytes an hour; the
+        # year blocks' spectra and the log prices take about 40. A process's
+        # peak RSS starts at that of the process it was forked from, so a small
+        # launcher starts the child, not this test process
+        launcher = ("import os, sys\n"
+                    "pid = os.posix_spawn(sys.executable, [sys.executable, '-c', sys.argv[1]],"
+                    " os.environ)\n"
+                    "sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n")
+        script = ("import resource\n"
+                  "from vartau.hurst import HurstParams, SimConfig, simulate_fbm\n"
+                  "peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+                  "simulate_fbm(HurstParams(0.035), SimConfig(1, seed=1))\n"
+                  "before = peak()\n"
+                  "simulate_fbm(HurstParams(0.035), SimConfig(20, seed=1))\n"
+                  "print(before, peak())\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(hurst.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-S", "-c", launcher, script], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        before, after = map(int, run.stdout.split())
+        per_hour = (after - before) * 1024 / (20 * 8760)          # ru_maxrss is in KiB
+        assert per_hour < 60, (per_hour, before, after)
 
     def test_random_walk_exponent(self):
         pan = simulate_fbm(HurstParams(0.0), SimConfig(60, 8760, seed=4))
@@ -153,14 +194,31 @@ class TestPanelIo:
         ("0,0,1\n0,1,x\n", r"bad\.csv:3: cannot read price from 'x' as float64"),
         ("0,0,1\n\n0,1\n", r"bad\.csv:4: expected 3 fields, got 2"),
         ("0,0,1\n0,1,1\n0,1,2\n", r"bad\.csv:4: year 0, hour 1 repeats line 3"),
+        # the first repeated cell in cell order, not in file order, is named
+        ("0,1,1\n0,0,1\n0,1,2\n0,0,2\n", r"bad\.csv:5: year 0, hour 0 repeats line 3$"),
         ("0,0,1\n0,1,1\n1,0,1\n-1,1,1\n", r"bad\.csv:5: want a whole year"),
         ("0,0,1\n0.5,1,1\n", r"bad\.csv:3: want a whole year"),
         ("0,0,1\n0,1.5,1\n", r"bad\.csv:3: want a whole year"),
         ("0,0,1\n0,1,nan\n", r"bad\.csv:3: .* positive finite price"),
-    ], ids=["non_numeric", "short_row", "repeated_cell", "negative_year",
-            "fractional_year", "fractional_hour", "nan_price"])
+    ], ids=["non_numeric", "short_row", "repeated_cell", "repeated_cell_out_of_order",
+            "negative_year", "fractional_year", "fractional_hour", "nan_price"])
     def test_bad_row_names_its_line(self, tmp_path, rows, message):
         path = tmp_path / "bad.csv"
         path.write_text("year,hour,price\n" + rows)
         with pytest.raises(DataError, match=message):
             read_panel_csv(path)
+
+    def test_reader_holds_no_row_sized_temporary(self, tmp_path):
+        # the rows (24 bytes each), the cell numbers, their counts and the
+        # prices: about 40 bytes a row. A floor of the year and hour columns
+        # together and a sort of the cells took it to about 49
+        rows = 10 * 10_000
+        path = tmp_path / "panel.csv"
+        PricePanel(np.random.default_rng(1).lognormal(0, 0.1, (10, 10_000))).write_csv(path)
+        tracemalloc.start()
+        try:
+            read_panel_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 45 * rows, peak / rows

@@ -12,7 +12,10 @@ at a time, on one to three years' candles. The grid covariance
 and rho(tau) are compared with the pair loops on generated return series
 and candles, with gaps, unequal elapsed times and pairs that never
 overlap: counts and missing cells must be equal and values within 1e-12
-relative, because the grid product sums in another order. The shot-noise
+relative, because the grid product sums in another order. The FFT
+simulation's log prices, convolved a year block at a time, are compared
+with ``np.convolve`` of the same normals and kernel on generated exponents
+and panel shapes, within 1e-12. The shot-noise
 log price is compared with the exact sum over every (hour, event) pair on
 generated parameters and events, and every CSV writer with the
 ``csv.writer`` rows byte for byte, on generated floats with NaN, +-inf,
@@ -56,8 +59,9 @@ from vartau.candles import (CSV_HEADER, CandleSeries, bin_coordinates,
 from vartau.clock import ClockKind, ClockMap, build_clock, hours_in_year, year_bounds
 from vartau.covariance import CorrMatrix, CovMatrix, corr_vs_tau, pair_stats
 from vartau.errors import DataError
-from vartau.hurst import (PANEL_HEADER, HurstParams, PricePanel, SimConfig, _shot_logp,
-                          read_panel_csv, simulate_fbm, simulate_shot_noise)
+from vartau.hurst import (PANEL_HEADER, HurstParams, PricePanel, SimConfig, _postprocess,
+                          _shot_logp, read_panel_csv, sampled_kernel, simulate_fbm,
+                          simulate_shot_noise)
 from vartau.panel import build_panel, grid_bins
 from vartau.predictor import PredictionCoeffs, market_mode, prediction_report, read_coeffs_csv
 from vartau.synthetic import point_candles
@@ -597,6 +601,19 @@ def test_shot_logp_matches_exact_sum(eps, delta, rate, n, seed):
     got = _shot_logp(params, n, times, amps)
     want = shot_logp_loop(params, n, times, amps)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.abs(amps).sum()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(-0.5, 0.5, exclude_min=True, exclude_max=True), st.integers(1, 30),
+       st.integers(4, 300), st.integers(0, 2**32 - 1))
+def test_fbm_blocks_match_direct_convolution(eps, years, hours, seed):
+    params, config = HurstParams(eps), SimConfig(years, hours, seed=seed)
+    n = years * hours
+    normals = np.random.default_rng(seed).standard_normal(n)
+    direct = np.convolve(normals, sampled_kernel(params, n))[:n].reshape(years, hours)
+    want = np.log(_postprocess(direct, config.target_vol))
+    got = np.log(simulate_fbm(params, config).prices)
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 @pytest.mark.parametrize("eps, delta, rate, years, hours", [
