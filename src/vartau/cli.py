@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections.abc import Iterator
 from datetime import datetime, timezone
@@ -130,7 +131,7 @@ class _CandleFiles:
         """The files' candles on the clocks' transaction-hour axes, as a lazy
         ``panel.TxnCandles`` whose tickers are the file stems, sorted."""
         paths = {p.stem: p for p in self.files}
-        return pn.TxnCandles(sorted(paths), clocks, lambda t: self._load(paths[t]))
+        return pn.TxnCandles.on_clocks(sorted(paths), clocks, lambda t: self._load(paths[t]))
 
     def inputs(self) -> dict[Path, str]:
         """Each file read, with the sha256 of the content parsed; a file that no
@@ -166,7 +167,14 @@ def _parse_years(text: str) -> list[int]:
     return sorted(years)
 
 
-def _parse_tau_grid(text: str, normalize_at: float) -> np.ndarray:
+def _check_width(flag: str, taus, years: list[int]) -> None:
+    """Grid indices are int64: no tau may make a grid of 2**63 columns over the years."""
+    for tau in taus:
+        if sum(math.ceil(min(hours_in_year(y) / tau, 2.0**63)) for y in years) >= 2**63:
+            raise UsageError(f"{flag} {tau:g} makes a grid of 2**63 or more columns")
+
+
+def _parse_tau_grid(text: str, normalize_at: float, years: list[int]) -> np.ndarray:
     """Either 'min:max:points_per_decade' or a comma list of hours; it must span normalize_at."""
     if ":" in text:
         parts = text.split(":")
@@ -189,6 +197,7 @@ def _parse_tau_grid(text: str, normalize_at: float) -> np.ndarray:
     if not grid[0] <= normalize_at <= grid[-1]:
         raise UsageError(f"--normalize-at {normalize_at} is outside the tau grid "
                          f"[{grid[0]:g}, {grid[-1]:g}]")
+    _check_width("--tau-grid", grid, years)
     return grid
 
 
@@ -211,11 +220,11 @@ def cmd_clock(args):
 
 
 def cmd_variogram(args):
-    grid = _parse_tau_grid(args.tau_grid, args.normalize_at)
+    grid = _parse_tau_grid(args.tau_grid, args.normalize_at, [args.year])
     candles, inputs = _mapped(args.data_dir, [args.year], args.clock)
-    # one ticker loaded, mapped and estimated at a time; a ticker with fewer
-    # than two candles omits every tau
-    curves = {t: vg.variogram_diff_of_avg(candles.select([t]), grid) for t in candles.tickers}
+    # one pass, each ticker let go once estimated; fewer than two candles omit every tau
+    curves = dict(zip(candles.tickers, map(lambda per_year: vg.variogram_diff_of_avg(
+        per_year[0], hours_in_year(args.year), grid), candles)))
     files, full = {}, []
     for t, v in sorted(curves.items()):
         # a ticker whose V cannot be read at --normalize-at is left out
@@ -361,9 +370,10 @@ def cmd_correlate(args):
     years = _parse_years(args.years)
     if not 0 < args.tau < np.inf:
         raise UsageError(f"--tau must be positive and finite, got {args.tau}")
+    _check_width("--tau", [args.tau], years)
     if args.min_obs < 0:
         raise UsageError(f"--min-obs must be non-negative, got {args.min_obs}")
-    grid = _parse_tau_grid(args.tau_grid, args.normalize_at) if args.tau_grid else None
+    grid = _parse_tau_grid(args.tau_grid, args.normalize_at, years) if args.tau_grid else None
     candles, inputs = _mapped(args.data_dir, years, args.kind)
     if grid is not None:        # held once, for the covariances and every tau of rho(tau)
         candles = candles.held()
@@ -378,7 +388,7 @@ def cmd_correlate(args):
 
     if grid is not None:
         # rho(tau) curves use the first requested year; the others are let go
-        candles = candles.select(cmat.tickers, years[0])
+        candles = candles.select(cmat.tickers, years[0]).held()
         _, curves, v = cov.corr_vs_tau(candles, grid, args.normalize_at)
         perc = vg.percentile_curves(curves)     # each tau over the pairs with a value there
         # the median V of the tickers with a positive V at every tau, not a constant price

@@ -17,18 +17,17 @@ whose spans differ. Correlation falling as tau shrinks is the Epps effect
 (Epps, JASA 1979), which ``corr_vs_tau`` measures beside each ticker's
 variance from the same diagonal, normalized by ``variogram.value_at``.
 
-The two-component return model splits each stock's return into a
-cross-correlated part with partial variogram V(tau) sharing one factor
-draw per period, and an uncorrelated part U(tau). Its observable
-correlation is rho * V/(V+U); when V is memoryless the normalized
-observed correlation must follow tau/V_tot(tau), which is what
-``predicted_corr_ratio`` computes from a measured total variance.
+The paper's two-component return model splits each stock's return into a
+cross-correlated part with partial variogram V(tau), sharing one factor draw
+per period, and an uncorrelated part U(tau). Its observable correlation is
+rho * V/(V+U); when V is memoryless the normalized observed correlation must
+follow tau/V_tot(tau), which is what ``predicted_corr_ratio`` computes from a
+measured total variance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -84,40 +83,19 @@ class CorrMatrix:
         write_table(path, self.tickers, self.rho.T)
 
 
-@dataclass
-class TwoComponentModel:
-    """Correlated/uncorrelated partial variograms and the latent correlation."""
-
-    v: Callable[[float], float]
-    u: Callable[[float], float]
-    rho: float
-
-    def __post_init__(self):
-        if not -1.0 <= self.rho <= 1.0:
-            raise DataError(f"latent correlation must be in [-1, 1], got {self.rho}")
-
-    def total(self, tau: float) -> float:
-        return float(self.v(tau)) + float(self.u(tau))
-
-    def observed_rho(self, tau: float) -> float:
-        """Expected measured correlation at tau: rho * V/(V+U)."""
-        vt = self.total(tau)
-        if vt <= 0:
-            return 0.0
-        return self.rho * float(self.v(tau)) / vt
-
-
 def pair_stats(bins, width: int):
     """Support Hayashi-Yoshida sums and overlap counts of all pairs of rows.
 
-    Row i is the i-th (grid index, bin time, bin price) of ``grid_bins`` or
-    ``Panel.bins``, read once; the time is not read. Its indices are strictly
-    increasing inside [0, width). Its
+    Row i is the i-th (grid index, bin price) of ``grid_bins`` or ``Panel.bins``,
+    read once. Its indices are strictly increasing inside [0, width). Its
     returns z_j are demeaned log differences of its prices, with supports
-    [k_j, k_{j+1}]. Returns (hy, n_obs, steps): hy[a, b] sums z_a,i z_b,j
-    over the pairs of returns whose supports overlap, n_obs[a, b] counts them
-    (3 m - 2 on the diagonal for m returns), both exactly symmetric, and
-    steps[a, b] is the grid steps both rows' returns span (0 if none).
+    [k_j, k_{j+1}]. Returns (hy, n_obs, steps, inside): hy[a, b] sums z_a,i
+    z_b,j over the pairs of returns whose supports overlap, n_obs[a, b] counts
+    them (3 m - 2 on the diagonal for m returns), both exactly symmetric,
+    steps[a, b] is the grid steps both rows' returns span (0 if none), and
+    inside[a, b] marks where each return of one row meets one and the same
+    return of the other alone: hy is that z times a demeaned sum, 0 in exact
+    arithmetic.
 
     Two closed supports overlap exactly when one starts inside the other,
     and only equal starts count twice. So with Q each z at its start column,
@@ -131,13 +109,11 @@ def pair_stats(bins, width: int):
     assert _BLOCK_BINS <= 32768     # a column within a block fits in int16
     # pieces[b]: (row, columns within block b, z) of each row with bins in block b
     pieces: dict[int, list] = {}
-    n, ends = 0, []             # each row's first and last grid index
+    n, ends = 0, []             # each row's first, second, next-to-last and last grid index
     # no enumerate(): its last tuple would hold a row while the next is read
-    for row in bins:
+    for k, p in bins:
         i, n = n, n + 1
-        k, p = row[0], row[2]
-        del row
-        ends.append((k[0], k[-1]) if len(k) >= 2 else (0, 0))
+        ends.append((k[0], k[1], k[-2], k[-1]) if len(k) >= 2 else (0, 0, 0, 0))
         if len(k) < 2:
             continue
         if k[0] < 0 or k[-1] >= width or np.any(k[1:] <= k[:-1]):
@@ -185,9 +161,13 @@ def pair_stats(bins, width: int):
         values[~known] = 0.0
         hy += _block_product(runs, pos, at, values, bw)
         counts += _block_product(runs, pos, at, known.astype(float), bw)
-    first, last = np.array(ends, dtype=np.int64).reshape(-1, 2).T
+    first, second, penult, last = np.array(ends, dtype=np.int64).reshape(-1, 4).T
     steps = np.maximum(np.minimum.outer(last, last) - np.maximum.outer(first, first), 0)
-    return hy + hy.T, (counts + counts.T).astype(np.int64), steps
+    n_obs = (counts + counts.T).astype(np.int64)
+    # b's m returns all meet a's span in m pairs: one return each, and the same
+    inside = ((n_obs == (np.diag(n_obs) + 2) // 3) & (second >= first[:, None])
+              & (penult <= last[:, None]))
+    return hy + hy.T, n_obs, steps, inside | inside.T
 
 
 def _block_product(runs, pos, at, run_values, bw: int):
@@ -208,11 +188,12 @@ def _block_product(runs, pos, at, run_values, bw: int):
 
 def _per_return(bins, width: int):
     """``pair_stats``' sums per grid step both rows' returns span (at least 1
-    from MIN_JOINT_OBS pairs on), and the counts; NaN below MIN_JOINT_OBS and
-    in the row and column of a variance that is not positive or counts fewer
-    than MIN_VARIANCE_OBS."""
-    hy, n_obs, steps = pair_stats(bins, width)
-    c = hy / np.where(n_obs >= MIN_JOINT_OBS, steps, np.nan)
+    from MIN_JOINT_OBS pairs on), and the counts; NaN below MIN_JOINT_OBS,
+    where ``inside`` marks a sum that only rounding would make other than 0,
+    and in the row and column of a variance that is not positive or counts
+    fewer than MIN_VARIANCE_OBS."""
+    hy, n_obs, steps, inside = pair_stats(bins, width)
+    c = hy / np.where((n_obs >= MIN_JOINT_OBS) & ~inside, steps, np.nan)
     flat = ~((np.diag(c) > 0) & (np.diag(n_obs) >= MIN_VARIANCE_OBS))
     c[flat] = c[:, flat] = np.nan
     return c, n_obs
@@ -254,9 +235,8 @@ def corr_vs_tau(candles: TxnCandles, tau_grid, normalize_tau: float):
     Per tau, one ``pair_stats`` call over the tickers' ``grid_bins`` gives
     every pair, with the variances on the diagonal. Returns (tickers, curves,
     v). curves is (n_pairs, n_tau) normalized rho, the pairs in the order of
-    ``np.triu_indices(len(tickers), 1)``, NaN below MIN_JOINT_OBS overlapping
-    returns, where a variance counts fewer than MIN_VARIANCE_OBS or is not
-    positive, and for a pair that ``variogram.value_at`` cannot read at
+    ``np.triu_indices(len(tickers), 1)``, NaN where ``_per_return`` leaves a
+    cell so and for a pair that ``variogram.value_at`` cannot read at
     normalize_tau. v is (n_tickers, n_tau): each variance per return
     (``_per_return``), NaN where its correlations are. The candles are held
     (``TxnCandles.held``) across the taus.
@@ -279,33 +259,3 @@ def predicted_corr_ratio(v_tot, tau_grid, normalize_tau: float) -> np.ndarray:
     at each tau of tau_grid, divided by its value at normalize_tau (``value_at``)."""
     curve = np.asarray(tau_grid, dtype=float) / np.asarray(v_tot, dtype=float)
     return curve / value_at(tau_grid, curve[None], normalize_tau)[0]
-
-
-def simulate_two_component(model: TwoComponentModel, tau: float,
-                           n_periods: int, seed: int = 0
-                           ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw paired returns, one each per period of length tau, from the
-    two-component model.
-
-    Each period shares one factor draw between the two stocks; the
-    uncorrelated parts get independent draws. A negative latent rho puts
-    the minus sign on the second stock's factor loading.
-    """
-    if n_periods < 2:
-        raise DataError("need at least 2 periods")
-    rng = np.random.default_rng(seed)
-    v = float(model.v(tau))
-    u = float(model.u(tau))
-    if v < 0 or u < 0:
-        raise DataError("partial variograms must be non-negative")
-    root = np.sqrt(abs(model.rho))
-    sign_b = -1.0 if model.rho < 0 else 1.0
-    n_c = rng.standard_normal(n_periods)
-    n_a1 = rng.standard_normal(n_periods)
-    n_a2 = rng.standard_normal(n_periods)
-    n_b1 = rng.standard_normal(n_periods)
-    n_b2 = rng.standard_normal(n_periods)
-    resid = np.sqrt(1.0 - abs(model.rho))
-    r_a = np.sqrt(v) * (root * n_c + resid * n_a1) + np.sqrt(u) * n_a2
-    r_b = np.sqrt(v) * (sign_b * root * n_c + resid * n_b1) + np.sqrt(u) * n_b2
-    return r_a, r_b

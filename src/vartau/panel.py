@@ -2,16 +2,16 @@
 
 At resolution tau each year of a run gets its own block of ceil(hours in the
 year / tau) grid columns, in calendar order. A ``TxnCandles`` view puts each
-ticker's candles on its year's transaction-hour axis as a pass reaches the
-ticker: it loads the ticker's series, maps it, and lets the series go, so a
-pass holds one ticker's candles, whatever the number of tickers. ``grid_bins``
-bins them at a tau, ticker by ticker, one ``bin_series`` step per
-ticker-year, and drops each ticker's candles before it reads the next. A bin
-past its year's block (a candle at the year's last transaction hour, when
-tau divides the year) is dropped. The years chain: a ticker's grid indices
-run on through the years' blocks and its bin times on one transaction-hour
-axis, so the return between consecutive bins, which covariance, rho(tau)
-and the difference-of-average variogram take, may cross a year boundary.
+ticker's candles on its years' transaction-hour axes as a pass reaches the
+ticker, through a per-ticker mapper: a lazy view's loads the ticker's series,
+maps it and lets the series go, so a pass holds one ticker's candles,
+whatever the number of tickers; a held view's is a dict of mapped candles.
+``grid_bins`` bins them at a tau, ticker by ticker, one ``bin_series`` step
+per ticker-year, and drops each ticker's candles before it reads the next. A
+bin past its year's block (a candle at the year's last transaction hour,
+when tau divides the year) is dropped. The years chain: a ticker's grid
+indices run on through the years' blocks, so the return between consecutive
+bins, which covariance and rho(tau) take, may cross a year boundary.
 
 A ``Panel`` holds the same grid's tau = 1 bin-mean prices, NaN where a
 ticker (row) has no candle in the hour (column), in one array that
@@ -33,30 +33,31 @@ from .candles import CandleSeries, bin_series
 from .clock import ClockMap, hours_in_year
 from .errors import DataError
 
-_NO_BINS = (np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))
+_NO_BINS = (np.empty(0, dtype=np.int64), np.empty(0))
 
 
 class TxnCandles:
-    """Tickers' candles on the years' clocks. Each iteration is a pass that
-    yields, per ticker in order, its (transaction hours, prices) in each
-    year, None if fewer than two: it loads the series with ``load(ticker)``,
-    maps copies and lets it go. ``held()`` maps once and keeps them, 16 bytes
-    a candle, for a caller that takes one pass per tau."""
+    """Tickers' candles on the years' clocks: a pass yields, per ticker in order,
+    ``coords(ticker)``, its (transaction hours, prices) in each year, None if
+    fewer than two candles."""
 
-    def __init__(self, tickers: Iterable[str], clocks: list[ClockMap],
-                 load: Callable[[str], CandleSeries]):
-        self.tickers, self.clocks, self._load = list(tickers), list(clocks), load
-        self.years = [c.year for c in self.clocks]
+    def __init__(self, tickers: Iterable[str], years: list[int], coords: Callable[[str], list]):
+        self.tickers, self.years, self._coords = list(tickers), list(years), coords
+
+    @classmethod
+    def on_clocks(cls, tickers: Iterable[str], clocks: list[ClockMap],
+                  load: Callable[[str], CandleSeries]) -> "TxnCandles":
+        """A lazy view: each pass loads a ticker's series with ``load(ticker)``."""
+        def coords(ticker: str) -> list:
+            s = load(ticker)        # freed on return: only the mapped copies are kept
+            subs = [(c, s.slice_window(c.year_start, c.year_end)) for c in clocks]
+            return [(c.to_txn_time(u.timestamps), u.price.copy()) if len(u) >= 2 else None
+                    for c, u in subs]
+        return cls(tickers, [c.year for c in clocks], coords)
 
     def __iter__(self) -> Iterator[list]:
         # map() holds no item it has yielded: the consumer decides when one goes
-        return map(self._map, self.tickers)
-
-    def _map(self, ticker: str) -> list:
-        s = self._load(ticker)          # freed on return: only the copies are kept
-        subs = [(c, s.slice_window(c.year_start, c.year_end)) for c in self.clocks]
-        return [(c.to_txn_time(u.timestamps), u.price.copy()) if len(u) >= 2 else None
-                for c, u in subs]
+        return map(self._coords, self.tickers)
 
     def widths(self, tau: float) -> list[int]:
         """Each year's block of grid columns at resolution tau; at tau = 1, its hours."""
@@ -64,48 +65,32 @@ class TxnCandles:
 
     def select(self, tickers: list[str], year: int | None = None) -> "TxnCandles":
         """The given tickers' candles, in that order, of one of the years or of all."""
-        clocks = self.clocks if year is None else [self.clocks[self.years.index(year)]]
-        return TxnCandles(tickers, clocks, self._load)
+        js = slice(None) if year is None else slice(j := self.years.index(year), j + 1)
+        coords = self._coords
+        return TxnCandles(tickers, self.years[js], lambda t: coords(t)[js])
 
     def held(self) -> "TxnCandles":
-        """The same candles mapped in one pass and kept; later passes read no file."""
-        return _Held(self.tickers, self.years, dict(zip(self.tickers, self)))
-
-
-class _Held(TxnCandles):
-    """Candles mapped once and kept, with no clock or loader; passes read no file."""
-
-    def __init__(self, tickers: list[str], years: list[int], coords: dict[str, list]):
-        self.tickers, self.years, self._coords = list(tickers), years, coords
-
-    def __iter__(self) -> Iterator[list]:
-        return map(self._coords.__getitem__, self.tickers)
-
-    def select(self, tickers: list[str], year: int | None = None) -> "TxnCandles":
-        js = range(len(self.years)) if year is None else [self.years.index(year)]
-        return _Held(tickers, [self.years[j] for j in js],
-                     {t: [self._coords[t][j] for j in js] for t in tickers})
-
-    def held(self) -> "TxnCandles":
-        return self
+        """The same candles mapped in one pass and kept, 16 bytes a candle, for a
+        caller that takes one pass per tau: a dict is the mapper of later passes."""
+        return TxnCandles(self.tickers, self.years, dict(zip(self.tickers, self)).__getitem__)
 
 
 def grid_bins(candles: TxnCandles, tau: float) -> Iterator[tuple]:
-    """Per ticker, in order, its (grid index, bin time, bin price) at tau: the
-    years' ``bin_series`` on their blocks' columns and the chained hour axis."""
-    widths, hours = candles.widths(tau), candles.widths(1.0)
-    firsts, offsets = (np.cumsum([0] + a[:-1]).tolist() for a in (widths, hours))
+    """Per ticker, in order, its (grid index, bin price) at tau: the years'
+    ``bin_series`` on their blocks' columns."""
+    widths = candles.widths(tau)
+    firsts = np.cumsum([0] + widths[:-1]).tolist()
     for per_year in candles:
-        bins = [_chained(bin_series(*xp, tau, w), first, offset)
-                for xp, w, first, offset in zip(per_year, widths, firsts, offsets) if xp]
+        bins = [_chained(bin_series(*xp, tau, w), first)
+                for xp, w, first in zip(per_year, widths, firsts) if xp]
         del per_year    # a lazy view's candles are freed once binned
         yield bins[0] if len(bins) == 1 else tuple(map(np.concatenate, zip(*bins or [_NO_BINS])))
         del bins        # freed before the next ticker is binned
 
 
-def _chained(b, first: int, offset: int) -> tuple:
+def _chained(b, first: int) -> tuple:
     """A year's bins on the chained grid; the rest of ``b`` is let go before the yield."""
-    return b.index + first if first else b.index, b.time + offset if offset else b.time, b.price
+    return b.index + first if first else b.index, b.price
 
 
 @dataclass
@@ -122,11 +107,11 @@ class Panel:
 
     def bins(self, year: int) -> Iterator[tuple]:
         """Per ticker, in order, its tau = 1 bins in the year as ``grid_bins``
-        gives them on that year's block alone: (grid index, None, bin price)
-        of each present hour. No bin time is kept, so none is given."""
+        gives them on that year's block alone: (grid index, bin price) of each
+        present hour."""
         for row in self.price[:, self.blocks[self.years.index(year)]]:
             k = np.flatnonzero(np.isfinite(row))
-            yield k, None, row[k]
+            yield k, row[k]
 
 
 def build_panel(candles: TxnCandles, min_active_fraction: float | None = None) -> Panel:
@@ -146,7 +131,7 @@ def build_panel(candles: TxnCandles, min_active_fraction: float | None = None) -
     # pages of rows never reached are never written, so they take no memory
     price = np.empty((len(candles.tickers), ends[-1]))
     tickers = []
-    for t, (k, _, p) in zip(candles.tickers, grid_bins(candles, 1.0)):
+    for t, (k, p) in zip(candles.tickers, grid_bins(candles, 1.0)):
         i = len(tickers)
         price[i] = np.nan
         price[i, k] = p

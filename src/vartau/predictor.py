@@ -12,9 +12,9 @@ at a time, by the fraction of variance explained (FVE) and the fractional
 mean-square error (FMSE), linked for standardized data by
 FVE = (1 - FMSE/2)^2; no prediction panel is made.
 
-Coefficients can optionally be refined by direct gradient descent on the
-empirical mean-square prediction error, early-stopped on validation
-panels, which helps when C is near singular.
+``gradient_refine`` descends a training panel's mean-square prediction error
+and keeps the snapshot of lowest mean validation FMSE, never worse than the
+start; on the bench's wide market and a 100-ticker one it keeps the start.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .candles import read_table, write_table
+from .candles import _row_lines, read_table, write_table
 from .covariance import CovMatrix
 from .errors import DataError, NumericalError
 
@@ -56,7 +56,8 @@ class PredictionCoeffs:
 
 def read_coeffs_csv(path) -> PredictionCoeffs:
     """Read a square coefficient matrix under a header of distinct tickers
-    (see ``candles.read_table`` for its syntax); every coefficient is finite."""
+    (see ``candles.read_table`` for its syntax); every coefficient is finite,
+    and each ticker's on itself is 0, as no ticker predicts its own return."""
     tickers, b = read_table(path, faults=lambda b: {
         "coefficients must be finite, got {line!r}": ~np.isfinite(b).all(axis=1)})
     repeated = [t for t, k in Counter(tickers).items() if k > 1]
@@ -65,6 +66,10 @@ def read_coeffs_csv(path) -> PredictionCoeffs:
     if b.shape != (len(tickers), len(tickers)):
         raise DataError(f"{path}: coefficient matrix shape {b.shape} does not "
                         f"match {len(tickers)} tickers")
+    i = int(np.argmax(np.diag(b) != 0))     # the first ticker with a coefficient on itself
+    if b[i, i]:
+        raise DataError(f"{path}:{_row_lines(path)[i][0]}: ticker {tickers[i]!r} has "
+                        f"coefficient {b[i, i]} on itself, not 0")
     return PredictionCoeffs(tickers, b)
 
 

@@ -6,14 +6,14 @@ so V(tau)/tau plotted against tau is flat for a memoryless process and
 a power law tau^(1-2*eps) signals memory. ``value_at`` is the one
 normalizer of these curves: V(tau), rho(tau) and its prediction.
 
-One estimator is provided, difference of averages. It reads one ticker's
-mapped candles, a ``panel.TxnCandles`` of one ticker and one year on its
-transaction-time clock, and takes log returns of adjacent tau-bin average
-prices, ``panel.grid_bins``. Because sampling is asynchronous, a return
-spanning elapsed time dt contributes r^2 * (tau/dt) to the estimate at tau
--- the variance of a martingale increment grows linearly with elapsed
-time, so this reweighting makes unequal spans comparable -- and spans
-longer than MAX_DT_FACTOR = 3 times tau are dropped.
+One estimator is provided, difference of averages. It reads one
+ticker-year's candles mapped to its transaction-time clock and takes log
+returns of adjacent tau-bin average prices, ``candles.bin_series`` on the
+year's grid columns. Because sampling is asynchronous, a return spanning
+elapsed time dt between the bins' mean times contributes r^2 * (tau/dt) to
+the estimate at tau -- the variance of a martingale increment grows linearly
+with elapsed time, so this reweighting makes unequal spans comparable -- and
+spans longer than MAX_DT_FACTOR = 3 times tau are dropped.
 
 A candle's price is an average over its minute, not a point price. An
 estimator that differences candle prices tau apart, as if they were point
@@ -31,13 +31,13 @@ fitted 0.953 +- 0.018. On the same seed, its exponent fell by 0.0655 +-
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .candles import write_table
+from .candles import bin_series, write_table
 from .errors import DataError
-from .panel import TxnCandles, grid_bins
 
 # the dt band: a return is kept when 0 < dt <= MAX_DT_FACTOR * tau
 MAX_DT_FACTOR = 3.0
@@ -99,23 +99,24 @@ def weighted_v(r: np.ndarray, dt: np.ndarray, tau: float):
     return float(np.mean(r * r * (tau / dt))), int(len(r))
 
 
-def variogram_diff_of_avg(candles: TxnCandles, tau_grid) -> Variogram:
-    """Difference-of-average estimator of one ticker's mapped candles over a tau grid.
+def variogram_diff_of_avg(mapped, hours: int, tau_grid) -> Variogram:
+    """Difference-of-average estimator of one ticker-year over a tau grid.
 
-    For each tau, the year's candles are sorted into tau bins, bin prices
-    are the mean representative prices, and returns are log differences of
-    adjacent non-empty bins of ``panel.grid_bins``, each over the time
-    between their mean times. A tau with no return is left out of the result
-    and listed in ``omitted``. The candles are held (``TxnCandles.held``)
-    across the taus.
+    ``mapped`` is the year's (transaction hours, prices) of the candles, or
+    None (fewer than two), and ``hours`` the year's hours. For each tau, the
+    candles are sorted into the tau bins of the year's ceil(hours / tau)
+    columns (``bin_series``), bin prices are the mean representative prices,
+    and returns are log differences of adjacent non-empty bins, each over the
+    time between their mean times. A tau with no return is left out of the
+    result and listed in ``omitted``.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
-    candles = candles.held()
-    vals, counts = np.empty(len(tau_grid)), np.empty(len(tau_grid), dtype=np.int64)
-    for i, tau in enumerate(tau_grid):
+    vals, counts = np.full(len(tau_grid), np.nan), np.zeros(len(tau_grid), dtype=np.int64)
+    for i, tau in enumerate(tau_grid if mapped else []):
         # fewer than 2 bins give no return, and so (nan, 0)
-        ((_, t, p),) = grid_bins(candles, tau)
-        vals[i], counts[i] = weighted_v(np.diff(np.log(p)), np.diff(t), tau)
+        b = bin_series(*mapped, tau, math.ceil(hours / tau))
+        vals[i], counts[i] = weighted_v(np.diff(np.log(b.price)), np.diff(b.time), tau)
+        del b           # freed before the next tau is binned
     ok = counts >= 1
     return Variogram(tau_grid[ok], vals[ok], counts[ok], omitted=tau_grid[~ok])
 

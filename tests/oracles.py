@@ -51,7 +51,7 @@ def txn_candles(series, clocks) -> TxnCandles:
     """A lazy view of series held in memory on the clocks, its tickers sorted, as
     ``cli._CandleFiles.view`` gives one of a directory's files."""
     by_ticker = {s.ticker: s for s in series}
-    return TxnCandles(sorted(by_ticker), clocks, by_ticker.__getitem__)
+    return TxnCandles.on_clocks(sorted(by_ticker), clocks, by_ticker.__getitem__)
 
 
 def candle_cov(candles: TxnCandles, tau: float, min_obs: int = DEFAULT_MIN_OBS):
@@ -284,6 +284,15 @@ def support_hy_pair(ka, za, kb, zb):
             float(np.sum(np.abs(zb) * (asum[hi] - asum[lo]))))
 
 
+def inside_one_return(ka, kb) -> bool:
+    """Whether row B has a return and each of its returns overlaps one and the
+    same return of row A and no other, return i of a row having the support
+    [k_i, k_{i+1}]: the HY sum is then that return of A times B's demeaned
+    sum, which is 0 but for rounding."""
+    meets = (ka[:-1, None] <= kb[None, 1:]) & (kb[None, :-1] <= ka[1:, None])
+    return len(kb) >= 2 and meets.any(axis=1).sum() == 1 and bool((meets.sum(axis=0) == 1).all())
+
+
 def support_hy_loop(rows):
     """(hy, n_obs, scale) of rows of (grid indices, bin prices), pair by pair;
     scale sums the |products| behind each cell."""
@@ -302,8 +311,9 @@ def support_cov_loop(rows, min_obs: int):
     ``support_hy_loop``: (cov, n_obs, scale, doubtful). cov and scale are
     the sums and their |products| per grid step both rows span, from its
     first to its last index; a cell is NaN below max(min_obs, 2) overlapping
-    pairs or where a row has fewer than min_obs returns, and so are the row
-    and column of a variance below 7 pairs or not positive. doubtful marks
+    pairs, where a row has fewer than min_obs returns or lies inside one
+    return of the other (``inside_one_return``), and so are the row and
+    column of a variance below 7 pairs or not positive. doubtful marks
     the tickers with 7 or more whose variance lies within 1e-12 of its scale
     of 0, where rounding decides the sign."""
     hy, n_obs, scale = support_hy_loop(rows)
@@ -315,6 +325,10 @@ def support_cov_loop(rows, min_obs: int):
     c, scale = hy / steps, scale / steps
     returns = np.array([len(k) - 1 for k, _ in rows])
     c[(n_obs < max(min_obs, 2)) | (np.minimum.outer(returns, returns) < min_obs)] = np.nan
+    for a, (ka, _) in enumerate(rows):
+        for b, (kb, _) in enumerate(rows):
+            if inside_one_return(ka, kb) or inside_one_return(kb, ka):
+                c[a, b] = np.nan
     flat = ~((np.diag(c) > 0) & counted)
     c[flat] = c[:, flat] = np.nan
     return c, n_obs, scale, doubtful
@@ -337,10 +351,8 @@ def corr_vs_tau_loop(series, clock, tau_grid, normalize_tau: float = 1.0):
     curve at a time, and each ticker's per-return variance. Each sum is
     divided by the grid steps both tickers' bins span. A variance needs three
     returns (seven overlapping pairs) and must be positive, a pair two
-    overlapping returns. Returns (pairs, curves, v, doubtful); doubtful marks
-    the pairs whose sum at some tau lies within 1e-12 of its |products| of 0
-    (one return of B that covers all of A's sums them, which demeaned is 0),
-    so that rounding decides the curve that is normalized by it."""
+    overlapping returns and neither ticker inside one return of the other
+    (``inside_one_return``). Returns (pairs, curves, v)."""
     tau_grid = np.asarray(tau_grid, dtype=float)
     tickers = sorted(series)
     pairs = [(a, b) for i, a in enumerate(tickers) for b in tickers[i + 1:]]
@@ -348,14 +360,13 @@ def corr_vs_tau_loop(series, clock, tau_grid, normalize_tau: float = 1.0):
     hours = hours_in_year(clock.year)
     raw = np.full((len(pairs), len(tau_grid)), np.nan)
     v = np.full((len(tickers), len(tau_grid)), np.nan)
-    doubtful = np.zeros(len(pairs), dtype=bool)
 
     def per_step(a, b):
         (ka, za), (kb, zb) = prepped[a], prepped[b]
-        hy, n, scale = support_hy_pair(ka, za, kb, zb)
-        if n < 2:
-            return np.nan, n, False
-        return hy / (min(ka[-1], kb[-1]) - max(ka[0], kb[0])), n, abs(hy) <= 1e-12 * scale
+        hy, n, _ = support_hy_pair(ka, za, kb, zb)
+        if n < 2 or inside_one_return(ka, kb) or inside_one_return(kb, ka):
+            return np.nan, n
+        return hy / (min(ka[-1], kb[-1]) - max(ka[0], kb[0])), n
 
     for k, tau in enumerate(tau_grid):
         prepped, var = {}, {}
@@ -363,20 +374,19 @@ def corr_vs_tau_loop(series, clock, tau_grid, normalize_tau: float = 1.0):
             idx, _, pbar, _ = bin_coordinates(coords[t], series[t].price, tau)
             keep = idx < math.ceil(hours / tau)         # a bin past the year's block is dropped
             prepped[t] = support_returns(idx[keep], pbar[keep])
-            c, n, _ = per_step(t, t)
+            c, n = per_step(t, t)
             if n >= 7 and c > 0:
                 var[t] = v[i, k] = c
         for p, (a, b) in enumerate(pairs):
-            c, n, near_zero = per_step(a, b)
+            c, n = per_step(a, b)
             if a in var and b in var and n >= 2:
                 raw[p, k] = c / np.sqrt(var[a] * var[b])
-                doubtful[p] |= near_zero
     curves = np.full_like(raw, np.nan)
     for p in range(len(pairs)):
         ok = ~np.isnan(raw[p])
         if ok.any() and tau_grid[ok][0] <= normalize_tau <= tau_grid[ok][-1]:
             curves[p, ok] = normalize_curve(tau_grid[ok], raw[p, ok], normalize_tau)
-    return pairs, curves, v, doubtful
+    return pairs, curves, v
 
 
 def corr_vs_tau_csv_loop(series, clock, tau_grid, normalize_tau) -> np.ndarray:
@@ -393,7 +403,7 @@ def corr_vs_tau_csv_loop(series, clock, tau_grid, normalize_tau) -> np.ndarray:
         present = column[~np.isnan(column)]
         if len(present):
             perc[:, k] = np.percentile(present, PERCENTILES)
-    _, _, v, _ = corr_vs_tau_loop(series, clock, tau_grid, normalize_tau)
+    _, _, v = corr_vs_tau_loop(series, clock, tau_grid, normalize_tau)
     stack = [row for row in v if np.all(row > 0)]
     if stack:
         predicted = predicted_corr_ratio(np.median(np.stack(stack), axis=0), tau_grid,
@@ -404,8 +414,8 @@ def corr_vs_tau_csv_loop(series, clock, tau_grid, normalize_tau) -> np.ndarray:
 
 
 def year_bins_loop(series, years, kind: ClockKind, tau: float):
-    """Per year, each ticker's [(grid index, bin time, bin price), ...] on its own
-    clock, tickers by name, for those with two or more candles in the year.
+    """Per year, each ticker's [(grid index, bin price), ...] on its own clock,
+    tickers by name, for those with two or more candles in the year.
 
     A bin at or past the year's ceil(hours / tau) columns is dropped, one
     bin at a time.
@@ -418,38 +428,36 @@ def year_bins_loop(series, years, kind: ClockKind, tau: float):
         for t in sorted(series):
             sub = series[t].slice_window(clock.year_start, clock.year_end)
             if len(sub) >= 2:
-                idx, time, price, _ = bin_coordinates(clock.to_txn_time(sub.timestamps),
-                                                      sub.price, tau)
-                binned[t] = [(int(k), x, p) for k, x, p in zip(idx, time, price) if k < width]
+                idx, _, price, _ = bin_coordinates(clock.to_txn_time(sub.timestamps),
+                                                   sub.price, tau)
+                binned[t] = [(int(k), p) for k, p in zip(idx, price) if k < width]
         out.append(binned)
     return out
 
 
 def multi_year_bins_loop(series, years, kind: ClockKind, tau: float = 1.0):
-    """Per ticker with a bin, its (grid indices, bin times, bin prices) of the
-    years chained end to end, ticker by ticker.
+    """Per ticker with a bin, its (grid indices, bin prices) of the years
+    chained end to end, ticker by ticker.
 
     Each year is binned on its own clock (``year_bins_loop``). A year's grid
     indices are offset by the summed ceil(hours / tau) of the years before
-    it, and its bin times by their summed hours. At tau = 1 this is the
+    it. At tau = 1 this is the
     merge of per-year bins that the correlate command made before it read a
     grid (which offset by round(hours / tau) and so gave two bins one index
     at other taus).
     """
-    per_year, hours, width = year_bins_loop(series, years, kind, tau), [0], [0]
+    per_year, width = year_bins_loop(series, years, kind, tau), [0]
     for y in years:
-        hours.append(hours[-1] + hours_in_year(y))
         width.append(width[-1] + math.ceil(hours_in_year(y) / tau))
     out = {}
     for t in sorted(series):
-        idx, time, price = [], [], []
+        idx, price = [], []
         for i, binned in enumerate(per_year):
-            for k, x, p in binned.get(t, []):
+            for k, p in binned.get(t, []):
                 idx.append(width[i] + k)
-                time.append(x + hours[i])
                 price.append(p)
         if idx:
-            out[t] = (np.array(idx, dtype=np.int64), np.array(time), np.array(price))
+            out[t] = (np.array(idx, dtype=np.int64), np.array(price))
     return out
 
 
@@ -464,7 +472,7 @@ def build_panel_loop(series, years, kind: ClockKind):
     price = np.full((len(tickers), sum(hours)), np.nan)
     for j, binned in enumerate(year_bins_loop(series, years, kind, 1.0)):
         for i, t in enumerate(tickers):
-            for k, _, p in binned.get(t, []):
+            for k, p in binned.get(t, []):
                 price[i, sum(hours[:j]) + k] = p
     return tickers, price
 

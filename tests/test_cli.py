@@ -19,7 +19,7 @@ from oracles import (candle_cov, corr_vs_tau_csv_loop, multi_year_bins_loop, sup
 from vartau import candles, cli
 from vartau.backtest import run_sim_meanrev
 from vartau.candles import CandleSeries, parse_candles, write_candles
-from vartau.clock import ClockKind, build_clock, year_bounds
+from vartau.clock import ClockKind, build_clock, hours_in_year, year_bounds
 from vartau.covariance import corr_vs_tau
 from vartau.hurst import (HurstParams, SimConfig, read_panel_csv, simulate_fbm,
                           simulate_shot_noise)
@@ -77,8 +77,7 @@ def test_correlate_matches_pair_loop(data, tmp_path, tau):
     series = {t: parse_candles(data / f"{t}.csv") for t in sorted(market())}
     bins = {t: b for t, b in multi_year_bins_loop(series, YEARS, ClockKind.DOLLAR_WEIGHTED,
                                                   tau).items() if len(b[0]) >= 2}
-    want, want_n, scale, doubtful = support_cov_loop(
-        [(k, p) for k, _, p in bins.values()], 50)
+    want, want_n, scale, doubtful = support_cov_loop(list(bins.values()), 50)
     assert tickers == list(bins) and not doubtful.any()
     assert np.array_equal(n_obs, want_n)
     assert np.array_equal(np.isnan(c), np.isnan(want))
@@ -206,7 +205,8 @@ def test_corr_vs_tau_csv_matches_second_binning_pass(tmp_path):
 
 @pytest.mark.parametrize("row, message", [("0.0,x", "cannot read T1 from 'x' as float64"),
                                           ("0.5", "expected 2 fields, got 1"),
-                                          ("nan,0.0", "coefficients must be finite, got 'nan,0.0'")])
+                                          ("nan,0.0", "coefficients must be finite, got 'nan,0.0'"),
+                                          ("0.5,0.25", "ticker 'T1' has coefficient 0.25 on itself")])
 def test_bad_coefficients_file_exits_3(data, tmp_path, capsys, row, message):
     coeffs = tmp_path / "coeffs.csv"
     coeffs.write_text(f"T0,T1\n0.0,0.5\n{row}\n")
@@ -304,6 +304,29 @@ def test_negative_min_obs_is_a_usage_error_before_any_file(tmp_path, capsys, arg
                      "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err == "usage error: --min-obs must be non-negative, got -3\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["correlate", "--years", "2021", "--tau", "1e-16"], "--tau 1e-16"),
+    (["correlate", "--years", "2021,2022", "--tau", "1.5e-15"], "--tau 1.5e-15"),
+    (["correlate", "--years", "2021", "--tau-grid", "1e-17,1"], "--tau-grid 1e-17"),
+    (["variogram", "--year", "2021", "--tau-grid", "1e-17,1"], "--tau-grid 1e-17"),
+], ids=["correlate_tau", "correlate_two_years", "correlate_grid", "variogram_grid"])
+def test_tau_whose_grid_overflows_int64_is_a_usage_error_before_any_file(tmp_path, capsys,
+                                                                         argv, value):
+    # --tau 1e-16 once warned in the cast to int64 grid indices, a traceback
+    # where a RuntimeWarning is an error, and then exited 3 over row 0's
+    # indices; 1.5e-15 fits one year's 8760 hours in int64, not two years'
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--data-dir", str(tmp_path / "none"), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"usage error: {value} makes a grid of 2**63 or more columns\n"
+    assert not out.exists()
+
+
+def test_tau_whose_grid_fits_int64_runs(data, tmp_path):
+    # 8760 / 1.5e-15 columns is under 2**63: every candle gets its own bin
+    assert cli.main(["correlate", "--data-dir", str(data), "--years", "2021", "--tau", "1.5e-15",
+                     "--min-obs", "0", "--out-dir", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("flags", [
@@ -1337,7 +1360,8 @@ def test_variogram_clock_flag_picks_the_clock(data, outputs, tmp_path, kind):
     assert len(written) >= 3
     for name in written:
         t = name[len("variogram_"):-len(".csv")]
-        v = variogram_diff_of_avg(txn_candles([series[t]], [clock]), grid)
+        ((mapped,),) = txn_candles([series[t]], [clock])
+        v = variogram_diff_of_avg(mapped, hours_in_year(2021), grid)
         v0 = value_at(v.tau, v.v[None], 1.0)[0]
         Variogram(v.tau, v.v / v0, v.n_samples).write_csv(tmp_path / "want.csv")
         got = (out / name).read_bytes()

@@ -1,4 +1,4 @@
-"""Asynchronous covariance, correlation curves, two-component model."""
+"""Asynchronous covariance, correlation curves and their prediction."""
 
 import tracemalloc
 import weakref
@@ -10,9 +10,8 @@ from oracles import (candle_cov, corr_vs_tau_loop, support_hy_loop, support_retu
                      txn_candles)
 from vartau import covariance, panel
 from vartau.clock import ClockKind, build_clock, year_bounds
-from vartau.covariance import (CovMatrix, TwoComponentModel, cov_to_corr, corr_vs_tau,
-                               pair_stats, predicted_corr_ratio,
-                               simulate_two_component)
+from vartau.covariance import (CovMatrix, cov_to_corr, corr_vs_tau, pair_stats,
+                               predicted_corr_ratio)
 from vartau.errors import DataError
 from vartau.panel import grid_bins
 from vartau.synthetic import (correlated_walk_panel, hourly_candles_from_prices,
@@ -23,11 +22,11 @@ T0, _ = year_bounds(2021)
 
 
 def row(idx, r=None):
-    """A row of bins at grid indices idx, as ``grid_bins`` yields it, whose log
-    returns are r (default 0.01 each)."""
+    """A row of (grid index, bin price) at grid indices idx, as ``grid_bins``
+    yields it, whose log returns are r (default 0.01 each)."""
     idx = np.asarray(idx, dtype=np.int64)
     r = np.full(len(idx) - 1, 0.01) if r is None else np.asarray(r, dtype=float)
-    return idx, np.zeros(len(idx)), np.exp(np.concatenate(([0.0], np.cumsum(r))))
+    return idx, np.exp(np.concatenate(([0.0], np.cumsum(r))))
 
 
 def identity_clock(year=2021):
@@ -50,11 +49,6 @@ def walk_candles(returns, tau=1.0, first=None, gaps=None):
     return txn_candles(series.values(), [identity_clock()])
 
 
-def model_rho(ra, rb):
-    """Sample correlation of two return series drawn period by period."""
-    return np.corrcoef(ra, rb)[0, 1]
-
-
 def lag1_kernel(z):
     """The support-HY variance of demeaned returns: sum z^2 + 2 sum z_i z_{i+1}."""
     return z @ z + 2 * (z[1:] @ z[:-1])
@@ -67,7 +61,7 @@ class TestEstimate:
         r = rng.normal(0, 0.01, 500)
         candles = walk_candles({"A": r, "B": r})
         c = candle_cov(candles, 1.0, min_obs=2)
-        k, _, p = next(grid_bins(candles, 1.0))
+        k, p = next(grid_bins(candles, 1.0))
         want = lag1_kernel(support_returns(k, p)[1]) / 500
         assert c.c[0, 1] == pytest.approx(want, rel=1e-12)
         assert c.c[0, 0] == pytest.approx(want, rel=1e-12)
@@ -84,11 +78,12 @@ class TestEstimate:
         assert abs(rho) < 3 * np.sqrt(3 / n)
 
     def test_planted_factor_correlation(self):
-        # single-factor construction with shared draws, rho = 0.49; the
-        # 20,000 returns fit in one year at 15 minutes a bin
+        # single-factor construction with one shared draw a period, rho = 0.49;
+        # the 20,000 returns fit in one year at 15 minutes a bin
         rho = 0.49
-        model = TwoComponentModel(v=lambda t: 1.0, u=lambda t: 0.0, rho=rho)
-        ra, rb = simulate_two_component(model, 1.0, 20000, seed=2)
+        rng = np.random.default_rng(2)
+        common, own = rng.standard_normal(20000), rng.standard_normal((2, 20000))
+        ra, rb = np.sqrt(rho) * common + np.sqrt(1 - rho) * own
         c = candle_cov(walk_candles({"A": ra, "B": rb}, tau=0.25), 0.25, min_obs=2)
         assert cov_to_corr(c).rho[0, 1] == pytest.approx(rho, abs=0.05)
 
@@ -117,6 +112,22 @@ class TestEstimate:
         want = (za[0] * zb[:2].sum() + za[1] * zb[:3].sum() + za[2] * zb[1:13].sum()
                 + za[3] * zb[11:14].sum())
         assert c.c[0, 1] == pytest.approx(want / 13, rel=1e-12)      # A spans bins 0..13
+
+    @pytest.mark.parametrize("gaps, first, m", [([1, 22, 1], 2, 19), ([1, 1, 22], 3, 22)],
+                             ids=["within", "past_its_last_bin"])
+    def test_a_ticker_inside_one_return_of_another_has_no_covariance(self, gaps, first, m):
+        # B's m returns each meet A's second return, from bin 1 to 23, or A's
+        # last, from bin 2 to 24, and no other (B's last return runs from 24 to
+        # 25 there), so their sum is that return times B's demeaned sum: 0 but
+        # for rounding, which gave correlations like 5e-15 and rho(tau) curves
+        # of 1e17
+        rng = np.random.default_rng(4)
+        candles = walk_candles({"A": [0.3, 0.1, -0.4], "B": rng.normal(0, 0.01, m)},
+                               first={"B": first}, gaps={"A": gaps, "B": [1] * m})
+        c = candle_cov(candles, 1.0, min_obs=2)
+        assert c.n_obs[0, 1] == m and np.isnan(c.c[0, 1]) and np.isfinite(np.diag(c.c)).all()
+        _, curves, v = corr_vs_tau(candles, np.array([0.5, 1.0]), 1.0)
+        assert np.isnan(curves).all() and np.isfinite(v).all()
 
     def test_different_spans_keep_a_perfect_correlation(self):
         # one walk: A trades bins 0..6000, B only 2000..4000, C only 0..3000
@@ -243,7 +254,7 @@ class TestCorrVsTau:
             clock = build_clock(series.values(), ClockKind.VOLUME_WEIGHTED, 2021)
             grid = np.array([1460.0, 2920.0, 8760.0])
         _, _, v = corr_vs_tau(txn_candles(series.values(), [clock]), grid, 1.0)
-        _, _, want, _ = corr_vs_tau_loop(series, clock, grid, 1.0)
+        _, _, want = corr_vs_tau_loop(series, clock, grid, 1.0)
         assert np.array_equal(np.isnan(v), np.isnan(want))
         assert np.allclose(v[~np.isnan(v)], want[~np.isnan(want)], rtol=1e-12, atol=0)
         assert np.isnan(v).sum() > 0
@@ -274,43 +285,14 @@ class TestPredictedRatio:
 
 
 class TestTwoComponent:
-    def test_no_uncorrelated_part_recovers_latent(self):
-        model = TwoComponentModel(v=lambda t: 2.0 * t, u=lambda t: 0.0, rho=0.7)
-        ra, rb = simulate_two_component(model, 1.0, 30000, seed=10)
-        rho = model_rho(ra, rb)
-        assert rho == pytest.approx(0.7, abs=3 * (1 - 0.7 ** 2) / np.sqrt(30000))
-
-    def test_no_correlated_part_gives_zero(self):
-        model = TwoComponentModel(v=lambda t: 0.0, u=lambda t: 1.0, rho=0.7)
-        ra, rb = simulate_two_component(model, 1.0, 30000, seed=11)
-        assert abs(model_rho(ra, rb)) < 3 / np.sqrt(30000)
-
-    def test_equal_parts_halve_latent(self):
-        model = TwoComponentModel(v=lambda t: 1.5, u=lambda t: 1.5, rho=0.8)
-        ra, rb = simulate_two_component(model, 1.0, 60000, seed=12)
-        assert model_rho(ra, rb) == pytest.approx(0.4, abs=0.02)
-
-    def test_negative_latent_correlation(self):
-        model = TwoComponentModel(v=lambda t: 1.0, u=lambda t: 0.0, rho=-0.6)
-        ra, rb = simulate_two_component(model, 1.0, 30000, seed=13)
-        assert model_rho(ra, rb) == pytest.approx(-0.6, abs=0.02)
-
-    def test_observed_rho_closure_across_tau(self):
-        # measured rho(tau) tracks rho * V/(V+U) at every grid point
-        model = TwoComponentModel(v=lambda t: t, u=lambda t: t ** 0.9, rho=0.5)
-        for tau in (0.25, 1.0, 4.0, 16.0):
-            n = 20000
-            ra, rb = simulate_two_component(model, tau, n, seed=int(tau * 100))
-            got = model_rho(ra, rb)
-            want = model.observed_rho(tau)
-            assert abs(got - want) < 3 * (1 - want ** 2) / np.sqrt(n)
+    """pair_stats' edge cases and memory, and corr_vs_tau's."""
 
     def test_pair_stats_empty_overlap(self):
         # the supports [0, 1], [1, 2] and [5, 6], [6, 7] never meet
-        hy, n, steps = pair_stats([row([0, 1, 2]), row([5, 6, 7])], 8)
+        hy, n, steps, inside = pair_stats([row([0, 1, 2]), row([5, 6, 7])], 8)
         assert n[0, 1] == n[1, 0] == 0 and hy[0, 1] == hy[1, 0] == 0.0
         assert n[0, 0] == n[1, 1] == 3 * 2 - 2
-        assert steps.tolist() == [[2, 0], [0, 2]]
+        assert steps.tolist() == [[2, 0], [0, 2]] and not inside.any()
 
     @pytest.mark.parametrize("idx", [[0, 2, 1], [0, 1, 1], [-1, 0, 1], [4, 5, 7]])
     def test_pair_stats_needs_increasing_starts_on_the_grid(self, idx):
@@ -330,19 +312,19 @@ class TestTwoComponent:
         width = blocks * covariance._BLOCK_BINS
         rows = [row(idx, rng.normal(0, 0.01, len(idx) - 1))
                 for idx in (np.flatnonzero(rng.random(width) < 0.3) for _ in range(n))]
-        bins = sum(len(k) for k, _, _ in rows)
-        fullest = max(sum(((k // covariance._BLOCK_BINS) == b).sum() for k, _, _ in rows)
+        bins = sum(len(k) for k, _ in rows)
+        fullest = max(sum(((k // covariance._BLOCK_BINS) == b).sum() for k, _ in rows)
                       for b in range(blocks))
         tracemalloc.start()
         try:
-            hy, n_obs, _ = pair_stats(iter(rows), width)
+            hy, n_obs, _, _ = pair_stats(iter(rows), width)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         block = 16 * n * covariance._BLOCK_BINS + 64 * fullest
-        longest = 64 * max(len(k) for k, _, _ in rows)
+        longest = 64 * max(len(k) for k, _ in rows)
         assert peak < 10 * bins + block + longest + 512 * n * blocks + (64 << 10)
-        want, want_n, scale = support_hy_loop([(k, p) for k, _, p in rows])
+        want, want_n, scale = support_hy_loop(rows)
         assert np.array_equal(n_obs, want_n)
         assert np.all(np.abs(hy - want) <= 1e-12 * scale)
 
@@ -382,7 +364,7 @@ class TestTwoComponent:
                 for _ in range(3)]
         tracemalloc.start()
         try:
-            _, n, _ = pair_stats(rows, width)
+            _, n, _, _ = pair_stats(rows, width)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -42,10 +42,10 @@ from hypothesis.extra import numpy as hnp
 
 from oracles import (BALANCE_TOL, LedgerRows, bin_coordinates_unique, build_clock_dict,
                      build_clock_unique, build_panel_loop, build_then_filter, candle_cov,
-                     corr_vs_tau_loop, ledger_rows, multi_year_bins_loop, naive_scores,
-                     parse_candles_loop, predict_loop, prediction_scores, run_market_meanrev_loop,
-                     run_xcorr_strategy_loop, shot_logp_loop, simulate_shot_noise_loop,
-                     support_cov_loop, support_hy_loop, txn_candles,
+                     corr_vs_tau_loop, inside_one_return, ledger_rows, multi_year_bins_loop,
+                     naive_scores, parse_candles_loop, predict_loop, prediction_scores,
+                     run_market_meanrev_loop, run_xcorr_strategy_loop, shot_logp_loop,
+                     simulate_shot_noise_loop, support_cov_loop, support_hy_loop, txn_candles,
                      write_candles_csv_rows, write_clock_csv_rows, write_corr_vs_tau_csv_rows,
                      write_ensemble_csv_rows, write_equity_csv_rows, write_ledger_csv_rows,
                      write_matrix_csv_rows, write_panel_csv_rows, write_variogram_csv_rows,
@@ -215,9 +215,11 @@ def panel_tables(draw):
 
 @st.composite
 def coeff_tables(draw):
-    """A coefficient matrix's ticker header, its rows, and the coefficients."""
+    """A coefficient matrix's ticker header, its rows, and the coefficients (0 on
+    the diagonal, as no ticker predicts its own return)."""
     n = draw(st.integers(1, 4))
-    b = np.array([[draw(st.floats(-1e3, 1e3)) for _ in range(n)] for _ in range(n)])
+    b = np.array([[draw(st.floats(-1e3, 1e3)) if i != j else 0.0 for j in range(n)]
+                  for i in range(n)])
     tickers = [f"T{i}" for i in range(n)]
     return tickers, [tuple(map(float, row)) for row in b], PredictionCoeffs(tickers, b)
 
@@ -423,7 +425,7 @@ def test_grid_bins_match_year_loop(market, kind, tau):
     got = {t: bins for t, bins in zip(candles.tickers, grid_bins(candles, tau)) if len(bins[0])}
     assert list(got) == list(want)
     for t, bins in got.items():
-        for field, a, b in zip(("index", "time", "price"), bins, want[t]):
+        for field, a, b in zip(("index", "price"), bins, want[t], strict=True):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (t, field)
 
 
@@ -437,8 +439,7 @@ def test_estimate_cov_matches_pair_loop(market, kind, tau, min_obs):
     series, years = market
     bins = {t: b for t, b in multi_year_bins_loop(series, years, kind, tau).items()
             if len(b[0]) >= 2}
-    want, n_obs, scale, doubtful = support_cov_loop([(k, p) for k, _, p in bins.values()],
-                                                    min_obs)
+    want, n_obs, scale, doubtful = support_cov_loop(list(bins.values()), min_obs)
     candles = txn_candles(series.values(), [build_clock(series.values(), kind, y) for y in years])
     got = candle_cov(candles, tau, min_obs)
     assert got.tickers == list(bins) and np.array_equal(got.n_obs, n_obs)
@@ -507,7 +508,8 @@ def test_build_panel_share_matches_build_then_filter(candles, data):
 
 @st.composite
 def bin_sets(draw, block=100):
-    """A few tickers' rows of bins on a shared grid, as ``grid_bins`` yields them.
+    """A few tickers' rows of (grid index, bin price) on a shared grid, as
+    ``grid_bins`` yields them.
 
     Each row's grid indices are its own random subset of the grid: its first
     100 columns, the columns on and beside the first two multiples of
@@ -528,7 +530,7 @@ def bin_sets(draw, block=100):
             e = rng.choice(edges)
             idx = np.concatenate(([e], idx[idx > e]))
         price = 50.0 * np.exp(np.cumsum(rng.normal(0, 0.01, len(idx))))
-        rows.append((idx.astype(np.int64), np.zeros(len(idx)), price))
+        rows.append((idx.astype(np.int64), price))
     return rows, int(pool[-1]) + 1 + draw(st.integers(0, 2))
 
 
@@ -536,14 +538,19 @@ def bin_sets(draw, block=100):
 @given(st.data(), st.sampled_from([1, 3, 7, 100, covariance._BLOCK_BINS]))
 def test_grid_cov_matches_pair_loop(data, block):
     rows, width = data.draw(bin_sets(block))
-    want, want_n, scale = support_hy_loop([(k, p) for k, _, p in rows])
+    want, want_n, scale = support_hy_loop(rows)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(covariance, "_BLOCK_BINS", block)
-        got, n_obs, steps = pair_stats(iter(rows), width)
+        got, n_obs, steps, inside = pair_stats(iter(rows), width)
     assert np.array_equal(n_obs, want_n)
-    ends = np.array([(k[0], k[-1]) if len(k) >= 2 else (0, 0) for k, _, _ in rows]).reshape(-1, 2)
+    ends = np.array([(k[0], k[-1]) if len(k) >= 2 else (0, 0) for k, _ in rows]).reshape(-1, 2)
     want_steps = [[max(0, min(a[1], b[1]) - max(a[0], b[0])) for b in ends] for a in ends]
     assert steps.tolist() == want_steps
+    # compared on the rows with a return: a sum with no return is 0 either way
+    both = np.logical_and.outer(*[np.array([len(k) >= 2 for k, _ in rows])] * 2)
+    want_inside = [[inside_one_return(ka, kb) or inside_one_return(kb, ka) for kb, _ in rows]
+                   for ka, _ in rows]
+    assert np.array_equal(inside[both], np.array(want_inside)[both])
     assert np.array_equal(got, got.T)
     assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
@@ -566,11 +573,10 @@ def candle_sets(draw):
 def test_corr_vs_tau_matches_pair_loop(series, tau0):
     clock = build_clock(series.values(), ClockKind.CLOCK, 2021)
     grid = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
-    want_pairs, want, want_v, doubtful = corr_vs_tau_loop(series, clock, grid, tau0)
+    want_pairs, want, want_v = corr_vs_tau_loop(series, clock, grid, tau0)
     tickers, got, v = corr_vs_tau(txn_candles(series.values(), [clock]), grid, tau0)
     assert [(tickers[i], tickers[j])
             for i, j in zip(*np.triu_indices(len(tickers), 1))] == want_pairs
-    got, want = got[~doubtful], want[~doubtful]
     assert np.array_equal(np.isnan(got), np.isnan(want))
     # a cell is c = rho / rho0, rho0 = rho at tau0. Each rho is within
     # e = 1e-12 * s of the loop's, s the row's largest |rho|, so

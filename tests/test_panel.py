@@ -3,6 +3,7 @@
 import numpy as np
 
 from oracles import txn_candles
+from vartau.candles import bin_series
 from vartau.clock import ClockKind, build_clock, year_bounds
 from vartau.panel import build_panel, grid_bins
 from vartau.synthetic import point_candles
@@ -26,7 +27,7 @@ def test_blocks_do_not_share_columns_when_tau_does_not_divide_the_year():
                           clocks_of({}))
     assert candles.widths(7.0) == [1252, 1252]
     assert panel_of({}, years=(2020, 2021)).blocks == [slice(0, 8784), slice(8784, 17544)]
-    ((k, _, p),) = grid_bins(candles, 7.0)
+    ((k, p),) = grid_bins(candles, 7.0)
     assert k.tolist() == [1251, 1252, 1253]             # last of 2021, first two of 2022
     assert np.allclose(np.diff(np.log(p)), np.log([3.5 / 1.5, 5.0 / 3.5]))
 
@@ -41,25 +42,31 @@ def test_bin_at_the_year_end_is_dropped():
     p = build_panel(candles)
     assert p.price.shape == (1, 8760)
     assert np.flatnonzero(np.isfinite(p.price[0])).tolist() == [0, 4380]
-    ((k, t, _),) = grid_bins(candles, 1.0)
-    assert k.tolist() == [0, 4380] and np.diff(t).tolist() == [4380.0]
+    ((k, _),) = grid_bins(candles, 1.0)
+    assert k.tolist() == [0, 4380]
+    ((hours_and_prices,),) = candles        # the year's bins, with their mean hours
+    b = bin_series(*hours_and_prices, 1.0, 8760)
+    assert b.index.tolist() == [0, 4380] and np.diff(b.time).tolist() == [4380.0]
 
 
 def test_returns_span_the_year_boundary_and_adjacent_returns_do_not():
     ts = np.array([T21, T21 + 3600, T22 - 3600, T22, T22 + 7200], dtype=np.int64)
     prices = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
     candles = {"A": point_candles("A", ts, prices)}
-    ((k, t, p),) = grid_bins(txn_candles(candles.values(), clocks_of(candles)), 1.0)
+    both = txn_candles(candles.values(), clocks_of(candles))
+    ((k, p),) = grid_bins(both, 1.0)
     assert k.tolist() == [0, 1, 8759, 8760, 8762]
     assert np.allclose(np.diff(np.log(p)), np.log(2.0))
-    assert np.diff(t).tolist() == [1.0, 8758.0, 1.0, 2.0]     # one chained hour axis
+    # each year's candles on its own clock's hours; the grid chains the blocks
+    assert [xp[0].tolist() for per_year in both for xp in per_year] == [[0, 1, 8759], [0, 2]]
     panel = panel_of(dict(candles))
     adj = {y: panel.adjacent_returns(y) for y in panel.years}
     assert adj[2021].shape == adj[2022].shape == (1, 8759)
     assert np.flatnonzero(np.isfinite(adj[2021][0])).tolist() == [0]
     assert np.flatnonzero(np.isfinite(adj[2022][0])).tolist() == []
-    ((k22, t22, _),) = grid_bins(txn_candles(candles.values(), clocks_of(candles, (2022,))), 1.0)
-    assert k22.tolist() == [0, 2] and np.diff(t22).tolist() == [2.0]
+    one = txn_candles(candles.values(), clocks_of(candles, (2022,)))
+    ((k22, _),) = grid_bins(one, 1.0)
+    assert k22.tolist() == [0, 2] and [xp[0].tolist() for (xp,) in one] == [[0, 2]]
 
 
 def test_rows_are_sorted_tickers_with_two_candles_in_a_year():
@@ -79,6 +86,5 @@ def test_a_years_bins_are_its_block_of_the_panel():
     panel = panel_of(candles)
     for y in panel.years:
         one = txn_candles(candles.values(), clocks_of(candles, (y,)))
-        for (k, _, p), (want_k, _, want_p) in zip(panel.bins(y), grid_bins(one, 1.0),
-                                                  strict=True):
+        for (k, p), (want_k, want_p) in zip(panel.bins(y), grid_bins(one, 1.0), strict=True):
             assert k.tolist() == want_k.tolist() and p.tobytes() == want_p.tobytes()

@@ -440,7 +440,9 @@ class TestCsv:
     @pytest.mark.parametrize("text, message", [
         ("A,A\n0.0,1.0\n1.0,0.0\n", r"bad\.csv:1: ticker 'A' is given more than once"),
         ("A,B\n0.0,1.0\nnan,0.0\n", r"bad\.csv:3: coefficients must be finite, got 'nan,0.0'"),
-    ], ids=["repeated_ticker", "nan_cell"])
+        # a blank line is skipped: A's row is line 3
+        ("A,B\n\n0.5,1.0\n2.0,0.0\n", r"bad\.csv:3: ticker 'A' has coefficient 0\.5 on itself"),
+    ], ids=["repeated_ticker", "nan_cell", "own_coefficient"])
     def test_bad_table_names_file_and_line(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"
         path.write_text(text)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import txn_candles
 from vartau import cli, hurst
 from vartau.candles import CandleSeries, write_candles
-from vartau.clock import ClockKind, build_clock, year_bounds
+from vartau.clock import ClockKind, build_clock, hours_in_year, year_bounds
 from vartau.errors import DataError
 from vartau.synthetic import point_candles, random_walk_candles
 from vartau.variogram import (PERCENTILES, Variogram, column_quantiles, default_tau_grid,
@@ -28,9 +28,14 @@ def identity_clock(year=2021):
 CLOCK = identity_clock()
 
 
-def mapped(s):
-    """One ticker's candles on the identity clock, as the estimator reads them."""
-    return txn_candles([s], [CLOCK])
+HOURS = hours_in_year(2021)
+
+
+def mapped(s, clock=CLOCK):
+    """One ticker's candles in the clock's year, (transaction hours, prices) or
+    None with fewer than two, as the estimator reads them."""
+    ((xp,),) = txn_candles([s], [clock])
+    return xp
 
 
 def normalize_at(v: Variogram, tau0: float) -> Variogram:
@@ -56,7 +61,7 @@ class TestDiffOfAvg:
         # random-walk null: normalized V(tau)/tau constant across the grid
         s = random_walk_candles("M", 2021, 120_000, vol_per_candle=1e-3, seed=8)
         grid = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
-        v = variogram_diff_of_avg(mapped(s), grid)
+        v = variogram_diff_of_avg(mapped(s), HOURS, grid)
         ratio = v.v / v.tau
         n_eff = v.n_samples.astype(float)
         # each point is a mean of ~n chi-square terms; allow 4 relative sigmas
@@ -69,14 +74,14 @@ class TestDiffOfAvg:
         # one-minute steps of the walk, whose point variance is 30 vol^2;
         # about 13,000 returns put 0.05 near 4 sigma of the estimate
         s = random_walk_candles("P", 2021, 400_000, vol_per_candle=1e-3, seed=9)
-        vd = variogram_diff_of_avg(mapped(s), [0.5])
+        vd = variogram_diff_of_avg(mapped(s), HOURS, [0.5])
         assert vd.v[0] / (1e-3 ** 2 * 30) == pytest.approx(2.0 / 3.0, rel=0.05)
 
     def test_insufficient_tau_omitted_and_flagged(self):
         ts = T0 + 60 * np.arange(30, dtype=np.int64)
         s = point_candles("S", ts, np.exp(np.linspace(0, 0.01, 30)))
         grid = np.array([0.25, 100.0])  # no two bins exist at tau=100
-        v = variogram_diff_of_avg(mapped(s), grid)
+        v = variogram_diff_of_avg(mapped(s), HOURS, grid)
         assert 100.0 not in v.tau
         assert 100.0 in v.omitted
 
@@ -87,11 +92,11 @@ class TestDiffOfAvg:
         wider = point_candles("Y", np.concatenate([[T0 - 3600], ts, [year_bounds(2022)[0]]]),
                               np.concatenate([[5.0], prices, [7.0]]))
         grid = np.array([1.0, 3.0])
-        want = variogram_diff_of_avg(mapped(inside), grid)
-        got = variogram_diff_of_avg(mapped(wider), grid)
+        want = variogram_diff_of_avg(mapped(inside), HOURS, grid)
+        got = variogram_diff_of_avg(mapped(wider), HOURS, grid)
         assert got.v.tolist() == want.v.tolist() and len(want) == 2
         assert got.n_samples.tolist() == want.n_samples.tolist()
-        alone = variogram_diff_of_avg(mapped(point_candles("Y", ts[:1], prices[:1])), grid)
+        alone = variogram_diff_of_avg(mapped(point_candles("Y", ts[:1], prices[:1])), HOURS, grid)
         assert len(alone) == 0 and alone.omitted.tolist() == grid.tolist()
 
     def test_recovers_the_planted_epsilon_of_minute_candles(self):
@@ -105,7 +110,7 @@ class TestDiffOfAvg:
         for epsilon in (0.0, 0.035):
             s = fbm_minute_candles(epsilon, seed=0)
             clock = build_clock([s], ClockKind.VOLUME_WEIGHTED, 2021)
-            v = variogram_diff_of_avg(txn_candles([s], [clock]), grid)
+            v = variogram_diff_of_avg(mapped(s, clock), HOURS, grid)
             slopes.append(fit_power_law(v).exponent)
         assert slopes[0] - slopes[1] == pytest.approx(0.07, abs=0.01)
         assert slopes[1] == pytest.approx(0.93, abs=0.06)
@@ -282,7 +287,7 @@ class TestEnsemble:
         for _ in range(40):
             s = random_walk_candles("Y", 2021, 8760, spacing_minutes=60,
                                     vol_per_candle=4e-3, rng=rng)
-            members.append(normalize_at(variogram_diff_of_avg(mapped(s), grid), 1.0))
+            members.append(normalize_at(variogram_diff_of_avg(mapped(s), HOURS, grid), 1.0))
         tau = grid
         curves = percentile_curves(np.stack([m.v for m in members]))
         spread = curves[-1] - curves[0]          # p90 - p10 per tau
