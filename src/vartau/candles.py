@@ -126,7 +126,6 @@ class BinnedSeries:
     index: np.ndarray         # int64, strictly increasing grid indices
     time: np.ndarray          # mean transaction-time coordinate per bin
     price: np.ndarray         # mean representative price per bin
-    n_candles: np.ndarray     # candles per bin, >= 1
 
     def __len__(self) -> int:
         return len(self.index)
@@ -604,6 +603,6 @@ def bin_series(coords: np.ndarray, prices: np.ndarray, tau: float, width: int) -
     coordinates, minus any bin at or past ``width``: a candle at the year's
     last transaction hour starts such a bin when tau divides the year.
     """
-    idx, times, means, counts = bin_coordinates(coords, prices, tau)
+    idx, times, means, _ = bin_coordinates(coords, prices, tau)
     n = np.searchsorted(idx, width)     # the indices increase: dropped bins end the year
-    return BinnedSeries(idx[:n], times[:n], means[:n], counts[:n])
+    return BinnedSeries(idx[:n], times[:n], means[:n])

@@ -460,7 +460,9 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     sp.add_argument("--top-fraction", type=float, default=0.05,
                     help="share of the present names bought, and sold; xcorr only")
     sp.add_argument("--min-side-count", type=int, default=100,
-                    help="fewest decliners and gainers an hour trades; market-meanrev only")
+                    help="fewest decliners and gainers an hour trades; market-meanrev "
+                         "only. The default of 100 trades no hour below about 200 "
+                         "eligible tickers")
     sp.add_argument("--min-active-fraction", type=float, default=0.5,
                     help="share of each year's hours a kept ticker trades in; "
                          "market-meanrev only (xcorr trades its coefficient file's tickers)")

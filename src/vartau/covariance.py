@@ -1,11 +1,13 @@
 """Pairwise covariance and correlation of asynchronous returns.
 
-A ticker's returns at resolution tau are the demeaned log differences of its
+A ticker's returns at resolution tau are the log differences of its
 consecutive bin prices in ``panel.grid_bins``. A bin price averages the
 candles of its bin, so the return from bin k_i to k_{i+1} has the closed
 support [k_i, k_{i+1}]. A pair's covariance is the Hayashi-Yoshida sum
 (Bernoulli 11(2), 2005) of r_A r_B over every pair of returns whose supports
-overlap, and its count is the number of those pairs. On the diagonal this is
+overlap, and its count is the number of those pairs. The returns are raw, as
+Hayashi and Yoshida define the sum: demeaning them would take about 3/n from
+the variance of n returns. On the diagonal the sum is
 sum r_i^2 + 2 sum r_i r_{i+1}, a lag-1 realised kernel (Barndorff-Nielsen
 et al., Econometrica 76(6), 2008) that takes in the lag-1 autocovariance
 averaging gives adjacent returns, so a correlation and its variances come
@@ -39,8 +41,8 @@ from .variogram import value_at
 DEFAULT_MIN_OBS = 50
 # the fewest overlapping return pairs behind any covariance or correlation reported
 MIN_JOINT_OBS = 2
-# and behind a variance: 3 returns give 7. The lag-1 kernel of 2 demeaned
-# returns, (z_1 + z_2)^2, is 0, and only rounding would give it a sign
+# and behind a variance: 3 returns give 7. The lag-1 kernel of 2 returns is the
+# squared total return, 0 up to rounding whenever the price ends where it began
 MIN_VARIANCE_OBS = 7
 # grid columns per block of pair_stats' products: 48 KiB a row of float64 operands
 _BLOCK_BINS = 3072
@@ -88,14 +90,11 @@ def pair_stats(bins, width: int):
 
     Row i is the i-th (grid index, bin price) of ``grid_bins`` or ``Panel.bins``,
     read once. Its indices are strictly increasing inside [0, width). Its
-    returns z_j are demeaned log differences of its prices, with supports
-    [k_j, k_{j+1}]. Returns (hy, n_obs, steps, inside): hy[a, b] sums z_a,i
-    z_b,j over the pairs of returns whose supports overlap, n_obs[a, b] counts
-    them (3 m - 2 on the diagonal for m returns), both exactly symmetric,
-    steps[a, b] is the grid steps both rows' returns span (0 if none), and
-    inside[a, b] marks where each return of one row meets one and the same
-    return of the other alone: hy is that z times a demeaned sum, 0 in exact
-    arithmetic.
+    returns z_j are the log differences of its prices, with supports
+    [k_j, k_{j+1}]. Returns (hy, n_obs, steps): hy[a, b] sums z_a,i z_b,j
+    over the pairs of returns whose supports overlap, n_obs[a, b] counts them
+    (3 m - 2 on the diagonal for m returns), both exactly symmetric, and
+    steps[a, b] is the grid steps both rows' returns span (0 if none).
 
     Two closed supports overlap exactly when one starts inside the other,
     and only equal starts count twice. So with Q each z at its start column,
@@ -109,18 +108,17 @@ def pair_stats(bins, width: int):
     assert _BLOCK_BINS <= 32768     # a column within a block fits in int16
     # pieces[b]: (row, columns within block b, z) of each row with bins in block b
     pieces: dict[int, list] = {}
-    n, ends = 0, []             # each row's first, second, next-to-last and last grid index
+    n, ends = 0, []             # each row's first and last grid index
     # no enumerate(): its last tuple would hold a row while the next is read
     for k, p in bins:
         i, n = n, n + 1
-        ends.append((k[0], k[1], k[-2], k[-1]) if len(k) >= 2 else (0, 0, 0, 0))
+        ends.append((k[0], k[-1]) if len(k) >= 2 else (0, 0))
         if len(k) < 2:
             continue
         if k[0] < 0 or k[-1] >= width or np.any(k[1:] <= k[:-1]):
             raise DataError(f"grid indices of row {i} are not increasing inside [0, {width})")
         z = np.log(p)
         z[:-1] = z[1:] - z[:-1]
-        z[:-1] -= z[:-1].mean()
         z[-1] = np.nan
         lo = 0
         while lo < len(k):      # one step per block that holds bins of the row
@@ -161,13 +159,9 @@ def pair_stats(bins, width: int):
         values[~known] = 0.0
         hy += _block_product(runs, pos, at, values, bw)
         counts += _block_product(runs, pos, at, known.astype(float), bw)
-    first, second, penult, last = np.array(ends, dtype=np.int64).reshape(-1, 4).T
+    first, last = np.array(ends, dtype=np.int64).reshape(-1, 2).T
     steps = np.maximum(np.minimum.outer(last, last) - np.maximum.outer(first, first), 0)
-    n_obs = (counts + counts.T).astype(np.int64)
-    # b's m returns all meet a's span in m pairs: one return each, and the same
-    inside = ((n_obs == (np.diag(n_obs) + 2) // 3) & (second >= first[:, None])
-              & (penult <= last[:, None]))
-    return hy + hy.T, n_obs, steps, inside | inside.T
+    return hy + hy.T, (counts + counts.T).astype(np.int64), steps
 
 
 def _block_product(runs, pos, at, run_values, bw: int):
@@ -189,11 +183,10 @@ def _block_product(runs, pos, at, run_values, bw: int):
 def _per_return(bins, width: int):
     """``pair_stats``' sums per grid step both rows' returns span (at least 1
     from MIN_JOINT_OBS pairs on), and the counts; NaN below MIN_JOINT_OBS,
-    where ``inside`` marks a sum that only rounding would make other than 0,
     and in the row and column of a variance that is not positive or counts
     fewer than MIN_VARIANCE_OBS."""
-    hy, n_obs, steps, inside = pair_stats(bins, width)
-    c = hy / np.where((n_obs >= MIN_JOINT_OBS) & ~inside, steps, np.nan)
+    hy, n_obs, steps = pair_stats(bins, width)
+    c = hy / np.where(n_obs >= MIN_JOINT_OBS, steps, np.nan)
     flat = ~((np.diag(c) > 0) & (np.diag(n_obs) >= MIN_VARIANCE_OBS))
     c[flat] = c[:, flat] = np.nan
     return c, n_obs
@@ -206,9 +199,11 @@ def estimate_cov(tickers: list[str], bins, width: int,
     read once; a ticker with no return is left out. A cell is NaN where
     ``_per_return`` leaves it so, below min_obs overlapping return pairs, and
     where either ticker has fewer than min_obs returns."""
-    kept = []
+    kept, names = [], iter(tickers)
     def rows():
-        for t, row in zip(tickers, bins):
+        # no zip(): its reused tuple would hold a row while the next is binned
+        for row in bins:
+            t = next(names)
             if len(row[0]) >= 2:
                 kept.append(t)
                 yield row

@@ -130,15 +130,17 @@ def build_panel(candles: TxnCandles, min_active_fraction: float | None = None) -
     blocks = [slice(a, b) for a, b in zip([0] + ends[:-1], ends)]
     # pages of rows never reached are never written, so they take no memory
     price = np.empty((len(candles.tickers), ends[-1]))
-    tickers = []
-    for t, (k, p) in zip(candles.tickers, grid_bins(candles, 1.0)):
-        i = len(tickers)
+    tickers, names = [], iter(candles.tickers)
+    # no zip(): its reused tuple would hold a row while the next is binned
+    for k, p in grid_bins(candles, 1.0):
+        t, i = next(names), len(tickers)
         price[i] = np.nan
         price[i, k] = p
         if min_active_fraction is None or all(np.isfinite(price[i, sl]).sum() / w
                                               >= min_active_fraction
                                               for sl, w in zip(blocks, widths)):
             tickers.append(t)
+        del k, p
     if min_active_fraction is not None and not tickers:
         raise DataError("no tickers pass the eligibility filter")
     price.resize((len(tickers), ends[-1]), refcheck=False)    # the rows kept, not a copy

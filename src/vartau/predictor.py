@@ -9,8 +9,10 @@ full inverse A = C^-1 through the partitioned-inverse identity:
 so one n x n inversion replaces n separate (n-1) x (n-1) inversions.
 ``prediction_report`` scores coefficients on a return panel, a column block
 at a time, by the fraction of variance explained (FVE) and the fractional
-mean-square error (FMSE), linked for standardized data by
-FVE = (1 - FMSE/2)^2; no prediction panel is made.
+mean-square error (FMSE); no prediction panel is made. The FVE is the squared
+correlation of prediction and outcome, which is the paper's (1 - FMSE/2)^2
+once each prediction is standardized to its outcome's scale, so coefficients
+with no skill score 0.
 
 ``gradient_refine`` descends a training panel's mean-square prediction error
 and keeps the snapshot of lowest mean validation FMSE, never worse than the
@@ -147,11 +149,10 @@ def prediction_report(b: PredictionCoeffs, r: np.ndarray) -> dict[str, float]:
 
     Each ticker is predicted by ``b.b @ r`` with a missing (NaN) return as 0,
     and scored over the periods where its own return is present. Returns the
-    means over tickers of ``fmse``, of ``fve``, which follows the printed
-    squared-bracket formula, and of ``fve_plain``, the plain squared
-    correlation between prediction and outcome (the two coincide when
-    predictions are standardized to the outcome's variance). A ticker with
-    no observed outcome, or only zero outcomes, is left out of the means;
+    means over tickers of ``fmse``, err^2 / z^2 summed over the periods, and of
+    ``fve``, the squared correlation (h z)^2 / (z^2 h^2) of prediction h and
+    outcome z, 0 for a prediction that is 0 throughout. A ticker with no
+    observed outcome, or only zero outcomes, is left out of the means;
     raises if every ticker is. The panel is scored a column block of
     ``_SCORE_CELLS`` cells at a time, so no prediction panel is made.
     """
@@ -171,11 +172,9 @@ def prediction_report(b: PredictionCoeffs, r: np.ndarray) -> dict[str, float]:
     if not ok.any():
         raise DataError("no ticker has usable observations")
     err2, rr, cross, hh = sums[:, ok]
-    fmse_k = err2 / rr
     with np.errstate(divide="ignore", invalid="ignore"):
-        plain_k = np.where(hh > 0, cross ** 2 / (rr * hh), 0.0)
-    return {"fve": float(np.mean((1.0 - 0.5 * fmse_k) ** 2)), "fmse": float(np.mean(fmse_k)),
-            "fve_plain": float(np.mean(plain_k))}
+        fve_k = np.where(hh > 0, cross ** 2 / (rr * hh), 0.0)
+    return {"fve": float(np.mean(fve_k)), "fmse": float(np.mean(err2 / rr))}
 
 
 def _loss(b: np.ndarray, s: np.ndarray) -> float:

@@ -20,8 +20,9 @@ pnl must be within 1e-12 of the terms it subtracts and cum_pnl within 1e-12
 of the summed |pnl|. ``predict_loop`` applies coefficients one ticker pair at a
 time, and ``prediction_scores`` scores a prediction from each ticker's exact
 sums over the hours where its return is present; ``prediction_report``, which
-sums column blocks of a matrix product, must agree within 1e-12 relative, and
-its plain squared correlation within 1e-12 of that of |prediction| and |return|.
+sums column blocks of a matrix product, must agree within 1e-12 relative in
+FMSE, and in FVE, a squared correlation, within 1e-12 of that of |prediction|
+and |return|.
 ``naive_predict_loop`` is the market-mode prediction, one ticker and hour at a
 time, that ``market_mode``'s coefficients replaced; it is scored alike.
 """
@@ -265,9 +266,8 @@ def bin_coordinates_unique(coords, prices, tau):
 
 
 def support_returns(k, p):
-    """A row's grid indices and its demeaned log returns between consecutive bins."""
-    z = np.diff(np.log(np.asarray(p, dtype=float)))
-    return np.asarray(k), z - z.mean() if len(z) else z
+    """A row's grid indices and its log returns between consecutive bins."""
+    return np.asarray(k), np.diff(np.log(np.asarray(p, dtype=float)))
 
 
 def support_hy_pair(ka, za, kb, zb):
@@ -282,15 +282,6 @@ def support_hy_pair(ka, za, kb, zb):
     csum, asum = (np.concatenate(([0.0], np.cumsum(x))) for x in (za, np.abs(za)))
     return (float(np.sum(zb * (csum[hi] - csum[lo]))), int(np.sum(hi - lo)),
             float(np.sum(np.abs(zb) * (asum[hi] - asum[lo]))))
-
-
-def inside_one_return(ka, kb) -> bool:
-    """Whether row B has a return and each of its returns overlaps one and the
-    same return of row A and no other, return i of a row having the support
-    [k_i, k_{i+1}]: the HY sum is then that return of A times B's demeaned
-    sum, which is 0 but for rounding."""
-    meets = (ka[:-1, None] <= kb[None, 1:]) & (kb[None, :-1] <= ka[1:, None])
-    return len(kb) >= 2 and meets.any(axis=1).sum() == 1 and bool((meets.sum(axis=0) == 1).all())
 
 
 def support_hy_loop(rows):
@@ -311,9 +302,8 @@ def support_cov_loop(rows, min_obs: int):
     ``support_hy_loop``: (cov, n_obs, scale, doubtful). cov and scale are
     the sums and their |products| per grid step both rows span, from its
     first to its last index; a cell is NaN below max(min_obs, 2) overlapping
-    pairs, where a row has fewer than min_obs returns or lies inside one
-    return of the other (``inside_one_return``), and so are the row and
-    column of a variance below 7 pairs or not positive. doubtful marks
+    pairs and where a row has fewer than min_obs returns, and so are the row
+    and column of a variance below 7 pairs or not positive. doubtful marks
     the tickers with 7 or more whose variance lies within 1e-12 of its scale
     of 0, where rounding decides the sign."""
     hy, n_obs, scale = support_hy_loop(rows)
@@ -325,10 +315,6 @@ def support_cov_loop(rows, min_obs: int):
     c, scale = hy / steps, scale / steps
     returns = np.array([len(k) - 1 for k, _ in rows])
     c[(n_obs < max(min_obs, 2)) | (np.minimum.outer(returns, returns) < min_obs)] = np.nan
-    for a, (ka, _) in enumerate(rows):
-        for b, (kb, _) in enumerate(rows):
-            if inside_one_return(ka, kb) or inside_one_return(kb, ka):
-                c[a, b] = np.nan
     flat = ~((np.diag(c) > 0) & counted)
     c[flat] = c[:, flat] = np.nan
     return c, n_obs, scale, doubtful
@@ -351,8 +337,7 @@ def corr_vs_tau_loop(series, clock, tau_grid, normalize_tau: float = 1.0):
     curve at a time, and each ticker's per-return variance. Each sum is
     divided by the grid steps both tickers' bins span. A variance needs three
     returns (seven overlapping pairs) and must be positive, a pair two
-    overlapping returns and neither ticker inside one return of the other
-    (``inside_one_return``). Returns (pairs, curves, v)."""
+    overlapping returns. Returns (pairs, curves, v)."""
     tau_grid = np.asarray(tau_grid, dtype=float)
     tickers = sorted(series)
     pairs = [(a, b) for i, a in enumerate(tickers) for b in tickers[i + 1:]]
@@ -364,7 +349,7 @@ def corr_vs_tau_loop(series, clock, tau_grid, normalize_tau: float = 1.0):
     def per_step(a, b):
         (ka, za), (kb, zb) = prepped[a], prepped[b]
         hy, n, _ = support_hy_pair(ka, za, kb, zb)
-        if n < 2 or inside_one_return(ka, kb) or inside_one_return(kb, ka):
+        if n < 2:
             return np.nan, n
         return hy / (min(ka[-1], kb[-1]) - max(ka[0], kb[0])), n
 
@@ -709,10 +694,10 @@ def predict_loop(b, r) -> np.ndarray:
 
 
 def prediction_scores(r_hat, r) -> dict:
-    """The means over the tickers with a non-zero return of FMSE, of FVE = (1 - FMSE/2)^2
-    and of the plain squared correlation of prediction and return (0 for a zero
-    prediction), from each ticker's exact sums over the hours where its return is present."""
-    fmse_k, plain_k = [], []
+    """The means over the tickers with a non-zero return of FMSE and of FVE, the
+    squared correlation of prediction and return (0 for a zero prediction), from
+    each ticker's exact sums over the hours where its return is present."""
+    fmse_k, fve_k = [], []
     for h, z in zip(r_hat, r):
         present = ~np.isnan(z)
         h, z = h[present].tolist(), z[present].tolist()
@@ -720,11 +705,10 @@ def prediction_scores(r_hat, r) -> dict:
         if rr > 0:
             hh, cross = math.fsum(x * x for x in h), math.fsum(x * y for x, y in zip(h, z))
             fmse_k.append(math.fsum((x - y) * (x - y) for x, y in zip(h, z)) / rr)
-            plain_k.append(cross * cross / (rr * hh) if hh > 0 else 0.0)
+            fve_k.append(cross * cross / (rr * hh) if hh > 0 else 0.0)
     if not fmse_k:
         raise DataError("no ticker has usable observations")
-    return {"fve": fmean((1 - f / 2) ** 2 for f in fmse_k), "fmse": fmean(fmse_k),
-            "fve_plain": fmean(plain_k)}
+    return {"fve": fmean(fve_k), "fmse": fmean(fmse_k)}
 
 
 def fmse(b, r) -> float:

@@ -422,7 +422,7 @@ class TestBinning:
         assert b.price[0] == pytest.approx(7.0)
         # mean of the 60 minute coordinates inside the hour
         assert b.time[0] == pytest.approx(np.mean(np.arange(60) / 60))
-        assert b.n_candles[0] == 60
+        assert candles.bin_coordinates(identity_clock().to_txn_time(ts), s.price, 1.0)[3][0] == 60
 
     def test_missing_bin_gives_long_dt(self):
         # candles only in hours 0 and 2: two bins, the return spans 2 hours
@@ -453,7 +453,7 @@ class TestBinning:
         assert np.allclose(coords, [0.0, 0.5, 2.0])
         b = bin_series(coords, s.price, 1.0, 3)
         assert list(b.index) == [0, 2]
-        assert b.n_candles[0] == 2 and b.n_candles[1] == 1
+        assert list(candles.bin_coordinates(coords, s.price, 1.0)[3]) == [2, 1]
         assert b.price[0] == pytest.approx(1.5)
         assert b.time[0] == pytest.approx(0.25)
 
@@ -461,7 +461,7 @@ class TestBinning:
         coords, prices = np.array([0.5, 2.0, 2.5, 3.0]), np.array([1.0, 2.0, 4.0, 8.0])
         b = bin_series(coords, prices, 1.0, 3)
         assert list(b.index) == [0, 2] and list(b.price) == [1.0, 3.0]
-        assert list(b.n_candles) == [1, 2] and list(b.time) == [0.5, 2.25]
+        assert list(b.time) == [0.5, 2.25]
         assert len(bin_series(coords, prices, 1.0, 2)) == 1
         assert list(bin_series(coords, prices, 1.0, 4).index) == [0, 2, 3]
 
@@ -471,22 +471,23 @@ class TestBinning:
         s = point_candles("P", ts, np.exp(rng.normal(0, 0.01, 800)))
         clock = identity_clock()
         for tau in (0.5, 1.0, 2.0, 7.3):
-            b = year_bins(s, clock, tau)
-            assert b.n_candles.sum() == len(s)
-            assert np.all(np.diff(b.index) > 0)
-            assert np.all(b.n_candles >= 1)
+            index, _, _, counts = candles.bin_coordinates(clock.to_txn_time(s.timestamps),
+                                                          s.price, tau)
+            assert counts.sum() == len(s)
+            assert np.all(np.diff(index) > 0)
+            assert np.all(counts >= 1)
+            assert np.array_equal(year_bins(s, clock, tau).index, index)
 
     def test_tau_doubling_preserves_weighted_mean(self):
         rng = np.random.default_rng(2)
         ts = T0 + 60 * np.sort(rng.choice(30000, size=500, replace=False)).astype(np.int64)
         s = point_candles("W", ts, np.exp(rng.normal(0, 0.01, 500)) * 20)
         clock = identity_clock()
-        b1 = year_bins(s, clock, 1.0)
-        b2 = year_bins(s, clock, 2.0)
-        m1 = np.sum(b1.price * b1.n_candles) / b1.n_candles.sum()
-        m2 = np.sum(b2.price * b2.n_candles) / b2.n_candles.sum()
-        assert m1 == pytest.approx(m2, rel=1e-12)
-        assert b1.n_candles.sum() == b2.n_candles.sum()
+        coords = clock.to_txn_time(s.timestamps)
+        (_, _, p1, n1), (_, _, p2, n2) = (candles.bin_coordinates(coords, s.price, tau)
+                                          for tau in (1.0, 2.0))
+        assert np.sum(p1 * n1) / n1.sum() == pytest.approx(np.sum(p2 * n2) / n2.sum(), rel=1e-12)
+        assert n1.sum() == n2.sum()
 
     def test_no_interpolation_on_candle_removal(self):
         rng = np.random.default_rng(3)

@@ -6,8 +6,8 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import (candle_cov, corr_vs_tau_loop, support_hy_loop, support_returns,
-                     txn_candles)
+from oracles import (candle_cov, corr_vs_tau_loop, support_cov_loop, support_hy_loop,
+                     support_returns, txn_candles)
 from vartau import covariance, panel
 from vartau.clock import ClockKind, build_clock, year_bounds
 from vartau.covariance import (CovMatrix, cov_to_corr, corr_vs_tau, pair_stats,
@@ -50,7 +50,7 @@ def walk_candles(returns, tau=1.0, first=None, gaps=None):
 
 
 def lag1_kernel(z):
-    """The support-HY variance of demeaned returns: sum z^2 + 2 sum z_i z_{i+1}."""
+    """The support-HY variance of returns z: sum z^2 + 2 sum z_i z_{i+1}."""
     return z @ z + 2 * (z[1:] @ z[:-1])
 
 
@@ -108,26 +108,44 @@ class TestEstimate:
         candles = walk_candles({"A": ra, "B": rb}, gaps={"A": [1, 1, 10, 1], "B": [1] * 20})
         c = candle_cov(candles, 1.0, min_obs=2)
         assert c.n_obs[0, 1] == 2 + 3 + 12 + 3
-        za, zb = (r - np.mean(r) for r in (np.array(ra), rb))
+        za, zb = np.array(ra), rb
         want = (za[0] * zb[:2].sum() + za[1] * zb[:3].sum() + za[2] * zb[1:13].sum()
                 + za[3] * zb[11:14].sum())
         assert c.c[0, 1] == pytest.approx(want / 13, rel=1e-12)      # A spans bins 0..13
 
-    @pytest.mark.parametrize("gaps, first, m", [([1, 22, 1], 2, 19), ([1, 1, 22], 3, 22)],
-                             ids=["within", "past_its_last_bin"])
-    def test_a_ticker_inside_one_return_of_another_has_no_covariance(self, gaps, first, m):
+    @pytest.mark.parametrize("gaps, first, m, j, steps",
+                             [([1, 22, 1], 2, 19, 1, 19), ([1, 1, 22], 3, 22, 2, 21)],
+                             ids=["within", "past_its_end"])
+    def test_a_ticker_inside_one_return_covaries_with_it(self, gaps, first, m, j, steps):
         # B's m returns each meet A's second return, from bin 1 to 23, or A's
         # last, from bin 2 to 24, and no other (B's last return runs from 24 to
-        # 25 there), so their sum is that return times B's demeaned sum: 0 but
-        # for rounding, which gave correlations like 5e-15 and rho(tau) curves
-        # of 1e17
+        # 25 there), so their sum is that return z_A times B's total return
+        # R_B, over the steps both span. Demeaned, R_B was 0 but for rounding,
+        # which gave correlations like 5e-15 and rho(tau) curves of 1e17
         rng = np.random.default_rng(4)
-        candles = walk_candles({"A": [0.3, 0.1, -0.4], "B": rng.normal(0, 0.01, m)},
-                               first={"B": first}, gaps={"A": gaps, "B": [1] * m})
+        ra, rb = [0.3, 0.1, -0.4], rng.normal(0, 0.01, m)
+        candles = walk_candles({"A": ra, "B": rb}, first={"B": first},
+                               gaps={"A": gaps, "B": [1] * m})
         c = candle_cov(candles, 1.0, min_obs=2)
-        assert c.n_obs[0, 1] == m and np.isnan(c.c[0, 1]) and np.isfinite(np.diag(c.c)).all()
+        want, want_n, scale, _ = support_cov_loop(list(grid_bins(candles, 1.0)), 2)
+        assert c.n_obs[0, 1] == want_n[0, 1] == m
+        assert c.c[0, 1] == pytest.approx(ra[j] * rb.sum() / steps, rel=1e-9)
+        assert np.all(np.abs(c.c - want) <= 1e-12 * scale)
         _, curves, v = corr_vs_tau(candles, np.array([0.5, 1.0]), 1.0)
-        assert np.isnan(curves).all() and np.isfinite(v).all()
+        assert np.isfinite(curves).all() and np.isfinite(v).all()
+
+    def test_a_variance_per_return_is_unbiased(self):
+        # 1000 rows of 20 iid unit-normal returns on one grid: the lag-1
+        # kernel's mean is the 20 returns' variance, 1 a return. Demeaned,
+        # each row's returns lost 3 of 20 to their mean, and the diagonal
+        # read 0.849. The few kernels that are not positive (6 here) are
+        # missing, which lifts the mean by less than half its standard error
+        rng = np.random.default_rng(0)
+        rows = (row(np.arange(21), z) for z in rng.standard_normal((1000, 20)))
+        d = np.diag(covariance._per_return(rows, 21)[0])
+        d = d[~np.isnan(d)]
+        assert abs(d.mean() - 1) < 3 * d.std() / np.sqrt(len(d))
+        assert len(d) >= 990
 
     def test_different_spans_keep_a_perfect_correlation(self):
         # one walk: A trades bins 0..6000, B only 2000..4000, C only 0..3000
@@ -259,8 +277,8 @@ class TestCorrVsTau:
         assert np.allclose(v[~np.isnan(v)], want[~np.isnan(want)], rtol=1e-12, atol=0)
         assert np.isnan(v).sum() > 0
         if case == "year_end":
-            # the one return left, from hour 0 to hour 4380, has no variance:
-            # demeaned, it is 0
+            # the one return left, from hour 0 to hour 4380, overlaps only
+            # itself, below the 7 pairs a variance needs
             assert np.isnan(v).all()
 
 
@@ -289,10 +307,10 @@ class TestTwoComponent:
 
     def test_pair_stats_empty_overlap(self):
         # the supports [0, 1], [1, 2] and [5, 6], [6, 7] never meet
-        hy, n, steps, inside = pair_stats([row([0, 1, 2]), row([5, 6, 7])], 8)
+        hy, n, steps = pair_stats([row([0, 1, 2]), row([5, 6, 7])], 8)
         assert n[0, 1] == n[1, 0] == 0 and hy[0, 1] == hy[1, 0] == 0.0
         assert n[0, 0] == n[1, 1] == 3 * 2 - 2
-        assert steps.tolist() == [[2, 0], [0, 2]] and not inside.any()
+        assert steps.tolist() == [[2, 0], [0, 2]]
 
     @pytest.mark.parametrize("idx", [[0, 2, 1], [0, 1, 1], [-1, 0, 1], [4, 5, 7]])
     def test_pair_stats_needs_increasing_starts_on_the_grid(self, idx):
@@ -317,7 +335,7 @@ class TestTwoComponent:
                       for b in range(blocks))
         tracemalloc.start()
         try:
-            hy, n_obs, _, _ = pair_stats(iter(rows), width)
+            hy, n_obs, _ = pair_stats(iter(rows), width)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -355,6 +373,29 @@ class TestTwoComponent:
         tickers, curves, v = corr_vs_tau(candles, np.array([0.5, 1.0, 2.0]), 1.0)
         assert len(calls) == 12 and tickers == list("ABCD") and np.isfinite(v).all()
 
+    @pytest.mark.parametrize("consumer", ["estimate_cov", "build_panel"])
+    def test_each_row_is_freed_before_the_next_is_made(self, consumer, monkeypatch):
+        # zip()'s reused tuple once held row i - 1 while row i was binned
+        freed = []
+
+        def rows(*_):
+            made = None
+            for i in range(4):
+                freed.append(made is None or made() is None)
+                k, p = row(np.arange(0, 40, i + 1))
+                made = weakref.ref(p)
+                yield k, p
+                del k, p
+
+        if consumer == "estimate_cov":
+            c = covariance.estimate_cov(list("ABCD"), rows(), 40, min_obs=2)
+            assert c.tickers == list("ABCD")
+        else:
+            monkeypatch.setattr(panel, "grid_bins", rows)
+            got = panel.build_panel(panel.TxnCandles(list("ABCD"), [2021], None))
+            assert got.tickers == list("ABCD") and np.isfinite(got.price[3, :40:4]).all()
+        assert freed == [True] * 4
+
     def test_pair_stats_state_grows_with_the_returns_not_the_grid(self):
         # three rows of ten returns on a grid of 200,000 column blocks once
         # held state for every block, 20 MiB of it, and took a second
@@ -364,7 +405,7 @@ class TestTwoComponent:
                 for _ in range(3)]
         tracemalloc.start()
         try:
-            _, n, _, _ = pair_stats(rows, width)
+            _, n, _ = pair_stats(rows, width)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

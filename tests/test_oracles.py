@@ -42,7 +42,7 @@ from hypothesis.extra import numpy as hnp
 
 from oracles import (BALANCE_TOL, LedgerRows, bin_coordinates_unique, build_clock_dict,
                      build_clock_unique, build_panel_loop, build_then_filter, candle_cov,
-                     corr_vs_tau_loop, inside_one_return, ledger_rows, multi_year_bins_loop,
+                     corr_vs_tau_loop, ledger_rows, multi_year_bins_loop,
                      naive_scores, parse_candles_loop, predict_loop, prediction_scores,
                      run_market_meanrev_loop, run_xcorr_strategy_loop, shot_logp_loop,
                      simulate_shot_noise_loop, support_cov_loop, support_hy_loop, txn_candles,
@@ -541,16 +541,11 @@ def test_grid_cov_matches_pair_loop(data, block):
     want, want_n, scale = support_hy_loop(rows)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(covariance, "_BLOCK_BINS", block)
-        got, n_obs, steps, inside = pair_stats(iter(rows), width)
+        got, n_obs, steps = pair_stats(iter(rows), width)
     assert np.array_equal(n_obs, want_n)
     ends = np.array([(k[0], k[-1]) if len(k) >= 2 else (0, 0) for k, _ in rows]).reshape(-1, 2)
     want_steps = [[max(0, min(a[1], b[1]) - max(a[0], b[0])) for b in ends] for a in ends]
     assert steps.tolist() == want_steps
-    # compared on the rows with a return: a sum with no return is 0 either way
-    both = np.logical_and.outer(*[np.array([len(k) >= 2 for k, _ in rows])] * 2)
-    want_inside = [[inside_one_return(ka, kb) or inside_one_return(kb, ka) for kb, _ in rows]
-                   for ka, _ in rows]
-    assert np.array_equal(inside[both], np.array(want_inside)[both])
     assert np.array_equal(got, got.T)
     assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
@@ -905,7 +900,7 @@ def test_prediction_report_matches_per_metric_scores(data, cells):
     want = prediction_scores(r_hat, r)
     # a squared correlation near 0 cancels in its sum of h*z: it is held to the
     # same sum of |h*z|, as the covariances are to the |products| behind them
-    scale = dict(want, fve_plain=prediction_scores(np.abs(r_hat), np.abs(r))["fve_plain"])
+    scale = dict(want, fve=prediction_scores(np.abs(r_hat), np.abs(r))["fve"])
     assert got.keys() == want.keys()
     assert all(abs(got[k] - want[k]) <= 1e-12 * scale[k] for k in want)
 

@@ -125,7 +125,7 @@ class TestPredict:
     def test_zero_coeffs(self):
         b = PredictionCoeffs(["A", "B"], np.zeros((2, 2)))
         rep = prediction_report(b, np.array([[1.0], [-2.0]]))
-        assert rep == {"fmse": 1.0, "fve": 0.25, "fve_plain": 0.0}
+        assert rep == {"fmse": 1.0, "fve": 0.0}
 
     def test_two_ticker_cross(self):
         # predictions [[2, -0.8], [1.2, 0.4]]; each ticker's sum of h*z is 5.2
@@ -134,8 +134,7 @@ class TestPredict:
         rep = prediction_report(b, np.array([[3.0, 1.0], [5.0, -2.0]]))
         fmse_k = np.array([(1.0 + 1.8 ** 2) / 10.0, (3.8 ** 2 + 2.4 ** 2) / 29.0])
         assert rep["fmse"] == pytest.approx(fmse_k.mean(), rel=1e-12)
-        assert rep["fve"] == pytest.approx(np.mean((1 - fmse_k / 2) ** 2), rel=1e-12)
-        assert rep["fve_plain"] == pytest.approx(5.2 ** 2 / 46.4, rel=1e-12)
+        assert rep["fve"] == pytest.approx(5.2 ** 2 / 46.4, rel=1e-12)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(2)
@@ -153,7 +152,7 @@ class TestPredict:
         b = PredictionCoeffs(["A", "B", "C"],
                              np.array([[0, 1.0, 1.0], [1.0, 0, 1.0], [1.0, 1.0, 0]]))
         rep = prediction_report(b, np.array([[1.0], [np.nan], [2.0]]))
-        assert rep == {"fmse": 0.625, "fve": (0.25 + 0.875 ** 2) / 2, "fve_plain": 1.0}
+        assert rep == {"fmse": 0.625, "fve": 1.0}
 
     def test_panel_rows_must_match_tickers(self):
         b = PredictionCoeffs(["A", "B"], np.zeros((2, 2)))
@@ -212,18 +211,16 @@ class TestMetrics:
         b = PredictionCoeffs(["A", "B", "C"], np.eye(3))
         rep = prediction_report(b, r)
         assert fmse(b, r) == 0.0 and rep["fmse"] == 0.0
-        assert rep["fve"] == 1.0
-        assert rep["fve_plain"] == pytest.approx(1.0)
+        assert rep["fve"] == pytest.approx(1.0)
 
     def test_zero_prediction(self):
         rng = np.random.default_rng(5)
         r = rng.normal(size=(3, 200))
         rep = prediction_report(PredictionCoeffs(["A", "B", "C"], np.zeros((3, 3))), r)
         assert rep["fmse"] == pytest.approx(1.0)
-        # the printed squared-bracket formula gives 1/4 at FMSE = 1
-        assert rep["fve"] == pytest.approx(0.25)
-        # the plain squared correlation reports no explanatory power
-        assert rep["fve_plain"] == 0.0
+        # no skill explains nothing; (1 - FMSE/2)^2 on these unscaled
+        # predictions would give it 1/4
+        assert rep["fve"] == 0.0
 
     def test_identity_link(self):
         rng = np.random.default_rng(6)
@@ -234,11 +231,11 @@ class TestMetrics:
         r = r - r.mean()
         corr = np.mean(noisy * r) / np.sqrt(np.mean(noisy ** 2) * np.mean(r ** 2))
         # each of two tickers predicts the other, so both have the same FMSE, and
-        # FVE = (1 - FMSE/2)^2 on standardized data
+        # the squared correlation is the paper's (1 - FMSE/2)^2 on standardized data
         b = PredictionCoeffs(["A", "B"], np.array([[0.0, 1.0], [1.0, 0.0]]))
         rep = prediction_report(b, np.stack([r, noisy]))
         assert rep["fve"] == pytest.approx(corr ** 2, abs=1e-10)
-        assert rep["fve_plain"] == pytest.approx(corr ** 2, abs=1e-10)
+        assert rep["fve"] == pytest.approx((1 - rep["fmse"] / 2) ** 2, abs=1e-10)
 
     def test_missing_hours_excluded(self):
         # A is predicted 99 at the hour its return is missing, and scores 0

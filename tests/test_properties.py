@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vartau.candles import CandleSeries, bin_series
+from vartau.candles import CandleSeries, bin_coordinates, bin_series
 from vartau.clock import ClockKind, build_clock, year_bounds
 
 T0, T1 = year_bounds(2021)
@@ -55,7 +55,8 @@ def test_bins_hold_every_candle_inside_their_bounds(series, kind, tau):
     for s in series:
         coords = clock.to_txn_time(s.timestamps)
         b = bin_series(coords, s.price, tau, width)
-        assert b.n_candles.sum() == np.count_nonzero(np.floor_divide(coords, tau) < width)
+        counts = bin_coordinates(coords, s.price, tau)[3][:len(b)]
+        assert counts.sum() == np.count_nonzero(np.floor_divide(coords, tau) < width)
         assert np.all(b.index < width)
         assert np.all(b.index * tau <= b.time)
         assert np.all(b.time <= (b.index + 1) * tau)
