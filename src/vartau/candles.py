@@ -10,10 +10,11 @@ representative price and the volume.
 
 Coarser resolutions are built by sorting candles into consecutive
 half-open bins of length tau along a transaction-time axis (see
-``vartau.clock``), averaging representative prices and coordinates within
-each bin. ``bin_series`` bins one ticker-year into its year's block of grid
-columns, the step that ``panel.grid_bins`` chains into each ticker's row of
-bins. Returns are log differences of consecutive known bin prices, each
+``vartau.clock``), averaging representative prices within each bin.
+``bin_series`` bins one ticker-year into its year's block of grid columns,
+the step that ``panel.grid_bins`` chains into each ticker's row of bins; the
+mean coordinate of a bin, which only the variogram reads, is averaged when
+it is read. Returns are log differences of consecutive known bin prices, each
 spanning its actual elapsed transaction time.
 
 ``parse_candles`` reads a candle file and caches what it parsed, keyed on
@@ -124,11 +125,18 @@ class BinnedSeries:
     """
 
     index: np.ndarray         # int64, strictly increasing grid indices
-    time: np.ndarray          # mean transaction-time coordinate per bin
     price: np.ndarray         # mean representative price per bin
+    coords: np.ndarray        # the binned transaction-time coordinates, bin after bin
+    first: np.ndarray         # the position in ``coords`` of each bin's first one
 
     def __len__(self) -> int:
         return len(self.index)
+
+    @property
+    def time(self) -> np.ndarray:
+        """Mean transaction-time coordinate per bin, averaged now: of the callers
+        of ``bin_series`` only the variogram reads it."""
+        return bin_means(self.coords, self.first, np.diff(self.first, append=len(self.coords)))
 
 
 def parse_candles(path) -> CandleSeries:
@@ -564,13 +572,15 @@ def _field_format(col):
 
 
 def bin_coordinates(coords: np.ndarray, prices: np.ndarray, tau: float):
-    """Core binning: sorted transaction coordinates -> per-bin means.
+    """Core binning: sorted transaction coordinates -> per-bin mean prices.
 
-    Returns (grid index, mean coord, mean price, count) arrays with empty
-    bins absent. Bins are half-open [k*tau, (k+1)*tau), anchored at 0.
-    ``coords`` must be non-decreasing, as clock coordinates of a
-    time-sorted series are: each bin is read off as one run of equal grid
-    index. Unsorted coordinates raise DataError.
+    Returns (grid index, first, mean price, count) arrays with empty bins
+    absent, ``first`` being the position of each bin's first coordinate, so
+    that ``bin_means(coords, first, count)`` is each bin's mean coordinate.
+    Bins are half-open [k*tau, (k+1)*tau), anchored at 0. ``coords`` must
+    be non-decreasing, as clock coordinates of a time-sorted series are:
+    each bin is read off as one run of equal grid index. Unsorted
+    coordinates raise DataError.
 
     The grid index is floor(coords/tau) exactly, as ``np.floor_divide`` gives
     it: the floor of the rounded quotient is exact unless the quotient rounded
@@ -590,10 +600,15 @@ def bin_coordinates(coords: np.ndarray, prices: np.ndarray, tau: float):
     index = idx[first].astype(np.int64)
     del idx                 # freed, and the means divided in place, to bound the peak
     counts = np.diff(first, append=len(coords))
-    means = [np.add.reduceat(x, first) for x in (coords, prices)]
-    for m in means:
-        m /= counts
-    return index, *means, counts
+    return index, first, bin_means(prices, first, counts), counts
+
+
+def bin_means(x: np.ndarray, first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each bin's mean of ``x``, one value per binned coordinate, over the bins
+    that ``bin_coordinates`` gives as ``first`` and ``counts``."""
+    means = np.add.reduceat(x, first)
+    means /= counts
+    return means
 
 
 def bin_series(coords: np.ndarray, prices: np.ndarray, tau: float, width: int) -> BinnedSeries:
@@ -603,6 +618,7 @@ def bin_series(coords: np.ndarray, prices: np.ndarray, tau: float, width: int) -
     coordinates, minus any bin at or past ``width``: a candle at the year's
     last transaction hour starts such a bin when tau divides the year.
     """
-    idx, times, means, _ = bin_coordinates(coords, prices, tau)
+    idx, first, means, _ = bin_coordinates(coords, prices, tau)
     n = np.searchsorted(idx, width)     # the indices increase: dropped bins end the year
-    return BinnedSeries(idx[:n], times[:n], means[:n])
+    kept = coords[:first[n]] if n < len(first) else coords
+    return BinnedSeries(idx[:n], means[:n], kept, first[:n])

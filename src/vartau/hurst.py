@@ -65,7 +65,6 @@ import numpy as np
 
 from .candles import check_unique, read_table
 from .errors import DataError
-from .variogram import Variogram
 
 HOURS_PER_YEAR = 8760
 PANEL_HEADER = ["year", "hour", "price"]
@@ -351,8 +350,9 @@ def default_lag_grid(hours_per_year: int, max_lag: float = 300.0) -> np.ndarray:
     return lags
 
 
-def panel_variogram(panel: PricePanel, lags=None) -> Variogram:
+def panel_variogram(panel: PricePanel, lags=None) -> "Variogram":
     """Pooled two-point variogram of hourly log prices at integer lags."""
+    from .variogram import Variogram        # here, so that simulate loads no variogram layer
     if lags is None:
         lags = default_lag_grid(panel.hours_per_year)
     lags = np.asarray(lags, dtype=int)

@@ -50,7 +50,7 @@ from vartau.variogram import PERCENTILES, Variogram
 
 def txn_candles(series, clocks) -> TxnCandles:
     """A lazy view of series held in memory on the clocks, its tickers sorted, as
-    ``cli._CandleFiles.view`` gives one of a directory's files."""
+    ``commands._CandleFiles.view`` gives one of a directory's files."""
     by_ticker = {s.ticker: s for s in series}
     return TxnCandles.on_clocks(sorted(by_ticker), clocks, by_ticker.__getitem__)
 

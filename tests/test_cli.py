@@ -16,7 +16,8 @@ import pytest
 from oracles import (candle_cov, corr_vs_tau_csv_loop, multi_year_bins_loop, support_cov_loop,
                      txn_candles,
                      write_ensemble_csv_rows, write_yearly_returns_csv_rows)
-from vartau import candles, cli
+from vartau import backtest, candles, cli, commands, covariance, hurst, predictor, variogram
+from vartau import clock as clock_module
 from vartau.backtest import run_sim_meanrev
 from vartau.candles import CandleSeries, parse_candles, write_candles
 from vartau.clock import ClockKind, build_clock, hours_in_year, year_bounds
@@ -116,14 +117,14 @@ def test_manifest_records_each_file_as_it_was_parsed(tmp_path, monkeypatch, caps
     data.mkdir()
     for t, s in market(years=(2021,), spacings=(600, 900)).items():
         write_candles(data / f"{t}.csv", s)
-    parse = cli.parse_candles
+    parse = candles.parse_candles
 
     def parse_then_edit(path):
         series = parse(path)
         path.write_bytes(path.read_bytes() + b"\n")    # a blank line: other bytes, same candles
         return series
 
-    monkeypatch.setattr(cli, "parse_candles", parse_then_edit)
+    monkeypatch.setattr(candles, "parse_candles", parse_then_edit)
     out = tmp_path / "out"
     assert cli.main(["clock", "--data-dir", str(data), "--year", "2021",
                      "--out-dir", str(out)]) == 0
@@ -546,8 +547,8 @@ def test_backtest_input_that_changes_while_read_exits_3(setting_inputs, tmp_path
                                                         capsys, strategy):
     # the manifest records the digest taken before the file was read; the
     # file once was hashed only after, so the digest could be of other bytes
-    flag, module, reader = {"sim-meanrev": ("panel", cli.hurst, "read_panel_csv"),
-                            "xcorr": ("coeffs", cli.pred, "read_coeffs_csv")}[strategy]
+    flag, module, reader = {"sim-meanrev": ("panel", hurst, "read_panel_csv"),
+                            "xcorr": ("coeffs", predictor, "read_coeffs_csv")}[strategy]
     path = tmp_path / f"{flag}.csv"
     path.write_bytes(setting_inputs[flag].read_bytes())
     real = getattr(module, reader)
@@ -572,10 +573,10 @@ def test_backtest_input_that_changes_while_read_exits_3(setting_inputs, tmp_path
 
 
 def test_settings_table_covers_every_option():
-    commands = next(a for a in cli.build_parser()._actions
-                    if isinstance(a, argparse._SubParsersAction)).choices
-    assert set(commands) == {c for c, _ in SETTINGS}
-    for command, parser in commands.items():
+    parsers = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(parsers) == {c for c, _ in SETTINGS}
+    for command, parser in parsers.items():
         options = {a.option_strings[-1] for a in parser._actions if a.option_strings}
         covered = set().union(*(flags for (c, _), (_, flags) in SETTINGS.items() if c == command))
         assert options - {"--help", "--out-dir", "--method", "--strategy"} == covered, command
@@ -590,7 +591,7 @@ def test_predict_fits_the_candle_paths_covariances(data, tmp_path, train, share)
     assert cli.main(["predict", "--data-dir", str(data), "--train-years", train,
                      "--predict-years", "2022", "--min-active-fraction", share,
                      "--out-dir", str(out)]) == 0
-    stream = cli._CandleFiles(str(data))
+    stream = commands._CandleFiles(str(data))
     view = stream.view([build_clock(stream, ClockKind.DOLLAR_WEIGHTED, y) for y in YEARS])
     tickers = build_panel(view, float(share)).tickers
     assert len(tickers) == (3 if share == "0.5" else 4)      # of 6
@@ -713,7 +714,7 @@ def test_one_year_commands_ignore_the_other_years(data, tmp_path):
     for t, s in market().items():
         write_candles(only / f"{t}.csv", s.slice_window(t0, t1))
     # the mapped candles are the year's own copies, so each file's columns are freed
-    mapped, _ = cli._mapped(str(data), [2021], "dollar")
+    mapped, _ = commands._mapped(str(data), [2021], "dollar")
     assert mapped.tickers == sorted(market())
     for s, ((hours, price),) in zip(market().values(), mapped):
         assert len(hours) == len(price) == len(s.slice_window(t0, t1))
@@ -740,7 +741,7 @@ def test_loaded_candles_hold_24_bytes_each(data, years):
     # held mapped to the years' clocks, as correlate --tau-grid holds them, a
     # candle of the years holds 16 bytes (its transaction hour and its
     # price), and the other years' candles none
-    stream = cli._CandleFiles(str(data))
+    stream = commands._CandleFiles(str(data))
     clocks = [build_clock(stream, ClockKind.DOLLAR_WEIGHTED, y) for y in years]
     tracemalloc.start()
     try:
@@ -812,14 +813,14 @@ def test_streaming_commands_hold_one_file_at_a_time(copies, command, monkeypatch
     # ticker's bins and panel row, not its mapped candles: five more copies of
     # the file add their rows and returns, 8760 hours each, not 16 bytes a candle
     root, n = copies
-    real = cli.build_clock
+    real = clock_module.build_clock
 
     def clock_then_reset(*args, **kwargs):
         clock = real(*args, **kwargs)
         tracemalloc.reset_peak()        # the peak from here on: the year's minutes are gone
         return clock
 
-    monkeypatch.setattr(cli, "build_clock", clock_then_reset)
+    monkeypatch.setattr(clock_module, "build_clock", clock_then_reset)
 
     def peak(k):
         tracemalloc.start()
@@ -931,6 +932,126 @@ def test_each_candle_file_is_hashed_once_per_command(data, tmp_path, monkeypatch
         hashed.clear()
 
 
+# Each run of the command line goes through ``python -m vartau.cli``'s runpy in
+# a fresh interpreter, which then writes its exit codes and the numpy and
+# vartau modules it loaded to the file named by its first argument.
+LOADED_SCRIPT = """\
+import json, runpy, sys
+report, runs, codes = sys.argv[1], json.loads(sys.argv[2]), []
+for argv in runs:
+    sys.argv = ["vartau", *argv]
+    try:
+        runpy.run_module("vartau.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        codes.append(exc.code)
+with open(report, "w") as fh:
+    json.dump({"codes": codes, "modules": [m for m in sys.modules
+                                           if m.split(".")[0] in ("numpy", "vartau")]}, fh)
+"""
+
+
+def loaded_modules(runs: list[list[str]], tmp_path) -> tuple[list, set[str]]:
+    """The exit codes of the runs, made in turn in one new process, and the
+    numpy and vartau modules loaded by them all."""
+    report = tmp_path / "loaded.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", LOADED_SCRIPT, str(report), json.dumps(runs)],
+                         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    got = json.loads(report.read_text())
+    return got["codes"], set(got["modules"])
+
+
+def test_help_and_usage_errors_load_no_numpy(tmp_path):
+    # the shell imports the standard library and vartau.errors only
+    codes, loaded = loaded_modules([["--help"], ["clock", "--help"], ["clock", "--year", "2021"],
+                                    ["predict", "--data-dir", "d", "--train-years", "2021",
+                                     "--predict-years", "2022"]], tmp_path)
+    assert codes == [0, 0, 2, 2]
+    assert "numpy" not in loaded
+    assert {m for m in loaded if m.startswith("vartau")} <= {"vartau", "vartau.cli",
+                                                            "vartau.errors"}
+
+
+def test_a_command_usage_error_exits_2_under_python_m(data, tmp_path):
+    # run as __main__, the cli module is the one whose UsageError the commands raise
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-m", "vartau.cli", "correlate", "--data-dir", str(data),
+                          "--years", "0", "--out-dir", str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stderr) == (
+        2, "usage error: bad year list '0': '0' is not a year the clocks can span\n")
+
+
+# each command's run, and the library modules it must not load
+STARTUP = {
+    "clock": (["clock", "--year", "2021"],
+              {"variogram", "covariance", "predictor", "backtest", "hurst"}),
+    "variogram": (["variogram", "--year", "2021", "--tau-grid", "0.25:32:4"],
+                  {"covariance", "predictor", "backtest", "hurst"}),
+    "correlate": (["correlate", "--years", "2021", "--tau-grid", "0.5,1,2"],
+                  {"predictor", "backtest", "hurst"}),
+    "predict": (["predict", "--train-years", "2021", "--predict-years", "2022"],
+                {"backtest", "hurst"}),
+    "market-meanrev": (["backtest", "--strategy", "market-meanrev", "--years", "2021",
+                        "--min-side-count", "1"],
+                       {"hurst", "predictor", "covariance", "variogram"}),
+    "simulate": (["simulate", "--epsilon", "0.1", "--hours-per-year", "50"],
+                 {"clock", "panel", "variogram", "covariance", "predictor", "backtest"}),
+    "sim-meanrev": (["backtest", "--strategy", "sim-meanrev", "--panel", "{panel}"],
+                    {"clock", "panel", "covariance", "predictor"}),
+}
+
+
+@pytest.mark.parametrize("run", list(STARTUP))
+def test_each_command_loads_only_the_layers_on_its_path(data, tmp_path, run):
+    argv, absent = STARTUP[run]
+    if run == "sim-meanrev":
+        panel = tmp_path / "panel.csv"
+        simulate_fbm(HurstParams(0.1), SimConfig(2, 50, 0.15, 0)).write_csv(panel)
+        argv = [a.format(panel=panel) for a in argv]
+    elif run != "simulate":
+        argv = [*argv, "--data-dir", str(data)]
+    codes, loaded = loaded_modules([[*argv, "--out-dir", str(tmp_path / "out")]], tmp_path)
+    assert codes == [0]
+    assert "vartau.commands" in loaded
+    assert loaded.isdisjoint(f"vartau.{m}" for m in absent), sorted(loaded)
+
+
+def test_the_parser_agrees_with_the_library(capsys):
+    # the shell writes out what the library defines, so that parsing loads no numpy
+    parsers = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices
+
+    def option(command, flag):
+        return next(a for a in parsers[command]._actions if flag in a.option_strings)
+
+    kinds = [k.value for k in ClockKind]
+    for command, flag in [("clock", "--kind"), ("variogram", "--clock"), ("backtest", "--kind"),
+                          ("predict", "--kind"), ("correlate", "--kind")]:
+        assert option(command, flag).choices == kinds
+    for command in ("predict", "correlate"):
+        assert option(command, "--min-obs").default == covariance.DEFAULT_MIN_OBS
+    assert f"({predictor.RIDGE_SCALE:g})" in option("predict", "--ridge").help
+    # a year is one that year_bounds spans, as --year and as a year of a list
+    for year in (1, 9998):
+        year_bounds(year)
+        assert cli.build_parser().parse_args(["clock", "--data-dir", "d", "--year", str(year),
+                                              "--out-dir", "o"]).year == year
+        assert cli._parse_years(f"{year}") == [year]
+    for year in (0, 9999):
+        with pytest.raises(ValueError):
+            year_bounds(year)
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["clock", "--data-dir", "d", "--year", str(year),
+                                           "--out-dir", "o"])
+        assert (f"argument --year: '{year}' is not a year the clocks can span"
+                in capsys.readouterr().err)
+        with pytest.raises(cli.UsageError, match=f"^bad year list '{year}': '{year}' is not a "
+                                                 "year the clocks can span$"):
+            cli._parse_years(f"{year}")
+
+
 @pytest.mark.parametrize("command", [
     ["variogram", "--year", "2021", "--tau-grid", "0.25:32:4"],
     ["correlate", "--years", "2021"]], ids=["variogram", "correlate"])
@@ -955,7 +1076,7 @@ def test_a_file_that_changes_between_passes_exits_3(tmp_path, monkeypatch, capsy
         {p.name: p.read_bytes() for p in (tmp_path / "cached").glob("*.csv")}
     shutil.rmtree(data / ".vartau")
 
-    parse = cli.parse_candles
+    parse = candles.parse_candles
 
     def parse_then_edit(path):
         series = parse(path)
@@ -964,7 +1085,7 @@ def test_a_file_that_changes_between_passes_exits_3(tmp_path, monkeypatch, capsy
         return series
 
     monkeypatch.setattr(candles, "_write_entry", unwritable)
-    monkeypatch.setattr(cli, "parse_candles", parse_then_edit)
+    monkeypatch.setattr(candles, "parse_candles", parse_then_edit)
     capsys.readouterr()
     out = tmp_path / "out"
     assert cli.main([*argv, "--out-dir", str(out)]) == 3
@@ -1116,15 +1237,15 @@ def test_predict_that_fails_on_a_later_training_year_writes_nothing(tmp_path, ca
 
 
 @pytest.mark.parametrize("argv, module, name", [
-    (["clock", "--year", "2021"], cli, "build_clock"),
-    (["variogram", "--year", "2021", "--tau-grid", "0.25:32:4"], cli.vg, "percentile_curves"),
-    (["correlate", "--years", "2021", "--tau-grid", "0.5,1,2"], cli.cov,
+    (["clock", "--year", "2021"], clock_module, "build_clock"),
+    (["variogram", "--year", "2021", "--tau-grid", "0.25:32:4"], variogram, "percentile_curves"),
+    (["correlate", "--years", "2021", "--tau-grid", "0.5,1,2"], covariance,
      "predicted_corr_ratio"),
-    (["predict", "--train-years", "2021", "--predict-years", "2022"], cli.pred,
+    (["predict", "--train-years", "2021", "--predict-years", "2022"], predictor,
      "prediction_report"),
     (["backtest", "--strategy", "market-meanrev", "--years", "2021", "--min-side-count", "1"],
-     cli.bt, "annualized_yield"),
-    (["simulate", "--epsilon", "0.1", "--hours-per-year", "50"], cli.hurst, "simulate_fbm"),
+     backtest, "annualized_yield"),
+    (["simulate", "--epsilon", "0.1", "--hours-per-year", "50"], hurst, "simulate_fbm"),
 ], ids=["clock", "variogram", "correlate", "predict", "backtest", "simulate"])
 def test_command_that_fails_at_its_last_library_call_writes_nothing(
         data, tmp_path, monkeypatch, capsys, argv, module, name):
@@ -1148,7 +1269,7 @@ def test_command_that_fails_at_its_last_library_call_writes_nothing(
 
 
 def test_summary_holding_a_nan_writes_nothing(data, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli.bt, "annualized_yield", lambda curve: float("nan"))
+    monkeypatch.setattr(backtest, "annualized_yield", lambda curve: float("nan"))
     out = tmp_path / "out"
     assert cli.main(["backtest", "--strategy", "market-meanrev", "--data-dir", str(data),
                      "--years", "2021", "--min-side-count", "1", "--out-dir", str(out)]) == 4
@@ -1255,15 +1376,15 @@ def test_backtest_reports_the_notional_and_the_breakeven_cost(data, setting_inpu
 def test_retired_variogram_method_replays_only_as_diff_of_avg(data, tmp_path, capsys):
     # manifests written while a command had a flag that is now gone record it;
     # the one value that is still the command's behaviour replays, any other is refused
-    backtest = ["backtest", "--strategy", "market-meanrev", "--data-dir", str(data),
-                "--years", "2021", "--min-side-count", "1"]
+    meanrev = ["backtest", "--strategy", "market-meanrev", "--data-dir", str(data),
+               "--years", "2021", "--min-side-count", "1"]
     runs = {
         "variogram": (["variogram", "--data-dir", str(data), "--year", "2021",
                        "--tau-grid", "0.25:32:4"], "method", "diff_of_avg", "two_point_grid"),
         "simulate": (["simulate", "--epsilon", "0.1", "--hours-per-year", "50",
                       "--method", "shot"], "sigma", 1.0, 2.0),
-        "stake": (backtest, "stake", 1.0, 2.0),
-        "cost": (backtest, "cost", 0.0, 0.001),
+        "stake": (meanrev, "stake", 1.0, 2.0),
+        "cost": (meanrev, "cost", 0.0, 0.001),
     }
     for case, (argv, flag, kept, gone) in runs.items():
         run = tmp_path / case / "run"

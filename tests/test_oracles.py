@@ -54,7 +54,7 @@ from test_backtest import gappy_prices
 from vartau import backtest, candles, covariance, predictor
 from vartau.backtest import (EquityCurve, StrategyConfig, TradeLedger, run_market_meanrev,
                              run_xcorr_strategy)
-from vartau.candles import (CSV_HEADER, CandleSeries, bin_coordinates,
+from vartau.candles import (CSV_HEADER, CandleSeries, bin_coordinates, bin_means,
                             parse_candles, write_candles, write_table)
 from vartau.clock import ClockKind, ClockMap, build_clock, hours_in_year, year_bounds
 from vartau.covariance import CorrMatrix, CovMatrix, corr_vs_tau, pair_stats
@@ -331,6 +331,15 @@ def test_build_clock_rejects_off_minute_stamps(market, kind, second):
         build_clock([*series, odd], kind, year)
 
 
+def assert_bins_match_unique(coords, prices, tau):
+    """``bin_coordinates``, its mean coordinates by ``bin_means``, equal the oracle's bins."""
+    index, first, price, counts = bin_coordinates(coords, prices, tau)
+    got = index, bin_means(coords, first, counts), price, counts
+    for g, w in zip(got, bin_coordinates_unique(coords, prices, tau), strict=True):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.one_of(st.floats(0.0, 50.0), st.integers(0, 200).map(lambda k: k / 4)),
                 max_size=60),
@@ -338,11 +347,7 @@ def test_build_clock_rejects_off_minute_stamps(market, kind, second):
 def test_bin_coordinates_matches_unique(coords, tau, rnd):
     coords = np.sort(np.asarray(coords, dtype=float))
     prices = np.array([rnd.uniform(1.0, 100.0) for _ in coords])
-    got = bin_coordinates(coords, prices, tau)
-    want = bin_coordinates_unique(coords, prices, tau)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype
-        assert np.array_equal(g, w)
+    assert_bins_match_unique(coords, prices, tau)
 
 
 # the variogram command's default grid, the benchmark's rho(tau) grid (15
@@ -371,11 +376,7 @@ def boundary_coords(draw):
 def test_bin_coordinates_exact_on_bin_edges(data, rnd):
     coords, tau = data
     prices = np.array([rnd.uniform(1.0, 100.0) for _ in coords])
-    got = bin_coordinates(coords, prices, tau)
-    want = bin_coordinates_unique(coords, prices, tau)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype
-        assert np.array_equal(g, w)
+    assert_bins_match_unique(coords, prices, tau)
 
 
 def test_bin_coordinates_rejects_unsorted():
